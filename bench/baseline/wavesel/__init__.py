@@ -1,0 +1,85 @@
+"""Online Bayesian meta-learning for adaptive radar waveform selection.
+
+The package splits into a small stack: Gaussian belief arithmetic
+(``gaussmath``), the transmit catalog and matched filtering (``waveforms``),
+the finite-state target channel (``fstc``), the per-track Thompson-sampling
+learner (``bandit``), the track-to-track meta level (``meta``), reporting
+(``metrics``), and the batch experiment harness with its CLI (``harness``,
+``cli``).
+"""
+
+__version__ = "0.1.0"
+
+from .bandit import TsAgent, compute_loss, run_track, select_waveform
+from .errors import WaveselError
+from .fstc import (
+    FstcInstance,
+    SceneConfig,
+    StateProcess,
+    TaskDistribution,
+    draw_instance,
+    receive,
+)
+from .gaussmath import Gaussian, LinearPosterior, blr_update, kl_gaussian
+from .harness import ExperimentConfig, load_config, run_experiment
+from .meta import (
+    POLICIES,
+    MetaPosterior,
+    TrackData,
+    init_meta,
+    meta_update,
+    run_meta_experiment,
+    sample_instance_prior,
+)
+from .metrics import (
+    BoundInputs,
+    TrackRecord,
+    ecdf,
+    kl_trace,
+    outage_frequency,
+    pac_bayes_meta,
+    pac_bayes_single,
+    suboptimal_frequency,
+)
+from .waveforms import ComplexEnvelope, WaveformSpec, default_catalog, make_envelope
+
+__all__ = [
+    "__version__",
+    "WaveselError",
+    "Gaussian",
+    "LinearPosterior",
+    "blr_update",
+    "kl_gaussian",
+    "ComplexEnvelope",
+    "WaveformSpec",
+    "make_envelope",
+    "default_catalog",
+    "StateProcess",
+    "TaskDistribution",
+    "SceneConfig",
+    "FstcInstance",
+    "draw_instance",
+    "receive",
+    "TsAgent",
+    "compute_loss",
+    "select_waveform",
+    "run_track",
+    "POLICIES",
+    "MetaPosterior",
+    "TrackData",
+    "init_meta",
+    "sample_instance_prior",
+    "meta_update",
+    "run_meta_experiment",
+    "TrackRecord",
+    "BoundInputs",
+    "outage_frequency",
+    "suboptimal_frequency",
+    "kl_trace",
+    "ecdf",
+    "pac_bayes_single",
+    "pac_bayes_meta",
+    "ExperimentConfig",
+    "load_config",
+    "run_experiment",
+]

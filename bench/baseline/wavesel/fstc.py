@@ -1,0 +1,437 @@
+"""Finite-state target channel: hidden clutter states, stochastic impulse
+responses, and post-matched-filter SINR for one tracking episode.
+
+The channel hides a discrete clutter state with short memory behind a noisy
+observation kernel. Each episode (track) draws a latent parameter vector
+theta that sets the target, clutter, and noise power levels through a
+softplus link, plus smooth random impulse responses for the target and the
+clutter bed. A pulse is received as
+
+    rx = (w * h) delayed, ramped  +  (w * c) * sqrt(state_gain[s])  +  noise,
+
+where ``*`` is linear convolution, the complex phase ramp applies the
+target's Doppler shift to the target echo only (the clutter bed is static),
+and the additive noise is circular complex Gaussian. The post-processing SINR compares the target's
+matched-filter peak against the average clutter-plus-noise power in a short
+window of lags around that peak, capped at 60 dB.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.linalg import toeplitz
+
+from .errors import IndexOutOfRange, InvalidInput, NotPositiveDefinite
+from .waveforms import ComplexEnvelope, matched_filter
+
+SINR_CAP = 1e6  # 60 dB
+#: Interference power is averaged over lags peak +/- WINDOW_HALF.
+WINDOW_HALF = 16
+
+DEFAULT_STATE_GAIN = (0.25, 1.0, 4.0, 16.0)
+
+
+def softplus(x):
+    """ln(1 + e^x), the positive link from latent parameters to power gains."""
+    return np.logaddexp(0.0, x)
+
+
+# ---------------------------------------------------------------------------
+# state process
+
+
+@dataclass(frozen=True)
+class StateProcess:
+    """Hidden clutter-state chain with memory, plus a noisy observation kernel.
+
+    ``transition`` has shape (n_states,) * (memory - 1) + (n_states,): the
+    leading axes index the previous states (oldest first) and the last axis
+    is the distribution of the next state. The observation equals the true
+    state with probability 1 - obs_flip_prob, otherwise it is uniform over
+    the remaining states.
+    """
+
+    transition: np.ndarray
+    obs_flip_prob: float
+
+    def __post_init__(self):
+        t = np.asarray(self.transition, dtype=float)
+        object.__setattr__(self, "transition", t)
+        if np.any(t < 0):
+            raise InvalidInput("transition probabilities must be non-negative")
+        if not np.allclose(t.sum(axis=-1), 1.0, atol=1e-9):
+            raise InvalidInput("transition rows must sum to one")
+        if not 0.0 <= self.obs_flip_prob < 1.0:
+            raise InvalidInput("obs_flip_prob must lie in [0, 1)")
+
+    @property
+    def n_states(self) -> int:
+        return self.transition.shape[-1]
+
+    @property
+    def memory(self) -> int:
+        return self.transition.ndim
+
+
+def random_transition(
+    n_states: int,
+    memory: int,
+    rng: np.random.Generator,
+    concentration: float = 2.0,
+) -> np.ndarray:
+    """Transition table with each row drawn from a symmetric Dirichlet."""
+    if n_states < 1 or memory < 1:
+        raise InvalidInput("n_states and memory must be positive")
+    n_rows = n_states ** (memory - 1)
+    rows = rng.dirichlet(np.full(n_states, concentration), size=n_rows)
+    return rows.reshape((n_states,) * (memory - 1) + (n_states,))
+
+
+def step_state(sp: StateProcess, history, rng: np.random.Generator) -> int:
+    """Advance the chain one step given the most recent states.
+
+    ``history`` holds past states, oldest first; only the last memory - 1
+    entries matter, and shorter histories are padded with state 0.
+    """
+    need = sp.memory - 1
+    recent = tuple(int(s) for s in history[-need:]) if need else ()
+    if len(recent) < need:
+        recent = (0,) * (need - len(recent)) + recent
+    row = sp.transition[recent]
+    u = rng.random()
+    idx = int(np.searchsorted(np.cumsum(row), u, side="right"))
+    return min(idx, sp.n_states - 1)
+
+
+def observe(sp: StateProcess, s: int, rng: np.random.Generator) -> int:
+    """Noisy state reading: s with probability 1 - eps, else uniform elsewhere."""
+    if not 0 <= s < sp.n_states:
+        raise InvalidInput(f"state {s} outside [0, {sp.n_states})")
+    if sp.n_states == 1 or rng.random() >= sp.obs_flip_prob:
+        return int(s)
+    other = int(rng.integers(sp.n_states - 1))
+    return other + (other >= s)
+
+
+# ---------------------------------------------------------------------------
+# episode-level types
+
+
+@dataclass(frozen=True)
+class TargetState:
+    """True delay-Doppler cell of the target on the range-Doppler grid (1-based)."""
+
+    delay_cell: int
+    doppler_cell: int
+
+
+@dataclass(frozen=True)
+class TaskDistribution:
+    """Episode-generating distribution: theta ~ N(mu_star, sigma0_sq I)."""
+
+    mu_star: np.ndarray
+    sigma0_sq: float
+    ir_kernel_scale: float
+    ir_taps: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "mu_star", np.asarray(self.mu_star, dtype=float))
+        if self.sigma0_sq <= 0:
+            raise InvalidInput("sigma0_sq must be strictly positive")
+        if self.ir_taps < 1:
+            raise InvalidInput("ir_taps must be at least 1")
+
+
+@dataclass(frozen=True)
+class SceneConfig:
+    """Episode-independent channel configuration shared by all tracks."""
+
+    state_proc: StateProcess
+    state_gain: tuple
+    noise_var: float
+    grid_n: int
+    grid_m: int
+    doppler: float = 0.0
+    target_power: float = 1.0
+    clutter_power: float = 1.0
+
+    def __post_init__(self):
+        if len(self.state_gain) != self.state_proc.n_states:
+            raise InvalidInput("state_gain needs one entry per state")
+        if self.noise_var <= 0:
+            raise InvalidInput("noise_var must be strictly positive")
+        if self.grid_n < 1 or self.grid_m < 1:
+            raise InvalidInput("grid dimensions must be positive")
+
+
+@dataclass(frozen=True)
+class FstcInstance:
+    """One episode's frozen channel: latent theta, impulse responses, and the
+    target trajectory. ``noise_var`` is the effective (theta-scaled) value."""
+
+    theta: np.ndarray
+    target_ir: np.ndarray
+    clutter_ir: np.ndarray
+    state_proc: StateProcess
+    noise_var: float
+    state_gain: np.ndarray
+    doppler: float
+    trajectory: tuple
+    grid_n: int
+    grid_m: int
+
+
+def _gp_taps(n_taps: int, scale: float, rng: np.random.Generator) -> np.ndarray:
+    """Zero-mean complex draw with squared-exponential covariance over tap index.
+
+    Uses an eigendecomposition so the nearly rank-deficient large-scale limit
+    stays well defined (all taps equal).
+    """
+    idx = np.arange(n_taps)
+    cov = np.exp(-((idx[:, None] - idx[None, :]) ** 2) / (2.0 * scale**2))
+    w, v = np.linalg.eigh(cov)
+    root = v * np.sqrt(np.clip(w, 0.0, None))
+    z = (rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps)) / np.sqrt(2.0)
+    return root @ z
+
+
+def draw_instance(
+    task_dist: TaskDistribution,
+    scene: SceneConfig,
+    n_cpis: int,
+    rng: np.random.Generator,
+) -> FstcInstance:
+    """Draw one episode: theta, impulse responses, and a bounded random-walk
+    trajectory across the range-Doppler grid.
+
+    theta feeds three power levels through the softplus link: target gain,
+    clutter gain, and the noise floor. The draw order (theta, target taps,
+    clutter taps, trajectory) is fixed so seeded streams reproduce exactly.
+    """
+    d = task_dist.mu_star.size
+    theta = task_dist.mu_star + np.sqrt(task_dist.sigma0_sq) * rng.standard_normal(d)
+    gain_t = softplus(theta[0]) * scene.target_power
+    gain_c = softplus(theta[1 % d]) * scene.clutter_power
+    noise_var = softplus(theta[2 % d]) * scene.noise_var
+
+    h = np.sqrt(gain_t) * _gp_taps(task_dist.ir_taps, task_dist.ir_kernel_scale, rng)
+    c = np.sqrt(gain_c) * _gp_taps(task_dist.ir_taps, task_dist.ir_kernel_scale, rng)
+
+    # Tracks begin at standoff range: the dominant clutter patch sits at the
+    # near edge of the delay grid, and a target under track starts well
+    # separated from it. The walk may still close that separation.
+    delay = int(rng.integers(1 + scene.grid_n // 3, scene.grid_n + 1))
+    doppler_cell = int(rng.integers(1, scene.grid_m + 1))
+    cells = []
+    for _ in range(n_cpis):
+        cells.append(TargetState(delay, doppler_cell))
+        delay = int(np.clip(delay + rng.integers(-1, 2), 1, scene.grid_n))
+        doppler_cell = int(np.clip(doppler_cell + rng.integers(-1, 2), 1, scene.grid_m))
+
+    return FstcInstance(
+        theta=theta,
+        target_ir=h,
+        clutter_ir=c,
+        state_proc=scene.state_proc,
+        noise_var=float(noise_var),
+        state_gain=np.asarray(scene.state_gain, dtype=float),
+        doppler=scene.doppler,
+        trajectory=tuple(cells),
+        grid_n=scene.grid_n,
+        grid_m=scene.grid_m,
+    )
+
+
+# ---------------------------------------------------------------------------
+# receive path
+
+# All reflected content is placed at this base offset on the canvas so the
+# analysis window around any peak sees fully-overlapped matched-filter lags.
+_BASE = WINDOW_HALF
+
+
+def _reflected(env: ComplexEnvelope, ir: np.ndarray, doppler: float) -> np.ndarray:
+    refl = np.convolve(env.samples, ir)
+    if doppler != 0.0:
+        t = np.arange(refl.size) / refl.size
+        refl = refl * np.exp(2j * np.pi * doppler * t)
+    return refl
+
+
+def _canvas_len(refl_len: int, grid_n: int) -> int:
+    return refl_len + grid_n + 2 * WINDOW_HALF
+
+
+def _place(canvas_len: int, refl: np.ndarray, offset: int) -> np.ndarray:
+    out = np.zeros(canvas_len, dtype=complex)
+    out[offset : offset + refl.size] = refl
+    return out
+
+
+def _window(peak: int, length: int) -> slice:
+    lo = max(peak - WINDOW_HALF, 0)
+    hi = min(peak + WINDOW_HALF + 1, length)
+    return slice(lo, hi)
+
+
+def _sinr_value(sig: float, denom: float) -> float:
+    if denom <= 0.0:
+        return SINR_CAP
+    return float(min(sig / denom, SINR_CAP))
+
+
+def receive(
+    inst: FstcInstance,
+    s: int,
+    w: ComplexEnvelope,
+    cpi: int,
+    rng: np.random.Generator,
+):
+    """Simulate one pulse: returns (post-processing SINR, received samples).
+
+    The target echo is placed at the trajectory's current delay cell and
+    carries the Doppler ramp; the clutter return spans the scene at zero
+    delay and is static. SINR is the target's matched-filter peak power over
+    the mean clutter-plus-noise power in the window of lags around that peak.
+    """
+    if not 0 <= s < inst.state_proc.n_states:
+        raise InvalidInput(f"state {s} outside [0, {inst.state_proc.n_states})")
+    if not 0 <= cpi < len(inst.trajectory):
+        raise IndexOutOfRange(f"cpi {cpi} outside trajectory of length {len(inst.trajectory)}")
+
+    delay = inst.trajectory[cpi].delay_cell - 1
+    refl_t = _reflected(w, inst.target_ir, inst.doppler)
+    refl_c = _reflected(w, inst.clutter_ir, 0.0)
+    clen = _canvas_len(refl_t.size, inst.grid_n)
+
+    target = _place(clen, refl_t, _BASE + delay)
+    clutter = _place(clen, np.sqrt(inst.state_gain[s]) * refl_c, _BASE)
+    noise = np.sqrt(inst.noise_var / 2.0) * (
+        rng.standard_normal(clen) + 1j * rng.standard_normal(clen)
+    )
+    rx = target + clutter + noise
+
+    y_t = matched_filter(w, target)
+    y_c = matched_filter(w, clutter)
+    y_n = matched_filter(w, noise)
+    peak = int(np.argmax(np.abs(y_t)))
+    sig = float(np.abs(y_t[peak]) ** 2)
+    win = _window(peak, y_t.size)
+    denom = float(np.mean(np.abs(y_c[win]) ** 2) + np.mean(np.abs(y_n[win]) ** 2))
+    return _sinr_value(sig, denom), rx
+
+
+class TrackSimulator:
+    """Per-episode fast path: precomputes every waveform's deterministic
+    matched-filter responses so each pulse costs only a small noise draw.
+
+    The noise contribution to the analysis window is drawn directly in the
+    matched-filter domain from its exact joint distribution (Toeplitz
+    covariance from the waveform's autocorrelation), which is identical in
+    law to filtering white noise and orders of magnitude cheaper. Expected
+    losses per state use a fixed set of Monte Carlo noise draws shared by
+    all pulses of the episode.
+    """
+
+    def __init__(
+        self,
+        inst: FstcInstance,
+        catalog: list,
+        oracle_rng: np.random.Generator,
+        n_oracle_draws: int = 64,
+    ):
+        self.inst = inst
+        self.catalog = catalog
+        self._wf = []
+        width = 2 * WINDOW_HALF + 1
+        for env in catalog:
+            refl_t = _reflected(env, inst.target_ir, inst.doppler)
+            refl_c = _reflected(env, inst.clutter_ir, 0.0)
+            clen = _canvas_len(refl_t.size, inst.grid_n)
+            y_t0 = matched_filter(env, _place(clen, refl_t, _BASE))
+            y_c0 = matched_filter(env, _place(clen, refl_c, _BASE))
+            p0 = int(np.argmax(np.abs(y_t0)))
+            sig = float(np.abs(y_t0[p0]) ** 2)
+            c_sq = np.abs(y_c0) ** 2
+            c_prefix = np.concatenate([[0.0], np.cumsum(c_sq)])
+            # exact covariance of matched-filter noise at neighbouring lags
+            pulse = env.samples
+            acorr = np.correlate(pulse, pulse, mode="full")
+            mid = pulse.size - 1
+            col = inst.noise_var * acorr[mid : mid + width]
+            gram = toeplitz(col, np.conj(col))
+            try:
+                lg = np.linalg.cholesky(gram + 1e-12 * inst.noise_var * np.eye(width))
+            except np.linalg.LinAlgError:
+                raise NotPositiveDefinite("noise window covariance failed to factor")
+            n_draws = (
+                oracle_rng.standard_normal((n_oracle_draws, width))
+                + 1j * oracle_rng.standard_normal((n_oracle_draws, width))
+            ) / np.sqrt(2.0)
+            p_hat = np.mean(np.abs(n_draws @ lg.T) ** 2, axis=1)
+            # first-moment correction: the exact mean window power is known
+            p_hat = np.clip(p_hat + (inst.noise_var - p_hat.mean()), 1e-18, None)
+            self._wf.append(
+                {
+                    "peak0": p0,
+                    "sig": sig,
+                    "c_prefix": c_prefix,
+                    "out_len": y_t0.size,
+                    "lg": lg,
+                    "noise_power_draws": p_hat,
+                }
+            )
+
+    def _clutter_window_power(self, wf: dict, delay: int) -> float:
+        win = _window(wf["peak0"] + delay, wf["out_len"])
+        return (wf["c_prefix"][win.stop] - wf["c_prefix"][win.start]) / (
+            win.stop - win.start
+        )
+
+    def step(self, cpi: int, s: int, w_idx: int, rng: np.random.Generator) -> float:
+        """Realized SINR of one pulse, matching ``receive`` in distribution."""
+        wf = self._wf[w_idx]
+        delay = self.inst.trajectory[cpi].delay_cell - 1
+        p_c = float(self.inst.state_gain[s]) * self._clutter_window_power(wf, delay)
+        width = wf["lg"].shape[0]
+        z = (rng.standard_normal(width) + 1j * rng.standard_normal(width)) / np.sqrt(2.0)
+        p_n = float(np.mean(np.abs(wf["lg"] @ z) ** 2))
+        return _sinr_value(wf["sig"], p_c + p_n)
+
+    def expected_losses(self, cpi: int, s: int, sinr_target: float) -> np.ndarray:
+        """Monte Carlo mean loss of every waveform at the true state.
+
+        Uses the episode's cached noise draws, so the estimate is a
+        deterministic function of (cpi, state).
+        """
+        delay = self.inst.trajectory[cpi].delay_cell - 1
+        gain = float(self.inst.state_gain[s])
+        out = np.empty(len(self._wf))
+        for i, wf in enumerate(self._wf):
+            p_c = gain * self._clutter_window_power(wf, delay)
+            sinr = np.minimum(wf["sig"] / (p_c + wf["noise_power_draws"]), SINR_CAP)
+            out[i] = float(np.mean(np.clip(sinr / sinr_target, 0.0, 1.0)))
+        return out
+
+
+class PhysicalTrackEnv:
+    """Adapter giving the per-track learner a uniform environment interface."""
+
+    def __init__(self, sim: TrackSimulator, sinr_target: float):
+        self.sim = sim
+        self.sinr_target = sinr_target
+        self._states: list[int] = []
+
+    def step_scene(self, rng: np.random.Generator):
+        sp = self.sim.inst.state_proc
+        s = step_state(sp, self._states, rng)
+        self._states.append(s)
+        return s, observe(sp, s, rng)
+
+    def expected_losses(self, cpi: int, s: int, contexts) -> np.ndarray:
+        return self.sim.expected_losses(cpi, s, self.sinr_target)
+
+    def realize(self, cpi: int, s: int, w_idx: int, phi, rng: np.random.Generator):
+        sinr = self.sim.step(cpi, s, w_idx, rng)
+        loss = float(np.clip(sinr / self.sinr_target, 0.0, 1.0))
+        return loss, sinr

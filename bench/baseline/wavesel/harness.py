@@ -1,0 +1,514 @@
+"""Experiment harness: configuration, replicate dispatch, CSV persistence,
+and cross-seed aggregation.
+
+Configuration files are flat UTF-8 ``key = value`` lines with ``#`` comments;
+every key has a documented default, so an empty file runs the full default
+study. One replicate is a (policy, seed) pair; replicates are independent
+and may run in parallel (``WAVESEL_WORKERS`` environment variable), with
+outputs merged in canonical (policy, seed) order regardless of worker count.
+
+All floating-point CSV fields are written with ``repr`` of a Python float,
+which round-trips exactly, so recomputing any metric from the files
+reproduces the in-memory value bit for bit.
+"""
+
+import os
+import time
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, fields
+
+import numpy as np
+
+from .errors import EmptyInput, InvalidInput, IoError, ParseError, ValidationError
+from .fstc import SceneConfig, StateProcess, TaskDistribution, random_transition
+from .meta import POLICIES, policy_index, run_meta_experiment, scene_rng
+from .metrics import kl_trace, track_record
+
+#: Fixed true prior mean for physical mode: positive weight on the running
+#: mean and max of past losses makes the informed policies meaningful, and
+#: the same vector gives sensible channel gains through the softplus links.
+PHYSICAL_MU_STAR = (1.2, 0.4, 0.6)
+
+#: Fixed true prior mean for synthetic mode. The running-mean feature feeds
+#: back into the next loss, so its weight sets a feedback gain of
+#: 1/(1 - w): a small negative weight keeps that loop damped and the
+#: per-pair statistics identifiable, while the max feature carries most of
+#: the signal. Weights near +1 make the loop self-confirming and leave the
+#: learners chasing an unidentifiable target.
+SYNTHETIC_MU_STAR = (-0.3, 0.2, 0.8)
+
+PER_CPI_HEADER = (
+    "policy,seed,track,cpi,state,obs,waveform,sinr_db,loss,oracle_loss,"
+    "regret_inc,suboptimal,outage_10db"
+)
+PER_TRACK_HEADER = (
+    "policy,seed,track,cum_regret,mean_loss,outage_freq,subopt_freq,kl_to_truth"
+)
+AGG_HEADER = "policy,track,mean,stderr"
+
+#: Aggregate output metrics and the across-track transform each one uses.
+AGG_METRICS = {
+    "regret": "cumsum",
+    "loss": "running_mean",
+    "outage": "running_mean",
+    "subopt": "running_mean",
+    "kl": "raw",
+}
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Full experiment parameterization; field names are the config keys."""
+
+    m: int = 50
+    n: int = 200
+    k: int = 5
+    d: int = 3
+    sigma_q_sq: float = 12.0
+    sigma0_sq: float = 0.35
+    sigma_sq: float = 0.33
+    noise_var: float = 1e-3
+    sinr_target_db: float = 12.0
+    obs_flip_prob: float = 0.1
+    n_states: int = 4
+    memory: int = 2
+    grid_n: int = 64
+    grid_m: int = 16
+    ir_taps: int = 8
+    ir_kernel_scale: float = 1.5
+    target_power: float = 1.0
+    clutter_power: float = 30.0
+    doppler: float = 0.0
+    n_oracle_draws: int = 64
+    mu_star: tuple | None = None
+    seeds: tuple = tuple(range(20))
+    policies: tuple = POLICIES
+    mode: str = "synthetic"
+    out_dir: str = "out"
+
+
+_INT_KEYS = {
+    "m", "n", "k", "d", "n_states", "memory", "grid_n", "grid_m",
+    "ir_taps", "n_oracle_draws",
+}
+_FLOAT_KEYS = {
+    "sigma_q_sq", "sigma0_sq", "sigma_sq", "noise_var", "sinr_target_db",
+    "obs_flip_prob", "ir_kernel_scale", "target_power", "clutter_power",
+    "doppler",
+}
+_STR_KEYS = {"mode", "out_dir"}
+
+
+def _parse_value(key: str, text: str, line: int, column: int):
+    try:
+        if key in _INT_KEYS:
+            return int(text)
+        if key in _FLOAT_KEYS:
+            return float(text)
+        if key == "seeds":
+            return tuple(int(p) for p in text.split(","))
+        if key == "policies":
+            return tuple(p.strip() for p in text.split(","))
+        if key == "mu_star":
+            if text == "auto":
+                return None
+            return tuple(float(p) for p in text.split(","))
+    except ValueError:
+        raise ParseError(f"bad value for {key}: {text!r}", line, column) from None
+    return text
+
+
+def _validate(config: ExperimentConfig) -> ExperimentConfig:
+    for name in ("m", "n", "k"):
+        if getattr(config, name) < 1:
+            raise ValidationError(name, "must be at least 1")
+    if config.d < 1:
+        raise ValidationError("d", "must be at least 1")
+    for name in ("sigma_q_sq", "sigma0_sq", "sigma_sq", "noise_var"):
+        if getattr(config, name) <= 0:
+            raise ValidationError(name, "variance must be strictly positive")
+    if not 0.0 <= config.obs_flip_prob <= 1.0:
+        raise ValidationError("obs_flip_prob", "must lie in [0, 1]")
+    if config.n_states < 2:
+        raise ValidationError("n_states", "must be at least 2")
+    if config.memory < 1:
+        raise ValidationError("memory", "must be at least 1")
+    for name in ("grid_n", "grid_m", "ir_taps", "n_oracle_draws"):
+        if getattr(config, name) < 1:
+            raise ValidationError(name, "must be at least 1")
+    if config.ir_kernel_scale <= 0:
+        raise ValidationError("ir_kernel_scale", "must be strictly positive")
+    if config.target_power < 0 or config.clutter_power < 0:
+        raise ValidationError("target_power", "powers must be nonnegative")
+    if not config.seeds:
+        raise ValidationError("seeds", "at least one seed is required")
+    if not config.policies:
+        raise ValidationError("policies", "at least one policy is required")
+    for p in config.policies:
+        if p not in POLICIES:
+            raise ValidationError("policies", f"unknown policy {p!r}")
+    if config.mode not in ("synthetic", "physical"):
+        raise ValidationError("mode", f"unknown mode {config.mode!r}")
+    if config.mu_star is not None and len(config.mu_star) != config.d:
+        raise ValidationError("mu_star", f"needs exactly {config.d} components")
+    if not config.out_dir:
+        raise ValidationError("out_dir", "must be nonempty")
+    return config
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse config text; unknown keys are rejected, later lines win."""
+    known = {f.name for f in fields(ExperimentConfig)}
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        if not line.strip():
+            continue
+        if "=" not in line:
+            raise ParseError("expected `key = value`", lineno, 1)
+        eq = line.index("=")
+        key = line[:eq].strip()
+        if not key:
+            raise ParseError("missing key before `=`", lineno, 1)
+        if key not in known:
+            raise ValidationError(key, "unknown configuration key")
+        value_text = line[eq + 1 :].strip()
+        if not value_text:
+            raise ParseError(f"missing value for {key}", lineno, eq + 2)
+        values[key] = _parse_value(key, value_text, lineno, eq + 2)
+    return _validate(ExperimentConfig(**values))
+
+
+def load_config(path: str) -> ExperimentConfig:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot read config {path}: {exc}") from exc
+    return parse_config(text)
+
+
+def serialize_config(config: ExperimentConfig) -> str:
+    """Emit config text that parses back to an equal config."""
+    lines = []
+    for f in fields(ExperimentConfig):
+        value = getattr(config, f.name)
+        if f.name in ("seeds", "policies"):
+            text = ",".join(str(v) for v in value)
+        elif f.name == "mu_star":
+            text = "auto" if value is None else ",".join(repr(float(v)) for v in value)
+        elif f.name in _FLOAT_KEYS:
+            text = repr(float(value))
+        else:
+            text = str(value)
+        lines.append(f"{f.name} = {text}")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# replicate execution
+
+
+def build_scene(config: ExperimentConfig, seed: int) -> tuple[TaskDistribution, SceneConfig]:
+    """Seed-level scene draw, shared by every policy under the seed.
+
+    Only the state-transition table is random here; the true prior mean
+    defaults to a fixed per-mode constant so that runs across seeds probe
+    one task distribution rather than a different one per seed.
+    """
+    if config.d != 3:
+        raise ValidationError("d", "the context model uses exactly 3 features")
+    rng = scene_rng(seed)
+    transition = random_transition(config.n_states, config.memory, rng)
+    if config.mu_star is not None:
+        mu = np.asarray(config.mu_star, dtype=float)
+    elif config.mode == "synthetic":
+        mu = np.asarray(SYNTHETIC_MU_STAR, dtype=float)
+    else:
+        mu = np.asarray(PHYSICAL_MU_STAR, dtype=float)
+    state_gain = tuple(4.0 ** (i - 1) for i in range(config.n_states))
+    scene = SceneConfig(
+        state_proc=StateProcess(transition, config.obs_flip_prob),
+        state_gain=state_gain,
+        noise_var=config.noise_var,
+        grid_n=config.grid_n,
+        grid_m=config.grid_m,
+        doppler=config.doppler,
+        target_power=config.target_power,
+        clutter_power=config.clutter_power,
+    )
+    task_dist = TaskDistribution(
+        mu_star=mu,
+        sigma0_sq=config.sigma0_sq,
+        ir_kernel_scale=config.ir_kernel_scale,
+        ir_taps=config.ir_taps,
+    )
+    return task_dist, scene
+
+
+@dataclass
+class RunSummary:
+    """Per-track summary rows of one replicate, plus wall time (not persisted)."""
+
+    policy: str
+    seed: int
+    cum_regret: np.ndarray
+    mean_loss: np.ndarray
+    outage_freq: np.ndarray
+    subopt_freq: np.ndarray
+    kl_to_truth: np.ndarray
+    wall_time_ms: float
+
+
+def _fmt(x) -> str:
+    return repr(float(x))
+
+
+def _write_lines(path: str, lines) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            for line in lines:
+                fh.write(line)
+                fh.write("\n")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def _cpi_lines(records: list) -> list:
+    lines = [PER_CPI_HEADER]
+    for rec in records:
+        flags = rec.outage[10.0]
+        for i in range(len(rec)):
+            lines.append(
+                f"{rec.policy},{rec.seed},{rec.track},{i},{rec.state[i]},"
+                f"{rec.obs[i]},{rec.waveform[i]},{_fmt(rec.sinr_db[i])},"
+                f"{_fmt(rec.loss[i])},{_fmt(rec.oracle_loss[i])},"
+                f"{_fmt(rec.regret_inc[i])},{int(rec.suboptimal[i])},"
+                f"{int(flags[i])}"
+            )
+    return lines
+
+
+def _track_lines(summary: RunSummary) -> list:
+    lines = [PER_TRACK_HEADER]
+    for t in range(summary.cum_regret.size):
+        lines.append(
+            f"{summary.policy},{summary.seed},{t},{_fmt(summary.cum_regret[t])},"
+            f"{_fmt(summary.mean_loss[t])},{_fmt(summary.outage_freq[t])},"
+            f"{_fmt(summary.subopt_freq[t])},{_fmt(summary.kl_to_truth[t])}"
+        )
+    return lines
+
+
+def cpi_csv_path(out_dir: str, policy: str, seed: int) -> str:
+    return os.path.join(out_dir, f"cpi_{policy}_seed{seed}.csv")
+
+
+def track_csv_path(out_dir: str, policy: str, seed: int) -> str:
+    return os.path.join(out_dir, f"track_{policy}_seed{seed}.csv")
+
+
+def run(
+    config: ExperimentConfig, policy: str, seed: int
+) -> tuple[list, RunSummary]:
+    """Execute one replicate and persist its two CSV files.
+
+    Deterministic given (config, policy, seed): the CSVs are byte-identical
+    across repeated calls.
+    """
+    started = time.perf_counter()
+    task_dist, scene = build_scene(config, seed)
+    results, history = run_meta_experiment(
+        task_dist,
+        scene,
+        config.m,
+        config.n,
+        policy,
+        config.mode,
+        seed,
+        k_arms=config.k,
+        sigma_q_sq=config.sigma_q_sq,
+        sigma_sq=config.sigma_sq,
+        sinr_target_db=config.sinr_target_db,
+        n_oracle_draws=config.n_oracle_draws,
+    )
+    records = [
+        track_record(res, policy=policy, seed=seed, track=t)
+        for t, res in enumerate(results)
+    ]
+    if policy == "ts-oracle":
+        # The oracle is handed the true prior; its divergence from truth is
+        # zero by construction rather than via a belief update.
+        kl = np.zeros(config.m)
+    else:
+        kl = kl_trace(history, task_dist)
+    summary = RunSummary(
+        policy=policy,
+        seed=seed,
+        cum_regret=np.array([float(np.sum(r.regret_inc)) for r in records]),
+        mean_loss=np.array([float(np.mean(r.loss)) for r in records]),
+        outage_freq=np.array([float(np.mean(r.outage[10.0])) for r in records]),
+        subopt_freq=np.array([float(np.mean(r.suboptimal)) for r in records]),
+        kl_to_truth=kl,
+        wall_time_ms=0.0,
+    )
+    try:
+        os.makedirs(config.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create {config.out_dir}: {exc}") from exc
+    _write_lines(cpi_csv_path(config.out_dir, policy, seed), _cpi_lines(records))
+    _write_lines(track_csv_path(config.out_dir, policy, seed), _track_lines(summary))
+    summary.wall_time_ms = (time.perf_counter() - started) * 1e3
+    return records, summary
+
+
+def _run_job(args) -> RunSummary:
+    config, policy, seed = args
+    return run(config, policy, seed)[1]
+
+
+def worker_count() -> int:
+    raw = os.environ.get("WAVESEL_WORKERS", "1")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise InvalidInput(f"WAVESEL_WORKERS must be an integer, got {raw!r}") from None
+
+
+def run_experiment(config: ExperimentConfig) -> list:
+    """Run every (policy, seed) replicate; returns summaries in canonical
+    (policy, seed) order independent of the worker count."""
+    jobs = [
+        (config, policy, seed)
+        for policy in sorted(config.policies, key=policy_index)
+        for seed in config.seeds
+    ]
+    workers = worker_count()
+    if workers == 1 or len(jobs) == 1:
+        return [_run_job(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_run_job, jobs))
+
+
+# ---------------------------------------------------------------------------
+# aggregation
+
+
+def read_track_table(path: str) -> list:
+    """Parse one per-track summary CSV back into row dicts."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    if not lines or lines[0] != PER_TRACK_HEADER:
+        raise IoError(f"{path} is not a per-track summary file")
+    rows = []
+    names = PER_TRACK_HEADER.split(",")
+    for line in lines[1:]:
+        parts = line.split(",")
+        if len(parts) != len(names):
+            raise IoError(f"{path}: malformed row {line!r}")
+        row = {"policy": parts[0], "seed": int(parts[1]), "track": int(parts[2])}
+        for name, part in zip(names[3:], parts[3:]):
+            row[name] = float(part)
+        rows.append(row)
+    return rows
+
+
+_METRIC_COLUMN = {
+    "regret": "cum_regret",
+    "loss": "mean_loss",
+    "outage": "outage_freq",
+    "subopt": "subopt_freq",
+    "kl": "kl_to_truth",
+}
+
+
+def _transform(values: np.ndarray, how: str) -> np.ndarray:
+    if how == "cumsum":
+        return np.cumsum(values)
+    if how == "running_mean":
+        return np.cumsum(values) / np.arange(1, values.size + 1)
+    return values
+
+
+def aggregate(rows: list) -> dict:
+    """Collapse per-track rows into per-policy mean and standard-error curves.
+
+    For each metric the per-seed track sequence is first transformed to the
+    reported cumulative form (cumulative regret, running-mean frequencies,
+    raw KL), then averaged across seeds per track index. Standard error uses
+    the n-1 normalization and is 0 for a single seed.
+    """
+    if not rows:
+        raise EmptyInput("no summary rows to aggregate")
+    by_policy: dict = {}
+    for row in rows:
+        by_policy.setdefault(row["policy"], {}).setdefault(row["seed"], []).append(row)
+    out: dict = {metric: [] for metric in AGG_METRICS}
+    for policy in sorted(by_policy, key=policy_index):
+        seeds = by_policy[policy]
+        per_seed = {}
+        m = None
+        for seed, seed_rows in seeds.items():
+            seed_rows = sorted(seed_rows, key=lambda r: r["track"])
+            if [r["track"] for r in seed_rows] != list(range(len(seed_rows))):
+                raise InvalidInput(
+                    f"track indices of {policy} seed {seed} are not contiguous"
+                )
+            if m is None:
+                m = len(seed_rows)
+            elif len(seed_rows) != m:
+                raise InvalidInput(f"seeds of {policy} disagree on track count")
+            per_seed[seed] = seed_rows
+        for metric, how in AGG_METRICS.items():
+            column = _METRIC_COLUMN[metric]
+            stacked = np.stack(
+                [
+                    _transform(
+                        np.array([r[column] for r in per_seed[seed]]), how
+                    )
+                    for seed in sorted(per_seed)
+                ]
+            )
+            mean = stacked.mean(axis=0)
+            if stacked.shape[0] >= 2:
+                stderr = stacked.std(axis=0, ddof=1) / np.sqrt(stacked.shape[0])
+            else:
+                stderr = np.zeros(m)
+            for t in range(m):
+                out[metric].append((policy, t, float(mean[t]), float(stderr[t])))
+    return out
+
+
+def write_aggregates(tables: dict, out_dir: str) -> list:
+    """Write one agg_<metric>.csv per metric; returns the paths written."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create {out_dir}: {exc}") from exc
+    paths = []
+    for metric in AGG_METRICS:
+        path = os.path.join(out_dir, f"agg_{metric}.csv")
+        lines = [AGG_HEADER]
+        for policy, track, mean, stderr in tables[metric]:
+            lines.append(f"{policy},{track},{_fmt(mean)},{_fmt(stderr)}")
+        _write_lines(path, lines)
+        paths.append(path)
+    return paths
+
+
+def aggregate_directory(in_dir: str, out_dir: str) -> list:
+    """Aggregate every per-track summary CSV found in ``in_dir``."""
+    try:
+        names = sorted(os.listdir(in_dir))
+    except OSError as exc:
+        raise IoError(f"cannot list {in_dir}: {exc}") from exc
+    rows = []
+    for name in names:
+        if name.startswith("track_") and name.endswith(".csv"):
+            rows.extend(read_track_table(os.path.join(in_dir, name)))
+    if not rows:
+        raise EmptyInput(f"no per-track summary files in {in_dir}")
+    return write_aggregates(aggregate(rows), out_dir)

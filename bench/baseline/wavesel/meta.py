@@ -1,0 +1,301 @@
+"""Track-to-track meta-learning over instance-prior means.
+
+Across an experiment, each track is one learning episode whose latent weight
+vector is drawn from a shared Gaussian task distribution. The meta level
+keeps a Gaussian belief over that distribution's mean, refreshed in closed
+form after each completed track from the (context, loss) pairs the per-track
+learner consumed. Meta-Thompson sampling draws one candidate mean from the
+belief at the start of a track and hands the per-track learner the
+corresponding instance prior.
+
+The same experiment loop drives all four selection policies so their random
+streams stay aligned: streams are keyed by (seed, policy index, track index)
+with the policy index taken from the canonical ``POLICIES`` order, so adding
+or removing one policy from a sweep never perturbs another's draws.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .bandit import SyntheticTrackEnv, TrackResult, run_track
+from .errors import DimensionMismatch, InvalidInput, InvalidVariance
+from .fstc import (
+    PhysicalTrackEnv,
+    SceneConfig,
+    TaskDistribution,
+    TrackSimulator,
+    draw_instance,
+)
+from .gaussmath import Gaussian, cholesky, isotropic_gaussian
+from .waveforms import default_catalog
+
+#: Canonical policy order; stream keys always use an index into this tuple.
+POLICIES = ("random", "ts-uninformative", "ts-oracle", "meta-ts")
+
+# Stream tags, chosen far above any realistic track count so a tagged key can
+# never collide with a (seed, policy, track) key of the same length.
+SCENE_TAG = 1_000_003
+INSTANCE_TAG = 1_000_019
+META_TAG = 1_000_033
+ORACLE_TAG = 1_000_037
+
+
+@dataclass(frozen=True)
+class MetaPosterior:
+    """Gaussian belief N(mu, precision^-1) over the instance-prior mean.
+
+    Carries the two fixed variances of the hierarchy alongside the belief:
+    ``sigma0_sq`` is the instance-prior spread handed to each track and
+    ``noise_var`` the observation noise of the per-track linear model.
+    """
+
+    mu: np.ndarray
+    precision: np.ndarray
+    sigma0_sq: float
+    noise_var: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
+        object.__setattr__(self, "precision", np.asarray(self.precision, dtype=float))
+        if self.mu.ndim != 1 or self.precision.shape != (self.mu.size, self.mu.size):
+            raise DimensionMismatch(
+                f"mu has shape {self.mu.shape}, precision has shape "
+                f"{self.precision.shape}"
+            )
+        if not np.all(np.abs(self.precision - self.precision.T) <= 1e-10):
+            raise InvalidInput("precision matrix is not symmetric")
+        if self.sigma0_sq <= 0:
+            raise InvalidVariance("sigma0_sq must be strictly positive")
+        if self.noise_var <= 0:
+            raise InvalidVariance("noise_var must be strictly positive")
+
+    @property
+    def dim(self) -> int:
+        return self.mu.size
+
+
+@dataclass(frozen=True)
+class TrackData:
+    """The (context, loss) pairs one track produced, in pulse order."""
+
+    contexts: np.ndarray
+    losses: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "contexts", np.asarray(self.contexts, dtype=float))
+        object.__setattr__(self, "losses", np.asarray(self.losses, dtype=float))
+        if self.contexts.ndim != 2 or self.losses.ndim != 1:
+            raise DimensionMismatch(
+                f"contexts must be 2-d and losses 1-d, got shapes "
+                f"{self.contexts.shape} and {self.losses.shape}"
+            )
+        if self.contexts.shape[0] != self.losses.size:
+            raise DimensionMismatch(
+                f"{self.contexts.shape[0]} context rows vs "
+                f"{self.losses.size} losses"
+            )
+        if not (np.all(np.isfinite(self.contexts)) and np.all(np.isfinite(self.losses))):
+            raise InvalidInput("track data contains non-finite values")
+
+    def __len__(self) -> int:
+        return self.losses.size
+
+
+def init_meta(
+    sigma_q_sq: float, d: int, *, sigma0_sq: float, noise_var: float
+) -> MetaPosterior:
+    """Flat starting belief: zero mean with isotropic variance sigma_q_sq."""
+    if sigma_q_sq <= 0:
+        raise InvalidVariance("sigma_q_sq must be strictly positive")
+    if d < 1:
+        raise InvalidInput("dimension must be at least 1")
+    return MetaPosterior(
+        np.zeros(d), np.eye(d) / sigma_q_sq, sigma0_sq, noise_var
+    )
+
+
+def meta_mean_cov(mp: MetaPosterior) -> tuple[np.ndarray, np.ndarray]:
+    """Moment form (mean, covariance) of the belief over prior means."""
+    L = cholesky(mp.precision)
+    cov = np.linalg.solve(L.T, np.linalg.solve(L, np.eye(mp.dim)))
+    return mp.mu.copy(), 0.5 * (cov + cov.T)
+
+
+def meta_gaussian(mp: MetaPosterior) -> Gaussian:
+    mean, cov = meta_mean_cov(mp)
+    return Gaussian(mean, cov)
+
+
+def sample_instance_prior(mp: MetaPosterior, rng: np.random.Generator) -> Gaussian:
+    """Draw a candidate prior mean from the belief; return N(draw, sigma0_sq I).
+
+    Sampling goes through the precision factor directly: with L L^T the
+    Cholesky factorization of the precision, mu + L^-T z has exactly the
+    belief covariance.
+    """
+    L = cholesky(mp.precision)
+    mean = mp.mu + np.linalg.solve(L.T, rng.standard_normal(mp.dim))
+    return isotropic_gaussian(mean, mp.sigma0_sq)
+
+
+def meta_update(mp: MetaPosterior, data: TrackData) -> MetaPosterior:
+    """Fold one completed track into the belief; empty data is a no-op.
+
+    The track's model evidence marginalizes the per-track weights out, so a
+    track with contexts X and losses l shifts the belief through the n x n
+    marginal covariance M = noise_var I + sigma0_sq X X^T:
+
+        precision' = precision + X^T M^-1 X
+        mu'        = precision'^-1 (precision mu + X^T M^-1 l)
+
+    The whole track enters in one joint step; splitting it into sub-blocks
+    and updating sequentially would drop the coupling M carries between
+    pulses and give a different (wrong) answer.
+    """
+    if len(data) == 0:
+        return mp
+    X = data.contexts
+    if X.shape[1] != mp.dim:
+        raise DimensionMismatch(
+            f"contexts have dimension {X.shape[1]}, belief has {mp.dim}"
+        )
+    n = X.shape[0]
+    middle = mp.noise_var * np.eye(n) + mp.sigma0_sq * (X @ X.T)
+    Lm = cholesky(middle)
+    stacked = np.column_stack([X, data.losses])
+    m_inv = np.linalg.solve(Lm.T, np.linalg.solve(Lm, stacked))
+    prec = mp.precision + X.T @ m_inv[:, :-1]
+    prec = 0.5 * (prec + prec.T)
+    b = mp.precision @ mp.mu + X.T @ m_inv[:, -1]
+    Lp = cholesky(prec)
+    mu = np.linalg.solve(Lp.T, np.linalg.solve(Lp, b))
+    return MetaPosterior(mu, prec, mp.sigma0_sq, mp.noise_var)
+
+
+# ---------------------------------------------------------------------------
+# experiment loop
+
+def _rng(*key) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence([int(k) for k in key]))
+
+
+def policy_index(policy: str) -> int:
+    try:
+        return POLICIES.index(policy)
+    except ValueError:
+        raise InvalidInput(f"unknown policy {policy!r}") from None
+
+
+def scene_rng(seed: int) -> np.random.Generator:
+    """Stream for scene-level draws shared by every policy under a seed."""
+    return _rng(seed, SCENE_TAG)
+
+
+def track_rng(seed: int, policy: str, track: int) -> np.random.Generator:
+    """Per-track stream driving the policy's scene walk and selections."""
+    return _rng(seed, policy_index(policy), track)
+
+
+def instance_rng(seed: int, track: int) -> np.random.Generator:
+    """Stream for the track's episode draw, shared by every policy so that
+    policies are compared on a common sequence of episodes."""
+    return _rng(seed, INSTANCE_TAG, track)
+
+
+def meta_prior_rng(seed: int, policy: str) -> np.random.Generator:
+    """Dedicated stream for prior-mean draws, kept apart from track streams
+    so a degenerate meta level leaves per-track behavior untouched."""
+    return _rng(seed, policy_index(policy), META_TAG)
+
+
+def oracle_rng(seed: int, track: int) -> np.random.Generator:
+    """Stream for the expected-loss reference draws of one physical track,
+    policy-independent so regret is measured against one fixed reference."""
+    return _rng(seed, INSTANCE_TAG, track, ORACLE_TAG)
+
+
+def run_meta_experiment(
+    task_dist: TaskDistribution,
+    scene: SceneConfig,
+    m: int,
+    n: int,
+    policy: str,
+    mode: str,
+    seed: int,
+    *,
+    k_arms: int = 5,
+    sigma_q_sq: float = 12.0,
+    sigma_sq: float = 0.33,
+    sinr_target_db: float = 12.0,
+    catalog: list | None = None,
+    n_oracle_draws: int = 64,
+) -> tuple[list[TrackResult], list[MetaPosterior]]:
+    """Run m tracks of n pulses under one policy and seed.
+
+    Per track: draw the episode (a latent weight vector in synthetic mode, a
+    full channel instance in physical mode), pick the policy's instance
+    prior, run the per-track selection loop, and, for meta-TS only, fold the
+    track's data into the meta belief. Returns the per-track results together
+    with the belief state after each track (constant for non-meta policies).
+
+    Priors per policy: ts-oracle uses the true task-distribution mean;
+    meta-TS samples a mean from the current belief; random and
+    ts-uninformative use a zero-mean prior whose spread is the marginal
+    variance sigma_q_sq + sigma0_sq of a weight under the hierarchy.
+    """
+    if m < 1 or n < 1:
+        raise InvalidInput("m and n must be at least 1")
+    if mode not in ("synthetic", "physical"):
+        raise InvalidInput(f"unknown mode {mode!r}")
+    pidx = policy_index(policy)
+    d = task_dist.mu_star.size
+    mp = init_meta(sigma_q_sq, d, sigma0_sq=task_dist.sigma0_sq, noise_var=sigma_sq)
+    sinr_target = 10.0 ** (sinr_target_db / 10.0)
+    if mode == "physical":
+        if catalog is None:
+            catalog = default_catalog(k=k_arms)
+        if len(catalog) != k_arms:
+            raise InvalidInput(
+                f"catalog has {len(catalog)} waveforms, k_arms is {k_arms}"
+            )
+    meta_draws = meta_prior_rng(seed, policy)
+
+    uninformative = isotropic_gaussian(
+        np.zeros(d), sigma_q_sq + task_dist.sigma0_sq
+    )
+    oracle_prior = isotropic_gaussian(task_dist.mu_star, task_dist.sigma0_sq)
+
+    results: list[TrackResult] = []
+    history: list[MetaPosterior] = []
+    for t in range(m):
+        rng = _rng(seed, pidx, t)
+        env_rng = instance_rng(seed, t)
+        if mode == "synthetic":
+            theta_star = task_dist.mu_star + np.sqrt(
+                task_dist.sigma0_sq
+            ) * env_rng.standard_normal(d)
+            env = SyntheticTrackEnv(
+                theta_star, scene.state_proc, sigma_sq, sinr_target
+            )
+        else:
+            inst = draw_instance(task_dist, scene, n, env_rng)
+            sim = TrackSimulator(
+                inst, catalog, oracle_rng(seed, t), n_oracle_draws
+            )
+            env = PhysicalTrackEnv(sim, sinr_target)
+
+        if policy == "ts-oracle":
+            prior = oracle_prior
+        elif policy == "meta-ts":
+            prior = sample_instance_prior(mp, meta_draws)
+        else:
+            prior = uninformative
+
+        explore = "random" if policy == "random" else "ts"
+        result, _ = run_track(env, prior, sigma_sq, n, k_arms, rng, explore=explore)
+        if policy == "meta-ts":
+            mp = meta_update(mp, TrackData(result.contexts, result.loss))
+        results.append(result)
+        history.append(mp)
+    return results, history
