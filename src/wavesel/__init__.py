@@ -10,7 +10,7 @@ learner (``bandit``), the track-to-track meta level (``meta``), reporting
 
 __version__ = "0.1.0"
 
-from .bandit import TsAgent, compute_loss, run_track, select_waveform
+from .bandit import TsAgent, compute_loss, run_track
 from .errors import WaveselError
 from .fstc import (
     FstcInstance,
@@ -18,7 +18,6 @@ from .fstc import (
     StateProcess,
     TaskDistribution,
     draw_instance,
-    receive,
 )
 from .gaussmath import Gaussian, LinearPosterior, blr_update, kl_gaussian
 from .harness import ExperimentConfig, load_config, run_experiment
@@ -59,10 +58,8 @@ __all__ = [
     "SceneConfig",
     "FstcInstance",
     "draw_instance",
-    "receive",
     "TsAgent",
     "compute_loss",
-    "select_waveform",
     "run_track",
     "POLICIES",
     "MetaPosterior",

@@ -1,14 +1,21 @@
 """Per-track waveform selection: a linear contextual bandit with Thompson
 sampling over loss-history context features.
 
-Each waveform/observation pair carries running statistics of its past
-losses; the context vector for a pair is (running mean, population variance,
+Throughout the package "loss" is a higher-is-better normalised reward in
+[0, 1]: the post-processing SINR over the target level, clipped, so 1 means
+on target or better. The learner maximises it; the CSV column names keep
+the word "loss".
+
+Each (observation, waveform) cell carries running statistics of its past
+losses; the context vector of a cell is (running mean, population variance,
 running max) with neutral fill values before any data arrives. The learner
 keeps a Bayesian linear-regression posterior over the weight vector, samples
 one weight draw per pulse, and transmits the waveform whose context scores
-highest under the draw. An exact-linear synthetic environment generates
-losses straight from the context model, which makes the learner's behavior
-verifiable against closed-form oracles.
+highest under the draw (Agrawal & Goyal, ICML 2013). All of this state lives
+in one :class:`TsAgent` whose arrays are updated in place, one cell per
+pulse. An exact-linear synthetic environment generates losses straight from
+the context model, which makes the learner's behavior verifiable against
+closed-form oracles.
 """
 
 from dataclasses import dataclass
@@ -16,11 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidInput
-from .fstc import observe, step_state
+# compute_loss is the SINR-to-loss map; it lives in fstc, next to the SINR,
+# and is re-exported here for the learner's callers.
+from .fstc import compute_loss, observe, step_state
 from .gaussmath import (
     Gaussian,
     blr_update,
-    LinearPosterior,
     posterior_gaussian,
     sample_gaussian,
     to_linear_posterior,
@@ -35,80 +43,35 @@ COLD_MAX = 0.5
 TIE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PairStats:
-    """Welford accumulator for one (waveform, observation) pair."""
-
-    count: int
-    mean: float
-    m2: float
-    max: float
-
-
-@dataclass(frozen=True)
-class HistoryEntry:
-    """One pulse's outcome as the learner saw it."""
-
-    cpi: int
-    observation: int
-    waveform: int
-    loss: float
-    context: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "context", np.asarray(self.context, dtype=float))
-        if not 0.0 <= self.loss <= 1.0:
-            raise InvalidInput(f"loss {self.loss} outside [0, 1]")
-
-
-@dataclass(frozen=True)
 class TsAgent:
-    """Immutable learner state: posterior plus per-pair context statistics."""
+    """Mutable learner state of one track.
 
-    posterior: LinearPosterior
-    catalog_size: int
-    context_stats: dict
-
-    def pair_stats(self, w: int, o: int) -> PairStats | None:
-        return self.context_stats.get((w, o))
-
-
-def make_agent(prior: Gaussian, noise_var: float, catalog_size: int) -> TsAgent:
-    if catalog_size < 1:
-        raise InvalidInput("catalog_size must be at least 1")
-    return TsAgent(to_linear_posterior(prior, noise_var), catalog_size, {})
-
-
-def compute_loss(sinr_post: float, sinr_target: float) -> float:
-    """Normalized SINR shortfall mapped to [0, 1]; 1 means on-target or better."""
-    if sinr_target <= 0:
-        raise InvalidInput("sinr_target must be strictly positive")
-    return float(np.clip(sinr_post / sinr_target, 0.0, 1.0))
-
-
-def _context_from_stats(st: PairStats | None) -> np.ndarray:
-    if st is None:
-        return np.array([COLD_MEAN, COLD_VAR, COLD_MAX])
-    var = st.m2 / st.count if st.count >= 2 else COLD_VAR
-    return np.array([st.mean, var, st.max])
-
-
-def build_context(agent: TsAgent, o: int, w: int) -> np.ndarray:
-    """Context vector (mean, variance, max) of past losses for (w, o).
-
-    Pairs with no history use the neutral fill (0.5, 1/12, 0.5); a single
-    sample keeps the fill variance because its sample variance is undefined.
+    ``posterior`` is the precision-form belief over the weights.
+    ``stats[o, w]`` is the Welford accumulator (count, mean, m2, max) of the
+    losses seen for waveform w at observation o, and ``contexts[o, w]`` the
+    context vector (mean, variance, max) derived from it, so ``contexts[o]``
+    is the contiguous (K, 3) block scored at observation o. Cells with no
+    data hold the neutral fill (0.5, 1/12, 0.5); a single sample keeps the
+    fill variance because its sample variance is undefined.
     """
-    if not 0 <= w < agent.catalog_size:
-        raise IndexOutOfRange(f"waveform {w} outside catalog of {agent.catalog_size}")
-    return _context_from_stats(agent.pair_stats(w, o))
+
+    def __init__(self, prior: Gaussian, noise_var: float, n_obs: int, k_arms: int):
+        if k_arms < 1:
+            raise InvalidInput("k_arms must be at least 1")
+        self.posterior = to_linear_posterior(prior, noise_var)
+        self.stats = np.zeros((n_obs, k_arms, 4))
+        self.stats[..., 3] = -np.inf
+        self.contexts = np.empty((n_obs, k_arms, 3))
+        self.contexts[...] = (COLD_MEAN, COLD_VAR, COLD_MAX)
 
 
 def agent_contexts(agent: TsAgent, o: int) -> np.ndarray:
-    """Stacked context vectors of every waveform at observation o, shape (K, d)."""
-    return np.stack(
-        [build_context(agent, o, w) for w in range(agent.catalog_size)]
-    )
+    """Context vectors of every waveform at observation o, shape (K, 3).
+
+    This is a view of the agent's table: ``record`` at observation o
+    changes it.
+    """
+    return agent.contexts[o]
 
 
 def pick_argmax(theta: np.ndarray, contexts: np.ndarray) -> int:
@@ -117,34 +80,30 @@ def pick_argmax(theta: np.ndarray, contexts: np.ndarray) -> int:
     return int(np.argmax(scores))
 
 
-def select_waveform(agent: TsAgent, o: int, rng: np.random.Generator) -> int:
-    """Thompson step: one posterior draw scores all contexts at observation o."""
-    theta = sample_gaussian(posterior_gaussian(agent.posterior), rng)
-    return pick_argmax(theta, agent_contexts(agent, o))
+def record(agent: TsAgent, o: int, w: int, loss: float, phi: np.ndarray) -> None:
+    """Fold one outcome into the agent in place.
 
-
-def record(agent: TsAgent, entry: HistoryEntry) -> TsAgent:
-    """Fold one outcome into the agent; returns a new agent.
-
-    Updates the (waveform, observation) running statistics and performs the
-    conjugate posterior update with the context that was used at selection
-    time.
+    Performs the conjugate posterior update with ``phi``, the context that
+    was used at selection time, then updates the Welford cell (o, w) and its
+    context vector. ``phi`` may be a view of that cell.
     """
-    key = (entry.waveform, entry.observation)
-    st = agent.context_stats.get(key)
-    x = float(entry.loss)
-    if st is None:
-        new = PairStats(1, x, 0.0, x)
-    else:
-        count = st.count + 1
-        delta = x - st.mean
-        mean = st.mean + delta / count
-        m2 = st.m2 + delta * (x - mean)
-        new = PairStats(count, mean, m2, max(st.max, x))
-    stats = dict(agent.context_stats)
-    stats[key] = new
-    post = blr_update(agent.posterior, entry.context, entry.loss)
-    return TsAgent(post, agent.catalog_size, stats)
+    n_obs, k_arms, _ = agent.stats.shape
+    if not (0 <= o < n_obs and 0 <= w < k_arms):
+        raise IndexOutOfRange(
+            f"cell ({o}, {w}) outside {n_obs} observations x {k_arms} waveforms"
+        )
+    x = float(loss)
+    if not 0.0 <= x <= 1.0:
+        raise InvalidInput(f"loss {x} outside [0, 1]")
+    blr_update(agent.posterior, phi, x)
+    count, mean, m2, mx = agent.stats[o, w].tolist()
+    count += 1
+    delta = x - mean
+    mean = mean + delta / count
+    m2 = m2 + delta * (x - mean)
+    mx = max(mx, x)
+    agent.stats[o, w] = (count, mean, m2, mx)
+    agent.contexts[o, w] = (mean, m2 / count if count >= 2 else COLD_VAR, mx)
 
 
 def synthetic_loss(
@@ -224,7 +183,7 @@ def run_track(
     """
     if explore not in ("ts", "random"):
         raise InvalidInput(f"unknown exploration mode {explore!r}")
-    agent = make_agent(prior, noise_var, k_arms)
+    agent = TsAgent(prior, noise_var, env.state_proc.n_states, k_arms)
     d = prior.dim
     state = np.empty(n_cpis, dtype=int)
     obs = np.empty(n_cpis, dtype=int)
@@ -258,7 +217,7 @@ def run_track(
         suboptimal[k] = expected[idx] < best - TIE_TOL
         contexts[k] = phis[idx]
 
-        agent = record(agent, HistoryEntry(k, o, idx, realized, phis[idx]))
+        record(agent, o, idx, realized, phis[idx])
 
     result = TrackResult(
         state=state,

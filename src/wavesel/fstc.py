@@ -9,11 +9,13 @@ clutter bed. A pulse is received as
 
     rx = (w * h) delayed, ramped  +  (w * c) * sqrt(state_gain[s])  +  noise,
 
-where ``*`` is linear convolution, the complex phase ramp applies the
-target's Doppler shift to the target echo only (the clutter bed is static),
-and the additive noise is circular complex Gaussian. The post-processing SINR compares the target's
+where ``*`` is linear convolution, the complex phase ramp
+exp(2 pi j doppler i / len) turns the target echo only through ``doppler``
+cycles across its length (the clutter bed is static), and the additive noise
+is circular complex Gaussian. The post-processing SINR compares the target's
 matched-filter peak against the average clutter-plus-noise power in a short
-window of lags around that peak, capped at 60 dB.
+window of lags around that peak, capped at 60 dB. :class:`TrackSimulator`
+draws that SINR per pulse from precomputed matched-filter responses.
 """
 
 from dataclasses import dataclass
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .errors import IndexOutOfRange, InvalidInput, NotPositiveDefinite
+from .errors import InvalidInput, NotPositiveDefinite
 from .waveforms import ComplexEnvelope, matched_filter
 
 SINR_CAP = 1e6  # 60 dB
@@ -29,6 +31,16 @@ SINR_CAP = 1e6  # 60 dB
 WINDOW_HALF = 16
 
 DEFAULT_STATE_GAIN = (0.25, 1.0, 4.0, 16.0)
+
+
+def compute_loss(sinr_post: float, sinr_target: float) -> float:
+    """Normalized SINR shortfall mapped to [0, 1]; 1 means on-target or better.
+
+    The "loss" is a higher-is-better normalised reward.
+    """
+    if sinr_target <= 0:
+        raise InvalidInput("sinr_target must be strictly positive")
+    return float(np.clip(sinr_post / sinr_target, 0.0, 1.0))
 
 
 def softplus(x):
@@ -243,7 +255,7 @@ def draw_instance(
 
 
 # ---------------------------------------------------------------------------
-# receive path
+# pulse simulation
 
 # All reflected content is placed at this base offset on the canvas so the
 # analysis window around any peak sees fully-overlapped matched-filter lags.
@@ -278,47 +290,6 @@ def _sinr_value(sig: float, denom: float) -> float:
     if denom <= 0.0:
         return SINR_CAP
     return float(min(sig / denom, SINR_CAP))
-
-
-def receive(
-    inst: FstcInstance,
-    s: int,
-    w: ComplexEnvelope,
-    cpi: int,
-    rng: np.random.Generator,
-):
-    """Simulate one pulse: returns (post-processing SINR, received samples).
-
-    The target echo is placed at the trajectory's current delay cell and
-    carries the Doppler ramp; the clutter return spans the scene at zero
-    delay and is static. SINR is the target's matched-filter peak power over
-    the mean clutter-plus-noise power in the window of lags around that peak.
-    """
-    if not 0 <= s < inst.state_proc.n_states:
-        raise InvalidInput(f"state {s} outside [0, {inst.state_proc.n_states})")
-    if not 0 <= cpi < len(inst.trajectory):
-        raise IndexOutOfRange(f"cpi {cpi} outside trajectory of length {len(inst.trajectory)}")
-
-    delay = inst.trajectory[cpi].delay_cell - 1
-    refl_t = _reflected(w, inst.target_ir, inst.doppler)
-    refl_c = _reflected(w, inst.clutter_ir, 0.0)
-    clen = _canvas_len(refl_t.size, inst.grid_n)
-
-    target = _place(clen, refl_t, _BASE + delay)
-    clutter = _place(clen, np.sqrt(inst.state_gain[s]) * refl_c, _BASE)
-    noise = np.sqrt(inst.noise_var / 2.0) * (
-        rng.standard_normal(clen) + 1j * rng.standard_normal(clen)
-    )
-    rx = target + clutter + noise
-
-    y_t = matched_filter(w, target)
-    y_c = matched_filter(w, clutter)
-    y_n = matched_filter(w, noise)
-    peak = int(np.argmax(np.abs(y_t)))
-    sig = float(np.abs(y_t[peak]) ** 2)
-    win = _window(peak, y_t.size)
-    denom = float(np.mean(np.abs(y_c[win]) ** 2) + np.mean(np.abs(y_n[win]) ** 2))
-    return _sinr_value(sig, denom), rx
 
 
 class TrackSimulator:
@@ -389,7 +360,8 @@ class TrackSimulator:
         )
 
     def step(self, cpi: int, s: int, w_idx: int, rng: np.random.Generator) -> float:
-        """Realized SINR of one pulse, matching ``receive`` in distribution."""
+        """Realized SINR of one pulse, equal in distribution to filtering the
+        full received pulse (target, clutter and white noise on the canvas)."""
         wf = self._wf[w_idx]
         delay = self.inst.trajectory[cpi].delay_cell - 1
         p_c = float(self.inst.state_gain[s]) * self._clutter_window_power(wf, delay)
@@ -419,19 +391,18 @@ class PhysicalTrackEnv:
 
     def __init__(self, sim: TrackSimulator, sinr_target: float):
         self.sim = sim
+        self.state_proc = sim.inst.state_proc
         self.sinr_target = sinr_target
         self._states: list[int] = []
 
     def step_scene(self, rng: np.random.Generator):
-        sp = self.sim.inst.state_proc
-        s = step_state(sp, self._states, rng)
+        s = step_state(self.state_proc, self._states, rng)
         self._states.append(s)
-        return s, observe(sp, s, rng)
+        return s, observe(self.state_proc, s, rng)
 
     def expected_losses(self, cpi: int, s: int, contexts) -> np.ndarray:
         return self.sim.expected_losses(cpi, s, self.sinr_target)
 
     def realize(self, cpi: int, s: int, w_idx: int, phi, rng: np.random.Generator):
         sinr = self.sim.step(cpi, s, w_idx, rng)
-        loss = float(np.clip(sinr / self.sinr_target, 0.0, 1.0))
-        return loss, sinr
+        return compute_loss(sinr, self.sinr_target), sinr

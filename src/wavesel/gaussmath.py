@@ -4,9 +4,9 @@ Beliefs live in one of two forms. :class:`Gaussian` is the moment form
 (mean, covariance), used for sampling and KL computations.
 :class:`LinearPosterior` is the precision form (Lambda, b = Lambda @ mean)
 of a Bayesian linear-regression posterior with known observation noise;
-precision accumulates additively, which keeps sequential updates cheap and
-numerically stable. Conversion back to moments happens only at sampling
-time.
+precision accumulates additively and in place, which keeps sequential
+updates cheap and numerically stable. Conversion back to moments happens
+only at sampling time.
 """
 
 from dataclasses import dataclass
@@ -67,12 +67,14 @@ class Gaussian:
         return self.mean.size
 
 
-@dataclass(frozen=True)
+@dataclass
 class LinearPosterior:
     """Precision-form posterior of a linear model with noise variance sigma^2.
 
     ``precision_mean`` stores b = precision @ mean, so the moment form is
-    recovered by a single solve.
+    recovered by a single solve. The object is mutable: :func:`blr_update`
+    adds to both arrays in place. Construction copies its inputs, so no
+    caller's arrays are aliased.
     """
 
     precision: np.ndarray
@@ -80,11 +82,9 @@ class LinearPosterior:
     noise_var: float
 
     def __post_init__(self):
-        object.__setattr__(self, "precision", np.asarray(self.precision, dtype=float))
-        object.__setattr__(
-            self, "precision_mean", np.asarray(self.precision_mean, dtype=float)
-        )
-        object.__setattr__(self, "noise_var", float(self.noise_var))
+        self.precision = np.array(self.precision, dtype=float)
+        self.precision_mean = np.array(self.precision_mean, dtype=float)
+        self.noise_var = float(self.noise_var)
         _check_gaussian(self.precision_mean, self.precision)
         if self.noise_var <= 0.0:
             raise NotPositiveDefinite("noise_var must be strictly positive")
@@ -133,19 +133,19 @@ def posterior_gaussian(p: LinearPosterior) -> Gaussian:
 def blr_update(p: LinearPosterior, phi: np.ndarray, loss: float) -> LinearPosterior:
     """Conjugate update for one observation loss = <theta, phi> + noise.
 
-    Returns a new posterior; the input is left untouched. The precision
-    gains phi phi^T / sigma^2 and is re-symmetrized to keep round-off from
-    accumulating across thousands of updates.
+    Updates ``p`` in place and returns it: the precision gains
+    phi phi^T / sigma^2 and b gains loss phi / sigma^2. The precision stays
+    symmetric to the bit, since a symmetric matrix plus outer(phi, phi) is
+    symmetric. ``phi`` is only read.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (p.dim,):
         raise DimensionMismatch(
             f"context has shape {phi.shape}, posterior dimension is {p.dim}"
         )
-    prec = p.precision + np.outer(phi, phi) / p.noise_var
-    prec = 0.5 * (prec + prec.T)
-    b = p.precision_mean + float(loss) * phi / p.noise_var
-    return LinearPosterior(prec, b, p.noise_var)
+    p.precision += np.outer(phi, phi) / p.noise_var
+    p.precision_mean += float(loss) * phi / p.noise_var
+    return p
 
 
 def kl_gaussian(q: Gaussian, p: Gaussian) -> float:

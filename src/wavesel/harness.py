@@ -12,6 +12,8 @@ which round-trips exactly, so recomputing any metric from the files
 reproduces the in-memory value bit for bit.
 """
 
+import contextlib
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -23,6 +25,7 @@ from .errors import EmptyInput, InvalidInput, IoError, ParseError, ValidationErr
 from .fstc import SceneConfig, StateProcess, TaskDistribution, random_transition
 from .meta import POLICIES, policy_index, run_meta_experiment, scene_rng
 from .metrics import kl_trace, track_record
+from .waveforms import CATALOG_NAMES
 
 #: Fixed true prior mean for physical mode: positive weight on the running
 #: mean and max of past losses makes the informed policies meaningful, and
@@ -119,16 +122,23 @@ def _parse_value(key: str, text: str, line: int, column: int):
 
 
 def _validate(config: ExperimentConfig) -> ExperimentConfig:
+    """Reject every value the model itself would reject, naming the field,
+    before any replicate starts."""
+    for name in sorted(_FLOAT_KEYS):
+        if not math.isfinite(getattr(config, name)):
+            raise ValidationError(name, "must be finite")
+    if config.mu_star is not None and not all(map(math.isfinite, config.mu_star)):
+        raise ValidationError("mu_star", "components must be finite")
     for name in ("m", "n", "k"):
         if getattr(config, name) < 1:
             raise ValidationError(name, "must be at least 1")
-    if config.d < 1:
-        raise ValidationError("d", "must be at least 1")
+    if config.d != 3:
+        raise ValidationError("d", "the context model uses exactly 3 features")
     for name in ("sigma_q_sq", "sigma0_sq", "sigma_sq", "noise_var"):
         if getattr(config, name) <= 0:
             raise ValidationError(name, "variance must be strictly positive")
-    if not 0.0 <= config.obs_flip_prob <= 1.0:
-        raise ValidationError("obs_flip_prob", "must lie in [0, 1]")
+    if not 0.0 <= config.obs_flip_prob < 1.0:
+        raise ValidationError("obs_flip_prob", "must lie in [0, 1)")
     if config.n_states < 2:
         raise ValidationError("n_states", "must be at least 2")
     if config.memory < 1:
@@ -138,10 +148,13 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
             raise ValidationError(name, "must be at least 1")
     if config.ir_kernel_scale <= 0:
         raise ValidationError("ir_kernel_scale", "must be strictly positive")
-    if config.target_power < 0 or config.clutter_power < 0:
-        raise ValidationError("target_power", "powers must be nonnegative")
+    for name in ("target_power", "clutter_power"):
+        if getattr(config, name) < 0:
+            raise ValidationError(name, "powers must be nonnegative")
     if not config.seeds:
         raise ValidationError("seeds", "at least one seed is required")
+    if min(config.seeds) < 0:
+        raise ValidationError("seeds", "seeds must be nonnegative")
     if not config.policies:
         raise ValidationError("policies", "at least one policy is required")
     for p in config.policies:
@@ -149,6 +162,10 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
             raise ValidationError("policies", f"unknown policy {p!r}")
     if config.mode not in ("synthetic", "physical"):
         raise ValidationError("mode", f"unknown mode {config.mode!r}")
+    if config.mode == "physical" and config.k > len(CATALOG_NAMES):
+        raise ValidationError(
+            "k", f"physical mode has a catalog of {len(CATALOG_NAMES)} waveforms"
+        )
     if config.mu_star is not None and len(config.mu_star) != config.d:
         raise ValidationError("mu_star", f"needs exactly {config.d} components")
     if not config.out_dir:
@@ -265,13 +282,24 @@ def _fmt(x) -> str:
 
 
 def _write_lines(path: str, lines) -> None:
+    """Write ``lines`` to ``path`` whole or not at all.
+
+    The text goes to a temporary file in the same directory, which replaces
+    ``path`` only after the last line is written; on any failure the
+    temporary file is removed and an earlier ``path`` is left as it was.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             for line in lines:
                 fh.write(line)
                 fh.write("\n")
+        os.replace(tmp, path)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+    finally:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
 
 
 def _cpi_lines(records: list) -> list:

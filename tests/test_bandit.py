@@ -10,16 +10,13 @@ from wavesel.bandit import (
     COLD_MAX,
     COLD_MEAN,
     COLD_VAR,
-    HistoryEntry,
     SyntheticTrackEnv,
+    TsAgent,
     agent_contexts,
-    build_context,
     compute_loss,
-    make_agent,
     pick_argmax,
     record,
     run_track,
-    select_waveform,
     synthetic_loss,
 )
 from wavesel.errors import IndexOutOfRange, InvalidInput
@@ -27,13 +24,26 @@ from wavesel.fstc import StateProcess
 from wavesel.gaussmath import (
     blr_update,
     isotropic_gaussian,
+    posterior_gaussian,
     posterior_mean_cov,
+    sample_gaussian,
     to_linear_posterior,
 )
 
 
 def uniform_state_proc(n_states: int = 4) -> StateProcess:
     return StateProcess(np.full((n_states, n_states), 1.0 / n_states), 0.1)
+
+
+def make_agent(prior_mean=(0.0, 0.0, 0.0), prior_var=1.0, k_arms=5, n_obs=4):
+    prior = isotropic_gaussian(np.asarray(prior_mean, dtype=float), prior_var)
+    return TsAgent(prior, 0.1, n_obs, k_arms)
+
+
+def thompson_pick(agent: TsAgent, o: int, rng: np.random.Generator) -> int:
+    """The Thompson step of run_track: one draw scores every context at o."""
+    theta = sample_gaussian(posterior_gaussian(agent.posterior), rng)
+    return pick_argmax(theta, agent_contexts(agent, o))
 
 
 # ---------------------------------------------------------------------------
@@ -57,45 +67,44 @@ def test_compute_loss_rejects_bad_target():
 
 
 def test_cold_start_context():
-    agent = make_agent(isotropic_gaussian(np.zeros(3), 1.0), 0.1, 5)
-    np.testing.assert_array_equal(
-        build_context(agent, 0, 0), [COLD_MEAN, COLD_VAR, COLD_MAX]
-    )
+    agent = make_agent()
+    for o in range(4):
+        np.testing.assert_array_equal(
+            agent_contexts(agent, o), np.tile([COLD_MEAN, COLD_VAR, COLD_MAX], (5, 1))
+        )
 
 
 def test_single_sample_keeps_fill_variance():
-    agent = make_agent(isotropic_gaussian(np.zeros(3), 1.0), 0.1, 5)
-    agent = record(agent, HistoryEntry(0, 1, 2, 0.8, np.zeros(3)))
-    np.testing.assert_allclose(build_context(agent, 1, 2), [0.8, COLD_VAR, 0.8])
+    agent = make_agent()
+    record(agent, 1, 2, 0.8, np.zeros(3))
+    np.testing.assert_allclose(agent_contexts(agent, 1)[2], [0.8, COLD_VAR, 0.8])
 
 
 def test_context_population_statistics():
-    agent = make_agent(isotropic_gaussian(np.zeros(3), 1.0), 0.1, 5)
-    for k, loss in enumerate((0.2, 0.4, 0.9)):
-        agent = record(agent, HistoryEntry(k, 0, 1, loss, np.zeros(3)))
-    ctx = build_context(agent, 0, 1)
+    agent = make_agent()
+    for loss in (0.2, 0.4, 0.9):
+        record(agent, 0, 1, loss, np.zeros(3))
+    ctx = agent_contexts(agent, 0)[1]
     np.testing.assert_allclose(ctx, [0.5, 0.26 / 3.0, 0.9], atol=1e-12)
 
 
-def test_build_context_rejects_waveform_out_of_range():
-    agent = make_agent(isotropic_gaussian(np.zeros(3), 1.0), 0.1, 5)
-    with pytest.raises(IndexOutOfRange):
-        build_context(agent, 0, 5)
+def test_record_rejects_waveform_out_of_range():
+    agent = make_agent()
+    for o, w in ((0, 5), (0, -1), (4, 0), (-1, 0)):
+        with pytest.raises(IndexOutOfRange):
+            record(agent, o, w, 0.5, np.zeros(3))
 
 
 def test_context_invariant_ranges_after_many_records():
     rng = np.random.default_rng(0)
-    agent = make_agent(isotropic_gaussian(np.zeros(3), 1.0), 0.1, 3)
-    for k in range(200):
-        agent = record(
+    agent = make_agent(k_arms=3)
+    for _ in range(200):
+        record(
             agent,
-            HistoryEntry(
-                k,
-                int(rng.integers(4)),
-                int(rng.integers(3)),
-                float(rng.random()),
-                np.zeros(3),
-            ),
+            int(rng.integers(4)),
+            int(rng.integers(3)),
+            float(rng.random()),
+            np.zeros(3),
         )
     for o in range(4):
         for ctx in agent_contexts(agent, o):
@@ -105,30 +114,39 @@ def test_context_invariant_ranges_after_many_records():
             assert 0.0 <= mx <= 1.0
 
 
+def test_agent_contexts_is_a_contiguous_view_of_the_table():
+    agent = make_agent()
+    block = agent_contexts(agent, 2)
+    assert block.shape == (5, 3)
+    assert block.flags.c_contiguous
+    assert np.shares_memory(block, agent.contexts)
+    record(agent, 2, 3, 0.7, np.zeros(3))
+    np.testing.assert_array_equal(block[3], [0.7, COLD_VAR, 0.7])
+
+
 # ---------------------------------------------------------------------------
 # selection
 
 
 def test_point_mass_posterior_picks_higher_mean():
-    agent = make_agent(isotropic_gaussian(np.array([1.0, 0.0, 0.0]), 1e-30), 0.1, 2)
-    agent = record(agent, HistoryEntry(0, 0, 0, 0.2, np.zeros(3)))
-    agent = record(agent, HistoryEntry(1, 0, 1, 0.9, np.zeros(3)))
-    assert select_waveform(agent, 0, np.random.default_rng(1)) == 1
+    agent = make_agent(prior_mean=(1.0, 0.0, 0.0), prior_var=1e-30, k_arms=2)
+    record(agent, 0, 0, 0.2, np.zeros(3))
+    record(agent, 0, 1, 0.9, np.zeros(3))
+    assert thompson_pick(agent, 0, np.random.default_rng(1)) == 1
 
 
 def test_identical_contexts_tie_to_lowest_index():
-    agent = make_agent(isotropic_gaussian(np.zeros(3), 1.0), 0.1, 5)
+    agent = make_agent()
     for seed in range(10):
-        assert select_waveform(agent, 0, np.random.default_rng(seed)) == 0
+        assert thompson_pick(agent, 0, np.random.default_rng(seed)) == 0
 
 
 def test_selection_frequency_matches_normal_cdf():
     # Two arms with distinct recorded losses; the probability that arm 1
     # scores higher under a posterior draw is Phi(gap' mu / sqrt(gap' S gap)).
-    prior = isotropic_gaussian(np.array([0.6, -0.1, 0.3]), 0.8)
-    agent = make_agent(prior, 0.1, 2)
-    agent = record(agent, HistoryEntry(0, 0, 0, 0.3, np.zeros(3)))
-    agent = record(agent, HistoryEntry(1, 0, 1, 0.7, np.zeros(3)))
+    agent = make_agent(prior_mean=(0.6, -0.1, 0.3), prior_var=0.8, k_arms=2)
+    record(agent, 0, 0, 0.3, np.zeros(3))
+    record(agent, 0, 1, 0.7, np.zeros(3))
     phis = agent_contexts(agent, 0)
     gap = phis[1] - phis[0]
     mean, cov = posterior_mean_cov(agent.posterior)
@@ -136,7 +154,7 @@ def test_selection_frequency_matches_normal_cdf():
 
     rng = np.random.default_rng(2)
     n = 20_000
-    hits = sum(select_waveform(agent, 0, rng) == 1 for _ in range(n))
+    hits = sum(thompson_pick(agent, 0, rng) == 1 for _ in range(n))
     assert abs(hits / n - p_arm1) < 0.02
 
 
@@ -159,54 +177,71 @@ def test_argmax_invariant_under_context_scaling(pyrandom):
 
 
 def test_record_twice_same_value():
-    agent = make_agent(isotropic_gaussian(np.zeros(3), 1.0), 0.1, 5)
-    entry = HistoryEntry(0, 2, 3, 0.6, np.array([0.5, COLD_VAR, 0.5]))
-    agent = record(record(agent, entry), entry)
-    st_pair = agent.pair_stats(3, 2)
-    assert st_pair.count == 2
-    assert st_pair.mean == pytest.approx(0.6, abs=1e-15)
-    assert st_pair.m2 == pytest.approx(0.0, abs=1e-15)
+    agent = make_agent()
+    phi = np.array([0.5, COLD_VAR, 0.5])
+    record(agent, 2, 3, 0.6, phi)
+    record(agent, 2, 3, 0.6, phi)
+    count, mean, m2, _ = agent.stats[2, 3]
+    assert count == 2
+    assert mean == pytest.approx(0.6, abs=1e-15)
+    assert m2 == pytest.approx(0.0, abs=1e-15)
 
 
 def test_record_delegates_posterior_update():
-    agent = make_agent(isotropic_gaussian(np.zeros(3), 2.0), 0.1, 5)
+    prior = isotropic_gaussian(np.zeros(3), 2.0)
+    agent = TsAgent(prior, 0.1, 4, 5)
     phi = np.array([0.4, 0.1, 0.7])
-    updated = record(agent, HistoryEntry(0, 0, 0, 0.55, phi))
-    manual = blr_update(agent.posterior, phi, 0.55)
-    np.testing.assert_array_equal(updated.posterior.precision, manual.precision)
+    record(agent, 0, 0, 0.55, phi)
+    manual = blr_update(to_linear_posterior(prior, 0.1), phi, 0.55)
+    np.testing.assert_array_equal(agent.posterior.precision, manual.precision)
     np.testing.assert_array_equal(
-        updated.posterior.precision_mean, manual.precision_mean
+        agent.posterior.precision_mean, manual.precision_mean
     )
 
 
 def test_record_means_match_brute_force():
     rng = np.random.default_rng(3)
-    agent = make_agent(isotropic_gaussian(np.zeros(3), 1.0), 0.1, 4)
+    agent = make_agent(k_arms=4, n_obs=3)
     raw: dict[tuple[int, int], list[float]] = {}
-    for k in range(100):
+    for _ in range(100):
         w = int(rng.integers(4))
         o = int(rng.integers(3))
         loss = float(rng.random())
         raw.setdefault((w, o), []).append(loss)
-        agent = record(agent, HistoryEntry(k, o, w, loss, np.zeros(3)))
+        record(agent, o, w, loss, np.zeros(3))
     for (w, o), losses in raw.items():
-        st_pair = agent.pair_stats(w, o)
-        assert st_pair.count == len(losses)
-        assert abs(st_pair.mean - np.mean(losses)) < 1e-12
-        assert abs(st_pair.max - np.max(losses)) < 1e-15
+        count, mean, _, mx = agent.stats[o, w]
+        assert count == len(losses)
+        assert abs(mean - np.mean(losses)) < 1e-12
+        assert abs(mx - np.max(losses)) < 1e-15
+    untouched = [(o, w) for o in range(3) for w in range(4) if (w, o) not in raw]
+    for o, w in untouched:
+        assert agent.stats[o, w, 0] == 0
 
 
-def test_record_leaves_original_agent_unchanged():
-    agent = make_agent(isotropic_gaussian(np.zeros(3), 1.0), 0.1, 5)
-    record(agent, HistoryEntry(0, 0, 0, 0.4, np.zeros(3)))
-    assert agent.context_stats == {}
+def test_record_touches_only_its_own_cell():
+    agent = make_agent()
+    record(agent, 1, 1, 0.3, np.array([0.5, COLD_VAR, 0.5]))
+    stats_before = agent.stats.copy()
+    contexts_before = agent.contexts.copy()
+    phi = np.array([0.2, 0.05, 0.9])
+    phi_before = phi.copy()
+    record(agent, 0, 2, 0.4, phi)
+    np.testing.assert_array_equal(phi, phi_before)
+    changed = np.any(agent.stats != stats_before, axis=-1)
+    assert list(zip(*np.nonzero(changed))) == [(0, 2)]
+    changed = np.any(agent.contexts != contexts_before, axis=-1)
+    assert list(zip(*np.nonzero(changed))) == [(0, 2)]
 
 
-def test_history_entry_rejects_loss_outside_unit_interval():
-    with pytest.raises(InvalidInput):
-        HistoryEntry(0, 0, 0, 1.5, np.zeros(3))
-    with pytest.raises(InvalidInput):
-        HistoryEntry(0, 0, 0, -0.1, np.zeros(3))
+def test_record_rejects_loss_outside_unit_interval():
+    agent = make_agent()
+    precision = agent.posterior.precision.copy()
+    for loss in (1.5, -0.1, float("nan")):
+        with pytest.raises(InvalidInput):
+            record(agent, 0, 0, loss, np.ones(3))
+    assert np.all(agent.stats[..., 0] == 0)
+    np.testing.assert_array_equal(agent.posterior.precision, precision)
 
 
 # ---------------------------------------------------------------------------

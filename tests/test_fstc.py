@@ -8,22 +8,35 @@ import pytest
 
 from wavesel.errors import IndexOutOfRange, InvalidInput
 from wavesel.fstc import (
+    _BASE,
     DEFAULT_STATE_GAIN,
     SINR_CAP,
     FstcInstance,
     SceneConfig,
     StateProcess,
     TargetState,
+    PhysicalTrackEnv,
     TaskDistribution,
     TrackSimulator,
+    _canvas_len,
+    _place,
+    _reflected,
+    _sinr_value,
+    _window,
+    compute_loss,
     draw_instance,
     observe,
     random_transition,
-    receive,
     step_state,
 )
 from wavesel.metrics import regret_increment
-from wavesel.waveforms import default_catalog, make_envelope, catalog_spec
+from wavesel.waveforms import (
+    ComplexEnvelope,
+    catalog_spec,
+    default_catalog,
+    make_envelope,
+    matched_filter,
+)
 
 
 def make_task_dist(**overrides) -> TaskDistribution:
@@ -184,7 +197,52 @@ def test_trajectory_stays_on_grid():
 
 
 # ---------------------------------------------------------------------------
-# receive path
+# receive path: the direct simulation, oracle for TrackSimulator
+
+
+def receive(
+    inst: FstcInstance,
+    s: int,
+    w: ComplexEnvelope,
+    cpi: int,
+    rng: np.random.Generator,
+):
+    """Simulate one pulse: returns (post-processing SINR, received samples).
+
+    The direct simulation that ``TrackSimulator`` must agree with: the
+    target echo is placed at the trajectory's current delay cell and carries
+    the Doppler ramp; the clutter return spans the scene at zero delay and is
+    static; white noise covers the whole canvas. SINR is the target's
+    matched-filter peak power over the mean clutter-plus-noise power in the
+    window of lags around that peak.
+    """
+    if not 0 <= s < inst.state_proc.n_states:
+        raise InvalidInput(f"state {s} outside [0, {inst.state_proc.n_states})")
+    if not 0 <= cpi < len(inst.trajectory):
+        raise IndexOutOfRange(
+            f"cpi {cpi} outside trajectory of length {len(inst.trajectory)}"
+        )
+
+    delay = inst.trajectory[cpi].delay_cell - 1
+    refl_t = _reflected(w, inst.target_ir, inst.doppler)
+    refl_c = _reflected(w, inst.clutter_ir, 0.0)
+    clen = _canvas_len(refl_t.size, inst.grid_n)
+
+    target = _place(clen, refl_t, _BASE + delay)
+    clutter = _place(clen, np.sqrt(inst.state_gain[s]) * refl_c, _BASE)
+    noise = np.sqrt(inst.noise_var / 2.0) * (
+        rng.standard_normal(clen) + 1j * rng.standard_normal(clen)
+    )
+    rx = target + clutter + noise
+
+    y_t = matched_filter(w, target)
+    y_c = matched_filter(w, clutter)
+    y_n = matched_filter(w, noise)
+    peak = int(np.argmax(np.abs(y_t)))
+    sig = float(np.abs(y_t[peak]) ** 2)
+    win = _window(peak, y_t.size)
+    denom = float(np.mean(np.abs(y_c[win]) ** 2) + np.mean(np.abs(y_n[win]) ** 2))
+    return _sinr_value(sig, denom), rx
 
 
 def default_instance(seed: int = 16, n_cpis: int = 4) -> FstcInstance:
@@ -325,3 +383,14 @@ def test_expected_losses_deterministic_per_episode():
     a = sim.expected_losses(0, 1, 15.8)
     b = sim.expected_losses(0, 1, 15.8)
     np.testing.assert_array_equal(a, b)
+
+
+def test_physical_env_walks_the_instance_chain_and_maps_sinr_to_loss():
+    inst = default_instance(seed=31)
+    sim = TrackSimulator(inst, default_catalog(), np.random.default_rng(32), 64)
+    env = PhysicalTrackEnv(sim, 15.8)
+    assert env.state_proc is inst.state_proc
+    for w_idx in range(len(sim.catalog)):
+        loss, sinr = env.realize(0, 1, w_idx, None, np.random.default_rng(33))
+        assert sinr == sim.step(0, 1, w_idx, np.random.default_rng(33))
+        assert loss == compute_loss(sinr, 15.8)

@@ -151,13 +151,23 @@ def test_blr_rejects_wrong_context_dim():
         blr_update(post, np.array([1.0, 2.0]), 0.5)
 
 
-def test_blr_leaves_input_unmodified():
-    post = to_linear_posterior(isotropic_gaussian(np.zeros(2), 1.0), 0.5)
-    before_prec = post.precision.copy()
-    before_b = post.precision_mean.copy()
-    blr_update(post, np.array([1.0, -1.0]), 0.3)
-    np.testing.assert_array_equal(post.precision, before_prec)
-    np.testing.assert_array_equal(post.precision_mean, before_b)
+def test_blr_updates_in_place_and_copies_inputs():
+    prec = np.eye(2)
+    b = np.zeros(2)
+    post = LinearPosterior(prec, b, 0.5)
+    assert not np.shares_memory(post.precision, prec)
+    assert not np.shares_memory(post.precision_mean, b)
+    phi = np.array([1.0, -1.0])
+    expected_prec = prec + np.outer(phi, phi) / 0.5
+    expected_b = b + 0.3 * phi / 0.5
+    assert blr_update(post, phi, 0.3) is post
+    np.testing.assert_array_equal(post.precision, expected_prec)
+    np.testing.assert_array_equal(post.precision_mean, expected_b)
+    np.testing.assert_array_equal(post.precision, post.precision.T)
+    # the caller's arrays are neither aliased nor modified
+    np.testing.assert_array_equal(prec, np.eye(2))
+    np.testing.assert_array_equal(b, np.zeros(2))
+    np.testing.assert_array_equal(phi, [1.0, -1.0])
 
 
 @given(st.randoms(use_true_random=False))
@@ -167,14 +177,13 @@ def test_blr_update_order_does_not_matter(pyrandom):
     d, n = 3, 8
     X = rng.standard_normal((n, d))
     y = rng.standard_normal(n)
-    base = to_linear_posterior(isotropic_gaussian(np.zeros(d), 1.0), 0.3)
-    forward = base
+    prior = isotropic_gaussian(np.zeros(d), 1.0)
+    forward = to_linear_posterior(prior, 0.3)
     for i in range(n):
-        forward = blr_update(forward, X[i], float(y[i]))
-    perm = rng.permutation(n)
-    shuffled = base
-    for i in perm:
-        shuffled = blr_update(shuffled, X[i], float(y[i]))
+        blr_update(forward, X[i], float(y[i]))
+    shuffled = to_linear_posterior(prior, 0.3)
+    for i in rng.permutation(n):
+        blr_update(shuffled, X[i], float(y[i]))
     np.testing.assert_allclose(forward.precision, shuffled.precision, atol=1e-9)
     np.testing.assert_allclose(
         forward.precision_mean, shuffled.precision_mean, atol=1e-9

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from wavesel import cli
 from wavesel.errors import (
@@ -36,6 +39,7 @@ from wavesel.harness import (
     track_csv_path,
     worker_count,
     write_aggregates,
+    _write_lines,
 )
 from wavesel.meta import POLICIES, policy_index
 
@@ -122,6 +126,16 @@ def test_bad_value_reports_location():
         ("policies = random,epsilon-greedy", "policies"),
         ("mu_star = 0.1,0.2", "mu_star"),
         ("out_dir =  ", None),
+        ("sinr_target_db = nan", "sinr_target_db"),
+        ("sigma_q_sq = inf", "sigma_q_sq"),
+        ("doppler = -inf", "doppler"),
+        ("mu_star = nan,0,0", "mu_star"),
+        ("obs_flip_prob = 1.0", "obs_flip_prob"),
+        ("d = 4", "d"),
+        ("clutter_power = -1.0", "clutter_power"),
+        ("target_power = -1.0", "target_power"),
+        ("mode = physical\nk = 6", "k"),
+        ("seeds = 0,-1", "seeds"),
     ],
 )
 def test_validation_failures_name_the_field(line, field):
@@ -133,6 +147,63 @@ def test_validation_failures_name_the_field(line, field):
     with pytest.raises(ValidationError) as info:
         parse_config(line + "\n")
     assert info.value.field == field
+
+
+# Values on and beyond each boundary; a config that passes validation must run.
+_FIELD_VALUES = {
+    "k": st.integers(1, 7),
+    "d": st.integers(2, 4),
+    "sigma_q_sq": st.sampled_from(["0", "1e-30", "0.5", "12", "inf"]),
+    "sigma0_sq": st.sampled_from(["1e-6", "0.35", "4", "nan"]),
+    "sigma_sq": st.sampled_from(["0", "1e-3", "0.33", "10"]),
+    "noise_var": st.sampled_from(["1e-6", "1e-3", "1", "-1"]),
+    "sinr_target_db": st.sampled_from(["-40", "0", "12", "60", "nan"]),
+    "obs_flip_prob": st.sampled_from(["0", "0.5", "0.999", "1.0", "1.5"]),
+    "n_states": st.integers(1, 4),
+    "memory": st.integers(0, 3),
+    "ir_taps": st.integers(0, 4),
+    "ir_kernel_scale": st.sampled_from(["0", "1e-3", "1.5", "1e6"]),
+    "target_power": st.sampled_from(["-1", "0", "1", "100"]),
+    "clutter_power": st.sampled_from(["-1", "0", "30"]),
+    "doppler": st.sampled_from(["-3", "0", "0.5", "inf"]),
+    "n_oracle_draws": st.integers(0, 3),
+    "mu_star": st.sampled_from(["auto", "0.1,0.2", "1.2,0.4,0.6", "-2,0,2", "nan,0,0"]),
+    "seeds": st.sampled_from(["0", "3,1", "-1"]),
+    "policies": st.sets(st.sampled_from(POLICIES), min_size=1).map(",".join),
+}
+
+
+@given(
+    st.sampled_from(["synthetic", "physical"]),
+    st.sets(st.sampled_from(sorted(_FIELD_VALUES)), max_size=4).flatmap(
+        lambda keys: st.fixed_dictionaries({k: _FIELD_VALUES[k] for k in keys})
+    ),
+)
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@example("synthetic", {"obs_flip_prob": "1.0"})
+@example("synthetic", {"d": 4})
+@example("physical", {"k": 6})
+@example("synthetic", {"seeds": "-1"})
+def test_accepted_config_runs(tmp_path, mode, values):
+    """Whatever parse_config accepts also runs: validation matches the
+    checks the model itself makes, so no replicate fails after it starts."""
+    lines = {**values, "mode": mode}.items()
+    text = "".join(f"{key} = {value}\n" for key, value in lines)
+    try:
+        config = parse_config(text)
+    except ValidationError:
+        return
+    config = replace(
+        config, m=1, n=1, grid_n=4, grid_m=2, seeds=config.seeds[:1],
+        out_dir=str(tmp_path),
+    )
+    records, summary = run(config, config.policies[0], config.seeds[0])
+    assert len(records) == 1 and len(records[0]) == 1
+    assert all(math.isfinite(v) for v in summary.cum_regret)
 
 
 def test_mu_star_auto_means_unset():
@@ -245,6 +316,28 @@ def test_run_oracle_reports_zero_kl(tmp_path):
     config = _tiny_config(str(tmp_path), seeds=(0,))
     _, summary = run(config, "ts-oracle", 0)
     assert np.array_equal(summary.kl_to_truth, np.zeros(config.m))
+
+
+def test_write_lines_is_all_or_nothing(tmp_path):
+    def failing_lines():
+        yield "first"
+        yield "second"
+        raise RuntimeError("generator failed")
+
+    absent = tmp_path / "absent.csv"
+    with pytest.raises(RuntimeError):
+        _write_lines(str(absent), failing_lines())
+    assert not absent.exists()
+
+    earlier = tmp_path / "earlier.csv"
+    _write_lines(str(earlier), ["header", "row"])
+    with pytest.raises(RuntimeError):
+        _write_lines(str(earlier), failing_lines())
+    assert earlier.read_text(encoding="utf-8") == "header\nrow\n"
+    assert sorted(os.listdir(tmp_path)) == ["earlier.csv"]
+
+    with pytest.raises(IoError):
+        _write_lines(str(tmp_path / "missing" / "x.csv"), ["a"])
 
 
 def test_csv_paths_follow_naming_scheme(tmp_path):
