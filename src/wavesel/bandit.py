@@ -46,7 +46,7 @@ TIE_TOL = 1e-12
 class TsAgent:
     """Mutable learner state of one track.
 
-    ``posterior`` is the precision-form belief over the weights.
+    ``posterior`` is the covariance-form belief over the weights.
     ``stats[o, w]`` is the Welford accumulator (count, mean, m2, max) of the
     losses seen for waveform w at observation o, and ``contexts[o, w]`` the
     context vector (mean, variance, max) derived from it, so ``contexts[o]``

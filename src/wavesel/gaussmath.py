@@ -1,12 +1,11 @@
 """Multivariate Gaussian machinery used by every learning component.
 
-Beliefs live in one of two forms. :class:`Gaussian` is the moment form
-(mean, covariance), used for sampling and KL computations.
-:class:`LinearPosterior` is the precision form (Lambda, b = Lambda @ mean)
-of a Bayesian linear-regression posterior with known observation noise;
-precision accumulates additively and in place, which keeps sequential
-updates cheap and numerically stable. Conversion back to moments happens
-only at sampling time.
+Beliefs live in moment form. :class:`Gaussian` is a plain (mean, covariance)
+pair, used for sampling and KL computations. :class:`LinearPosterior` is the
+covariance-form posterior of a Bayesian linear regression with known
+observation noise: :func:`blr_update` folds one observation in place with a
+Sherman-Morrison rank-1 step, so neither an update nor a draw needs a solve,
+and a draw factors the covariance once.
 """
 
 from dataclasses import dataclass
@@ -15,9 +14,13 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
-# Added to the diagonal once if a covariance fails to factor; a second
-# failure is reported to the caller.
+#: Relative jitter: a matrix that fails to factor is retried once with
+#: ``JITTER`` times its mean absolute diagonal added to the diagonal; a second
+#: failure is reported to the caller.
 JITTER = 1e-10
+
+#: Number of jittered retries :func:`cholesky` has made in this process.
+jitter_retries = 0
 
 _SYM_TOL = 1e-10
 
@@ -25,16 +28,20 @@ _SYM_TOL = 1e-10
 def cholesky(m: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor of a symmetric PD matrix.
 
-    Retries once with ``JITTER`` added to the diagonal, then raises
+    Retries once with a jitter of ``JITTER`` times the mean absolute
+    diagonal, counted in ``jitter_retries``, then raises
     :class:`NotPositiveDefinite`.
     """
+    global jitter_retries
     m = np.asarray(m, dtype=float)
     try:
         return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         pass
+    jitter_retries += 1
+    scale = float(np.mean(np.abs(np.diag(m))))
     try:
-        return np.linalg.cholesky(m + JITTER * np.eye(m.shape[0]))
+        return np.linalg.cholesky(m + JITTER * scale * np.eye(m.shape[0]))
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(
             f"matrix of shape {m.shape} is not positive definite"
@@ -69,29 +76,28 @@ class Gaussian:
 
 @dataclass
 class LinearPosterior:
-    """Precision-form posterior of a linear model with noise variance sigma^2.
+    """Covariance-form posterior N(mean, cov) of a linear model with noise
+    variance sigma^2.
 
-    ``precision_mean`` stores b = precision @ mean, so the moment form is
-    recovered by a single solve. The object is mutable: :func:`blr_update`
-    adds to both arrays in place. Construction copies its inputs, so no
-    caller's arrays are aliased.
+    The object is mutable: :func:`blr_update` changes both arrays in place.
+    Construction copies its inputs, so no caller's arrays are aliased.
     """
 
-    precision: np.ndarray
-    precision_mean: np.ndarray
+    mean: np.ndarray
+    cov: np.ndarray
     noise_var: float
 
     def __post_init__(self):
-        self.precision = np.array(self.precision, dtype=float)
-        self.precision_mean = np.array(self.precision_mean, dtype=float)
+        self.mean = np.array(self.mean, dtype=float)
+        self.cov = np.array(self.cov, dtype=float)
         self.noise_var = float(self.noise_var)
-        _check_gaussian(self.precision_mean, self.precision)
+        _check_gaussian(self.mean, self.cov)
         if self.noise_var <= 0.0:
             raise NotPositiveDefinite("noise_var must be strictly positive")
 
     @property
     def dim(self) -> int:
-        return self.precision_mean.size
+        return self.mean.size
 
 
 def isotropic_gaussian(mean: np.ndarray, var: float) -> Gaussian:
@@ -107,22 +113,13 @@ def sample_gaussian(g: Gaussian, rng: np.random.Generator) -> np.ndarray:
 
 
 def to_linear_posterior(g: Gaussian, noise_var: float) -> LinearPosterior:
-    """Convert a moment-form prior into precision form for sequential updates."""
-    L = cholesky(g.cov)
-    eye = np.eye(g.dim)
-    cov_inv = np.linalg.solve(L.T, np.linalg.solve(L, eye))
-    cov_inv = 0.5 * (cov_inv + cov_inv.T)
-    return LinearPosterior(cov_inv, cov_inv @ g.mean, noise_var)
+    """Start a sequential posterior from a moment-form prior (copied)."""
+    return LinearPosterior(g.mean, g.cov, noise_var)
 
 
 def posterior_mean_cov(p: LinearPosterior) -> tuple[np.ndarray, np.ndarray]:
-    """Recover (mean, cov) from precision form."""
-    L = cholesky(p.precision)
-    eye = np.eye(p.dim)
-    cov = np.linalg.solve(L.T, np.linalg.solve(L, eye))
-    cov = 0.5 * (cov + cov.T)
-    mean = np.linalg.solve(L.T, np.linalg.solve(L, p.precision_mean))
-    return mean, cov
+    """Copies of the posterior's (mean, cov)."""
+    return p.mean.copy(), p.cov.copy()
 
 
 def posterior_gaussian(p: LinearPosterior) -> Gaussian:
@@ -133,18 +130,21 @@ def posterior_gaussian(p: LinearPosterior) -> Gaussian:
 def blr_update(p: LinearPosterior, phi: np.ndarray, loss: float) -> LinearPosterior:
     """Conjugate update for one observation loss = <theta, phi> + noise.
 
-    Updates ``p`` in place and returns it: the precision gains
-    phi phi^T / sigma^2 and b gains loss phi / sigma^2. The precision stays
-    symmetric to the bit, since a symmetric matrix plus outer(phi, phi) is
-    symmetric. ``phi`` is only read.
+    Updates ``p`` in place and returns it, by Sherman-Morrison: with
+    k = cov phi and s = sigma^2 + phi^T k, the mean gains
+    k (loss - phi^T mean) / s and the covariance loses outer(k, k) / s.
+    The covariance stays symmetric to the bit, since a symmetric matrix
+    minus outer(k, k) / s is symmetric. ``phi`` is only read.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (p.dim,):
         raise DimensionMismatch(
             f"context has shape {phi.shape}, posterior dimension is {p.dim}"
         )
-    p.precision += np.outer(phi, phi) / p.noise_var
-    p.precision_mean += float(loss) * phi / p.noise_var
+    k = p.cov @ phi
+    s = p.noise_var + float(phi @ k)
+    p.mean += k * ((float(loss) - float(phi @ p.mean)) / s)
+    p.cov -= np.outer(k, k) / s
     return p
 
 

@@ -395,12 +395,15 @@ def _run_job(args) -> RunSummary:
     return run(config, policy, seed)[1]
 
 
-def worker_count() -> int:
+def worker_count(n_jobs: int) -> int:
+    """Worker processes for n_jobs replicates: ``WAVESEL_WORKERS`` (default
+    1), clamped to [1, min(n_jobs, os.cpu_count())]."""
     raw = os.environ.get("WAVESEL_WORKERS", "1")
     try:
-        return max(1, int(raw))
+        requested = int(raw)
     except ValueError:
         raise InvalidInput(f"WAVESEL_WORKERS must be an integer, got {raw!r}") from None
+    return max(1, min(requested, n_jobs, os.cpu_count() or 1))
 
 
 def run_experiment(config: ExperimentConfig) -> list:
@@ -411,8 +414,8 @@ def run_experiment(config: ExperimentConfig) -> list:
         for policy in sorted(config.policies, key=policy_index)
         for seed in config.seeds
     ]
-    workers = worker_count()
-    if workers == 1 or len(jobs) == 1:
+    workers = worker_count(len(jobs))
+    if workers == 1:
         return [_run_job(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_job, jobs))

@@ -149,6 +149,11 @@ def meta_update(mp: MetaPosterior, data: TrackData) -> MetaPosterior:
         precision' = precision + X^T M^-1 X
         mu'        = precision'^-1 (precision mu + X^T M^-1 l)
 
+    By Woodbury the same step needs only the d x d sufficient statistics
+    G = X^T X / noise_var and h = X^T l / noise_var: with
+    A = I + sigma0_sq G, X^T M^-1 X = A^-1 G and X^T M^-1 l = A^-1 h. This
+    costs O(n d^2) time and no n x n matrix.
+
     The whole track enters in one joint step; splitting it into sub-blocks
     and updating sequentially would drop the coupling M carries between
     pulses and give a different (wrong) answer.
@@ -160,14 +165,13 @@ def meta_update(mp: MetaPosterior, data: TrackData) -> MetaPosterior:
         raise DimensionMismatch(
             f"contexts have dimension {X.shape[1]}, belief has {mp.dim}"
         )
-    n = X.shape[0]
-    middle = mp.noise_var * np.eye(n) + mp.sigma0_sq * (X @ X.T)
-    Lm = cholesky(middle)
-    stacked = np.column_stack([X, data.losses])
-    m_inv = np.linalg.solve(Lm.T, np.linalg.solve(Lm, stacked))
-    prec = mp.precision + X.T @ m_inv[:, :-1]
-    prec = 0.5 * (prec + prec.T)
-    b = mp.precision @ mp.mu + X.T @ m_inv[:, -1]
+    G = (X.T @ X) / mp.noise_var
+    h = (X.T @ data.losses) / mp.noise_var
+    A = np.eye(mp.dim) + mp.sigma0_sq * G
+    solved = np.linalg.solve(A, np.column_stack([G, h]))
+    gain = solved[:, :-1]
+    prec = mp.precision + 0.5 * (gain + gain.T)
+    b = mp.precision @ mp.mu + solved[:, -1]
     Lp = cholesky(prec)
     mu = np.linalg.solve(Lp.T, np.linalg.solve(Lp, b))
     return MetaPosterior(mu, prec, mp.sigma0_sq, mp.noise_var)

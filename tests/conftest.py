@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from wavesel import gaussmath
 from wavesel.harness import (
     ExperimentConfig,
     read_track_table,
@@ -22,6 +23,9 @@ class SweepResult:
     config: ExperimentConfig
     summaries: list
     elapsed_s: float
+    # Cholesky jitter retries made by the sweep's in-process replicates
+    # (all of them unless WAVESEL_WORKERS asks for a process pool).
+    jitter_retries: int
 
     def curves(self, policy: str, column: str) -> np.ndarray:
         """One per-track column stacked as an (n_seeds, m) matrix."""
@@ -35,13 +39,23 @@ class SweepResult:
         return np.array(out)
 
 
+def run_sweep(config: ExperimentConfig) -> SweepResult:
+    retries = gaussmath.jitter_retries
+    started = time.perf_counter()
+    summaries = run_experiment(config)
+    return SweepResult(
+        config,
+        summaries,
+        time.perf_counter() - started,
+        gaussmath.jitter_retries - retries,
+    )
+
+
 @pytest.fixture(scope="session")
 def synthetic_sweep(tmp_path_factory) -> SweepResult:
     out = tmp_path_factory.mktemp("synthetic_sweep")
     config = ExperimentConfig(out_dir=str(out))
-    started = time.perf_counter()
-    summaries = run_experiment(config)
-    return SweepResult(config, summaries, time.perf_counter() - started)
+    return run_sweep(config)
 
 
 @pytest.fixture(scope="session")
@@ -52,6 +66,4 @@ def physical_sweep(tmp_path_factory) -> SweepResult:
         policies=("ts-uninformative", "ts-oracle", "meta-ts"),
         out_dir=str(out),
     )
-    started = time.perf_counter()
-    summaries = run_experiment(config)
-    return SweepResult(config, summaries, time.perf_counter() - started)
+    return run_sweep(config)

@@ -193,10 +193,8 @@ def test_record_delegates_posterior_update():
     phi = np.array([0.4, 0.1, 0.7])
     record(agent, 0, 0, 0.55, phi)
     manual = blr_update(to_linear_posterior(prior, 0.1), phi, 0.55)
-    np.testing.assert_array_equal(agent.posterior.precision, manual.precision)
-    np.testing.assert_array_equal(
-        agent.posterior.precision_mean, manual.precision_mean
-    )
+    np.testing.assert_array_equal(agent.posterior.mean, manual.mean)
+    np.testing.assert_array_equal(agent.posterior.cov, manual.cov)
 
 
 def test_record_means_match_brute_force():
@@ -236,12 +234,14 @@ def test_record_touches_only_its_own_cell():
 
 def test_record_rejects_loss_outside_unit_interval():
     agent = make_agent()
-    precision = agent.posterior.precision.copy()
+    mean = agent.posterior.mean.copy()
+    cov = agent.posterior.cov.copy()
     for loss in (1.5, -0.1, float("nan")):
         with pytest.raises(InvalidInput):
             record(agent, 0, 0, loss, np.ones(3))
     assert np.all(agent.stats[..., 0] == 0)
-    np.testing.assert_array_equal(agent.posterior.precision, precision)
+    np.testing.assert_array_equal(agent.posterior.mean, mean)
+    np.testing.assert_array_equal(agent.posterior.cov, cov)
 
 
 # ---------------------------------------------------------------------------

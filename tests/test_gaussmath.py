@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavesel import gaussmath
+from wavesel.bandit import SyntheticTrackEnv, run_track
 from wavesel.errors import DimensionMismatch, NotPositiveDefinite
 from wavesel.gaussmath import (
     Gaussian,
@@ -13,10 +15,12 @@ from wavesel.gaussmath import (
     cholesky,
     isotropic_gaussian,
     kl_gaussian,
+    posterior_gaussian,
     posterior_mean_cov,
     sample_gaussian,
     to_linear_posterior,
 )
+from wavesel.harness import ExperimentConfig, build_scene
 
 
 def random_spd(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -41,14 +45,18 @@ def test_cholesky_2x2_by_hand():
 def test_cholesky_reconstructs_random_spd():
     rng = np.random.default_rng(7)
     m = random_spd(rng, 5)
+    before = gaussmath.jitter_retries
     L = cholesky(m)
+    assert gaussmath.jitter_retries == before
     assert np.max(np.abs(L @ L.T - m)) < 1e-9
     assert np.allclose(np.triu(L, 1), 0.0)
 
 
 def test_cholesky_rejects_indefinite():
+    before = gaussmath.jitter_retries
     with pytest.raises(NotPositiveDefinite):
         cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    assert gaussmath.jitter_retries == before + 1
 
 
 def test_cholesky_jitter_rescues_singular():
@@ -57,6 +65,20 @@ def test_cholesky_jitter_rescues_singular():
     v = np.array([1.0, 2.0])
     L = cholesky(np.outer(v, v))
     assert np.all(np.isfinite(L))
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+def test_cholesky_jitter_is_relative_to_the_diagonal(scale):
+    # Rank-deficient at either scale, so the plain factorization fails. The
+    # retry must add the same share of the diagonal at both: an absolute
+    # 1e-10 would be 1e-4 of the small matrix and round-off to the large one.
+    v = np.array([1.0, 2.0, -1.0])
+    m = scale * np.outer(v, v)
+    before = gaussmath.jitter_retries
+    L = cholesky(m)
+    assert gaussmath.jitter_retries == before + 1
+    jitter = gaussmath.JITTER * np.mean(np.abs(np.diag(m)))
+    np.testing.assert_allclose(L @ L.T, m + jitter * np.eye(3), rtol=0, atol=1e-14 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +97,7 @@ def test_gaussian_rejects_shape_mismatch():
 
 def test_linear_posterior_rejects_nonpositive_noise():
     with pytest.raises(NotPositiveDefinite):
-        LinearPosterior(np.eye(2), np.zeros(2), 0.0)
+        LinearPosterior(np.zeros(2), np.eye(2), 0.0)
 
 
 def test_isotropic_gaussian():
@@ -152,22 +174,38 @@ def test_blr_rejects_wrong_context_dim():
 
 
 def test_blr_updates_in_place_and_copies_inputs():
-    prec = np.eye(2)
-    b = np.zeros(2)
-    post = LinearPosterior(prec, b, 0.5)
-    assert not np.shares_memory(post.precision, prec)
-    assert not np.shares_memory(post.precision_mean, b)
+    mean = np.array([0.2, -0.1])
+    cov = np.array([[1.0, 0.3], [0.3, 2.0]])
+    post = LinearPosterior(mean, cov, 0.5)
+    assert not np.shares_memory(post.mean, mean)
+    assert not np.shares_memory(post.cov, cov)
     phi = np.array([1.0, -1.0])
-    expected_prec = prec + np.outer(phi, phi) / 0.5
-    expected_b = b + 0.3 * phi / 0.5
+    k = cov @ phi
+    s = 0.5 + float(phi @ k)
+    expected_mean = mean + k * ((0.3 - float(phi @ mean)) / s)
+    expected_cov = cov - np.outer(k, k) / s
     assert blr_update(post, phi, 0.3) is post
-    np.testing.assert_array_equal(post.precision, expected_prec)
-    np.testing.assert_array_equal(post.precision_mean, expected_b)
-    np.testing.assert_array_equal(post.precision, post.precision.T)
+    np.testing.assert_array_equal(post.mean, expected_mean)
+    np.testing.assert_array_equal(post.cov, expected_cov)
+    np.testing.assert_array_equal(post.cov, post.cov.T)
     # the caller's arrays are neither aliased nor modified
-    np.testing.assert_array_equal(prec, np.eye(2))
-    np.testing.assert_array_equal(b, np.zeros(2))
+    np.testing.assert_array_equal(mean, [0.2, -0.1])
+    np.testing.assert_array_equal(cov, [[1.0, 0.3], [0.3, 2.0]])
     np.testing.assert_array_equal(phi, [1.0, -1.0])
+
+
+def test_moment_views_are_copies():
+    prior = isotropic_gaussian(np.array([0.1, 0.2]), 2.0)
+    post = to_linear_posterior(prior, 0.5)
+    assert not np.shares_memory(post.mean, prior.mean)
+    assert not np.shares_memory(post.cov, prior.cov)
+    g = posterior_gaussian(post)
+    mean, cov = posterior_mean_cov(post)
+    blr_update(post, np.array([1.0, 0.5]), 0.9)
+    np.testing.assert_array_equal(g.mean, prior.mean)
+    np.testing.assert_array_equal(g.cov, prior.cov)
+    np.testing.assert_array_equal(mean, prior.mean)
+    np.testing.assert_array_equal(cov, prior.cov)
 
 
 @given(st.randoms(use_true_random=False))
@@ -184,10 +222,31 @@ def test_blr_update_order_does_not_matter(pyrandom):
     shuffled = to_linear_posterior(prior, 0.3)
     for i in rng.permutation(n):
         blr_update(shuffled, X[i], float(y[i]))
-    np.testing.assert_allclose(forward.precision, shuffled.precision, atol=1e-9)
-    np.testing.assert_allclose(
-        forward.precision_mean, shuffled.precision_mean, atol=1e-9
+    np.testing.assert_allclose(forward.mean, shuffled.mean, atol=1e-9)
+    np.testing.assert_allclose(forward.cov, shuffled.cov, atol=1e-9)
+
+
+def test_blr_long_track_matches_batch_normal_equations():
+    # 3000 Sherman-Morrison steps on the contexts a Thompson track actually
+    # visits (correlated, a few distinct values per cell); the posterior
+    # precision ends near 1e4 along the best-observed direction.
+    cfg = ExperimentConfig()
+    task_dist, scene = build_scene(cfg, 0)
+    env = SyntheticTrackEnv(task_dist.mu_star, scene.state_proc, cfg.sigma_sq, 15.8)
+    prior_var = cfg.sigma_q_sq + cfg.sigma0_sq
+    prior = isotropic_gaussian(np.zeros(3), prior_var)
+    result, agent = run_track(
+        env, prior, cfg.sigma_sq, 3000, cfg.k, np.random.default_rng(0)
     )
+    X, y = result.contexts, result.loss
+    post = agent.posterior
+    prec = np.eye(3) / prior_var + X.T @ X / cfg.sigma_sq
+    batch_mean = np.linalg.solve(prec, X.T @ y / cfg.sigma_sq)
+    batch_cov = np.linalg.inv(prec)
+    assert np.max(np.abs(post.mean - batch_mean)) < 1e-10 * np.max(np.abs(batch_mean))
+    assert np.max(np.abs(post.cov - batch_cov)) < 1e-10 * np.max(np.abs(batch_cov))
+    np.testing.assert_array_equal(post.cov, post.cov.T)
+    assert np.linalg.eigvalsh(post.cov).min() > 0.0
 
 
 def test_blr_variance_contracts_along_context():

@@ -374,20 +374,36 @@ def test_policy_streams_do_not_interact(tmp_path):
 
 def test_worker_count_defaults_to_one(monkeypatch):
     monkeypatch.delenv("WAVESEL_WORKERS", raising=False)
-    assert worker_count() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert worker_count(10) == 1
 
 
 def test_worker_count_env_override(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setenv("WAVESEL_WORKERS", "3")
-    assert worker_count() == 3
+    assert worker_count(10) == 3
     monkeypatch.setenv("WAVESEL_WORKERS", "0")
-    assert worker_count() == 1
+    assert worker_count(10) == 1
+
+
+def test_worker_count_is_clamped_to_jobs_and_cpus(monkeypatch):
+    # Only the count is computed; no pool is started.
+    monkeypatch.setenv("WAVESEL_WORKERS", "100000")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert worker_count(80) == 4
+    assert worker_count(3) == 3
+    assert worker_count(1) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count(80) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("WAVESEL_WORKERS", "-5")
+    assert worker_count(80) == 1
 
 
 def test_worker_count_rejects_garbage(monkeypatch):
     monkeypatch.setenv("WAVESEL_WORKERS", "many")
     with pytest.raises(InvalidInput):
-        worker_count()
+        worker_count(10)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavesel.bandit import SyntheticTrackEnv, run_track
 from wavesel.errors import DimensionMismatch, InvalidInput, InvalidVariance
 from wavesel.gaussmath import (
     LinearPosterior,
     blr_update,
+    cholesky,
     isotropic_gaussian,
     posterior_mean_cov,
 )
@@ -29,6 +32,38 @@ from wavesel.metrics import kl_trace
 
 def flat_meta(sigma_q_sq=1.0, d=3, sigma0_sq=0.35, noise_var=0.33) -> MetaPosterior:
     return init_meta(sigma_q_sq, d, sigma0_sq=sigma0_sq, noise_var=noise_var)
+
+
+def meta_update_nxn(mp: MetaPosterior, data: TrackData) -> MetaPosterior:
+    """Oracle: the joint-track update through the n x n marginal covariance
+    M = noise_var I + sigma0_sq X X^T of the track's losses,
+
+        precision' = precision + X^T M^-1 X
+        mu'        = precision'^-1 (precision mu + X^T M^-1 l).
+    """
+    if len(data) == 0:
+        return mp
+    X = data.contexts
+    n = X.shape[0]
+    middle = mp.noise_var * np.eye(n) + mp.sigma0_sq * (X @ X.T)
+    Lm = cholesky(middle)
+    stacked = np.column_stack([X, data.losses])
+    m_inv = np.linalg.solve(Lm.T, np.linalg.solve(Lm, stacked))
+    prec = mp.precision + X.T @ m_inv[:, :-1]
+    prec = 0.5 * (prec + prec.T)
+    b = mp.precision @ mp.mu + X.T @ m_inv[:, -1]
+    Lp = cholesky(prec)
+    mu = np.linalg.solve(Lp.T, np.linalg.solve(Lp, b))
+    return MetaPosterior(mu, prec, mp.sigma0_sq, mp.noise_var)
+
+
+def relative_gap(a: MetaPosterior, b: MetaPosterior) -> float:
+    """Largest entry-wise gap in mu and precision, each relative to the
+    largest entry of b's."""
+    return max(
+        np.max(np.abs(a.mu - b.mu)) / np.max(np.abs(b.mu)),
+        np.max(np.abs(a.precision - b.precision)) / np.max(np.abs(b.precision)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +161,33 @@ def test_update_rejects_wrong_context_dimension():
         meta_update(flat_meta(d=3), TrackData(np.ones((4, 2)), np.ones(4)))
 
 
+@given(
+    n=st.integers(0, 60),
+    d=st.sampled_from([1, 2, 3]),
+    sigma0_sq=st.floats(1e-14, 1e2),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_sufficient_statistics_update_matches_nxn_oracle(n, d, sigma0_sq, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d))
+    mp = MetaPosterior(
+        rng.standard_normal(d), a @ a.T + d * np.eye(d), sigma0_sq, 0.33
+    )
+    data = TrackData(rng.random((n, d)), rng.random(n))
+    assert relative_gap(meta_update(mp, data), meta_update_nxn(mp, data)) < 1e-10
+
+
+def test_long_track_update_matches_nxn_oracle():
+    cfg = ExperimentConfig()
+    rng = np.random.default_rng(5)
+    mp = flat_meta(
+        sigma_q_sq=cfg.sigma_q_sq, sigma0_sq=cfg.sigma0_sq, noise_var=cfg.sigma_sq
+    )
+    data = TrackData(rng.random((2500, 3)), rng.random(2500))
+    assert relative_gap(meta_update(mp, data), meta_update_nxn(mp, data)) < 1e-12
+
+
 def test_joint_update_differs_from_split_updates():
     rng = np.random.default_rng(3)
     X = rng.random((6, 2))
@@ -146,7 +208,7 @@ def test_vanishing_instance_spread_reduces_to_blr():
     mp = init_meta(2.0, 2, sigma0_sq=1e-14, noise_var=noise_var)
     out = meta_update(mp, TrackData(X, L))
 
-    post = LinearPosterior(mp.precision, mp.precision @ mp.mu, noise_var)
+    post = LinearPosterior(*meta_mean_cov(mp), noise_var)
     for phi, ell in zip(X, L):
         post = blr_update(post, phi, float(ell))
     blr_mean, blr_cov = posterior_mean_cov(post)

@@ -188,6 +188,12 @@ def test_kl_trend_is_monotone_downward(synthetic_sweep):
     assert rho < -0.8
 
 
+def test_default_sweep_needs_no_cholesky_jitter(synthetic_sweep):
+    # Every covariance and precision the default study factors is PD as it
+    # stands; a retry would mean a posterior lost definiteness.
+    assert synthetic_sweep.jitter_retries == 0
+
+
 # ---------------------------------------------------------------------------
 # cumulative regret shape
 
