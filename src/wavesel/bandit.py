@@ -25,7 +25,7 @@ import numpy as np
 from .errors import IndexOutOfRange, InvalidInput
 # compute_loss is the SINR-to-loss map; it lives in fstc, next to the SINR,
 # and is re-exported here for the learner's callers.
-from .fstc import compute_loss, observe, step_state
+from .fstc import SceneWalk, compute_loss
 from .gaussmath import (
     Gaussian,
     blr_update,
@@ -138,7 +138,7 @@ class TrackResult:
     contexts: np.ndarray
 
 
-class SyntheticTrackEnv:
+class SyntheticTrackEnv(SceneWalk):
     """Exact-linear environment: losses come from the context model itself.
 
     A pseudo-SINR is derived by inverting the loss map so that SINR-based
@@ -146,16 +146,10 @@ class SyntheticTrackEnv:
     """
 
     def __init__(self, theta_star, state_proc, noise_var, sinr_target):
+        super().__init__(state_proc)
         self.theta_star = np.asarray(theta_star, dtype=float)
-        self.state_proc = state_proc
         self.noise_var = float(noise_var)
         self.sinr_target = float(sinr_target)
-        self._states: list[int] = []
-
-    def step_scene(self, rng: np.random.Generator):
-        s = step_state(self.state_proc, self._states, rng)
-        self._states.append(s)
-        return s, observe(self.state_proc, s, rng)
 
     def expected_losses(self, cpi: int, s: int, contexts) -> np.ndarray:
         return np.clip(np.asarray(contexts) @ self.theta_star, 0.0, 1.0)

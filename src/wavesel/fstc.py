@@ -292,6 +292,20 @@ def _sinr_value(sig: float, denom: float) -> float:
     return float(min(sig / denom, SINR_CAP))
 
 
+class SceneWalk:
+    """The hidden-state walk of one track: each pulse advances the chain and
+    reads its noisy observation. Both track environments share it."""
+
+    def __init__(self, state_proc: StateProcess):
+        self.state_proc = state_proc
+        self._states: list[int] = []
+
+    def step_scene(self, rng: np.random.Generator):
+        s = step_state(self.state_proc, self._states, rng)
+        self._states.append(s)
+        return s, observe(self.state_proc, s, rng)
+
+
 class TrackSimulator:
     """Per-episode fast path: precomputes every waveform's deterministic
     matched-filter responses so each pulse costs only a small noise draw.
@@ -302,6 +316,11 @@ class TrackSimulator:
     law to filtering white noise and orders of magnitude cheaper. Expected
     losses per state use a fixed set of Monte Carlo noise draws shared by
     all pulses of the episode.
+
+    The state is arrays over the K waveforms: peak powers ``_sig`` (K,),
+    window clutter powers per delay cell ``_clutter`` (grid_n, K), noise
+    factors ``_lg`` and cached noise powers ``_noise`` (K, n_oracle_draws),
+    plus the trajectory's 0-based delay cells ``_delay`` (n,).
     """
 
     def __init__(
@@ -313,18 +332,26 @@ class TrackSimulator:
     ):
         self.inst = inst
         self.catalog = catalog
-        self._wf = []
+        k = len(catalog)
         width = 2 * WINDOW_HALF + 1
-        for env in catalog:
+        delays = np.arange(inst.grid_n)
+        self._sig = np.empty(k)
+        self._clutter = np.empty((inst.grid_n, k))
+        self._lg = np.empty((k, width, width), dtype=complex)
+        self._noise = np.empty((k, n_oracle_draws))
+        for i, env in enumerate(catalog):
             refl_t = _reflected(env, inst.target_ir, inst.doppler)
             refl_c = _reflected(env, inst.clutter_ir, 0.0)
             clen = _canvas_len(refl_t.size, inst.grid_n)
             y_t0 = matched_filter(env, _place(clen, refl_t, _BASE))
             y_c0 = matched_filter(env, _place(clen, refl_c, _BASE))
             p0 = int(np.argmax(np.abs(y_t0)))
-            sig = float(np.abs(y_t0[p0]) ** 2)
-            c_sq = np.abs(y_c0) ** 2
-            c_prefix = np.concatenate([[0.0], np.cumsum(c_sq)])
+            self._sig[i] = np.abs(y_t0[p0]) ** 2
+            # window bounds of _window(p0 + delay, len) for every delay cell
+            lo = np.maximum(p0 + delays - WINDOW_HALF, 0)
+            hi = np.minimum(p0 + delays + WINDOW_HALF + 1, y_t0.size)
+            c_prefix = np.concatenate([[0.0], np.cumsum(np.abs(y_c0) ** 2)])
+            self._clutter[:, i] = (c_prefix[hi] - c_prefix[lo]) / (hi - lo)
             # exact covariance of matched-filter noise at neighbouring lags
             pulse = env.samples
             acorr = np.correlate(pulse, pulse, mode="full")
@@ -335,40 +362,25 @@ class TrackSimulator:
                 lg = np.linalg.cholesky(gram + 1e-12 * inst.noise_var * np.eye(width))
             except np.linalg.LinAlgError:
                 raise NotPositiveDefinite("noise window covariance failed to factor")
+            self._lg[i] = lg
             n_draws = (
                 oracle_rng.standard_normal((n_oracle_draws, width))
                 + 1j * oracle_rng.standard_normal((n_oracle_draws, width))
             ) / np.sqrt(2.0)
             p_hat = np.mean(np.abs(n_draws @ lg.T) ** 2, axis=1)
             # first-moment correction: the exact mean window power is known
-            p_hat = np.clip(p_hat + (inst.noise_var - p_hat.mean()), 1e-18, None)
-            self._wf.append(
-                {
-                    "peak0": p0,
-                    "sig": sig,
-                    "c_prefix": c_prefix,
-                    "out_len": y_t0.size,
-                    "lg": lg,
-                    "noise_power_draws": p_hat,
-                }
-            )
-
-    def _clutter_window_power(self, wf: dict, delay: int) -> float:
-        win = _window(wf["peak0"] + delay, wf["out_len"])
-        return (wf["c_prefix"][win.stop] - wf["c_prefix"][win.start]) / (
-            win.stop - win.start
-        )
+            p_hat = p_hat + (inst.noise_var - p_hat.mean())
+            self._noise[i] = np.clip(p_hat, 1e-18, None)
+        self._delay = np.array([c.delay_cell - 1 for c in inst.trajectory], dtype=int)
 
     def step(self, cpi: int, s: int, w_idx: int, rng: np.random.Generator) -> float:
         """Realized SINR of one pulse, equal in distribution to filtering the
         full received pulse (target, clutter and white noise on the canvas)."""
-        wf = self._wf[w_idx]
-        delay = self.inst.trajectory[cpi].delay_cell - 1
-        p_c = float(self.inst.state_gain[s]) * self._clutter_window_power(wf, delay)
-        width = wf["lg"].shape[0]
+        p_c = float(self.inst.state_gain[s]) * self._clutter[self._delay[cpi], w_idx]
+        width = self._lg.shape[1]
         z = (rng.standard_normal(width) + 1j * rng.standard_normal(width)) / np.sqrt(2.0)
-        p_n = float(np.mean(np.abs(wf["lg"] @ z) ** 2))
-        return _sinr_value(wf["sig"], p_c + p_n)
+        p_n = float(np.mean(np.abs(self._lg[w_idx] @ z) ** 2))
+        return _sinr_value(float(self._sig[w_idx]), p_c + p_n)
 
     def expected_losses(self, cpi: int, s: int, sinr_target: float) -> np.ndarray:
         """Monte Carlo mean loss of every waveform at the true state.
@@ -376,29 +388,18 @@ class TrackSimulator:
         Uses the episode's cached noise draws, so the estimate is a
         deterministic function of (cpi, state).
         """
-        delay = self.inst.trajectory[cpi].delay_cell - 1
-        gain = float(self.inst.state_gain[s])
-        out = np.empty(len(self._wf))
-        for i, wf in enumerate(self._wf):
-            p_c = gain * self._clutter_window_power(wf, delay)
-            sinr = np.minimum(wf["sig"] / (p_c + wf["noise_power_draws"]), SINR_CAP)
-            out[i] = float(np.mean(np.clip(sinr / sinr_target, 0.0, 1.0)))
-        return out
+        p_c = float(self.inst.state_gain[s]) * self._clutter[self._delay[cpi]]
+        sinr = np.minimum(self._sig[:, None] / (p_c[:, None] + self._noise), SINR_CAP)
+        return np.mean(np.clip(sinr / sinr_target, 0.0, 1.0), axis=1)
 
 
-class PhysicalTrackEnv:
+class PhysicalTrackEnv(SceneWalk):
     """Adapter giving the per-track learner a uniform environment interface."""
 
     def __init__(self, sim: TrackSimulator, sinr_target: float):
+        super().__init__(sim.inst.state_proc)
         self.sim = sim
-        self.state_proc = sim.inst.state_proc
         self.sinr_target = sinr_target
-        self._states: list[int] = []
-
-    def step_scene(self, rng: np.random.Generator):
-        s = step_state(self.state_proc, self._states, rng)
-        self._states.append(s)
-        return s, observe(self.state_proc, s, rng)
 
     def expected_losses(self, cpi: int, s: int, contexts) -> np.ndarray:
         return self.sim.expected_losses(cpi, s, self.sinr_target)

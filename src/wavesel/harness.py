@@ -24,7 +24,12 @@ import numpy as np
 from .errors import EmptyInput, InvalidInput, IoError, ParseError, ValidationError
 from .fstc import SceneConfig, StateProcess, TaskDistribution, random_transition
 from .meta import POLICIES, policy_index, run_meta_experiment, scene_rng
-from .metrics import kl_trace, track_record
+from .metrics import (
+    kl_trace,
+    outage_frequency,
+    suboptimal_frequency,
+    track_record,
+)
 from .waveforms import CATALOG_NAMES
 
 #: Fixed true prior mean for physical mode: positive weight on the running
@@ -49,13 +54,14 @@ PER_TRACK_HEADER = (
 )
 AGG_HEADER = "policy,track,mean,stderr"
 
-#: Aggregate output metrics and the across-track transform each one uses.
+#: Aggregate output metrics: the per-track column each one reads and the
+#: across-track transform it applies.
 AGG_METRICS = {
-    "regret": "cumsum",
-    "loss": "running_mean",
-    "outage": "running_mean",
-    "subopt": "running_mean",
-    "kl": "raw",
+    "regret": ("cum_regret", "cumsum"),
+    "loss": ("mean_loss", "running_mean"),
+    "outage": ("outage_freq", "running_mean"),
+    "subopt": ("subopt_freq", "running_mean"),
+    "kl": ("kl_to_truth", "raw"),
 }
 
 
@@ -155,11 +161,15 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         raise ValidationError("seeds", "at least one seed is required")
     if min(config.seeds) < 0:
         raise ValidationError("seeds", "seeds must be nonnegative")
+    if len(set(config.seeds)) != len(config.seeds):
+        raise ValidationError("seeds", "a seed is listed more than once")
     if not config.policies:
         raise ValidationError("policies", "at least one policy is required")
     for p in config.policies:
         if p not in POLICIES:
             raise ValidationError("policies", f"unknown policy {p!r}")
+    if len(set(config.policies)) != len(config.policies):
+        raise ValidationError("policies", "a policy is listed more than once")
     if config.mode not in ("synthetic", "physical"):
         raise ValidationError("mode", f"unknown mode {config.mode!r}")
     if config.mode == "physical" and config.k > len(CATALOG_NAMES):
@@ -305,14 +315,13 @@ def _write_lines(path: str, lines) -> None:
 def _cpi_lines(records: list) -> list:
     lines = [PER_CPI_HEADER]
     for rec in records:
-        flags = rec.outage[10.0]
         for i in range(len(rec)):
             lines.append(
                 f"{rec.policy},{rec.seed},{rec.track},{i},{rec.state[i]},"
                 f"{rec.obs[i]},{rec.waveform[i]},{_fmt(rec.sinr_db[i])},"
                 f"{_fmt(rec.loss[i])},{_fmt(rec.oracle_loss[i])},"
                 f"{_fmt(rec.regret_inc[i])},{int(rec.suboptimal[i])},"
-                f"{int(flags[i])}"
+                f"{int(rec.outage[i])}"
             )
     return lines
 
@@ -375,8 +384,8 @@ def run(
         seed=seed,
         cum_regret=np.array([float(np.sum(r.regret_inc)) for r in records]),
         mean_loss=np.array([float(np.mean(r.loss)) for r in records]),
-        outage_freq=np.array([float(np.mean(r.outage[10.0])) for r in records]),
-        subopt_freq=np.array([float(np.mean(r.suboptimal)) for r in records]),
+        outage_freq=np.array([outage_frequency(r) for r in records]),
+        subopt_freq=np.array([suboptimal_frequency(r) for r in records]),
         kl_to_truth=kl,
         wall_time_ms=0.0,
     )
@@ -440,20 +449,17 @@ def read_track_table(path: str) -> list:
         parts = line.split(",")
         if len(parts) != len(names):
             raise IoError(f"{path}: malformed row {line!r}")
-        row = {"policy": parts[0], "seed": int(parts[1]), "track": int(parts[2])}
-        for name, part in zip(names[3:], parts[3:]):
-            row[name] = float(part)
+        try:
+            seed, track = int(parts[1]), int(parts[2])
+            values = [float(part) for part in parts[3:]]
+        except ValueError:
+            raise IoError(f"{path}: malformed row {line!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise IoError(f"{path}: non-finite value in row {line!r}")
+        row = {"policy": parts[0], "seed": seed, "track": track}
+        row.update(zip(names[3:], values))
         rows.append(row)
     return rows
-
-
-_METRIC_COLUMN = {
-    "regret": "cum_regret",
-    "loss": "mean_loss",
-    "outage": "outage_freq",
-    "subopt": "subopt_freq",
-    "kl": "kl_to_truth",
-}
 
 
 def _transform(values: np.ndarray, how: str) -> np.ndarray:
@@ -493,8 +499,7 @@ def aggregate(rows: list) -> dict:
             elif len(seed_rows) != m:
                 raise InvalidInput(f"seeds of {policy} disagree on track count")
             per_seed[seed] = seed_rows
-        for metric, how in AGG_METRICS.items():
-            column = _METRIC_COLUMN[metric]
+        for metric, (column, how) in AGG_METRICS.items():
             stacked = np.stack(
                 [
                     _transform(

@@ -232,7 +232,6 @@ def run_meta_experiment(
     sigma_q_sq: float = 12.0,
     sigma_sq: float = 0.33,
     sinr_target_db: float = 12.0,
-    catalog: list | None = None,
     n_oracle_draws: int = 64,
 ) -> tuple[list[TrackResult], list[MetaPosterior]]:
     """Run m tracks of n pulses under one policy and seed.
@@ -252,17 +251,11 @@ def run_meta_experiment(
         raise InvalidInput("m and n must be at least 1")
     if mode not in ("synthetic", "physical"):
         raise InvalidInput(f"unknown mode {mode!r}")
-    pidx = policy_index(policy)
     d = task_dist.mu_star.size
     mp = init_meta(sigma_q_sq, d, sigma0_sq=task_dist.sigma0_sq, noise_var=sigma_sq)
     sinr_target = 10.0 ** (sinr_target_db / 10.0)
     if mode == "physical":
-        if catalog is None:
-            catalog = default_catalog(k=k_arms)
-        if len(catalog) != k_arms:
-            raise InvalidInput(
-                f"catalog has {len(catalog)} waveforms, k_arms is {k_arms}"
-            )
+        catalog = default_catalog(k=k_arms)
     meta_draws = meta_prior_rng(seed, policy)
 
     uninformative = isotropic_gaussian(
@@ -273,7 +266,7 @@ def run_meta_experiment(
     results: list[TrackResult] = []
     history: list[MetaPosterior] = []
     for t in range(m):
-        rng = _rng(seed, pidx, t)
+        rng = track_rng(seed, policy, t)
         env_rng = instance_rng(seed, t)
         if mode == "synthetic":
             theta_star = task_dist.mu_star + np.sqrt(

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, IndexOutOfRange, InvalidInput
+from .errors import EmptyInput, InvalidInput
 from .fstc import TaskDistribution
 from .gaussmath import isotropic_gaussian, kl_gaussian
 from .meta import MetaPosterior, meta_gaussian
@@ -21,8 +21,8 @@ DB_FLOOR = 1e-30
 #: against: the true prior mean smoothed to a narrow ball.
 KL_REFERENCE_VAR = 1e-2
 
-#: Outage thresholds recorded by default, in dB.
-DEFAULT_THRESHOLDS_DB = (10.0,)
+#: Post-processing SINR below this, in dB, counts as an outage.
+OUTAGE_DB = 10.0
 
 
 def sinr_to_db(sinr) -> np.ndarray:
@@ -33,7 +33,7 @@ def sinr_to_db(sinr) -> np.ndarray:
 class TrackRecord:
     """Per-pulse outcome arrays of one track, plus run identity.
 
-    ``outage`` maps each recorded threshold (dB) to a boolean flag array.
+    ``outage`` flags the pulses whose SINR fell below ``OUTAGE_DB``.
     """
 
     state: np.ndarray
@@ -44,7 +44,7 @@ class TrackRecord:
     oracle_loss: np.ndarray
     regret_inc: np.ndarray
     suboptimal: np.ndarray
-    outage: dict
+    outage: np.ndarray
     policy: str = ""
     seed: int = 0
     track: int = 0
@@ -52,12 +52,11 @@ class TrackRecord:
     def __post_init__(self):
         n = self.loss.size
         for name in ("state", "obs", "waveform", "sinr_db", "oracle_loss",
-                     "regret_inc", "suboptimal"):
+                     "regret_inc", "suboptimal", "outage"):
             if getattr(self, name).shape != (n,):
                 raise InvalidInput(f"field {name} does not have {n} rows")
-        for thr, flags in self.outage.items():
-            if flags.shape != (n,) or flags.dtype != bool:
-                raise InvalidInput(f"outage flags for {thr} dB malformed")
+        if self.outage.dtype != bool:
+            raise InvalidInput("outage flags must be boolean")
         if n and float(np.min(self.regret_inc)) < -1e-12:
             raise InvalidInput("negative regret increment")
 
@@ -66,17 +65,12 @@ class TrackRecord:
 
 
 def track_record(
-    result,
-    *,
-    policy: str = "",
-    seed: int = 0,
-    track: int = 0,
-    thresholds_db=DEFAULT_THRESHOLDS_DB,
+    result, *, policy: str = "", seed: int = 0, track: int = 0
 ) -> TrackRecord:
-    """Build a record from a raw per-track result, deriving dB SINR and
-    per-threshold outage flags."""
+    """Build a record from a raw per-track result, deriving dB SINR and the
+    outage flags."""
     sinr_db = sinr_to_db(result.sinr)
-    outage = {float(t): sinr_db < float(t) for t in thresholds_db}
+    outage = sinr_db < OUTAGE_DB
     return TrackRecord(
         state=result.state,
         obs=result.obs,
@@ -102,20 +96,9 @@ def _gather(records, name: str) -> np.ndarray:
     return np.concatenate(arrays)
 
 
-def regret_increment(expected_losses, chosen: int) -> float:
-    """Gap between the best available expected loss and the chosen one."""
-    expected = np.asarray(expected_losses, dtype=float)
-    if not 0 <= chosen < expected.size:
-        raise IndexOutOfRange(
-            f"chosen index {chosen} outside {expected.size} waveforms"
-        )
-    return float(np.max(expected) - expected[chosen])
-
-
-def outage_frequency(records, threshold_db: float) -> float:
-    """Fraction of pulses whose post-processing SINR fell below the threshold."""
-    sinr_db = _gather(records, "sinr_db")
-    return float(np.mean(sinr_db < float(threshold_db)))
+def outage_frequency(records) -> float:
+    """Fraction of pulses whose post-processing SINR fell below ``OUTAGE_DB``."""
+    return float(np.mean(_gather(records, "outage")))
 
 
 def suboptimal_frequency(records) -> float:

@@ -1,0 +1,18 @@
+"""Reference arithmetic the package computes inline, kept here as test
+oracles."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from wavesel.errors import IndexOutOfRange
+
+
+def regret_increment(expected_losses, chosen: int) -> float:
+    """Gap between the best available expected loss and the chosen one."""
+    expected = np.asarray(expected_losses, dtype=float)
+    if not 0 <= chosen < expected.size:
+        raise IndexOutOfRange(
+            f"chosen index {chosen} outside {expected.size} waveforms"
+        )
+    return float(np.max(expected) - expected[chosen])

@@ -20,7 +20,15 @@ from wavesel.bandit import (
     synthetic_loss,
 )
 from wavesel.errors import IndexOutOfRange, InvalidInput
-from wavesel.fstc import StateProcess
+from wavesel.fstc import (
+    DEFAULT_STATE_GAIN,
+    PhysicalTrackEnv,
+    SceneConfig,
+    StateProcess,
+    TaskDistribution,
+    TrackSimulator,
+    draw_instance,
+)
 from wavesel.gaussmath import (
     blr_update,
     isotropic_gaussian,
@@ -29,6 +37,9 @@ from wavesel.gaussmath import (
     sample_gaussian,
     to_linear_posterior,
 )
+from wavesel.waveforms import default_catalog
+
+from oracles import regret_increment
 
 
 def uniform_state_proc(n_states: int = 4) -> StateProcess:
@@ -370,3 +381,59 @@ def test_run_track_rejects_unknown_explore_mode():
             np.random.default_rng(0),
             explore="greedy",
         )
+
+
+class RecordingEnv:
+    """Forwards to an environment and keeps a copy of every expected-loss
+    vector the track loop asked for."""
+
+    def __init__(self, env):
+        self.env = env
+        self.state_proc = env.state_proc
+        self.expected: list[np.ndarray] = []
+
+    def step_scene(self, rng):
+        return self.env.step_scene(rng)
+
+    def expected_losses(self, cpi, s, contexts):
+        out = np.array(self.env.expected_losses(cpi, s, contexts), dtype=float)
+        self.expected.append(out.copy())
+        return out
+
+    def realize(self, cpi, s, w_idx, phi, rng):
+        return self.env.realize(cpi, s, w_idx, phi, rng)
+
+
+def physical_env(n: int) -> PhysicalTrackEnv:
+    rng = np.random.default_rng(50)
+    scene = SceneConfig(
+        state_proc=uniform_state_proc(),
+        state_gain=DEFAULT_STATE_GAIN,
+        noise_var=1e-3,
+        grid_n=16,
+        grid_m=4,
+        clutter_power=30.0,
+    )
+    dist = TaskDistribution(np.array([1.2, 0.4, 0.6]), 0.35, 1.5, 8)
+    inst = draw_instance(dist, scene, n, rng)
+    sim = TrackSimulator(inst, default_catalog(), np.random.default_rng(51), 64)
+    return PhysicalTrackEnv(sim, 15.8)
+
+
+@pytest.mark.parametrize("mode", ["synthetic", "physical"])
+def test_run_track_regret_equals_oracle_at_every_cpi(mode):
+    n = 120
+    if mode == "synthetic":
+        theta_star = np.array([-0.3, 0.2, 0.8])
+        env = SyntheticTrackEnv(theta_star, uniform_state_proc(), 0.05, 15.8)
+    else:
+        env = physical_env(n)
+    recorder = RecordingEnv(env)
+    prior = isotropic_gaussian(np.zeros(3), 2.0)
+    result, _ = run_track(recorder, prior, 0.05, n, 5, np.random.default_rng(52))
+    assert len(recorder.expected) == n
+    for k, expected in enumerate(recorder.expected):
+        chosen = int(result.waveform[k])
+        assert result.regret_inc[k] == regret_increment(expected, chosen)
+        assert result.oracle_loss[k] == np.max(expected)
+    assert np.any(result.regret_inc > 0.0)

@@ -29,7 +29,6 @@ from wavesel.fstc import (
     random_transition,
     step_state,
 )
-from wavesel.metrics import regret_increment
 from wavesel.waveforms import (
     ComplexEnvelope,
     catalog_spec,
@@ -37,6 +36,8 @@ from wavesel.waveforms import (
     make_envelope,
     matched_filter,
 )
+
+from oracles import regret_increment
 
 
 def make_task_dist(**overrides) -> TaskDistribution:
@@ -394,3 +395,73 @@ def test_physical_env_walks_the_instance_chain_and_maps_sinr_to_loss():
         loss, sinr = env.realize(0, 1, w_idx, None, np.random.default_rng(33))
         assert sinr == sim.step(0, 1, w_idx, np.random.default_rng(33))
         assert loss == compute_loss(sinr, 15.8)
+
+
+def window_powers(inst: FstcInstance, w: ComplexEnvelope, delay: int):
+    """Per-waveform oracle of the simulator's deterministic terms: the
+    target's matched-filter peak power and the mean clutter power in the
+    window around the peak shifted by ``delay``, from the canvas helpers and
+    the same prefix sums the simulator uses."""
+    refl_t = _reflected(w, inst.target_ir, inst.doppler)
+    refl_c = _reflected(w, inst.clutter_ir, 0.0)
+    clen = _canvas_len(refl_t.size, inst.grid_n)
+    y_t0 = matched_filter(w, _place(clen, refl_t, _BASE))
+    y_c0 = matched_filter(w, _place(clen, refl_c, _BASE))
+    p0 = int(np.argmax(np.abs(y_t0)))
+    win = _window(p0 + delay, y_t0.size)
+    c_prefix = np.concatenate([[0.0], np.cumsum(np.abs(y_c0) ** 2)])
+    clutter = (c_prefix[win.stop] - c_prefix[win.start]) / (win.stop - win.start)
+    direct = float(np.mean(np.abs(y_c0[win]) ** 2))
+    assert clutter == pytest.approx(direct, rel=1e-9)
+    return float(np.abs(y_t0[p0]) ** 2), clutter
+
+
+def edge_instance(seed: int, **overrides) -> FstcInstance:
+    """An instance whose trajectory visits the first and last delay cells."""
+    inst = default_instance(seed=seed)
+    cells = (TargetState(1, 1), TargetState(inst.grid_n, 1), TargetState(5, 2))
+    return replace(inst, trajectory=cells, **overrides)
+
+
+@pytest.mark.parametrize("doppler", [0.0, 0.7])
+def test_simulator_terms_equal_per_waveform_oracle(doppler):
+    inst = edge_instance(40, doppler=doppler)
+    catalog = default_catalog()
+    sim = TrackSimulator(inst, catalog, np.random.default_rng(41), 129)
+    sinr_target = 15.8
+    for cpi, cell in enumerate(inst.trajectory):
+        delay = cell.delay_cell - 1
+        powers = [window_powers(inst, w, delay) for w in catalog]
+        for s in range(inst.state_proc.n_states):
+            gain = float(inst.state_gain[s])
+            expected = np.empty(len(catalog))
+            for i, (sig, clutter) in enumerate(powers):
+                sinr = np.minimum(sig / (gain * clutter + sim._noise[i]), SINR_CAP)
+                expected[i] = np.mean(np.clip(sinr / sinr_target, 0.0, 1.0))
+            np.testing.assert_array_equal(
+                sim.expected_losses(cpi, s, sinr_target), expected
+            )
+            for i, (sig, clutter) in enumerate(powers):
+                z_rng = np.random.default_rng(42)
+                width = sim._lg.shape[1]
+                z = (
+                    z_rng.standard_normal(width) + 1j * z_rng.standard_normal(width)
+                ) / np.sqrt(2.0)
+                p_n = float(np.mean(np.abs(sim._lg[i] @ z) ** 2))
+                step = sim.step(cpi, s, i, np.random.default_rng(42))
+                assert step == _sinr_value(sig, gain * clutter + p_n)
+
+
+def test_clutter_table_equals_oracle_where_the_window_clips():
+    # With no target echo the matched-filter peak falls at lag 0, so the
+    # window clips at the low edge for the first WINDOW_HALF delay cells.
+    inst = edge_instance(43)
+    inst = replace(inst, target_ir=np.zeros_like(inst.target_ir))
+    catalog = default_catalog(k=2)
+    sim = TrackSimulator(inst, catalog, np.random.default_rng(44), 1)
+    assert sim._clutter.shape == (inst.grid_n, len(catalog))
+    for delay in range(inst.grid_n):
+        for i, w in enumerate(catalog):
+            sig, clutter = window_powers(inst, w, delay)
+            assert sig == sim._sig[i] == 0.0
+            assert sim._clutter[delay, i] == clutter

@@ -136,6 +136,8 @@ def test_bad_value_reports_location():
         ("target_power = -1.0", "target_power"),
         ("mode = physical\nk = 6", "k"),
         ("seeds = 0,-1", "seeds"),
+        ("seeds = 0,0", "seeds"),
+        ("policies = random,random", "policies"),
     ],
 )
 def test_validation_failures_name_the_field(line, field):
@@ -437,6 +439,25 @@ def test_read_track_table_rejects_short_row(tmp_path):
         read_track_table(str(path))
 
 
+@pytest.mark.parametrize(
+    "row",
+    [
+        "random,0,0,1.0,0.5,0.0,0.0,abc",
+        "random,zero,0,1.0,0.5,0.0,0.0,0.1",
+        "random,0,1.5,1.0,0.5,0.0,0.0,0.1",
+        "random,0,0,1.0,0.5,0.0,0.0,nan",
+        "random,0,0,inf,0.5,0.0,0.0,0.1",
+    ],
+)
+def test_read_track_table_rejects_bad_numbers(tmp_path, row):
+    path = tmp_path / "track_bad.csv"
+    path.write_text(PER_TRACK_HEADER + "\n" + row + "\n", encoding="utf-8")
+    with pytest.raises(IoError) as info:
+        read_track_table(str(path))
+    assert str(path) in str(info.value)
+    assert row in str(info.value)
+
+
 def test_read_track_table_missing_file(tmp_path):
     with pytest.raises(IoError):
         read_track_table(str(tmp_path / "track_none.csv"))
@@ -617,6 +638,17 @@ def test_cli_bad_config_returns_two(tmp_path, capsys):
 
 def test_cli_aggregate_empty_dir_returns_two(tmp_path):
     assert cli.main(["aggregate", "--in", str(tmp_path), "--out", str(tmp_path)]) == 2
+
+
+def test_cli_aggregate_malformed_summary_returns_two(tmp_path, capsys):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    (runs / "track_random_seed0.csv").write_text(
+        PER_TRACK_HEADER + "\nrandom,0,0,1.0,0.5,0.0,0.0,abc\n", encoding="utf-8"
+    )
+    code = cli.main(["aggregate", "--in", str(runs), "--out", str(tmp_path / "agg")])
+    assert code == 2
+    assert "IoError" in capsys.readouterr().err
 
 
 def test_cli_dump_waveform(tmp_path):

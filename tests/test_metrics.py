@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from wavesel.harness import ExperimentConfig, build_scene
 from wavesel.meta import MetaPosterior, run_meta_experiment
 from wavesel.metrics import (
     KL_REFERENCE_VAR,
+    OUTAGE_DB,
     BoundInputs,
     TrackRecord,
     ecdf,
@@ -19,11 +22,12 @@ from wavesel.metrics import (
     outage_frequency,
     pac_bayes_meta,
     pac_bayes_single,
-    regret_increment,
     sinr_to_db,
     suboptimal_frequency,
     track_record,
 )
+
+from oracles import regret_increment
 
 
 def make_record(sinr_db, suboptimal=None, regret=None) -> TrackRecord:
@@ -42,12 +46,12 @@ def make_record(sinr_db, suboptimal=None, regret=None) -> TrackRecord:
         oracle_loss=np.zeros(n),
         regret_inc=np.asarray(regret, dtype=float),
         suboptimal=np.asarray(suboptimal, dtype=bool),
-        outage={10.0: sinr_db < 10.0},
+        outage=sinr_db < OUTAGE_DB,
     )
 
 
 # ---------------------------------------------------------------------------
-# regret
+# regret oracle: the arithmetic the track loop's regret_inc is checked against
 
 
 def test_regret_zero_for_best_choice():
@@ -69,17 +73,17 @@ def test_regret_rejects_bad_index():
 
 def test_outage_zero_at_cap():
     rec = make_record(np.full(6, 60.0))
-    assert outage_frequency(rec, 10.0) == 0.0
+    assert outage_frequency(rec) == 0.0
 
 
 def test_outage_counting():
     rec = make_record([5.0, 15.0, 9.0, 20.0])
-    assert outage_frequency(rec, 10.0) == 0.5
+    assert outage_frequency(rec) == 0.5
 
 
 def test_outage_rejects_empty():
     with pytest.raises(EmptyInput):
-        outage_frequency([], 10.0)
+        outage_frequency([])
 
 
 def test_suboptimal_zero_for_oracle_replay():
@@ -109,7 +113,7 @@ def test_suboptimal_uniform_random_rate():
 def test_frequencies_concatenate_multiple_records():
     a = make_record([5.0, 15.0])
     b = make_record([9.0, 20.0])
-    assert outage_frequency([a, b], 10.0) == 0.5
+    assert outage_frequency([a, b]) == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +136,41 @@ def test_track_record_rejects_ragged_fields():
             oracle_loss=np.zeros(3),
             regret_inc=np.zeros(3),
             suboptimal=np.zeros(3, dtype=bool),
-            outage={10.0: np.zeros(3, dtype=bool)},
+            outage=np.zeros(3, dtype=bool),
+        )
+
+
+def test_track_record_flags_outage_below_threshold():
+    sinr_db = np.array([OUTAGE_DB - 1.0, OUTAGE_DB, OUTAGE_DB + 1.0])
+    n = sinr_db.size
+    result = SimpleNamespace(
+        state=np.zeros(n, dtype=int),
+        obs=np.zeros(n, dtype=int),
+        waveform=np.zeros(n, dtype=int),
+        sinr=10.0 ** (sinr_db / 10.0),
+        loss=np.zeros(n),
+        oracle_loss=np.zeros(n),
+        regret_inc=np.zeros(n),
+        suboptimal=np.zeros(n, dtype=bool),
+    )
+    rec = track_record(result)
+    np.testing.assert_array_equal(rec.outage, rec.sinr_db < OUTAGE_DB)
+    assert rec.outage.tolist() == [True, False, False]
+    assert outage_frequency(rec) == 1 / 3
+
+
+def test_track_record_rejects_non_boolean_outage():
+    with pytest.raises(InvalidInput):
+        TrackRecord(
+            state=np.zeros(2, dtype=int),
+            obs=np.zeros(2, dtype=int),
+            waveform=np.zeros(2, dtype=int),
+            sinr_db=np.zeros(2),
+            loss=np.zeros(2),
+            oracle_loss=np.zeros(2),
+            regret_inc=np.zeros(2),
+            suboptimal=np.zeros(2, dtype=bool),
+            outage=np.zeros(2),
         )
 
 
