@@ -10,13 +10,14 @@ learner (``bandit``), the track-to-track meta level (``meta``), reporting
 
 __version__ = "0.1.0"
 
-from .bandit import TsAgent, compute_loss, run_track
+from .bandit import TsAgent, run_track
 from .errors import WaveselError
 from .fstc import (
     FstcInstance,
     SceneConfig,
     StateProcess,
     TaskDistribution,
+    compute_loss,
     draw_instance,
 )
 from .gaussmath import Gaussian, LinearPosterior, blr_update, kl_gaussian
@@ -33,7 +34,6 @@ from .meta import (
 from .metrics import (
     BoundInputs,
     TrackRecord,
-    ecdf,
     kl_trace,
     outage_frequency,
     pac_bayes_meta,
@@ -73,7 +73,6 @@ __all__ = [
     "outage_frequency",
     "suboptimal_frequency",
     "kl_trace",
-    "ecdf",
     "pac_bayes_single",
     "pac_bayes_meta",
     "ExperimentConfig",

@@ -23,9 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidInput
-# compute_loss is the SINR-to-loss map; it lives in fstc, next to the SINR,
-# and is re-exported here for the learner's callers.
-from .fstc import SceneWalk, compute_loss
+from .fstc import SceneWalk
 from .gaussmath import (
     Gaussian,
     blr_update,

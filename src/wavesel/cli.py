@@ -27,12 +27,8 @@ from .gaussmath import (
 )
 
 
-def _parse_seeds(text: str) -> tuple:
-    return tuple(int(p) for p in text.split(","))
-
-
-def _parse_policies(text: str) -> tuple:
-    return tuple(p.strip() for p in text.split(","))
+#: Config keys that ``run`` flags override; each flag's dest is its key.
+_RUN_FLAG_KEYS = ("out_dir", "seeds", "policies", "mode")
 
 
 def _cmd_run(args) -> int:
@@ -40,17 +36,13 @@ def _cmd_run(args) -> int:
         config = harness.load_config(args.config)
     else:
         config = harness.ExperimentConfig()
-    overrides = {}
-    if args.out:
-        overrides["out_dir"] = args.out
-    if args.seeds:
-        overrides["seeds"] = _parse_seeds(args.seeds)
-    if args.policies:
-        overrides["policies"] = _parse_policies(args.policies)
-    if args.mode:
-        overrides["mode"] = args.mode
-    if overrides:
-        config = harness._validate(replace(config, **overrides))
+    # Flag values go through the config file's parser and checks.
+    overrides = {
+        key: harness._parse_value(key, getattr(args, key))
+        for key in _RUN_FLAG_KEYS
+        if getattr(args, key) is not None
+    }
+    config = harness._validate(replace(config, **overrides))
     summaries = harness.run_experiment(config)
     for s in summaries:
         print(
@@ -168,10 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute an experiment")
     p_run.add_argument("--config", help="path to a key = value config file")
-    p_run.add_argument("--out", help="output directory override")
+    p_run.add_argument("--out", dest="out_dir", help="output directory override")
     p_run.add_argument("--seeds", help="comma-separated seed list override")
     p_run.add_argument("--policies", help="comma-separated policy list override")
-    p_run.add_argument("--mode", choices=("synthetic", "physical"))
+    p_run.add_argument("--mode", help="synthetic or physical")
     p_run.set_defaults(func=_cmd_run)
 
     p_agg = sub.add_parser("aggregate", help="aggregate per-seed outputs")

@@ -30,8 +30,6 @@ SINR_CAP = 1e6  # 60 dB
 #: Interference power is averaged over lags peak +/- WINDOW_HALF.
 WINDOW_HALF = 16
 
-DEFAULT_STATE_GAIN = (0.25, 1.0, 4.0, 16.0)
-
 
 def compute_loss(sinr_post: float, sinr_target: float) -> float:
     """Normalized SINR shortfall mapped to [0, 1]; 1 means on-target or better.
@@ -85,17 +83,12 @@ class StateProcess:
         return self.transition.ndim
 
 
-def random_transition(
-    n_states: int,
-    memory: int,
-    rng: np.random.Generator,
-    concentration: float = 2.0,
-) -> np.ndarray:
-    """Transition table with each row drawn from a symmetric Dirichlet."""
+def random_transition(n_states: int, memory: int, rng: np.random.Generator) -> np.ndarray:
+    """Transition table with each row drawn from a symmetric Dirichlet(2)."""
     if n_states < 1 or memory < 1:
         raise InvalidInput("n_states and memory must be positive")
     n_rows = n_states ** (memory - 1)
-    rows = rng.dirichlet(np.full(n_states, concentration), size=n_rows)
+    rows = rng.dirichlet(np.full(n_states, 2.0), size=n_rows)
     return rows.reshape((n_states,) * (memory - 1) + (n_states,))
 
 
@@ -130,14 +123,6 @@ def observe(sp: StateProcess, s: int, rng: np.random.Generator) -> int:
 
 
 @dataclass(frozen=True)
-class TargetState:
-    """True delay-Doppler cell of the target on the range-Doppler grid (1-based)."""
-
-    delay_cell: int
-    doppler_cell: int
-
-
-@dataclass(frozen=True)
 class TaskDistribution:
     """Episode-generating distribution: theta ~ N(mu_star, sigma0_sq I)."""
 
@@ -162,24 +147,24 @@ class SceneConfig:
     state_gain: tuple
     noise_var: float
     grid_n: int
-    grid_m: int
-    doppler: float = 0.0
-    target_power: float = 1.0
-    clutter_power: float = 1.0
+    doppler: float
+    target_power: float
+    clutter_power: float
 
     def __post_init__(self):
         if len(self.state_gain) != self.state_proc.n_states:
             raise InvalidInput("state_gain needs one entry per state")
         if self.noise_var <= 0:
             raise InvalidInput("noise_var must be strictly positive")
-        if self.grid_n < 1 or self.grid_m < 1:
-            raise InvalidInput("grid dimensions must be positive")
+        if self.grid_n < 1:
+            raise InvalidInput("grid_n must be positive")
 
 
 @dataclass(frozen=True)
 class FstcInstance:
     """One episode's frozen channel: latent theta, impulse responses, and the
-    target trajectory. ``noise_var`` is the effective (theta-scaled) value."""
+    target trajectory, the 1-based delay cell of each CPI. ``noise_var`` is
+    the effective (theta-scaled) value."""
 
     theta: np.ndarray
     target_ir: np.ndarray
@@ -188,9 +173,8 @@ class FstcInstance:
     noise_var: float
     state_gain: np.ndarray
     doppler: float
-    trajectory: tuple
+    trajectory: np.ndarray
     grid_n: int
-    grid_m: int
 
 
 def _gp_taps(n_taps: int, scale: float, rng: np.random.Generator) -> np.ndarray:
@@ -214,7 +198,7 @@ def draw_instance(
     rng: np.random.Generator,
 ) -> FstcInstance:
     """Draw one episode: theta, impulse responses, and a bounded random-walk
-    trajectory across the range-Doppler grid.
+    trajectory across the delay cells.
 
     theta feeds three power levels through the softplus link: target gain,
     clutter gain, and the noise floor. The draw order (theta, target taps,
@@ -233,12 +217,16 @@ def draw_instance(
     # near edge of the delay grid, and a target under track starts well
     # separated from it. The walk may still close that separation.
     delay = int(rng.integers(1 + scene.grid_n // 3, scene.grid_n + 1))
-    doppler_cell = int(rng.integers(1, scene.grid_m + 1))
-    cells = []
-    for _ in range(n_cpis):
-        cells.append(TargetState(delay, doppler_cell))
-        delay = int(np.clip(delay + rng.integers(-1, 2), 1, scene.grid_n))
-        doppler_cell = int(np.clip(doppler_cell + rng.integers(-1, 2), 1, scene.grid_m))
+    # The target's Doppler is the scene-wide ``doppler`` ramp, so the walk
+    # keeps no Doppler cell. It still makes the draws of a walk on a 16-cell
+    # Doppler axis and drops them: they keep the stream layout, so physical
+    # CSVs stay byte-identical.
+    rng.integers(1, 17)
+    cells = np.empty(n_cpis, dtype=int)
+    for i in range(n_cpis):
+        cells[i] = delay
+        delay = min(max(delay + int(rng.integers(-1, 2)), 1), scene.grid_n)
+        rng.integers(-1, 2)
 
     return FstcInstance(
         theta=theta,
@@ -248,9 +236,8 @@ def draw_instance(
         noise_var=float(noise_var),
         state_gain=np.asarray(scene.state_gain, dtype=float),
         doppler=scene.doppler,
-        trajectory=tuple(cells),
+        trajectory=cells,
         grid_n=scene.grid_n,
-        grid_m=scene.grid_m,
     )
 
 
@@ -278,12 +265,6 @@ def _place(canvas_len: int, refl: np.ndarray, offset: int) -> np.ndarray:
     out = np.zeros(canvas_len, dtype=complex)
     out[offset : offset + refl.size] = refl
     return out
-
-
-def _window(peak: int, length: int) -> slice:
-    lo = max(peak - WINDOW_HALF, 0)
-    hi = min(peak + WINDOW_HALF + 1, length)
-    return slice(lo, hi)
 
 
 def _sinr_value(sig: float, denom: float) -> float:
@@ -328,10 +309,9 @@ class TrackSimulator:
         inst: FstcInstance,
         catalog: list,
         oracle_rng: np.random.Generator,
-        n_oracle_draws: int = 64,
+        n_oracle_draws: int,
     ):
         self.inst = inst
-        self.catalog = catalog
         k = len(catalog)
         width = 2 * WINDOW_HALF + 1
         delays = np.arange(inst.grid_n)
@@ -347,7 +327,8 @@ class TrackSimulator:
             y_c0 = matched_filter(env, _place(clen, refl_c, _BASE))
             p0 = int(np.argmax(np.abs(y_t0)))
             self._sig[i] = np.abs(y_t0[p0]) ** 2
-            # window bounds of _window(p0 + delay, len) for every delay cell
+            # bounds of the lags within WINDOW_HALF of p0 + delay, clipped to
+            # the filter output, for every delay cell
             lo = np.maximum(p0 + delays - WINDOW_HALF, 0)
             hi = np.minimum(p0 + delays + WINDOW_HALF + 1, y_t0.size)
             c_prefix = np.concatenate([[0.0], np.cumsum(np.abs(y_c0) ** 2)])
@@ -371,7 +352,7 @@ class TrackSimulator:
             # first-moment correction: the exact mean window power is known
             p_hat = p_hat + (inst.noise_var - p_hat.mean())
             self._noise[i] = np.clip(p_hat, 1e-18, None)
-        self._delay = np.array([c.delay_cell - 1 for c in inst.trajectory], dtype=int)
+        self._delay = inst.trajectory - 1
 
     def step(self, cpi: int, s: int, w_idx: int, rng: np.random.Generator) -> float:
         """Realized SINR of one pulse, equal in distribution to filtering the

@@ -16,6 +16,7 @@ import contextlib
 import math
 import os
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -67,12 +68,12 @@ AGG_METRICS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full experiment parameterization; field names are the config keys."""
+    """Full experiment parameterization; field names are the config keys and
+    the annotations their types (see ``_KEY_TYPES``)."""
 
     m: int = 50
     n: int = 200
     k: int = 5
-    d: int = 3
     sigma_q_sq: float = 12.0
     sigma0_sq: float = 0.35
     sigma_sq: float = 0.33
@@ -82,64 +83,70 @@ class ExperimentConfig:
     n_states: int = 4
     memory: int = 2
     grid_n: int = 64
-    grid_m: int = 16
     ir_taps: int = 8
     ir_kernel_scale: float = 1.5
     target_power: float = 1.0
     clutter_power: float = 30.0
     doppler: float = 0.0
     n_oracle_draws: int = 64
-    mu_star: tuple | None = None
-    seeds: tuple = tuple(range(20))
-    policies: tuple = POLICIES
+    mu_star: tuple[float, ...] | None = None
+    seeds: tuple[int, ...] = tuple(range(20))
+    policies: tuple[str, ...] = POLICIES
     mode: str = "synthetic"
     out_dir: str = "out"
 
 
-_INT_KEYS = {
-    "m", "n", "k", "d", "n_states", "memory", "grid_n", "grid_m",
-    "ir_taps", "n_oracle_draws",
-}
-_FLOAT_KEYS = {
-    "sigma_q_sq", "sigma0_sq", "sigma_sq", "noise_var", "sinr_target_db",
-    "obs_flip_prob", "ir_kernel_scale", "target_power", "clutter_power",
-    "doppler",
-}
-_STR_KEYS = {"mode", "out_dir"}
+def _key_type(annotation) -> tuple[type, bool, bool]:
+    """(item type, is a list, may be None) of a config field annotated
+    ``T`` or ``tuple[T, ...]``, either one optionally ``| None``."""
+    optional = type(None) in typing.get_args(annotation)
+    if optional:
+        annotation = typing.get_args(annotation)[0]
+    if typing.get_origin(annotation) is tuple:
+        return typing.get_args(annotation)[0], True, optional
+    return annotation, False, optional
 
 
-def _parse_value(key: str, text: str, line: int, column: int):
+#: key -> (item type, is a list, may be None), read from the
+#: ``ExperimentConfig`` annotations. A list is written comma-separated and
+#: None as ``auto``.
+_KEY_TYPES = {f.name: _key_type(f.type) for f in fields(ExperimentConfig)}
+
+
+def _items(key: str, value) -> tuple:
+    """The items of one config value: none for ``auto``, else the list or
+    the scalar alone."""
+    if value is None:
+        return ()
+    return value if _KEY_TYPES[key][1] else (value,)
+
+
+def _parse_value(key: str, text: str, line: int | None = None, column: int | None = None):
+    """Parse the text of one value of ``key``. A bad value raises a
+    ``ParseError`` at (line, column) when they are given, as for a config
+    file line, else a ``ValidationError`` naming the key, as for a flag."""
+    kind, is_list, optional = _KEY_TYPES[key]
+    if optional and text == "auto":
+        return None
     try:
-        if key in _INT_KEYS:
-            return int(text)
-        if key in _FLOAT_KEYS:
-            return float(text)
-        if key == "seeds":
-            return tuple(int(p) for p in text.split(","))
-        if key == "policies":
-            return tuple(p.strip() for p in text.split(","))
-        if key == "mu_star":
-            if text == "auto":
-                return None
-            return tuple(float(p) for p in text.split(","))
+        if is_list:
+            return tuple(kind(p.strip()) for p in text.split(","))
+        return kind(text)
     except ValueError:
+        if line is None:
+            raise ValidationError(key, f"bad value {text!r}") from None
         raise ParseError(f"bad value for {key}: {text!r}", line, column) from None
-    return text
 
 
 def _validate(config: ExperimentConfig) -> ExperimentConfig:
     """Reject every value the model itself would reject, naming the field,
     before any replicate starts."""
-    for name in sorted(_FLOAT_KEYS):
-        if not math.isfinite(getattr(config, name)):
-            raise ValidationError(name, "must be finite")
-    if config.mu_star is not None and not all(map(math.isfinite, config.mu_star)):
-        raise ValidationError("mu_star", "components must be finite")
+    for key, (kind, _, _) in _KEY_TYPES.items():
+        if kind is float and not all(map(math.isfinite, _items(key, getattr(config, key)))):
+            raise ValidationError(key, "must be finite")
     for name in ("m", "n", "k"):
         if getattr(config, name) < 1:
             raise ValidationError(name, "must be at least 1")
-    if config.d != 3:
-        raise ValidationError("d", "the context model uses exactly 3 features")
     for name in ("sigma_q_sq", "sigma0_sq", "sigma_sq", "noise_var"):
         if getattr(config, name) <= 0:
             raise ValidationError(name, "variance must be strictly positive")
@@ -149,14 +156,17 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         raise ValidationError("n_states", "must be at least 2")
     if config.memory < 1:
         raise ValidationError("memory", "must be at least 1")
-    for name in ("grid_n", "grid_m", "ir_taps", "n_oracle_draws"):
+    for name in ("grid_n", "ir_taps", "n_oracle_draws"):
         if getattr(config, name) < 1:
             raise ValidationError(name, "must be at least 1")
     if config.ir_kernel_scale <= 0:
         raise ValidationError("ir_kernel_scale", "must be strictly positive")
-    for name in ("target_power", "clutter_power"):
-        if getattr(config, name) < 0:
-            raise ValidationError(name, "powers must be nonnegative")
+    # A zero target echo gives SINR 0 under every waveform: zero loss and
+    # zero regret at every CPI, which reads as a perfect learner.
+    if config.target_power <= 0:
+        raise ValidationError("target_power", "must be strictly positive")
+    if config.clutter_power < 0:
+        raise ValidationError("clutter_power", "must be nonnegative")
     if not config.seeds:
         raise ValidationError("seeds", "at least one seed is required")
     if min(config.seeds) < 0:
@@ -176,8 +186,8 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         raise ValidationError(
             "k", f"physical mode has a catalog of {len(CATALOG_NAMES)} waveforms"
         )
-    if config.mu_star is not None and len(config.mu_star) != config.d:
-        raise ValidationError("mu_star", f"needs exactly {config.d} components")
+    if config.mu_star is not None and len(config.mu_star) != 3:
+        raise ValidationError("mu_star", "the context model uses exactly 3 features")
     if not config.out_dir:
         raise ValidationError("out_dir", "must be nonempty")
     return config
@@ -185,7 +195,6 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse config text; unknown keys are rejected, later lines win."""
-    known = {f.name for f in fields(ExperimentConfig)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -197,7 +206,7 @@ def parse_config(text: str) -> ExperimentConfig:
         key = line[:eq].strip()
         if not key:
             raise ParseError("missing key before `=`", lineno, 1)
-        if key not in known:
+        if key not in _KEY_TYPES:
             raise ValidationError(key, "unknown configuration key")
         value_text = line[eq + 1 :].strip()
         if not value_text:
@@ -218,17 +227,12 @@ def load_config(path: str) -> ExperimentConfig:
 def serialize_config(config: ExperimentConfig) -> str:
     """Emit config text that parses back to an equal config."""
     lines = []
-    for f in fields(ExperimentConfig):
-        value = getattr(config, f.name)
-        if f.name in ("seeds", "policies"):
-            text = ",".join(str(v) for v in value)
-        elif f.name == "mu_star":
-            text = "auto" if value is None else ",".join(repr(float(v)) for v in value)
-        elif f.name in _FLOAT_KEYS:
-            text = repr(float(value))
-        else:
-            text = str(value)
-        lines.append(f"{f.name} = {text}")
+    for key, (kind, _, _) in _KEY_TYPES.items():
+        value = getattr(config, key)
+        text = "auto" if value is None else ",".join(
+            repr(float(v)) if kind is float else str(v) for v in _items(key, value)
+        )
+        lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -243,8 +247,6 @@ def build_scene(config: ExperimentConfig, seed: int) -> tuple[TaskDistribution, 
     defaults to a fixed per-mode constant so that runs across seeds probe
     one task distribution rather than a different one per seed.
     """
-    if config.d != 3:
-        raise ValidationError("d", "the context model uses exactly 3 features")
     rng = scene_rng(seed)
     transition = random_transition(config.n_states, config.memory, rng)
     if config.mu_star is not None:
@@ -259,7 +261,6 @@ def build_scene(config: ExperimentConfig, seed: int) -> tuple[TaskDistribution, 
         state_gain=state_gain,
         noise_var=config.noise_var,
         grid_n=config.grid_n,
-        grid_m=config.grid_m,
         doppler=config.doppler,
         target_power=config.target_power,
         clutter_power=config.clutter_power,

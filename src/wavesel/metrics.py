@@ -1,5 +1,5 @@
-"""Reporting layer: per-pulse records, summary frequencies, KL traces,
-empirical CDFs, and PAC-Bayes bound evaluators.
+"""Reporting layer: per-pulse records, summary frequencies, KL traces, and
+PAC-Bayes bound evaluators.
 
 Everything here is a pure function of completed records, so any value can be
 recomputed from the persisted CSVs and compared exactly.
@@ -115,20 +115,6 @@ def kl_trace(meta_history, task_dist: TaskDistribution) -> np.ndarray:
         raise EmptyInput("empty meta history")
     ref = isotropic_gaussian(task_dist.mu_star, KL_REFERENCE_VAR)
     return np.array([kl_gaussian(meta_gaussian(mp), ref) for mp in history])
-
-
-def ecdf(values) -> np.ndarray:
-    """Empirical CDF as an (n_unique, 2) array of (value, fraction) rows.
-
-    Right-continuous step data: each row carries the fraction of samples at
-    or below its value, and the last fraction is exactly 1.
-    """
-    x = np.sort(np.asarray(values, dtype=float).ravel())
-    if x.size == 0:
-        raise EmptyInput("ecdf of an empty sample")
-    vals = np.unique(x)
-    frac = np.searchsorted(x, vals, side="right") / x.size
-    return np.column_stack([vals, frac])
 
 
 # ---------------------------------------------------------------------------

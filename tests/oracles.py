@@ -7,6 +7,10 @@ import numpy as np
 
 from wavesel.errors import IndexOutOfRange
 
+#: The clutter gains of a four-state scene, 4 ** (s - 1), as the harness
+#: builds them.
+STATE_GAIN = (0.25, 1.0, 4.0, 16.0)
+
 
 def regret_increment(expected_losses, chosen: int) -> float:
     """Gap between the best available expected loss and the chosen one."""

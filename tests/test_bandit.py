@@ -13,7 +13,6 @@ from wavesel.bandit import (
     SyntheticTrackEnv,
     TsAgent,
     agent_contexts,
-    compute_loss,
     pick_argmax,
     record,
     run_track,
@@ -21,12 +20,12 @@ from wavesel.bandit import (
 )
 from wavesel.errors import IndexOutOfRange, InvalidInput
 from wavesel.fstc import (
-    DEFAULT_STATE_GAIN,
     PhysicalTrackEnv,
     SceneConfig,
     StateProcess,
     TaskDistribution,
     TrackSimulator,
+    compute_loss,
     draw_instance,
 )
 from wavesel.gaussmath import (
@@ -39,7 +38,7 @@ from wavesel.gaussmath import (
 )
 from wavesel.waveforms import default_catalog
 
-from oracles import regret_increment
+from oracles import STATE_GAIN, regret_increment
 
 
 def uniform_state_proc(n_states: int = 4) -> StateProcess:
@@ -408,10 +407,11 @@ def physical_env(n: int) -> PhysicalTrackEnv:
     rng = np.random.default_rng(50)
     scene = SceneConfig(
         state_proc=uniform_state_proc(),
-        state_gain=DEFAULT_STATE_GAIN,
+        state_gain=STATE_GAIN,
         noise_var=1e-3,
         grid_n=16,
-        grid_m=4,
+        doppler=0.0,
+        target_power=1.0,
         clutter_power=30.0,
     )
     dist = TaskDistribution(np.array([1.2, 0.4, 0.6]), 0.35, 1.5, 8)

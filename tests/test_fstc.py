@@ -9,12 +9,11 @@ import pytest
 from wavesel.errors import IndexOutOfRange, InvalidInput
 from wavesel.fstc import (
     _BASE,
-    DEFAULT_STATE_GAIN,
     SINR_CAP,
+    WINDOW_HALF,
     FstcInstance,
     SceneConfig,
     StateProcess,
-    TargetState,
     PhysicalTrackEnv,
     TaskDistribution,
     TrackSimulator,
@@ -22,7 +21,6 @@ from wavesel.fstc import (
     _place,
     _reflected,
     _sinr_value,
-    _window,
     compute_loss,
     draw_instance,
     observe,
@@ -37,7 +35,7 @@ from wavesel.waveforms import (
     matched_filter,
 )
 
-from oracles import regret_increment
+from oracles import STATE_GAIN, regret_increment
 
 
 def make_task_dist(**overrides) -> TaskDistribution:
@@ -54,10 +52,11 @@ def make_task_dist(**overrides) -> TaskDistribution:
 def make_scene(rng, **overrides) -> SceneConfig:
     base = dict(
         state_proc=StateProcess(random_transition(4, 2, rng), 0.1),
-        state_gain=DEFAULT_STATE_GAIN,
+        state_gain=STATE_GAIN,
         noise_var=1e-3,
         grid_n=16,
-        grid_m=4,
+        doppler=0.0,
+        target_power=1.0,
         clutter_power=30.0,
     )
     base.update(overrides)
@@ -191,14 +190,21 @@ def test_trajectory_stays_on_grid():
     dist = make_task_dist()
     scene = make_scene(np.random.default_rng(14))
     inst = draw_instance(dist, scene, 500, np.random.default_rng(15))
-    assert len(inst.trajectory) == 500
-    for cell in inst.trajectory:
-        assert 1 <= cell.delay_cell <= scene.grid_n
-        assert 1 <= cell.doppler_cell <= scene.grid_m
+    assert inst.trajectory.shape == (500,)
+    assert inst.trajectory.min() >= 1
+    assert inst.trajectory.max() <= scene.grid_n
+    assert np.all(np.abs(np.diff(inst.trajectory)) <= 1)
 
 
 # ---------------------------------------------------------------------------
 # receive path: the direct simulation, oracle for TrackSimulator
+
+
+def window(peak: int, length: int) -> slice:
+    """The lags within WINDOW_HALF of ``peak``, clipped to [0, length)."""
+    lo = max(peak - WINDOW_HALF, 0)
+    hi = min(peak + WINDOW_HALF + 1, length)
+    return slice(lo, hi)
 
 
 def receive(
@@ -224,7 +230,7 @@ def receive(
             f"cpi {cpi} outside trajectory of length {len(inst.trajectory)}"
         )
 
-    delay = inst.trajectory[cpi].delay_cell - 1
+    delay = int(inst.trajectory[cpi]) - 1
     refl_t = _reflected(w, inst.target_ir, inst.doppler)
     refl_c = _reflected(w, inst.clutter_ir, 0.0)
     clen = _canvas_len(refl_t.size, inst.grid_n)
@@ -241,7 +247,7 @@ def receive(
     y_n = matched_filter(w, noise)
     peak = int(np.argmax(np.abs(y_t)))
     sig = float(np.abs(y_t[peak]) ** 2)
-    win = _window(peak, y_t.size)
+    win = window(peak, y_t.size)
     denom = float(np.mean(np.abs(y_c[win]) ** 2) + np.mean(np.abs(y_n[win]) ** 2))
     return _sinr_value(sig, denom), rx
 
@@ -274,9 +280,8 @@ def test_receive_snr_of_impulse_channel():
         noise_var=0.01,
         state_gain=np.array([1.0]),
         doppler=0.0,
-        trajectory=(TargetState(1, 1),),
+        trajectory=np.array([1]),
         grid_n=4,
-        grid_m=1,
     )
     w = make_envelope(catalog_spec("zc-1024"))
     rng = np.random.default_rng(18)
@@ -391,7 +396,7 @@ def test_physical_env_walks_the_instance_chain_and_maps_sinr_to_loss():
     sim = TrackSimulator(inst, default_catalog(), np.random.default_rng(32), 64)
     env = PhysicalTrackEnv(sim, 15.8)
     assert env.state_proc is inst.state_proc
-    for w_idx in range(len(sim.catalog)):
+    for w_idx in range(len(default_catalog())):
         loss, sinr = env.realize(0, 1, w_idx, None, np.random.default_rng(33))
         assert sinr == sim.step(0, 1, w_idx, np.random.default_rng(33))
         assert loss == compute_loss(sinr, 15.8)
@@ -408,7 +413,7 @@ def window_powers(inst: FstcInstance, w: ComplexEnvelope, delay: int):
     y_t0 = matched_filter(w, _place(clen, refl_t, _BASE))
     y_c0 = matched_filter(w, _place(clen, refl_c, _BASE))
     p0 = int(np.argmax(np.abs(y_t0)))
-    win = _window(p0 + delay, y_t0.size)
+    win = window(p0 + delay, y_t0.size)
     c_prefix = np.concatenate([[0.0], np.cumsum(np.abs(y_c0) ** 2)])
     clutter = (c_prefix[win.stop] - c_prefix[win.start]) / (win.stop - win.start)
     direct = float(np.mean(np.abs(y_c0[win]) ** 2))
@@ -419,7 +424,7 @@ def window_powers(inst: FstcInstance, w: ComplexEnvelope, delay: int):
 def edge_instance(seed: int, **overrides) -> FstcInstance:
     """An instance whose trajectory visits the first and last delay cells."""
     inst = default_instance(seed=seed)
-    cells = (TargetState(1, 1), TargetState(inst.grid_n, 1), TargetState(5, 2))
+    cells = np.array([1, inst.grid_n, 5])
     return replace(inst, trajectory=cells, **overrides)
 
 
@@ -430,7 +435,7 @@ def test_simulator_terms_equal_per_waveform_oracle(doppler):
     sim = TrackSimulator(inst, catalog, np.random.default_rng(41), 129)
     sinr_target = 15.8
     for cpi, cell in enumerate(inst.trajectory):
-        delay = cell.delay_cell - 1
+        delay = int(cell) - 1
         powers = [window_powers(inst, w, delay) for w in catalog]
         for s in range(inst.state_proc.n_states):
             gain = float(inst.state_gain[s])

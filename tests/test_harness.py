@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from wavesel.harness import (
     track_csv_path,
     worker_count,
     write_aggregates,
+    _validate,
     _write_lines,
 )
 from wavesel.meta import POLICIES, policy_index
@@ -59,7 +61,6 @@ def test_empty_config_gives_defaults():
     assert config.m == 50
     assert config.n == 200
     assert config.k == 5
-    assert config.d == 3
     assert config.seeds == tuple(range(20))
     assert config.policies == POLICIES
     assert config.mode == "synthetic"
@@ -132,8 +133,10 @@ def test_bad_value_reports_location():
         ("mu_star = nan,0,0", "mu_star"),
         ("obs_flip_prob = 1.0", "obs_flip_prob"),
         ("d = 4", "d"),
+        ("grid_m = 3", "grid_m"),
         ("clutter_power = -1.0", "clutter_power"),
         ("target_power = -1.0", "target_power"),
+        ("target_power = 0", "target_power"),
         ("mode = physical\nk = 6", "k"),
         ("seeds = 0,-1", "seeds"),
         ("seeds = 0,0", "seeds"),
@@ -154,7 +157,6 @@ def test_validation_failures_name_the_field(line, field):
 # Values on and beyond each boundary; a config that passes validation must run.
 _FIELD_VALUES = {
     "k": st.integers(1, 7),
-    "d": st.integers(2, 4),
     "sigma_q_sq": st.sampled_from(["0", "1e-30", "0.5", "12", "inf"]),
     "sigma0_sq": st.sampled_from(["1e-6", "0.35", "4", "nan"]),
     "sigma_sq": st.sampled_from(["0", "1e-3", "0.33", "10"]),
@@ -187,7 +189,7 @@ _FIELD_VALUES = {
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @example("synthetic", {"obs_flip_prob": "1.0"})
-@example("synthetic", {"d": 4})
+@example("physical", {"target_power": "0"})
 @example("physical", {"k": 6})
 @example("synthetic", {"seeds": "-1"})
 def test_accepted_config_runs(tmp_path, mode, values):
@@ -200,12 +202,90 @@ def test_accepted_config_runs(tmp_path, mode, values):
     except ValidationError:
         return
     config = replace(
-        config, m=1, n=1, grid_n=4, grid_m=2, seeds=config.seeds[:1],
+        config, m=1, n=1, grid_n=4, seeds=config.seeds[:1],
         out_dir=str(tmp_path),
     )
     records, summary = run(config, config.policies[0], config.seeds[0])
     assert len(records) == 1 and len(records[0]) == 1
     assert all(math.isfinite(v) for v in summary.cum_regret)
+
+
+# Keys that only say which replicates run and where their files go.
+_RUN_KEYS = {"out_dir", "seeds", "policies", "mode"}
+
+# Keys that only the physical channel reads.
+_PHYSICAL_KEYS = (
+    "noise_var", "grid_n", "ir_taps", "ir_kernel_scale", "target_power",
+    "clutter_power", "doppler", "n_oracle_draws",
+)
+
+# A valid value other than the default for every other key.
+_CHANGED_VALUES = {
+    "m": 2,
+    "n": 7,
+    "k": 4,
+    "sigma_q_sq": 3.0,
+    "sigma0_sq": 0.1,
+    "sigma_sq": 0.05,
+    "noise_var": 1e-2,
+    "sinr_target_db": 20.0,
+    "obs_flip_prob": 0.6,
+    "n_states": 3,
+    "memory": 3,
+    "grid_n": 8,
+    "ir_taps": 3,
+    "ir_kernel_scale": 0.5,
+    "target_power": 4.0,
+    "clutter_power": 3.0,
+    "doppler": 0.7,
+    "n_oracle_draws": 5,
+    "mu_star": (0.5, -0.5, 1.0),
+}
+
+
+def _output_bytes(out_dir, mode: str, **overrides) -> bytes:
+    """Every CSV of a run of all four policies, seed 0, m=1, n=6."""
+    base = dict(m=1, n=6, seeds=(0,), mode=mode)
+    config = _validate(
+        replace(ExperimentConfig(), out_dir=str(out_dir), **{**base, **overrides})
+    )
+    run_experiment(config)
+    return b"".join(
+        (out_dir / name).read_bytes() for name in sorted(os.listdir(out_dir))
+    )
+
+
+@pytest.fixture(scope="module")
+def default_outputs(tmp_path_factory) -> dict:
+    return {
+        mode: _output_bytes(tmp_path_factory.mktemp(mode), mode)
+        for mode in ("synthetic", "physical")
+    }
+
+
+@pytest.mark.parametrize(
+    "key", [f.name for f in fields(ExperimentConfig) if f.name not in _RUN_KEYS]
+)
+def test_every_config_key_changes_a_physical_run(tmp_path, default_outputs, key):
+    changed = _output_bytes(tmp_path, "physical", **{key: _CHANGED_VALUES[key]})
+    assert changed != default_outputs["physical"]
+
+
+@pytest.mark.parametrize("key", _PHYSICAL_KEYS)
+def test_physical_keys_leave_a_synthetic_run_unchanged(tmp_path, default_outputs, key):
+    changed = _output_bytes(tmp_path, "synthetic", **{key: _CHANGED_VALUES[key]})
+    assert changed == default_outputs["synthetic"]
+
+
+def test_readme_config_table_names_exactly_the_config_keys():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Config files", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    keys = []
+    for line in section.splitlines():
+        if line.startswith("| ") and not line.startswith(("| key ", "| ---")):
+            keys.extend(k.strip() for k in line.split("|")[1].split(","))
+    assert sorted(keys) == sorted(f.name for f in fields(ExperimentConfig))
 
 
 def test_mu_star_auto_means_unset():
@@ -247,12 +327,6 @@ def test_load_config_missing_file(tmp_path):
 
 # ---------------------------------------------------------------------------
 # scene construction
-
-
-def test_build_scene_requires_three_features():
-    with pytest.raises(ValidationError) as info:
-        build_scene(replace(ExperimentConfig(), d=2), 0)
-    assert info.value.field == "d"
 
 
 def test_build_scene_state_gains_are_powers_of_four():
@@ -634,6 +708,26 @@ def test_cli_bad_config_returns_two(tmp_path, capsys):
     code = cli.main(["run", "--config", str(cfg)])
     assert code == 2
     assert "ValidationError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag,value,field",
+    [
+        ("--seeds", "abc", "seeds"),
+        ("--seeds", "-1", "seeds"),
+        ("--policies", "nope", "policies"),
+        ("--mode", "simulated", "mode"),
+    ],
+)
+def test_cli_bad_flag_returns_two_naming_the_field(tmp_path, capsys, flag, value, field):
+    out = tmp_path / "runs"
+    code = cli.main(["run", "--out", str(out), "--policies", "random", flag, value])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ValidationError: {field}: ")
+    assert "line" not in err and "column" not in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_aggregate_empty_dir_returns_two(tmp_path):

@@ -17,7 +17,6 @@ from wavesel.metrics import (
     OUTAGE_DB,
     BoundInputs,
     TrackRecord,
-    ecdf,
     kl_trace,
     outage_frequency,
     pac_bayes_meta,
@@ -252,37 +251,6 @@ def test_cumulative_regret_nondecreasing(synthetic_sweep):
     for policy in synthetic_sweep.config.policies:
         per_track = synthetic_sweep.curves(policy, "cum_regret")
         assert np.all(per_track >= -1e-12)
-
-
-# ---------------------------------------------------------------------------
-# ecdf
-
-
-def test_ecdf_three_points():
-    out = ecdf([3.0, 1.0, 2.0])
-    np.testing.assert_allclose(out[:, 0], [1.0, 2.0, 3.0])
-    np.testing.assert_allclose(out[:, 1], [1 / 3, 2 / 3, 1.0])
-
-
-def test_ecdf_constant_vector():
-    out = ecdf(np.full(7, 2.5))
-    assert out.shape == (1, 2)
-    assert out[0, 0] == 2.5
-    assert out[0, 1] == 1.0
-
-
-def test_ecdf_matches_rank_recount():
-    rng = np.random.default_rng(1)
-    values = rng.normal(size=200)
-    out = ecdf(values)
-    for value, frac in out:
-        assert frac == np.mean(values <= value)
-    assert out[-1, 1] == 1.0
-
-
-def test_ecdf_rejects_empty():
-    with pytest.raises(EmptyInput):
-        ecdf([])
 
 
 # ---------------------------------------------------------------------------
