@@ -18,12 +18,13 @@ the context model, which makes the learner's behavior verifiable against
 closed-form oracles.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidInput
-from .fstc import SceneWalk
+from .fstc import SceneWalk, unit_clip
 from .gaussmath import (
     Gaussian,
     blr_update,
@@ -74,8 +75,7 @@ def agent_contexts(agent: TsAgent, o: int) -> np.ndarray:
 
 def pick_argmax(theta: np.ndarray, contexts: np.ndarray) -> int:
     """Index of the highest-scoring context; ties go to the lowest index."""
-    scores = np.asarray(contexts) @ np.asarray(theta)
-    return int(np.argmax(scores))
+    return int(np.matmul(contexts, theta).argmax())
 
 
 def record(agent: TsAgent, o: int, w: int, loss: float, phi: np.ndarray) -> None:
@@ -110,10 +110,10 @@ def synthetic_loss(
     """Exact-linear loss clamp(<theta, phi> + noise) with Gaussian noise."""
     if noise_var < 0:
         raise InvalidInput("noise_var must be non-negative")
-    y = float(np.asarray(theta) @ np.asarray(phi))
+    y = float(np.matmul(theta, phi))
     if noise_var > 0:
-        y += float(np.sqrt(noise_var) * rng.standard_normal())
-    return float(np.clip(y, 0.0, 1.0))
+        y += math.sqrt(noise_var) * rng.standard_normal()
+    return unit_clip(y)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +150,7 @@ class SyntheticTrackEnv(SceneWalk):
         self.sinr_target = float(sinr_target)
 
     def expected_losses(self, cpi: int, s: int, contexts) -> np.ndarray:
-        return np.clip(np.asarray(contexts) @ self.theta_star, 0.0, 1.0)
+        return np.matmul(contexts, self.theta_star).clip(0.0, 1.0)
 
     def realize(self, cpi: int, s: int, w_idx: int, phi, rng: np.random.Generator):
         loss = synthetic_loss(self.theta_star, phi, self.noise_var, rng)
@@ -187,17 +187,20 @@ def run_track(
     suboptimal = np.empty(n_cpis, dtype=bool)
     contexts = np.empty((n_cpis, d))
 
+    thompson = explore == "ts"
     for k in range(n_cpis):
         s, o = env.step_scene(rng)
         phis = agent_contexts(agent, o)
-        if explore == "random":
-            idx = int(rng.integers(k_arms))
-        else:
+        if thompson:
             theta = sample_gaussian(posterior_gaussian(agent.posterior), rng)
             idx = pick_argmax(theta, phis)
-        expected = np.asarray(env.expected_losses(k, s, phis), dtype=float)
-        realized, sinr_k = env.realize(k, s, idx, phis[idx], rng)
-        best = float(np.max(expected))
+        else:
+            idx = int(rng.integers(k_arms))
+        expected = env.expected_losses(k, s, phis)
+        phi = phis[idx]
+        realized, sinr_k = env.realize(k, s, idx, phi, rng)
+        best = float(expected.max())
+        chosen = float(expected[idx])
 
         state[k] = s
         obs[k] = o
@@ -205,11 +208,11 @@ def run_track(
         sinr[k] = sinr_k
         loss[k] = realized
         oracle_loss[k] = best
-        regret_inc[k] = best - float(expected[idx])
-        suboptimal[k] = expected[idx] < best - TIE_TOL
-        contexts[k] = phis[idx]
+        regret_inc[k] = best - chosen
+        suboptimal[k] = chosen < best - TIE_TOL
+        contexts[k] = phi
 
-        record(agent, o, idx, realized, phis[idx])
+        record(agent, o, idx, realized, phi)
 
     result = TrackResult(
         state=state,

@@ -16,7 +16,7 @@ from scipy.stats import norm
 
 from . import harness, meta, waveforms
 from .bandit import COLD_MEAN, COLD_VAR, pick_argmax
-from .errors import IoError, WaveselError
+from .errors import WaveselError
 from .gaussmath import (
     Gaussian,
     blr_update,
@@ -65,11 +65,7 @@ def _cmd_dump_waveform(args) -> int:
     lines = ["index,real,imag"]
     for i, v in enumerate(env.samples):
         lines.append(f"{i},{float(v.real)!r},{float(v.imag)!r}")
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {args.out}: {exc}") from exc
+    harness._write_lines(args.out, lines)
     print(f"wrote {len(env)} samples to {args.out}")
     return 0
 

@@ -18,6 +18,7 @@ window of lags around that peak, capped at 60 dB. :class:`TrackSimulator`
 draws that SINR per pulse from precomputed matched-filter responses.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,12 @@ SINR_CAP = 1e6  # 60 dB
 WINDOW_HALF = 16
 
 
+def unit_clip(x: float) -> float:
+    """``np.clip(x, 0.0, 1.0)`` of one float, to the bit: a NaN stays NaN and
+    -0.0 stays -0.0."""
+    return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+
+
 def compute_loss(sinr_post: float, sinr_target: float) -> float:
     """Normalized SINR shortfall mapped to [0, 1]; 1 means on-target or better.
 
@@ -38,7 +45,7 @@ def compute_loss(sinr_post: float, sinr_target: float) -> float:
     """
     if sinr_target <= 0:
         raise InvalidInput("sinr_target must be strictly positive")
-    return float(np.clip(sinr_post / sinr_target, 0.0, 1.0))
+    return unit_clip(float(sinr_post / sinr_target))
 
 
 def softplus(x):
@@ -59,6 +66,9 @@ class StateProcess:
     is the distribution of the next state. The observation equals the true
     state with probability 1 - obs_flip_prob, otherwise it is uniform over
     the remaining states.
+
+    Construction also keeps ``cumulative``: the running sums of every row,
+    keyed by the tuple of previous states, for :func:`step_state`.
     """
 
     transition: np.ndarray
@@ -73,6 +83,10 @@ class StateProcess:
             raise InvalidInput("transition rows must sum to one")
         if not 0.0 <= self.obs_flip_prob < 1.0:
             raise InvalidInput("obs_flip_prob must lie in [0, 1)")
+        cumulative = {
+            prev: np.cumsum(t[prev]).tolist() for prev in np.ndindex(t.shape[:-1])
+        }
+        object.__setattr__(self, "cumulative", cumulative)
 
     @property
     def n_states(self) -> int:
@@ -99,12 +113,14 @@ def step_state(sp: StateProcess, history, rng: np.random.Generator) -> int:
     entries matter, and shorter histories are padded with state 0.
     """
     need = sp.memory - 1
-    recent = tuple(int(s) for s in history[-need:]) if need else ()
+    recent = tuple(map(int, history[-need:])) if need else ()
     if len(recent) < need:
         recent = (0,) * (need - len(recent)) + recent
-    row = sp.transition[recent]
-    u = rng.random()
-    idx = int(np.searchsorted(np.cumsum(row), u, side="right"))
+    try:
+        row = sp.cumulative[recent]
+    except KeyError:
+        raise InvalidInput(f"history {recent} outside [0, {sp.n_states})") from None
+    idx = bisect_right(row, rng.random())
     return min(idx, sp.n_states - 1)
 
 
@@ -248,6 +264,8 @@ def draw_instance(
 # analysis window around any peak sees fully-overlapped matched-filter lags.
 _BASE = WINDOW_HALF
 
+_SQRT2 = np.sqrt(2.0)
+
 
 def _reflected(env: ComplexEnvelope, ir: np.ndarray, doppler: float) -> np.ndarray:
     refl = np.convolve(env.samples, ir)
@@ -334,10 +352,8 @@ class TrackSimulator:
             c_prefix = np.concatenate([[0.0], np.cumsum(np.abs(y_c0) ** 2)])
             self._clutter[:, i] = (c_prefix[hi] - c_prefix[lo]) / (hi - lo)
             # exact covariance of matched-filter noise at neighbouring lags
-            pulse = env.samples
-            acorr = np.correlate(pulse, pulse, mode="full")
-            mid = pulse.size - 1
-            col = inst.noise_var * acorr[mid : mid + width]
+            mid = env.samples.size - 1
+            col = inst.noise_var * env.autocorrelation[mid : mid + width]
             gram = toeplitz(col, np.conj(col))
             try:
                 lg = np.linalg.cholesky(gram + 1e-12 * inst.noise_var * np.eye(width))
@@ -353,14 +369,15 @@ class TrackSimulator:
             p_hat = p_hat + (inst.noise_var - p_hat.mean())
             self._noise[i] = np.clip(p_hat, 1e-18, None)
         self._delay = inst.trajectory - 1
+        self._gain = inst.state_gain.tolist()
 
     def step(self, cpi: int, s: int, w_idx: int, rng: np.random.Generator) -> float:
         """Realized SINR of one pulse, equal in distribution to filtering the
         full received pulse (target, clutter and white noise on the canvas)."""
-        p_c = float(self.inst.state_gain[s]) * self._clutter[self._delay[cpi], w_idx]
+        p_c = self._gain[s] * self._clutter[self._delay[cpi], w_idx]
         width = self._lg.shape[1]
-        z = (rng.standard_normal(width) + 1j * rng.standard_normal(width)) / np.sqrt(2.0)
-        p_n = float(np.mean(np.abs(self._lg[w_idx] @ z) ** 2))
+        z = (rng.standard_normal(width) + 1j * rng.standard_normal(width)) / _SQRT2
+        p_n = float(np.add.reduce(np.abs(self._lg[w_idx] @ z) ** 2) / width)
         return _sinr_value(float(self._sig[w_idx]), p_c + p_n)
 
     def expected_losses(self, cpi: int, s: int, sinr_target: float) -> np.ndarray:
@@ -369,9 +386,10 @@ class TrackSimulator:
         Uses the episode's cached noise draws, so the estimate is a
         deterministic function of (cpi, state).
         """
-        p_c = float(self.inst.state_gain[s]) * self._clutter[self._delay[cpi]]
+        p_c = self._gain[s] * self._clutter[self._delay[cpi]]
         sinr = np.minimum(self._sig[:, None] / (p_c[:, None] + self._noise), SINR_CAP)
-        return np.mean(np.clip(sinr / sinr_target, 0.0, 1.0), axis=1)
+        losses = (sinr / sinr_target).clip(0.0, 1.0)
+        return np.add.reduce(losses, axis=1) / losses.shape[1]
 
 
 class PhysicalTrackEnv(SceneWalk):

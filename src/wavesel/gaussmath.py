@@ -6,6 +6,12 @@ covariance-form posterior of a Bayesian linear regression with known
 observation noise: :func:`blr_update` folds one observation in place with a
 Sherman-Morrison rank-1 step, so neither an update nor a draw needs a solve,
 and a draw factors the covariance once.
+
+Validation happens at the boundaries: constructing a :class:`Gaussian` or a
+:class:`LinearPosterior` checks shapes and symmetry. The per-CPI step is
+arithmetic only. :func:`blr_update` keeps the covariance symmetric to the
+bit, so :func:`posterior_gaussian` copies the moments without checking them
+again; :func:`blr_update` still checks the shape of the context it reads.
 """
 
 from dataclasses import dataclass
@@ -123,8 +129,15 @@ def posterior_mean_cov(p: LinearPosterior) -> tuple[np.ndarray, np.ndarray]:
 
 
 def posterior_gaussian(p: LinearPosterior) -> Gaussian:
-    mean, cov = posterior_mean_cov(p)
-    return Gaussian(mean, cov)
+    """Copies of the posterior's moments as a :class:`Gaussian`.
+
+    The moments were checked when ``p`` was built and :func:`blr_update`
+    keeps them well formed, so they are not checked again.
+    """
+    g = object.__new__(Gaussian)
+    object.__setattr__(g, "mean", p.mean.copy())
+    object.__setattr__(g, "cov", p.cov.copy())
+    return g
 
 
 def blr_update(p: LinearPosterior, phi: np.ndarray, loss: float) -> LinearPosterior:
@@ -136,15 +149,18 @@ def blr_update(p: LinearPosterior, phi: np.ndarray, loss: float) -> LinearPoster
     The covariance stays symmetric to the bit, since a symmetric matrix
     minus outer(k, k) / s is symmetric. ``phi`` is only read.
     """
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (p.dim,):
+    mean, cov = p.mean, p.cov
+    if type(phi) is not np.ndarray:
+        phi = np.asarray(phi, dtype=float)
+    if phi.shape != mean.shape:
         raise DimensionMismatch(
             f"context has shape {phi.shape}, posterior dimension is {p.dim}"
         )
-    k = p.cov @ phi
+    k = cov @ phi
     s = p.noise_var + float(phi @ k)
-    p.mean += k * ((float(loss) - float(phi @ p.mean)) / s)
-    p.cov -= np.outer(k, k) / s
+    mean += k * ((float(loss) - float(phi @ mean)) / s)
+    # k[:, None] * k is np.outer(k, k), bit for bit
+    cov -= k[:, None] * k / s
     return p
 
 

@@ -314,16 +314,25 @@ def _write_lines(path: str, lines) -> None:
 
 
 def _cpi_lines(records: list) -> list:
+    """The per-CPI file's lines. Each column is formatted once, integers
+    with ``str`` and floats with ``repr`` as ``_fmt`` does, then the rows
+    are joined."""
     lines = [PER_CPI_HEADER]
     for rec in records:
-        for i in range(len(rec)):
-            lines.append(
-                f"{rec.policy},{rec.seed},{rec.track},{i},{rec.state[i]},"
-                f"{rec.obs[i]},{rec.waveform[i]},{_fmt(rec.sinr_db[i])},"
-                f"{_fmt(rec.loss[i])},{_fmt(rec.oracle_loss[i])},"
-                f"{_fmt(rec.regret_inc[i])},{int(rec.suboptimal[i])},"
-                f"{int(rec.outage[i])}"
-            )
+        columns = (
+            map(str, range(len(rec))),
+            map(str, rec.state.tolist()),
+            map(str, rec.obs.tolist()),
+            map(str, rec.waveform.tolist()),
+            map(repr, rec.sinr_db.tolist()),
+            map(repr, rec.loss.tolist()),
+            map(repr, rec.oracle_loss.tolist()),
+            map(repr, rec.regret_inc.tolist()),
+            map(str, rec.suboptimal.astype(int).tolist()),
+            map(str, rec.outage.astype(int).tolist()),
+        )
+        prefix = f"{rec.policy},{rec.seed},{rec.track},"
+        lines.extend(prefix + ",".join(row) for row in zip(*columns))
     return lines
 
 

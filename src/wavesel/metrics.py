@@ -12,7 +12,7 @@ import numpy as np
 from .errors import EmptyInput, InvalidInput
 from .fstc import TaskDistribution
 from .gaussmath import isotropic_gaussian, kl_gaussian
-from .meta import MetaPosterior, meta_gaussian
+from .meta import meta_gaussian
 
 #: Linear SINR floor before dB conversion, so a zero never hits log10.
 DB_FLOOR = 1e-30

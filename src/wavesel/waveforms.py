@@ -9,6 +9,7 @@ energy so matched-filter outputs are directly comparable across the catalog.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import signal
@@ -91,6 +92,14 @@ class ComplexEnvelope:
 
     def __len__(self) -> int:
         return self.samples.size
+
+    @cached_property
+    def autocorrelation(self) -> np.ndarray:
+        """``np.correlate(samples, samples, "full")``, computed on first use
+        and kept (read-only): the zero lag sits at index len - 1."""
+        acorr = np.correlate(self.samples, self.samples, mode="full")
+        acorr.flags.writeable = False
+        return acorr
 
 
 def _normalize(samples: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from wavesel.bandit import (
     run_track,
     synthetic_loss,
 )
+from wavesel import gaussmath
 from wavesel.errors import IndexOutOfRange, InvalidInput
 from wavesel.fstc import (
     PhysicalTrackEnv,
@@ -38,7 +39,7 @@ from wavesel.gaussmath import (
 )
 from wavesel.waveforms import default_catalog
 
-from oracles import STATE_GAIN, regret_increment
+from oracles import STATE_GAIN, reference_track, regret_increment
 
 
 def uniform_state_proc(n_states: int = 4) -> StateProcess:
@@ -437,3 +438,58 @@ def test_run_track_regret_equals_oracle_at_every_cpi(mode):
         assert result.regret_inc[k] == regret_increment(expected, chosen)
         assert result.oracle_loss[k] == np.max(expected)
     assert np.any(result.regret_inc > 0.0)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def track_env(mode: str, n: int):
+    if mode == "synthetic":
+        return SyntheticTrackEnv(
+            np.array([-0.3, 0.2, 0.8]), uniform_state_proc(), 0.33, 15.8
+        )
+    return physical_env(n)
+
+
+@pytest.mark.parametrize("explore", ["ts", "random"])
+@pytest.mark.parametrize("mode", ["synthetic", "physical"])
+def test_run_track_equals_validated_reference_loop_to_the_bit(mode, explore):
+    n = 150
+    prior = isotropic_gaussian(np.array([0.2, -0.1, 0.4]), 2.0)
+    retries = gaussmath.jitter_retries
+    result, agent = run_track(
+        track_env(mode, n), prior, 0.33, n, 5, np.random.default_rng(60), explore
+    )
+    expected = reference_track(
+        track_env(mode, n), prior, 0.33, n, 5, np.random.default_rng(60), explore
+    )
+    assert gaussmath.jitter_retries == retries
+    for name in ("state", "obs", "waveform", "sinr", "loss", "oracle_loss",
+                 "regret_inc", "suboptimal", "contexts"):
+        assert same_bits(getattr(result, name), expected[name]), name
+    assert same_bits(agent.posterior.mean, expected["post_mean"])
+    assert same_bits(agent.posterior.cov, expected["post_cov"])
+    assert same_bits(agent.stats, expected["stats"])
+    assert same_bits(agent.contexts, expected["agent_contexts"])
+    if explore == "ts":
+        assert len(set(result.waveform.tolist())) > 1
+
+
+def test_thompson_track_validates_a_constant_number_of_times(monkeypatch):
+    calls = []
+    check = gaussmath._check_gaussian
+
+    def counted(mean, cov):
+        calls.append(1)
+        return check(mean, cov)
+
+    monkeypatch.setattr(gaussmath, "_check_gaussian", counted)
+    prior = isotropic_gaussian(np.zeros(3), 2.0)
+    counts = {}
+    for n in (20, 200):
+        calls.clear()
+        run_track(track_env("synthetic", n), prior, 0.33, n, 5, np.random.default_rng(61))
+        counts[n] = len(calls)
+    assert counts[200] == counts[20] <= 2

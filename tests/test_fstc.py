@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wavesel.errors import IndexOutOfRange, InvalidInput
 from wavesel.fstc import (
@@ -26,6 +28,7 @@ from wavesel.fstc import (
     observe,
     random_transition,
     step_state,
+    unit_clip,
 )
 from wavesel.waveforms import (
     ComplexEnvelope,
@@ -35,6 +38,7 @@ from wavesel.waveforms import (
     matched_filter,
 )
 
+import oracles
 from oracles import STATE_GAIN, regret_increment
 
 
@@ -122,6 +126,68 @@ def test_step_state_memory_bound():
         assert n_pair > 1000
         for c in range(4):
             assert abs(counts[c] / n_pair - by_last[b][c] / n_last) < 0.02
+
+
+@st.composite
+def chains(draw):
+    """A state process, some history and a stream seed. Rows are drawn as
+    small integer weights, so exact zeros (repeated running sums) occur."""
+    n_states = draw(st.integers(1, 5))
+    memory = draw(st.integers(1, 3))
+    n_rows = n_states ** (memory - 1)
+    weights = np.array(
+        draw(st.lists(st.integers(0, 3), min_size=n_rows * n_states,
+                      max_size=n_rows * n_states)),
+        dtype=float,
+    ).reshape(n_rows, n_states)
+    weights[:, -1] += 1.0
+    transition = (weights / weights.sum(axis=1, keepdims=True)).reshape(
+        (n_states,) * (memory - 1) + (n_states,)
+    )
+    history = draw(st.lists(st.integers(0, n_states - 1), max_size=6))
+    return StateProcess(transition, 0.0), history, draw(st.integers(0, 2**32 - 1))
+
+
+@given(chains())
+@settings(max_examples=150, deadline=None)
+def test_step_state_equals_running_sum_search(chain):
+    sp, history, seed = chain
+    fast, slow = list(history), list(history)
+    rng_fast, rng_slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(30):
+        fast.append(step_state(sp, fast, rng_fast))
+        slow.append(oracles.step_state(sp, slow, rng_slow))
+    assert fast == slow
+
+
+def test_step_state_equals_running_sum_search_on_dirichlet_rows():
+    for seed, (n_states, memory) in enumerate([(4, 2), (3, 3), (6, 1), (2, 4)]):
+        sp = StateProcess(
+            random_transition(n_states, memory, np.random.default_rng(seed)), 0.0
+        )
+        fast, slow = [], []
+        rng_fast, rng_slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2000):
+            fast.append(step_state(sp, fast, rng_fast))
+            slow.append(oracles.step_state(sp, slow, rng_slow))
+        assert fast == slow
+
+
+def test_step_state_rejects_history_outside_the_states():
+    sp = StateProcess(np.full((3, 3), 1.0 / 3.0), 0.0)
+    with pytest.raises(InvalidInput):
+        step_state(sp, [3], np.random.default_rng(0))
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True))
+@example(-0.0)
+@example(0.0)
+@example(float("nan"))
+@example(-5e-324)
+@example(1.0 + 2.0**-52)
+def test_unit_clip_is_np_clip_to_the_bit(x):
+    expected = np.float64(np.clip(x, 0.0, 1.0))
+    assert np.float64(unit_clip(x)).tobytes() == expected.tobytes()
 
 
 def test_observe_noiseless():

@@ -40,10 +40,14 @@ from wavesel.harness import (
     track_csv_path,
     worker_count,
     write_aggregates,
+    _cpi_lines,
     _validate,
     _write_lines,
 )
 from wavesel.meta import POLICIES, policy_index
+from wavesel.metrics import TrackRecord
+
+import oracles
 
 
 def _tiny_config(out_dir: str, **overrides) -> ExperimentConfig:
@@ -377,6 +381,21 @@ def test_run_minimal_emits_one_cpi_row(tmp_path):
     assert track_lines[0] == PER_TRACK_HEADER
     assert len(cpi_lines) == 2
     assert len(track_lines) == 2
+
+
+def test_cpi_lines_equal_row_by_row_formatting(tmp_path):
+    config = _tiny_config(str(tmp_path), m=2, n=7, seeds=(3,))
+    records, _ = run(config, "meta-ts", 3)
+    edge = np.array([-0.0, 0.0, 1e-300, 5e-324, 0.1 + 0.2, 1e16, -300.0])
+    records.append(
+        TrackRecord(
+            state=np.arange(7), obs=np.arange(7)[::-1], waveform=np.full(7, 4),
+            sinr_db=edge, loss=edge[::-1], oracle_loss=np.sqrt(np.abs(edge)),
+            regret_inc=np.abs(edge), suboptimal=np.arange(7) % 2 == 0,
+            outage=np.arange(7) % 3 == 0, policy="random", seed=12, track=9,
+        )
+    )
+    assert _cpi_lines(records) == oracles.cpi_lines(records)
 
 
 def test_run_twice_is_byte_identical(tmp_path):
@@ -758,6 +777,25 @@ def test_cli_dump_waveform(tmp_path):
         for p in (line.split(",") for line in lines[1:])
     )
     assert energy == pytest.approx(1.0, abs=1e-9)
+
+
+def test_cli_dump_waveform_writes_whole_or_not_at_all(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "zc.csv"
+    out.write_text("earlier\n", encoding="utf-8")
+
+    def refuse(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert cli.main(["dump-waveform", "--kind", "zc-1024", "--out", str(out)]) == 2
+    assert "IoError" in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == "earlier\n"
+    assert sorted(os.listdir(tmp_path)) == ["zc.csv"]
+    monkeypatch.undo()
+
+    missing = tmp_path / "missing" / "zc.csv"
+    assert cli.main(["dump-waveform", "--kind", "zc-1024", "--out", str(missing)]) == 2
+    assert sorted(os.listdir(tmp_path)) == ["zc.csv"]
 
 
 def test_cli_selftest_passes(capsys):

@@ -178,3 +178,12 @@ def test_matched_filter_rejects_empty_input():
     env = make_envelope(catalog_spec("lfm"))
     with pytest.raises(EmptyInput):
         matched_filter(env, np.array([], dtype=complex))
+
+
+def test_autocorrelation_is_np_correlate_computed_once():
+    for env in default_catalog():
+        acorr = env.autocorrelation
+        expected = np.correlate(env.samples, env.samples, mode="full")
+        assert acorr.tobytes() == expected.tobytes()
+        assert env.autocorrelation is acorr
+        assert not acorr.flags.writeable
