@@ -94,14 +94,18 @@ def record(agent: TsAgent, o: int, w: int, loss: float, phi: np.ndarray) -> None
     if not 0.0 <= x <= 1.0:
         raise InvalidInput(f"loss {x} outside [0, 1]")
     blr_update(agent.posterior, phi, x)
-    count, mean, m2, mx = agent.stats[o, w].tolist()
+    cell = agent.stats[o, w]
+    count, mean, m2, mx = cell.tolist()
     count += 1
     delta = x - mean
     mean = mean + delta / count
     m2 = m2 + delta * (x - mean)
     mx = max(mx, x)
-    agent.stats[o, w] = (count, mean, m2, mx)
-    agent.contexts[o, w] = (mean, m2 / count if count >= 2 else COLD_VAR, mx)
+    cell[0], cell[1], cell[2], cell[3] = count, mean, m2, mx
+    context = agent.contexts[o, w]
+    context[0], context[1], context[2] = (
+        mean, m2 / count if count >= 2 else COLD_VAR, mx
+    )
 
 
 def synthetic_loss(
@@ -149,7 +153,10 @@ class SyntheticTrackEnv(SceneWalk):
         self.noise_var = float(noise_var)
         self.sinr_target = float(sinr_target)
 
-    def expected_losses(self, cpi: int, s: int, contexts) -> np.ndarray:
+    def expected_losses(self, cpi, s, contexts) -> np.ndarray:
+        """clip(<theta*, phi>) of every context: (K, 3) contexts give (K,),
+        and a stack of shape S + (K, 3), such as a whole track's, gives
+        S + (K,). ``cpi`` and ``s`` are not read."""
         return np.matmul(contexts, self.theta_star).clip(0.0, 1.0)
 
     def realize(self, cpi: int, s: int, w_idx: int, phi, rng: np.random.Generator):
@@ -172,20 +179,19 @@ def run_track(
     baseline, which ignores the posterior when choosing but still records
     outcomes. Regret increments compare the environment's expected losses of
     the best and the chosen waveform at the contexts used for selection.
+
+    The pulse loop carries only what the learner feeds back: scene step,
+    draw, choice, outcome and ``record``. The learner never reads the
+    expected losses, so one ``env.expected_losses`` call over the whole
+    track's (cpi, state, contexts) gives the oracle losses, regret
+    increments and suboptimal flags after the loop.
     """
     if explore not in ("ts", "random"):
         raise InvalidInput(f"unknown exploration mode {explore!r}")
     agent = TsAgent(prior, noise_var, env.state_proc.n_states, k_arms)
-    d = prior.dim
-    state = np.empty(n_cpis, dtype=int)
-    obs = np.empty(n_cpis, dtype=int)
-    waveform = np.empty(n_cpis, dtype=int)
-    sinr = np.empty(n_cpis)
-    loss = np.empty(n_cpis)
-    oracle_loss = np.empty(n_cpis)
-    regret_inc = np.empty(n_cpis)
-    suboptimal = np.empty(n_cpis, dtype=bool)
-    contexts = np.empty((n_cpis, d))
+    state, obs, waveform, sinr, loss = [], [], [], [], []
+    # the (K, d) contexts each pulse chose from, before its record
+    offered = np.empty((n_cpis,) + agent.contexts.shape[1:])
 
     thompson = explore == "ts"
     for k in range(n_cpis):
@@ -196,33 +202,31 @@ def run_track(
             idx = pick_argmax(theta, phis)
         else:
             idx = int(rng.integers(k_arms))
-        expected = env.expected_losses(k, s, phis)
+        offered[k] = phis
         phi = phis[idx]
         realized, sinr_k = env.realize(k, s, idx, phi, rng)
-        best = float(expected.max())
-        chosen = float(expected[idx])
-
-        state[k] = s
-        obs[k] = o
-        waveform[k] = idx
-        sinr[k] = sinr_k
-        loss[k] = realized
-        oracle_loss[k] = best
-        regret_inc[k] = best - chosen
-        suboptimal[k] = chosen < best - TIE_TOL
-        contexts[k] = phi
-
+        state.append(s)
+        obs.append(o)
+        waveform.append(idx)
+        sinr.append(sinr_k)
+        loss.append(realized)
         record(agent, o, idx, realized, phi)
 
+    state = np.array(state, dtype=int)
+    waveform = np.array(waveform, dtype=int)
+    pulses = np.arange(n_cpis)
+    expected = env.expected_losses(pulses, state, offered)
+    oracle_loss = expected.max(axis=-1)
+    chosen = expected[pulses, waveform]
     result = TrackResult(
         state=state,
-        obs=obs,
+        obs=np.array(obs, dtype=int),
         waveform=waveform,
-        sinr=sinr,
-        loss=loss,
+        sinr=np.array(sinr, dtype=float),
+        loss=np.array(loss, dtype=float),
         oracle_loss=oracle_loss,
-        regret_inc=regret_inc,
-        suboptimal=suboptimal,
-        contexts=contexts,
+        regret_inc=oracle_loss - chosen,
+        suboptimal=chosen < oracle_loss - TIE_TOL,
+        contexts=offered[pulses, waveform],
     )
     return result, agent

@@ -67,7 +67,8 @@ class StateProcess:
     state with probability 1 - obs_flip_prob, otherwise it is uniform over
     the remaining states.
 
-    Construction also keeps ``cumulative``: the running sums of every row,
+    Construction also sets ``n_states`` and ``memory``, read from the
+    table's shape, and keeps ``cumulative``: the running sums of every row,
     keyed by the tuple of previous states, for :func:`step_state`.
     """
 
@@ -86,15 +87,9 @@ class StateProcess:
         cumulative = {
             prev: np.cumsum(t[prev]).tolist() for prev in np.ndindex(t.shape[:-1])
         }
+        object.__setattr__(self, "n_states", t.shape[-1])
+        object.__setattr__(self, "memory", t.ndim)
         object.__setattr__(self, "cumulative", cumulative)
-
-    @property
-    def n_states(self) -> int:
-        return self.transition.shape[-1]
-
-    @property
-    def memory(self) -> int:
-        return self.transition.ndim
 
 
 def random_transition(n_states: int, memory: int, rng: np.random.Generator) -> np.ndarray:
@@ -380,16 +375,29 @@ class TrackSimulator:
         p_n = float(np.add.reduce(np.abs(self._lg[w_idx] @ z) ** 2) / width)
         return _sinr_value(float(self._sig[w_idx]), p_c + p_n)
 
-    def expected_losses(self, cpi: int, s: int, sinr_target: float) -> np.ndarray:
+    def expected_losses(self, cpi, s, sinr_target: float) -> np.ndarray:
         """Monte Carlo mean loss of every waveform at the true state.
 
-        Uses the episode's cached noise draws, so the estimate is a
-        deterministic function of (cpi, state).
+        ``cpi`` and ``s`` broadcast against each other: ints give the (K,)
+        losses of one pulse, arrays of shape S give shape S + (K,), so one
+        call covers a whole track. Uses the episode's cached noise draws, so
+        the estimate is a deterministic function of (delay cell, state).
+        Each distinct pair is evaluated once, so the (pairs, K, draws)
+        temporaries do not grow with the number of pulses.
         """
-        p_c = self._gain[s] * self._clutter[self._delay[cpi]]
-        sinr = np.minimum(self._sig[:, None] / (p_c[:, None] + self._noise), SINR_CAP)
-        losses = (sinr / sinr_target).clip(0.0, 1.0)
-        return np.add.reduce(losses, axis=1) / losses.shape[1]
+        cell, s = np.broadcast_arrays(self._delay[cpi], s)
+        n_cells = self._clutter.shape[0]
+        pairs, inverse = np.unique((s * n_cells + cell).ravel(), return_inverse=True)
+        gain = self.inst.state_gain[pairs // n_cells]
+        p_c = gain[:, None] * self._clutter[pairs % n_cells]
+        # updated in place, so the call holds one (pairs, K, draws) buffer
+        losses = p_c[..., None] + self._noise
+        np.divide(self._sig[:, None], losses, out=losses)
+        np.minimum(losses, SINR_CAP, out=losses)
+        losses /= sinr_target
+        losses.clip(0.0, 1.0, out=losses)
+        means = np.add.reduce(losses, axis=-1) / losses.shape[-1]
+        return means[inverse.ravel()].reshape(cell.shape + (len(self._sig),))
 
 
 class PhysicalTrackEnv(SceneWalk):
@@ -400,7 +408,10 @@ class PhysicalTrackEnv(SceneWalk):
         self.sim = sim
         self.sinr_target = sinr_target
 
-    def expected_losses(self, cpi: int, s: int, contexts) -> np.ndarray:
+    def expected_losses(self, cpi, s, contexts) -> np.ndarray:
+        """The simulator's expected losses at (cpi, state), broadcast as
+        :meth:`TrackSimulator.expected_losses` does; the contexts are not
+        read."""
         return self.sim.expected_losses(cpi, s, self.sinr_target)
 
     def realize(self, cpi: int, s: int, w_idx: int, phi, rng: np.random.Generator):

@@ -17,6 +17,7 @@ again; :func:`blr_update` still checks the shape of the context it reads.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
@@ -34,12 +35,22 @@ _SYM_TOL = 1e-10
 def cholesky(m: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor of a symmetric PD matrix.
 
-    Retries once with a jitter of ``JITTER`` times the mean absolute
+    A square matrix goes straight to LAPACK ``dpotrf``, which reads the
+    lower triangle as ``np.linalg.cholesky`` does, without that function's
+    per-call checks; the factor is returned in C order, as
+    ``np.linalg.cholesky`` returns it, so a product with it runs the same
+    BLAS kernel. When ``dpotrf`` reports a failure, or the input is not
+    square, the factorization goes through ``np.linalg.cholesky``: it
+    retries once with a jitter of ``JITTER`` times the mean absolute
     diagonal, counted in ``jitter_retries``, then raises
     :class:`NotPositiveDefinite`.
     """
     global jitter_retries
     m = np.asarray(m, dtype=float)
+    if m.ndim == 2 and m.shape[0] == m.shape[1]:
+        factor, info = dpotrf(m, lower=1, clean=1)
+        if info == 0:
+            return factor.copy(order="C")
     try:
         return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
@@ -156,11 +167,13 @@ def blr_update(p: LinearPosterior, phi: np.ndarray, loss: float) -> LinearPoster
         raise DimensionMismatch(
             f"context has shape {phi.shape}, posterior dimension is {p.dim}"
         )
-    k = cov @ phi
-    s = p.noise_var + float(phi @ k)
-    mean += k * ((float(loss) - float(phi @ mean)) / s)
+    k = cov.dot(phi)
+    s = p.noise_var + float(phi.dot(k))
+    mean += k * ((float(loss) - float(phi.dot(mean))) / s)
     # k[:, None] * k is np.outer(k, k), bit for bit
-    cov -= k[:, None] * k / s
+    outer = k[:, None] * k
+    outer /= s
+    cov -= outer
     return p
 
 

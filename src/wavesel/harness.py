@@ -14,6 +14,7 @@ reproduces the in-memory value bit for bit.
 
 import contextlib
 import math
+import multiprocessing
 import os
 import time
 import typing
@@ -436,7 +437,10 @@ def run_experiment(config: ExperimentConfig) -> list:
     workers = worker_count(len(jobs))
     if workers == 1:
         return [_run_job(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # spawn, not fork: forking a process whose BLAS has started threads is
+    # unsafe
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
         return list(pool.map(_run_job, jobs))
 
 

@@ -8,7 +8,7 @@ import numpy as np
 from wavesel.bandit import COLD_MAX, COLD_MEAN, COLD_VAR, TIE_TOL
 from wavesel.errors import IndexOutOfRange
 from wavesel.fstc import SINR_CAP, observe
-from wavesel.gaussmath import Gaussian, sample_gaussian
+from wavesel.gaussmath import JITTER, Gaussian, sample_gaussian
 from wavesel.harness import PER_CPI_HEADER
 
 #: The clutter gains of a four-state scene, 4 ** (s - 1), as the harness
@@ -24,6 +24,22 @@ def regret_increment(expected_losses, chosen: int) -> float:
             f"chosen index {chosen} outside {expected.size} waveforms"
         )
     return float(np.max(expected) - expected[chosen])
+
+
+def np_cholesky(m) -> tuple:
+    """The factorization as ``np.linalg.cholesky`` gives it, retried once
+    with the relative jitter ``gaussmath.cholesky`` adds: (the factor, or
+    None when the retry fails too, and the number of jittered retries)."""
+    m = np.asarray(m, dtype=float)
+    try:
+        return np.linalg.cholesky(m), 0
+    except np.linalg.LinAlgError:
+        pass
+    scale = float(np.mean(np.abs(np.diag(m))))
+    try:
+        return np.linalg.cholesky(m + JITTER * scale * np.eye(m.shape[0])), 1
+    except np.linalg.LinAlgError:
+        return None, 1
 
 
 def step_state(sp, history, rng: np.random.Generator) -> int:

@@ -385,7 +385,8 @@ def test_run_track_rejects_unknown_explore_mode():
 
 class RecordingEnv:
     """Forwards to an environment and keeps a copy of every expected-loss
-    vector the track loop asked for."""
+    vector the track loop asked for, one per CPI: the track-wide call is
+    split into its rows."""
 
     def __init__(self, env):
         self.env = env
@@ -397,21 +398,21 @@ class RecordingEnv:
 
     def expected_losses(self, cpi, s, contexts):
         out = np.array(self.env.expected_losses(cpi, s, contexts), dtype=float)
-        self.expected.append(out.copy())
+        self.expected.extend(row.copy() for row in out.reshape(-1, out.shape[-1]))
         return out
 
     def realize(self, cpi, s, w_idx, phi, rng):
         return self.env.realize(cpi, s, w_idx, phi, rng)
 
 
-def physical_env(n: int) -> PhysicalTrackEnv:
+def physical_env(n: int, doppler: float = 0.0, grid_n: int = 16) -> PhysicalTrackEnv:
     rng = np.random.default_rng(50)
     scene = SceneConfig(
         state_proc=uniform_state_proc(),
         state_gain=STATE_GAIN,
         noise_var=1e-3,
-        grid_n=16,
-        doppler=0.0,
+        grid_n=grid_n,
+        doppler=doppler,
         target_power=1.0,
         clutter_power=30.0,
     )
@@ -443,6 +444,30 @@ def test_run_track_regret_equals_oracle_at_every_cpi(mode):
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "mode, doppler, grid_n",
+    [("synthetic", 0.0, 16), ("physical", 0.0, 16), ("physical", 0.7, 16),
+     ("physical", 0.0, 1)],
+)
+def test_track_wide_expected_losses_equal_per_cpi_calls_to_the_bit(mode, doppler, grid_n):
+    n = 150
+    if mode == "synthetic":
+        env = SyntheticTrackEnv(np.array([-0.3, 0.2, 0.8]), uniform_state_proc(), 0.05, 15.8)
+    else:
+        env = physical_env(n, doppler, grid_n)
+    rng = np.random.default_rng(53)
+    cpis = np.arange(n)
+    states = rng.integers(env.state_proc.n_states, size=n)
+    # contexts past both clip bounds of the synthetic scores
+    contexts = rng.uniform(-0.5, 1.5, size=(n, 5, 3))
+    wide = env.expected_losses(cpis, states, contexts)
+    assert wide.shape == (n, 5)
+    for k in range(n):
+        single = env.expected_losses(k, int(states[k]), contexts[k])
+        assert single.shape == (5,)
+        assert same_bits(wide[k], single), k
 
 
 def track_env(mode: str, n: int):

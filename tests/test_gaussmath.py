@@ -22,6 +22,8 @@ from wavesel.gaussmath import (
 )
 from wavesel.harness import ExperimentConfig, build_scene
 
+from oracles import np_cholesky
+
 
 def random_spd(rng: np.random.Generator, d: int) -> np.ndarray:
     a = rng.standard_normal((d, d))
@@ -79,6 +81,73 @@ def test_cholesky_jitter_is_relative_to_the_diagonal(scale):
     assert gaussmath.jitter_retries == before + 1
     jitter = gaussmath.JITTER * np.mean(np.abs(np.diag(m)))
     np.testing.assert_allclose(L @ L.T, m + jitter * np.eye(3), rtol=0, atol=1e-14 * scale)
+
+
+def cholesky_outcome(m) -> tuple:
+    """(factor or None, jittered retries) of ``gaussmath.cholesky``, in the
+    form ``np_cholesky`` reports."""
+    before = gaussmath.jitter_retries
+    try:
+        factor = cholesky(m)
+    except NotPositiveDefinite:
+        factor = None
+    return factor, gaussmath.jitter_retries - before
+
+
+def same_outcome(got, want, bits: bool = True) -> bool:
+    (factor, retries), (ref, ref_retries) = got, want
+    if retries != ref_retries or (factor is None) != (ref is None):
+        return False
+    if factor is None:
+        return True
+    if not factor.flags.c_contiguous or factor.shape != ref.shape:
+        return False
+    if bits:
+        return factor.tobytes() == ref.tobytes()
+    return np.allclose(factor, ref, rtol=1e-12, atol=0.0)
+
+
+@st.composite
+def spd_matrices(draw):
+    """D (A A^T + d I) D with entries of A in [-1, 1] and the diagonal of D
+    in [1e-3, 1e3], so the diagonal of the matrix spans 1e-6 to 1e6."""
+    d = draw(st.integers(1, 6))
+    a = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d * d, max_size=d * d)))
+    a = a.reshape(d, d)
+    scale = 10.0 ** np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d)))
+    return (a @ a.T + d * np.eye(d)) * scale[:, None] * scale[None, :]
+
+
+@settings(max_examples=400, deadline=None)
+@given(spd_matrices())
+def test_cholesky_equals_np_linalg_path(m):
+    # The factor comes from scipy's LAPACK and the reference from numpy's;
+    # the two wheels bundle different OpenBLAS builds, whose potrf agree to
+    # the bit on the short dot products of d <= 4 (the package factors 3 x 3
+    # matrices only) and may part in the last bits beyond.
+    d = m.shape[0]
+    assert same_outcome(cholesky_outcome(m), np_cholesky(m), bits=d <= 4)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.array([[1.0, 2.0], [2.0, 1.0]]),
+        np.outer([1.0, 2.0], [1.0, 2.0]),
+        1e-6 * np.outer([1.0, 2.0, -1.0], [1.0, 2.0, -1.0]),
+        np.zeros((3, 3)),
+        np.array([[4.0, np.nan], [np.nan, 9.0]]),
+        np.full((3, 3), np.nan),
+        np.array([[4.0]]),
+        np.array([[-4.0]]),
+        np.array([[0.0]]),
+        np.array([[np.nan]]),
+    ],
+    ids=["indefinite", "rank-1", "rank-1 small", "zero", "nan off-diagonal",
+         "nan", "1x1", "1x1 negative", "1x1 zero", "1x1 nan"],
+)
+def test_cholesky_edge_inputs_match_np_linalg_path(m):
+    assert same_outcome(cholesky_outcome(m), np_cholesky(m))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 from dataclasses import fields, replace
@@ -499,6 +500,29 @@ def test_worker_count_rejects_garbage(monkeypatch):
     monkeypatch.setenv("WAVESEL_WORKERS", "many")
     with pytest.raises(InvalidInput):
         worker_count(10)
+
+
+def test_worker_pool_writes_the_serial_bytes_in_the_serial_order(tmp_path, monkeypatch):
+    # two workers on any host, so the pool is what runs
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    files, summaries = {}, {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("WAVESEL_WORKERS", workers)
+        assert worker_count(4) == int(workers)
+        out = tmp_path / workers
+        config = _tiny_config(str(out), policies=("random", "meta-ts"))
+        summaries[workers] = run_experiment(config)
+        files[workers] = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out.iterdir()
+        }
+    assert len(files["1"]) == 8
+    assert files["2"] == files["1"]
+    serial, pooled = summaries["1"], summaries["2"]
+    assert [(s.policy, s.seed) for s in pooled] == [(s.policy, s.seed) for s in serial]
+    for a, b in zip(serial, pooled):
+        for name in ("cum_regret", "mean_loss", "outage_freq", "subopt_freq", "kl_to_truth"):
+            np.testing.assert_array_equal(getattr(b, name), getattr(a, name))
 
 
 # ---------------------------------------------------------------------------
