@@ -382,8 +382,8 @@ class TrackSimulator:
         losses of one pulse, arrays of shape S give shape S + (K,), so one
         call covers a whole track. Uses the episode's cached noise draws, so
         the estimate is a deterministic function of (delay cell, state).
-        Each distinct pair is evaluated once, so the (pairs, K, draws)
-        temporaries do not grow with the number of pulses.
+        Each distinct pair is evaluated once, in one (pairs, K, draws)
+        buffer; pairs is at most min(pulses, n_states * grid_n).
         """
         cell, s = np.broadcast_arrays(self._delay[cpi], s)
         n_cells = self._clutter.shape[0]

@@ -35,34 +35,27 @@ _SYM_TOL = 1e-10
 def cholesky(m: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor of a symmetric PD matrix.
 
-    A square matrix goes straight to LAPACK ``dpotrf``, which reads the
+    The square matrix goes straight to LAPACK ``dpotrf``, which reads the
     lower triangle as ``np.linalg.cholesky`` does, without that function's
     per-call checks; the factor is returned in C order, as
     ``np.linalg.cholesky`` returns it, so a product with it runs the same
-    BLAS kernel. When ``dpotrf`` reports a failure, or the input is not
-    square, the factorization goes through ``np.linalg.cholesky``: it
-    retries once with a jitter of ``JITTER`` times the mean absolute
-    diagonal, counted in ``jitter_retries``, then raises
-    :class:`NotPositiveDefinite`.
+    BLAS kernel. When ``dpotrf`` fails, it retries once with a jitter of
+    ``JITTER`` times the mean absolute diagonal, counted in
+    ``jitter_retries``, then raises :class:`NotPositiveDefinite`.
     """
     global jitter_retries
     m = np.asarray(m, dtype=float)
-    if m.ndim == 2 and m.shape[0] == m.shape[1]:
-        factor, info = dpotrf(m, lower=1, clean=1)
-        if info == 0:
-            return factor.copy(order="C")
-    try:
-        return np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        pass
-    jitter_retries += 1
-    scale = float(np.mean(np.abs(np.diag(m))))
-    try:
-        return np.linalg.cholesky(m + JITTER * scale * np.eye(m.shape[0]))
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(
-            f"matrix of shape {m.shape} is not positive definite"
-        ) from None
+    factor, info = dpotrf(m, lower=1, clean=1)
+    if info != 0:
+        jitter_retries += 1
+        scale = float(np.mean(np.abs(np.diag(m))))
+        jittered = m + JITTER * scale * np.eye(m.shape[0])
+        factor, info = dpotrf(jittered, lower=1, clean=1)
+        if info != 0:
+            raise NotPositiveDefinite(
+                f"matrix of shape {m.shape} is not positive definite"
+            )
+    return factor.copy(order="C")
 
 
 def _check_gaussian(mean: np.ndarray, cov: np.ndarray) -> None:

@@ -14,7 +14,6 @@ reproduces the in-memory value bit for bit.
 
 import contextlib
 import math
-import multiprocessing
 import os
 import time
 import typing
@@ -437,10 +436,7 @@ def run_experiment(config: ExperimentConfig) -> list:
     workers = worker_count(len(jobs))
     if workers == 1:
         return [_run_job(job) for job in jobs]
-    # spawn, not fork: forking a process whose BLAS has started threads is
-    # unsafe
-    context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_job, jobs))
 
 

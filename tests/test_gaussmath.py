@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpotrf
 
 from wavesel import gaussmath
 from wavesel.bandit import SyntheticTrackEnv, run_track
@@ -21,6 +22,7 @@ from wavesel.gaussmath import (
     to_linear_posterior,
 )
 from wavesel.harness import ExperimentConfig, build_scene
+from wavesel.meta import run_meta_experiment
 
 from oracles import np_cholesky
 
@@ -127,6 +129,24 @@ def test_cholesky_equals_np_linalg_path(m):
     # matrices only) and may part in the last bits beyond.
     d = m.shape[0]
     assert same_outcome(cholesky_outcome(m), np_cholesky(m), bits=d <= 4)
+
+
+@pytest.mark.parametrize("mode", ["synthetic", "physical"])
+def test_package_factors_only_matrices_of_dimension_at_most_4(monkeypatch, mode):
+    # Beyond d = 4 the factor may differ in its last bits from the one
+    # np.linalg.cholesky gives (see above), so a wider context would move
+    # the output bytes. Every factorization goes through gaussmath.dpotrf.
+    dims = []
+
+    def recording_dpotrf(a, **kwargs):
+        dims.append(np.shape(a)[0])
+        return dpotrf(a, **kwargs)
+
+    monkeypatch.setattr(gaussmath, "dpotrf", recording_dpotrf)
+    task_dist, scene = build_scene(ExperimentConfig(), 0)
+    for policy in ("ts-uninformative", "meta-ts"):
+        run_meta_experiment(task_dist, scene, 2, 20, policy, mode, 0)
+    assert dims and max(dims) <= 4
 
 
 @pytest.mark.parametrize(
