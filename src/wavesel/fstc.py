@@ -259,15 +259,12 @@ def draw_instance(
 # analysis window around any peak sees fully-overlapped matched-filter lags.
 _BASE = WINDOW_HALF
 
-_SQRT2 = np.sqrt(2.0)
-
 
 def _reflected(env: ComplexEnvelope, ir: np.ndarray, doppler: float) -> np.ndarray:
+    """The echo of the pulse off ``ir``, turned by the Doppler phase ramp."""
     refl = np.convolve(env.samples, ir)
-    if doppler != 0.0:
-        t = np.arange(refl.size) / refl.size
-        refl = refl * np.exp(2j * np.pi * doppler * t)
-    return refl
+    t = np.arange(refl.size) / refl.size
+    return refl * np.exp(2j * np.pi * doppler * t)
 
 
 def _canvas_len(refl_len: int, grid_n: int) -> int:
@@ -278,6 +275,13 @@ def _place(canvas_len: int, refl: np.ndarray, offset: int) -> np.ndarray:
     out = np.zeros(canvas_len, dtype=complex)
     out[offset : offset + refl.size] = refl
     return out
+
+
+def _filtered_echo(env: ComplexEnvelope, ir: np.ndarray, out_len: int) -> np.ndarray:
+    """The matched-filter output, of length ``out_len``, of the echo p * ir
+    placed at ``_BASE``: the envelope's autocorrelation convolved with ir,
+    placed at ``_BASE``."""
+    return _place(out_len, np.convolve(env.autocorrelation, ir), _BASE)
 
 
 def _sinr_value(sig: float, denom: float) -> float:
@@ -304,17 +308,29 @@ class TrackSimulator:
     """Per-episode fast path: precomputes every waveform's deterministic
     matched-filter responses so each pulse costs only a small noise draw.
 
+    The matched filter of an echo p * h is acorr(p) * h, so the clutter
+    response, and the target response when ``doppler`` is 0, is the
+    envelope's kept autocorrelation convolved with the impulse response,
+    placed at ``_BASE``; ``default_catalog`` serves one envelope per
+    waveform to the whole process, so each autocorrelation is computed once
+    per process. A target turned by a Doppler ramp is no longer an echo of
+    the pulse itself, so its echo goes through :func:`matched_filter`.
+
     The noise contribution to the analysis window is drawn directly in the
     matched-filter domain from its exact joint distribution (Toeplitz
     covariance from the waveform's autocorrelation), which is identical in
-    law to filtering white noise and orders of magnitude cheaper. Expected
-    losses per state use a fixed set of Monte Carlo noise draws shared by
-    all pulses of the episode.
+    law to filtering white noise and orders of magnitude cheaper. Its
+    complex factor L acts on a circular normal z = (x + jy) / sqrt(2); the
+    simulator keeps the real map R = [[Re L, -Im L], [Im L, Re L]] /
+    sqrt(2 width), so the window's mean noise power is |R (x, y)|^2 for one
+    draw of 2 width standard normals. Expected losses per state use a fixed
+    set of such draws shared by all pulses of the episode.
 
     The state is arrays over the K waveforms: peak powers ``_sig`` (K,),
-    window clutter powers per delay cell ``_clutter`` (grid_n, K), noise
-    factors ``_lg`` and cached noise powers ``_noise`` (K, n_oracle_draws),
-    plus the trajectory's 0-based delay cells ``_delay`` (n,).
+    window clutter powers per delay cell ``_clutter`` (grid_n, K), real
+    noise maps ``_noise_map`` (K, 2 width, 2 width) and cached noise powers
+    ``_noise`` (K, n_oracle_draws), plus the trajectory's 0-based delay
+    cells ``_delay`` (n,).
     """
 
     def __init__(
@@ -330,36 +346,42 @@ class TrackSimulator:
         delays = np.arange(inst.grid_n)
         self._sig = np.empty(k)
         self._clutter = np.empty((inst.grid_n, k))
-        self._lg = np.empty((k, width, width), dtype=complex)
+        self._noise_map = np.empty((k, 2 * width, 2 * width))
         self._noise = np.empty((k, n_oracle_draws))
         for i, env in enumerate(catalog):
-            refl_t = _reflected(env, inst.target_ir, inst.doppler)
-            refl_c = _reflected(env, inst.clutter_ir, 0.0)
-            clen = _canvas_len(refl_t.size, inst.grid_n)
-            y_t0 = matched_filter(env, _place(clen, refl_t, _BASE))
-            y_c0 = matched_filter(env, _place(clen, refl_c, _BASE))
+            clen = _canvas_len(len(env) + inst.target_ir.size - 1, inst.grid_n)
+            out_len = clen + len(env) - 1
+            y_c0 = _filtered_echo(env, inst.clutter_ir, out_len)
+            if inst.doppler == 0.0:
+                y_t0 = _filtered_echo(env, inst.target_ir, out_len)
+            else:
+                refl_t = _reflected(env, inst.target_ir, inst.doppler)
+                y_t0 = matched_filter(env, _place(clen, refl_t, _BASE))
             p0 = int(np.argmax(np.abs(y_t0)))
             self._sig[i] = np.abs(y_t0[p0]) ** 2
             # bounds of the lags within WINDOW_HALF of p0 + delay, clipped to
             # the filter output, for every delay cell
             lo = np.maximum(p0 + delays - WINDOW_HALF, 0)
-            hi = np.minimum(p0 + delays + WINDOW_HALF + 1, y_t0.size)
+            hi = np.minimum(p0 + delays + WINDOW_HALF + 1, out_len)
             c_prefix = np.concatenate([[0.0], np.cumsum(np.abs(y_c0) ** 2)])
             self._clutter[:, i] = (c_prefix[hi] - c_prefix[lo]) / (hi - lo)
             # exact covariance of matched-filter noise at neighbouring lags
-            mid = env.samples.size - 1
+            mid = len(env) - 1
             col = inst.noise_var * env.autocorrelation[mid : mid + width]
             gram = toeplitz(col, np.conj(col))
             try:
                 lg = np.linalg.cholesky(gram + 1e-12 * inst.noise_var * np.eye(width))
             except np.linalg.LinAlgError:
                 raise NotPositiveDefinite("noise window covariance failed to factor")
-            self._lg[i] = lg
-            n_draws = (
-                oracle_rng.standard_normal((n_oracle_draws, width))
-                + 1j * oracle_rng.standard_normal((n_oracle_draws, width))
-            ) / np.sqrt(2.0)
-            p_hat = np.mean(np.abs(n_draws @ lg.T) ** 2, axis=1)
+            noise_map = self._noise_map[i]
+            noise_map[:width, :width] = noise_map[width:, width:] = lg.real
+            noise_map[:width, width:] = -lg.imag
+            noise_map[width:, :width] = lg.imag
+            noise_map /= np.sqrt(2.0 * width)
+            # the real parts of every draw, then the imaginary parts
+            x = oracle_rng.standard_normal((2, n_oracle_draws, width))
+            y = np.concatenate(x, axis=1) @ noise_map.T
+            p_hat = np.add.reduce(y * y, axis=1)
             # first-moment correction: the exact mean window power is known
             p_hat = p_hat + (inst.noise_var - p_hat.mean())
             self._noise[i] = np.clip(p_hat, 1e-18, None)
@@ -370,10 +392,9 @@ class TrackSimulator:
         """Realized SINR of one pulse, equal in distribution to filtering the
         full received pulse (target, clutter and white noise on the canvas)."""
         p_c = self._gain[s] * self._clutter[self._delay[cpi], w_idx]
-        width = self._lg.shape[1]
-        z = (rng.standard_normal(width) + 1j * rng.standard_normal(width)) / _SQRT2
-        p_n = float(np.add.reduce(np.abs(self._lg[w_idx] @ z) ** 2) / width)
-        return _sinr_value(float(self._sig[w_idx]), p_c + p_n)
+        noise_map = self._noise_map[w_idx]
+        y = noise_map.dot(rng.standard_normal(noise_map.shape[1]))
+        return _sinr_value(float(self._sig[w_idx]), p_c + float(y.dot(y)))
 
     def expected_losses(self, cpi, s, sinr_target: float) -> np.ndarray:
         """Monte Carlo mean loss of every waveform at the true state.

@@ -9,7 +9,7 @@ energy so matched-filter outputs are directly comparable across the catalog.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy import signal
@@ -80,15 +80,16 @@ class WaveformSpec:
 
 @dataclass(frozen=True)
 class ComplexEnvelope:
-    """Unit-energy complex baseband samples of one pulse."""
+    """Unit-energy complex baseband samples of one pulse, copied from the
+    input and kept read-only, since one catalog serves a whole process."""
 
     samples: np.ndarray
     duration: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "samples", np.asarray(self.samples, dtype=complex)
-        )
+        samples = np.array(self.samples, dtype=complex)
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
         return self.samples.size
@@ -194,13 +195,20 @@ def catalog_spec(name: str, n_samples: int = DEFAULT_N_SAMPLES) -> WaveformSpec:
     raise UnsupportedLength(f"unknown catalog waveform {name!r}")
 
 
+@cache
+def _catalog_envelope(name: str, n_samples: int) -> ComplexEnvelope:
+    return make_envelope(catalog_spec(name, n_samples), n_samples)
+
+
 def default_catalog(
     n_samples: int = DEFAULT_N_SAMPLES, k: int = len(CATALOG_NAMES)
 ) -> list[ComplexEnvelope]:
-    """First k catalog envelopes in fixed order."""
+    """First k catalog envelopes in fixed order.
+
+    Each envelope is built on first request and then shared by every call
+    in the process, so its autocorrelation is computed once; envelopes are
+    read-only, so no caller can change what a later replicate reads.
+    """
     if not 1 <= k <= len(CATALOG_NAMES):
         raise UnsupportedLength(f"catalog holds {len(CATALOG_NAMES)} waveforms")
-    return [
-        make_envelope(catalog_spec(name, n_samples), n_samples)
-        for name in CATALOG_NAMES[:k]
-    ]
+    return [_catalog_envelope(name, n_samples) for name in CATALOG_NAMES[:k]]

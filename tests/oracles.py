@@ -4,10 +4,11 @@ oracles."""
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from wavesel.bandit import COLD_MAX, COLD_MEAN, COLD_VAR, TIE_TOL
 from wavesel.errors import IndexOutOfRange
-from wavesel.fstc import SINR_CAP, observe
+from wavesel.fstc import SINR_CAP, WINDOW_HALF, observe
 from wavesel.gaussmath import JITTER, Gaussian, sample_gaussian
 from wavesel.harness import PER_CPI_HEADER
 
@@ -40,6 +41,45 @@ def np_cholesky(m) -> tuple:
         return np.linalg.cholesky(m + JITTER * scale * np.eye(m.shape[0])), 1
     except np.linalg.LinAlgError:
         return None, 1
+
+
+def noise_factor(noise_var: float, env) -> np.ndarray:
+    """The complex Cholesky factor L of the matched-filter noise covariance
+    over the analysis window, from a fresh autocorrelation of the pulse."""
+    width = 2 * WINDOW_HALF + 1
+    acorr = np.correlate(env.samples, env.samples, mode="full")
+    col = noise_var * acorr[len(env) - 1 : len(env) - 1 + width]
+    gram = toeplitz(col, np.conj(col))
+    return np.linalg.cholesky(gram + 1e-12 * noise_var * np.eye(width))
+
+
+def complex_noise_power(lg: np.ndarray, rng: np.random.Generator) -> float:
+    """One pulse's mean window noise power in the complex form: a circular
+    normal z from two ``standard_normal(width)`` draws (real parts, then
+    imaginary parts), and the mean of |L z|^2."""
+    width = lg.shape[0]
+    z = (rng.standard_normal(width) + 1j * rng.standard_normal(width)) / np.sqrt(2.0)
+    return float(np.mean(np.abs(lg @ z) ** 2))
+
+
+def complex_oracle_noise(inst, catalog, rng: np.random.Generator,
+                         n_draws: int) -> np.ndarray:
+    """The (K, n_draws) cached noise powers of a ``TrackSimulator`` in the
+    complex form: per waveform in catalog order, a (draws, width) block of
+    real parts and one of imaginary parts, the mean of |L z|^2 per draw, and
+    the first-moment correction to the exact mean ``noise_var``."""
+    out = np.empty((len(catalog), n_draws))
+    for i, env in enumerate(catalog):
+        lg = noise_factor(inst.noise_var, env)
+        width = lg.shape[0]
+        z = (
+            rng.standard_normal((n_draws, width))
+            + 1j * rng.standard_normal((n_draws, width))
+        ) / np.sqrt(2.0)
+        p_hat = np.mean(np.abs(z @ lg.T) ** 2, axis=1)
+        p_hat = p_hat + (inst.noise_var - p_hat.mean())
+        out[i] = np.clip(p_hat, 1e-18, None)
+    return out
 
 
 def step_state(sp, history, rng: np.random.Generator) -> int:
@@ -105,9 +145,8 @@ def reference_track(env, prior, noise_var: float, n_cpis: int, k_arms: int,
             p_c = gain * sim._clutter[sim._delay[k]]
             ratio = np.minimum(sim._sig[:, None] / (p_c[:, None] + sim._noise), SINR_CAP)
             expected = np.mean(np.clip(ratio / env.sinr_target, 0.0, 1.0), axis=1)
-            width = sim._lg.shape[1]
-            z = (rng.standard_normal(width) + 1j * rng.standard_normal(width)) / np.sqrt(2.0)
-            p_n = float(np.mean(np.abs(sim._lg[idx] @ z) ** 2))
+            y = sim._noise_map[idx].dot(rng.standard_normal(sim._noise_map.shape[1]))
+            p_n = float(y.dot(y))
             denom = gain * sim._clutter[sim._delay[k], idx] + p_n
             sinr = SINR_CAP if denom <= 0.0 else float(min(sim._sig[idx] / denom, SINR_CAP))
             realized = float(np.clip(sinr / env.sinr_target, 0.0, 1.0))

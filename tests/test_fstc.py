@@ -20,6 +20,7 @@ from wavesel.fstc import (
     TaskDistribution,
     TrackSimulator,
     _canvas_len,
+    _filtered_echo,
     _place,
     _reflected,
     _sinr_value,
@@ -496,9 +497,15 @@ def edge_instance(seed: int, **overrides) -> FstcInstance:
 
 @pytest.mark.parametrize("doppler", [0.0, 0.7])
 def test_simulator_terms_equal_per_waveform_oracle(doppler):
+    # The oracle filters the placed echo with ``matched_filter`` and draws
+    # the noise in the complex form; the simulator convolves the kept
+    # autocorrelation (when doppler is 0) and uses the real noise map, so the
+    # two agree to rounding, not to the bit.
     inst = edge_instance(40, doppler=doppler)
     catalog = default_catalog()
     sim = TrackSimulator(inst, catalog, np.random.default_rng(41), 129)
+    noise = oracles.complex_oracle_noise(inst, catalog, np.random.default_rng(41), 129)
+    factors = [oracles.noise_factor(inst.noise_var, w) for w in catalog]
     sinr_target = 15.8
     for cpi, cell in enumerate(inst.trajectory):
         delay = int(cell) - 1
@@ -507,20 +514,17 @@ def test_simulator_terms_equal_per_waveform_oracle(doppler):
             gain = float(inst.state_gain[s])
             expected = np.empty(len(catalog))
             for i, (sig, clutter) in enumerate(powers):
-                sinr = np.minimum(sig / (gain * clutter + sim._noise[i]), SINR_CAP)
+                sinr = np.minimum(sig / (gain * clutter + noise[i]), SINR_CAP)
                 expected[i] = np.mean(np.clip(sinr / sinr_target, 0.0, 1.0))
-            np.testing.assert_array_equal(
-                sim.expected_losses(cpi, s, sinr_target), expected
+            np.testing.assert_allclose(
+                sim.expected_losses(cpi, s, sinr_target), expected, rtol=1e-12
             )
             for i, (sig, clutter) in enumerate(powers):
-                z_rng = np.random.default_rng(42)
-                width = sim._lg.shape[1]
-                z = (
-                    z_rng.standard_normal(width) + 1j * z_rng.standard_normal(width)
-                ) / np.sqrt(2.0)
-                p_n = float(np.mean(np.abs(sim._lg[i] @ z) ** 2))
+                p_n = oracles.complex_noise_power(factors[i], np.random.default_rng(42))
                 step = sim.step(cpi, s, i, np.random.default_rng(42))
-                assert step == _sinr_value(sig, gain * clutter + p_n)
+                assert step == pytest.approx(
+                    _sinr_value(sig, gain * clutter + p_n), rel=1e-12
+                )
 
 
 def test_clutter_table_equals_oracle_where_the_window_clips():
@@ -535,4 +539,60 @@ def test_clutter_table_equals_oracle_where_the_window_clips():
         for i, w in enumerate(catalog):
             sig, clutter = window_powers(inst, w, delay)
             assert sig == sim._sig[i] == 0.0
-            assert sim._clutter[delay, i] == clutter
+            assert sim._clutter[delay, i] == pytest.approx(clutter, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [40, 43, 46, 49])
+def test_filtered_echo_equals_matched_filter_of_the_placed_echo(seed):
+    # the matched filter of an echo p * h is acorr(p) * h
+    inst = default_instance(seed=seed)
+    for ir in (inst.target_ir, inst.clutter_ir, np.zeros_like(inst.target_ir)):
+        for w in default_catalog():
+            clen = _canvas_len(len(w) + ir.size - 1, inst.grid_n)
+            expected = matched_filter(w, _place(clen, np.convolve(w.samples, ir), _BASE))
+            got = _filtered_echo(w, ir, expected.size)
+            assert got.shape == expected.shape
+            peak = np.max(np.abs(expected))
+            assert np.max(np.abs(got - expected)) <= 1e-12 * peak
+            assert np.argmax(np.abs(got)) == np.argmax(np.abs(expected))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_one_draw_of_2w_normals_equals_two_draws_of_w_to_the_bit(seed):
+    # the real noise map reads the stream the complex form read: real parts,
+    # then imaginary parts
+    width = 2 * WINDOW_HALF + 1
+    one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+    step_draw = one.standard_normal(2 * width)
+    pair = np.concatenate([two.standard_normal(width), two.standard_normal(width)])
+    assert step_draw.tobytes() == pair.tobytes()
+    for n_draws in (1, 64, 129):
+        oracle_draw = one.standard_normal((2, n_draws, width))
+        pair = np.stack(
+            [two.standard_normal((n_draws, width)), two.standard_normal((n_draws, width))]
+        )
+        assert oracle_draw.tobytes() == pair.tobytes()
+    assert one.random() == two.random()
+
+
+def test_real_noise_map_equals_complex_form():
+    # no clutter echo, so each realized SINR is the peak over the noise power
+    inst = default_instance(seed=52)
+    inst = replace(inst, clutter_ir=np.zeros_like(inst.clutter_ir))
+    catalog = default_catalog()
+    sim = TrackSimulator(inst, catalog, np.random.default_rng(53), 129)
+    np.testing.assert_allclose(
+        sim._noise,
+        oracles.complex_oracle_noise(inst, catalog, np.random.default_rng(53), 129),
+        rtol=1e-12,
+    )
+    width = 2 * WINDOW_HALF + 1
+    for i, w in enumerate(catalog):
+        lg = oracles.noise_factor(inst.noise_var, w)
+        real_form = np.block([[lg.real, -lg.imag], [lg.imag, lg.real]])
+        assert sim._noise_map[i].tobytes() == (real_form / np.sqrt(2.0 * width)).tobytes()
+        for seed in range(40):
+            step = sim.step(0, 0, i, np.random.default_rng(seed))
+            p_n = oracles.complex_noise_power(lg, np.random.default_rng(seed))
+            assert step < SINR_CAP
+            assert step == pytest.approx(sim._sig[i] / p_n, rel=1e-12)

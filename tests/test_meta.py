@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wavesel import harness, meta, waveforms
 from wavesel.bandit import SyntheticTrackEnv, run_track
 from wavesel.errors import DimensionMismatch, InvalidInput, InvalidVariance
 from wavesel.gaussmath import (
@@ -14,7 +15,7 @@ from wavesel.gaussmath import (
     isotropic_gaussian,
     posterior_mean_cov,
 )
-from wavesel.harness import ExperimentConfig, build_scene
+from wavesel.harness import ExperimentConfig, build_scene, parse_config
 from wavesel.meta import (
     MetaPosterior,
     TrackData,
@@ -344,3 +345,20 @@ def test_physical_mode_smoke():
         assert np.all((res.loss >= 0.0) & (res.loss <= 1.0))
         assert np.all(res.regret_inc >= -1e-12)
         assert np.all(np.isfinite(res.sinr))
+
+
+def test_runs_in_one_process_share_the_catalog_envelopes(monkeypatch, tmp_path):
+    served = []
+
+    def recording(*args, **kwargs):
+        catalog = waveforms.default_catalog(*args, **kwargs)
+        served.append(catalog)
+        return catalog
+
+    monkeypatch.setattr(meta, "default_catalog", recording)
+    config = parse_config(f"mode = physical\nm = 1\nn = 4\nout_dir = {tmp_path}\n")
+    for policy in ("ts-uninformative", "meta-ts"):
+        harness.run(config, policy, 3)
+    first, second = served
+    assert len(first) == len(second) == 5
+    assert all(a is b for a, b in zip(first, second))

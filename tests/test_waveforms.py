@@ -9,6 +9,7 @@ from wavesel.waveforms import (
     KIND_FRANK,
     KIND_LFM,
     KIND_ZADOFF_CHU,
+    ComplexEnvelope,
     WaveformSpec,
     catalog_spec,
     cyclic_autocorrelation,
@@ -187,3 +188,24 @@ def test_autocorrelation_is_np_correlate_computed_once():
         assert acorr.tobytes() == expected.tobytes()
         assert env.autocorrelation is acorr
         assert not acorr.flags.writeable
+
+
+def test_catalog_envelopes_are_read_only_and_copy_their_input():
+    for env in default_catalog():
+        with pytest.raises(ValueError):
+            env.samples[0] = 0.0
+        with pytest.raises(ValueError):
+            env.autocorrelation[0] = 0.0
+    source = np.ones(4, dtype=complex)
+    env = ComplexEnvelope(source)
+    source[0] = 2.0
+    assert env.samples[0] == 1.0
+    assert source.flags.writeable
+
+
+def test_default_catalog_serves_one_envelope_per_waveform():
+    full = default_catalog()
+    again = default_catalog()
+    assert again is not full
+    assert all(a is b for a, b in zip(full, again))
+    assert all(a is b for a, b in zip(default_catalog(k=2), full))
