@@ -4,8 +4,8 @@ The package splits into a small stack: Gaussian belief arithmetic
 (``gaussmath``), the transmit catalog and matched filtering (``waveforms``),
 the finite-state target channel (``fstc``), the per-track Thompson-sampling
 learner (``bandit``), the track-to-track meta level (``meta``), reporting
-(``metrics``), and the batch experiment harness with its CLI (``harness``,
-``cli``).
+over a replicate's stacked per-CPI record (``metrics``), and the batch
+experiment harness with its CLI (``harness``, ``cli``).
 """
 
 __version__ = "0.1.0"
@@ -31,15 +31,7 @@ from .meta import (
     run_meta_experiment,
     sample_instance_prior,
 )
-from .metrics import (
-    BoundInputs,
-    TrackRecord,
-    kl_trace,
-    outage_frequency,
-    pac_bayes_meta,
-    pac_bayes_single,
-    suboptimal_frequency,
-)
+from .metrics import BoundInputs, kl_trace, pac_bayes_meta, pac_bayes_single
 from .waveforms import ComplexEnvelope, WaveformSpec, default_catalog, make_envelope
 
 __all__ = [
@@ -68,10 +60,7 @@ __all__ = [
     "sample_instance_prior",
     "meta_update",
     "run_meta_experiment",
-    "TrackRecord",
     "BoundInputs",
-    "outage_frequency",
-    "suboptimal_frequency",
     "kl_trace",
     "pac_bayes_single",
     "pac_bayes_meta",

@@ -126,8 +126,13 @@ def synthetic_loss(
 
 @dataclass
 class TrackResult:
-    """Raw per-pulse arrays of one track, plus the (context, loss) pairs the
-    meta level consumes."""
+    """The per-CPI record: raw per-pulse arrays of one track, plus the
+    contexts of the (context, loss) pairs the meta level consumes.
+
+    ``run_track`` returns one track's, with (n,) columns and (n, d)
+    contexts; ``metrics.track_record`` stacks a replicate's into one with a
+    leading track axis, (m, n) and (m, n, d).
+    """
 
     state: np.ndarray
     obs: np.ndarray

@@ -127,11 +127,6 @@ def to_linear_posterior(g: Gaussian, noise_var: float) -> LinearPosterior:
     return LinearPosterior(g.mean, g.cov, noise_var)
 
 
-def posterior_mean_cov(p: LinearPosterior) -> tuple[np.ndarray, np.ndarray]:
-    """Copies of the posterior's (mean, cov)."""
-    return p.mean.copy(), p.cov.copy()
-
-
 def posterior_gaussian(p: LinearPosterior) -> Gaussian:
     """Copies of the posterior's moments as a :class:`Gaussian`.
 

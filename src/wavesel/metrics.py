@@ -1,14 +1,15 @@
-"""Reporting layer: per-pulse records, summary frequencies, KL traces, and
-PAC-Bayes bound evaluators.
+"""Reporting layer: the stacked per-CPI record of a replicate, KL traces,
+and PAC-Bayes bound evaluators.
 
 Everything here is a pure function of completed records, so any value can be
 recomputed from the persisted CSVs and compared exactly.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .bandit import TrackResult
 from .errors import EmptyInput, InvalidInput
 from .fstc import TaskDistribution
 from .gaussmath import isotropic_gaussian, kl_gaussian
@@ -29,82 +30,21 @@ def sinr_to_db(sinr) -> np.ndarray:
     return 10.0 * np.log10(np.maximum(np.asarray(sinr, dtype=float), DB_FLOOR))
 
 
-@dataclass(frozen=True)
-class TrackRecord:
-    """Per-pulse outcome arrays of one track, plus run identity.
+def track_record(results) -> TrackResult:
+    """Stack a replicate's per-track results into one record with a leading
+    track axis: (m, n) per-CPI columns and (m, n, d) contexts.
 
-    ``outage`` flags the pulses whose SINR fell below ``OUTAGE_DB``.
+    A regret increment below -1e-12 anywhere in the replicate is rejected.
     """
-
-    state: np.ndarray
-    obs: np.ndarray
-    waveform: np.ndarray
-    sinr_db: np.ndarray
-    loss: np.ndarray
-    oracle_loss: np.ndarray
-    regret_inc: np.ndarray
-    suboptimal: np.ndarray
-    outage: np.ndarray
-    policy: str = ""
-    seed: int = 0
-    track: int = 0
-
-    def __post_init__(self):
-        n = self.loss.size
-        for name in ("state", "obs", "waveform", "sinr_db", "oracle_loss",
-                     "regret_inc", "suboptimal", "outage"):
-            if getattr(self, name).shape != (n,):
-                raise InvalidInput(f"field {name} does not have {n} rows")
-        if self.outage.dtype != bool:
-            raise InvalidInput("outage flags must be boolean")
-        if n and float(np.min(self.regret_inc)) < -1e-12:
-            raise InvalidInput("negative regret increment")
-
-    def __len__(self) -> int:
-        return self.loss.size
-
-
-def track_record(
-    result, *, policy: str = "", seed: int = 0, track: int = 0
-) -> TrackRecord:
-    """Build a record from a raw per-track result, deriving dB SINR and the
-    outage flags."""
-    sinr_db = sinr_to_db(result.sinr)
-    outage = sinr_db < OUTAGE_DB
-    return TrackRecord(
-        state=result.state,
-        obs=result.obs,
-        waveform=result.waveform,
-        sinr_db=sinr_db,
-        loss=result.loss,
-        oracle_loss=result.oracle_loss,
-        regret_inc=result.regret_inc,
-        suboptimal=result.suboptimal,
-        outage=outage,
-        policy=policy,
-        seed=seed,
-        track=track,
-    )
-
-
-def _gather(records, name: str) -> np.ndarray:
-    if isinstance(records, TrackRecord):
-        records = [records]
-    arrays = [getattr(r, name) for r in records]
-    if not arrays or sum(a.size for a in arrays) == 0:
-        raise EmptyInput("no pulse records")
-    return np.concatenate(arrays)
-
-
-def outage_frequency(records) -> float:
-    """Fraction of pulses whose post-processing SINR fell below ``OUTAGE_DB``."""
-    return float(np.mean(_gather(records, "outage")))
-
-
-def suboptimal_frequency(records) -> float:
-    """Fraction of pulses where the chosen waveform was not the best available."""
-    flags = _gather(records, "suboptimal")
-    return float(np.mean(flags))
+    if not results:
+        raise EmptyInput("no track results")
+    record = TrackResult(**{
+        f.name: np.stack([getattr(r, f.name) for r in results])
+        for f in fields(TrackResult)
+    })
+    if record.regret_inc.min(initial=0.0) < -1e-12:
+        raise InvalidInput("negative regret increment")
+    return record
 
 
 def kl_trace(meta_history, task_dist: TaskDistribution) -> np.ndarray:

@@ -157,15 +157,6 @@ def make_envelope(spec: WaveformSpec, n_samples: int = DEFAULT_N_SAMPLES) -> Com
     return ComplexEnvelope(samples)
 
 
-def cyclic_autocorrelation(env: ComplexEnvelope, lag: int) -> complex:
-    """R(tau) = sum_k s[k] conj(s[(k + tau) mod N]); R(0) is the pulse energy."""
-    s = env.samples
-    if s.size == 0:
-        raise EmptyInput("envelope has no samples")
-    shifted = np.roll(s, -int(lag))
-    return complex(np.sum(s * np.conj(shifted)))
-
-
 def matched_filter(tx: ComplexEnvelope, rx: np.ndarray) -> np.ndarray:
     """Full cross-correlation of rx against the pulse.
 

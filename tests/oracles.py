@@ -17,6 +17,18 @@ from wavesel.harness import PER_CPI_HEADER
 STATE_GAIN = (0.25, 1.0, 4.0, 16.0)
 
 
+def posterior_mean_cov(p) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of a ``LinearPosterior``'s (mean, cov)."""
+    return p.mean.copy(), p.cov.copy()
+
+
+def cyclic_autocorrelation(env, lag: int) -> complex:
+    """R(tau) = sum_k s[k] conj(s[(k + tau) mod N]) of an envelope's samples;
+    R(0) is the pulse energy."""
+    s = env.samples
+    return complex(np.sum(s * np.conj(np.roll(s, -int(lag)))))
+
+
 def regret_increment(expected_losses, chosen: int) -> float:
     """Gap between the best available expected loss and the chosen one."""
     expected = np.asarray(expected_losses, dtype=float)
@@ -189,17 +201,20 @@ def reference_track(env, prior, noise_var: float, n_cpis: int, k_arms: int,
     return out
 
 
-def cpi_lines(records: list) -> list:
-    """The per-CPI file's lines, one f-string per row: integers as
-    formatted by the f-string and floats as ``repr(float(x))``."""
+def cpi_lines(policy: str, seed: int, record, sinr_db, outage) -> list:
+    """The per-CPI file's lines of a stacked (m, n) record, one f-string per
+    row: integers as formatted by the f-string and floats as
+    ``repr(float(x))``."""
     lines = [PER_CPI_HEADER]
-    for rec in records:
-        for i in range(len(rec)):
+    m, n = record.loss.shape
+    for t in range(m):
+        for i in range(n):
             lines.append(
-                f"{rec.policy},{rec.seed},{rec.track},{i},{rec.state[i]},"
-                f"{rec.obs[i]},{rec.waveform[i]},{float(rec.sinr_db[i])!r},"
-                f"{float(rec.loss[i])!r},{float(rec.oracle_loss[i])!r},"
-                f"{float(rec.regret_inc[i])!r},{int(rec.suboptimal[i])},"
-                f"{int(rec.outage[i])}"
+                f"{policy},{seed},{t},{i},{record.state[t, i]},"
+                f"{record.obs[t, i]},{record.waveform[t, i]},"
+                f"{float(sinr_db[t, i])!r},{float(record.loss[t, i])!r},"
+                f"{float(record.oracle_loss[t, i])!r},"
+                f"{float(record.regret_inc[t, i])!r},"
+                f"{int(record.suboptimal[t, i])},{int(outage[t, i])}"
             )
     return lines

@@ -18,7 +18,6 @@ from wavesel.gaussmath import (
     blr_update,
     isotropic_gaussian,
     kl_gaussian,
-    posterior_mean_cov,
     to_linear_posterior,
 )
 from wavesel.harness import ExperimentConfig, run_experiment
@@ -27,9 +26,10 @@ from wavesel.metrics import BoundInputs, pac_bayes_meta, pac_bayes_single
 from wavesel.waveforms import (
     CATALOG_NAMES,
     catalog_spec,
-    cyclic_autocorrelation,
     make_envelope,
 )
+
+from oracles import cyclic_autocorrelation, posterior_mean_cov
 
 
 def _grid_meta_posterior(prior_mean, prior_cov, tracks, sigma0_sq, noise_var, points):

@@ -33,13 +33,12 @@ from wavesel.gaussmath import (
     blr_update,
     isotropic_gaussian,
     posterior_gaussian,
-    posterior_mean_cov,
     sample_gaussian,
     to_linear_posterior,
 )
 from wavesel.waveforms import default_catalog
 
-from oracles import STATE_GAIN, reference_track, regret_increment
+from oracles import STATE_GAIN, posterior_mean_cov, reference_track, regret_increment
 
 
 def uniform_state_proc(n_states: int = 4) -> StateProcess:

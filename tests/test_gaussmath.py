@@ -17,14 +17,13 @@ from wavesel.gaussmath import (
     isotropic_gaussian,
     kl_gaussian,
     posterior_gaussian,
-    posterior_mean_cov,
     sample_gaussian,
     to_linear_posterior,
 )
 from wavesel.harness import ExperimentConfig, build_scene
 from wavesel.meta import run_meta_experiment
 
-from oracles import np_cholesky
+from oracles import np_cholesky, posterior_mean_cov
 
 
 def random_spd(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -359,9 +358,17 @@ def test_kl_identical_is_zero():
 
 
 def test_kl_unit_mean_shift_scalar():
-    q = isotropic_gaussian(np.zeros(1), 1.0)
-    p = isotropic_gaussian(np.ones(1), 1.0)
-    assert abs(kl_gaussian(q, p) - 0.5) < 1e-12
+    # (q, p, the 1-d closed form 0.5 [vq/vp + (mp - mq)^2/vp - 1 + ln(vp/vq)])
+    cases = (
+        (isotropic_gaussian(np.zeros(1), 1.0), isotropic_gaussian(np.ones(1), 1.0), 0.5),
+        (
+            Gaussian(np.array([0.3]), np.array([[0.7]])),
+            Gaussian(np.array([-0.2]), np.array([[1.9]])),
+            0.5 * (0.7 / 1.9 + 0.5**2 / 1.9 - 1.0 + np.log(1.9 / 0.7)),
+        ),
+    )
+    for q, p, by_hand in cases:
+        assert abs(kl_gaussian(q, p) - by_hand) < 1e-12
 
 
 def test_kl_matches_monte_carlo():

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from wavesel import cli
+from wavesel.bandit import TrackResult
 from wavesel.errors import (
     EmptyInput,
     InvalidInput,
@@ -21,6 +22,7 @@ from wavesel.errors import (
     ParseError,
     ValidationError,
 )
+from wavesel.fstc import SINR_CAP
 from wavesel.harness import (
     AGG_HEADER,
     PER_CPI_HEADER,
@@ -46,7 +48,7 @@ from wavesel.harness import (
     _write_lines,
 )
 from wavesel.meta import POLICIES, policy_index
-from wavesel.metrics import TrackRecord
+from wavesel.metrics import OUTAGE_DB, sinr_to_db, track_record
 
 import oracles
 
@@ -146,6 +148,11 @@ def test_bad_value_reports_location():
         ("seeds = 0,-1", "seeds"),
         ("seeds = 0,0", "seeds"),
         ("policies = random,random", "policies"),
+        # n_states ** memory transition entries above 2**18
+        ("memory = 10", "memory"),
+        ("n_states = 2\nmemory = 19", "memory"),
+        ("memory = 1000000000", "memory"),
+        ("n_states = 262145\nmemory = 1", "n_states"),
     ],
 )
 def test_validation_failures_name_the_field(line, field):
@@ -157,6 +164,12 @@ def test_validation_failures_name_the_field(line, field):
     with pytest.raises(ValidationError) as info:
         parse_config(line + "\n")
     assert info.value.field == field
+
+
+def test_transition_table_limit_admits_2_to_the_18_entries():
+    # parsed only: a table this size costs each replicate about 26 MB
+    assert parse_config("n_states = 4\nmemory = 9\n").memory == 9
+    assert parse_config("n_states = 2\nmemory = 18\n").memory == 18
 
 
 # Values on and beyond each boundary; a config that passes validation must run.
@@ -210,8 +223,8 @@ def test_accepted_config_runs(tmp_path, mode, values):
         config, m=1, n=1, grid_n=4, seeds=config.seeds[:1],
         out_dir=str(tmp_path),
     )
-    records, summary = run(config, config.policies[0], config.seeds[0])
-    assert len(records) == 1 and len(records[0]) == 1
+    record, summary = run(config, config.policies[0], config.seeds[0])
+    assert record.loss.shape == (1, 1)
     assert all(math.isfinite(v) for v in summary.cum_regret)
 
 
@@ -368,9 +381,8 @@ def test_build_scene_transition_depends_on_seed_only():
 
 def test_run_minimal_emits_one_cpi_row(tmp_path):
     config = _tiny_config(str(tmp_path), m=1, n=1, seeds=(0,))
-    records, summary = run(config, "random", 0)
-    assert len(records) == 1
-    assert len(records[0]) == 1
+    record, summary = run(config, "random", 0)
+    assert record.loss.shape == (1, 1)
     assert summary.cum_regret.shape == (1,)
     cpi_lines = (
         (tmp_path / "cpi_random_seed0.csv").read_text(encoding="utf-8").splitlines()
@@ -386,17 +398,44 @@ def test_run_minimal_emits_one_cpi_row(tmp_path):
 
 def test_cpi_lines_equal_row_by_row_formatting(tmp_path):
     config = _tiny_config(str(tmp_path), m=2, n=7, seeds=(3,))
-    records, _ = run(config, "meta-ts", 3)
+    record, _ = run(config, "meta-ts", 3)
+    tracks = [
+        TrackResult(**{f.name: getattr(record, f.name)[t] for f in fields(TrackResult)})
+        for t in range(2)
+    ]
     edge = np.array([-0.0, 0.0, 1e-300, 5e-324, 0.1 + 0.2, 1e16, -300.0])
-    records.append(
-        TrackRecord(
+    tracks.append(
+        TrackResult(
             state=np.arange(7), obs=np.arange(7)[::-1], waveform=np.full(7, 4),
-            sinr_db=edge, loss=edge[::-1], oracle_loss=np.sqrt(np.abs(edge)),
+            sinr=np.array([0.0, 1.0, SINR_CAP, 1e-300, 5e-324, 0.1 + 0.2, 1e16]),
+            loss=edge[::-1], oracle_loss=np.sqrt(np.abs(edge)),
             regret_inc=np.abs(edge), suboptimal=np.arange(7) % 2 == 0,
-            outage=np.arange(7) % 3 == 0, policy="random", seed=12, track=9,
+            contexts=np.zeros((7, 3)),
         )
     )
-    assert _cpi_lines(records) == oracles.cpi_lines(records)
+    record = track_record(tracks)
+    sinr_db = sinr_to_db(record.sinr)
+    outage = sinr_db < OUTAGE_DB
+    lines = _cpi_lines("random", 12, record, sinr_db, outage)
+    assert lines == oracles.cpi_lines("random", 12, record, sinr_db, outage)
+    # the third track restarts the CPI count and reads the derived dB column
+    assert [line.split(",")[2:4] for line in lines[14:16]] == [["1", "6"], ["2", "0"]]
+    assert [line.split(",")[7] for line in lines[15:18]] == ["-300.0", "0.0", "60.0"]
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 3000), (50, 200)])
+def test_summary_axis_reductions_equal_per_track_calls_to_the_bit(tmp_path, m, n):
+    config = _tiny_config(str(tmp_path), m=m, n=n, seeds=(0,))
+    record, summary = run(config, "random", 0)
+    outage = sinr_to_db(record.sinr) < OUTAGE_DB
+    per_track = {
+        "cum_regret": [float(np.sum(row)) for row in record.regret_inc],
+        "mean_loss": [float(np.mean(row)) for row in record.loss],
+        "outage_freq": [float(np.mean(row)) for row in outage],
+        "subopt_freq": [float(np.mean(row)) for row in record.suboptimal],
+    }
+    for name, expected in per_track.items():
+        assert getattr(summary, name).tolist() == expected, name
 
 
 def test_run_twice_is_byte_identical(tmp_path):
@@ -820,8 +859,3 @@ def test_cli_dump_waveform_writes_whole_or_not_at_all(tmp_path, monkeypatch, cap
     missing = tmp_path / "missing" / "zc.csv"
     assert cli.main(["dump-waveform", "--kind", "zc-1024", "--out", str(missing)]) == 2
     assert sorted(os.listdir(tmp_path)) == ["zc.csv"]
-
-
-def test_cli_selftest_passes(capsys):
-    assert cli.main(["selftest"]) == 0
-    assert "all checks passed" in capsys.readouterr().out

@@ -13,7 +13,6 @@ from wavesel.gaussmath import (
     blr_update,
     cholesky,
     isotropic_gaussian,
-    posterior_mean_cov,
 )
 from wavesel.harness import ExperimentConfig, build_scene, parse_config
 from wavesel.meta import (
@@ -29,6 +28,8 @@ from wavesel.meta import (
     track_rng,
 )
 from wavesel.metrics import kl_trace
+
+from oracles import posterior_mean_cov
 
 
 def flat_meta(sigma_q_sq=1.0, d=3, sigma0_sq=0.35, noise_var=0.33) -> MetaPosterior:

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from types import SimpleNamespace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,45 +8,64 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from wavesel import harness
+from wavesel.bandit import TrackResult
 from wavesel.errors import EmptyInput, IndexOutOfRange, InvalidInput
-from wavesel.fstc import TaskDistribution
+from wavesel.fstc import SINR_CAP, TaskDistribution
 from wavesel.harness import ExperimentConfig, build_scene
 from wavesel.meta import MetaPosterior, run_meta_experiment
 from wavesel.metrics import (
     KL_REFERENCE_VAR,
     OUTAGE_DB,
     BoundInputs,
-    TrackRecord,
     kl_trace,
-    outage_frequency,
     pac_bayes_meta,
     pac_bayes_single,
     sinr_to_db,
-    suboptimal_frequency,
     track_record,
 )
 
 from oracles import regret_increment
 
 
-def make_record(sinr_db, suboptimal=None, regret=None) -> TrackRecord:
-    sinr_db = np.asarray(sinr_db, dtype=float)
-    n = sinr_db.size
-    if suboptimal is None:
-        suboptimal = np.zeros(n, dtype=bool)
-    if regret is None:
-        regret = np.zeros(n)
-    return TrackRecord(
+def make_track(sinr, suboptimal=None, regret=None) -> TrackResult:
+    """One track's result with the given linear SINRs, suboptimal flags and
+    regret increments, and zeros elsewhere."""
+    sinr = np.asarray(sinr, dtype=float)
+    n = sinr.size
+    return TrackResult(
         state=np.zeros(n, dtype=int),
         obs=np.zeros(n, dtype=int),
         waveform=np.zeros(n, dtype=int),
-        sinr_db=sinr_db,
+        sinr=sinr,
         loss=np.zeros(n),
         oracle_loss=np.zeros(n),
-        regret_inc=np.asarray(regret, dtype=float),
-        suboptimal=np.asarray(suboptimal, dtype=bool),
-        outage=sinr_db < OUTAGE_DB,
+        regret_inc=np.zeros(n) if regret is None else np.asarray(regret, dtype=float),
+        suboptimal=np.zeros(n, dtype=bool) if suboptimal is None
+        else np.asarray(suboptimal, dtype=bool),
+        contexts=np.zeros((n, 3)),
     )
+
+
+def from_db(sinr_db) -> np.ndarray:
+    return 10.0 ** (np.asarray(sinr_db, dtype=float) / 10.0)
+
+
+def run_on(tmp_path, monkeypatch, *tracks):
+    """``harness.run`` with the given track results in place of simulated
+    ones: (record, summary, the CPI file's lines)."""
+    monkeypatch.setattr(
+        harness, "run_meta_experiment", lambda *args, **kwargs: (list(tracks), [])
+    )
+    config = replace(
+        ExperimentConfig(), m=len(tracks), n=tracks[0].loss.size, seeds=(0,),
+        out_dir=str(tmp_path),
+    )
+    # the oracle policy reads no meta history
+    record, summary = harness.run(config, "ts-oracle", 0)
+    path = harness.cpi_csv_path(str(tmp_path), "ts-oracle", 0)
+    with open(path, encoding="utf-8") as fh:
+        return record, summary, fh.read().splitlines()
 
 
 # ---------------------------------------------------------------------------
@@ -67,35 +86,40 @@ def test_regret_rejects_bad_index():
 
 
 # ---------------------------------------------------------------------------
-# frequencies
+# frequencies: the per-track summary columns ``harness.run`` reduces from the
+# stacked record
 
 
-def test_outage_zero_at_cap():
-    rec = make_record(np.full(6, 60.0))
-    assert outage_frequency(rec) == 0.0
+def test_outage_zero_at_cap(tmp_path, monkeypatch):
+    _, summary, _ = run_on(tmp_path, monkeypatch, make_track(np.full(6, SINR_CAP)))
+    assert summary.outage_freq.tolist() == [0.0]
 
 
-def test_outage_counting():
-    rec = make_record([5.0, 15.0, 9.0, 20.0])
-    assert outage_frequency(rec) == 0.5
+def test_outage_counting(tmp_path, monkeypatch):
+    track = make_track(from_db([5.0, 15.0, 9.0, 20.0]))
+    _, summary, _ = run_on(tmp_path, monkeypatch, track)
+    assert summary.outage_freq.tolist() == [0.5]
 
 
 def test_outage_rejects_empty():
+    # a replicate without tracks has no record to derive outages from
     with pytest.raises(EmptyInput):
-        outage_frequency([])
+        track_record([])
 
 
-def test_suboptimal_zero_for_oracle_replay():
-    rec = make_record(np.full(5, 20.0))
-    assert suboptimal_frequency(rec) == 0.0
+def test_suboptimal_zero_for_oracle_replay(tmp_path, monkeypatch):
+    _, summary, _ = run_on(tmp_path, monkeypatch, make_track(from_db(np.full(5, 20.0))))
+    assert summary.subopt_freq.tolist() == [0.0]
 
 
-def test_suboptimal_single_wrong_choice():
-    rec = make_record([8.0], suboptimal=[True], regret=[0.2])
-    assert suboptimal_frequency(rec) == 1.0
+def test_suboptimal_single_wrong_choice(tmp_path, monkeypatch):
+    track = make_track(from_db([8.0]), suboptimal=[True], regret=[0.2])
+    _, summary, _ = run_on(tmp_path, monkeypatch, track)
+    assert summary.subopt_freq.tolist() == [1.0]
+    assert summary.cum_regret.tolist() == [0.2]
 
 
-def test_suboptimal_uniform_random_rate():
+def test_suboptimal_uniform_random_rate(tmp_path, monkeypatch):
     # With a unique best arm every pulse, a uniform chooser among K = 5 is
     # wrong with probability exactly 4/5.
     rng = np.random.default_rng(0)
@@ -105,14 +129,17 @@ def test_suboptimal_uniform_random_rate():
         expected = rng.random(5)
         chosen = int(rng.integers(5))
         flags[k] = expected[chosen] < np.max(expected) - 1e-12
-    rec = make_record(np.zeros(n), suboptimal=flags)
-    assert abs(suboptimal_frequency(rec) - 0.8) < 0.02
+    _, summary, _ = run_on(tmp_path, monkeypatch, make_track(np.zeros(n), suboptimal=flags))
+    assert abs(summary.subopt_freq[0] - 0.8) < 0.02
 
 
-def test_frequencies_concatenate_multiple_records():
-    a = make_record([5.0, 15.0])
-    b = make_record([9.0, 20.0])
-    assert outage_frequency([a, b]) == 0.5
+def test_frequencies_concatenate_multiple_records(tmp_path, monkeypatch):
+    # the stacked record keeps one frequency per track
+    a = make_track(from_db([5.0, 15.0]), suboptimal=[True, True])
+    b = make_track(from_db([20.0, 25.0]))
+    _, summary, _ = run_on(tmp_path, monkeypatch, a, b)
+    assert summary.outage_freq.tolist() == [0.5, 0.0]
+    assert summary.subopt_freq.tolist() == [1.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -121,56 +148,28 @@ def test_frequencies_concatenate_multiple_records():
 
 def test_track_record_rejects_negative_regret():
     with pytest.raises(InvalidInput):
-        make_record([10.0, 10.0], regret=[0.0, -1e-6])
+        track_record([make_track(from_db([10.0, 10.0]), regret=[0.0, -1e-6])])
 
 
 def test_track_record_rejects_ragged_fields():
-    with pytest.raises(InvalidInput):
-        TrackRecord(
-            state=np.zeros(2, dtype=int),
-            obs=np.zeros(3, dtype=int),
-            waveform=np.zeros(3, dtype=int),
-            sinr_db=np.zeros(3),
-            loss=np.zeros(3),
-            oracle_loss=np.zeros(3),
-            regret_inc=np.zeros(3),
-            suboptimal=np.zeros(3, dtype=bool),
-            outage=np.zeros(3, dtype=bool),
-        )
+    # tracks of unequal length do not stack
+    with pytest.raises(ValueError):
+        track_record([make_track(np.ones(2)), make_track(np.ones(3))])
 
 
-def test_track_record_flags_outage_below_threshold():
-    sinr_db = np.array([OUTAGE_DB - 1.0, OUTAGE_DB, OUTAGE_DB + 1.0])
-    n = sinr_db.size
-    result = SimpleNamespace(
-        state=np.zeros(n, dtype=int),
-        obs=np.zeros(n, dtype=int),
-        waveform=np.zeros(n, dtype=int),
-        sinr=10.0 ** (sinr_db / 10.0),
-        loss=np.zeros(n),
-        oracle_loss=np.zeros(n),
-        regret_inc=np.zeros(n),
-        suboptimal=np.zeros(n, dtype=bool),
-    )
-    rec = track_record(result)
-    np.testing.assert_array_equal(rec.outage, rec.sinr_db < OUTAGE_DB)
-    assert rec.outage.tolist() == [True, False, False]
-    assert outage_frequency(rec) == 1 / 3
+def test_track_record_stacks_tracks_on_a_leading_axis():
+    tracks = [make_track(np.full(4, float(t))) for t in range(3)]
+    record = track_record(tracks)
+    assert record.sinr.shape == (3, 4)
+    assert record.contexts.shape == (3, 4, 3)
+    np.testing.assert_array_equal(record.sinr[:, 0], [0.0, 1.0, 2.0])
 
 
-def test_track_record_rejects_non_boolean_outage():
-    with pytest.raises(InvalidInput):
-        TrackRecord(
-            state=np.zeros(2, dtype=int),
-            obs=np.zeros(2, dtype=int),
-            waveform=np.zeros(2, dtype=int),
-            sinr_db=np.zeros(2),
-            loss=np.zeros(2),
-            oracle_loss=np.zeros(2),
-            regret_inc=np.zeros(2),
-            suboptimal=np.zeros(2, dtype=bool),
-            outage=np.zeros(2),
-        )
+def test_track_record_flags_outage_below_threshold(tmp_path, monkeypatch):
+    track = make_track(from_db([OUTAGE_DB - 1.0, OUTAGE_DB, OUTAGE_DB + 1.0]))
+    _, summary, lines = run_on(tmp_path, monkeypatch, track)
+    assert [line.split(",")[-1] for line in lines[1:]] == ["1", "0", "0"]
+    assert summary.outage_freq.tolist() == [1 / 3]
 
 
 def test_sinr_to_db_floors_zero():

@@ -12,11 +12,12 @@ from wavesel.waveforms import (
     ComplexEnvelope,
     WaveformSpec,
     catalog_spec,
-    cyclic_autocorrelation,
     default_catalog,
     make_envelope,
     matched_filter,
 )
+
+from oracles import cyclic_autocorrelation
 
 
 # ---------------------------------------------------------------------------
