@@ -32,7 +32,7 @@ from .meta import (
     sample_instance_prior,
 )
 from .metrics import BoundInputs, kl_trace, pac_bayes_meta, pac_bayes_single
-from .waveforms import ComplexEnvelope, WaveformSpec, default_catalog, make_envelope
+from .waveforms import ComplexEnvelope, catalog_envelope, default_catalog
 
 __all__ = [
     "__version__",
@@ -42,8 +42,7 @@ __all__ = [
     "blr_update",
     "kl_gaussian",
     "ComplexEnvelope",
-    "WaveformSpec",
-    "make_envelope",
+    "catalog_envelope",
     "default_catalog",
     "StateProcess",
     "TaskDistribution",

@@ -49,7 +49,7 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_dump_waveform(args) -> int:
-    env = waveforms.make_envelope(waveforms.catalog_spec(args.kind))
+    env = waveforms.catalog_envelope(args.kind)
     lines = ["index,real,imag"]
     for i, v in enumerate(env.samples):
         lines.append(f"{i},{float(v.real)!r},{float(v.imag)!r}")

@@ -13,10 +13,6 @@ class DimensionMismatch(WaveselError):
     """Operands have incompatible shapes."""
 
 
-class UnsupportedLength(WaveselError):
-    """A phase-code length or root violates the code's construction rules."""
-
-
 class EmptyInput(WaveselError):
     """An operation received an empty sequence where data is required."""
 

@@ -99,6 +99,13 @@ class ExperimentConfig:
 #: by 16.
 MAX_TRANSITION_ENTRIES = 2**18
 
+#: Largest clutter scale, the top state gain 4 ** (n_states - 2) times
+#: max(clutter_power, 1), a config may ask for. A track's clutter window
+#: power measured at most 26 times ``clutter_power`` over 300 default
+#: physical tracks (seeds 0-5), so the top state's clutter power stays
+#: about 7 decades below the float range.
+MAX_CLUTTER_SCALE = 1e300
+
 
 def _key_type(annotation) -> tuple[type, bool, bool]:
     """(item type, is a list, may be None) of a config field annotated
@@ -179,6 +186,14 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         raise ValidationError("target_power", "must be strictly positive")
     if config.clutter_power < 0:
         raise ValidationError("clutter_power", "must be nonnegative")
+    # in log space: 4.0 ** (n_states - 2) itself overflows from n_states = 514
+    log_scale = (config.n_states - 2) * math.log(4.0)
+    log_scale += math.log(max(config.clutter_power, 1.0))
+    if log_scale > math.log(MAX_CLUTTER_SCALE):
+        raise ValidationError(
+            "n_states", f"state gain 4 ** (n_states - 2) times "
+            f"max(clutter_power, 1) exceeds {MAX_CLUTTER_SCALE:g}; lower n_states"
+        )
     if not config.seeds:
         raise ValidationError("seeds", "at least one seed is required")
     if min(config.seeds) < 0:

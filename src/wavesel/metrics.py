@@ -69,7 +69,6 @@ class BoundInputs:
     m: int
     delta: float = 0.05
     empirical_error: float = 0.0
-    n_tasks: int = 1
 
     def __post_init__(self):
         if self.kl_posterior_prior < 0:
@@ -80,8 +79,6 @@ class BoundInputs:
             raise InvalidInput("delta must lie in (0, 1]")
         if not 0.0 <= self.empirical_error <= 1.0:
             raise InvalidInput("empirical_error must lie in [0, 1]")
-        if self.n_tasks < 1:
-            raise InvalidInput("n_tasks must be at least 1")
 
 
 def pac_bayes_single(b: BoundInputs) -> float:

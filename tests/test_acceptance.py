@@ -23,11 +23,7 @@ from wavesel.gaussmath import (
 from wavesel.harness import ExperimentConfig, run_experiment
 from wavesel.meta import POLICIES, TrackData, init_meta, meta_mean_cov, meta_update
 from wavesel.metrics import BoundInputs, pac_bayes_meta, pac_bayes_single
-from wavesel.waveforms import (
-    CATALOG_NAMES,
-    catalog_spec,
-    make_envelope,
-)
+from wavesel.waveforms import CATALOG_NAMES, catalog_envelope
 
 from oracles import cyclic_autocorrelation, posterior_mean_cov
 
@@ -233,15 +229,15 @@ def test_07_physical_outage_reduction(physical_sweep):
 def test_08_waveform_catalog_properties():
     energy_gap = 0.0
     for name in CATALOG_NAMES:
-        env = make_envelope(catalog_spec(name))
+        env = catalog_envelope(name)
         energy_gap = max(
             energy_gap, abs(float(np.sum(np.abs(env.samples) ** 2)) - 1.0)
         )
-    zc = make_envelope(catalog_spec("zc-1024"))
+    zc = catalog_envelope("zc-1024")
     sidelobe = max(
         abs(cyclic_autocorrelation(zc, lag)) for lag in range(1, len(zc))
     )
-    frank = make_envelope(catalog_spec("frank-144"))
+    frank = catalog_envelope("frank-144")
     hold = len(frank) // 144
     first_row = np.angle(frank.samples[: 12 * hold])
     print(

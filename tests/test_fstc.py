@@ -33,9 +33,8 @@ from wavesel.fstc import (
 )
 from wavesel.waveforms import (
     ComplexEnvelope,
-    catalog_spec,
+    catalog_envelope,
     default_catalog,
-    make_envelope,
     matched_filter,
 )
 
@@ -350,7 +349,7 @@ def test_receive_snr_of_impulse_channel():
         trajectory=np.array([1]),
         grid_n=4,
     )
-    w = make_envelope(catalog_spec("zc-1024"))
+    w = catalog_envelope("zc-1024")
     rng = np.random.default_rng(18)
     sinrs = [receive(inst, 0, w, 0, rng)[0] for _ in range(1000)]
     mean_db = 10.0 * np.log10(np.mean(sinrs))

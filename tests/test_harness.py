@@ -153,6 +153,9 @@ def test_bad_value_reports_location():
         ("n_states = 2\nmemory = 19", "memory"),
         ("memory = 1000000000", "memory"),
         ("n_states = 262145\nmemory = 1", "n_states"),
+        # top state gain 4 ** (n_states - 2) times clutter_power above 1e300
+        ("n_states = 514\nmemory = 1", "n_states"),
+        ("n_states = 498\nmemory = 1", "n_states"),
     ],
 )
 def test_validation_failures_name_the_field(line, field):
@@ -170,6 +173,20 @@ def test_transition_table_limit_admits_2_to_the_18_entries():
     # parsed only: a table this size costs each replicate about 26 MB
     assert parse_config("n_states = 4\nmemory = 9\n").memory == 9
     assert parse_config("n_states = 2\nmemory = 18\n").memory == 18
+
+
+@pytest.mark.parametrize("mode", ["synthetic", "physical"])
+def test_largest_accepted_state_gain_runs(tmp_path, mode):
+    # n_states = 497 is the largest accepted at the default clutter_power;
+    # a RuntimeWarning (an overflow) fails the test
+    config = parse_config(
+        f"n_states = 497\nmemory = 1\nm = 1\nmode = {mode}\nout_dir = {tmp_path}\n"
+    )
+    for policy in POLICIES:
+        record, summary = run(config, policy, 0)
+        assert record.loss.shape == (1, 200)
+        assert np.all(np.isfinite(record.sinr))
+        assert all(math.isfinite(v) for v in summary.cum_regret)
 
 
 # Values on and beyond each boundary; a config that passes validation must run.

@@ -1,19 +1,16 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from wavesel.errors import EmptyInput, UnsupportedLength
+from wavesel.errors import EmptyInput, InvalidInput
 from wavesel.waveforms import (
     CATALOG_NAMES,
-    KIND_FRANK,
-    KIND_LFM,
-    KIND_ZADOFF_CHU,
     ComplexEnvelope,
-    WaveformSpec,
-    catalog_spec,
+    catalog_envelope,
     default_catalog,
-    make_envelope,
     matched_filter,
 )
 
@@ -21,63 +18,56 @@ from oracles import cyclic_autocorrelation
 
 
 # ---------------------------------------------------------------------------
-# spec validation
-
-
-def test_spec_rejects_foreign_fields():
-    with pytest.raises(UnsupportedLength):
-        WaveformSpec(KIND_LFM, fm_rate=8.0, alpha=2.0)
-
-
-def test_spec_rejects_missing_fields():
-    with pytest.raises(UnsupportedLength):
-        WaveformSpec(KIND_LFM)
-
-
-def test_zadoff_chu_root_must_be_coprime():
-    with pytest.raises(UnsupportedLength):
-        WaveformSpec(KIND_ZADOFF_CHU, code_length=1024, root=2)
-
-
-def test_frank_length_must_be_square():
-    with pytest.raises(UnsupportedLength):
-        WaveformSpec(KIND_FRANK, code_length=10)
-
-
-def test_phase_code_needs_enough_samples():
-    spec = WaveformSpec(KIND_FRANK, code_length=144)
-    with pytest.raises(UnsupportedLength):
-        make_envelope(spec, 100)
-
-
-# ---------------------------------------------------------------------------
 # envelope generation
+
+#: sha256 of each catalog envelope's ``samples.tobytes()``.
+CATALOG_SHA256 = {
+    "lfm": "e364e76241163fe824a47a26cb105565bc01e9ba65a4c9213e7486d20286c32d",
+    "expfm-2.8": "71b42296bd4ca1d322e241ca4dc366b525883b8cbb1fcd15428db207a8238ee7",
+    "expfm-5": "a8fb09a802e998d6e8d125d71c81d1bde8d5f8cfba6cb889bce44b7800e58ee7",
+    "zc-1024": "f034c65f0080c593d9b8073c819ea33866e66e82f14249e1869190316ca76267",
+    "frank-144": "c19db5b67a79fc1a0f4788976b3ca2b23b441707d815e1c64cf8720a8e114959",
+}
+
+
+def test_catalog_envelopes_keep_their_bytes():
+    assert tuple(CATALOG_SHA256) == CATALOG_NAMES
+    for name, digest in CATALOG_SHA256.items():
+        samples = catalog_envelope(name).samples
+        assert hashlib.sha256(samples.tobytes()).hexdigest() == digest, name
+
+
+def test_catalog_envelope_rejects_unknown_name():
+    with pytest.raises(InvalidInput):
+        catalog_envelope("frank-16")
 
 
 def test_frank_chip_phases_match_formula():
-    env = make_envelope(WaveformSpec(KIND_FRANK, code_length=144), 144)
+    env = catalog_envelope("frank-144")
+    hold = 1024 // 144
+    assert len(env) == 144 * hold == 1008
+    held = env.samples.reshape(144, hold)
+    assert np.all(held == held[:, :1])
     i, j = np.meshgrid(np.arange(12), np.arange(12), indexing="ij")
-    expected = np.exp(2j * np.pi * i * j / 12).ravel() / 12.0
-    np.testing.assert_allclose(env.samples, expected, atol=1e-12)
-    assert np.all(np.angle(env.samples[:12]) == 0.0)
+    expected = np.exp(2j * np.pi * i * j / 12).ravel()
+    np.testing.assert_allclose(env.samples[::hold] * np.sqrt(1008), expected, atol=1e-12)
+    assert np.all(np.angle(env.samples[: 12 * hold]) == 0.0)
 
 
 def test_zadoff_chu_constant_modulus():
-    env = make_envelope(WaveformSpec(KIND_ZADOFF_CHU, code_length=1024, root=1))
-    mags = np.abs(env.samples)
-    assert np.max(mags) - np.min(mags) < 1e-12
+    # one sample per chip, so each of the 1024 unit-energy samples has
+    # modulus 1 / 32
+    mags = np.abs(catalog_envelope("zc-1024").samples)
+    np.testing.assert_allclose(mags, 1.0 / 32.0, atol=1e-12)
 
 
 def test_lfm_instantaneous_frequency_is_affine():
-    # Sampled at four times the swept band so consecutive phase steps stay
-    # below pi and unwrapping is exact; the phase sweep itself is
-    # pi * 1024 over the pulse.
-    n = 4096
-    env = make_envelope(WaveformSpec(KIND_LFM, fm_rate=512.0), n)
-    phase = np.unwrap(np.angle(env.samples))
+    # The quarter-band sweep keeps every phase step below pi (3.137 at the
+    # end of the pulse), so unwrapping is exact.
+    phase = np.unwrap(np.angle(catalog_envelope("lfm").samples))
     freq = np.diff(phase)
     assert np.max(freq) < np.pi
-    assert np.ptp(np.diff(freq)) < 1e-6
+    assert np.ptp(np.diff(freq)) < 1e-9
     assert freq[-1] > freq[0]
 
 
@@ -88,7 +78,7 @@ def test_all_catalog_envelopes_unit_energy():
 
 def test_phase_coded_catalog_entries_constant_modulus():
     for name in ("zc-1024", "frank-144"):
-        env = make_envelope(catalog_spec(name))
+        env = catalog_envelope(name)
         mags = np.abs(env.samples)
         assert np.max(mags) - np.min(mags) < 1e-12
 
@@ -104,8 +94,9 @@ def test_default_catalog_is_five_distinct_pulses():
 
 
 def test_default_catalog_rejects_bad_count():
-    with pytest.raises(UnsupportedLength):
-        default_catalog(k=6)
+    for k in (0, 6):
+        with pytest.raises(InvalidInput):
+            default_catalog(k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +109,12 @@ def test_autocorrelation_zero_lag_is_energy():
 
 
 def test_zadoff_chu_sidelobes_vanish():
-    env = make_envelope(WaveformSpec(KIND_ZADOFF_CHU, code_length=1024, root=1))
+    env = catalog_envelope("zc-1024")
     assert abs(cyclic_autocorrelation(env, 17)) < 1e-9
 
 
 def test_frank_autocorrelation_matches_double_loop():
-    env = make_envelope(WaveformSpec(KIND_FRANK, code_length=144), 144)
+    env = catalog_envelope("frank-144")
     s = env.samples
     n = s.size
     direct = sum(s[k] * np.conj(s[(k + 1) % n]) for k in range(n))
@@ -135,7 +126,7 @@ def test_frank_autocorrelation_matches_double_loop():
 
 
 def test_matched_filter_peak_at_zero_lag():
-    env = make_envelope(catalog_spec("lfm"))
+    env = catalog_envelope("lfm")
     out = matched_filter(env, env.samples)
     peak = int(np.argmax(np.abs(out)))
     assert peak == len(env) - 1
@@ -143,7 +134,7 @@ def test_matched_filter_peak_at_zero_lag():
 
 
 def test_matched_filter_peak_tracks_delay():
-    env = make_envelope(catalog_spec("zc-1024"))
+    env = catalog_envelope("zc-1024")
     delay = 37
     rx = np.concatenate([np.zeros(delay, dtype=complex), env.samples])
     out = matched_filter(env, rx)
@@ -152,7 +143,7 @@ def test_matched_filter_peak_tracks_delay():
 
 def test_matched_filter_matches_naive_oracle():
     rng = np.random.default_rng(23)
-    tx = make_envelope(WaveformSpec(KIND_FRANK, code_length=16), 32)
+    tx = ComplexEnvelope(rng.standard_normal(32) + 1j * rng.standard_normal(32))
     h = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     rx = np.convolve(tx.samples, h)
     out = matched_filter(tx, rx)
@@ -169,15 +160,15 @@ def test_matched_filter_matches_naive_oracle():
 
 
 def test_matched_filter_swap_conjugate_symmetry():
-    a = make_envelope(catalog_spec("lfm"))
-    b = make_envelope(catalog_spec("expfm-5"))
+    a = catalog_envelope("lfm")
+    b = catalog_envelope("expfm-5")
     ab = matched_filter(a, b.samples)
     ba = matched_filter(b, a.samples)
     np.testing.assert_allclose(ab, np.conj(ba)[::-1], atol=1e-10)
 
 
 def test_matched_filter_rejects_empty_input():
-    env = make_envelope(catalog_spec("lfm"))
+    env = catalog_envelope("lfm")
     with pytest.raises(EmptyInput):
         matched_filter(env, np.array([], dtype=complex))
 
