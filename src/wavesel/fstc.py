@@ -20,6 +20,7 @@ draws that SINR per pulse from precomputed matched-filter responses.
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -135,7 +136,11 @@ def observe(sp: StateProcess, s: int, rng: np.random.Generator) -> int:
 
 @dataclass(frozen=True)
 class TaskDistribution:
-    """Episode-generating distribution: theta ~ N(mu_star, sigma0_sq I)."""
+    """Episode-generating distribution: theta ~ N(mu_star, sigma0_sq I).
+
+    theta has exactly three components: the target, clutter and noise
+    levels.
+    """
 
     mu_star: np.ndarray
     sigma0_sq: float
@@ -144,10 +149,28 @@ class TaskDistribution:
 
     def __post_init__(self):
         object.__setattr__(self, "mu_star", np.asarray(self.mu_star, dtype=float))
+        if self.mu_star.shape != (3,):
+            raise InvalidInput(
+                f"mu_star needs exactly 3 components, got shape {self.mu_star.shape}"
+            )
         if self.sigma0_sq <= 0:
             raise InvalidInput("sigma0_sq must be strictly positive")
         if self.ir_taps < 1:
             raise InvalidInput("ir_taps must be at least 1")
+
+    @cached_property
+    def tap_root(self) -> np.ndarray:
+        """A square root of the squared-exponential tap covariance, computed
+        on the first impulse-response draw and kept for every later one.
+
+        Uses an eigendecomposition so the nearly rank-deficient large-scale
+        limit stays well defined (all taps equal).
+        """
+        idx = np.arange(self.ir_taps)
+        scale = self.ir_kernel_scale
+        cov = np.exp(-((idx[:, None] - idx[None, :]) ** 2) / (2.0 * scale**2))
+        w, v = np.linalg.eigh(cov)
+        return v * np.sqrt(np.clip(w, 0.0, None))
 
 
 @dataclass(frozen=True)
@@ -188,16 +211,9 @@ class FstcInstance:
     grid_n: int
 
 
-def _gp_taps(n_taps: int, scale: float, rng: np.random.Generator) -> np.ndarray:
-    """Zero-mean complex draw with squared-exponential covariance over tap index.
-
-    Uses an eigendecomposition so the nearly rank-deficient large-scale limit
-    stays well defined (all taps equal).
-    """
-    idx = np.arange(n_taps)
-    cov = np.exp(-((idx[:, None] - idx[None, :]) ** 2) / (2.0 * scale**2))
-    w, v = np.linalg.eigh(cov)
-    root = v * np.sqrt(np.clip(w, 0.0, None))
+def _gp_taps(root: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Zero-mean complex draw with the covariance ``root @ root^H``."""
+    n_taps = root.shape[0]
     z = (rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps)) / np.sqrt(2.0)
     return root @ z
 
@@ -215,14 +231,13 @@ def draw_instance(
     clutter gain, and the noise floor. The draw order (theta, target taps,
     clutter taps, trajectory) is fixed so seeded streams reproduce exactly.
     """
-    d = task_dist.mu_star.size
-    theta = task_dist.mu_star + np.sqrt(task_dist.sigma0_sq) * rng.standard_normal(d)
+    theta = task_dist.mu_star + np.sqrt(task_dist.sigma0_sq) * rng.standard_normal(3)
     gain_t = softplus(theta[0]) * scene.target_power
-    gain_c = softplus(theta[1 % d]) * scene.clutter_power
-    noise_var = softplus(theta[2 % d]) * scene.noise_var
+    gain_c = softplus(theta[1]) * scene.clutter_power
+    noise_var = softplus(theta[2]) * scene.noise_var
 
-    h = np.sqrt(gain_t) * _gp_taps(task_dist.ir_taps, task_dist.ir_kernel_scale, rng)
-    c = np.sqrt(gain_c) * _gp_taps(task_dist.ir_taps, task_dist.ir_kernel_scale, rng)
+    h = np.sqrt(gain_t) * _gp_taps(task_dist.tap_root, rng)
+    c = np.sqrt(gain_c) * _gp_taps(task_dist.tap_root, rng)
 
     # Tracks begin at standoff range: the dominant clutter patch sits at the
     # near edge of the delay grid, and a target under track starts well
@@ -230,14 +245,16 @@ def draw_instance(
     delay = int(rng.integers(1 + scene.grid_n // 3, scene.grid_n + 1))
     # The target's Doppler is the scene-wide ``doppler`` ramp, so the walk
     # keeps no Doppler cell. It still makes the draws of a walk on a 16-cell
-    # Doppler axis and drops them: they keep the stream layout, so physical
-    # CSVs stay byte-identical.
+    # Doppler axis and drops them: the first cell, then one step after each
+    # delay step, so the stream layout, and the physical CSVs, stay as they
+    # were. One batch of 2n steps reads the same values as 2n single draws
+    # and leaves the stream at the same place; the delay steps are the even
+    # ones.
     rng.integers(1, 17)
-    cells = np.empty(n_cpis, dtype=int)
-    for i in range(n_cpis):
-        cells[i] = delay
-        delay = min(max(delay + int(rng.integers(-1, 2)), 1), scene.grid_n)
-        rng.integers(-1, 2)
+    cells = []
+    for step in rng.integers(-1, 2, size=2 * n_cpis)[::2].tolist():
+        cells.append(delay)
+        delay = min(max(delay + step, 1), scene.grid_n)
 
     return FstcInstance(
         theta=theta,
@@ -247,7 +264,7 @@ def draw_instance(
         noise_var=float(noise_var),
         state_gain=np.asarray(scene.state_gain, dtype=float),
         doppler=scene.doppler,
-        trajectory=cells,
+        trajectory=np.array(cells, dtype=int),
         grid_n=scene.grid_n,
     )
 
@@ -348,6 +365,8 @@ class TrackSimulator:
         self._clutter = np.empty((inst.grid_n, k))
         self._noise_map = np.empty((k, 2 * width, 2 * width))
         self._noise = np.empty((k, n_oracle_draws))
+        # per waveform, the real parts of every draw, then the imaginary parts
+        normals = oracle_rng.standard_normal((k, 2, n_oracle_draws, width))
         for i, env in enumerate(catalog):
             clen = _canvas_len(len(env) + inst.target_ir.size - 1, inst.grid_n)
             out_len = clen + len(env) - 1
@@ -378,9 +397,7 @@ class TrackSimulator:
             noise_map[:width, width:] = -lg.imag
             noise_map[width:, :width] = lg.imag
             noise_map /= np.sqrt(2.0 * width)
-            # the real parts of every draw, then the imaginary parts
-            x = oracle_rng.standard_normal((2, n_oracle_draws, width))
-            y = np.concatenate(x, axis=1) @ noise_map.T
+            y = np.concatenate(normals[i], axis=1) @ noise_map.T
             p_hat = np.add.reduce(y * y, axis=1)
             # first-moment correction: the exact mean window power is known
             p_hat = p_hat + (inst.noise_var - p_hat.mean())

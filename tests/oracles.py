@@ -94,6 +94,21 @@ def complex_oracle_noise(inst, catalog, rng: np.random.Generator,
     return out
 
 
+def interleaved_walk(grid_n: int, n_cpis: int, rng: np.random.Generator) -> np.ndarray:
+    """The 1-based delay cells of a target walk drawn one step at a time: the
+    first delay cell, a dropped cell on a 16-cell Doppler axis, then per CPI
+    one delay step and one dropped Doppler step, each a single
+    ``integers(-1, 2)`` call, the delay clipped to [1, grid_n]."""
+    delay = int(rng.integers(1 + grid_n // 3, grid_n + 1))
+    rng.integers(1, 17)
+    cells = np.empty(n_cpis, dtype=int)
+    for i in range(n_cpis):
+        cells[i] = delay
+        delay = int(np.clip(delay + int(rng.integers(-1, 2)), 1, grid_n))
+        rng.integers(-1, 2)
+    return cells
+
+
 def step_state(sp, history, rng: np.random.Generator) -> int:
     """The scene-chain step as a search of the row's running sums, computed
     afresh on every call."""

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wavesel import harness
 from wavesel.errors import IndexOutOfRange, InvalidInput
 from wavesel.fstc import (
     _BASE,
@@ -31,6 +32,7 @@ from wavesel.fstc import (
     step_state,
     unit_clip,
 )
+from wavesel.harness import parse_config
 from wavesel.waveforms import (
     ComplexEnvelope,
     catalog_envelope,
@@ -260,6 +262,50 @@ def test_trajectory_stays_on_grid():
     assert inst.trajectory.min() >= 1
     assert inst.trajectory.max() <= scene.grid_n
     assert np.all(np.abs(np.diff(inst.trajectory)) <= 1)
+
+
+@pytest.mark.parametrize("grid_n", [1, 3, 64])
+@pytest.mark.parametrize("n_cpis", [1, 200])
+def test_trajectory_equals_the_interleaved_walk(grid_n, n_cpis):
+    # the walk draws its 2n steps in one call; the values, and where it
+    # leaves the stream, must be those of 2n single draws
+    dist = make_task_dist()
+    scene = make_scene(np.random.default_rng(14), grid_n=grid_n)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        inst = draw_instance(dist, scene, n_cpis, rng)
+        ref = np.random.default_rng(seed)
+        ref.standard_normal(3)
+        for _ in range(4):
+            ref.standard_normal(dist.ir_taps)
+        expected = oracles.interleaved_walk(grid_n, n_cpis, ref)
+        assert inst.trajectory.dtype == expected.dtype
+        np.testing.assert_array_equal(inst.trajectory, expected)
+        assert rng.random() == ref.random()
+
+
+def test_synthetic_replicate_builds_no_tap_root(monkeypatch, tmp_path):
+    # the tap root serves only physical draws, so a synthetic replicate
+    # makes no eigendecomposition
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(*args):
+        calls.append(args)
+        return eigh(*args)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    config = parse_config(f"m = 2\nn = 5\nout_dir = {tmp_path}\n")
+    harness.run(config, "meta-ts", 0)
+    assert calls == []
+    harness.run(replace(config, mode="physical"), "meta-ts", 0)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mu_star", [[1.2, 0.4], [1.2, 0.4, 0.6, 0.1], [[1.2, 0.4, 0.6]]])
+def test_task_distribution_needs_three_components(mu_star):
+    with pytest.raises(InvalidInput, match="mu_star"):
+        make_task_dist(mu_star=np.array(mu_star))
 
 
 # ---------------------------------------------------------------------------
