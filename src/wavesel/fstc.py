@@ -14,8 +14,11 @@ exp(2 pi j doppler i / len) turns the target echo only through ``doppler``
 cycles across its length (the clutter bed is static), and the additive noise
 is circular complex Gaussian. The post-processing SINR compares the target's
 matched-filter peak against the average clutter-plus-noise power in a short
-window of lags around that peak, capped at 60 dB. :class:`TrackSimulator`
-draws that SINR per pulse from precomputed matched-filter responses.
+window of lags around that peak, capped at 60 dB. :func:`channel_tables`
+builds, once per replicate, what depends only on the waveforms, ``doppler``
+and the tap count: each waveform's correlations, tap ramp and unit noise
+map. From those a :class:`TrackSimulator` computes one track's
+matched-filter responses and draws that SINR per pulse.
 """
 
 from bisect import bisect_right
@@ -23,10 +26,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import toeplitz
 
 from .errors import InvalidInput, NotPositiveDefinite
-from .waveforms import ComplexEnvelope, matched_filter
+from .waveforms import matched_filter
 
 SINR_CAP = 1e6  # 60 dB
 #: Interference power is averaged over lags peak +/- WINDOW_HALF.
@@ -277,28 +281,79 @@ def draw_instance(
 _BASE = WINDOW_HALF
 
 
-def _reflected(env: ComplexEnvelope, ir: np.ndarray, doppler: float) -> np.ndarray:
-    """The echo of the pulse off ``ir``, turned by the Doppler phase ramp."""
-    refl = np.convolve(env.samples, ir)
-    t = np.arange(refl.size) / refl.size
-    return refl * np.exp(2j * np.pi * doppler * t)
+@dataclass(frozen=True)
+class ChannelTables:
+    """The per-waveform parts of the physical channel that no track changes:
+    they depend only on the catalog, the scene's ``doppler`` and the number
+    of impulse-response taps. :func:`channel_tables` builds them once per
+    replicate, and every :class:`TrackSimulator` of the replicate reads
+    them.
+
+    ``windows[i]`` is a (2, len_i + n_taps - 1, n_taps) read-only view of
+    waveform i's two correlations, zero-padded, whose product with a
+    (2, n_taps, 1) stack of tap vectors is their two convolutions with
+    those taps: row 0 is the target's Doppler cut, row 1 the clutter's
+    correlation (the kept autocorrelation). At ``doppler`` 0 the two are
+    the same, so the view has one row, which the product broadcasts.
+    ``tap_ramp`` (K, n_taps) is the Doppler ramp over the taps, and
+    ``unit_noise_map`` (K, 2 width, 2 width) the real map of the noise
+    window's factor at unit ``noise_var``.
+    """
+
+    doppler: float
+    windows: tuple
+    tap_ramp: np.ndarray
+    unit_noise_map: np.ndarray
 
 
-def _canvas_len(refl_len: int, grid_n: int) -> int:
-    return refl_len + grid_n + 2 * WINDOW_HALF
+def channel_tables(catalog: list, n_taps: int, doppler: float) -> ChannelTables:
+    """Build the :class:`ChannelTables` of ``catalog`` for echoes off
+    ``n_taps``-tap impulse responses turned by ``doppler``.
 
+    The matched filter of an echo p * h is acorr(p) * h. The Doppler ramp
+    r_i = exp(2 pi j doppler i / len) over an echo of length
+    len = len(p) + n_taps - 1 is linear in phase, so r (p * h) = (r p) * (r h)
+    and the matched filter of the ramped echo is xcorr(p, r p) * (r h):
+    one cut of the pulse's cross-ambiguity function (Levanon and Mozeson,
+    Radar Signals, 2004), convolved with the ramped taps. At ``doppler`` 0
+    the ramp is 1 and the cut is the autocorrelation.
 
-def _place(canvas_len: int, refl: np.ndarray, offset: int) -> np.ndarray:
-    out = np.zeros(canvas_len, dtype=complex)
-    out[offset : offset + refl.size] = refl
-    return out
-
-
-def _filtered_echo(env: ComplexEnvelope, ir: np.ndarray, out_len: int) -> np.ndarray:
-    """The matched-filter output, of length ``out_len``, of the echo p * ir
-    placed at ``_BASE``: the envelope's autocorrelation convolved with ir,
-    placed at ``_BASE``."""
-    return _place(out_len, np.convolve(env.autocorrelation, ir), _BASE)
+    The noise window's covariance is ``noise_var`` times the Hermitian
+    Toeplitz matrix T of the autocorrelation's first width lags, so one
+    complex factor L = chol(T + 1e-12 I) serves every track, scaled by
+    sqrt(``noise_var``). It is kept as the real map
+    [[Re L, -Im L], [Im L, Re L]] / sqrt(2 width).
+    """
+    width = 2 * WINDOW_HALF + 1
+    windows = []
+    tap_ramp = np.empty((len(catalog), n_taps), dtype=complex)
+    unit_noise_map = np.empty((len(catalog), 2 * width, 2 * width))
+    for i, env in enumerate(catalog):
+        echo_len = len(env) + n_taps - 1
+        ramp = np.exp(2j * np.pi * doppler * (np.arange(echo_len) / echo_len))
+        tap_ramp[i] = ramp[:n_taps]
+        acorr = env.autocorrelation
+        if doppler == 0.0:
+            corr = acorr[None]
+        else:
+            corr = np.stack([matched_filter(env, ramp[: len(env)] * env.samples), acorr])
+        padded = np.pad(corr, ((0, 0), (n_taps - 1, n_taps - 1)))
+        # entry j of window n is the padded correlation at n - j, so a
+        # window's product with taps h is entry n of the convolution with h
+        windows.append(sliding_window_view(padded, n_taps, axis=1)[..., ::-1])
+        mid = len(env) - 1
+        col = acorr[mid : mid + width]
+        gram = toeplitz(col, np.conj(col))
+        try:
+            lg = np.linalg.cholesky(gram + 1e-12 * np.eye(width))
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefinite("noise window covariance failed to factor")
+        noise_map = unit_noise_map[i]
+        noise_map[:width, :width] = noise_map[width:, width:] = lg.real
+        noise_map[:width, width:] = -lg.imag
+        noise_map[width:, :width] = lg.imag
+        noise_map /= np.sqrt(2.0 * width)
+    return ChannelTables(float(doppler), tuple(windows), tap_ramp, unit_noise_map)
 
 
 def _sinr_value(sig: float, denom: float) -> float:
@@ -322,26 +377,26 @@ class SceneWalk:
 
 
 class TrackSimulator:
-    """Per-episode fast path: precomputes every waveform's deterministic
-    matched-filter responses so each pulse costs only a small noise draw.
+    """Per-episode fast path: computes every waveform's deterministic
+    matched-filter responses once, from the replicate's
+    :class:`ChannelTables`, so each pulse costs only a small noise draw.
 
-    The matched filter of an echo p * h is acorr(p) * h, so the clutter
-    response, and the target response when ``doppler`` is 0, is the
-    envelope's kept autocorrelation convolved with the impulse response,
-    placed at ``_BASE``; ``default_catalog`` serves one envelope per
-    waveform to the whole process, so each autocorrelation is computed once
-    per process. A target turned by a Doppler ramp is no longer an echo of
-    the pulse itself, so its echo goes through :func:`matched_filter`.
+    Both responses, the target's and the clutter's, are a kept correlation
+    convolved with the track's taps: one small product per waveform of the
+    tables' windows with the ramped target taps and the clutter taps, placed
+    at ``_BASE`` on the filter output. The build factors nothing and takes
+    the same path at every ``doppler``.
 
     The noise contribution to the analysis window is drawn directly in the
     matched-filter domain from its exact joint distribution (Toeplitz
     covariance from the waveform's autocorrelation), which is identical in
-    law to filtering white noise and orders of magnitude cheaper. Its
-    complex factor L acts on a circular normal z = (x + jy) / sqrt(2); the
-    simulator keeps the real map R = [[Re L, -Im L], [Im L, Re L]] /
-    sqrt(2 width), so the window's mean noise power is |R (x, y)|^2 for one
-    draw of 2 width standard normals. Expected losses per state use a fixed
-    set of such draws shared by all pulses of the episode.
+    law to filtering white noise and orders of magnitude cheaper. The real
+    noise map R is sqrt(``noise_var``) times the tables' unit map, so the
+    window's mean noise power is |R (x, y)|^2 for one draw of 2 width
+    standard normals: the real parts, then the imaginary parts, of the
+    circular normal the complex factor acts on. Expected losses per state
+    use a fixed set of such draws shared by all pulses of the episode,
+    drawn for every waveform in one call.
 
     The state is arrays over the K waveforms: peak powers ``_sig`` (K,),
     window clutter powers per delay cell ``_clutter`` (grid_n, K), real
@@ -353,51 +408,46 @@ class TrackSimulator:
     def __init__(
         self,
         inst: FstcInstance,
-        catalog: list,
+        tables: ChannelTables,
         oracle_rng: np.random.Generator,
         n_oracle_draws: int,
     ):
+        n_taps = tables.tap_ramp.shape[1]
+        if inst.doppler != tables.doppler or inst.target_ir.size != n_taps:
+            raise InvalidInput(
+                f"channel tables for doppler {tables.doppler} and {n_taps} taps "
+                f"cannot serve an instance with doppler {inst.doppler} and "
+                f"{inst.target_ir.size} taps"
+            )
         self.inst = inst
-        k = len(catalog)
+        k = len(tables.windows)
         width = 2 * WINDOW_HALF + 1
         delays = np.arange(inst.grid_n)
         self._sig = np.empty(k)
         self._clutter = np.empty((inst.grid_n, k))
-        self._noise_map = np.empty((k, 2 * width, 2 * width))
+        self._noise_map = np.sqrt(inst.noise_var) * tables.unit_noise_map
         self._noise = np.empty((k, n_oracle_draws))
         # per waveform, the real parts of every draw, then the imaginary parts
         normals = oracle_rng.standard_normal((k, 2, n_oracle_draws, width))
-        for i, env in enumerate(catalog):
-            clen = _canvas_len(len(env) + inst.target_ir.size - 1, inst.grid_n)
-            out_len = clen + len(env) - 1
-            y_c0 = _filtered_echo(env, inst.clutter_ir, out_len)
-            if inst.doppler == 0.0:
-                y_t0 = _filtered_echo(env, inst.target_ir, out_len)
-            else:
-                refl_t = _reflected(env, inst.target_ir, inst.doppler)
-                y_t0 = matched_filter(env, _place(clen, refl_t, _BASE))
-            p0 = int(np.argmax(np.abs(y_t0)))
-            self._sig[i] = np.abs(y_t0[p0]) ** 2
+        taps = np.empty((2, n_taps, 1), dtype=complex)
+        taps[1, :, 0] = inst.clutter_ir
+        for i, windows in enumerate(tables.windows):
+            np.multiply(tables.tap_ramp[i], inst.target_ir, out=taps[0, :, 0])
+            responses = windows @ taps
+            n_resp = responses.shape[1]
+            # |target| and |clutter| over the filter output, response at _BASE
+            out_len = n_resp + inst.grid_n + 2 * WINDOW_HALF
+            mag = np.zeros((2, out_len))
+            mag[:, _BASE : _BASE + n_resp] = np.abs(responses[..., 0])
+            p0 = int(np.argmax(mag[0]))
+            self._sig[i] = mag[0, p0] ** 2
             # bounds of the lags within WINDOW_HALF of p0 + delay, clipped to
             # the filter output, for every delay cell
             lo = np.maximum(p0 + delays - WINDOW_HALF, 0)
             hi = np.minimum(p0 + delays + WINDOW_HALF + 1, out_len)
-            c_prefix = np.concatenate([[0.0], np.cumsum(np.abs(y_c0) ** 2)])
+            c_prefix = np.concatenate([[0.0], np.cumsum(mag[1] ** 2)])
             self._clutter[:, i] = (c_prefix[hi] - c_prefix[lo]) / (hi - lo)
-            # exact covariance of matched-filter noise at neighbouring lags
-            mid = len(env) - 1
-            col = inst.noise_var * env.autocorrelation[mid : mid + width]
-            gram = toeplitz(col, np.conj(col))
-            try:
-                lg = np.linalg.cholesky(gram + 1e-12 * inst.noise_var * np.eye(width))
-            except np.linalg.LinAlgError:
-                raise NotPositiveDefinite("noise window covariance failed to factor")
-            noise_map = self._noise_map[i]
-            noise_map[:width, :width] = noise_map[width:, width:] = lg.real
-            noise_map[:width, width:] = -lg.imag
-            noise_map[width:, :width] = lg.imag
-            noise_map /= np.sqrt(2.0 * width)
-            y = np.concatenate(normals[i], axis=1) @ noise_map.T
+            y = np.concatenate(normals[i], axis=1) @ self._noise_map[i].T
             p_hat = np.add.reduce(y * y, axis=1)
             # first-moment correction: the exact mean window power is known
             p_hat = p_hat + (inst.noise_var - p_hat.mean())

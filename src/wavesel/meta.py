@@ -25,6 +25,7 @@ from .fstc import (
     SceneConfig,
     TaskDistribution,
     TrackSimulator,
+    channel_tables,
     draw_instance,
 )
 from .gaussmath import Gaussian, cholesky, isotropic_gaussian
@@ -255,7 +256,9 @@ def run_meta_experiment(
     mp = init_meta(sigma_q_sq, d, sigma0_sq=task_dist.sigma0_sq, noise_var=sigma_sq)
     sinr_target = 10.0 ** (sinr_target_db / 10.0)
     if mode == "physical":
-        catalog = default_catalog(k=k_arms)
+        tables = channel_tables(
+            default_catalog(k=k_arms), task_dist.ir_taps, scene.doppler
+        )
     meta_draws = meta_prior_rng(seed, policy)
 
     uninformative = isotropic_gaussian(
@@ -277,9 +280,7 @@ def run_meta_experiment(
             )
         else:
             inst = draw_instance(task_dist, scene, n, env_rng)
-            sim = TrackSimulator(
-                inst, catalog, oracle_rng(seed, t), n_oracle_draws
-            )
+            sim = TrackSimulator(inst, tables, oracle_rng(seed, t), n_oracle_draws)
             env = PhysicalTrackEnv(sim, sinr_target)
 
         if policy == "ts-oracle":

@@ -8,9 +8,10 @@ from scipy.linalg import toeplitz
 
 from wavesel.bandit import COLD_MAX, COLD_MEAN, COLD_VAR, TIE_TOL
 from wavesel.errors import IndexOutOfRange
-from wavesel.fstc import SINR_CAP, WINDOW_HALF, observe
+from wavesel.fstc import SINR_CAP, WINDOW_HALF, TrackSimulator, channel_tables, observe
 from wavesel.gaussmath import JITTER, Gaussian, sample_gaussian
 from wavesel.harness import PER_CPI_HEADER
+from wavesel.waveforms import default_catalog
 
 #: The clutter gains of a four-state scene, 4 ** (s - 1), as the harness
 #: builds them.
@@ -55,6 +56,35 @@ def np_cholesky(m) -> tuple:
         return None, 1
 
 
+def reflected(env, ir: np.ndarray, doppler: float) -> np.ndarray:
+    """The echo of the pulse off ``ir``, turned by the Doppler phase ramp
+    exp(2 pi j doppler i / len) over the echo's len samples."""
+    refl = np.convolve(env.samples, ir)
+    t = np.arange(refl.size) / refl.size
+    return refl * np.exp(2j * np.pi * doppler * t)
+
+
+def canvas_len(refl_len: int, grid_n: int) -> int:
+    """Samples of a received pulse: an echo of ``refl_len`` samples placed at
+    any of ``grid_n`` delays past the base offset, with a window's room on
+    either side."""
+    return refl_len + grid_n + 2 * WINDOW_HALF
+
+
+def place(length: int, refl: np.ndarray, offset: int) -> np.ndarray:
+    """``refl`` at ``offset`` on a zero canvas of ``length`` samples."""
+    out = np.zeros(length, dtype=complex)
+    out[offset : offset + refl.size] = refl
+    return out
+
+
+def simulator(inst, rng: np.random.Generator, n_draws: int, k: int = 5):
+    """A ``TrackSimulator`` of ``inst`` over the first k catalog waveforms,
+    from channel tables built for the instance's taps and Doppler."""
+    tables = channel_tables(default_catalog(k), inst.target_ir.size, inst.doppler)
+    return TrackSimulator(inst, tables, rng, n_draws)
+
+
 def noise_factor(noise_var: float, env) -> np.ndarray:
     """The complex Cholesky factor L of the matched-filter noise covariance
     over the analysis window, from a fresh autocorrelation of the pulse."""
@@ -63,6 +93,22 @@ def noise_factor(noise_var: float, env) -> np.ndarray:
     col = noise_var * acorr[len(env) - 1 : len(env) - 1 + width]
     gram = toeplitz(col, np.conj(col))
     return np.linalg.cholesky(gram + 1e-12 * noise_var * np.eye(width))
+
+
+def unit_noise_factor(env) -> np.ndarray:
+    """``noise_factor`` at unit ``noise_var``, with the jitter 1e-12 I."""
+    width = 2 * WINDOW_HALF + 1
+    acorr = np.correlate(env.samples, env.samples, mode="full")
+    col = acorr[len(env) - 1 : len(env) - 1 + width]
+    gram = toeplitz(col, np.conj(col))
+    return np.linalg.cholesky(gram + 1e-12 * np.eye(width))
+
+
+def real_form(lg: np.ndarray) -> np.ndarray:
+    """The real map of a complex factor acting on a circular normal, as the
+    simulator keeps it: [[Re L, -Im L], [Im L, Re L]] / sqrt(2 width)."""
+    width = lg.shape[0]
+    return np.block([[lg.real, -lg.imag], [lg.imag, lg.real]]) / np.sqrt(2.0 * width)
 
 
 def complex_noise_power(lg: np.ndarray, rng: np.random.Generator) -> float:

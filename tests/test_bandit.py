@@ -25,7 +25,6 @@ from wavesel.fstc import (
     SceneConfig,
     StateProcess,
     TaskDistribution,
-    TrackSimulator,
     compute_loss,
     draw_instance,
 )
@@ -36,9 +35,13 @@ from wavesel.gaussmath import (
     sample_gaussian,
     to_linear_posterior,
 )
-from wavesel.waveforms import default_catalog
-
-from oracles import STATE_GAIN, posterior_mean_cov, reference_track, regret_increment
+from oracles import (
+    STATE_GAIN,
+    posterior_mean_cov,
+    reference_track,
+    regret_increment,
+    simulator,
+)
 
 
 def uniform_state_proc(n_states: int = 4) -> StateProcess:
@@ -417,7 +420,7 @@ def physical_env(n: int, doppler: float = 0.0, grid_n: int = 16) -> PhysicalTrac
     )
     dist = TaskDistribution(np.array([1.2, 0.4, 0.6]), 0.35, 1.5, 8)
     inst = draw_instance(dist, scene, n, rng)
-    sim = TrackSimulator(inst, default_catalog(), np.random.default_rng(51), 64)
+    sim = simulator(inst, np.random.default_rng(51), 64)
     return PhysicalTrackEnv(sim, 15.8)
 
 

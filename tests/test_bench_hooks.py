@@ -37,8 +37,8 @@ def test_every_wrapped_call_site_is_called(tracing, tmp_path):
     try:
         for mode in ("synthetic", "physical"):
             out = tmp_path / mode
-            # a Doppler-ramped target is the one echo that still goes
-            # through the matched filter
+            # only a Doppler-ramped target reaches the matched filter: its
+            # Doppler cut, once per waveform per replicate
             doppler = "doppler = 0.7\n" if mode == "physical" else ""
             config = harness.parse_config(
                 f"mode = {mode}\nm = 2\nn = 4\nk = 3\nseeds = 0\n{doppler}"

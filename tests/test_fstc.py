@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wavesel import harness
+from wavesel import fstc, harness
 from wavesel.errors import IndexOutOfRange, InvalidInput
 from wavesel.fstc import (
     _BASE,
@@ -20,11 +20,8 @@ from wavesel.fstc import (
     PhysicalTrackEnv,
     TaskDistribution,
     TrackSimulator,
-    _canvas_len,
-    _filtered_echo,
-    _place,
-    _reflected,
     _sinr_value,
+    channel_tables,
     compute_loss,
     draw_instance,
     observe,
@@ -41,7 +38,7 @@ from wavesel.waveforms import (
 )
 
 import oracles
-from oracles import STATE_GAIN, regret_increment
+from oracles import STATE_GAIN, canvas_len, place, reflected, regret_increment, simulator
 
 
 def make_task_dist(**overrides) -> TaskDistribution:
@@ -343,12 +340,12 @@ def receive(
         )
 
     delay = int(inst.trajectory[cpi]) - 1
-    refl_t = _reflected(w, inst.target_ir, inst.doppler)
-    refl_c = _reflected(w, inst.clutter_ir, 0.0)
-    clen = _canvas_len(refl_t.size, inst.grid_n)
+    refl_t = reflected(w, inst.target_ir, inst.doppler)
+    refl_c = reflected(w, inst.clutter_ir, 0.0)
+    clen = canvas_len(refl_t.size, inst.grid_n)
 
-    target = _place(clen, refl_t, _BASE + delay)
-    clutter = _place(clen, np.sqrt(inst.state_gain[s]) * refl_c, _BASE)
+    target = place(clen, refl_t, _BASE + delay)
+    clutter = place(clen, np.sqrt(inst.state_gain[s]) * refl_c, _BASE)
     noise = np.sqrt(inst.noise_var / 2.0) * (
         rng.standard_normal(clen) + 1j * rng.standard_normal(clen)
     )
@@ -473,10 +470,10 @@ def test_simulator_agrees_with_receive_monte_carlo():
         ]
         mc_loss[i] = np.mean(losses)
 
-    refined = TrackSimulator(inst, catalog, np.random.default_rng(26), 10_000)
+    refined = simulator(inst, np.random.default_rng(26), 10_000)
     assert np.max(np.abs(refined.expected_losses(cpi, s, sinr_target) - mc_loss)) < 0.02
 
-    coarse = TrackSimulator(inst, catalog, np.random.default_rng(27), 64)
+    coarse = simulator(inst, np.random.default_rng(27), 64)
     exp64 = coarse.expected_losses(cpi, s, sinr_target)
     exp_ref = refined.expected_losses(cpi, s, sinr_target)
     for chosen in range(len(catalog)):
@@ -496,8 +493,7 @@ def test_simulator_agrees_with_receive_monte_carlo():
 
 def test_expected_losses_deterministic_per_episode():
     inst = default_instance(seed=29)
-    catalog = default_catalog()
-    sim = TrackSimulator(inst, catalog, np.random.default_rng(30), 64)
+    sim = simulator(inst, np.random.default_rng(30), 64)
     a = sim.expected_losses(0, 1, 15.8)
     b = sim.expected_losses(0, 1, 15.8)
     np.testing.assert_array_equal(a, b)
@@ -505,7 +501,7 @@ def test_expected_losses_deterministic_per_episode():
 
 def test_physical_env_walks_the_instance_chain_and_maps_sinr_to_loss():
     inst = default_instance(seed=31)
-    sim = TrackSimulator(inst, default_catalog(), np.random.default_rng(32), 64)
+    sim = simulator(inst, np.random.default_rng(32), 64)
     env = PhysicalTrackEnv(sim, 15.8)
     assert env.state_proc is inst.state_proc
     for w_idx in range(len(default_catalog())):
@@ -519,11 +515,11 @@ def window_powers(inst: FstcInstance, w: ComplexEnvelope, delay: int):
     target's matched-filter peak power and the mean clutter power in the
     window around the peak shifted by ``delay``, from the canvas helpers and
     the same prefix sums the simulator uses."""
-    refl_t = _reflected(w, inst.target_ir, inst.doppler)
-    refl_c = _reflected(w, inst.clutter_ir, 0.0)
-    clen = _canvas_len(refl_t.size, inst.grid_n)
-    y_t0 = matched_filter(w, _place(clen, refl_t, _BASE))
-    y_c0 = matched_filter(w, _place(clen, refl_c, _BASE))
+    refl_t = reflected(w, inst.target_ir, inst.doppler)
+    refl_c = reflected(w, inst.clutter_ir, 0.0)
+    clen = canvas_len(refl_t.size, inst.grid_n)
+    y_t0 = matched_filter(w, place(clen, refl_t, _BASE))
+    y_c0 = matched_filter(w, place(clen, refl_c, _BASE))
     p0 = int(np.argmax(np.abs(y_t0)))
     win = window(p0 + delay, y_t0.size)
     c_prefix = np.concatenate([[0.0], np.cumsum(np.abs(y_c0) ** 2)])
@@ -543,12 +539,12 @@ def edge_instance(seed: int, **overrides) -> FstcInstance:
 @pytest.mark.parametrize("doppler", [0.0, 0.7])
 def test_simulator_terms_equal_per_waveform_oracle(doppler):
     # The oracle filters the placed echo with ``matched_filter`` and draws
-    # the noise in the complex form; the simulator convolves the kept
-    # autocorrelation (when doppler is 0) and uses the real noise map, so the
-    # two agree to rounding, not to the bit.
+    # the noise in the complex form from the track's own factor; the
+    # simulator convolves the tables' correlations with the taps and scales
+    # the unit noise map, so the two agree to rounding, not to the bit.
     inst = edge_instance(40, doppler=doppler)
     catalog = default_catalog()
-    sim = TrackSimulator(inst, catalog, np.random.default_rng(41), 129)
+    sim = simulator(inst, np.random.default_rng(41), 129)
     noise = oracles.complex_oracle_noise(inst, catalog, np.random.default_rng(41), 129)
     factors = [oracles.noise_factor(inst.noise_var, w) for w in catalog]
     sinr_target = 15.8
@@ -578,7 +574,7 @@ def test_clutter_table_equals_oracle_where_the_window_clips():
     inst = edge_instance(43)
     inst = replace(inst, target_ir=np.zeros_like(inst.target_ir))
     catalog = default_catalog(k=2)
-    sim = TrackSimulator(inst, catalog, np.random.default_rng(44), 1)
+    sim = simulator(inst, np.random.default_rng(44), 1, k=2)
     assert sim._clutter.shape == (inst.grid_n, len(catalog))
     for delay in range(inst.grid_n):
         for i, w in enumerate(catalog):
@@ -589,17 +585,73 @@ def test_clutter_table_equals_oracle_where_the_window_clips():
 
 @pytest.mark.parametrize("seed", [40, 43, 46, 49])
 def test_filtered_echo_equals_matched_filter_of_the_placed_echo(seed):
-    # the matched filter of an echo p * h is acorr(p) * h
+    # the table responses: the matched filter of an echo r (p * h) is
+    # xcorr(p, r p) * (r h), and at doppler 0 that is acorr(p) * h
     inst = default_instance(seed=seed)
-    for ir in (inst.target_ir, inst.clutter_ir, np.zeros_like(inst.target_ir)):
-        for w in default_catalog():
-            clen = _canvas_len(len(w) + ir.size - 1, inst.grid_n)
-            expected = matched_filter(w, _place(clen, np.convolve(w.samples, ir), _BASE))
-            got = _filtered_echo(w, ir, expected.size)
-            assert got.shape == expected.shape
-            peak = np.max(np.abs(expected))
-            assert np.max(np.abs(got - expected)) <= 1e-12 * peak
-            assert np.argmax(np.abs(got)) == np.argmax(np.abs(expected))
+    catalog = default_catalog()
+    for doppler in (0.0, 0.7, -2.3, 5.0):
+        tables = channel_tables(catalog, inst.target_ir.size, doppler)
+        for i, w in enumerate(catalog):
+            taps = np.stack([tables.tap_ramp[i] * inst.target_ir, inst.clutter_ir])
+            responses = (tables.windows[i] @ taps[:, :, None])[..., 0]
+            for row, ir, ramp in ((0, inst.target_ir, doppler), (1, inst.clutter_ir, 0.0)):
+                refl = reflected(w, ir, ramp)
+                clen = canvas_len(refl.size, inst.grid_n)
+                expected = matched_filter(w, place(clen, refl, _BASE))
+                got = place(expected.size, responses[row], _BASE)
+                peak = np.max(np.abs(expected))
+                assert np.max(np.abs(got - expected)) <= 1e-12 * peak
+                assert np.argmax(np.abs(got)) == np.argmax(np.abs(expected))
+
+
+@pytest.mark.parametrize("doppler", [0.0, 0.7])
+def test_track_draw_and_build_factor_and_filter_nothing(monkeypatch, doppler):
+    # per track, the draw reads the task distribution's kept tap root and
+    # the build reads the replicate's tables: no eigendecomposition,
+    # factor, Toeplitz matrix, convolution or matched filter
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    for owner, name in (
+        (np.linalg, "cholesky"), (np.linalg, "eigh"), (np, "convolve"),
+        (fstc, "toeplitz"), (fstc, "matched_filter"),
+    ):
+        count(owner, name)
+    dist = make_task_dist()
+    scene = make_scene(np.random.default_rng(60), doppler=doppler)
+    tables = channel_tables(default_catalog(), dist.ir_taps, doppler)
+    assert dist.tap_root.shape == (dist.ir_taps, dist.ir_taps)
+    # the counters see what the replicate builds once
+    assert (calls["eigh"], calls["cholesky"], calls["toeplitz"]) == (1, 5, 5)
+    assert calls["matched_filter"] == (5 if doppler else 0)
+    calls.clear()
+    rng = np.random.default_rng(61)
+    for track in range(3):
+        inst = draw_instance(dist, scene, 50, rng)
+        TrackSimulator(inst, tables, np.random.default_rng(track), 64)
+    assert calls == Counter()
+
+
+def test_table_windows_are_read_only():
+    tables = channel_tables(default_catalog(), 8, 0.7)
+    with pytest.raises(ValueError):
+        tables.windows[0][0, 0, 0] = 1.0
+
+
+def test_simulator_rejects_tables_of_another_scene():
+    inst = default_instance()
+    for taps, doppler in ((inst.target_ir.size, 0.7), (inst.target_ir.size + 1, 0.0)):
+        tables = channel_tables(default_catalog(), taps, doppler)
+        with pytest.raises(InvalidInput, match="channel tables"):
+            TrackSimulator(inst, tables, np.random.default_rng(0), 4)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -617,6 +669,10 @@ def test_one_draw_of_2w_normals_equals_two_draws_of_w_to_the_bit(seed):
             [two.standard_normal((n_draws, width)), two.standard_normal((n_draws, width))]
         )
         assert oracle_draw.tobytes() == pair.tobytes()
+    # the simulator draws every waveform's oracle normals in one call
+    batch = one.standard_normal((5, 2, 64, width))
+    for block in batch:
+        assert block.tobytes() == two.standard_normal((2, 64, width)).tobytes()
     assert one.random() == two.random()
 
 
@@ -625,17 +681,23 @@ def test_real_noise_map_equals_complex_form():
     inst = default_instance(seed=52)
     inst = replace(inst, clutter_ir=np.zeros_like(inst.clutter_ir))
     catalog = default_catalog()
-    sim = TrackSimulator(inst, catalog, np.random.default_rng(53), 129)
+    sim = simulator(inst, np.random.default_rng(53), 129)
     np.testing.assert_allclose(
         sim._noise,
         oracles.complex_oracle_noise(inst, catalog, np.random.default_rng(53), 129),
         rtol=1e-12,
     )
-    width = 2 * WINDOW_HALF + 1
     for i, w in enumerate(catalog):
+        # the map is the unit factor's real form scaled by sqrt(noise_var),
+        # to the bit, and the track's own factor's real form to rounding:
+        # within 1e-12 of the largest entry (entries a thousandth of it
+        # differ by up to 1.3e-12 of themselves)
+        unit = oracles.real_form(oracles.unit_noise_factor(w))
+        assert sim._noise_map[i].tobytes() == (np.sqrt(inst.noise_var) * unit).tobytes()
         lg = oracles.noise_factor(inst.noise_var, w)
-        real_form = np.block([[lg.real, -lg.imag], [lg.imag, lg.real]])
-        assert sim._noise_map[i].tobytes() == (real_form / np.sqrt(2.0 * width)).tobytes()
+        track = oracles.real_form(lg)
+        gap = np.max(np.abs(sim._noise_map[i] - track))
+        assert gap <= 1e-12 * np.max(np.abs(track))
         for seed in range(40):
             step = sim.step(0, 0, i, np.random.default_rng(seed))
             p_n = oracles.complex_noise_power(lg, np.random.default_rng(seed))

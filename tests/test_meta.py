@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavesel import harness, meta, waveforms
+from wavesel import fstc, harness, meta, waveforms
 from wavesel.bandit import SyntheticTrackEnv, run_track
 from wavesel.errors import DimensionMismatch, InvalidInput, InvalidVariance
 from wavesel.gaussmath import (
@@ -363,3 +363,20 @@ def test_runs_in_one_process_share_the_catalog_envelopes(monkeypatch, tmp_path):
     first, second = served
     assert len(first) == len(second) == 5
     assert all(a is b for a, b in zip(first, second))
+
+
+def test_a_physical_run_builds_the_channel_tables_once(monkeypatch, tmp_path):
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(args)
+        return fstc.channel_tables(*args, **kwargs)
+
+    monkeypatch.setattr(meta, "channel_tables", recording)
+    config = parse_config(
+        f"mode = physical\nm = 3\nn = 4\nk = 3\ndoppler = 0.7\nout_dir = {tmp_path}\n"
+    )
+    harness.run(config, "meta-ts", 0)
+    assert len(built) == 1
+    catalog, n_taps, doppler = built[0]
+    assert len(catalog) == 3 and n_taps == config.ir_taps and doppler == 0.7
