@@ -229,11 +229,11 @@ def run_meta_experiment(
     mode: str,
     seed: int,
     *,
-    k_arms: int = 5,
-    sigma_q_sq: float = 12.0,
-    sigma_sq: float = 0.33,
-    sinr_target_db: float = 12.0,
-    n_oracle_draws: int = 64,
+    k_arms: int,
+    sigma_q_sq: float,
+    sigma_sq: float,
+    sinr_target_db: float,
+    n_oracle_draws: int,
 ) -> tuple[list[TrackResult], list[MetaPosterior]]:
     """Run m tracks of n pulses under one policy and seed.
 
@@ -247,6 +247,7 @@ def run_meta_experiment(
     meta-TS samples a mean from the current belief; random and
     ts-uninformative use a zero-mean prior whose spread is the marginal
     variance sigma_q_sq + sigma0_sq of a weight under the hierarchy.
+    The keywords are required: ``harness.ExperimentConfig`` holds their defaults.
     """
     if m < 1 or n < 1:
         raise InvalidInput("m and n must be at least 1")

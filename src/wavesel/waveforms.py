@@ -8,14 +8,14 @@ interval with the quarter-band sweep b = N_SAMPLES / 4. Phase-coded pulses
 are constant-modulus chip sequences, each chip held for
 floor(N_SAMPLES / code length) samples, keeping only whole chips. Every
 envelope is normalized to unit energy so matched-filter outputs are
-directly comparable across the catalog.
+directly comparable across the catalog. The matched filter and each
+envelope's autocorrelation are one numpy primitive, ``np.correlate``.
 """
 
 from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
-from scipy import signal
 
 from .errors import EmptyInput, InvalidInput
 
@@ -39,9 +39,9 @@ class ComplexEnvelope:
 
     @cached_property
     def autocorrelation(self) -> np.ndarray:
-        """``np.correlate(samples, samples, "full")``, computed on first use
-        and kept (read-only): the zero lag sits at index len - 1."""
-        acorr = np.correlate(self.samples, self.samples, mode="full")
+        """The matched filter of the pulse against itself, computed on first
+        use and kept (read-only): the zero lag sits at index len - 1."""
+        acorr = matched_filter(self, self.samples)
         acorr.flags.writeable = False
         return acorr
 
@@ -104,14 +104,13 @@ def default_catalog(k: int = len(CATALOG_NAMES)) -> list[ComplexEnvelope]:
 
 
 def matched_filter(tx: ComplexEnvelope, rx: np.ndarray) -> np.ndarray:
-    """Full cross-correlation of rx against the pulse.
+    """Direct O(len(rx) * len(tx)) cross-correlation of rx against the pulse.
 
-    Equivalent to convolving rx with the filter conj(tx(-t)); output length
+    The same as convolving rx with the filter conj(tx(-t)); output length
     is len(rx) + len(tx) - 1 and the zero-delay response of an echo of the
     pulse itself lands at index len(tx) - 1.
     """
-    pulse = tx.samples
     rx = np.asarray(rx, dtype=complex)
-    if pulse.size == 0 or rx.size == 0:
+    if tx.samples.size == 0 or rx.size == 0:
         raise EmptyInput("matched filter needs non-empty tx and rx")
-    return signal.convolve(rx, np.conj(pulse[::-1]), mode="full", method="auto")
+    return np.correlate(rx, tx.samples, mode="full")

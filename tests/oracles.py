@@ -4,6 +4,7 @@ oracles."""
 from __future__ import annotations
 
 import numpy as np
+from scipy import signal
 from scipy.linalg import toeplitz
 
 from wavesel.bandit import COLD_MAX, COLD_MEAN, COLD_VAR, TIE_TOL
@@ -16,6 +17,19 @@ from wavesel.waveforms import default_catalog
 #: The clutter gains of a four-state scene, 4 ** (s - 1), as the harness
 #: builds them.
 STATE_GAIN = (0.25, 1.0, 4.0, 16.0)
+
+
+def experiment_keywords(config, **overrides) -> dict:
+    """The keywords ``harness.run`` passes ``run_meta_experiment`` for a
+    config, with any of them overridden."""
+    keywords = dict(
+        k_arms=config.k,
+        sigma_q_sq=config.sigma_q_sq,
+        sigma_sq=config.sigma_sq,
+        sinr_target_db=config.sinr_target_db,
+        n_oracle_draws=config.n_oracle_draws,
+    )
+    return keywords | overrides
 
 
 def posterior_mean_cov(p) -> tuple[np.ndarray, np.ndarray]:
@@ -54,6 +68,14 @@ def np_cholesky(m) -> tuple:
         return np.linalg.cholesky(m + JITTER * scale * np.eye(m.shape[0])), 1
     except np.linalg.LinAlgError:
         return None, 1
+
+
+def scipy_matched_filter(env, rx) -> np.ndarray:
+    """The matched filter as a convolution: rx convolved with the filter
+    conj(p(-t)) by scipy's direct method."""
+    p = env.samples
+    rx = np.asarray(rx, dtype=complex)
+    return signal.convolve(rx, np.conj(p[::-1]), mode="full", method="direct")
 
 
 def reflected(env, ir: np.ndarray, doppler: float) -> np.ndarray:

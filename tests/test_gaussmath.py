@@ -23,7 +23,7 @@ from wavesel.gaussmath import (
 from wavesel.harness import ExperimentConfig, build_scene
 from wavesel.meta import run_meta_experiment
 
-from oracles import np_cholesky, posterior_mean_cov
+from oracles import experiment_keywords, np_cholesky, posterior_mean_cov
 
 
 def random_spd(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -142,9 +142,12 @@ def test_package_factors_only_matrices_of_dimension_at_most_4(monkeypatch, mode)
         return dpotrf(a, **kwargs)
 
     monkeypatch.setattr(gaussmath, "dpotrf", recording_dpotrf)
-    task_dist, scene = build_scene(ExperimentConfig(), 0)
+    cfg = ExperimentConfig()
+    task_dist, scene = build_scene(cfg, 0)
     for policy in ("ts-uninformative", "meta-ts"):
-        run_meta_experiment(task_dist, scene, 2, 20, policy, mode, 0)
+        run_meta_experiment(
+            task_dist, scene, 2, 20, policy, mode, 0, **experiment_keywords(cfg)
+        )
     assert dims and max(dims) <= 4
 
 

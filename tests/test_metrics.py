@@ -25,7 +25,7 @@ from wavesel.metrics import (
     track_record,
 )
 
-from oracles import regret_increment
+from oracles import experiment_keywords, regret_increment
 
 
 def make_track(sinr, suboptimal=None, regret=None) -> TrackResult:
@@ -203,7 +203,7 @@ def test_kl_trace_finite_nonnegative():
     cfg = ExperimentConfig()
     task_dist, scene = build_scene(cfg, 2)
     _, history = run_meta_experiment(
-        task_dist, scene, 6, 50, "meta-ts", "synthetic", 2
+        task_dist, scene, 6, 50, "meta-ts", "synthetic", 2, **experiment_keywords(cfg)
     )
     trace = kl_trace(history, task_dist)
     assert trace.shape == (6,)

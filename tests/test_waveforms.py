@@ -1,10 +1,16 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wavesel
 from wavesel.errors import EmptyInput, InvalidInput
 from wavesel.waveforms import (
     CATALOG_NAMES,
@@ -14,7 +20,13 @@ from wavesel.waveforms import (
     matched_filter,
 )
 
-from oracles import cyclic_autocorrelation
+from oracles import (
+    canvas_len,
+    cyclic_autocorrelation,
+    place,
+    reflected,
+    scipy_matched_filter,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +183,53 @@ def test_matched_filter_rejects_empty_input():
     env = catalog_envelope("lfm")
     with pytest.raises(EmptyInput):
         matched_filter(env, np.array([], dtype=complex))
+
+
+@pytest.mark.parametrize("doppler", [0.0, 0.7, -2.3, 5.0])
+def test_matched_filter_equals_scipy_direct_convolution_to_the_bit(doppler):
+    # the inputs the package passes: each catalog pulse against its own
+    # Doppler-ramped copy, with the ramp of an 8-tap echo as the channel
+    # tables build it
+    for env in default_catalog():
+        echo_len = len(env) + 7
+        ramp = np.exp(2j * np.pi * doppler * (np.arange(echo_len) / echo_len))
+        rx = ramp[: len(env)] * env.samples
+        expected = scipy_matched_filter(env, rx)
+        assert matched_filter(env, rx).tobytes() == expected.tobytes()
+
+
+def test_matched_filter_of_a_placed_echo_equals_scipy_to_the_bit():
+    rng = np.random.default_rng(31)
+    env = catalog_envelope("expfm-2.8")
+    ir = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    refl = reflected(env, ir, 0.7)
+    rx = place(canvas_len(refl.size, 16), refl, 21)
+    assert matched_filter(env, rx).tobytes() == scipy_matched_filter(env, rx).tobytes()
+
+
+def test_matched_filtering_imports_no_scipy_signal(tmp_path):
+    # a fresh process imports the package and its command line, then runs
+    # one physical replicate whose Doppler cut goes through matched_filter
+    script = textwrap.dedent(f"""
+        import sys
+        import wavesel, wavesel.cli
+        from wavesel import harness
+        config = harness.parse_config(
+            "mode = physical\\ndoppler = 0.7\\nm = 1\\nn = 4\\nk = 2\\n"
+            "out_dir = {tmp_path.as_posix()}\\n"
+        )
+        harness.run(config, "meta-ts", 0)
+        print(sorted(name for name in sys.modules if name.startswith("scipy.signal")))
+    """)
+    src = str(Path(wavesel.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_autocorrelation_is_np_correlate_computed_once():
