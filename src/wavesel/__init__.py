@@ -5,7 +5,8 @@ The package splits into a small stack: Gaussian belief arithmetic
 the finite-state target channel (``fstc``), the per-track Thompson-sampling
 learner (``bandit``), the track-to-track meta level (``meta``), reporting
 over a replicate's stacked per-CPI record (``metrics``), and the batch
-experiment harness with its CLI (``harness``, ``cli``).
+experiment harness with its CLI (``harness``, ``cli``). numpy is the only
+runtime dependency.
 """
 
 __version__ = "0.1.0"
@@ -20,7 +21,7 @@ from .fstc import (
     compute_loss,
     draw_instance,
 )
-from .gaussmath import Gaussian, LinearPosterior, blr_update, kl_gaussian
+from .gaussmath import Gaussian, blr_update, kl_gaussian
 from .harness import ExperimentConfig, load_config, run_experiment
 from .meta import (
     POLICIES,
@@ -38,7 +39,6 @@ __all__ = [
     "__version__",
     "WaveselError",
     "Gaussian",
-    "LinearPosterior",
     "blr_update",
     "kl_gaussian",
     "ComplexEnvelope",

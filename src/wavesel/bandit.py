@@ -12,10 +12,16 @@ running max) with neutral fill values before any data arrives. The learner
 keeps a Bayesian linear-regression posterior over the weight vector, samples
 one weight draw per pulse, and transmits the waveform whose context scores
 highest under the draw (Agrawal & Goyal, ICML 2013). All of this state lives
-in one :class:`TsAgent` whose arrays are updated in place, one cell per
-pulse. An exact-linear synthetic environment generates losses straight from
-the context model, which makes the learner's behavior verifiable against
-closed-form oracles.
+in one :class:`TsAgent`. With three features the posterior is nine Python
+floats, so a pulse's draw, choice and update make no numpy call (see
+``gaussmath``); the Welford statistics and context table are arrays updated
+in place, one cell per pulse. The per-CPI steps are ``agent_contexts``,
+``posterior_gaussian`` (the factor), ``sample_gaussian`` (the draw),
+``pick_argmax``, ``record`` and ``blr_update``, each called through this
+module's namespace, where the benchmark's tracer times them; ROADMAP item 1
+will re-cut these spans. An exact-linear synthetic environment generates
+losses straight from the context model, which makes the learner's behavior
+verifiable against closed-form oracles.
 """
 
 import math
@@ -23,19 +29,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidInput
+from .errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    InvalidInput,
+    NotPositiveDefinite,
+)
 from .fstc import SceneWalk, unit_clip
 from .gaussmath import (
     Gaussian,
     blr_update,
+    packed_cov,
     posterior_gaussian,
     sample_gaussian,
-    to_linear_posterior,
 )
 
 COLD_MEAN = 0.5
 COLD_VAR = 1.0 / 12.0
 COLD_MAX = 0.5
+
+#: Features per context: (mean, variance, max).
+CONTEXT_DIM = 3
 
 #: Two expected losses within this of each other count as tied for regret
 #: and suboptimality accounting.
@@ -45,7 +59,10 @@ TIE_TOL = 1e-12
 class TsAgent:
     """Mutable learner state of one track.
 
-    ``posterior`` is the covariance-form belief over the weights.
+    ``mean`` and ``cov`` are the covariance-form belief over the weights, as
+    floats: the mean and the covariance's lower triangle packed row by row
+    (see ``gaussmath.packed_cov``), read from the prior's lower triangle;
+    ``noise_var`` is the observation noise variance.
     ``stats[o, w]`` is the Welford accumulator (count, mean, m2, max) of the
     losses seen for waveform w at observation o, and ``contexts[o, w]`` the
     context vector (mean, variance, max) derived from it, so ``contexts[o]``
@@ -57,10 +74,18 @@ class TsAgent:
     def __init__(self, prior: Gaussian, noise_var: float, n_obs: int, k_arms: int):
         if k_arms < 1:
             raise InvalidInput("k_arms must be at least 1")
-        self.posterior = to_linear_posterior(prior, noise_var)
+        if prior.dim != CONTEXT_DIM:
+            raise DimensionMismatch(
+                f"prior has dimension {prior.dim}, contexts have {CONTEXT_DIM}"
+            )
+        self.noise_var = float(noise_var)
+        if not self.noise_var > 0.0:
+            raise NotPositiveDefinite("noise_var must be strictly positive")
+        self.mean = prior.mean.tolist()
+        self.cov = packed_cov(prior.cov)
         self.stats = np.zeros((n_obs, k_arms, 4))
         self.stats[..., 3] = -np.inf
-        self.contexts = np.empty((n_obs, k_arms, 3))
+        self.contexts = np.empty((n_obs, k_arms, CONTEXT_DIM))
         self.contexts[...] = (COLD_MEAN, COLD_VAR, COLD_MAX)
 
 
@@ -73,17 +98,25 @@ def agent_contexts(agent: TsAgent, o: int) -> np.ndarray:
     return agent.contexts[o]
 
 
-def pick_argmax(theta: np.ndarray, contexts: np.ndarray) -> int:
-    """Index of the highest-scoring context; ties go to the lowest index."""
-    return int(np.matmul(contexts, theta).argmax())
+def pick_argmax(theta, contexts) -> int:
+    """Index of the highest-scoring context under the weights ``theta``,
+    scored in floats over the (K, 3) rows; the first maximum wins, as with
+    ``np.argmax``."""
+    t0, t1, t2 = theta
+    best, top = 0, -math.inf
+    for i, (c0, c1, c2) in enumerate(contexts):
+        score = c0 * t0 + c1 * t1 + c2 * t2
+        if score > top:
+            best, top = i, score
+    return best
 
 
-def record(agent: TsAgent, o: int, w: int, loss: float, phi: np.ndarray) -> None:
+def record(agent: TsAgent, o: int, w: int, loss: float, phi) -> None:
     """Fold one outcome into the agent in place.
 
     Performs the conjugate posterior update with ``phi``, the context that
-    was used at selection time, then updates the Welford cell (o, w) and its
-    context vector. ``phi`` may be a view of that cell.
+    was used at selection time (three floats), then updates the Welford cell
+    (o, w) and its context vector. ``phi`` may be a view of that cell.
     """
     n_obs, k_arms, _ = agent.stats.shape
     if not (0 <= o < n_obs and 0 <= w < k_arms):
@@ -93,7 +126,7 @@ def record(agent: TsAgent, o: int, w: int, loss: float, phi: np.ndarray) -> None
     x = float(loss)
     if not 0.0 <= x <= 1.0:
         raise InvalidInput(f"loss {x} outside [0, 1]")
-    blr_update(agent.posterior, phi, x)
+    agent.mean, agent.cov = blr_update(agent.mean, agent.cov, agent.noise_var, phi, x)
     cell = agent.stats[o, w]
     count, mean, m2, mx = cell.tolist()
     count += 1
@@ -202,20 +235,20 @@ def run_track(
     for k in range(n_cpis):
         s, o = env.step_scene(rng)
         phis = agent_contexts(agent, o)
+        offered[k] = phis
+        rows = phis.tolist()
         if thompson:
-            theta = sample_gaussian(posterior_gaussian(agent.posterior), rng)
-            idx = pick_argmax(theta, phis)
+            g = posterior_gaussian(agent.mean, agent.cov)
+            idx = pick_argmax(sample_gaussian(g, rng), rows)
         else:
             idx = int(rng.integers(k_arms))
-        offered[k] = phis
-        phi = phis[idx]
-        realized, sinr_k = env.realize(k, s, idx, phi, rng)
+        realized, sinr_k = env.realize(k, s, idx, phis[idx], rng)
         state.append(s)
         obs.append(o)
         waveform.append(idx)
         sinr.append(sinr_k)
         loss.append(realized)
-        record(agent, o, idx, realized, phi)
+        record(agent, o, idx, realized, rows[idx])
 
     state = np.array(state, dtype=int)
     waveform = np.array(waveform, dtype=int)

@@ -27,7 +27,6 @@ from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import toeplitz
 
 from .errors import InvalidInput, NotPositiveDefinite
 from .waveforms import matched_filter
@@ -306,6 +305,15 @@ class ChannelTables:
     unit_noise_map: np.ndarray
 
 
+def hermitian_toeplitz(col: np.ndarray) -> np.ndarray:
+    """The Hermitian Toeplitz matrix T with first column ``col``:
+    T[i, j] = col[i - j] on and below the diagonal, conj(col[j - i]) above
+    it, so the diagonal is col[0] as given."""
+    n = col.size
+    lag = np.arange(n)[:, None] - np.arange(n)
+    return np.where(lag >= 0, col[np.abs(lag)], np.conj(col)[np.abs(lag)])
+
+
 def channel_tables(catalog: list, n_taps: int, doppler: float) -> ChannelTables:
     """Build the :class:`ChannelTables` of ``catalog`` for echoes off
     ``n_taps``-tap impulse responses turned by ``doppler``.
@@ -342,8 +350,7 @@ def channel_tables(catalog: list, n_taps: int, doppler: float) -> ChannelTables:
         # window's product with taps h is entry n of the convolution with h
         windows.append(sliding_window_view(padded, n_taps, axis=1)[..., ::-1])
         mid = len(env) - 1
-        col = acorr[mid : mid + width]
-        gram = toeplitz(col, np.conj(col))
+        gram = hermitian_toeplitz(acorr[mid : mid + width])
         try:
             lg = np.linalg.cholesky(gram + 1e-12 * np.eye(width))
         except np.linalg.LinAlgError:

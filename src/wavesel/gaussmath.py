@@ -1,23 +1,28 @@
 """Multivariate Gaussian machinery used by every learning component.
 
 Beliefs live in moment form. :class:`Gaussian` is a plain (mean, covariance)
-pair, used for sampling and KL computations. :class:`LinearPosterior` is the
-covariance-form posterior of a Bayesian linear regression with known
-observation noise: :func:`blr_update` folds one observation in place with a
-Sherman-Morrison rank-1 step, so neither an update nor a draw needs a solve,
-and a draw factors the covariance once.
+pair, checked for shape and symmetry where it is built; the meta level
+samples and compares such pairs, and every per-track prior is one.
+:func:`cholesky` factors an array with ``np.linalg.cholesky`` and makes one
+counted, jittered retry before it gives up.
 
-Validation happens at the boundaries: constructing a :class:`Gaussian` or a
-:class:`LinearPosterior` checks shapes and symmetry. The per-CPI step is
-arithmetic only. :func:`blr_update` keeps the covariance symmetric to the
-bit, so :func:`posterior_gaussian` copies the moments without checking them
-again; :func:`blr_update` still checks the shape of the context it reads.
+The per-track learner's posterior over its three weights is nine floats: the
+mean (m0, m1, m2) and the covariance's lower triangle packed row by row,
+(c00, c10, c11, c20, c21, c22). Its per-CPI steps run on Python floats,
+without a numpy call: :func:`posterior_gaussian` factors the covariance in
+closed form, :func:`sample_gaussian` draws from the factored posterior and
+:func:`blr_update` folds one observation in with an unrolled
+Sherman-Morrison step. Only a covariance the closed form cannot factor goes
+to :func:`cholesky`, and so to its counted retry. The three names are the
+per-CPI spans the benchmark's tracer times (with ``bandit``'s
+``agent_contexts``, ``pick_argmax`` and ``record``); ROADMAP item 1 will
+re-cut these spans.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
@@ -35,27 +40,24 @@ _SYM_TOL = 1e-10
 def cholesky(m: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor of a symmetric PD matrix.
 
-    The square matrix goes straight to LAPACK ``dpotrf``, which reads the
-    lower triangle as ``np.linalg.cholesky`` does, without that function's
-    per-call checks; the factor is returned in C order, as
-    ``np.linalg.cholesky`` returns it, so a product with it runs the same
-    BLAS kernel. When ``dpotrf`` fails, it retries once with a jitter of
-    ``JITTER`` times the mean absolute diagonal, counted in
-    ``jitter_retries``, then raises :class:`NotPositiveDefinite`.
+    ``np.linalg.cholesky`` reads the lower triangle. When it fails, it is
+    retried once with a jitter of ``JITTER`` times the mean absolute
+    diagonal, counted in ``jitter_retries``; a second failure raises
+    :class:`NotPositiveDefinite`.
     """
     global jitter_retries
     m = np.asarray(m, dtype=float)
-    factor, info = dpotrf(m, lower=1, clean=1)
-    if info != 0:
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
         jitter_retries += 1
-        scale = float(np.mean(np.abs(np.diag(m))))
-        jittered = m + JITTER * scale * np.eye(m.shape[0])
-        factor, info = dpotrf(jittered, lower=1, clean=1)
-        if info != 0:
-            raise NotPositiveDefinite(
-                f"matrix of shape {m.shape} is not positive definite"
-            )
-    return factor.copy(order="C")
+    scale = float(np.mean(np.abs(np.diag(m))))
+    try:
+        return np.linalg.cholesky(m + JITTER * scale * np.eye(m.shape[0]))
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite(
+            f"matrix of shape {m.shape} is not positive definite"
+        ) from None
 
 
 def _check_gaussian(mean: np.ndarray, cov: np.ndarray) -> None:
@@ -84,85 +86,10 @@ class Gaussian:
         return self.mean.size
 
 
-@dataclass
-class LinearPosterior:
-    """Covariance-form posterior N(mean, cov) of a linear model with noise
-    variance sigma^2.
-
-    The object is mutable: :func:`blr_update` changes both arrays in place.
-    Construction copies its inputs, so no caller's arrays are aliased.
-    """
-
-    mean: np.ndarray
-    cov: np.ndarray
-    noise_var: float
-
-    def __post_init__(self):
-        self.mean = np.array(self.mean, dtype=float)
-        self.cov = np.array(self.cov, dtype=float)
-        self.noise_var = float(self.noise_var)
-        _check_gaussian(self.mean, self.cov)
-        if self.noise_var <= 0.0:
-            raise NotPositiveDefinite("noise_var must be strictly positive")
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-
 def isotropic_gaussian(mean: np.ndarray, var: float) -> Gaussian:
     """N(mean, var * I)."""
     mean = np.asarray(mean, dtype=float)
     return Gaussian(mean, var * np.eye(mean.size))
-
-
-def sample_gaussian(g: Gaussian, rng: np.random.Generator) -> np.ndarray:
-    """One draw x = mean + L z with L the Cholesky factor of cov."""
-    L = cholesky(g.cov)
-    return g.mean + L @ rng.standard_normal(g.dim)
-
-
-def to_linear_posterior(g: Gaussian, noise_var: float) -> LinearPosterior:
-    """Start a sequential posterior from a moment-form prior (copied)."""
-    return LinearPosterior(g.mean, g.cov, noise_var)
-
-
-def posterior_gaussian(p: LinearPosterior) -> Gaussian:
-    """Copies of the posterior's moments as a :class:`Gaussian`.
-
-    The moments were checked when ``p`` was built and :func:`blr_update`
-    keeps them well formed, so they are not checked again.
-    """
-    g = object.__new__(Gaussian)
-    object.__setattr__(g, "mean", p.mean.copy())
-    object.__setattr__(g, "cov", p.cov.copy())
-    return g
-
-
-def blr_update(p: LinearPosterior, phi: np.ndarray, loss: float) -> LinearPosterior:
-    """Conjugate update for one observation loss = <theta, phi> + noise.
-
-    Updates ``p`` in place and returns it, by Sherman-Morrison: with
-    k = cov phi and s = sigma^2 + phi^T k, the mean gains
-    k (loss - phi^T mean) / s and the covariance loses outer(k, k) / s.
-    The covariance stays symmetric to the bit, since a symmetric matrix
-    minus outer(k, k) / s is symmetric. ``phi`` is only read.
-    """
-    mean, cov = p.mean, p.cov
-    if type(phi) is not np.ndarray:
-        phi = np.asarray(phi, dtype=float)
-    if phi.shape != mean.shape:
-        raise DimensionMismatch(
-            f"context has shape {phi.shape}, posterior dimension is {p.dim}"
-        )
-    k = cov.dot(phi)
-    s = p.noise_var + float(phi.dot(k))
-    mean += k * ((float(loss) - float(phi.dot(mean))) / s)
-    # k[:, None] * k is np.outer(k, k), bit for bit
-    outer = k[:, None] * k
-    outer /= s
-    cov -= outer
-    return p
 
 
 def kl_gaussian(q: Gaussian, p: Gaussian) -> float:
@@ -184,3 +111,89 @@ def kl_gaussian(q: Gaussian, p: Gaussian) -> float:
         np.sum(np.log(np.diag(Lp))) - np.sum(np.log(np.diag(Lq)))
     )
     return 0.5 * (trace_term + quad_term - q.dim + logdet_term)
+
+
+# ---------------------------------------------------------------------------
+# the per-track posterior on floats
+
+
+def packed_cov(cov: np.ndarray) -> list:
+    """The lower triangle of a 3 x 3 covariance as floats packed row by row,
+    (c00, c10, c11, c20, c21, c22)."""
+    (c00, _, _), (c10, c11, _), (c20, c21, c22) = np.asarray(cov, dtype=float).tolist()
+    return [c00, c10, c11, c20, c21, c22]
+
+
+def posterior_gaussian(mean, cov) -> tuple:
+    """The posterior N(mean, cov) in the form a draw reads: the mean and the
+    lower Cholesky factor of ``cov``, packed as (l00, l10, l11, l20, l21,
+    l22).
+
+    ``cov`` is packed as :func:`packed_cov` packs it. The factor is closed
+    form; each column is scaled by the reciprocal of its pivot, as LAPACK's
+    unblocked factorization does. When a pivot is not positive (or is NaN),
+    the whole matrix goes to :func:`cholesky`, which makes its counted
+    jitter retry or raises :class:`NotPositiveDefinite`.
+    """
+    c00, c10, c11, c20, c21, c22 = cov
+    if c00 > 0.0:
+        l00 = math.sqrt(c00)
+        r = 1.0 / l00
+        l10 = c10 * r
+        l20 = c20 * r
+        d1 = c11 - l10 * l10
+        if d1 > 0.0:
+            l11 = math.sqrt(d1)
+            l21 = (c21 - l20 * l10) * (1.0 / l11)
+            d2 = c22 - (l20 * l20 + l21 * l21)
+            if d2 > 0.0:
+                return mean, (l00, l10, l11, l20, l21, math.sqrt(d2))
+    full = np.array([[c00, c10, c20], [c10, c11, c21], [c20, c21, c22]])
+    (l00, _, _), (l10, l11, _), (l20, l21, l22) = cholesky(full).tolist()
+    return mean, (l00, l10, l11, l20, l21, l22)
+
+
+def sample_gaussian(g: tuple, rng: np.random.Generator) -> tuple:
+    """One draw x = mean + L z of a :func:`posterior_gaussian`, from one
+    ``standard_normal(3)`` call: (x0, x1, x2)."""
+    (m0, m1, m2), (l00, l10, l11, l20, l21, l22) = g
+    z0, z1, z2 = rng.standard_normal(3).tolist()
+    return (
+        m0 + l00 * z0,
+        m1 + (l10 * z0 + l11 * z1),
+        m2 + (l20 * z0 + l21 * z1 + l22 * z2),
+    )
+
+
+def blr_update(mean, cov, noise_var: float, phi, loss: float) -> tuple:
+    """Conjugate update for one observation loss = <theta, phi> + noise:
+    the new (mean, cov), packed as the inputs are, which are only read.
+
+    By Sherman-Morrison: with k = cov phi and s = noise_var + phi^T k, the
+    mean gains k (loss - phi^T mean) / s and the covariance loses
+    outer(k, k) / s, entry by entry, so it stays symmetric.
+    """
+    try:
+        p0, p1, p2 = phi
+    except ValueError:
+        raise DimensionMismatch(
+            f"context has {len(phi)} entries, the posterior has 3 weights"
+        ) from None
+    m0, m1, m2 = mean
+    c00, c10, c11, c20, c21, c22 = cov
+    k0 = c00 * p0 + c10 * p1 + c20 * p2
+    k1 = c10 * p0 + c11 * p1 + c21 * p2
+    k2 = c20 * p0 + c21 * p1 + c22 * p2
+    s = noise_var + (p0 * k0 + p1 * k1 + p2 * k2)
+    gain = (loss - (p0 * m0 + p1 * m1 + p2 * m2)) / s
+    return (
+        [m0 + k0 * gain, m1 + k1 * gain, m2 + k2 * gain],
+        [
+            c00 - k0 * k0 / s,
+            c10 - k1 * k0 / s,
+            c11 - k1 * k1 / s,
+            c20 - k2 * k0 / s,
+            c21 - k2 * k1 / s,
+            c22 - k2 * k2 / s,
+        ],
+    )

@@ -17,6 +17,8 @@ from wavesel.harness import (
     track_csv_path,
 )
 
+from golden import sweep_config
+
 
 @dataclass
 class SweepResult:
@@ -54,16 +56,10 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 @pytest.fixture(scope="session")
 def synthetic_sweep(tmp_path_factory) -> SweepResult:
     out = tmp_path_factory.mktemp("synthetic_sweep")
-    config = ExperimentConfig(out_dir=str(out))
-    return run_sweep(config)
+    return run_sweep(sweep_config("synthetic_sweep", out))
 
 
 @pytest.fixture(scope="session")
 def physical_sweep(tmp_path_factory) -> SweepResult:
     out = tmp_path_factory.mktemp("physical_sweep")
-    config = ExperimentConfig(
-        mode="physical",
-        policies=("ts-uninformative", "ts-oracle", "meta-ts"),
-        out_dir=str(out),
-    )
-    return run_sweep(config)
+    return run_sweep(sweep_config("physical_sweep", out))

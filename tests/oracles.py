@@ -3,14 +3,16 @@ oracles."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy import signal
 from scipy.linalg import toeplitz
 
 from wavesel.bandit import COLD_MAX, COLD_MEAN, COLD_VAR, TIE_TOL
-from wavesel.errors import IndexOutOfRange
+from wavesel.errors import DimensionMismatch, IndexOutOfRange, NotPositiveDefinite
 from wavesel.fstc import SINR_CAP, WINDOW_HALF, TrackSimulator, channel_tables, observe
-from wavesel.gaussmath import JITTER, Gaussian, sample_gaussian
+from wavesel.gaussmath import JITTER, Gaussian, _check_gaussian, cholesky
 from wavesel.harness import PER_CPI_HEADER
 from wavesel.waveforms import default_catalog
 
@@ -32,9 +34,92 @@ def experiment_keywords(config, **overrides) -> dict:
     return keywords | overrides
 
 
+@dataclass
+class LinearPosterior:
+    """Covariance-form posterior N(mean, cov) of a linear model with noise
+    variance sigma^2, as arrays of any dimension: the reference for the
+    package's three-weight float posterior.
+
+    The object is mutable: :func:`blr_update` changes both arrays in place.
+    Construction copies its inputs, so no caller's arrays are aliased.
+    """
+
+    mean: np.ndarray
+    cov: np.ndarray
+    noise_var: float
+
+    def __post_init__(self):
+        self.mean = np.array(self.mean, dtype=float)
+        self.cov = np.array(self.cov, dtype=float)
+        self.noise_var = float(self.noise_var)
+        _check_gaussian(self.mean, self.cov)
+        if self.noise_var <= 0.0:
+            raise NotPositiveDefinite("noise_var must be strictly positive")
+
+    @property
+    def dim(self) -> int:
+        return self.mean.size
+
+
+def to_linear_posterior(g: Gaussian, noise_var: float) -> LinearPosterior:
+    """Start a sequential posterior from a moment-form prior (copied)."""
+    return LinearPosterior(g.mean, g.cov, noise_var)
+
+
+def posterior_gaussian(p: LinearPosterior) -> Gaussian:
+    """Copies of the posterior's moments as a :class:`Gaussian`, unchecked."""
+    g = object.__new__(Gaussian)
+    object.__setattr__(g, "mean", p.mean.copy())
+    object.__setattr__(g, "cov", p.cov.copy())
+    return g
+
+
+def sample_gaussian(g: Gaussian, rng: np.random.Generator) -> np.ndarray:
+    """One draw x = mean + L z with L the (counted) Cholesky factor of cov."""
+    L = cholesky(g.cov)
+    return g.mean + L @ rng.standard_normal(g.dim)
+
+
+def blr_update(p: LinearPosterior, phi: np.ndarray, loss: float) -> LinearPosterior:
+    """Conjugate update for one observation loss = <theta, phi> + noise, in
+    place, by Sherman-Morrison in array form: with k = cov phi and
+    s = sigma^2 + phi^T k, the mean gains k (loss - phi^T mean) / s and the
+    covariance loses outer(k, k) / s. ``phi`` is only read."""
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != p.mean.shape:
+        raise DimensionMismatch(
+            f"context has shape {phi.shape}, posterior dimension is {p.dim}"
+        )
+    k = p.cov.dot(phi)
+    s = p.noise_var + float(phi.dot(k))
+    p.mean += k * ((float(loss) - float(phi.dot(p.mean))) / s)
+    p.cov -= np.outer(k, k) / s
+    return p
+
+
 def posterior_mean_cov(p) -> tuple[np.ndarray, np.ndarray]:
     """Copies of a ``LinearPosterior``'s (mean, cov)."""
     return p.mean.copy(), p.cov.copy()
+
+
+def unpacked_cov(cov) -> np.ndarray:
+    """The full symmetric 3 x 3 matrix of a covariance packed as
+    ``gaussmath.packed_cov`` packs it."""
+    c00, c10, c11, c20, c21, c22 = cov
+    return np.array([[c00, c10, c20], [c10, c11, c21], [c20, c21, c22]])
+
+
+def float_posterior(mean, cov) -> tuple[np.ndarray, np.ndarray]:
+    """A float posterior's (mean, cov), such as a ``TsAgent``'s, as arrays
+    for comparison with the array forms above."""
+    return np.array(mean, dtype=float), unpacked_cov(cov)
+
+
+def largest_gap(got, want) -> float:
+    """Largest entry gap of two arrays relative to the largest entry of
+    ``want``."""
+    want = np.asarray(want, dtype=float)
+    return float(np.max(np.abs(np.asarray(got) - want)) / np.max(np.abs(want)))
 
 
 def cyclic_autocorrelation(env, lag: int) -> complex:

@@ -16,16 +16,15 @@ from wavesel.bandit import pick_argmax
 from wavesel.gaussmath import (
     Gaussian,
     blr_update,
-    isotropic_gaussian,
     kl_gaussian,
-    to_linear_posterior,
+    packed_cov,
 )
 from wavesel.harness import ExperimentConfig, run_experiment
 from wavesel.meta import POLICIES, TrackData, init_meta, meta_mean_cov, meta_update
 from wavesel.metrics import BoundInputs, pac_bayes_meta, pac_bayes_single
 from wavesel.waveforms import CATALOG_NAMES, catalog_envelope
 
-from oracles import cyclic_autocorrelation, posterior_mean_cov
+from oracles import cyclic_autocorrelation, float_posterior
 
 
 def _grid_meta_posterior(prior_mean, prior_cov, tracks, sigma0_sq, noise_var, points):
@@ -111,10 +110,10 @@ def test_02_sequential_updates_match_normal_equations():
         noise_var = float(rng.uniform(0.05, 2.0))
         X = rng.normal(size=(n_obs, 3))
         y = rng.normal(size=n_obs)
-        post = to_linear_posterior(isotropic_gaussian(prior_mean, prior_var), noise_var)
+        mean, cov = prior_mean.tolist(), packed_cov(prior_var * np.eye(3))
         for i in range(n_obs):
-            post = blr_update(post, X[i], y[i])
-        mean, cov = posterior_mean_cov(post)
+            mean, cov = blr_update(mean, cov, noise_var, X[i].tolist(), float(y[i]))
+        mean, cov = float_posterior(mean, cov)
         prec = np.eye(3) / prior_var + X.T @ X / noise_var
         direct_mean = np.linalg.solve(prec, prior_mean / prior_var + X.T @ y / noise_var)
         direct_cov = np.linalg.inv(prec)
@@ -253,18 +252,19 @@ def test_08_waveform_catalog_properties():
 def test_09_selection_frequency_law():
     rng = np.random.default_rng(71)
     contexts = np.array([[0.55, 0.10, 0.60], [0.45, 0.30, 0.70]])
-    post = to_linear_posterior(isotropic_gaussian(np.zeros(3), 1.0), 0.25)
+    mean, cov = [0.0, 0.0, 0.0], packed_cov(np.eye(3))
     X = np.array([[0.5, 0.2, 0.6], [0.6, 0.1, 0.4], [0.4, 0.3, 0.8]])
     y = np.array([0.4, 0.55, 0.5])
     for i in range(len(y)):
-        post = blr_update(post, X[i], y[i])
-    mean, cov = posterior_mean_cov(post)
+        mean, cov = blr_update(mean, cov, 0.25, X[i].tolist(), float(y[i]))
+    mean, cov = float_posterior(mean, cov)
     delta = contexts[1] - contexts[0]
     p_analytic = float(
         norm.cdf(float(delta @ mean) / np.sqrt(float(delta @ cov @ delta)))
     )
     draws = mean + rng.standard_normal((100_000, 3)) @ np.linalg.cholesky(cov).T
-    picks = np.array([pick_argmax(theta, contexts) for theta in draws])
+    rows = contexts.tolist()
+    picks = np.array([pick_argmax(theta, rows) for theta in draws.tolist()])
     freq = float(np.mean(picks == 1))
     print(
         f"acceptance 09 selection law: frequency {freq:.4f} vs "

@@ -31,13 +31,14 @@ from wavesel.fstc import (
 from wavesel.gaussmath import (
     blr_update,
     isotropic_gaussian,
+    packed_cov,
     posterior_gaussian,
     sample_gaussian,
-    to_linear_posterior,
 )
 from oracles import (
     STATE_GAIN,
-    posterior_mean_cov,
+    float_posterior,
+    largest_gap,
     reference_track,
     regret_increment,
     simulator,
@@ -55,8 +56,8 @@ def make_agent(prior_mean=(0.0, 0.0, 0.0), prior_var=1.0, k_arms=5, n_obs=4):
 
 def thompson_pick(agent: TsAgent, o: int, rng: np.random.Generator) -> int:
     """The Thompson step of run_track: one draw scores every context at o."""
-    theta = sample_gaussian(posterior_gaussian(agent.posterior), rng)
-    return pick_argmax(theta, agent_contexts(agent, o))
+    theta = sample_gaussian(posterior_gaussian(agent.mean, agent.cov), rng)
+    return pick_argmax(theta, agent_contexts(agent, o).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +155,26 @@ def test_identical_contexts_tie_to_lowest_index():
         assert thompson_pick(agent, 0, np.random.default_rng(seed)) == 0
 
 
+def test_exact_score_ties_go_to_the_lowest_index():
+    theta = (1.0, 0.0, 0.0)
+    for firsts, want in (([0.2, 0.7, 0.7, 0.5], 1), ([0.1, 0.1], 0),
+                         ([0.3, 0.2, 0.9, 0.9, 0.9], 2), ([-1.0, -1.0, -2.0], 0)):
+        contexts = [[x, 0.5, 0.5] for x in firsts]
+        assert pick_argmax(theta, contexts) == want
+        assert int(np.argmax(np.array(contexts) @ np.array(theta))) == want
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_pick_argmax_equals_np_argmax_of_the_scores(pyrandom):
+    # contexts on a coarse grid, so exact ties are common
+    rng = np.random.default_rng(pyrandom.getrandbits(32))
+    theta = rng.integers(-2, 3, size=3) / 2.0
+    contexts = rng.integers(0, 3, size=(int(rng.integers(1, 7)), 3)) / 4.0
+    want = int(np.argmax(contexts @ theta))
+    assert pick_argmax(theta.tolist(), contexts.tolist()) == want
+
+
 def test_selection_frequency_matches_normal_cdf():
     # Two arms with distinct recorded losses; the probability that arm 1
     # scores higher under a posterior draw is Phi(gap' mu / sqrt(gap' S gap)).
@@ -162,7 +183,7 @@ def test_selection_frequency_matches_normal_cdf():
     record(agent, 0, 1, 0.7, np.zeros(3))
     phis = agent_contexts(agent, 0)
     gap = phis[1] - phis[0]
-    mean, cov = posterior_mean_cov(agent.posterior)
+    mean, cov = float_posterior(agent.mean, agent.cov)
     p_arm1 = float(stats.norm.cdf(gap @ mean / np.sqrt(gap @ cov @ gap)))
 
     rng = np.random.default_rng(2)
@@ -182,7 +203,9 @@ def test_argmax_invariant_under_context_scaling(pyrandom):
     if top[1] - top[0] < 1e-9:
         return
     scale = float(rng.uniform(0.1, 10.0))
-    assert pick_argmax(theta, contexts) == pick_argmax(theta, scale * contexts)
+    assert pick_argmax(theta.tolist(), contexts.tolist()) == pick_argmax(
+        theta.tolist(), (scale * contexts).tolist()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +228,8 @@ def test_record_delegates_posterior_update():
     agent = TsAgent(prior, 0.1, 4, 5)
     phi = np.array([0.4, 0.1, 0.7])
     record(agent, 0, 0, 0.55, phi)
-    manual = blr_update(to_linear_posterior(prior, 0.1), phi, 0.55)
-    np.testing.assert_array_equal(agent.posterior.mean, manual.mean)
-    np.testing.assert_array_equal(agent.posterior.cov, manual.cov)
+    manual = blr_update(prior.mean.tolist(), packed_cov(prior.cov), 0.1, phi.tolist(), 0.55)
+    assert (agent.mean, agent.cov) == manual
 
 
 def test_record_means_match_brute_force():
@@ -247,14 +269,13 @@ def test_record_touches_only_its_own_cell():
 
 def test_record_rejects_loss_outside_unit_interval():
     agent = make_agent()
-    mean = agent.posterior.mean.copy()
-    cov = agent.posterior.cov.copy()
+    mean = list(agent.mean)
+    cov = list(agent.cov)
     for loss in (1.5, -0.1, float("nan")):
         with pytest.raises(InvalidInput):
             record(agent, 0, 0, loss, np.ones(3))
     assert np.all(agent.stats[..., 0] == 0)
-    np.testing.assert_array_equal(agent.posterior.mean, mean)
-    np.testing.assert_array_equal(agent.posterior.cov, cov)
+    assert (agent.mean, agent.cov) == (mean, cov)
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +340,12 @@ def test_posterior_mean_converges_under_round_robin():
     )
     noise_var = 0.05
     rng = np.random.default_rng(5)
-    post = to_linear_posterior(isotropic_gaussian(np.zeros(3), 10.0), noise_var)
+    mean, cov = [0.0, 0.0, 0.0], packed_cov(10.0 * np.eye(3))
     for k in range(10_000):
         phi = contexts[k % len(contexts)]
         y = float(phi @ theta_true + np.sqrt(noise_var) * rng.standard_normal())
-        post = blr_update(post, phi, y)
-    mean, _ = posterior_mean_cov(post)
-    assert np.max(np.abs(mean - theta_true)) < 0.05
+        mean, cov = blr_update(mean, cov, noise_var, phi.tolist(), y)
+    assert np.max(np.abs(np.array(mean) - theta_true)) < 0.05
 
 
 def run_synthetic_track(seed: int, explore: str = "ts"):
@@ -344,7 +364,7 @@ def test_run_track_output_shapes_and_ranges():
     assert np.all(result.regret_inc >= -1e-12)
     assert np.all((result.waveform >= 0) & (result.waveform < 5))
     assert result.contexts.shape == (150, 3)
-    assert agent.posterior.dim == 3
+    assert (len(agent.mean), len(agent.cov)) == (3, 6)
 
 
 def test_run_track_regret_accounting():
@@ -496,8 +516,12 @@ def test_run_track_equals_validated_reference_loop_to_the_bit(mode, explore):
     for name in ("state", "obs", "waveform", "sinr", "loss", "oracle_loss",
                  "regret_inc", "suboptimal", "contexts"):
         assert same_bits(getattr(result, name), expected[name]), name
-    assert same_bits(agent.posterior.mean, expected["post_mean"])
-    assert same_bits(agent.posterior.cov, expected["post_cov"])
+    # the float kernel sums in another order than the reference's BLAS calls
+    # (which may fuse multiply-adds), so the posterior may part in its last
+    # bits; every choice and every other column is identical
+    mean, cov = float_posterior(agent.mean, agent.cov)
+    assert largest_gap(mean, expected["post_mean"]) <= 1e-12
+    assert largest_gap(cov, expected["post_cov"]) <= 1e-12
     assert same_bits(agent.stats, expected["stats"])
     assert same_bits(agent.contexts, expected["agent_contexts"])
     if explore == "ts":

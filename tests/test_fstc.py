@@ -622,7 +622,7 @@ def test_track_draw_and_build_factor_and_filter_nothing(monkeypatch, doppler):
 
     for owner, name in (
         (np.linalg, "cholesky"), (np.linalg, "eigh"), (np, "convolve"),
-        (np, "correlate"), (fstc, "toeplitz"), (fstc, "matched_filter"),
+        (np, "correlate"), (fstc, "hermitian_toeplitz"), (fstc, "matched_filter"),
     ):
         count(owner, name)
     dist = make_task_dist()
@@ -632,7 +632,7 @@ def test_track_draw_and_build_factor_and_filter_nothing(monkeypatch, doppler):
     # the counters see what the replicate builds once; the correlation
     # count is left out, as the kept autocorrelations make it depend on
     # what ran before in the process
-    assert (calls["eigh"], calls["cholesky"], calls["toeplitz"]) == (1, 5, 5)
+    assert (calls["eigh"], calls["cholesky"], calls["hermitian_toeplitz"]) == (1, 5, 5)
     assert calls["matched_filter"] == (5 if doppler else 0)
     calls.clear()
     rng = np.random.default_rng(61)

@@ -4,26 +4,33 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dpotrf
 
-from wavesel import gaussmath
+from wavesel import gaussmath, meta
 from wavesel.bandit import SyntheticTrackEnv, run_track
 from wavesel.errors import DimensionMismatch, NotPositiveDefinite
 from wavesel.gaussmath import (
     Gaussian,
-    LinearPosterior,
-    blr_update,
     cholesky,
     isotropic_gaussian,
     kl_gaussian,
-    posterior_gaussian,
-    sample_gaussian,
-    to_linear_posterior,
+    packed_cov,
 )
 from wavesel.harness import ExperimentConfig, build_scene
 from wavesel.meta import run_meta_experiment
 
-from oracles import experiment_keywords, np_cholesky, posterior_mean_cov
+from oracles import (
+    LinearPosterior,
+    blr_update,
+    experiment_keywords,
+    float_posterior,
+    largest_gap,
+    np_cholesky,
+    posterior_gaussian,
+    posterior_mean_cov,
+    sample_gaussian,
+    to_linear_posterior,
+    unpacked_cov,
+)
 
 
 def random_spd(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -95,7 +102,7 @@ def cholesky_outcome(m) -> tuple:
     return factor, gaussmath.jitter_retries - before
 
 
-def same_outcome(got, want, bits: bool = True) -> bool:
+def same_outcome(got, want) -> bool:
     (factor, retries), (ref, ref_retries) = got, want
     if retries != ref_retries or (factor is None) != (ref is None):
         return False
@@ -103,16 +110,14 @@ def same_outcome(got, want, bits: bool = True) -> bool:
         return True
     if not factor.flags.c_contiguous or factor.shape != ref.shape:
         return False
-    if bits:
-        return factor.tobytes() == ref.tobytes()
-    return np.allclose(factor, ref, rtol=1e-12, atol=0.0)
+    return factor.tobytes() == ref.tobytes()
 
 
 @st.composite
-def spd_matrices(draw):
+def spd_matrices(draw, dims=st.integers(1, 6)):
     """D (A A^T + d I) D with entries of A in [-1, 1] and the diagonal of D
     in [1e-3, 1e3], so the diagonal of the matrix spans 1e-6 to 1e6."""
-    d = draw(st.integers(1, 6))
+    d = draw(dims)
     a = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d * d, max_size=d * d)))
     a = a.reshape(d, d)
     scale = 10.0 ** np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d)))
@@ -122,33 +127,41 @@ def spd_matrices(draw):
 @settings(max_examples=400, deadline=None)
 @given(spd_matrices())
 def test_cholesky_equals_np_linalg_path(m):
-    # The factor comes from scipy's LAPACK and the reference from numpy's;
-    # the two wheels bundle different OpenBLAS builds, whose potrf agree to
-    # the bit on the short dot products of d <= 4 (the package factors 3 x 3
-    # matrices only) and may part in the last bits beyond.
-    d = m.shape[0]
-    assert same_outcome(cholesky_outcome(m), np_cholesky(m), bits=d <= 4)
+    assert same_outcome(cholesky_outcome(m), np_cholesky(m))
+
+
+def recording_cholesky(monkeypatch) -> list:
+    """Route every call of ``gaussmath.cholesky``, in each namespace that
+    calls it, through a wrapper; returns the list of the shapes it sees."""
+    shapes = []
+    original = gaussmath.cholesky
+
+    def recording(m):
+        shapes.append(np.shape(m))
+        return original(m)
+
+    for owner in (gaussmath, meta):
+        monkeypatch.setattr(owner, "cholesky", recording)
+    return shapes
 
 
 @pytest.mark.parametrize("mode", ["synthetic", "physical"])
 def test_package_factors_only_matrices_of_dimension_at_most_4(monkeypatch, mode):
-    # Beyond d = 4 the factor may differ in its last bits from the one
-    # np.linalg.cholesky gives (see above), so a wider context would move
-    # the output bytes. Every factorization goes through gaussmath.dpotrf.
-    dims = []
-
-    def recording_dpotrf(a, **kwargs):
-        dims.append(np.shape(a)[0])
-        return dpotrf(a, **kwargs)
-
-    monkeypatch.setattr(gaussmath, "dpotrf", recording_dpotrf)
+    # gaussmath.cholesky factors the meta belief's d x d precision, once for
+    # each draw and once for each update of a meta-ts track, and a track
+    # posterior only when the closed form cannot: no call per CPI, and
+    # every factored matrix is 3 x 3.
+    shapes = recording_cholesky(monkeypatch)
     cfg = ExperimentConfig()
     task_dist, scene = build_scene(cfg, 0)
+    seen = {}
     for policy in ("ts-uninformative", "meta-ts"):
+        shapes.clear()
         run_meta_experiment(
             task_dist, scene, 2, 20, policy, mode, 0, **experiment_keywords(cfg)
         )
-    assert dims and max(dims) <= 4
+        seen[policy] = list(shapes)
+    assert seen == {"ts-uninformative": [], "meta-ts": [(3, 3)] * 4}
 
 
 @pytest.mark.parametrize(
@@ -173,7 +186,7 @@ def test_cholesky_edge_inputs_match_np_linalg_path(m):
 
 
 # ---------------------------------------------------------------------------
-# Gaussian / LinearPosterior construction
+# Gaussian / LinearPosterior (the array reference) construction
 
 
 def test_gaussian_rejects_asymmetric_cov():
@@ -198,7 +211,7 @@ def test_isotropic_gaussian():
 
 
 # ---------------------------------------------------------------------------
-# sample_gaussian
+# sample_gaussian, the array reference
 
 
 def test_sample_degenerate_cov_returns_mean():
@@ -224,7 +237,7 @@ def test_sample_deterministic_across_runs():
 
 
 # ---------------------------------------------------------------------------
-# blr_update
+# blr_update, the array reference
 
 
 def test_blr_one_step_scalar():
@@ -330,14 +343,13 @@ def test_blr_long_track_matches_batch_normal_equations():
         env, prior, cfg.sigma_sq, 3000, cfg.k, np.random.default_rng(0)
     )
     X, y = result.contexts, result.loss
-    post = agent.posterior
+    mean, cov = float_posterior(agent.mean, agent.cov)
     prec = np.eye(3) / prior_var + X.T @ X / cfg.sigma_sq
     batch_mean = np.linalg.solve(prec, X.T @ y / cfg.sigma_sq)
     batch_cov = np.linalg.inv(prec)
-    assert np.max(np.abs(post.mean - batch_mean)) < 1e-10 * np.max(np.abs(batch_mean))
-    assert np.max(np.abs(post.cov - batch_cov)) < 1e-10 * np.max(np.abs(batch_cov))
-    np.testing.assert_array_equal(post.cov, post.cov.T)
-    assert np.linalg.eigvalsh(post.cov).min() > 0.0
+    assert np.max(np.abs(mean - batch_mean)) < 1e-10 * np.max(np.abs(batch_mean))
+    assert np.max(np.abs(cov - batch_cov)) < 1e-10 * np.max(np.abs(batch_cov))
+    assert np.linalg.eigvalsh(cov).min() > 0.0
 
 
 def test_blr_variance_contracts_along_context():
@@ -413,3 +425,136 @@ def test_kl_nonnegative(pyrandom):
     q = Gaussian(rng.standard_normal(d), random_spd(rng, d))
     p = Gaussian(rng.standard_normal(d), random_spd(rng, d))
     assert kl_gaussian(q, p) >= -1e-12
+
+
+# ---------------------------------------------------------------------------
+# the float kernel: closed-form factor, draw and update against the arrays
+
+
+def float_factor_outcome(m) -> tuple:
+    """(factor or None, jittered retries) of ``gaussmath.posterior_gaussian``
+    on the packed lower triangle of ``m``, in the form ``np_cholesky``
+    reports."""
+    before = gaussmath.jitter_retries
+    try:
+        _, (l00, l10, l11, l20, l21, l22) = gaussmath.posterior_gaussian(
+            [0.0, 0.0, 0.0], packed_cov(m)
+        )
+        factor = np.array([[l00, 0.0, 0.0], [l10, l11, 0.0], [l20, l21, l22]])
+    except NotPositiveDefinite:
+        factor = None
+    return factor, gaussmath.jitter_retries - before
+
+
+@settings(max_examples=400, deadline=None)
+@given(spd_matrices(st.just(3)))
+def test_float_factor_matches_np_linalg_cholesky(m):
+    (factor, retries), (ref, ref_retries) = float_factor_outcome(m), np_cholesky(m)
+    assert retries == ref_retries == 0
+    assert np.max(np.abs(factor - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        np.outer([1.0, 2.0, -1.0], [1.0, 2.0, -1.0]),
+        1e-6 * np.outer([1.0, 2.0, -1.0], [1.0, 2.0, -1.0]),
+        np.zeros((3, 3)),
+        np.array([[4.0, np.nan, 0.0], [np.nan, 9.0, 0.0], [0.0, 0.0, 1.0]]),
+        np.array([[4.0, 0.0, 0.0], [0.0, 9.0, np.nan], [0.0, np.nan, 1.0]]),
+        np.full((3, 3), np.nan),
+        np.diag([1.0, 1.0, -1.0]),
+    ],
+    ids=["indefinite", "rank-1", "rank-1 small", "zero", "nan off-diagonal",
+         "nan last column", "nan", "negative last pivot"],
+)
+def test_float_factor_edge_inputs_match_np_linalg_path(m):
+    # every one has a pivot the closed form rejects, so it takes the
+    # fallback: the same outcome, bits and retry count as np_cholesky
+    assert same_outcome(float_factor_outcome(m), np_cholesky(m))
+
+
+def test_float_draw_is_mean_plus_factor_times_one_normal_draw():
+    g = Gaussian(np.array([0.3, -0.7, 1.1]), random_spd(np.random.default_rng(5), 3))
+    rng = np.random.default_rng(42)
+    theta = gaussmath.sample_gaussian(
+        gaussmath.posterior_gaussian(g.mean.tolist(), packed_cov(g.cov)), rng
+    )
+    ref_rng = np.random.default_rng(42)
+    assert largest_gap(theta, sample_gaussian(g, ref_rng)) < 1e-14
+    # both read one standard_normal(3) call, so the streams stay aligned
+    assert rng.random() == ref_rng.random()
+
+
+def test_float_draws_have_the_posterior_moments():
+    cov = np.array([[2.0, 0.3, -0.4], [0.3, 1.0, 0.2], [-0.4, 0.2, 0.5]])
+    g = gaussmath.posterior_gaussian([1.0, -2.0, 0.5], packed_cov(cov))
+    rng = np.random.default_rng(11)
+    draws = np.array([gaussmath.sample_gaussian(g, rng) for _ in range(100_000)])
+    assert np.max(np.abs(draws.mean(axis=0) - [1.0, -2.0, 0.5])) < 0.02
+    assert np.max(np.abs(np.cov(draws.T) - cov)) < 0.05
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=50, deadline=None)
+def test_float_update_matches_the_array_update(pyrandom):
+    rng = np.random.default_rng(pyrandom.getrandbits(32))
+    prior = Gaussian(rng.standard_normal(3), random_spd(rng, 3))
+    noise_var = float(rng.uniform(0.01, 2.0))
+    post = to_linear_posterior(prior, noise_var)
+    mean, cov = prior.mean.tolist(), packed_cov(prior.cov)
+    for _ in range(int(rng.integers(1, 300))):
+        phi, loss = rng.random(3), float(rng.random())
+        blr_update(post, phi, loss)
+        mean, cov = gaussmath.blr_update(mean, cov, noise_var, phi.tolist(), loss)
+    got_mean, got_cov = float_posterior(mean, cov)
+    assert largest_gap(got_mean, post.mean) < 1e-12
+    assert largest_gap(got_cov, post.cov) < 1e-12
+
+
+def test_float_update_reads_its_inputs_only():
+    mean, cov, phi = [0.2, -0.1, 0.4], [1.0, 0.3, 2.0, 0.0, 0.1, 0.5], [1.0, -1.0, 0.5]
+    copies = (list(mean), list(cov), list(phi))
+    new_mean, new_cov = gaussmath.blr_update(mean, cov, 0.5, phi, 0.3)
+    assert (mean, cov, phi) == copies
+    assert new_mean is not mean and new_cov is not cov
+    # the variance along phi contracts
+    phi_arr = np.array(phi)
+    assert phi_arr @ unpacked_cov(new_cov) @ phi_arr < phi_arr @ unpacked_cov(cov) @ phi_arr
+
+
+def test_float_update_rejects_wrong_context_dim():
+    with pytest.raises(DimensionMismatch):
+        gaussmath.blr_update([0.0] * 3, [1.0, 0.0, 1.0, 0.0, 0.0, 1.0], 0.1, [1.0, 2.0], 0.5)
+
+
+def synthetic_track(prior: Gaussian, n: int = 200):
+    cfg = ExperimentConfig()
+    task_dist, scene = build_scene(cfg, 0)
+    env = SyntheticTrackEnv(task_dist.mu_star, scene.state_proc, cfg.sigma_sq, 15.8)
+    return run_track(env, prior, cfg.sigma_sq, n, cfg.k, np.random.default_rng(3))
+
+
+def test_thompson_track_factors_nothing_on_a_well_conditioned_prior(monkeypatch):
+    shapes = recording_cholesky(monkeypatch)
+    before = gaussmath.jitter_retries
+    synthetic_track(isotropic_gaussian(np.zeros(3), 2.0))
+    assert shapes == []
+    assert gaussmath.jitter_retries == before
+    # a 1e-30 isotropic prior keeps its pivots positive, so it factors in
+    # closed form too
+    synthetic_track(isotropic_gaussian(np.zeros(3), 1e-30))
+    assert shapes == []
+
+
+def test_thompson_track_on_a_singular_prior_takes_the_counted_fallback(monkeypatch):
+    # a rank-1 covariance has a zero second pivot, and stays rank-1 under
+    # every update: each draw goes through cholesky's jittered retry
+    shapes = recording_cholesky(monkeypatch)
+    before = gaussmath.jitter_retries
+    v = np.array([0.5, 1.0, -0.5])
+    result, _ = synthetic_track(Gaussian(np.zeros(3), np.outer(v, v)), n=50)
+    assert shapes == [(3, 3)] * 50
+    assert gaussmath.jitter_retries - before == 50
+    assert np.all((result.loss >= 0.0) & (result.loss <= 1.0))

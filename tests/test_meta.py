@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 from wavesel import fstc, harness, meta, waveforms
 from wavesel.bandit import SyntheticTrackEnv, run_track
 from wavesel.errors import DimensionMismatch, InvalidInput, InvalidVariance
-from wavesel.gaussmath import (
-    LinearPosterior,
-    blr_update,
-    cholesky,
-    isotropic_gaussian,
-)
+from wavesel.gaussmath import cholesky, isotropic_gaussian
 from wavesel.harness import ExperimentConfig, build_scene, parse_config
 from wavesel.meta import (
     MetaPosterior,
@@ -29,7 +24,7 @@ from wavesel.meta import (
 )
 from wavesel.metrics import kl_trace
 
-from oracles import experiment_keywords, posterior_mean_cov
+from oracles import LinearPosterior, blr_update, experiment_keywords, posterior_mean_cov
 
 
 def flat_meta(sigma_q_sq=1.0, d=3, sigma0_sq=0.35, noise_var=0.33) -> MetaPosterior:

@@ -209,17 +209,20 @@ def test_matched_filter_of_a_placed_echo_equals_scipy_to_the_bit():
 
 def test_matched_filtering_imports_no_scipy_signal(tmp_path):
     # a fresh process imports the package and its command line, then runs
-    # one physical replicate whose Doppler cut goes through matched_filter
+    # one synthetic replicate and one physical replicate whose Doppler cut
+    # goes through matched_filter: numpy is the only runtime dependency, so
+    # no scipy module at all may be loaded
     script = textwrap.dedent(f"""
         import sys
         import wavesel, wavesel.cli
         from wavesel import harness
-        config = harness.parse_config(
-            "mode = physical\\ndoppler = 0.7\\nm = 1\\nn = 4\\nk = 2\\n"
-            "out_dir = {tmp_path.as_posix()}\\n"
-        )
-        harness.run(config, "meta-ts", 0)
-        print(sorted(name for name in sys.modules if name.startswith("scipy.signal")))
+        for mode, extra in (("synthetic", ""), ("physical", "doppler = 0.7\\n")):
+            config = harness.parse_config(
+                f"mode = {{mode}}\\n{{extra}}m = 1\\nn = 4\\nk = 2\\n"
+                f"out_dir = {tmp_path.as_posix()}/{{mode}}\\n"
+            )
+            harness.run(config, "meta-ts", 0)
+        print(sorted(name for name in sys.modules if name.startswith("scipy")))
     """)
     src = str(Path(wavesel.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
@@ -230,6 +233,7 @@ def test_matched_filtering_imports_no_scipy_signal(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["physical", "synthetic"]
 
 
 def test_autocorrelation_is_np_correlate_computed_once():
