@@ -12,16 +12,16 @@ running max) with neutral fill values before any data arrives. The learner
 keeps a Bayesian linear-regression posterior over the weight vector, samples
 one weight draw per pulse, and transmits the waveform whose context scores
 highest under the draw (Agrawal & Goyal, ICML 2013). All of this state lives
-in one :class:`TsAgent`. With three features the posterior is nine Python
-floats, so a pulse's draw, choice and update make no numpy call (see
-``gaussmath``); the Welford statistics and context table are arrays updated
-in place, one cell per pulse. The per-CPI steps are ``agent_contexts``,
-``posterior_gaussian`` (the factor), ``sample_gaussian`` (the draw),
-``pick_argmax``, ``record`` and ``blr_update``, each called through this
-module's namespace, where the benchmark's tracer times them; ROADMAP item 1
-will re-cut these spans. An exact-linear synthetic environment generates
-losses straight from the context model, which makes the learner's behavior
-verifiable against closed-form oracles.
+in one :class:`TsAgent` as Python floats: the posterior's nine (see
+``gaussmath``), and the Welford statistics and context table as nested
+lists, one cell updated per pulse, so a pulse's contexts, draw, choice and
+update make no numpy call. The per-CPI steps are ``agent_contexts`` (a
+snapshot), ``posterior_gaussian`` (the factor), ``sample_gaussian`` (the
+draw), ``pick_argmax``, ``record`` and ``blr_update``, each called through
+this module's namespace, where the benchmark's tracer times them; ROADMAP
+item 1 will re-cut these spans. An exact-linear synthetic environment
+generates losses straight from the context model, which makes the
+learner's behavior verifiable against closed-form oracles.
 """
 
 import math
@@ -29,12 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    InvalidInput,
-    NotPositiveDefinite,
-)
+from .errors import DimensionMismatch, IndexOutOfRange, InvalidInput, NotPositiveDefinite
 from .fstc import SceneWalk, unit_clip
 from .gaussmath import (
     Gaussian,
@@ -57,18 +52,18 @@ TIE_TOL = 1e-12
 
 
 class TsAgent:
-    """Mutable learner state of one track.
+    """Mutable learner state of one track, all of it Python floats.
 
-    ``mean`` and ``cov`` are the covariance-form belief over the weights, as
-    floats: the mean and the covariance's lower triangle packed row by row
-    (see ``gaussmath.packed_cov``), read from the prior's lower triangle;
+    ``mean`` and ``cov`` are the covariance-form belief over the weights:
+    the mean and the covariance's lower triangle packed row by row (see
+    ``gaussmath.packed_cov``), read from the prior's lower triangle;
     ``noise_var`` is the observation noise variance.
-    ``stats[o, w]`` is the Welford accumulator (count, mean, m2, max) of the
-    losses seen for waveform w at observation o, and ``contexts[o, w]`` the
-    context vector (mean, variance, max) derived from it, so ``contexts[o]``
-    is the contiguous (K, 3) block scored at observation o. Cells with no
-    data hold the neutral fill (0.5, 1/12, 0.5); a single sample keeps the
-    fill variance because its sample variance is undefined.
+    ``stats[o][w]`` is the Welford accumulator [count, mean, m2, max] of the
+    losses seen for waveform w at observation o, and ``contexts[o][w]`` the
+    context tuple (mean, variance, max) derived from it, so ``contexts[o]``
+    is the list of K rows scored at observation o. Cells with no data hold
+    the neutral fill (0.5, 1/12, 0.5); a single sample keeps the fill
+    variance because its sample variance is undefined.
     """
 
     def __init__(self, prior: Gaussian, noise_var: float, n_obs: int, k_arms: int):
@@ -83,25 +78,22 @@ class TsAgent:
             raise NotPositiveDefinite("noise_var must be strictly positive")
         self.mean = prior.mean.tolist()
         self.cov = packed_cov(prior.cov)
-        self.stats = np.zeros((n_obs, k_arms, 4))
-        self.stats[..., 3] = -np.inf
-        self.contexts = np.empty((n_obs, k_arms, CONTEXT_DIM))
-        self.contexts[...] = (COLD_MEAN, COLD_VAR, COLD_MAX)
+        self.stats = [[[0.0, 0.0, 0.0, -math.inf] for _ in range(k_arms)]
+                      for _ in range(n_obs)]
+        self.contexts = [[(COLD_MEAN, COLD_VAR, COLD_MAX)] * k_arms for _ in range(n_obs)]
 
 
-def agent_contexts(agent: TsAgent, o: int) -> np.ndarray:
-    """Context vectors of every waveform at observation o, shape (K, 3).
-
-    This is a view of the agent's table: ``record`` at observation o
-    changes it.
-    """
-    return agent.contexts[o]
+def agent_contexts(agent: TsAgent, o: int) -> tuple:
+    """Context tuples of every waveform at observation o: a snapshot, the
+    tuple of the K (mean, variance, max) rows, which a later ``record``
+    does not change."""
+    return tuple(agent.contexts[o])
 
 
 def pick_argmax(theta, contexts) -> int:
     """Index of the highest-scoring context under the weights ``theta``,
-    scored in floats over the (K, 3) rows; the first maximum wins, as with
-    ``np.argmax``."""
+    scored in floats over the K rows of three; the first maximum wins, as
+    with ``np.argmax``."""
     t0, t1, t2 = theta
     best, top = 0, -math.inf
     for i, (c0, c1, c2) in enumerate(contexts):
@@ -111,39 +103,37 @@ def pick_argmax(theta, contexts) -> int:
     return best
 
 
-def record(agent: TsAgent, o: int, w: int, loss: float, phi) -> None:
-    """Fold one outcome into the agent in place.
+def record(agent: TsAgent, o: int, w: int, loss: float) -> None:
+    """Fold one outcome of waveform w at observation o into the agent in
+    place.
 
-    Performs the conjugate posterior update with ``phi``, the context that
-    was used at selection time (three floats), then updates the Welford cell
-    (o, w) and its context vector. ``phi`` may be a view of that cell.
+    Performs the conjugate posterior update with the context of cell
+    (o, w), the row that was scored at selection time, then updates the
+    cell's Welford accumulator and context tuple.
     """
-    n_obs, k_arms, _ = agent.stats.shape
-    if not (0 <= o < n_obs and 0 <= w < k_arms):
+    stats = agent.stats
+    if not (0 <= o < len(stats) and 0 <= w < len(stats[o])):
         raise IndexOutOfRange(
-            f"cell ({o}, {w}) outside {n_obs} observations x {k_arms} waveforms"
+            f"cell ({o}, {w}) outside {len(stats)} observations x "
+            f"{len(stats[0]) if stats else 0} waveforms"
         )
     x = float(loss)
     if not 0.0 <= x <= 1.0:
         raise InvalidInput(f"loss {x} outside [0, 1]")
-    agent.mean, agent.cov = blr_update(agent.mean, agent.cov, agent.noise_var, phi, x)
-    cell = agent.stats[o, w]
-    count, mean, m2, mx = cell.tolist()
+    row = agent.contexts[o]
+    agent.mean, agent.cov = blr_update(agent.mean, agent.cov, agent.noise_var, row[w], x)
+    cell = stats[o][w]
+    count, mean, m2, mx = cell
     count += 1
     delta = x - mean
     mean = mean + delta / count
     m2 = m2 + delta * (x - mean)
     mx = max(mx, x)
-    cell[0], cell[1], cell[2], cell[3] = count, mean, m2, mx
-    context = agent.contexts[o, w]
-    context[0], context[1], context[2] = (
-        mean, m2 / count if count >= 2 else COLD_VAR, mx
-    )
+    cell[:] = count, mean, m2, mx
+    row[w] = (mean, m2 / count if count >= 2 else COLD_VAR, mx)
 
 
-def synthetic_loss(
-    theta: np.ndarray, phi: np.ndarray, noise_var: float, rng: np.random.Generator
-) -> float:
+def synthetic_loss(theta, phi, noise_var: float, rng: np.random.Generator) -> float:
     """Exact-linear loss clamp(<theta, phi> + noise) with Gaussian noise."""
     if noise_var < 0:
         raise InvalidInput("noise_var must be non-negative")
@@ -227,19 +217,17 @@ def run_track(
     if explore not in ("ts", "random"):
         raise InvalidInput(f"unknown exploration mode {explore!r}")
     agent = TsAgent(prior, noise_var, env.state_proc.n_states, k_arms)
-    state, obs, waveform, sinr, loss = [], [], [], [], []
-    # the (K, d) contexts each pulse chose from, before its record
-    offered = np.empty((n_cpis,) + agent.contexts.shape[1:])
+    # offered: the K contexts each pulse chose from, as snapshots
+    state, obs, waveform, sinr, loss, offered = [], [], [], [], [], []
 
     thompson = explore == "ts"
     for k in range(n_cpis):
         s, o = env.step_scene(rng)
         phis = agent_contexts(agent, o)
-        offered[k] = phis
-        rows = phis.tolist()
+        offered.append(phis)
         if thompson:
             g = posterior_gaussian(agent.mean, agent.cov)
-            idx = pick_argmax(sample_gaussian(g, rng), rows)
+            idx = pick_argmax(sample_gaussian(g, rng), phis)
         else:
             idx = int(rng.integers(k_arms))
         realized, sinr_k = env.realize(k, s, idx, phis[idx], rng)
@@ -248,15 +236,16 @@ def run_track(
         waveform.append(idx)
         sinr.append(sinr_k)
         loss.append(realized)
-        record(agent, o, idx, realized, rows[idx])
+        record(agent, o, idx, realized)
 
+    offered = np.array(offered, dtype=float).reshape(n_cpis, k_arms, CONTEXT_DIM)
     state = np.array(state, dtype=int)
     waveform = np.array(waveform, dtype=int)
     pulses = np.arange(n_cpis)
     expected = env.expected_losses(pulses, state, offered)
     oracle_loss = expected.max(axis=-1)
     chosen = expected[pulses, waveform]
-    result = TrackResult(
+    return TrackResult(
         state=state,
         obs=np.array(obs, dtype=int),
         waveform=waveform,
@@ -266,5 +255,4 @@ def run_track(
         regret_inc=oracle_loss - chosen,
         suboptimal=chosen < oracle_loss - TIE_TOL,
         contexts=offered[pulses, waveform],
-    )
-    return result, agent
+    ), agent

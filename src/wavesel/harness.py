@@ -26,7 +26,7 @@ from .bandit import TrackResult
 from .errors import EmptyInput, InvalidInput, IoError, ParseError, ValidationError
 from .fstc import SceneConfig, StateProcess, TaskDistribution, random_transition
 from .meta import POLICIES, policy_index, run_meta_experiment, scene_rng
-from .metrics import OUTAGE_DB, kl_trace, sinr_to_db, track_record
+from .metrics import DB_FLOOR, OUTAGE_DB, kl_trace, sinr_to_db, track_record
 from .waveforms import CATALOG_NAMES
 
 #: Fixed true prior mean for physical mode: positive weight on the running
@@ -161,6 +161,11 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
     for name in ("sigma_q_sq", "sigma0_sq", "sigma_sq", "noise_var"):
         if getattr(config, name) <= 0:
             raise ValidationError(name, "variance must be strictly positive")
+    # below -300 dB the linear target is under metrics.DB_FLOOR, the SINR the
+    # CSVs write as -300 dB; from about 3083 dB 10 ** (x / 10) overflows
+    limit = -10.0 * math.log10(DB_FLOOR)
+    if abs(config.sinr_target_db) > limit:
+        raise ValidationError("sinr_target_db", f"must lie in [{-limit:g}, {limit:g}] dB")
     if not 0.0 <= config.obs_flip_prob < 1.0:
         raise ValidationError("obs_flip_prob", "must lie in [0, 1)")
     if config.n_states < 2:
@@ -215,8 +220,12 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         )
     if config.mu_star is not None and len(config.mu_star) != 3:
         raise ValidationError("mu_star", "the context model uses exactly 3 features")
-    if not config.out_dir:
-        raise ValidationError("out_dir", "must be nonempty")
+    # serialize_config must write it back: the parser splits the text at
+    # line breaks, cuts each line at "#" and strips the value
+    out = config.out_dir
+    if not out or "#" in out or out != out.strip() or len(out.splitlines()) > 1:
+        raise ValidationError("out_dir", "must be nonempty, with no '#', no line "
+                              "break and no space at either end")
     return config
 
 

@@ -57,7 +57,7 @@ def make_agent(prior_mean=(0.0, 0.0, 0.0), prior_var=1.0, k_arms=5, n_obs=4):
 def thompson_pick(agent: TsAgent, o: int, rng: np.random.Generator) -> int:
     """The Thompson step of run_track: one draw scores every context at o."""
     theta = sample_gaussian(posterior_gaussian(agent.mean, agent.cov), rng)
-    return pick_argmax(theta, agent_contexts(agent, o).tolist())
+    return pick_argmax(theta, agent_contexts(agent, o))
 
 
 # ---------------------------------------------------------------------------
@@ -90,14 +90,14 @@ def test_cold_start_context():
 
 def test_single_sample_keeps_fill_variance():
     agent = make_agent()
-    record(agent, 1, 2, 0.8, np.zeros(3))
+    record(agent, 1, 2, 0.8)
     np.testing.assert_allclose(agent_contexts(agent, 1)[2], [0.8, COLD_VAR, 0.8])
 
 
 def test_context_population_statistics():
     agent = make_agent()
     for loss in (0.2, 0.4, 0.9):
-        record(agent, 0, 1, loss, np.zeros(3))
+        record(agent, 0, 1, loss)
     ctx = agent_contexts(agent, 0)[1]
     np.testing.assert_allclose(ctx, [0.5, 0.26 / 3.0, 0.9], atol=1e-12)
 
@@ -106,7 +106,7 @@ def test_record_rejects_waveform_out_of_range():
     agent = make_agent()
     for o, w in ((0, 5), (0, -1), (4, 0), (-1, 0)):
         with pytest.raises(IndexOutOfRange):
-            record(agent, o, w, 0.5, np.zeros(3))
+            record(agent, o, w, 0.5)
 
 
 def test_context_invariant_ranges_after_many_records():
@@ -118,7 +118,6 @@ def test_context_invariant_ranges_after_many_records():
             int(rng.integers(4)),
             int(rng.integers(3)),
             float(rng.random()),
-            np.zeros(3),
         )
     for o in range(4):
         for ctx in agent_contexts(agent, o):
@@ -128,14 +127,20 @@ def test_context_invariant_ranges_after_many_records():
             assert 0.0 <= mx <= 1.0
 
 
-def test_agent_contexts_is_a_contiguous_view_of_the_table():
+def test_record_leaves_an_earlier_snapshot_unchanged():
     agent = make_agent()
-    block = agent_contexts(agent, 2)
-    assert block.shape == (5, 3)
-    assert block.flags.c_contiguous
-    assert np.shares_memory(block, agent.contexts)
-    record(agent, 2, 3, 0.7, np.zeros(3))
-    np.testing.assert_array_equal(block[3], [0.7, COLD_VAR, 0.7])
+    record(agent, 2, 1, 0.4)
+    before = agent_contexts(agent, 2)
+    kept = [tuple(row) for row in before]
+    record(agent, 2, 3, 0.7)
+    record(agent, 2, 1, 0.9)
+    assert [tuple(row) for row in before] == kept
+    assert before[3] == (COLD_MEAN, COLD_VAR, COLD_MAX)
+    after = agent_contexts(agent, 2)
+    assert len(after) == 5
+    assert after[3] == (0.7, COLD_VAR, 0.7)
+    assert after[1] == (0.65, 0.0625, 0.9)
+    assert after[:1] + after[2:3] + after[4:] == before[:1] + before[2:3] + before[4:]
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +149,8 @@ def test_agent_contexts_is_a_contiguous_view_of_the_table():
 
 def test_point_mass_posterior_picks_higher_mean():
     agent = make_agent(prior_mean=(1.0, 0.0, 0.0), prior_var=1e-30, k_arms=2)
-    record(agent, 0, 0, 0.2, np.zeros(3))
-    record(agent, 0, 1, 0.9, np.zeros(3))
+    record(agent, 0, 0, 0.2)
+    record(agent, 0, 1, 0.9)
     assert thompson_pick(agent, 0, np.random.default_rng(1)) == 1
 
 
@@ -179,9 +184,9 @@ def test_selection_frequency_matches_normal_cdf():
     # Two arms with distinct recorded losses; the probability that arm 1
     # scores higher under a posterior draw is Phi(gap' mu / sqrt(gap' S gap)).
     agent = make_agent(prior_mean=(0.6, -0.1, 0.3), prior_var=0.8, k_arms=2)
-    record(agent, 0, 0, 0.3, np.zeros(3))
-    record(agent, 0, 1, 0.7, np.zeros(3))
-    phis = agent_contexts(agent, 0)
+    record(agent, 0, 0, 0.3)
+    record(agent, 0, 1, 0.7)
+    phis = np.array(agent_contexts(agent, 0))
     gap = phis[1] - phis[0]
     mean, cov = float_posterior(agent.mean, agent.cov)
     p_arm1 = float(stats.norm.cdf(gap @ mean / np.sqrt(gap @ cov @ gap)))
@@ -214,10 +219,9 @@ def test_argmax_invariant_under_context_scaling(pyrandom):
 
 def test_record_twice_same_value():
     agent = make_agent()
-    phi = np.array([0.5, COLD_VAR, 0.5])
-    record(agent, 2, 3, 0.6, phi)
-    record(agent, 2, 3, 0.6, phi)
-    count, mean, m2, _ = agent.stats[2, 3]
+    record(agent, 2, 3, 0.6)
+    record(agent, 2, 3, 0.6)
+    count, mean, m2, _ = agent.stats[2][3]
     assert count == 2
     assert mean == pytest.approx(0.6, abs=1e-15)
     assert m2 == pytest.approx(0.0, abs=1e-15)
@@ -226,10 +230,13 @@ def test_record_twice_same_value():
 def test_record_delegates_posterior_update():
     prior = isotropic_gaussian(np.zeros(3), 2.0)
     agent = TsAgent(prior, 0.1, 4, 5)
-    phi = np.array([0.4, 0.1, 0.7])
-    record(agent, 0, 0, 0.55, phi)
-    manual = blr_update(prior.mean.tolist(), packed_cov(prior.cov), 0.1, phi.tolist(), 0.55)
-    assert (agent.mean, agent.cov) == manual
+    manual = prior.mean.tolist(), packed_cov(prior.cov)
+    for o, w, loss in ((0, 0, 0.55), (0, 0, 0.2), (1, 0, 0.9), (0, 0, 0.4)):
+        phi = agent_contexts(agent, o)[w]
+        record(agent, o, w, loss)
+        manual = blr_update(*manual, 0.1, phi, loss)
+        assert (agent.mean, agent.cov) == manual
+    assert agent_contexts(agent, 0)[0] != (COLD_MEAN, COLD_VAR, COLD_MAX)
 
 
 def test_record_means_match_brute_force():
@@ -241,29 +248,26 @@ def test_record_means_match_brute_force():
         o = int(rng.integers(3))
         loss = float(rng.random())
         raw.setdefault((w, o), []).append(loss)
-        record(agent, o, w, loss, np.zeros(3))
+        record(agent, o, w, loss)
     for (w, o), losses in raw.items():
-        count, mean, _, mx = agent.stats[o, w]
+        count, mean, _, mx = agent.stats[o][w]
         assert count == len(losses)
         assert abs(mean - np.mean(losses)) < 1e-12
         assert abs(mx - np.max(losses)) < 1e-15
     untouched = [(o, w) for o in range(3) for w in range(4) if (w, o) not in raw]
     for o, w in untouched:
-        assert agent.stats[o, w, 0] == 0
+        assert agent.stats[o][w][0] == 0
 
 
 def test_record_touches_only_its_own_cell():
     agent = make_agent()
-    record(agent, 1, 1, 0.3, np.array([0.5, COLD_VAR, 0.5]))
-    stats_before = agent.stats.copy()
-    contexts_before = agent.contexts.copy()
-    phi = np.array([0.2, 0.05, 0.9])
-    phi_before = phi.copy()
-    record(agent, 0, 2, 0.4, phi)
-    np.testing.assert_array_equal(phi, phi_before)
-    changed = np.any(agent.stats != stats_before, axis=-1)
+    record(agent, 1, 1, 0.3)
+    stats_before = np.array(agent.stats)
+    contexts_before = np.array(agent.contexts)
+    record(agent, 0, 2, 0.4)
+    changed = np.any(np.array(agent.stats) != stats_before, axis=-1)
     assert list(zip(*np.nonzero(changed))) == [(0, 2)]
-    changed = np.any(agent.contexts != contexts_before, axis=-1)
+    changed = np.any(np.array(agent.contexts) != contexts_before, axis=-1)
     assert list(zip(*np.nonzero(changed))) == [(0, 2)]
 
 
@@ -273,8 +277,8 @@ def test_record_rejects_loss_outside_unit_interval():
     cov = list(agent.cov)
     for loss in (1.5, -0.1, float("nan")):
         with pytest.raises(InvalidInput):
-            record(agent, 0, 0, loss, np.ones(3))
-    assert np.all(agent.stats[..., 0] == 0)
+            record(agent, 0, 0, loss)
+    assert np.all(np.array(agent.stats)[..., 0] == 0)
     assert (agent.mean, agent.cov) == (mean, cov)
 
 
@@ -522,8 +526,8 @@ def test_run_track_equals_validated_reference_loop_to_the_bit(mode, explore):
     mean, cov = float_posterior(agent.mean, agent.cov)
     assert largest_gap(mean, expected["post_mean"]) <= 1e-12
     assert largest_gap(cov, expected["post_cov"]) <= 1e-12
-    assert same_bits(agent.stats, expected["stats"])
-    assert same_bits(agent.contexts, expected["agent_contexts"])
+    assert same_bits(np.array(agent.stats), expected["stats"])
+    assert same_bits(np.array(agent.contexts), expected["agent_contexts"])
     if explore == "ts":
         assert len(set(result.waveform.tolist())) > 1
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import string
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -156,6 +157,10 @@ def test_bad_value_reports_location():
         # top state gain 4 ** (n_states - 2) times clutter_power above 1e300
         ("n_states = 514\nmemory = 1", "n_states"),
         ("n_states = 498\nmemory = 1", "n_states"),
+        # the linear target 10 ** (x / 10) overflows, or falls under DB_FLOOR
+        ("sinr_target_db = 4000", "sinr_target_db"),
+        ("sinr_target_db = -4000", "sinr_target_db"),
+        ("sinr_target_db = 300.0000001", "sinr_target_db"),
     ],
 )
 def test_validation_failures_name_the_field(line, field):
@@ -227,6 +232,10 @@ _FIELD_VALUES = {
 @example("physical", {"target_power": "0"})
 @example("physical", {"k": 6})
 @example("synthetic", {"seeds": "-1"})
+@example("synthetic", {"sinr_target_db": "-300"})
+@example("physical", {"sinr_target_db": "-300"})
+@example("synthetic", {"sinr_target_db": "300"})
+@example("physical", {"sinr_target_db": "300"})
 def test_accepted_config_runs(tmp_path, mode, values):
     """Whatever parse_config accepts also runs: validation matches the
     checks the model itself makes, so no replicate fails after it starts."""
@@ -344,6 +353,25 @@ def test_serialize_round_trip_explicit_values():
         mode="physical",
         out_dir="runs/a",
     )
+    assert parse_config(serialize_config(config)) == config
+
+
+@given(st.one_of(st.text(string.printable), st.text()))
+@settings(max_examples=200, deadline=None)
+@example("runs#1")
+@example(" runs")
+@example("runs\t")
+@example("runs\n1")
+@example("runs\u20281")
+@example("runs\x851")
+@example("runs 1/a=b,c")
+def test_accepted_out_dir_survives_serialize_and_parse(out_dir):
+    config = replace(ExperimentConfig(), out_dir=out_dir)
+    try:
+        _validate(config)
+    except ValidationError as exc:
+        assert exc.field == "out_dir"
+        return
     assert parse_config(serialize_config(config)) == config
 
 
@@ -826,6 +854,15 @@ def test_cli_bad_flag_returns_two_naming_the_field(tmp_path, capsys, flag, value
     assert err.startswith(f"ValidationError: {field}: ")
     assert "line" not in err and "column" not in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["runs#1", "runs ", "runs\n1"])
+def test_cli_out_dir_config_text_cannot_hold_returns_two(tmp_path, capsys, name):
+    out = tmp_path / name
+    code = cli.main(["run", "--out", str(out), "--policies", "random", "--seeds", "0"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("ValidationError: out_dir: ")
     assert not out.exists()
 
 

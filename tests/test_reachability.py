@@ -3,7 +3,8 @@ or is deleted: every top-level function and class in the package must be
 named by package code other than its own body and the ``__init__``
 re-exports, unless it is an entry point below, and every dataclass field
 must be read by package code other than its class's ``__post_init__``,
-unless it is listed below."""
+unless it is listed below. No module of the package or its tests imports a
+name it never uses."""
 
 from __future__ import annotations
 
@@ -11,7 +12,9 @@ import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "wavesel"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "wavesel"
+TESTS = ROOT / "tests"
 
 #: (module, name) of the entry points that only callers outside the package
 #: reach. The PAC-Bayes evaluators stay here until a report command reads
@@ -129,3 +132,48 @@ def test_every_dataclass_field_is_read_in_the_package():
 
 def test_every_listed_unread_field_is_still_unread():
     assert UNREAD_FIELDS <= _unread_fields()
+
+
+def _unused_imports(source: str) -> list:
+    """(line, name) of every name a module's imports bind and the module
+    never reads. ``__future__`` imports and the names the module lists in
+    ``__all__``, such as the ``__init__`` re-exports, are exempt."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) == "__all__" for target in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_unused_import_scan_flags_only_unread_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, numpy as np\n"
+        "import scipy.linalg\n"
+        "from math import pi, tau\n"
+        "from .errors import Kept\n"
+        "__all__ = ['Kept']\n"
+        "def f():\n"
+        "    return np.zeros(1) * pi + scipy.linalg.norm(1)\n"
+    )
+    assert _unused_imports(source) == [(2, "os"), (4, "tau")]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for path in sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")])
+        for line, name in _unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert not unused, f"imported and never used: {unused}"
