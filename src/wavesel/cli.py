@@ -30,7 +30,7 @@ def _cmd_run(args) -> int:
         for key in _RUN_FLAG_KEYS
         if getattr(args, key) is not None
     }
-    config = harness._validate(replace(config, **overrides))
+    config = replace(config, **overrides)
     summaries = harness.run_experiment(config)
     for s in summaries:
         print(

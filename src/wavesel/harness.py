@@ -65,7 +65,14 @@ AGG_METRICS = {
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full experiment parameterization; field names are the config keys and
-    the annotations their types (see ``_KEY_TYPES``)."""
+    the annotations their types (see ``_KEY_TYPES``).
+
+    Valid by construction: built from config text, from CLI flags, by a
+    call or by ``replace``, a config checks every value and raises a
+    ``ValidationError`` naming the first bad field. A list key takes a
+    tuple, an int key an int but no bool, and a float key a float or an
+    int, which it holds as a float.
+    """
 
     m: int = 50
     n: int = 200
@@ -90,6 +97,83 @@ class ExperimentConfig:
     policies: tuple[str, ...] = POLICIES
     mode: str = "synthetic"
     out_dir: str = "out"
+
+    def __post_init__(self):
+        for key in _KEY_TYPES:
+            object.__setattr__(self, key, _typed(key, getattr(self, key)))
+        for name in ("m", "n", "k"):
+            if getattr(self, name) < 1:
+                raise ValidationError(name, "must be at least 1")
+        for name in ("sigma_q_sq", "sigma0_sq", "sigma_sq", "noise_var"):
+            if getattr(self, name) <= 0:
+                raise ValidationError(name, "variance must be strictly positive")
+        # below -300 dB the linear target is under metrics.DB_FLOOR, the SINR the
+        # CSVs write as -300 dB; from about 3083 dB 10 ** (x / 10) overflows
+        limit = -10.0 * math.log10(DB_FLOOR)
+        if abs(self.sinr_target_db) > limit:
+            raise ValidationError(
+                "sinr_target_db", f"must lie in [{-limit:g}, {limit:g}] dB"
+            )
+        if not 0.0 <= self.obs_flip_prob < 1.0:
+            raise ValidationError("obs_flip_prob", "must lie in [0, 1)")
+        if self.n_states < 2:
+            raise ValidationError("n_states", "must be at least 2")
+        if self.memory < 1:
+            raise ValidationError("memory", "must be at least 1")
+        # memory > 18 is over the limit for any n_states >= 2; testing it first
+        # keeps the power small
+        if self.memory > 18 or self.n_states ** self.memory > MAX_TRANSITION_ENTRIES:
+            key = "memory" if self.memory > 1 else "n_states"
+            raise ValidationError(
+                key, f"n_states ** memory exceeds {MAX_TRANSITION_ENTRIES} transition "
+                f"table entries; lower {key}"
+            )
+        for name in ("grid_n", "ir_taps", "n_oracle_draws"):
+            if getattr(self, name) < 1:
+                raise ValidationError(name, "must be at least 1")
+        if self.ir_kernel_scale <= 0:
+            raise ValidationError("ir_kernel_scale", "must be strictly positive")
+        # A zero target echo gives SINR 0 under every waveform: zero loss and
+        # zero regret at every CPI, which reads as a perfect learner.
+        if self.target_power <= 0:
+            raise ValidationError("target_power", "must be strictly positive")
+        if self.clutter_power < 0:
+            raise ValidationError("clutter_power", "must be nonnegative")
+        # in log space: 4.0 ** (n_states - 2) itself overflows from n_states = 514
+        log_scale = (self.n_states - 2) * math.log(4.0)
+        log_scale += math.log(max(self.clutter_power, 1.0))
+        if log_scale > math.log(MAX_CLUTTER_SCALE):
+            raise ValidationError(
+                "n_states", f"state gain 4 ** (n_states - 2) times "
+                f"max(clutter_power, 1) exceeds {MAX_CLUTTER_SCALE:g}; lower n_states"
+            )
+        if not self.seeds:
+            raise ValidationError("seeds", "at least one seed is required")
+        if min(self.seeds) < 0:
+            raise ValidationError("seeds", "seeds must be nonnegative")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValidationError("seeds", "a seed is listed more than once")
+        if not self.policies:
+            raise ValidationError("policies", "at least one policy is required")
+        for p in self.policies:
+            if p not in POLICIES:
+                raise ValidationError("policies", f"unknown policy {p!r}")
+        if len(set(self.policies)) != len(self.policies):
+            raise ValidationError("policies", "a policy is listed more than once")
+        if self.mode not in ("synthetic", "physical"):
+            raise ValidationError("mode", f"unknown mode {self.mode!r}")
+        if self.mode == "physical" and self.k > len(CATALOG_NAMES):
+            raise ValidationError(
+                "k", f"physical mode has a catalog of {len(CATALOG_NAMES)} waveforms"
+            )
+        if self.mu_star is not None and len(self.mu_star) != 3:
+            raise ValidationError("mu_star", "the context model uses exactly 3 features")
+        # serialize_config must write it back: the parser splits the text at
+        # line breaks, cuts each line at "#" and strips the value
+        out = self.out_dir
+        if not out or "#" in out or out != out.strip() or len(out.splitlines()) > 1:
+            raise ValidationError("out_dir", "must be nonempty, with no '#', no line "
+                                  "break and no space at either end")
 
 
 #: Largest state-transition table, n_states ** memory entries, a config may
@@ -124,12 +208,31 @@ def _key_type(annotation) -> tuple[type, bool, bool]:
 _KEY_TYPES = {f.name: _key_type(f.type) for f in fields(ExperimentConfig)}
 
 
-def _items(key: str, value) -> tuple:
-    """The items of one config value: none for ``auto``, else the list or
-    the scalar alone."""
-    if value is None:
-        return ()
-    return value if _KEY_TYPES[key][1] else (value,)
+def _accepts(kind: type, item) -> bool:
+    """Whether ``item`` may stand for a config value of type ``kind``: a bool
+    is no int, and an int may stand for a float."""
+    if isinstance(item, bool):
+        return False
+    return isinstance(item, kind) or kind is float and isinstance(item, int)
+
+
+def _typed(key: str, value):
+    """``value`` checked against the type ``_KEY_TYPES`` gives ``key``, with
+    float items made floats; a bad value raises a ``ValidationError``."""
+    kind, is_list, optional = _KEY_TYPES[key]
+    if value is None and optional:
+        return None
+    items = value if is_list else (value,)
+    if not isinstance(items, tuple) or not all(_accepts(kind, v) for v in items):
+        raise ValidationError(key, f"must be {'a tuple of ' if is_list else ''}{kind.__name__}")
+    if kind is float:
+        try:
+            items = tuple(map(float, items))
+        except OverflowError:
+            raise ValidationError(key, "must be finite") from None
+        if not all(map(math.isfinite, items)):
+            raise ValidationError(key, "must be finite")
+    return items if is_list else items[0]
 
 
 def _parse_value(key: str, text: str, line: int | None = None, column: int | None = None):
@@ -147,86 +250,6 @@ def _parse_value(key: str, text: str, line: int | None = None, column: int | Non
         if line is None:
             raise ValidationError(key, f"bad value {text!r}") from None
         raise ParseError(f"bad value for {key}: {text!r}", line, column) from None
-
-
-def _validate(config: ExperimentConfig) -> ExperimentConfig:
-    """Reject every value the model itself would reject, naming the field,
-    before any replicate starts."""
-    for key, (kind, _, _) in _KEY_TYPES.items():
-        if kind is float and not all(map(math.isfinite, _items(key, getattr(config, key)))):
-            raise ValidationError(key, "must be finite")
-    for name in ("m", "n", "k"):
-        if getattr(config, name) < 1:
-            raise ValidationError(name, "must be at least 1")
-    for name in ("sigma_q_sq", "sigma0_sq", "sigma_sq", "noise_var"):
-        if getattr(config, name) <= 0:
-            raise ValidationError(name, "variance must be strictly positive")
-    # below -300 dB the linear target is under metrics.DB_FLOOR, the SINR the
-    # CSVs write as -300 dB; from about 3083 dB 10 ** (x / 10) overflows
-    limit = -10.0 * math.log10(DB_FLOOR)
-    if abs(config.sinr_target_db) > limit:
-        raise ValidationError("sinr_target_db", f"must lie in [{-limit:g}, {limit:g}] dB")
-    if not 0.0 <= config.obs_flip_prob < 1.0:
-        raise ValidationError("obs_flip_prob", "must lie in [0, 1)")
-    if config.n_states < 2:
-        raise ValidationError("n_states", "must be at least 2")
-    if config.memory < 1:
-        raise ValidationError("memory", "must be at least 1")
-    # memory > 18 is over the limit for any n_states >= 2; testing it first
-    # keeps the power small
-    if config.memory > 18 or config.n_states ** config.memory > MAX_TRANSITION_ENTRIES:
-        key = "memory" if config.memory > 1 else "n_states"
-        raise ValidationError(
-            key, f"n_states ** memory exceeds {MAX_TRANSITION_ENTRIES} transition "
-            f"table entries; lower {key}"
-        )
-    for name in ("grid_n", "ir_taps", "n_oracle_draws"):
-        if getattr(config, name) < 1:
-            raise ValidationError(name, "must be at least 1")
-    if config.ir_kernel_scale <= 0:
-        raise ValidationError("ir_kernel_scale", "must be strictly positive")
-    # A zero target echo gives SINR 0 under every waveform: zero loss and
-    # zero regret at every CPI, which reads as a perfect learner.
-    if config.target_power <= 0:
-        raise ValidationError("target_power", "must be strictly positive")
-    if config.clutter_power < 0:
-        raise ValidationError("clutter_power", "must be nonnegative")
-    # in log space: 4.0 ** (n_states - 2) itself overflows from n_states = 514
-    log_scale = (config.n_states - 2) * math.log(4.0)
-    log_scale += math.log(max(config.clutter_power, 1.0))
-    if log_scale > math.log(MAX_CLUTTER_SCALE):
-        raise ValidationError(
-            "n_states", f"state gain 4 ** (n_states - 2) times "
-            f"max(clutter_power, 1) exceeds {MAX_CLUTTER_SCALE:g}; lower n_states"
-        )
-    if not config.seeds:
-        raise ValidationError("seeds", "at least one seed is required")
-    if min(config.seeds) < 0:
-        raise ValidationError("seeds", "seeds must be nonnegative")
-    if len(set(config.seeds)) != len(config.seeds):
-        raise ValidationError("seeds", "a seed is listed more than once")
-    if not config.policies:
-        raise ValidationError("policies", "at least one policy is required")
-    for p in config.policies:
-        if p not in POLICIES:
-            raise ValidationError("policies", f"unknown policy {p!r}")
-    if len(set(config.policies)) != len(config.policies):
-        raise ValidationError("policies", "a policy is listed more than once")
-    if config.mode not in ("synthetic", "physical"):
-        raise ValidationError("mode", f"unknown mode {config.mode!r}")
-    if config.mode == "physical" and config.k > len(CATALOG_NAMES):
-        raise ValidationError(
-            "k", f"physical mode has a catalog of {len(CATALOG_NAMES)} waveforms"
-        )
-    if config.mu_star is not None and len(config.mu_star) != 3:
-        raise ValidationError("mu_star", "the context model uses exactly 3 features")
-    # serialize_config must write it back: the parser splits the text at
-    # line breaks, cuts each line at "#" and strips the value
-    out = config.out_dir
-    if not out or "#" in out or out != out.strip() or len(out.splitlines()) > 1:
-        raise ValidationError("out_dir", "must be nonempty, with no '#', no line "
-                              "break and no space at either end")
-    return config
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -248,7 +271,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if not value_text:
             raise ParseError(f"missing value for {key}", lineno, eq + 2)
         values[key] = _parse_value(key, value_text, lineno, eq + 2)
-    return _validate(ExperimentConfig(**values))
+    return ExperimentConfig(**values)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -263,10 +286,11 @@ def load_config(path: str) -> ExperimentConfig:
 def serialize_config(config: ExperimentConfig) -> str:
     """Emit config text that parses back to an equal config."""
     lines = []
-    for key, (kind, _, _) in _KEY_TYPES.items():
+    for key, (kind, is_list, _) in _KEY_TYPES.items():
         value = getattr(config, key)
         text = "auto" if value is None else ",".join(
-            repr(float(v)) if kind is float else str(v) for v in _items(key, value)
+            repr(float(v)) if kind is float else str(v)
+            for v in (value if is_list else (value,))
         )
         lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
@@ -402,20 +426,7 @@ def run(
     """
     started = time.perf_counter()
     task_dist, scene = build_scene(config, seed)
-    results, history = run_meta_experiment(
-        task_dist,
-        scene,
-        config.m,
-        config.n,
-        policy,
-        config.mode,
-        seed,
-        k_arms=config.k,
-        sigma_q_sq=config.sigma_q_sq,
-        sigma_sq=config.sigma_sq,
-        sinr_target_db=config.sinr_target_db,
-        n_oracle_draws=config.n_oracle_draws,
-    )
+    results, history = run_meta_experiment(config, task_dist, scene, policy, seed)
     record = track_record(results)
     sinr_db = sinr_to_db(record.sinr)
     outage = sinr_db < OUTAGE_DB

@@ -221,21 +221,12 @@ def oracle_rng(seed: int, track: int) -> np.random.Generator:
 
 
 def run_meta_experiment(
-    task_dist: TaskDistribution,
-    scene: SceneConfig,
-    m: int,
-    n: int,
-    policy: str,
-    mode: str,
-    seed: int,
-    *,
-    k_arms: int,
-    sigma_q_sq: float,
-    sigma_sq: float,
-    sinr_target_db: float,
-    n_oracle_draws: int,
+    config, task_dist: TaskDistribution, scene: SceneConfig, policy: str, seed: int
 ) -> tuple[list[TrackResult], list[MetaPosterior]]:
-    """Run m tracks of n pulses under one policy and seed.
+    """Run ``config.m`` tracks of ``config.n`` pulses under one policy and seed.
+
+    ``config`` is a ``harness.ExperimentConfig``; ``task_dist`` and ``scene``
+    are the seed's draw from ``harness.build_scene(config, seed)``.
 
     Per track: draw the episode (a latent weight vector in synthetic mode, a
     full channel instance in physical mode), pick the policy's instance
@@ -247,32 +238,28 @@ def run_meta_experiment(
     meta-TS samples a mean from the current belief; random and
     ts-uninformative use a zero-mean prior whose spread is the marginal
     variance sigma_q_sq + sigma0_sq of a weight under the hierarchy.
-    The keywords are required: ``harness.ExperimentConfig`` holds their defaults.
     """
-    if m < 1 or n < 1:
-        raise InvalidInput("m and n must be at least 1")
-    if mode not in ("synthetic", "physical"):
-        raise InvalidInput(f"unknown mode {mode!r}")
+    n, k_arms, sigma_sq = config.n, config.k, config.sigma_sq
     d = task_dist.mu_star.size
-    mp = init_meta(sigma_q_sq, d, sigma0_sq=task_dist.sigma0_sq, noise_var=sigma_sq)
-    sinr_target = 10.0 ** (sinr_target_db / 10.0)
-    if mode == "physical":
+    mp = init_meta(config.sigma_q_sq, d, sigma0_sq=task_dist.sigma0_sq, noise_var=sigma_sq)
+    sinr_target = 10.0 ** (config.sinr_target_db / 10.0)
+    if config.mode == "physical":
         tables = channel_tables(
             default_catalog(k=k_arms), task_dist.ir_taps, scene.doppler
         )
     meta_draws = meta_prior_rng(seed, policy)
 
     uninformative = isotropic_gaussian(
-        np.zeros(d), sigma_q_sq + task_dist.sigma0_sq
+        np.zeros(d), config.sigma_q_sq + task_dist.sigma0_sq
     )
     oracle_prior = isotropic_gaussian(task_dist.mu_star, task_dist.sigma0_sq)
 
     results: list[TrackResult] = []
     history: list[MetaPosterior] = []
-    for t in range(m):
+    for t in range(config.m):
         rng = track_rng(seed, policy, t)
         env_rng = instance_rng(seed, t)
-        if mode == "synthetic":
+        if config.mode == "synthetic":
             theta_star = task_dist.mu_star + np.sqrt(
                 task_dist.sigma0_sq
             ) * env_rng.standard_normal(d)
@@ -281,7 +268,7 @@ def run_meta_experiment(
             )
         else:
             inst = draw_instance(task_dist, scene, n, env_rng)
-            sim = TrackSimulator(inst, tables, oracle_rng(seed, t), n_oracle_draws)
+            sim = TrackSimulator(inst, tables, oracle_rng(seed, t), config.n_oracle_draws)
             env = PhysicalTrackEnv(sim, sinr_target)
 
         if policy == "ts-oracle":

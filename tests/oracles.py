@@ -21,19 +21,6 @@ from wavesel.waveforms import default_catalog
 STATE_GAIN = (0.25, 1.0, 4.0, 16.0)
 
 
-def experiment_keywords(config, **overrides) -> dict:
-    """The keywords ``harness.run`` passes ``run_meta_experiment`` for a
-    config, with any of them overridden."""
-    keywords = dict(
-        k_arms=config.k,
-        sigma_q_sq=config.sigma_q_sq,
-        sigma_sq=config.sigma_sq,
-        sinr_target_db=config.sinr_target_db,
-        n_oracle_draws=config.n_oracle_draws,
-    )
-    return keywords | overrides
-
-
 @dataclass
 class LinearPosterior:
     """Covariance-form posterior N(mean, cov) of a linear model with noise

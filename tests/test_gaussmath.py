@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,6 @@ from wavesel.meta import run_meta_experiment
 from oracles import (
     LinearPosterior,
     blr_update,
-    experiment_keywords,
     float_posterior,
     largest_gap,
     np_cholesky,
@@ -152,14 +153,12 @@ def test_package_factors_only_matrices_of_dimension_at_most_4(monkeypatch, mode)
     # posterior only when the closed form cannot: no call per CPI, and
     # every factored matrix is 3 x 3.
     shapes = recording_cholesky(monkeypatch)
-    cfg = ExperimentConfig()
+    cfg = replace(ExperimentConfig(), m=2, n=20, mode=mode)
     task_dist, scene = build_scene(cfg, 0)
     seen = {}
     for policy in ("ts-uninformative", "meta-ts"):
         shapes.clear()
-        run_meta_experiment(
-            task_dist, scene, 2, 20, policy, mode, 0, **experiment_keywords(cfg)
-        )
+        run_meta_experiment(cfg, task_dist, scene, policy, 0)
         seen[policy] = list(shapes)
     assert seen == {"ts-uninformative": [], "meta-ts": [(3, 3)] * 4}
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,12 @@ from hypothesis import strategies as st
 
 from wavesel import fstc, harness, meta, waveforms
 from wavesel.bandit import SyntheticTrackEnv, run_track
-from wavesel.errors import DimensionMismatch, InvalidInput, InvalidVariance
+from wavesel.errors import (
+    DimensionMismatch,
+    InvalidInput,
+    InvalidVariance,
+    ValidationError,
+)
 from wavesel.gaussmath import cholesky, isotropic_gaussian
 from wavesel.harness import ExperimentConfig, build_scene, parse_config
 from wavesel.meta import (
@@ -24,7 +31,7 @@ from wavesel.meta import (
 )
 from wavesel.metrics import kl_trace
 
-from oracles import LinearPosterior, blr_update, experiment_keywords, posterior_mean_cov
+from oracles import LinearPosterior, blr_update, posterior_mean_cov
 
 
 def flat_meta(sigma_q_sq=1.0, d=3, sigma0_sq=0.35, noise_var=0.33) -> MetaPosterior:
@@ -215,11 +222,9 @@ def test_vanishing_instance_spread_reduces_to_blr():
 
 
 def test_precision_never_decreases_across_tracks():
-    cfg = ExperimentConfig()
+    cfg = replace(ExperimentConfig(), m=8, n=60)
     task_dist, scene = build_scene(cfg, 0)
-    _, history = run_meta_experiment(
-        task_dist, scene, 8, 60, "meta-ts", "synthetic", 0, **experiment_keywords(cfg)
-    )
+    _, history = run_meta_experiment(cfg, task_dist, scene, "meta-ts", 0)
     prev = init_meta(
         cfg.sigma_q_sq, 3, sigma0_sq=cfg.sigma0_sq, noise_var=cfg.sigma_sq
     )
@@ -230,11 +235,9 @@ def test_precision_never_decreases_across_tracks():
 
 
 def test_history_entry_is_one_joint_update_of_track_data():
-    cfg = ExperimentConfig()
+    cfg = replace(ExperimentConfig(), m=2, n=50)
     task_dist, scene = build_scene(cfg, 1)
-    results, history = run_meta_experiment(
-        task_dist, scene, 2, 50, "meta-ts", "synthetic", 1, **experiment_keywords(cfg)
-    )
+    results, history = run_meta_experiment(cfg, task_dist, scene, "meta-ts", 1)
     mp0 = init_meta(
         cfg.sigma_q_sq, 3, sigma0_sq=cfg.sigma0_sq, noise_var=cfg.sigma_sq
     )
@@ -248,11 +251,9 @@ def test_history_entry_is_one_joint_update_of_track_data():
 
 
 def test_oracle_policy_uses_true_prior():
-    cfg = ExperimentConfig()
+    cfg = replace(ExperimentConfig(), m=1, n=60)
     task_dist, scene = build_scene(cfg, 3)
-    results, _ = run_meta_experiment(
-        task_dist, scene, 1, 60, "ts-oracle", "synthetic", 3, **experiment_keywords(cfg)
-    )
+    results, _ = run_meta_experiment(cfg, task_dist, scene, "ts-oracle", 3)
     rng = track_rng(3, "ts-oracle", 0)
     env_rng = instance_rng(3, 0)
     theta = task_dist.mu_star + np.sqrt(
@@ -268,12 +269,9 @@ def test_oracle_policy_uses_true_prior():
 
 
 def test_degenerate_meta_prior_matches_fixed_zero_mean_prior():
-    cfg = ExperimentConfig()
+    cfg = replace(ExperimentConfig(), m=4, n=60, sigma_q_sq=1e-30)
     task_dist, scene = build_scene(cfg, 5)
-    results, _ = run_meta_experiment(
-        task_dist, scene, 4, 60, "meta-ts", "synthetic", 5,
-        **experiment_keywords(cfg, sigma_q_sq=1e-30),
-    )
+    results, _ = run_meta_experiment(cfg, task_dist, scene, "meta-ts", 5)
     for t in range(4):
         rng = track_rng(5, "meta-ts", t)
         env_rng = instance_rng(5, t)
@@ -295,14 +293,11 @@ def test_degenerate_meta_prior_matches_fixed_zero_mean_prior():
 
 
 def test_meta_belief_concentrates_toward_truth():
-    cfg = ExperimentConfig()
+    cfg = replace(ExperimentConfig(), m=12, n=150)
     firsts, lasts = [], []
     for seed in range(5):
         task_dist, scene = build_scene(cfg, seed)
-        _, history = run_meta_experiment(
-            task_dist, scene, 12, 150, "meta-ts", "synthetic", seed,
-            **experiment_keywords(cfg),
-        )
+        _, history = run_meta_experiment(cfg, task_dist, scene, "meta-ts", seed)
         trace = kl_trace(history, task_dist)
         firsts.append(trace[0])
         lasts.append(trace[-1])
@@ -310,12 +305,9 @@ def test_meta_belief_concentrates_toward_truth():
 
 
 def test_non_meta_policy_keeps_flat_belief():
-    cfg = ExperimentConfig()
+    cfg = replace(ExperimentConfig(), m=3, n=30)
     task_dist, scene = build_scene(cfg, 0)
-    _, history = run_meta_experiment(
-        task_dist, scene, 3, 30, "ts-uninformative", "synthetic", 0,
-        **experiment_keywords(cfg),
-    )
+    _, history = run_meta_experiment(cfg, task_dist, scene, "ts-uninformative", 0)
     assert len(history) == 3
     for mp in history:
         np.testing.assert_array_equal(mp.mu, np.zeros(3))
@@ -323,45 +315,23 @@ def test_non_meta_policy_keeps_flat_belief():
 
 
 def test_experiment_input_validation():
-    cfg = ExperimentConfig()
-    task_dist, scene = build_scene(cfg, 0)
-    kw = experiment_keywords(cfg)
-    with pytest.raises(InvalidInput):
-        run_meta_experiment(task_dist, scene, 0, 10, "meta-ts", "synthetic", 0, **kw)
-    with pytest.raises(InvalidInput):
-        run_meta_experiment(task_dist, scene, 1, 10, "meta-ts", "simulated", 0, **kw)
+    for field, bad in (("m", 0), ("n", 0), ("mode", "simulated")):
+        with pytest.raises(ValidationError) as info:
+            replace(ExperimentConfig(), **{field: bad})
+        assert info.value.field == field
     with pytest.raises(InvalidInput):
         policy_index("epsilon-greedy")
 
 
 def test_physical_mode_smoke():
-    cfg = ExperimentConfig()
+    cfg = replace(ExperimentConfig(), m=2, n=30, mode="physical")
     task_dist, scene = build_scene(cfg, 7)
-    results, history = run_meta_experiment(
-        task_dist, scene, 2, 30, "meta-ts", "physical", 7, **experiment_keywords(cfg)
-    )
+    results, history = run_meta_experiment(cfg, task_dist, scene, "meta-ts", 7)
     assert len(results) == 2 and len(history) == 2
     for res in results:
         assert np.all((res.loss >= 0.0) & (res.loss <= 1.0))
         assert np.all(res.regret_inc >= -1e-12)
         assert np.all(np.isfinite(res.sinr))
-
-
-def test_experiment_keywords_are_the_ones_harness_run_passes(monkeypatch, tmp_path):
-    # the ported tests pass ``experiment_keywords``: hold it to the run
-    passed = []
-
-    def recording(*args, **kwargs):
-        passed.append(kwargs)
-        return run_meta_experiment(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "run_meta_experiment", recording)
-    config = parse_config(
-        "k = 3\nsigma_q_sq = 7.5\nsigma_sq = 0.25\nsinr_target_db = 10\n"
-        f"n_oracle_draws = 16\nm = 1\nn = 4\nout_dir = {tmp_path}\n"
-    )
-    harness.run(config, "meta-ts", 0)
-    assert passed == [experiment_keywords(config)]
 
 
 def test_runs_in_one_process_share_the_catalog_envelopes(monkeypatch, tmp_path):

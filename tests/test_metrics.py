@@ -25,7 +25,7 @@ from wavesel.metrics import (
     track_record,
 )
 
-from oracles import experiment_keywords, regret_increment
+from oracles import regret_increment
 
 
 def make_track(sinr, suboptimal=None, regret=None) -> TrackResult:
@@ -200,11 +200,9 @@ def test_kl_trace_zero_at_reference():
 
 
 def test_kl_trace_finite_nonnegative():
-    cfg = ExperimentConfig()
+    cfg = replace(ExperimentConfig(), m=6, n=50)
     task_dist, scene = build_scene(cfg, 2)
-    _, history = run_meta_experiment(
-        task_dist, scene, 6, 50, "meta-ts", "synthetic", 2, **experiment_keywords(cfg)
-    )
+    _, history = run_meta_experiment(cfg, task_dist, scene, "meta-ts", 2)
     trace = kl_trace(history, task_dist)
     assert trace.shape == (6,)
     assert np.all(np.isfinite(trace))
