@@ -42,6 +42,13 @@ PHYSICAL_MU_STAR = (1.2, 0.4, 0.6)
 #: learners chasing an unidentifiable target.
 SYNTHETIC_MU_STAR = (-0.3, 0.2, 0.8)
 
+#: Config keys only the physical channel reads. A synthetic run would ignore
+#: them, so a synthetic config rejects any value but the default.
+PHYSICAL_KEYS = (
+    "noise_var", "grid_n", "ir_taps", "ir_kernel_scale", "target_power",
+    "clutter_power", "doppler", "n_oracle_draws",
+)
+
 PER_CPI_HEADER = (
     "policy,seed,track,cpi,state,obs,waveform,sinr_db,loss,oracle_loss,"
     "regret_inc,suboptimal,outage_10db"
@@ -71,7 +78,8 @@ class ExperimentConfig:
     call or by ``replace``, a config checks every value and raises a
     ``ValidationError`` naming the first bad field. A list key takes a
     tuple, an int key an int but no bool, and a float key a float or an
-    int, which it holds as a float.
+    int, which it holds as a float. In synthetic mode each of
+    ``PHYSICAL_KEYS`` keeps its default.
     """
 
     m: int = 50
@@ -162,6 +170,11 @@ class ExperimentConfig:
             raise ValidationError("policies", "a policy is listed more than once")
         if self.mode not in ("synthetic", "physical"):
             raise ValidationError("mode", f"unknown mode {self.mode!r}")
+        if self.mode == "synthetic":
+            for f in fields(self):
+                if f.name in PHYSICAL_KEYS and getattr(self, f.name) != f.default:
+                    raise ValidationError(f.name, "only physical mode reads it; a "
+                                          "synthetic config takes the default")
         if self.mode == "physical" and self.k > len(CATALOG_NAMES):
             raise ValidationError(
                 "k", f"physical mode has a catalog of {len(CATALOG_NAMES)} waveforms"
@@ -422,8 +435,13 @@ def run(
     replicate's stacked per-CPI record and its per-track summary.
 
     Deterministic given (config, policy, seed): the CSVs are byte-identical
-    across repeated calls.
+    across repeated calls. A policy or seed the config does not list raises
+    a ``ValidationError`` naming ``policies`` or ``seeds``.
     """
+    if policy not in config.policies:
+        raise ValidationError("policies", f"{policy!r} is not listed")
+    if not _accepts(int, seed) or seed not in config.seeds:
+        raise ValidationError("seeds", f"{seed!r} is not listed")
     started = time.perf_counter()
     task_dist, scene = build_scene(config, seed)
     results, history = run_meta_experiment(config, task_dist, scene, policy, seed)

@@ -7,6 +7,7 @@ import math
 import os
 import string
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from wavesel.harness import (
     AGG_HEADER,
     PER_CPI_HEADER,
     PER_TRACK_HEADER,
+    PHYSICAL_KEYS,
     PHYSICAL_MU_STAR,
     SYNTHETIC_MU_STAR,
     ExperimentConfig,
@@ -44,7 +46,9 @@ from wavesel.harness import (
     track_csv_path,
     worker_count,
     write_aggregates,
+    _KEY_TYPES,
     _cpi_lines,
+    _parse_value,
     _write_lines,
 )
 from wavesel.meta import POLICIES, policy_index
@@ -124,7 +128,7 @@ def test_bad_value_reports_location():
 
 
 @pytest.mark.parametrize(
-    "line,field",
+    "bad,field",
     [
         ("sigma_q_sq = 0.0", "sigma_q_sq"),
         ("sigma_sq = -1.0", "sigma_sq"),
@@ -160,17 +164,40 @@ def test_bad_value_reports_location():
         ("sinr_target_db = 4000", "sinr_target_db"),
         ("sinr_target_db = -4000", "sinr_target_db"),
         ("sinr_target_db = 300.0000001", "sinr_target_db"),
+        ("mode = physical\ntarget_power = 0.0", "target_power"),
+        ("grid_n = 8", "grid_n"),
+        # values no config text can hold
+        ({"m": 2.5}, "m"),
+        ({"m": True}, "m"),
+        ({"sigma_sq": "0.3"}, "sigma_sq"),
+        ({"sigma_sq": 10**400}, "sigma_sq"),
+        ({"seeds": [0]}, "seeds"),
+        ({"seeds": (0, 1.5)}, "seeds"),
+        ({"policies": "random"}, "policies"),
+        ({"mu_star": [0.1, 0.2, 0.3]}, "mu_star"),
+        ({"mode": None}, "mode"),
+        ({"out_dir": "a#b"}, "out_dir"),
+        ({"out_dir": ""}, "out_dir"),
     ],
 )
-def test_validation_failures_name_the_field(line, field):
-    if field is None:
-        # a blank value is a parse failure, not a validation failure
-        with pytest.raises(ParseError):
-            parse_config(line + "\n")
-        return
-    with pytest.raises(ValidationError) as info:
-        parse_config(line + "\n")
-    assert info.value.field == field
+def test_validation_failures_name_the_field(bad, field):
+    """Config text, a call and ``replace`` each reject a bad value and name
+    its field. An unknown key or a blank value is a fault of the text
+    alone; a dict holds values no text can."""
+    if isinstance(bad, dict):
+        values = bad
+    else:
+        with pytest.raises(ParseError if field is None else ValidationError) as info:
+            parse_config(bad + "\n")
+        if field is None or field not in _KEY_TYPES:
+            return
+        assert info.value.field == field
+        pairs = (line.split("=") for line in bad.splitlines())
+        values = {k.strip(): _parse_value(k.strip(), v.strip()) for k, v in pairs}
+    for build in (ExperimentConfig, partial(replace, ExperimentConfig())):
+        with pytest.raises(ValidationError) as info:
+            build(**values)
+        assert info.value.field == field
 
 
 def test_transition_table_limit_admits_2_to_the_18_entries():
@@ -237,17 +264,20 @@ _FIELD_VALUES = {
 @example("physical", {"sinr_target_db": "300"})
 def test_accepted_config_runs(tmp_path, mode, values):
     """Whatever parse_config accepts also runs: validation matches the
-    checks the model itself makes, so no replicate fails after it starts."""
+    checks the model itself makes, so no replicate fails after it starts.
+    A synthetic config rejects every physical key, so none is drawn there."""
     lines = {**values, "mode": mode}.items()
-    text = "".join(f"{key} = {value}\n" for key, value in lines)
+    text = "".join(
+        f"{key} = {value}\n" for key, value in lines
+        if mode == "physical" or key not in PHYSICAL_KEYS
+    )
     try:
         config = parse_config(text)
     except ValidationError:
         return
-    config = replace(
-        config, m=1, n=1, grid_n=4, seeds=config.seeds[:1],
-        out_dir=str(tmp_path),
-    )
+    config = replace(config, m=1, n=1, seeds=config.seeds[:1], out_dir=str(tmp_path))
+    if mode == "physical":
+        config = replace(config, grid_n=4)
     record, summary = run(config, config.policies[0], config.seeds[0])
     assert record.loss.shape == (1, 1)
     assert all(math.isfinite(v) for v in summary.cum_regret)
@@ -255,12 +285,6 @@ def test_accepted_config_runs(tmp_path, mode, values):
 
 # Keys that only say which replicates run and where their files go.
 _RUN_KEYS = {"out_dir", "seeds", "policies", "mode"}
-
-# Keys that only the physical channel reads.
-_PHYSICAL_KEYS = (
-    "noise_var", "grid_n", "ir_taps", "ir_kernel_scale", "target_power",
-    "clutter_power", "doppler", "n_oracle_draws",
-)
 
 # A valid value other than the default for every other key.
 _CHANGED_VALUES = {
@@ -297,36 +321,40 @@ def _output_bytes(out_dir, mode: str, **overrides) -> bytes:
 
 
 @pytest.fixture(scope="module")
-def default_outputs(tmp_path_factory) -> dict:
-    return {
-        mode: _output_bytes(tmp_path_factory.mktemp(mode), mode)
-        for mode in ("synthetic", "physical")
-    }
+def default_physical_output(tmp_path_factory) -> bytes:
+    return _output_bytes(tmp_path_factory.mktemp("physical"), "physical")
 
 
 @pytest.mark.parametrize(
     "key", [f.name for f in fields(ExperimentConfig) if f.name not in _RUN_KEYS]
 )
-def test_every_config_key_changes_a_physical_run(tmp_path, default_outputs, key):
+def test_every_config_key_changes_a_physical_run(tmp_path, default_physical_output, key):
     changed = _output_bytes(tmp_path, "physical", **{key: _CHANGED_VALUES[key]})
-    assert changed != default_outputs["physical"]
+    assert changed != default_physical_output
 
 
-@pytest.mark.parametrize("key", _PHYSICAL_KEYS)
-def test_physical_keys_leave_a_synthetic_run_unchanged(tmp_path, default_outputs, key):
-    changed = _output_bytes(tmp_path, "synthetic", **{key: _CHANGED_VALUES[key]})
-    assert changed == default_outputs["synthetic"]
+@pytest.mark.parametrize("key", PHYSICAL_KEYS)
+def test_physical_keys_leave_a_synthetic_run_unchanged(tmp_path, key):
+    # a synthetic run would ignore the value, so the config refuses it
+    with pytest.raises(ValidationError) as info:
+        _output_bytes(tmp_path, "synthetic", **{key: _CHANGED_VALUES[key]})
+    assert info.value.field == key
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_readme_config_table_names_exactly_the_config_keys():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     section = readme.read_text(encoding="utf-8").split("## Config files", 1)[1]
     section = section.split("\n## ", 1)[0]
-    keys = []
+    keys, physical = [], []
     for line in section.splitlines():
         if line.startswith("| ") and not line.startswith(("| key ", "| ---")):
-            keys.extend(k.strip() for k in line.split("|")[1].split(","))
+            row = [k.strip() for k in line.split("|")[1].split(",")]
+            keys.extend(row)
+            if "physical mode only" in line:
+                physical.extend(row)
     assert sorted(keys) == sorted(f.name for f in fields(ExperimentConfig))
+    assert sorted(physical) == sorted(PHYSICAL_KEYS)
 
 
 def test_mu_star_auto_means_unset():
@@ -353,20 +381,44 @@ def test_serialize_round_trip_explicit_values():
     assert parse_config(serialize_config(config)) == config
 
 
-@given(st.one_of(st.text(string.printable), st.text()))
-@settings(max_examples=200, deadline=None)
-@example("runs#1")
-@example(" runs")
-@example("runs\t")
-@example("runs\n1")
-@example("runs\u20281")
-@example("runs\x851")
-@example("runs 1/a=b,c")
-def test_accepted_out_dir_survives_serialize_and_parse(out_dir):
+def _key_values(key: str):
+    """Values of the key's type, in range and out of it, and one draw in
+    five of a wrong type."""
+    kind, is_list, optional = _KEY_TYPES[key]
+    item = {
+        int: st.integers(0, 9) | st.integers(),
+        float: st.floats(0, 1) | st.floats() | st.integers(-2, 10),
+        str: st.text(string.printable) | st.text(),
+    }[kind]
+    if key == "mode":
+        item = st.sampled_from(["synthetic", "physical"]) | item
+    if key == "policies":
+        item = st.sampled_from(POLICIES) | item
+    values = st.lists(item, max_size=4).map(tuple) if is_list else item
+    wrong = st.none() | st.booleans() | st.lists(item, max_size=2)
+    return st.sampled_from([values] * 4 + [wrong]).flatmap(lambda drawn: drawn)
+
+
+@given(
+    st.sets(st.sampled_from(sorted(_KEY_TYPES)), max_size=4).flatmap(
+        lambda keys: st.fixed_dictionaries({k: _key_values(k) for k in keys})
+    )
+)
+@settings(max_examples=300, deadline=None)
+@example({"out_dir": "runs#1"})
+@example({"out_dir": " runs"})
+@example({"out_dir": "runs\t"})
+@example({"out_dir": "runs\n1"})
+@example({"out_dir": "runs\u20281"})
+@example({"out_dir": "runs\x851"})
+@example({"out_dir": "runs 1/a=b,c"})
+@example({"mode": "physical", "doppler": -0.0, "sigma_sq": 5e-324, "k": 5})
+@example({"mu_star": (1, -2.5, 1e300), "seeds": (2**70, 0)})
+def test_accepted_config_survives_serialize_and_parse(values):
     try:
-        config = replace(ExperimentConfig(), out_dir=out_dir)
+        config = ExperimentConfig(**values)
     except ValidationError as exc:
-        assert exc.field == "out_dir"
+        assert exc.field in _KEY_TYPES
         return
     assert parse_config(serialize_config(config)) == config
 
@@ -477,6 +529,27 @@ def test_summary_axis_reductions_equal_per_track_calls_to_the_bit(tmp_path, m, n
     }
     for name, expected in per_track.items():
         assert getattr(summary, name).tolist() == expected, name
+
+
+@pytest.mark.parametrize(
+    "policy,seed,field",
+    [
+        ("meta-ts", 0, "policies"),
+        ("epsilon-greedy", 0, "policies"),
+        ("random", 1.5, "seeds"),
+        ("random", 1.0, "seeds"),
+        ("random", True, "seeds"),
+        ("random", -1, "seeds"),
+        ("random", 2**70, "seeds"),
+        ("random", 2, "seeds"),
+    ],
+)
+def test_run_rejects_a_replicate_the_config_does_not_list(tmp_path, policy, seed, field):
+    config = _tiny_config(str(tmp_path), policies=("random",))
+    with pytest.raises(ValidationError) as info:
+        run(config, policy, seed)
+    assert info.value.field == field
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_twice_is_byte_identical(tmp_path):
@@ -859,6 +932,16 @@ def test_cli_out_dir_config_text_cannot_hold_returns_two(tmp_path, capsys, name)
     code = cli.main(["run", "--out", str(out), "--policies", "random", "--seeds", "0"])
     assert code == 2
     assert capsys.readouterr().err.startswith("ValidationError: out_dir: ")
+    assert not out.exists()
+
+
+def test_cli_synthetic_mode_flag_rejects_a_physical_key(tmp_path, capsys):
+    cfg = tmp_path / "phys.cfg"
+    cfg.write_text("mode = physical\ndoppler = 0.7\nm = 1\nn = 4\n", encoding="utf-8")
+    out = tmp_path / "runs"
+    code = cli.main(["run", "--config", str(cfg), "--out", str(out), "--mode", "synthetic"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("ValidationError: doppler: ")
     assert not out.exists()
 
 
