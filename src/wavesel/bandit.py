@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, InvalidInput, NotPositiveDefinite
+from .errors import IndexOutOfRange, InvalidInput
 from .fstc import SceneWalk, unit_clip
 from .gaussmath import (
     Gaussian,
@@ -67,15 +67,7 @@ class TsAgent:
     """
 
     def __init__(self, prior: Gaussian, noise_var: float, n_obs: int, k_arms: int):
-        if k_arms < 1:
-            raise InvalidInput("k_arms must be at least 1")
-        if prior.dim != CONTEXT_DIM:
-            raise DimensionMismatch(
-                f"prior has dimension {prior.dim}, contexts have {CONTEXT_DIM}"
-            )
         self.noise_var = float(noise_var)
-        if not self.noise_var > 0.0:
-            raise NotPositiveDefinite("noise_var must be strictly positive")
         self.mean = prior.mean.tolist()
         self.cov = packed_cov(prior.cov)
         self.stats = [[[0.0, 0.0, 0.0, -math.inf] for _ in range(k_arms)]
@@ -135,8 +127,6 @@ def record(agent: TsAgent, o: int, w: int, loss: float) -> None:
 
 def synthetic_loss(theta, phi, noise_var: float, rng: np.random.Generator) -> float:
     """Exact-linear loss clamp(<theta, phi> + noise) with Gaussian noise."""
-    if noise_var < 0:
-        raise InvalidInput("noise_var must be non-negative")
     y = float(np.matmul(theta, phi))
     if noise_var > 0:
         y += math.sqrt(noise_var) * rng.standard_normal()
@@ -214,8 +204,6 @@ def run_track(
     track's (cpi, state, contexts) gives the oracle losses, regret
     increments and suboptimal flags after the loop.
     """
-    if explore not in ("ts", "random"):
-        raise InvalidInput(f"unknown exploration mode {explore!r}")
     agent = TsAgent(prior, noise_var, env.state_proc.n_states, k_arms)
     # offered: the K contexts each pulse chose from, as snapshots
     state, obs, waveform, sinr, loss, offered = [], [], [], [], [], []

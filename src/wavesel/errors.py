@@ -25,10 +25,6 @@ class InvalidInput(WaveselError):
     """An argument value is outside the operation's domain."""
 
 
-class InvalidVariance(WaveselError):
-    """A variance parameter must be strictly positive."""
-
-
 class IoError(WaveselError):
     """Reading or writing a run artifact failed."""
 

@@ -47,8 +47,6 @@ def compute_loss(sinr_post: float, sinr_target: float) -> float:
 
     The "loss" is a higher-is-better normalised reward.
     """
-    if sinr_target <= 0:
-        raise InvalidInput("sinr_target must be strictly positive")
     return unit_clip(float(sinr_post / sinr_target))
 
 
@@ -86,8 +84,6 @@ class StateProcess:
             raise InvalidInput("transition probabilities must be non-negative")
         if not np.allclose(t.sum(axis=-1), 1.0, atol=1e-9):
             raise InvalidInput("transition rows must sum to one")
-        if not 0.0 <= self.obs_flip_prob < 1.0:
-            raise InvalidInput("obs_flip_prob must lie in [0, 1)")
         cumulative = {
             prev: np.cumsum(t[prev]).tolist() for prev in np.ndindex(t.shape[:-1])
         }
@@ -98,8 +94,6 @@ class StateProcess:
 
 def random_transition(n_states: int, memory: int, rng: np.random.Generator) -> np.ndarray:
     """Transition table with each row drawn from a symmetric Dirichlet(2)."""
-    if n_states < 1 or memory < 1:
-        raise InvalidInput("n_states and memory must be positive")
     n_rows = n_states ** (memory - 1)
     rows = rng.dirichlet(np.full(n_states, 2.0), size=n_rows)
     return rows.reshape((n_states,) * (memory - 1) + (n_states,))
@@ -115,18 +109,12 @@ def step_state(sp: StateProcess, history, rng: np.random.Generator) -> int:
     recent = tuple(map(int, history[-need:])) if need else ()
     if len(recent) < need:
         recent = (0,) * (need - len(recent)) + recent
-    try:
-        row = sp.cumulative[recent]
-    except KeyError:
-        raise InvalidInput(f"history {recent} outside [0, {sp.n_states})") from None
-    idx = bisect_right(row, rng.random())
+    idx = bisect_right(sp.cumulative[recent], rng.random())
     return min(idx, sp.n_states - 1)
 
 
 def observe(sp: StateProcess, s: int, rng: np.random.Generator) -> int:
     """Noisy state reading: s with probability 1 - eps, else uniform elsewhere."""
-    if not 0 <= s < sp.n_states:
-        raise InvalidInput(f"state {s} outside [0, {sp.n_states})")
     if sp.n_states == 1 or rng.random() >= sp.obs_flip_prob:
         return int(s)
     other = int(rng.integers(sp.n_states - 1))
@@ -149,17 +137,6 @@ class TaskDistribution:
     sigma0_sq: float
     ir_kernel_scale: float
     ir_taps: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu_star", np.asarray(self.mu_star, dtype=float))
-        if self.mu_star.shape != (3,):
-            raise InvalidInput(
-                f"mu_star needs exactly 3 components, got shape {self.mu_star.shape}"
-            )
-        if self.sigma0_sq <= 0:
-            raise InvalidInput("sigma0_sq must be strictly positive")
-        if self.ir_taps < 1:
-            raise InvalidInput("ir_taps must be at least 1")
 
     @cached_property
     def tap_root(self) -> np.ndarray:
@@ -188,14 +165,6 @@ class SceneConfig:
     target_power: float
     clutter_power: float
 
-    def __post_init__(self):
-        if len(self.state_gain) != self.state_proc.n_states:
-            raise InvalidInput("state_gain needs one entry per state")
-        if self.noise_var <= 0:
-            raise InvalidInput("noise_var must be strictly positive")
-        if self.grid_n < 1:
-            raise InvalidInput("grid_n must be positive")
-
 
 @dataclass(frozen=True)
 class FstcInstance:
@@ -209,7 +178,6 @@ class FstcInstance:
     state_proc: StateProcess
     noise_var: float
     state_gain: np.ndarray
-    doppler: float
     trajectory: np.ndarray
     grid_n: int
 
@@ -266,7 +234,6 @@ def draw_instance(
         state_proc=scene.state_proc,
         noise_var=float(noise_var),
         state_gain=np.asarray(scene.state_gain, dtype=float),
-        doppler=scene.doppler,
         trajectory=np.array(cells, dtype=int),
         grid_n=scene.grid_n,
     )
@@ -299,7 +266,6 @@ class ChannelTables:
     window's factor at unit ``noise_var``.
     """
 
-    doppler: float
     windows: tuple
     tap_ramp: np.ndarray
     unit_noise_map: np.ndarray
@@ -360,7 +326,7 @@ def channel_tables(catalog: list, n_taps: int, doppler: float) -> ChannelTables:
         noise_map[:width, width:] = -lg.imag
         noise_map[width:, :width] = lg.imag
         noise_map /= np.sqrt(2.0 * width)
-    return ChannelTables(float(doppler), tuple(windows), tap_ramp, unit_noise_map)
+    return ChannelTables(tuple(windows), tap_ramp, unit_noise_map)
 
 
 def _sinr_value(sig: float, denom: float) -> float:
@@ -420,12 +386,6 @@ class TrackSimulator:
         n_oracle_draws: int,
     ):
         n_taps = tables.tap_ramp.shape[1]
-        if inst.doppler != tables.doppler or inst.target_ir.size != n_taps:
-            raise InvalidInput(
-                f"channel tables for doppler {tables.doppler} and {n_taps} taps "
-                f"cannot serve an instance with doppler {inst.doppler} and "
-                f"{inst.target_ir.size} taps"
-            )
         self.inst = inst
         k = len(tables.windows)
         width = 2 * WINDOW_HALF + 1

@@ -173,12 +173,7 @@ def blr_update(mean, cov, noise_var: float, phi, loss: float) -> tuple:
     mean gains k (loss - phi^T mean) / s and the covariance loses
     outer(k, k) / s, entry by entry, so it stays symmetric.
     """
-    try:
-        p0, p1, p2 = phi
-    except ValueError:
-        raise DimensionMismatch(
-            f"context has {len(phi)} entries, the posterior has 3 weights"
-        ) from None
+    p0, p1, p2 = phi
     m0, m1, m2 = mean
     c00, c10, c11, c20, c21, c22 = cov
     k0 = c00 * p0 + c10 * p1 + c20 * p2

@@ -77,9 +77,10 @@ class ExperimentConfig:
     Valid by construction: built from config text, from CLI flags, by a
     call or by ``replace``, a config checks every value and raises a
     ``ValidationError`` naming the first bad field. A list key takes a
-    tuple, an int key an int but no bool, and a float key a float or an
-    int, which it holds as a float. In synthetic mode each of
-    ``PHYSICAL_KEYS`` keeps its default.
+    tuple, an int key an int in [0, 2**63) but no bool, and a float key a
+    float or an int, which it holds as a float. In synthetic mode each of
+    ``PHYSICAL_KEYS`` keeps its default. The modules below the harness take
+    a constructed config's values as given and do not check them again.
     """
 
     m: int = 50
@@ -157,8 +158,6 @@ class ExperimentConfig:
             )
         if not self.seeds:
             raise ValidationError("seeds", "at least one seed is required")
-        if min(self.seeds) < 0:
-            raise ValidationError("seeds", "seeds must be nonnegative")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValidationError("seeds", "a seed is listed more than once")
         if not self.policies:
@@ -231,13 +230,18 @@ def _accepts(kind: type, item) -> bool:
 
 def _typed(key: str, value):
     """``value`` checked against the type ``_KEY_TYPES`` gives ``key``, with
-    float items made floats; a bad value raises a ``ValidationError``."""
+    int items in [0, 2**63) and float items made floats; a bad value raises
+    a ``ValidationError``."""
     kind, is_list, optional = _KEY_TYPES[key]
     if value is None and optional:
         return None
     items = value if is_list else (value,)
     if not isinstance(items, tuple) or not all(_accepts(kind, v) for v in items):
         raise ValidationError(key, f"must be {'a tuple of ' if is_list else ''}{kind.__name__}")
+    # every int key is a count or a seed: an int64 holds it, and its text
+    # stays far under Python's limit on int-to-str conversion
+    if kind is int and not all(0 <= v < 2**63 for v in items):
+        raise ValidationError(key, "must lie in [0, 2**63)")
     if kind is float:
         try:
             items = tuple(map(float, items))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandit import SyntheticTrackEnv, TrackResult, run_track
-from .errors import DimensionMismatch, InvalidInput, InvalidVariance
+from .errors import InvalidInput
 from .fstc import (
     PhysicalTrackEnv,
     SceneConfig,
@@ -56,21 +56,6 @@ class MetaPosterior:
     sigma0_sq: float
     noise_var: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
-        object.__setattr__(self, "precision", np.asarray(self.precision, dtype=float))
-        if self.mu.ndim != 1 or self.precision.shape != (self.mu.size, self.mu.size):
-            raise DimensionMismatch(
-                f"mu has shape {self.mu.shape}, precision has shape "
-                f"{self.precision.shape}"
-            )
-        if not np.all(np.abs(self.precision - self.precision.T) <= 1e-10):
-            raise InvalidInput("precision matrix is not symmetric")
-        if self.sigma0_sq <= 0:
-            raise InvalidVariance("sigma0_sq must be strictly positive")
-        if self.noise_var <= 0:
-            raise InvalidVariance("noise_var must be strictly positive")
-
     @property
     def dim(self) -> int:
         return self.mu.size
@@ -83,22 +68,6 @@ class TrackData:
     contexts: np.ndarray
     losses: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "contexts", np.asarray(self.contexts, dtype=float))
-        object.__setattr__(self, "losses", np.asarray(self.losses, dtype=float))
-        if self.contexts.ndim != 2 or self.losses.ndim != 1:
-            raise DimensionMismatch(
-                f"contexts must be 2-d and losses 1-d, got shapes "
-                f"{self.contexts.shape} and {self.losses.shape}"
-            )
-        if self.contexts.shape[0] != self.losses.size:
-            raise DimensionMismatch(
-                f"{self.contexts.shape[0]} context rows vs "
-                f"{self.losses.size} losses"
-            )
-        if not (np.all(np.isfinite(self.contexts)) and np.all(np.isfinite(self.losses))):
-            raise InvalidInput("track data contains non-finite values")
-
     def __len__(self) -> int:
         return self.losses.size
 
@@ -107,10 +76,6 @@ def init_meta(
     sigma_q_sq: float, d: int, *, sigma0_sq: float, noise_var: float
 ) -> MetaPosterior:
     """Flat starting belief: zero mean with isotropic variance sigma_q_sq."""
-    if sigma_q_sq <= 0:
-        raise InvalidVariance("sigma_q_sq must be strictly positive")
-    if d < 1:
-        raise InvalidInput("dimension must be at least 1")
     return MetaPosterior(
         np.zeros(d), np.eye(d) / sigma_q_sq, sigma0_sq, noise_var
     )
@@ -162,10 +127,6 @@ def meta_update(mp: MetaPosterior, data: TrackData) -> MetaPosterior:
     if len(data) == 0:
         return mp
     X = data.contexts
-    if X.shape[1] != mp.dim:
-        raise DimensionMismatch(
-            f"contexts have dimension {X.shape[1]}, belief has {mp.dim}"
-        )
     G = (X.T @ X) / mp.noise_var
     h = (X.T @ data.losses) / mp.noise_var
     A = np.eye(mp.dim) + mp.sigma0_sq * G
@@ -182,7 +143,9 @@ def meta_update(mp: MetaPosterior, data: TrackData) -> MetaPosterior:
 # experiment loop
 
 def _rng(*key) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(k) for k in key]))
+    """The stream of ``key``, a tuple of nonnegative ints; ``SeedSequence``
+    refuses any other item, a float seed included."""
+    return np.random.default_rng(np.random.SeedSequence(key))
 
 
 def policy_index(policy: str) -> int:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .bandit import TrackResult
-from .errors import EmptyInput, InvalidInput
+from .errors import InvalidInput
 from .fstc import TaskDistribution
 from .gaussmath import isotropic_gaussian, kl_gaussian
 from .meta import meta_gaussian
@@ -36,8 +36,6 @@ def track_record(results) -> TrackResult:
 
     A regret increment below -1e-12 anywhere in the replicate is rejected.
     """
-    if not results:
-        raise EmptyInput("no track results")
     record = TrackResult(**{
         f.name: np.stack([getattr(r, f.name) for r in results])
         for f in fields(TrackResult)
@@ -50,11 +48,8 @@ def track_record(results) -> TrackResult:
 def kl_trace(meta_history, task_dist: TaskDistribution) -> np.ndarray:
     """Per-track divergence of the meta belief from the smoothed true prior
     mean N(mu_star, KL_REFERENCE_VAR I)."""
-    history = list(meta_history)
-    if not history:
-        raise EmptyInput("empty meta history")
     ref = isotropic_gaussian(task_dist.mu_star, KL_REFERENCE_VAR)
-    return np.array([kl_gaussian(meta_gaussian(mp), ref) for mp in history])
+    return np.array([kl_gaussian(meta_gaussian(mp), ref) for mp in meta_history])
 
 
 # ---------------------------------------------------------------------------

@@ -172,10 +172,13 @@ def place(length: int, refl: np.ndarray, offset: int) -> np.ndarray:
     return out
 
 
-def simulator(inst, rng: np.random.Generator, n_draws: int, k: int = 5):
+def simulator(
+    inst, rng: np.random.Generator, n_draws: int, k: int = 5, doppler: float = 0.0
+):
     """A ``TrackSimulator`` of ``inst`` over the first k catalog waveforms,
-    from channel tables built for the instance's taps and Doppler."""
-    tables = channel_tables(default_catalog(k), inst.target_ir.size, inst.doppler)
+    from channel tables built for the instance's taps and ``doppler``, the
+    Doppler of the scene the instance was drawn from."""
+    tables = channel_tables(default_catalog(k), inst.target_ir.size, doppler)
     return TrackSimulator(inst, tables, rng, n_draws)
 
 

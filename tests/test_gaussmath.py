@@ -524,7 +524,9 @@ def test_float_update_reads_its_inputs_only():
 
 
 def test_float_update_rejects_wrong_context_dim():
-    with pytest.raises(DimensionMismatch):
+    # the package's contexts have three features; a context of another
+    # length does not unpack
+    with pytest.raises(ValueError):
         gaussmath.blr_update([0.0] * 3, [1.0, 0.0, 1.0, 0.0, 0.0, 1.0], 0.1, [1.0, 2.0], 0.5)
 
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import wavesel
 from wavesel import cli
 from wavesel.bandit import TrackResult
 from wavesel.errors import (
@@ -53,6 +54,7 @@ from wavesel.harness import (
 )
 from wavesel.meta import POLICIES, policy_index
 from wavesel.metrics import OUTAGE_DB, sinr_to_db, track_record
+from wavesel.waveforms import CATALOG_NAMES
 
 import oracles
 
@@ -178,6 +180,9 @@ def test_bad_value_reports_location():
         ({"mode": None}, "mode"),
         ({"out_dir": "a#b"}, "out_dir"),
         ({"out_dir": ""}, "out_dir"),
+        # an int key holds what an int64 holds, and serialize_config can write
+        ({"seeds": (2**63,)}, "seeds"),
+        ({"m": 10**5000}, "m"),
     ],
 )
 def test_validation_failures_name_the_field(bad, field):
@@ -263,9 +268,9 @@ _FIELD_VALUES = {
 @example("synthetic", {"sinr_target_db": "300"})
 @example("physical", {"sinr_target_db": "300"})
 def test_accepted_config_runs(tmp_path, mode, values):
-    """Whatever parse_config accepts also runs: validation matches the
-    checks the model itself makes, so no replicate fails after it starts.
-    A synthetic config rejects every physical key, so none is drawn there."""
+    """Whatever parse_config accepts also runs, so no replicate fails after
+    it starts. A synthetic config rejects every physical key, so none is
+    drawn there."""
     lines = {**values, "mode": mode}.items()
     text = "".join(
         f"{key} = {value}\n" for key, value in lines
@@ -386,7 +391,7 @@ def _key_values(key: str):
     five of a wrong type."""
     kind, is_list, optional = _KEY_TYPES[key]
     item = {
-        int: st.integers(0, 9) | st.integers(),
+        int: st.integers(0, 9) | st.integers() | st.sampled_from([2**63 - 1, 2**63]),
         float: st.floats(0, 1) | st.floats() | st.integers(-2, 10),
         str: st.text(string.printable) | st.text(),
     }[kind]
@@ -413,7 +418,7 @@ def _key_values(key: str):
 @example({"out_dir": "runs\x851"})
 @example({"out_dir": "runs 1/a=b,c"})
 @example({"mode": "physical", "doppler": -0.0, "sigma_sq": 5e-324, "k": 5})
-@example({"mu_star": (1, -2.5, 1e300), "seeds": (2**70, 0)})
+@example({"mu_star": (1, -2.5, 1e300), "seeds": (2**63 - 1, 0)})
 def test_accepted_config_survives_serialize_and_parse(values):
     try:
         config = ExperimentConfig(**values)
@@ -421,6 +426,61 @@ def test_accepted_config_survives_serialize_and_parse(values):
         assert exc.field in _KEY_TYPES
         return
     assert parse_config(serialize_config(config)) == config
+
+
+@given(
+    st.sampled_from(["synthetic", "physical"]),
+    st.sets(st.sampled_from(sorted(_KEY_TYPES)), max_size=4).flatmap(
+        lambda keys: st.fixed_dictionaries({k: _key_values(k) for k in keys})
+    ),
+)
+@settings(max_examples=300, deadline=None)
+# the edges in range, then the first value out of range of each bound
+@example("synthetic", {"sinr_target_db": -300, "obs_flip_prob": 0.0})
+@example("physical", {"sinr_target_db": 300, "k": 5, "n_states": 497, "memory": 1})
+@example("physical", {"sinr_target_db": 4000.0})
+@example("synthetic", {"sigma_sq": 0.0})
+@example("synthetic", {"sigma0_sq": 0.0})
+@example("synthetic", {"sigma_q_sq": 0.0})
+@example("physical", {"noise_var": 0.0})
+@example("synthetic", {"obs_flip_prob": 1.0})
+@example("synthetic", {"m": 0})
+@example("synthetic", {"n": 0})
+@example("synthetic", {"k": 0})
+@example("physical", {"k": 6})
+@example("physical", {"grid_n": 0})
+@example("physical", {"ir_taps": 0})
+@example("synthetic", {"memory": 0})
+@example("synthetic", {"n_states": 1})
+@example("synthetic", {"mu_star": (1.0, 2.0)})
+def test_constructed_config_holds_what_the_layers_below_assume(mode, values):
+    """The layers below the harness take a config's values as given; every
+    config that constructs holds what they assume. Only the seed-0 scene
+    is built, at memory 1: no run, no large table."""
+    try:
+        config = ExperimentConfig(**{"mode": mode, **values})
+    except ValidationError:
+        return
+    target = 10 ** (config.sinr_target_db / 10)
+    assert math.isfinite(target) and target > 0
+    for name in ("sigma_sq", "sigma0_sq", "sigma_q_sq", "noise_var"):
+        assert getattr(config, name) > 0, name
+    assert 0 <= config.obs_flip_prob < 1
+    for name in ("m", "n", "k", "grid_n", "ir_taps", "memory"):
+        assert getattr(config, name) >= 1, name
+    assert config.n_states >= 2
+    if config.mode == "physical":
+        assert config.k <= len(CATALOG_NAMES)
+    task_dist, scene = build_scene(replace(config, memory=1), 0)
+    assert task_dist.mu_star.shape == (3,)
+    assert len(scene.state_gain) == scene.state_proc.n_states == config.n_states
+
+
+def test_package_exports_only_the_harness_api():
+    assert sorted(wavesel.__all__) == sorted(
+        ["ExperimentConfig", "load_config", "run_experiment", "WaveselError", "__version__"]
+    )
+    assert all(hasattr(wavesel, name) for name in wavesel.__all__)
 
 
 def test_load_config_reads_file(tmp_path):

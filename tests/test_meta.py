@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 
 from wavesel import fstc, harness, meta, waveforms
 from wavesel.bandit import SyntheticTrackEnv, run_track
-from wavesel.errors import (
-    DimensionMismatch,
-    InvalidInput,
-    InvalidVariance,
-    ValidationError,
-)
+from wavesel.errors import InvalidInput, ValidationError
 from wavesel.gaussmath import cholesky, isotropic_gaussian
 from wavesel.harness import ExperimentConfig, build_scene, parse_config
 from wavesel.meta import (
@@ -85,25 +80,37 @@ def test_init_meta_reciprocal_variance():
     np.testing.assert_allclose(mp.precision, [[0.25]])
 
 
-def test_init_meta_rejects_zero_variance():
-    with pytest.raises(InvalidVariance):
-        init_meta(0.0, 3, sigma0_sq=0.35, noise_var=0.33)
+def meta_ts_run():
+    """The config, per-track results and belief history of a short meta-ts
+    run."""
+    cfg = replace(ExperimentConfig(), m=4, n=30)
+    task_dist, scene = build_scene(cfg, 0)
+    return cfg, *run_meta_experiment(cfg, task_dist, scene, "meta-ts", 0)
 
 
 def test_meta_posterior_validation():
-    with pytest.raises(InvalidInput):
-        MetaPosterior(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]), 0.35, 0.33)
-    with pytest.raises(InvalidVariance):
-        MetaPosterior(np.zeros(2), np.eye(2), -1.0, 0.33)
-    with pytest.raises(DimensionMismatch):
-        MetaPosterior(np.zeros(3), np.eye(2), 0.35, 0.33)
+    """Every belief a run builds has the form the update and the sampler
+    read, which MetaPosterior takes as given: a mean of the context
+    dimension, a precision of matching shape that is exactly symmetric, and
+    the config's positive variances."""
+    cfg, _, history = meta_ts_run()
+    for mp in [flat_meta(cfg.sigma_q_sq, 3, cfg.sigma0_sq, cfg.sigma_sq), *history]:
+        assert mp.mu.shape == (3,) and mp.precision.shape == (3, 3)
+        assert np.array_equal(mp.precision, mp.precision.T)
+        assert (mp.sigma0_sq, mp.noise_var) == (cfg.sigma0_sq, cfg.sigma_sq)
+        assert mp.sigma0_sq > 0 and mp.noise_var > 0
 
 
 def test_track_data_validation():
-    with pytest.raises(DimensionMismatch):
-        TrackData(np.zeros((4, 3)), np.zeros(5))
-    with pytest.raises(InvalidInput):
-        TrackData(np.full((2, 3), np.nan), np.zeros(2))
+    """The track data a run hands the meta update has the form TrackData
+    takes as given: one row of three finite context features per finite
+    loss."""
+    cfg, results, _ = meta_ts_run()
+    for result in results:
+        data = TrackData(result.contexts, result.loss)
+        assert data.contexts.shape == (cfg.n, 3) and data.losses.shape == (cfg.n,)
+        assert len(data) == cfg.n
+        assert np.all(np.isfinite(data.contexts)) and np.all(np.isfinite(data.losses))
 
 
 def test_meta_mean_cov_inverts_precision():
@@ -161,7 +168,9 @@ def test_one_dimensional_single_row_update():
 
 
 def test_update_rejects_wrong_context_dimension():
-    with pytest.raises(DimensionMismatch):
+    # the package's contexts have the belief's dimension; others do not
+    # broadcast against it
+    with pytest.raises(ValueError):
         meta_update(flat_meta(d=3), TrackData(np.ones((4, 2)), np.ones(4)))
 
 
@@ -321,6 +330,14 @@ def test_experiment_input_validation():
         assert info.value.field == field
     with pytest.raises(InvalidInput):
         policy_index("epsilon-greedy")
+
+
+def test_run_meta_experiment_refuses_a_float_seed():
+    # truncated to an int, 1.5 would run seed 1's streams under another name
+    cfg = replace(ExperimentConfig(), m=1, n=5)
+    task_dist, scene = build_scene(cfg, 1)
+    with pytest.raises(TypeError, match="seed must be integer"):
+        run_meta_experiment(cfg, task_dist, scene, "random", 1.5)
 
 
 def test_physical_mode_smoke():
