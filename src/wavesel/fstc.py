@@ -7,9 +7,10 @@ theta that sets the target, clutter, and noise power levels through a
 softplus link, plus smooth random impulse responses for the target and the
 clutter bed. A pulse is received as
 
-    rx = (w * h) delayed, ramped  +  (w * c) * sqrt(state_gain[s])  +  noise,
+    rx = (w * h) delayed, ramped  +  (w * c) * sqrt(4 ** (s - 1))  +  noise,
 
-where ``*`` is linear convolution, the complex phase ramp
+where ``*`` is linear convolution, 4 ** (s - 1) is the clutter gain of
+state s (:func:`state_gains`), the complex phase ramp
 exp(2 pi j doppler i / len) turns the target echo only through ``doppler``
 cycles across its length (the clutter bed is static), and the additive noise
 is circular complex Gaussian. The post-processing SINR compares the target's
@@ -19,11 +20,14 @@ builds, once per replicate, what depends only on the waveforms, ``doppler``
 and the tap count: each waveform's correlations, tap ramp and unit noise
 map. From those a :class:`TrackSimulator` computes one track's
 matched-filter responses and draws that SINR per pulse.
+
+The scene's values (noise floor, powers, grid, taps, draws) are read from a
+``harness.ExperimentConfig`` where they are used; the only scene-level draw
+is the :class:`StateProcess` transition table.
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -115,55 +119,32 @@ def step_state(sp: StateProcess, history, rng: np.random.Generator) -> int:
 
 def observe(sp: StateProcess, s: int, rng: np.random.Generator) -> int:
     """Noisy state reading: s with probability 1 - eps, else uniform elsewhere."""
-    if sp.n_states == 1 or rng.random() >= sp.obs_flip_prob:
+    if rng.random() >= sp.obs_flip_prob:
         return int(s)
     other = int(rng.integers(sp.n_states - 1))
     return other + (other >= s)
 
 
 # ---------------------------------------------------------------------------
-# episode-level types
+# episode draws
 
 
-@dataclass(frozen=True)
-class TaskDistribution:
-    """Episode-generating distribution: theta ~ N(mu_star, sigma0_sq I).
+def state_gains(n_states: int) -> list:
+    """The clutter power gain of each hidden state, 4 ** (s - 1)."""
+    return [4.0 ** (s - 1) for s in range(n_states)]
 
-    theta has exactly three components: the target, clutter and noise
-    levels.
+
+def tap_root(n_taps: int, kernel_scale: float) -> np.ndarray:
+    """A square root of the squared-exponential covariance of ``n_taps``
+    impulse-response taps at length scale ``kernel_scale``.
+
+    Uses an eigendecomposition so the nearly rank-deficient large-scale
+    limit stays well defined (all taps equal).
     """
-
-    mu_star: np.ndarray
-    sigma0_sq: float
-    ir_kernel_scale: float
-    ir_taps: int
-
-    @cached_property
-    def tap_root(self) -> np.ndarray:
-        """A square root of the squared-exponential tap covariance, computed
-        on the first impulse-response draw and kept for every later one.
-
-        Uses an eigendecomposition so the nearly rank-deficient large-scale
-        limit stays well defined (all taps equal).
-        """
-        idx = np.arange(self.ir_taps)
-        scale = self.ir_kernel_scale
-        cov = np.exp(-((idx[:, None] - idx[None, :]) ** 2) / (2.0 * scale**2))
-        w, v = np.linalg.eigh(cov)
-        return v * np.sqrt(np.clip(w, 0.0, None))
-
-
-@dataclass(frozen=True)
-class SceneConfig:
-    """Episode-independent channel configuration shared by all tracks."""
-
-    state_proc: StateProcess
-    state_gain: tuple
-    noise_var: float
-    grid_n: int
-    doppler: float
-    target_power: float
-    clutter_power: float
+    idx = np.arange(n_taps)
+    cov = np.exp(-((idx[:, None] - idx[None, :]) ** 2) / (2.0 * kernel_scale**2))
+    w, v = np.linalg.eigh(cov)
+    return v * np.sqrt(np.clip(w, 0.0, None))
 
 
 @dataclass(frozen=True)
@@ -175,11 +156,8 @@ class FstcInstance:
     theta: np.ndarray
     target_ir: np.ndarray
     clutter_ir: np.ndarray
-    state_proc: StateProcess
     noise_var: float
-    state_gain: np.ndarray
     trajectory: np.ndarray
-    grid_n: int
 
 
 def _gp_taps(root: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -190,30 +168,31 @@ def _gp_taps(root: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def draw_instance(
-    task_dist: TaskDistribution,
-    scene: SceneConfig,
-    n_cpis: int,
-    rng: np.random.Generator,
+    config, mu_star: np.ndarray, root: np.ndarray, rng: np.random.Generator
 ) -> FstcInstance:
-    """Draw one episode: theta, impulse responses, and a bounded random-walk
-    trajectory across the delay cells.
+    """Draw one episode of ``config.n`` CPIs: theta ~ N(mu_star, sigma0_sq I),
+    impulse responses with the tap covariance root ``root @ root^H`` (see
+    :func:`tap_root`), and a bounded random-walk trajectory across the
+    ``config.grid_n`` delay cells.
 
-    theta feeds three power levels through the softplus link: target gain,
-    clutter gain, and the noise floor. The draw order (theta, target taps,
-    clutter taps, trajectory) is fixed so seeded streams reproduce exactly.
+    ``config`` is a ``harness.ExperimentConfig``. theta feeds three power
+    levels through the softplus link: target gain, clutter gain, and the
+    noise floor. The draw order (theta, target taps, clutter taps,
+    trajectory) is fixed so seeded streams reproduce exactly.
     """
-    theta = task_dist.mu_star + np.sqrt(task_dist.sigma0_sq) * rng.standard_normal(3)
-    gain_t = softplus(theta[0]) * scene.target_power
-    gain_c = softplus(theta[1]) * scene.clutter_power
-    noise_var = softplus(theta[2]) * scene.noise_var
+    grid_n = config.grid_n
+    theta = mu_star + np.sqrt(config.sigma0_sq) * rng.standard_normal(3)
+    gain_t = softplus(theta[0]) * config.target_power
+    gain_c = softplus(theta[1]) * config.clutter_power
+    noise_var = softplus(theta[2]) * config.noise_var
 
-    h = np.sqrt(gain_t) * _gp_taps(task_dist.tap_root, rng)
-    c = np.sqrt(gain_c) * _gp_taps(task_dist.tap_root, rng)
+    h = np.sqrt(gain_t) * _gp_taps(root, rng)
+    c = np.sqrt(gain_c) * _gp_taps(root, rng)
 
     # Tracks begin at standoff range: the dominant clutter patch sits at the
     # near edge of the delay grid, and a target under track starts well
     # separated from it. The walk may still close that separation.
-    delay = int(rng.integers(1 + scene.grid_n // 3, scene.grid_n + 1))
+    delay = int(rng.integers(1 + grid_n // 3, grid_n + 1))
     # The target's Doppler is the scene-wide ``doppler`` ramp, so the walk
     # keeps no Doppler cell. It still makes the draws of a walk on a 16-cell
     # Doppler axis and drops them: the first cell, then one step after each
@@ -223,19 +202,16 @@ def draw_instance(
     # ones.
     rng.integers(1, 17)
     cells = []
-    for step in rng.integers(-1, 2, size=2 * n_cpis)[::2].tolist():
+    for step in rng.integers(-1, 2, size=2 * config.n)[::2].tolist():
         cells.append(delay)
-        delay = min(max(delay + step, 1), scene.grid_n)
+        delay = min(max(delay + step, 1), grid_n)
 
     return FstcInstance(
         theta=theta,
         target_ir=h,
         clutter_ir=c,
-        state_proc=scene.state_proc,
         noise_var=float(noise_var),
-        state_gain=np.asarray(scene.state_gain, dtype=float),
         trajectory=np.array(cells, dtype=int),
-        grid_n=scene.grid_n,
     )
 
 
@@ -371,31 +347,33 @@ class TrackSimulator:
     use a fixed set of such draws shared by all pulses of the episode,
     drawn for every waveform in one call.
 
-    The state is arrays over the K waveforms: peak powers ``_sig`` (K,),
-    window clutter powers per delay cell ``_clutter`` (grid_n, K), real
-    noise maps ``_noise_map`` (K, 2 width, 2 width) and cached noise powers
-    ``_noise`` (K, n_oracle_draws), plus the trajectory's 0-based delay
-    cells ``_delay`` (n,).
+    ``config`` is a ``harness.ExperimentConfig``, read for ``grid_n``,
+    ``n_states`` and ``n_oracle_draws``. The state is arrays over the K
+    waveforms: peak powers ``_sig`` (K,), window clutter powers per delay
+    cell ``_clutter`` (grid_n, K), real noise maps ``_noise_map``
+    (K, 2 width, 2 width) and cached noise powers ``_noise``
+    (K, n_oracle_draws), plus the trajectory's 0-based delay cells
+    ``_delay`` (n,) and the list of state gains ``_gain``.
     """
 
     def __init__(
         self,
+        config,
         inst: FstcInstance,
         tables: ChannelTables,
         oracle_rng: np.random.Generator,
-        n_oracle_draws: int,
     ):
+        grid_n, n_draws = config.grid_n, config.n_oracle_draws
         n_taps = tables.tap_ramp.shape[1]
-        self.inst = inst
         k = len(tables.windows)
         width = 2 * WINDOW_HALF + 1
-        delays = np.arange(inst.grid_n)
+        delays = np.arange(grid_n)
         self._sig = np.empty(k)
-        self._clutter = np.empty((inst.grid_n, k))
+        self._clutter = np.empty((grid_n, k))
         self._noise_map = np.sqrt(inst.noise_var) * tables.unit_noise_map
-        self._noise = np.empty((k, n_oracle_draws))
+        self._noise = np.empty((k, n_draws))
         # per waveform, the real parts of every draw, then the imaginary parts
-        normals = oracle_rng.standard_normal((k, 2, n_oracle_draws, width))
+        normals = oracle_rng.standard_normal((k, 2, n_draws, width))
         taps = np.empty((2, n_taps, 1), dtype=complex)
         taps[1, :, 0] = inst.clutter_ir
         for i, windows in enumerate(tables.windows):
@@ -403,7 +381,7 @@ class TrackSimulator:
             responses = windows @ taps
             n_resp = responses.shape[1]
             # |target| and |clutter| over the filter output, response at _BASE
-            out_len = n_resp + inst.grid_n + 2 * WINDOW_HALF
+            out_len = n_resp + grid_n + 2 * WINDOW_HALF
             mag = np.zeros((2, out_len))
             mag[:, _BASE : _BASE + n_resp] = np.abs(responses[..., 0])
             p0 = int(np.argmax(mag[0]))
@@ -420,7 +398,7 @@ class TrackSimulator:
             p_hat = p_hat + (inst.noise_var - p_hat.mean())
             self._noise[i] = np.clip(p_hat, 1e-18, None)
         self._delay = inst.trajectory - 1
-        self._gain = inst.state_gain.tolist()
+        self._gain = state_gains(config.n_states)
 
     def step(self, cpi: int, s: int, w_idx: int, rng: np.random.Generator) -> float:
         """Realized SINR of one pulse, equal in distribution to filtering the
@@ -443,7 +421,7 @@ class TrackSimulator:
         cell, s = np.broadcast_arrays(self._delay[cpi], s)
         n_cells = self._clutter.shape[0]
         pairs, inverse = np.unique((s * n_cells + cell).ravel(), return_inverse=True)
-        gain = self.inst.state_gain[pairs // n_cells]
+        gain = np.array(self._gain)[pairs // n_cells]
         p_c = gain[:, None] * self._clutter[pairs % n_cells]
         # updated in place, so the call holds one (pairs, K, draws) buffer
         losses = p_c[..., None] + self._noise
@@ -456,10 +434,11 @@ class TrackSimulator:
 
 
 class PhysicalTrackEnv(SceneWalk):
-    """Adapter giving the per-track learner a uniform environment interface."""
+    """Adapter giving the per-track learner a uniform environment interface:
+    the scene walk on ``state_proc`` and the simulator's pulses."""
 
-    def __init__(self, sim: TrackSimulator, sinr_target: float):
-        super().__init__(sim.inst.state_proc)
+    def __init__(self, sim: TrackSimulator, state_proc: StateProcess, sinr_target: float):
+        super().__init__(state_proc)
         self.sim = sim
         self.sinr_target = sinr_target
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .bandit import TrackResult
 from .errors import EmptyInput, InvalidInput, IoError, ParseError, ValidationError
-from .fstc import SceneConfig, StateProcess, TaskDistribution, random_transition
+from .fstc import StateProcess, random_transition
 from .meta import POLICIES, policy_index, run_meta_experiment, scene_rng
 from .metrics import DB_FLOOR, OUTAGE_DB, kl_trace, sinr_to_db, track_record
 from .waveforms import CATALOG_NAMES
@@ -295,7 +295,7 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
 
@@ -317,38 +317,23 @@ def serialize_config(config: ExperimentConfig) -> str:
 # replicate execution
 
 
-def build_scene(config: ExperimentConfig, seed: int) -> tuple[TaskDistribution, SceneConfig]:
-    """Seed-level scene draw, shared by every policy under the seed.
+def build_scene(config: ExperimentConfig, seed: int) -> tuple[np.ndarray, StateProcess]:
+    """Seed-level scene, shared by every policy under the seed: the true
+    prior mean and the hidden-state process. Every other scene value is read
+    from ``config`` where it is used.
 
     Only the state-transition table is random here; the true prior mean
     defaults to a fixed per-mode constant so that runs across seeds probe
     one task distribution rather than a different one per seed.
     """
-    rng = scene_rng(seed)
-    transition = random_transition(config.n_states, config.memory, rng)
+    transition = random_transition(config.n_states, config.memory, scene_rng(seed))
     if config.mu_star is not None:
-        mu = np.asarray(config.mu_star, dtype=float)
+        mu = config.mu_star
     elif config.mode == "synthetic":
-        mu = np.asarray(SYNTHETIC_MU_STAR, dtype=float)
+        mu = SYNTHETIC_MU_STAR
     else:
-        mu = np.asarray(PHYSICAL_MU_STAR, dtype=float)
-    state_gain = tuple(4.0 ** (i - 1) for i in range(config.n_states))
-    scene = SceneConfig(
-        state_proc=StateProcess(transition, config.obs_flip_prob),
-        state_gain=state_gain,
-        noise_var=config.noise_var,
-        grid_n=config.grid_n,
-        doppler=config.doppler,
-        target_power=config.target_power,
-        clutter_power=config.clutter_power,
-    )
-    task_dist = TaskDistribution(
-        mu_star=mu,
-        sigma0_sq=config.sigma0_sq,
-        ir_kernel_scale=config.ir_kernel_scale,
-        ir_taps=config.ir_taps,
-    )
-    return task_dist, scene
+        mu = PHYSICAL_MU_STAR
+    return np.asarray(mu, dtype=float), StateProcess(transition, config.obs_flip_prob)
 
 
 @dataclass
@@ -447,8 +432,8 @@ def run(
     if not _accepts(int, seed) or seed not in config.seeds:
         raise ValidationError("seeds", f"{seed!r} is not listed")
     started = time.perf_counter()
-    task_dist, scene = build_scene(config, seed)
-    results, history = run_meta_experiment(config, task_dist, scene, policy, seed)
+    mu_star, state_proc = build_scene(config, seed)
+    results, history = run_meta_experiment(config, mu_star, state_proc, policy, seed)
     record = track_record(results)
     sinr_db = sinr_to_db(record.sinr)
     outage = sinr_db < OUTAGE_DB
@@ -457,7 +442,7 @@ def run(
         # zero by construction rather than via a belief update.
         kl = np.zeros(config.m)
     else:
-        kl = kl_trace(history, task_dist)
+        kl = kl_trace(history, mu_star)
     summary = RunSummary(
         policy=policy,
         seed=seed,
@@ -521,7 +506,7 @@ def read_track_table(path: str) -> list:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     if not lines or lines[0] != PER_TRACK_HEADER:
         raise IoError(f"{path} is not a per-track summary file")

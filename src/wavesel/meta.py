@@ -22,11 +22,11 @@ from .bandit import SyntheticTrackEnv, TrackResult, run_track
 from .errors import InvalidInput
 from .fstc import (
     PhysicalTrackEnv,
-    SceneConfig,
-    TaskDistribution,
+    StateProcess,
     TrackSimulator,
     channel_tables,
     draw_instance,
+    tap_root,
 )
 from .gaussmath import Gaussian, cholesky, isotropic_gaussian
 from .waveforms import default_catalog
@@ -106,7 +106,7 @@ def sample_instance_prior(mp: MetaPosterior, rng: np.random.Generator) -> Gaussi
 
 
 def meta_update(mp: MetaPosterior, data: TrackData) -> MetaPosterior:
-    """Fold one completed track into the belief; empty data is a no-op.
+    """Fold one completed track, of at least one pulse, into the belief.
 
     The track's model evidence marginalizes the per-track weights out, so a
     track with contexts X and losses l shifts the belief through the n x n
@@ -124,8 +124,6 @@ def meta_update(mp: MetaPosterior, data: TrackData) -> MetaPosterior:
     and updating sequentially would drop the coupling M carries between
     pulses and give a different (wrong) answer.
     """
-    if len(data) == 0:
-        return mp
     X = data.contexts
     G = (X.T @ X) / mp.noise_var
     h = (X.T @ data.losses) / mp.noise_var
@@ -184,12 +182,13 @@ def oracle_rng(seed: int, track: int) -> np.random.Generator:
 
 
 def run_meta_experiment(
-    config, task_dist: TaskDistribution, scene: SceneConfig, policy: str, seed: int
+    config, mu_star: np.ndarray, state_proc: StateProcess, policy: str, seed: int
 ) -> tuple[list[TrackResult], list[MetaPosterior]]:
     """Run ``config.m`` tracks of ``config.n`` pulses under one policy and seed.
 
-    ``config`` is a ``harness.ExperimentConfig``; ``task_dist`` and ``scene``
-    are the seed's draw from ``harness.build_scene(config, seed)``.
+    ``config`` is a ``harness.ExperimentConfig``; ``mu_star``, the true prior
+    mean, and ``state_proc`` are the seed's scene from
+    ``harness.build_scene(config, seed)``.
 
     Per track: draw the episode (a latent weight vector in synthetic mode, a
     full channel instance in physical mode), pick the policy's instance
@@ -202,20 +201,17 @@ def run_meta_experiment(
     ts-uninformative use a zero-mean prior whose spread is the marginal
     variance sigma_q_sq + sigma0_sq of a weight under the hierarchy.
     """
-    n, k_arms, sigma_sq = config.n, config.k, config.sigma_sq
-    d = task_dist.mu_star.size
-    mp = init_meta(config.sigma_q_sq, d, sigma0_sq=task_dist.sigma0_sq, noise_var=sigma_sq)
+    n, k_arms, sigma_sq, sigma0_sq = config.n, config.k, config.sigma_sq, config.sigma0_sq
+    d = mu_star.size
+    mp = init_meta(config.sigma_q_sq, d, sigma0_sq=sigma0_sq, noise_var=sigma_sq)
     sinr_target = 10.0 ** (config.sinr_target_db / 10.0)
     if config.mode == "physical":
-        tables = channel_tables(
-            default_catalog(k=k_arms), task_dist.ir_taps, scene.doppler
-        )
+        tables = channel_tables(default_catalog(k=k_arms), config.ir_taps, config.doppler)
+        root = tap_root(config.ir_taps, config.ir_kernel_scale)
     meta_draws = meta_prior_rng(seed, policy)
 
-    uninformative = isotropic_gaussian(
-        np.zeros(d), config.sigma_q_sq + task_dist.sigma0_sq
-    )
-    oracle_prior = isotropic_gaussian(task_dist.mu_star, task_dist.sigma0_sq)
+    uninformative = isotropic_gaussian(np.zeros(d), config.sigma_q_sq + sigma0_sq)
+    oracle_prior = isotropic_gaussian(mu_star, sigma0_sq)
 
     results: list[TrackResult] = []
     history: list[MetaPosterior] = []
@@ -223,16 +219,12 @@ def run_meta_experiment(
         rng = track_rng(seed, policy, t)
         env_rng = instance_rng(seed, t)
         if config.mode == "synthetic":
-            theta_star = task_dist.mu_star + np.sqrt(
-                task_dist.sigma0_sq
-            ) * env_rng.standard_normal(d)
-            env = SyntheticTrackEnv(
-                theta_star, scene.state_proc, sigma_sq, sinr_target
-            )
+            theta_star = mu_star + np.sqrt(sigma0_sq) * env_rng.standard_normal(d)
+            env = SyntheticTrackEnv(theta_star, state_proc, sigma_sq, sinr_target)
         else:
-            inst = draw_instance(task_dist, scene, n, env_rng)
-            sim = TrackSimulator(inst, tables, oracle_rng(seed, t), config.n_oracle_draws)
-            env = PhysicalTrackEnv(sim, sinr_target)
+            inst = draw_instance(config, mu_star, root, env_rng)
+            sim = TrackSimulator(config, inst, tables, oracle_rng(seed, t))
+            env = PhysicalTrackEnv(sim, state_proc, sinr_target)
 
         if policy == "ts-oracle":
             prior = oracle_prior

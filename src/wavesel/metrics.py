@@ -11,7 +11,6 @@ import numpy as np
 
 from .bandit import TrackResult
 from .errors import InvalidInput
-from .fstc import TaskDistribution
 from .gaussmath import isotropic_gaussian, kl_gaussian
 from .meta import meta_gaussian
 
@@ -45,10 +44,10 @@ def track_record(results) -> TrackResult:
     return record
 
 
-def kl_trace(meta_history, task_dist: TaskDistribution) -> np.ndarray:
+def kl_trace(meta_history, mu_star: np.ndarray) -> np.ndarray:
     """Per-track divergence of the meta belief from the smoothed true prior
     mean N(mu_star, KL_REFERENCE_VAR I)."""
-    ref = isotropic_gaussian(task_dist.mu_star, KL_REFERENCE_VAR)
+    ref = isotropic_gaussian(mu_star, KL_REFERENCE_VAR)
     return np.array([kl_gaussian(meta_gaussian(mp), ref) for mp in meta_history])
 
 

@@ -16,8 +16,8 @@ from wavesel.gaussmath import JITTER, Gaussian, _check_gaussian, cholesky
 from wavesel.harness import PER_CPI_HEADER
 from wavesel.waveforms import default_catalog
 
-#: The clutter gains of a four-state scene, 4 ** (s - 1), as the harness
-#: builds them.
+#: The clutter gains of a four-state scene, 4 ** (s - 1), as
+#: ``fstc.state_gains`` builds them.
 STATE_GAIN = (0.25, 1.0, 4.0, 16.0)
 
 
@@ -172,14 +172,12 @@ def place(length: int, refl: np.ndarray, offset: int) -> np.ndarray:
     return out
 
 
-def simulator(
-    inst, rng: np.random.Generator, n_draws: int, k: int = 5, doppler: float = 0.0
-):
-    """A ``TrackSimulator`` of ``inst`` over the first k catalog waveforms,
-    from channel tables built for the instance's taps and ``doppler``, the
-    Doppler of the scene the instance was drawn from."""
-    tables = channel_tables(default_catalog(k), inst.target_ir.size, doppler)
-    return TrackSimulator(inst, tables, rng, n_draws)
+def simulator(config, inst, rng: np.random.Generator):
+    """A ``TrackSimulator`` of ``inst`` under ``config``, from channel tables
+    built for the config's first k catalog waveforms, its taps and its
+    ``doppler``."""
+    tables = channel_tables(default_catalog(config.k), config.ir_taps, config.doppler)
+    return TrackSimulator(config, inst, tables, rng)
 
 
 def noise_factor(noise_var: float, env) -> np.ndarray:
@@ -311,7 +309,7 @@ def reference_track(env, prior, noise_var: float, n_cpis: int, k_arms: int,
             realized = float(np.clip(y, 0.0, 1.0))
             sinr = realized * env.sinr_target
         else:
-            gain = float(sim.inst.state_gain[s])
+            gain = 4.0 ** (s - 1)
             p_c = gain * sim._clutter[sim._delay[k]]
             ratio = np.minimum(sim._sig[:, None] / (p_c[:, None] + sim._noise), SINR_CAP)
             expected = np.mean(np.clip(ratio / env.sinr_target, 0.0, 1.0), axis=1)

@@ -22,12 +22,12 @@ from wavesel import gaussmath
 from wavesel.errors import IndexOutOfRange, InvalidInput
 from wavesel.fstc import (
     PhysicalTrackEnv,
-    SceneConfig,
     StateProcess,
-    TaskDistribution,
     compute_loss,
     draw_instance,
+    tap_root,
 )
+from wavesel.harness import ExperimentConfig
 from wavesel.gaussmath import (
     blr_update,
     isotropic_gaussian,
@@ -36,7 +36,6 @@ from wavesel.gaussmath import (
     sample_gaussian,
 )
 from oracles import (
-    STATE_GAIN,
     float_posterior,
     largest_gap,
     reference_track,
@@ -413,20 +412,11 @@ class RecordingEnv:
 
 
 def physical_env(n: int, doppler: float = 0.0, grid_n: int = 16) -> PhysicalTrackEnv:
-    rng = np.random.default_rng(50)
-    scene = SceneConfig(
-        state_proc=uniform_state_proc(),
-        state_gain=STATE_GAIN,
-        noise_var=1e-3,
-        grid_n=grid_n,
-        doppler=doppler,
-        target_power=1.0,
-        clutter_power=30.0,
-    )
-    dist = TaskDistribution(np.array([1.2, 0.4, 0.6]), 0.35, 1.5, 8)
-    inst = draw_instance(dist, scene, n, rng)
-    sim = simulator(inst, np.random.default_rng(51), 64, doppler=doppler)
-    return PhysicalTrackEnv(sim, 15.8)
+    config = ExperimentConfig(mode="physical", n=n, doppler=doppler, grid_n=grid_n)
+    root = tap_root(config.ir_taps, config.ir_kernel_scale)
+    inst = draw_instance(config, np.array([1.2, 0.4, 0.6]), root, np.random.default_rng(50))
+    sim = simulator(config, inst, np.random.default_rng(51))
+    return PhysicalTrackEnv(sim, uniform_state_proc(), 15.8)
 
 
 @pytest.mark.parametrize("mode", ["synthetic", "physical"])

@@ -15,10 +15,8 @@ from wavesel.fstc import (
     SINR_CAP,
     WINDOW_HALF,
     FstcInstance,
-    SceneConfig,
     StateProcess,
     PhysicalTrackEnv,
-    TaskDistribution,
     TrackSimulator,
     _sinr_value,
     channel_tables,
@@ -27,6 +25,7 @@ from wavesel.fstc import (
     observe,
     random_transition,
     step_state,
+    tap_root,
     unit_clip,
 )
 from wavesel.harness import parse_config
@@ -41,29 +40,16 @@ import oracles
 from oracles import STATE_GAIN, canvas_len, place, reflected, regret_increment, simulator
 
 
-def make_task_dist(**overrides) -> TaskDistribution:
-    base = dict(
-        mu_star=np.array([1.2, 0.4, 0.6]),
-        sigma0_sq=0.35,
-        ir_kernel_scale=1.5,
-        ir_taps=8,
-    )
-    base.update(overrides)
-    return TaskDistribution(**base)
+#: The physical scene the channel tests draw from: the default config on a
+#: 16-cell delay grid, four states, and the physical prior mean.
+SCENE = harness.ExperimentConfig(mode="physical", grid_n=16)
+MU_STAR = np.array(harness.PHYSICAL_MU_STAR)
 
 
-def make_scene(rng, **overrides) -> SceneConfig:
-    base = dict(
-        state_proc=StateProcess(random_transition(4, 2, rng), 0.1),
-        state_gain=STATE_GAIN,
-        noise_var=1e-3,
-        grid_n=16,
-        doppler=0.0,
-        target_power=1.0,
-        clutter_power=30.0,
-    )
-    base.update(overrides)
-    return SceneConfig(**base)
+def draw(config, rng: np.random.Generator, mu_star=MU_STAR) -> FstcInstance:
+    """One episode of ``config`` as a physical replicate draws it."""
+    root = tap_root(config.ir_taps, config.ir_kernel_scale)
+    return draw_instance(config, mu_star, root, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -217,43 +203,38 @@ def test_observe_full_entropy_kernel():
 
 
 def test_degenerate_prior_pins_theta():
-    dist = make_task_dist(sigma0_sq=1e-30)
-    scene = make_scene(np.random.default_rng(8))
+    config = replace(SCENE, sigma0_sq=1e-30, n=3)
     rng = np.random.default_rng(9)
     for _ in range(5):
-        inst = draw_instance(dist, scene, 3, rng)
-        np.testing.assert_allclose(inst.theta, dist.mu_star, atol=1e-10)
+        inst = draw(config, rng)
+        np.testing.assert_allclose(inst.theta, MU_STAR, atol=1e-10)
 
 
 def test_theta_moments_match_task_distribution():
-    dist = make_task_dist()
-    scene = make_scene(np.random.default_rng(10))
+    config = replace(SCENE, n=1)
     rng = np.random.default_rng(11)
+    root = tap_root(config.ir_taps, config.ir_kernel_scale)
     thetas = np.array(
-        [draw_instance(dist, scene, 1, rng).theta for _ in range(10_000)]
+        [draw_instance(config, MU_STAR, root, rng).theta for _ in range(10_000)]
     )
-    assert np.max(np.abs(thetas.mean(axis=0) - dist.mu_star)) < 0.05
+    assert np.max(np.abs(thetas.mean(axis=0) - MU_STAR)) < 0.05
     var = thetas.var(axis=0)
-    assert np.all(np.abs(var - dist.sigma0_sq) < 0.1 * dist.sigma0_sq)
+    assert np.all(np.abs(var - config.sigma0_sq) < 0.1 * config.sigma0_sq)
 
 
 def test_large_kernel_scale_flattens_taps():
     # neighbor correlation at scale s is 1 - (lag/s)^2, so the residual
     # spread over 8 taps is of order amplitude * taps/s: ~1e-5 here
-    dist = make_task_dist(ir_kernel_scale=1e6)
-    scene = make_scene(np.random.default_rng(12))
-    inst = draw_instance(dist, scene, 1, np.random.default_rng(13))
+    inst = draw(replace(SCENE, ir_kernel_scale=1e6, n=1), np.random.default_rng(13))
     spread = np.max(np.abs(inst.target_ir - inst.target_ir[0]))
     assert spread < 1e-4 * np.max(np.abs(inst.target_ir))
 
 
 def test_trajectory_stays_on_grid():
-    dist = make_task_dist()
-    scene = make_scene(np.random.default_rng(14))
-    inst = draw_instance(dist, scene, 500, np.random.default_rng(15))
+    inst = draw(replace(SCENE, n=500), np.random.default_rng(15))
     assert inst.trajectory.shape == (500,)
     assert inst.trajectory.min() >= 1
-    assert inst.trajectory.max() <= scene.grid_n
+    assert inst.trajectory.max() <= SCENE.grid_n
     assert np.all(np.abs(np.diff(inst.trajectory)) <= 1)
 
 
@@ -262,15 +243,14 @@ def test_trajectory_stays_on_grid():
 def test_trajectory_equals_the_interleaved_walk(grid_n, n_cpis):
     # the walk draws its 2n steps in one call; the values, and where it
     # leaves the stream, must be those of 2n single draws
-    dist = make_task_dist()
-    scene = make_scene(np.random.default_rng(14), grid_n=grid_n)
+    config = replace(SCENE, grid_n=grid_n, n=n_cpis)
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        inst = draw_instance(dist, scene, n_cpis, rng)
+        inst = draw(config, rng)
         ref = np.random.default_rng(seed)
         ref.standard_normal(3)
         for _ in range(4):
-            ref.standard_normal(dist.ir_taps)
+            ref.standard_normal(config.ir_taps)
         expected = oracles.interleaved_walk(grid_n, n_cpis, ref)
         assert inst.trajectory.dtype == expected.dtype
         np.testing.assert_array_equal(inst.trajectory, expected)
@@ -297,8 +277,8 @@ def test_synthetic_replicate_builds_no_tap_root(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("mu_star", [[1.2, 0.4], [1.2, 0.4, 0.6, 0.1], [[1.2, 0.4, 0.6]]])
 def test_task_distribution_needs_three_components(mu_star):
-    # build_scene takes the task distribution's mean from the config, which
-    # refuses any other shape, naming the key
+    # build_scene takes the true prior mean from the config, which refuses
+    # any other shape, naming the key
     with pytest.raises(ValidationError) as info:
         harness.ExperimentConfig(mu_star=tuple(mu_star))
     assert info.value.field == "mu_star"
@@ -316,36 +296,38 @@ def window(peak: int, length: int) -> slice:
 
 
 def receive(
+    config,
     inst: FstcInstance,
     s: int,
     w: ComplexEnvelope,
     cpi: int,
     rng: np.random.Generator,
-    doppler: float = 0.0,
 ):
-    """Simulate one pulse: returns (post-processing SINR, received samples).
+    """Simulate one pulse of ``inst`` in the scene of ``config``: returns
+    (post-processing SINR, received samples).
 
     The direct simulation that ``TrackSimulator`` must agree with: the
     target echo is placed at the trajectory's current delay cell and carries
-    the Doppler ramp; the clutter return spans the scene at zero delay and is
-    static; white noise covers the whole canvas. SINR is the target's
-    matched-filter peak power over the mean clutter-plus-noise power in the
-    window of lags around that peak.
+    the Doppler ramp; the clutter return spans the scene at zero delay, is
+    static and is scaled by the state's gain ``STATE_GAIN[s]``; white noise
+    covers the whole canvas. SINR is the target's matched-filter peak power
+    over the mean clutter-plus-noise power in the window of lags around that
+    peak.
     """
-    if not 0 <= s < inst.state_proc.n_states:
-        raise InvalidInput(f"state {s} outside [0, {inst.state_proc.n_states})")
+    if not 0 <= s < config.n_states:
+        raise InvalidInput(f"state {s} outside [0, {config.n_states})")
     if not 0 <= cpi < len(inst.trajectory):
         raise IndexOutOfRange(
             f"cpi {cpi} outside trajectory of length {len(inst.trajectory)}"
         )
 
     delay = int(inst.trajectory[cpi]) - 1
-    refl_t = reflected(w, inst.target_ir, doppler)
+    refl_t = reflected(w, inst.target_ir, config.doppler)
     refl_c = reflected(w, inst.clutter_ir, 0.0)
-    clen = canvas_len(refl_t.size, inst.grid_n)
+    clen = canvas_len(refl_t.size, config.grid_n)
 
     target = place(clen, refl_t, _BASE + delay)
-    clutter = place(clen, np.sqrt(inst.state_gain[s]) * refl_c, _BASE)
+    clutter = place(clen, np.sqrt(STATE_GAIN[s]) * refl_c, _BASE)
     noise = np.sqrt(inst.noise_var / 2.0) * (
         rng.standard_normal(clen) + 1j * rng.standard_normal(clen)
     )
@@ -362,9 +344,7 @@ def receive(
 
 
 def default_instance(seed: int = 16, n_cpis: int = 4) -> FstcInstance:
-    dist = make_task_dist()
-    scene = make_scene(np.random.default_rng(seed))
-    return draw_instance(dist, scene, n_cpis, np.random.default_rng(seed + 1))
+    return draw(replace(SCENE, n=n_cpis), np.random.default_rng(seed + 1))
 
 
 def test_receive_caps_in_noise_free_corner():
@@ -375,58 +355,52 @@ def test_receive_caps_in_noise_free_corner():
         noise_var=1e-30,
     )
     w = default_catalog()[0]
-    sinr, _ = receive(clean, 0, w, 0, np.random.default_rng(17))
+    sinr, _ = receive(SCENE, clean, 0, w, 0, np.random.default_rng(17))
     assert sinr == SINR_CAP
 
 
 def test_receive_snr_of_impulse_channel():
-    sp = StateProcess(np.array([1.0]), 0.0)
     inst = FstcInstance(
         theta=np.zeros(3),
         target_ir=np.array([1.0 + 0.0j]),
         clutter_ir=np.array([0.0 + 0.0j]),
-        state_proc=sp,
         noise_var=0.01,
-        state_gain=np.array([1.0]),
         trajectory=np.array([1]),
-        grid_n=4,
     )
     w = catalog_envelope("zc-1024")
     rng = np.random.default_rng(18)
-    sinrs = [receive(inst, 0, w, 0, rng)[0] for _ in range(1000)]
+    config = replace(SCENE, grid_n=4)
+    sinrs = [receive(config, inst, 0, w, 0, rng)[0] for _ in range(1000)]
     mean_db = 10.0 * np.log10(np.mean(sinrs))
     assert abs(mean_db - 20.0) < 0.5
 
 
 def test_state_gain_scales_clutter_power_exactly():
     inst = default_instance()
-    silent = replace(
-        inst,
-        target_ir=np.zeros_like(inst.target_ir),
-        noise_var=1e-30,
-        state_gain=np.array([1.0, 2.0, 4.0, 8.0]),
-    )
+    silent = replace(inst, target_ir=np.zeros_like(inst.target_ir), noise_var=1e-30)
     w = default_catalog()[1]
-    _, rx1 = receive(silent, 0, w, 0, np.random.default_rng(19))
-    _, rx2 = receive(silent, 1, w, 0, np.random.default_rng(19))
-    p1 = float(np.sum(np.abs(rx1) ** 2))
-    p2 = float(np.sum(np.abs(rx2) ** 2))
-    assert abs(p2 - 2.0 * p1) < 1e-12 * p1
+    _, rx0 = receive(SCENE, silent, 0, w, 0, np.random.default_rng(19))
+    p0 = float(np.sum(np.abs(rx0) ** 2))
+    for s in range(1, SCENE.n_states):
+        _, rx = receive(SCENE, silent, s, w, 0, np.random.default_rng(19))
+        p = float(np.sum(np.abs(rx) ** 2))
+        ratio = STATE_GAIN[s] / STATE_GAIN[0]
+        assert abs(p - ratio * p0) < 1e-12 * ratio * p0
 
 
 def test_stronger_clutter_state_lowers_sinr():
     inst = default_instance()
     w = default_catalog()[0]
-    s_low, _ = receive(inst, 0, w, 0, np.random.default_rng(20))
-    s_high, _ = receive(inst, 3, w, 0, np.random.default_rng(20))
+    s_low, _ = receive(SCENE, inst, 0, w, 0, np.random.default_rng(20))
+    s_high, _ = receive(SCENE, inst, 3, w, 0, np.random.default_rng(20))
     assert s_high < s_low
 
 
 def test_receive_is_deterministic():
     inst = default_instance()
     w = default_catalog()[2]
-    a, rx_a = receive(inst, 1, w, 0, np.random.default_rng(21))
-    b, rx_b = receive(inst, 1, w, 0, np.random.default_rng(21))
+    a, rx_a = receive(SCENE, inst, 1, w, 0, np.random.default_rng(21))
+    b, rx_b = receive(SCENE, inst, 1, w, 0, np.random.default_rng(21))
     assert a == b
     np.testing.assert_array_equal(rx_a, rx_b)
 
@@ -436,7 +410,7 @@ def test_receive_sinr_always_valid():
     rng = np.random.default_rng(22)
     for w in default_catalog():
         for cpi in range(8):
-            sinr, _ = receive(inst, int(rng.integers(4)), w, cpi, rng)
+            sinr, _ = receive(SCENE, inst, int(rng.integers(4)), w, cpi, rng)
             assert np.isfinite(sinr)
             assert 0.0 < sinr <= SINR_CAP
 
@@ -445,9 +419,9 @@ def test_receive_rejects_bad_indices():
     inst = default_instance()
     w = default_catalog()[0]
     with pytest.raises(InvalidInput):
-        receive(inst, 9, w, 0, np.random.default_rng(0))
+        receive(SCENE, inst, 9, w, 0, np.random.default_rng(0))
     with pytest.raises(IndexOutOfRange):
-        receive(inst, 0, w, 99, np.random.default_rng(0))
+        receive(SCENE, inst, 0, w, 99, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -464,15 +438,16 @@ def test_simulator_agrees_with_receive_monte_carlo():
     rng = np.random.default_rng(25)
     for i, w in enumerate(catalog):
         losses = [
-            min(max(receive(inst, s, w, cpi, rng)[0] / sinr_target, 0.0), 1.0)
+            min(max(receive(SCENE, inst, s, w, cpi, rng)[0] / sinr_target, 0.0), 1.0)
             for _ in range(trials)
         ]
         mc_loss[i] = np.mean(losses)
 
-    refined = simulator(inst, np.random.default_rng(26), 10_000)
+    refined_scene = replace(SCENE, n_oracle_draws=10_000)
+    refined = simulator(refined_scene, inst, np.random.default_rng(26))
     assert np.max(np.abs(refined.expected_losses(cpi, s, sinr_target) - mc_loss)) < 0.02
 
-    coarse = simulator(inst, np.random.default_rng(27), 64)
+    coarse = simulator(SCENE, inst, np.random.default_rng(27))
     exp64 = coarse.expected_losses(cpi, s, sinr_target)
     exp_ref = refined.expected_losses(cpi, s, sinr_target)
     for chosen in range(len(catalog)):
@@ -492,33 +467,32 @@ def test_simulator_agrees_with_receive_monte_carlo():
 
 def test_expected_losses_deterministic_per_episode():
     inst = default_instance(seed=29)
-    sim = simulator(inst, np.random.default_rng(30), 64)
+    sim = simulator(SCENE, inst, np.random.default_rng(30))
     a = sim.expected_losses(0, 1, 15.8)
     b = sim.expected_losses(0, 1, 15.8)
     np.testing.assert_array_equal(a, b)
 
 
-def test_physical_env_walks_the_instance_chain_and_maps_sinr_to_loss():
+def test_physical_env_walks_the_scene_chain_and_maps_sinr_to_loss():
     inst = default_instance(seed=31)
-    sim = simulator(inst, np.random.default_rng(32), 64)
-    env = PhysicalTrackEnv(sim, 15.8)
-    assert env.state_proc is inst.state_proc
+    sim = simulator(SCENE, inst, np.random.default_rng(32))
+    sp = StateProcess(random_transition(4, 2, np.random.default_rng(31)), 0.1)
+    env = PhysicalTrackEnv(sim, sp, 15.8)
+    assert env.state_proc is sp
     for w_idx in range(len(default_catalog())):
         loss, sinr = env.realize(0, 1, w_idx, None, np.random.default_rng(33))
         assert sinr == sim.step(0, 1, w_idx, np.random.default_rng(33))
         assert loss == compute_loss(sinr, 15.8)
 
 
-def window_powers(
-    inst: FstcInstance, w: ComplexEnvelope, delay: int, doppler: float = 0.0
-):
+def window_powers(config, inst: FstcInstance, w: ComplexEnvelope, delay: int):
     """Per-waveform oracle of the simulator's deterministic terms: the
     target's matched-filter peak power and the mean clutter power in the
     window around the peak shifted by ``delay``, from the canvas helpers and
     the same prefix sums the simulator uses."""
-    refl_t = reflected(w, inst.target_ir, doppler)
+    refl_t = reflected(w, inst.target_ir, config.doppler)
     refl_c = reflected(w, inst.clutter_ir, 0.0)
-    clen = canvas_len(refl_t.size, inst.grid_n)
+    clen = canvas_len(refl_t.size, config.grid_n)
     y_t0 = matched_filter(w, place(clen, refl_t, _BASE))
     y_c0 = matched_filter(w, place(clen, refl_c, _BASE))
     p0 = int(np.argmax(np.abs(y_t0)))
@@ -533,7 +507,7 @@ def window_powers(
 def edge_instance(seed: int) -> FstcInstance:
     """An instance whose trajectory visits the first and last delay cells."""
     inst = default_instance(seed=seed)
-    return replace(inst, trajectory=np.array([1, inst.grid_n, 5]))
+    return replace(inst, trajectory=np.array([1, SCENE.grid_n, 5]))
 
 
 @pytest.mark.parametrize("doppler", [0.0, 0.7])
@@ -544,15 +518,15 @@ def test_simulator_terms_equal_per_waveform_oracle(doppler):
     # the unit noise map, so the two agree to rounding, not to the bit.
     inst = edge_instance(40)
     catalog = default_catalog()
-    sim = simulator(inst, np.random.default_rng(41), 129, doppler=doppler)
+    config = replace(SCENE, doppler=doppler, n_oracle_draws=129)
+    sim = simulator(config, inst, np.random.default_rng(41))
     noise = oracles.complex_oracle_noise(inst, catalog, np.random.default_rng(41), 129)
     factors = [oracles.noise_factor(inst.noise_var, w) for w in catalog]
     sinr_target = 15.8
     for cpi, cell in enumerate(inst.trajectory):
         delay = int(cell) - 1
-        powers = [window_powers(inst, w, delay, doppler) for w in catalog]
-        for s in range(inst.state_proc.n_states):
-            gain = float(inst.state_gain[s])
+        powers = [window_powers(config, inst, w, delay) for w in catalog]
+        for s, gain in enumerate(STATE_GAIN):
             expected = np.empty(len(catalog))
             for i, (sig, clutter) in enumerate(powers):
                 sinr = np.minimum(sig / (gain * clutter + noise[i]), SINR_CAP)
@@ -574,11 +548,11 @@ def test_clutter_table_equals_oracle_where_the_window_clips():
     inst = edge_instance(43)
     inst = replace(inst, target_ir=np.zeros_like(inst.target_ir))
     catalog = default_catalog(k=2)
-    sim = simulator(inst, np.random.default_rng(44), 1, k=2)
-    assert sim._clutter.shape == (inst.grid_n, len(catalog))
-    for delay in range(inst.grid_n):
+    sim = simulator(replace(SCENE, k=2, n_oracle_draws=1), inst, np.random.default_rng(44))
+    assert sim._clutter.shape == (SCENE.grid_n, len(catalog))
+    for delay in range(SCENE.grid_n):
         for i, w in enumerate(catalog):
-            sig, clutter = window_powers(inst, w, delay)
+            sig, clutter = window_powers(SCENE, inst, w, delay)
             assert sig == sim._sig[i] == 0.0
             assert sim._clutter[delay, i] == pytest.approx(clutter, rel=1e-12)
 
@@ -596,7 +570,7 @@ def test_filtered_echo_equals_matched_filter_of_the_placed_echo(seed):
             responses = (tables.windows[i] @ taps[:, :, None])[..., 0]
             for row, ir, ramp in ((0, inst.target_ir, doppler), (1, inst.clutter_ir, 0.0)):
                 refl = reflected(w, ir, ramp)
-                clen = canvas_len(refl.size, inst.grid_n)
+                clen = canvas_len(refl.size, SCENE.grid_n)
                 expected = matched_filter(w, place(clen, refl, _BASE))
                 got = place(expected.size, responses[row], _BASE)
                 peak = np.max(np.abs(expected))
@@ -606,9 +580,9 @@ def test_filtered_echo_equals_matched_filter_of_the_placed_echo(seed):
 
 @pytest.mark.parametrize("doppler", [0.0, 0.7])
 def test_track_draw_and_build_factor_and_filter_nothing(monkeypatch, doppler):
-    # per track, the draw reads the task distribution's kept tap root and
-    # the build reads the replicate's tables: no eigendecomposition,
-    # factor, Toeplitz matrix, convolution, correlation or matched filter
+    # per track, the draw reads the replicate's tap root and the build reads
+    # the replicate's tables: no eigendecomposition, factor, Toeplitz
+    # matrix, convolution, correlation or matched filter
     calls = Counter()
 
     def count(owner, name):
@@ -625,10 +599,10 @@ def test_track_draw_and_build_factor_and_filter_nothing(monkeypatch, doppler):
         (np, "correlate"), (fstc, "hermitian_toeplitz"), (fstc, "matched_filter"),
     ):
         count(owner, name)
-    dist = make_task_dist()
-    scene = make_scene(np.random.default_rng(60), doppler=doppler)
-    tables = channel_tables(default_catalog(), dist.ir_taps, doppler)
-    assert dist.tap_root.shape == (dist.ir_taps, dist.ir_taps)
+    config = replace(SCENE, doppler=doppler, n=50)
+    tables = channel_tables(default_catalog(), config.ir_taps, doppler)
+    root = tap_root(config.ir_taps, config.ir_kernel_scale)
+    assert root.shape == (config.ir_taps, config.ir_taps)
     # the counters see what the replicate builds once; the correlation
     # count is left out, as the kept autocorrelations make it depend on
     # what ran before in the process
@@ -637,8 +611,8 @@ def test_track_draw_and_build_factor_and_filter_nothing(monkeypatch, doppler):
     calls.clear()
     rng = np.random.default_rng(61)
     for track in range(3):
-        inst = draw_instance(dist, scene, 50, rng)
-        TrackSimulator(inst, tables, np.random.default_rng(track), 64)
+        inst = draw_instance(config, MU_STAR, root, rng)
+        TrackSimulator(config, inst, tables, np.random.default_rng(track))
     assert calls == Counter()
 
 
@@ -675,7 +649,7 @@ def test_real_noise_map_equals_complex_form():
     inst = default_instance(seed=52)
     inst = replace(inst, clutter_ir=np.zeros_like(inst.clutter_ir))
     catalog = default_catalog()
-    sim = simulator(inst, np.random.default_rng(53), 129)
+    sim = simulator(replace(SCENE, n_oracle_draws=129), inst, np.random.default_rng(53))
     np.testing.assert_allclose(
         sim._noise,
         oracles.complex_oracle_noise(inst, catalog, np.random.default_rng(53), 129),

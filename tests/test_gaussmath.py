@@ -154,11 +154,11 @@ def test_package_factors_only_matrices_of_dimension_at_most_4(monkeypatch, mode)
     # every factored matrix is 3 x 3.
     shapes = recording_cholesky(monkeypatch)
     cfg = replace(ExperimentConfig(), m=2, n=20, mode=mode)
-    task_dist, scene = build_scene(cfg, 0)
+    mu_star, state_proc = build_scene(cfg, 0)
     seen = {}
     for policy in ("ts-uninformative", "meta-ts"):
         shapes.clear()
-        run_meta_experiment(cfg, task_dist, scene, policy, 0)
+        run_meta_experiment(cfg, mu_star, state_proc, policy, 0)
         seen[policy] = list(shapes)
     assert seen == {"ts-uninformative": [], "meta-ts": [(3, 3)] * 4}
 
@@ -334,8 +334,8 @@ def test_blr_long_track_matches_batch_normal_equations():
     # visits (correlated, a few distinct values per cell); the posterior
     # precision ends near 1e4 along the best-observed direction.
     cfg = ExperimentConfig()
-    task_dist, scene = build_scene(cfg, 0)
-    env = SyntheticTrackEnv(task_dist.mu_star, scene.state_proc, cfg.sigma_sq, 15.8)
+    mu_star, state_proc = build_scene(cfg, 0)
+    env = SyntheticTrackEnv(mu_star, state_proc, cfg.sigma_sq, 15.8)
     prior_var = cfg.sigma_q_sq + cfg.sigma0_sq
     prior = isotropic_gaussian(np.zeros(3), prior_var)
     result, agent = run_track(
@@ -532,8 +532,8 @@ def test_float_update_rejects_wrong_context_dim():
 
 def synthetic_track(prior: Gaussian, n: int = 200):
     cfg = ExperimentConfig()
-    task_dist, scene = build_scene(cfg, 0)
-    env = SyntheticTrackEnv(task_dist.mu_star, scene.state_proc, cfg.sigma_sq, 15.8)
+    mu_star, state_proc = build_scene(cfg, 0)
+    env = SyntheticTrackEnv(mu_star, state_proc, cfg.sigma_sq, 15.8)
     return run_track(env, prior, cfg.sigma_sq, n, cfg.k, np.random.default_rng(3))
 
 

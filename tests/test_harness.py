@@ -25,7 +25,7 @@ from wavesel.errors import (
     ParseError,
     ValidationError,
 )
-from wavesel.fstc import SINR_CAP
+from wavesel.fstc import SINR_CAP, state_gains
 from wavesel.harness import (
     AGG_HEADER,
     PER_CPI_HEADER,
@@ -386,9 +386,70 @@ def test_serialize_round_trip_explicit_values():
     assert parse_config(serialize_config(config)) == config
 
 
+_positive = st.floats(0, 1e6, exclude_min=True) | st.integers(1, 10)
+_nonpositive = st.sampled_from([0.0, -0.0, 0, -5e-324])
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+#: (in range, out of range) values of each key: a physical config accepts
+#: the first kind, and each of the second fails a bound of the config,
+#: mostly the first value past the bound.
+_RANGES = {
+    "m": (st.integers(1, 9), st.just(0)),
+    "n": (st.integers(1, 9), st.just(0)),
+    # one more waveform than the catalog holds is out of range in physical
+    # mode only
+    "k": (st.integers(1, len(CATALOG_NAMES)), st.sampled_from([0, len(CATALOG_NAMES) + 1])),
+    "sigma_q_sq": (_positive, _nonpositive),
+    "sigma0_sq": (_positive, _nonpositive),
+    "sigma_sq": (_positive, _nonpositive),
+    "noise_var": (_positive, _nonpositive),
+    "sinr_target_db": (
+        st.floats(-300, 300) | st.integers(-300, 300),
+        st.sampled_from([math.nextafter(300.0, math.inf), math.nextafter(-300.0, -math.inf)]),
+    ),
+    "obs_flip_prob": (st.floats(0, 1, exclude_max=True), st.sampled_from([1.0, 1, -5e-324])),
+    # in range: at most 9 ** 5 transition entries and a clutter scale of
+    # 4 ** 7 * 1e6; out of range: a table or a clutter scale too large
+    "n_states": (st.integers(2, 9), st.sampled_from([0, 1, 2**18 + 1, 600])),
+    "memory": (st.integers(1, 5), st.sampled_from([0, 19])),
+    "grid_n": (st.integers(1, 99), st.just(0)),
+    "ir_taps": (st.integers(1, 99), st.just(0)),
+    "ir_kernel_scale": (_positive, _nonpositive),
+    "target_power": (_positive, _nonpositive),
+    "clutter_power": (
+        st.floats(0, 1e6) | st.integers(0, 10), st.sampled_from([-5e-324, 1e300])
+    ),
+    "doppler": (_finite | st.integers(-5, 5), st.sampled_from([math.inf, -math.inf, math.nan])),
+    "n_oracle_draws": (st.integers(1, 99), st.just(0)),
+    "mu_star": (
+        st.none() | st.tuples(_finite, _finite, _finite),
+        st.lists(_finite, max_size=5).filter(lambda v: len(v) != 3).map(tuple),
+    ),
+    "seeds": (
+        st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=4, unique=True).map(tuple),
+        st.just(()) | st.integers(0, 9).map(lambda s: (s, s)),
+    ),
+    "policies": (
+        st.lists(st.sampled_from(POLICIES), min_size=1, max_size=4, unique=True).map(tuple),
+        st.just(()) | st.just(("greedy",)) | st.sampled_from(POLICIES).map(lambda p: (p, p)),
+    ),
+    "mode": (st.sampled_from(["synthetic", "physical"]), st.just("simulated")),
+    "out_dir": (
+        st.text(string.ascii_letters + string.digits + "._-/", min_size=1),
+        st.sampled_from(["", "runs#1", " runs", "runs\n1"]),
+    ),
+}
+
+
 def _key_values(key: str):
-    """Values of the key's type, in range and out of it, and one draw in
-    five of a wrong type."""
+    """Values of the key: in eight draws of ten one in range (for a
+    physical-only key, two times in three its default, all a synthetic
+    config takes); in one, one out of range; in one, any value of the key's
+    type, or of a wrong type."""
+    in_range, out_of_range = _RANGES[key]
+    if key in PHYSICAL_KEYS:
+        default = st.just(getattr(ExperimentConfig(), key))
+        in_range = st.sampled_from([default, default, in_range]).flatmap(lambda s: s)
     kind, is_list, optional = _KEY_TYPES[key]
     item = {
         int: st.integers(0, 9) | st.integers() | st.sampled_from([2**63 - 1, 2**63]),
@@ -401,7 +462,9 @@ def _key_values(key: str):
         item = st.sampled_from(POLICIES) | item
     values = st.lists(item, max_size=4).map(tuple) if is_list else item
     wrong = st.none() | st.booleans() | st.lists(item, max_size=2)
-    return st.sampled_from([values] * 4 + [wrong]).flatmap(lambda drawn: drawn)
+    return st.sampled_from([in_range] * 8 + [out_of_range, values | wrong]).flatmap(
+        lambda drawn: drawn
+    )
 
 
 @given(
@@ -471,9 +534,9 @@ def test_constructed_config_holds_what_the_layers_below_assume(mode, values):
     assert config.n_states >= 2
     if config.mode == "physical":
         assert config.k <= len(CATALOG_NAMES)
-    task_dist, scene = build_scene(replace(config, memory=1), 0)
-    assert task_dist.mu_star.shape == (3,)
-    assert len(scene.state_gain) == scene.state_proc.n_states == config.n_states
+    mu_star, state_proc = build_scene(replace(config, memory=1), 0)
+    assert mu_star.shape == (3,)
+    assert state_proc.n_states == config.n_states
 
 
 def test_package_exports_only_the_harness_api():
@@ -501,31 +564,29 @@ def test_load_config_missing_file(tmp_path):
 
 
 def test_build_scene_state_gains_are_powers_of_four():
-    _, scene = build_scene(ExperimentConfig(), 0)
-    assert scene.state_gain == (0.25, 1.0, 4.0, 16.0)
+    _, state_proc = build_scene(ExperimentConfig(), 0)
+    assert state_gains(state_proc.n_states) == [0.25, 1.0, 4.0, 16.0]
 
 
 def test_build_scene_mode_picks_prior_mean():
-    task_syn, _ = build_scene(ExperimentConfig(), 0)
-    task_phy, _ = build_scene(replace(ExperimentConfig(), mode="physical"), 0)
-    assert np.array_equal(task_syn.mu_star, np.array(SYNTHETIC_MU_STAR))
-    assert np.array_equal(task_phy.mu_star, np.array(PHYSICAL_MU_STAR))
+    mu_syn, _ = build_scene(ExperimentConfig(), 0)
+    mu_phy, _ = build_scene(replace(ExperimentConfig(), mode="physical"), 0)
+    assert np.array_equal(mu_syn, np.array(SYNTHETIC_MU_STAR))
+    assert np.array_equal(mu_phy, np.array(PHYSICAL_MU_STAR))
 
 
 def test_build_scene_explicit_mu_star_wins():
     config = replace(ExperimentConfig(), mu_star=(0.9, 0.0, -0.4))
-    task, _ = build_scene(config, 0)
-    assert np.array_equal(task.mu_star, np.array([0.9, 0.0, -0.4]))
+    mu_star, _ = build_scene(config, 0)
+    assert np.array_equal(mu_star, np.array([0.9, 0.0, -0.4]))
 
 
 def test_build_scene_transition_depends_on_seed_only():
-    _, scene_a = build_scene(ExperimentConfig(), 3)
-    _, scene_b = build_scene(replace(ExperimentConfig(), m=5, k=2), 3)
-    _, scene_c = build_scene(ExperimentConfig(), 4)
-    assert np.array_equal(scene_a.state_proc.transition, scene_b.state_proc.transition)
-    assert not np.array_equal(
-        scene_a.state_proc.transition, scene_c.state_proc.transition
-    )
+    _, sp_a = build_scene(ExperimentConfig(), 3)
+    _, sp_b = build_scene(replace(ExperimentConfig(), m=5, k=2), 3)
+    _, sp_c = build_scene(ExperimentConfig(), 4)
+    assert np.array_equal(sp_a.transition, sp_b.transition)
+    assert not np.array_equal(sp_a.transition, sp_c.transition)
 
 
 # ---------------------------------------------------------------------------
@@ -966,6 +1027,18 @@ def test_cli_bad_config_returns_two(tmp_path, capsys):
     assert "ValidationError" in capsys.readouterr().err
 
 
+def test_cli_config_not_utf8_returns_two_naming_the_file(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(b"m = 4\nout_dir = r\xe9sultats\n")
+    out = tmp_path / "runs"
+    code = cli.main(["run", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"IoError: cannot read config {cfg}: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag,value,field",
     [
@@ -1018,6 +1091,20 @@ def test_cli_aggregate_malformed_summary_returns_two(tmp_path, capsys):
     code = cli.main(["aggregate", "--in", str(runs), "--out", str(tmp_path / "agg")])
     assert code == 2
     assert "IoError" in capsys.readouterr().err
+
+
+def test_cli_aggregate_summary_not_utf8_returns_two_naming_the_file(tmp_path, capsys):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    track = runs / "track_random_seed0.csv"
+    track.write_bytes(PER_TRACK_HEADER.encode() + b"\nrandom,0,0,1.0,0.5,0.0,0.0,\xff\n")
+    out = tmp_path / "agg"
+    code = cli.main(["aggregate", "--in", str(runs), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"IoError: cannot read {track}: ")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_dump_waveform(tmp_path):

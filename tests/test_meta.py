@@ -84,8 +84,8 @@ def meta_ts_run():
     """The config, per-track results and belief history of a short meta-ts
     run."""
     cfg = replace(ExperimentConfig(), m=4, n=30)
-    task_dist, scene = build_scene(cfg, 0)
-    return cfg, *run_meta_experiment(cfg, task_dist, scene, "meta-ts", 0)
+    mu_star, state_proc = build_scene(cfg, 0)
+    return cfg, *run_meta_experiment(cfg, mu_star, state_proc, "meta-ts", 0)
 
 
 def test_meta_posterior_validation():
@@ -151,13 +151,6 @@ def test_sampled_means_match_belief_covariance():
 
 # ---------------------------------------------------------------------------
 # meta update
-
-
-def test_empty_track_is_no_op():
-    mp = flat_meta()
-    out = meta_update(mp, TrackData(np.empty((0, 3)), np.empty(0)))
-    np.testing.assert_array_equal(out.mu, mp.mu)
-    np.testing.assert_array_equal(out.precision, mp.precision)
 
 
 def test_one_dimensional_single_row_update():
@@ -232,8 +225,8 @@ def test_vanishing_instance_spread_reduces_to_blr():
 
 def test_precision_never_decreases_across_tracks():
     cfg = replace(ExperimentConfig(), m=8, n=60)
-    task_dist, scene = build_scene(cfg, 0)
-    _, history = run_meta_experiment(cfg, task_dist, scene, "meta-ts", 0)
+    mu_star, state_proc = build_scene(cfg, 0)
+    _, history = run_meta_experiment(cfg, mu_star, state_proc, "meta-ts", 0)
     prev = init_meta(
         cfg.sigma_q_sq, 3, sigma0_sq=cfg.sigma0_sq, noise_var=cfg.sigma_sq
     )
@@ -245,8 +238,8 @@ def test_precision_never_decreases_across_tracks():
 
 def test_history_entry_is_one_joint_update_of_track_data():
     cfg = replace(ExperimentConfig(), m=2, n=50)
-    task_dist, scene = build_scene(cfg, 1)
-    results, history = run_meta_experiment(cfg, task_dist, scene, "meta-ts", 1)
+    mu_star, state_proc = build_scene(cfg, 1)
+    results, history = run_meta_experiment(cfg, mu_star, state_proc, "meta-ts", 1)
     mp0 = init_meta(
         cfg.sigma_q_sq, 3, sigma0_sq=cfg.sigma0_sq, noise_var=cfg.sigma_sq
     )
@@ -261,17 +254,17 @@ def test_history_entry_is_one_joint_update_of_track_data():
 
 def test_oracle_policy_uses_true_prior():
     cfg = replace(ExperimentConfig(), m=1, n=60)
-    task_dist, scene = build_scene(cfg, 3)
-    results, _ = run_meta_experiment(cfg, task_dist, scene, "ts-oracle", 3)
+    mu_star, state_proc = build_scene(cfg, 3)
+    results, _ = run_meta_experiment(cfg, mu_star, state_proc, "ts-oracle", 3)
     rng = track_rng(3, "ts-oracle", 0)
     env_rng = instance_rng(3, 0)
-    theta = task_dist.mu_star + np.sqrt(
-        task_dist.sigma0_sq
+    theta = mu_star + np.sqrt(
+        cfg.sigma0_sq
     ) * env_rng.standard_normal(3)
     env = SyntheticTrackEnv(
-        theta, scene.state_proc, cfg.sigma_sq, 10 ** (cfg.sinr_target_db / 10)
+        theta, state_proc, cfg.sigma_sq, 10 ** (cfg.sinr_target_db / 10)
     )
-    prior = isotropic_gaussian(task_dist.mu_star, task_dist.sigma0_sq)
+    prior = isotropic_gaussian(mu_star, cfg.sigma0_sq)
     replay, _ = run_track(env, prior, cfg.sigma_sq, 60, 5, rng)
     np.testing.assert_array_equal(results[0].waveform, replay.waveform)
     np.testing.assert_array_equal(results[0].loss, replay.loss)
@@ -279,20 +272,20 @@ def test_oracle_policy_uses_true_prior():
 
 def test_degenerate_meta_prior_matches_fixed_zero_mean_prior():
     cfg = replace(ExperimentConfig(), m=4, n=60, sigma_q_sq=1e-30)
-    task_dist, scene = build_scene(cfg, 5)
-    results, _ = run_meta_experiment(cfg, task_dist, scene, "meta-ts", 5)
+    mu_star, state_proc = build_scene(cfg, 5)
+    results, _ = run_meta_experiment(cfg, mu_star, state_proc, "meta-ts", 5)
     for t in range(4):
         rng = track_rng(5, "meta-ts", t)
         env_rng = instance_rng(5, t)
-        theta = task_dist.mu_star + np.sqrt(
-            task_dist.sigma0_sq
+        theta = mu_star + np.sqrt(
+            cfg.sigma0_sq
         ) * env_rng.standard_normal(3)
         env = SyntheticTrackEnv(
-            theta, scene.state_proc, cfg.sigma_sq, 10 ** (cfg.sinr_target_db / 10)
+            theta, state_proc, cfg.sigma_sq, 10 ** (cfg.sinr_target_db / 10)
         )
         replay, _ = run_track(
             env,
-            isotropic_gaussian(np.zeros(3), task_dist.sigma0_sq),
+            isotropic_gaussian(np.zeros(3), cfg.sigma0_sq),
             cfg.sigma_sq,
             60,
             5,
@@ -305,9 +298,9 @@ def test_meta_belief_concentrates_toward_truth():
     cfg = replace(ExperimentConfig(), m=12, n=150)
     firsts, lasts = [], []
     for seed in range(5):
-        task_dist, scene = build_scene(cfg, seed)
-        _, history = run_meta_experiment(cfg, task_dist, scene, "meta-ts", seed)
-        trace = kl_trace(history, task_dist)
+        mu_star, state_proc = build_scene(cfg, seed)
+        _, history = run_meta_experiment(cfg, mu_star, state_proc, "meta-ts", seed)
+        trace = kl_trace(history, mu_star)
         firsts.append(trace[0])
         lasts.append(trace[-1])
     assert np.mean(lasts) < 0.5 * np.mean(firsts)
@@ -315,8 +308,8 @@ def test_meta_belief_concentrates_toward_truth():
 
 def test_non_meta_policy_keeps_flat_belief():
     cfg = replace(ExperimentConfig(), m=3, n=30)
-    task_dist, scene = build_scene(cfg, 0)
-    _, history = run_meta_experiment(cfg, task_dist, scene, "ts-uninformative", 0)
+    mu_star, state_proc = build_scene(cfg, 0)
+    _, history = run_meta_experiment(cfg, mu_star, state_proc, "ts-uninformative", 0)
     assert len(history) == 3
     for mp in history:
         np.testing.assert_array_equal(mp.mu, np.zeros(3))
@@ -335,15 +328,15 @@ def test_experiment_input_validation():
 def test_run_meta_experiment_refuses_a_float_seed():
     # truncated to an int, 1.5 would run seed 1's streams under another name
     cfg = replace(ExperimentConfig(), m=1, n=5)
-    task_dist, scene = build_scene(cfg, 1)
+    mu_star, state_proc = build_scene(cfg, 1)
     with pytest.raises(TypeError, match="seed must be integer"):
-        run_meta_experiment(cfg, task_dist, scene, "random", 1.5)
+        run_meta_experiment(cfg, mu_star, state_proc, "random", 1.5)
 
 
 def test_physical_mode_smoke():
     cfg = replace(ExperimentConfig(), m=2, n=30, mode="physical")
-    task_dist, scene = build_scene(cfg, 7)
-    results, history = run_meta_experiment(cfg, task_dist, scene, "meta-ts", 7)
+    mu_star, state_proc = build_scene(cfg, 7)
+    results, history = run_meta_experiment(cfg, mu_star, state_proc, "meta-ts", 7)
     assert len(results) == 2 and len(history) == 2
     for res in results:
         assert np.all((res.loss >= 0.0) & (res.loss <= 1.0))

@@ -11,7 +11,7 @@ from scipy import stats
 from wavesel import harness
 from wavesel.bandit import TrackResult
 from wavesel.errors import IndexOutOfRange, InvalidInput
-from wavesel.fstc import SINR_CAP, TaskDistribution
+from wavesel.fstc import SINR_CAP
 from wavesel.harness import ExperimentConfig, build_scene
 from wavesel.meta import MetaPosterior, run_meta_experiment
 from wavesel.metrics import (
@@ -182,29 +182,18 @@ def test_sinr_to_db_floors_zero():
 # KL trace
 
 
-def flat_dist() -> TaskDistribution:
-    return TaskDistribution(
-        mu_star=np.array([-0.3, 0.2, 0.8]),
-        sigma0_sq=0.35,
-        ir_kernel_scale=1.5,
-        ir_taps=8,
-    )
-
-
 def test_kl_trace_zero_at_reference():
-    dist = flat_dist()
-    mp = MetaPosterior(
-        dist.mu_star, np.eye(3) / KL_REFERENCE_VAR, 0.35, 0.33
-    )
-    trace = kl_trace([mp], dist)
+    mu_star = np.array([-0.3, 0.2, 0.8])
+    mp = MetaPosterior(mu_star, np.eye(3) / KL_REFERENCE_VAR, 0.35, 0.33)
+    trace = kl_trace([mp], mu_star)
     assert abs(trace[0]) < 1e-12
 
 
 def test_kl_trace_finite_nonnegative():
     cfg = replace(ExperimentConfig(), m=6, n=50)
-    task_dist, scene = build_scene(cfg, 2)
-    _, history = run_meta_experiment(cfg, task_dist, scene, "meta-ts", 2)
-    trace = kl_trace(history, task_dist)
+    mu_star, state_proc = build_scene(cfg, 2)
+    _, history = run_meta_experiment(cfg, mu_star, state_proc, "meta-ts", 2)
+    trace = kl_trace(history, mu_star)
     assert trace.shape == (6,)
     assert np.all(np.isfinite(trace))
     assert np.all(trace >= 0.0)

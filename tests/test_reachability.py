@@ -3,14 +3,19 @@ or is deleted: every top-level function and class in the package must be
 named by package code other than its own body and the ``__init__``
 re-exports, unless it is an entry point below, and every dataclass field
 must be read by package code other than its class's ``__post_init__``,
-unless it is listed below. No module of the package or its tests imports a
-name it never uses."""
+unless it is listed below. No dataclass of the package but the config
+declares a field named after a config key unless it is listed below: the
+config is the one holder of its values. No module of the package or its
+tests imports a name it never uses."""
 
 from __future__ import annotations
 
 import ast
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
+
+from wavesel.harness import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "wavesel"
@@ -37,6 +42,24 @@ UNREAD_FIELDS = {
     ("StateProcess", "transition"),
     # the episode's latent parameter draw; test_fstc.py checks its law
     ("FstcInstance", "theta"),
+}
+
+#: (class, field) of the dataclass fields, outside ``ExperimentConfig``,
+#: named after a config key, with the reason each is kept.
+CONFIG_NAMED_FIELDS = {
+    # the belief carries the hierarchy's two variances (config sigma0_sq and
+    # sigma_sq) because the benchmark's tracer calls meta_update(mp, data)
+    # with exactly those two arguments
+    ("MetaPosterior", "sigma0_sq"),
+    ("MetaPosterior", "noise_var"),
+    # the episode's theta-scaled noise floor, drawn per track, not the
+    # config's base value
+    ("FstcInstance", "noise_var"),
+    # the observation kernel of the chain, kept with the drawn transition
+    # table it reads, so the scene walk and the tests step one object
+    ("StateProcess", "obs_flip_prob"),
+    # a PAC-Bayes bound's per-task sample count, not the config's track count
+    ("BoundInputs", "m"),
 }
 
 
@@ -97,28 +120,37 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
     )
 
 
-def _unread_fields():
-    """(class, field) of every dataclass field that package code never reads
-    as an attribute outside its class's ``__post_init__``."""
-    trees = [
+def _package_trees() -> list:
+    return [
         ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"
     ]
+
+
+def _declared_fields(tree):
+    """(class node, field name) of every field a module's dataclasses
+    declare."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+            for item in cls.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield cls, item.target.id
+
+
+def _unread_fields():
+    """(class, field) of every dataclass field that package code never reads
+    as an attribute outside its class's ``__post_init__``."""
+    trees = _package_trees()
     reads = sum(map(_attribute_reads, trees), Counter())
     unread = set()
     for tree in trees:
-        for cls in tree.body:
-            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
-                continue
+        for cls, name in _declared_fields(tree):
             post_init = Counter()
             for item in cls.body:
                 if isinstance(item, ast.FunctionDef) and item.name == "__post_init__":
                     post_init = _attribute_reads(item)
-            for item in cls.body:
-                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                    name = item.target.id
-                    if reads[name] == post_init[name]:
-                        unread.add((cls.name, name))
+            if reads[name] == post_init[name]:
+                unread.add((cls.name, name))
     return unread
 
 
@@ -132,6 +164,29 @@ def test_every_dataclass_field_is_read_in_the_package():
 
 def test_every_listed_unread_field_is_still_unread():
     assert UNREAD_FIELDS <= _unread_fields()
+
+
+def _all_fields() -> set:
+    return {
+        (cls.name, name) for tree in _package_trees()
+        for cls, name in _declared_fields(tree)
+    }
+
+
+def test_no_dataclass_holds_a_config_value_again():
+    keys = {f.name for f in fields(ExperimentConfig)}
+    copies = sorted(
+        (cls, name) for cls, name in _all_fields() - CONFIG_NAMED_FIELDS
+        if cls != "ExperimentConfig" and name in keys
+    )
+    assert not copies, (
+        f"{copies} hold config keys: read the value from the config where "
+        "it is used, or list the field with the reason it is kept"
+    )
+
+
+def test_every_listed_config_named_field_still_exists():
+    assert CONFIG_NAMED_FIELDS <= _all_fields()
 
 
 def _unused_imports(source: str) -> list:
