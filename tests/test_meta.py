@@ -258,9 +258,7 @@ def test_oracle_policy_uses_true_prior():
     results, _ = run_meta_experiment(cfg, mu_star, state_proc, "ts-oracle", 3)
     rng = track_rng(3, "ts-oracle", 0)
     env_rng = instance_rng(3, 0)
-    theta = mu_star + np.sqrt(
-        cfg.sigma0_sq
-    ) * env_rng.standard_normal(3)
+    theta = mu_star + np.sqrt(cfg.sigma0_sq) * env_rng.standard_normal(3)
     env = SyntheticTrackEnv(
         theta, state_proc, cfg.sigma_sq, 10 ** (cfg.sinr_target_db / 10)
     )
@@ -277,9 +275,7 @@ def test_degenerate_meta_prior_matches_fixed_zero_mean_prior():
     for t in range(4):
         rng = track_rng(5, "meta-ts", t)
         env_rng = instance_rng(5, t)
-        theta = mu_star + np.sqrt(
-            cfg.sigma0_sq
-        ) * env_rng.standard_normal(3)
+        theta = mu_star + np.sqrt(cfg.sigma0_sq) * env_rng.standard_normal(3)
         env = SyntheticTrackEnv(
             theta, state_proc, cfg.sigma_sq, 10 ** (cfg.sinr_target_db / 10)
         )
