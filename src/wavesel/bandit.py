@@ -31,13 +31,7 @@ import numpy as np
 
 from .errors import IndexOutOfRange, InvalidInput
 from .fstc import SceneWalk, unit_clip
-from .gaussmath import (
-    Gaussian,
-    blr_update,
-    packed_cov,
-    posterior_gaussian,
-    sample_gaussian,
-)
+from .gaussmath import blr_update, posterior_gaussian, sample_gaussian
 
 COLD_MEAN = 0.5
 COLD_VAR = 1.0 / 12.0
@@ -56,7 +50,8 @@ class TsAgent:
 
     ``mean`` and ``cov`` are the covariance-form belief over the weights:
     the mean and the covariance's lower triangle packed row by row (see
-    ``gaussmath.packed_cov``), read from the prior's lower triangle;
+    ``gaussmath``). The prior is a pair (mean, var), the isotropic
+    N(mean, var I), so ``cov`` starts as [var, 0, var, 0, 0, var];
     ``noise_var`` is the observation noise variance.
     ``stats[o][w]`` is the Welford accumulator [count, mean, m2, max] of the
     losses seen for waveform w at observation o, and ``contexts[o][w]`` the
@@ -66,10 +61,12 @@ class TsAgent:
     variance because its sample variance is undefined.
     """
 
-    def __init__(self, prior: Gaussian, noise_var: float, n_obs: int, k_arms: int):
+    def __init__(self, prior: tuple, noise_var: float, n_obs: int, k_arms: int):
+        mean, var = prior
+        v = float(var)
         self.noise_var = float(noise_var)
-        self.mean = prior.mean.tolist()
-        self.cov = packed_cov(prior.cov)
+        self.mean = [float(x) for x in mean]
+        self.cov = [v, 0.0, v, 0.0, 0.0, v]
         self.stats = [[[0.0, 0.0, 0.0, -math.inf] for _ in range(k_arms)]
                       for _ in range(n_obs)]
         self.contexts = [[(COLD_MEAN, COLD_VAR, COLD_MAX)] * k_arms for _ in range(n_obs)]
@@ -184,14 +181,15 @@ class SyntheticTrackEnv(SceneWalk):
 
 def run_track(
     env,
-    prior: Gaussian,
+    prior: tuple,
     noise_var: float,
     n_cpis: int,
     k_arms: int,
     rng: np.random.Generator,
     explore: str = "ts",
 ) -> tuple[TrackResult, TsAgent]:
-    """Run one track of n_cpis pulses against an environment.
+    """Run one track of n_cpis pulses against an environment, from the
+    prior (mean, var), the isotropic N(mean, var I).
 
     ``explore`` is "ts" for Thompson sampling or "random" for the uniform
     baseline, which ignores the posterior when choosing but still records

@@ -9,10 +9,6 @@ class NotPositiveDefinite(WaveselError):
     """A matrix required to be positive definite failed its Cholesky factorization."""
 
 
-class DimensionMismatch(WaveselError):
-    """Operands have incompatible shapes."""
-
-
 class EmptyInput(WaveselError):
     """An operation received an empty sequence where data is required."""
 

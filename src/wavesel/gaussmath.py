@@ -1,10 +1,11 @@
 """Multivariate Gaussian machinery used by every learning component.
 
-Beliefs live in moment form. :class:`Gaussian` is a plain (mean, covariance)
-pair, checked for shape and symmetry where it is built; the meta level
-samples and compares such pairs, and every per-track prior is one.
-:func:`cholesky` factors an array with ``np.linalg.cholesky`` and makes one
-counted, jittered retry before it gives up.
+A belief takes one form per level. The meta level keeps precision form (see
+``meta``) and hands each track a prior (mean, variance), the isotropic
+N(mean, variance I). :func:`kl_gaussian` compares two (mean, covariance)
+array pairs, and :func:`cholesky` factors an array with
+``np.linalg.cholesky`` and makes one counted, jittered retry before it gives
+up.
 
 The per-track learner's posterior over its three weights is nine floats: the
 mean (m0, m1, m2) and the covariance's lower triangle packed row by row,
@@ -20,11 +21,10 @@ re-cut these spans.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import NotPositiveDefinite
 
 #: Relative jitter: a matrix that fails to factor is retried once with
 #: ``JITTER`` times its mean absolute diagonal added to the diagonal; a second
@@ -33,8 +33,6 @@ JITTER = 1e-10
 
 #: Number of jittered retries :func:`cholesky` has made in this process.
 jitter_retries = 0
-
-_SYM_TOL = 1e-10
 
 
 def cholesky(m: np.ndarray) -> np.ndarray:
@@ -60,68 +58,28 @@ def cholesky(m: np.ndarray) -> np.ndarray:
         ) from None
 
 
-def _check_gaussian(mean: np.ndarray, cov: np.ndarray) -> None:
-    if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
-        raise DimensionMismatch(
-            f"mean has shape {mean.shape}, cov has shape {cov.shape}"
-        )
-    if not np.all(np.abs(cov - cov.T) <= _SYM_TOL):
-        raise NotPositiveDefinite("covariance is not symmetric")
-
-
-@dataclass(frozen=True)
-class Gaussian:
-    """Moment-form multivariate normal N(mean, cov)."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
-        object.__setattr__(self, "cov", np.asarray(self.cov, dtype=float))
-        _check_gaussian(self.mean, self.cov)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-
-def isotropic_gaussian(mean: np.ndarray, var: float) -> Gaussian:
-    """N(mean, var * I)."""
-    mean = np.asarray(mean, dtype=float)
-    return Gaussian(mean, var * np.eye(mean.size))
-
-
-def kl_gaussian(q: Gaussian, p: Gaussian) -> float:
-    """KL(q || p) between two multivariate normals.
+def kl_gaussian(q: tuple, p: tuple) -> float:
+    """KL(q || p) between two multivariate normals of one dimension d, each
+    a (mean, covariance) pair of arrays.
 
     0.5 * [tr(Sp^-1 Sq) + (mp-mq)^T Sp^-1 (mp-mq) - d + ln(det Sp / det Sq)]
     """
-    if q.dim != p.dim:
-        raise DimensionMismatch(f"dimensions differ: {q.dim} vs {p.dim}")
-    Lq = cholesky(q.cov)
-    Lp = cholesky(p.cov)
+    (mq, sq), (mp, sp) = q, p
+    Lq = cholesky(sq)
+    Lp = cholesky(sp)
     # tr(Sp^-1 Sq) = ||Lp^-1 Lq||_F^2
     A = np.linalg.solve(Lp, Lq)
     trace_term = float(np.sum(A * A))
-    diff = p.mean - q.mean
-    w = np.linalg.solve(Lp, diff)
+    w = np.linalg.solve(Lp, mp - mq)
     quad_term = float(w @ w)
     logdet_term = 2.0 * float(
         np.sum(np.log(np.diag(Lp))) - np.sum(np.log(np.diag(Lq)))
     )
-    return 0.5 * (trace_term + quad_term - q.dim + logdet_term)
+    return 0.5 * (trace_term + quad_term - mq.size + logdet_term)
 
 
 # ---------------------------------------------------------------------------
 # the per-track posterior on floats
-
-
-def packed_cov(cov: np.ndarray) -> list:
-    """The lower triangle of a 3 x 3 covariance as floats packed row by row,
-    (c00, c10, c11, c20, c21, c22)."""
-    (c00, _, _), (c10, c11, _), (c20, c21, c22) = np.asarray(cov, dtype=float).tolist()
-    return [c00, c10, c11, c20, c21, c22]
 
 
 def posterior_gaussian(mean, cov) -> tuple:
@@ -129,11 +87,11 @@ def posterior_gaussian(mean, cov) -> tuple:
     lower Cholesky factor of ``cov``, packed as (l00, l10, l11, l20, l21,
     l22).
 
-    ``cov`` is packed as :func:`packed_cov` packs it. The factor is closed
-    form; each column is scaled by the reciprocal of its pivot, as LAPACK's
-    unblocked factorization does. When a pivot is not positive (or is NaN),
-    the whole matrix goes to :func:`cholesky`, which makes its counted
-    jitter retry or raises :class:`NotPositiveDefinite`.
+    ``cov`` is the packed lower triangle (c00, c10, c11, c20, c21, c22). The
+    factor is closed form; each column is scaled by the reciprocal of its
+    pivot, as LAPACK's unblocked factorization does. When a pivot is not
+    positive (or is NaN), the whole matrix goes to :func:`cholesky`, which
+    makes its counted jitter retry or raises :class:`NotPositiveDefinite`.
     """
     c00, c10, c11, c20, c21, c22 = cov
     if c00 > 0.0:

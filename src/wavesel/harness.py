@@ -453,6 +453,10 @@ def run(
         kl_to_truth=kl,
         wall_time_ms=0.0,
     )
+    # read_track_table refuses a non-finite value, so neither file is written
+    for column in PER_TRACK_HEADER.split(",")[3:]:
+        if not np.all(np.isfinite(getattr(summary, column))):
+            raise InvalidInput(f"{column} of {policy} seed {seed} is not finite")
     try:
         os.makedirs(config.out_dir, exist_ok=True)
     except OSError as exc:

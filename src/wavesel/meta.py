@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandit import SyntheticTrackEnv, TrackResult, run_track
-from .errors import InvalidInput
+from .errors import InvalidInput, NotPositiveDefinite
 from .fstc import (
     PhysicalTrackEnv,
     StateProcess,
@@ -28,7 +28,7 @@ from .fstc import (
     draw_instance,
     tap_root,
 )
-from .gaussmath import Gaussian, cholesky, isotropic_gaussian
+from .gaussmath import cholesky
 from .waveforms import default_catalog
 
 #: Canonical policy order; stream keys always use an index into this tuple.
@@ -46,15 +46,16 @@ ORACLE_TAG = 1_000_037
 class MetaPosterior:
     """Gaussian belief N(mu, precision^-1) over the instance-prior mean.
 
-    Carries the two fixed variances of the hierarchy alongside the belief:
-    ``sigma0_sq`` is the instance-prior spread handed to each track and
-    ``noise_var`` the observation noise of the per-track linear model.
+    Carries the two fixed variances of the hierarchy alongside the belief,
+    the config's values of the same names: ``sigma0_sq`` is the
+    instance-prior spread handed to each track and ``sigma_sq`` the
+    observation noise of the per-track linear model.
     """
 
     mu: np.ndarray
     precision: np.ndarray
     sigma0_sq: float
-    noise_var: float
+    sigma_sq: float
 
     @property
     def dim(self) -> int:
@@ -73,11 +74,11 @@ class TrackData:
 
 
 def init_meta(
-    sigma_q_sq: float, d: int, *, sigma0_sq: float, noise_var: float
+    sigma_q_sq: float, d: int, *, sigma0_sq: float, sigma_sq: float
 ) -> MetaPosterior:
     """Flat starting belief: zero mean with isotropic variance sigma_q_sq."""
     return MetaPosterior(
-        np.zeros(d), np.eye(d) / sigma_q_sq, sigma0_sq, noise_var
+        np.zeros(d), np.eye(d) / sigma_q_sq, sigma0_sq, sigma_sq
     )
 
 
@@ -88,21 +89,16 @@ def meta_mean_cov(mp: MetaPosterior) -> tuple[np.ndarray, np.ndarray]:
     return mp.mu.copy(), 0.5 * (cov + cov.T)
 
 
-def meta_gaussian(mp: MetaPosterior) -> Gaussian:
-    mean, cov = meta_mean_cov(mp)
-    return Gaussian(mean, cov)
-
-
-def sample_instance_prior(mp: MetaPosterior, rng: np.random.Generator) -> Gaussian:
-    """Draw a candidate prior mean from the belief; return N(draw, sigma0_sq I).
+def sample_instance_prior(mp: MetaPosterior, rng: np.random.Generator) -> np.ndarray:
+    """Draw a candidate prior mean from the belief; the track's prior is
+    then (draw, sigma0_sq).
 
     Sampling goes through the precision factor directly: with L L^T the
     Cholesky factorization of the precision, mu + L^-T z has exactly the
     belief covariance.
     """
     L = cholesky(mp.precision)
-    mean = mp.mu + np.linalg.solve(L.T, rng.standard_normal(mp.dim))
-    return isotropic_gaussian(mean, mp.sigma0_sq)
+    return mp.mu + np.linalg.solve(L.T, rng.standard_normal(mp.dim))
 
 
 def meta_update(mp: MetaPosterior, data: TrackData) -> MetaPosterior:
@@ -110,13 +106,13 @@ def meta_update(mp: MetaPosterior, data: TrackData) -> MetaPosterior:
 
     The track's model evidence marginalizes the per-track weights out, so a
     track with contexts X and losses l shifts the belief through the n x n
-    marginal covariance M = noise_var I + sigma0_sq X X^T:
+    marginal covariance M = sigma_sq I + sigma0_sq X X^T:
 
         precision' = precision + X^T M^-1 X
         mu'        = precision'^-1 (precision mu + X^T M^-1 l)
 
     By Woodbury the same step needs only the d x d sufficient statistics
-    G = X^T X / noise_var and h = X^T l / noise_var: with
+    G = X^T X / sigma_sq and h = X^T l / sigma_sq: with
     A = I + sigma0_sq G, X^T M^-1 X = A^-1 G and X^T M^-1 l = A^-1 h. This
     costs O(n d^2) time and no n x n matrix.
 
@@ -125,16 +121,21 @@ def meta_update(mp: MetaPosterior, data: TrackData) -> MetaPosterior:
     pulses and give a different (wrong) answer.
     """
     X = data.contexts
-    G = (X.T @ X) / mp.noise_var
-    h = (X.T @ data.losses) / mp.noise_var
+    G = (X.T @ X) / mp.sigma_sq
+    h = (X.T @ data.losses) / mp.sigma_sq
     A = np.eye(mp.dim) + mp.sigma0_sq * G
-    solved = np.linalg.solve(A, np.column_stack([G, h]))
+    try:
+        solved = np.linalg.solve(A, np.column_stack([G, h]))
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite(
+            f"I + sigma0_sq G is singular at sigma0_sq = {mp.sigma0_sq!r}"
+        ) from None
     gain = solved[:, :-1]
     prec = mp.precision + 0.5 * (gain + gain.T)
     b = mp.precision @ mp.mu + solved[:, -1]
     Lp = cholesky(prec)
     mu = np.linalg.solve(Lp.T, np.linalg.solve(Lp, b))
-    return MetaPosterior(mu, prec, mp.sigma0_sq, mp.noise_var)
+    return MetaPosterior(mu, prec, mp.sigma0_sq, mp.sigma_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -196,22 +197,22 @@ def run_meta_experiment(
     track's data into the meta belief. Returns the per-track results together
     with the belief state after each track (constant for non-meta policies).
 
-    Priors per policy: ts-oracle uses the true task-distribution mean;
-    meta-TS samples a mean from the current belief; random and
-    ts-uninformative use a zero-mean prior whose spread is the marginal
-    variance sigma_q_sq + sigma0_sq of a weight under the hierarchy.
+    A track's prior is a pair (mean, var), the isotropic N(mean, var I).
+    Per policy: ts-oracle uses (mu_star, sigma0_sq); meta-TS samples the
+    mean from the current belief, with sigma0_sq; random and
+    ts-uninformative use a zero mean whose spread is the marginal variance
+    sigma_q_sq + sigma0_sq of a weight under the hierarchy.
     """
     n, k_arms, sigma_sq, sigma0_sq = config.n, config.k, config.sigma_sq, config.sigma0_sq
     d = mu_star.size
-    mp = init_meta(config.sigma_q_sq, d, sigma0_sq=sigma0_sq, noise_var=sigma_sq)
+    mp = init_meta(config.sigma_q_sq, d, sigma0_sq=sigma0_sq, sigma_sq=sigma_sq)
     sinr_target = 10.0 ** (config.sinr_target_db / 10.0)
     if config.mode == "physical":
         tables = channel_tables(default_catalog(k=k_arms), config.ir_taps, config.doppler)
         root = tap_root(config.ir_taps, config.ir_kernel_scale)
     meta_draws = meta_prior_rng(seed, policy)
 
-    uninformative = isotropic_gaussian(np.zeros(d), config.sigma_q_sq + sigma0_sq)
-    oracle_prior = isotropic_gaussian(mu_star, sigma0_sq)
+    uninformative = (np.zeros(d), config.sigma_q_sq + sigma0_sq)
 
     results: list[TrackResult] = []
     history: list[MetaPosterior] = []
@@ -227,9 +228,9 @@ def run_meta_experiment(
             env = PhysicalTrackEnv(sim, state_proc, sinr_target)
 
         if policy == "ts-oracle":
-            prior = oracle_prior
+            prior = (mu_star, sigma0_sq)
         elif policy == "meta-ts":
-            prior = sample_instance_prior(mp, meta_draws)
+            prior = (sample_instance_prior(mp, meta_draws), sigma0_sq)
         else:
             prior = uninformative
 

@@ -11,8 +11,8 @@ import numpy as np
 
 from .bandit import TrackResult
 from .errors import InvalidInput
-from .gaussmath import isotropic_gaussian, kl_gaussian
-from .meta import meta_gaussian
+from .gaussmath import kl_gaussian
+from .meta import meta_mean_cov
 
 #: Linear SINR floor before dB conversion, so a zero never hits log10.
 DB_FLOOR = 1e-30
@@ -47,8 +47,8 @@ def track_record(results) -> TrackResult:
 def kl_trace(meta_history, mu_star: np.ndarray) -> np.ndarray:
     """Per-track divergence of the meta belief from the smoothed true prior
     mean N(mu_star, KL_REFERENCE_VAR I)."""
-    ref = isotropic_gaussian(mu_star, KL_REFERENCE_VAR)
-    return np.array([kl_gaussian(meta_gaussian(mp), ref) for mp in meta_history])
+    ref = (mu_star, KL_REFERENCE_VAR * np.eye(3))
+    return np.array([kl_gaussian(meta_mean_cov(mp), ref) for mp in meta_history])
 
 
 # ---------------------------------------------------------------------------

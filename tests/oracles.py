@@ -10,9 +10,9 @@ from scipy import signal
 from scipy.linalg import toeplitz
 
 from wavesel.bandit import COLD_MAX, COLD_MEAN, COLD_VAR, TIE_TOL
-from wavesel.errors import DimensionMismatch, IndexOutOfRange, NotPositiveDefinite
+from wavesel.errors import IndexOutOfRange, NotPositiveDefinite
 from wavesel.fstc import SINR_CAP, WINDOW_HALF, TrackSimulator, channel_tables, observe
-from wavesel.gaussmath import JITTER, Gaussian, _check_gaussian, cholesky
+from wavesel.gaussmath import JITTER, cholesky
 from wavesel.harness import PER_CPI_HEADER
 from wavesel.waveforms import default_catalog
 
@@ -39,7 +39,12 @@ class LinearPosterior:
         self.mean = np.array(self.mean, dtype=float)
         self.cov = np.array(self.cov, dtype=float)
         self.noise_var = float(self.noise_var)
-        _check_gaussian(self.mean, self.cov)
+        if self.mean.ndim != 1 or self.cov.shape != (self.dim, self.dim):
+            raise ValueError(
+                f"mean has shape {self.mean.shape}, cov has shape {self.cov.shape}"
+            )
+        if not np.all(np.abs(self.cov - self.cov.T) <= 1e-10):
+            raise NotPositiveDefinite("covariance is not symmetric")
         if self.noise_var <= 0.0:
             raise NotPositiveDefinite("noise_var must be strictly positive")
 
@@ -48,23 +53,12 @@ class LinearPosterior:
         return self.mean.size
 
 
-def to_linear_posterior(g: Gaussian, noise_var: float) -> LinearPosterior:
-    """Start a sequential posterior from a moment-form prior (copied)."""
-    return LinearPosterior(g.mean, g.cov, noise_var)
-
-
-def posterior_gaussian(p: LinearPosterior) -> Gaussian:
-    """Copies of the posterior's moments as a :class:`Gaussian`, unchecked."""
-    g = object.__new__(Gaussian)
-    object.__setattr__(g, "mean", p.mean.copy())
-    object.__setattr__(g, "cov", p.cov.copy())
-    return g
-
-
-def sample_gaussian(g: Gaussian, rng: np.random.Generator) -> np.ndarray:
-    """One draw x = mean + L z with L the (counted) Cholesky factor of cov."""
-    L = cholesky(g.cov)
-    return g.mean + L @ rng.standard_normal(g.dim)
+def sample_gaussian(mean: np.ndarray, cov: np.ndarray,
+                    rng: np.random.Generator) -> np.ndarray:
+    """One draw x = mean + L z of N(mean, cov), with L the (counted) Cholesky
+    factor of cov."""
+    L = cholesky(cov)
+    return mean + L @ rng.standard_normal(mean.size)
 
 
 def blr_update(p: LinearPosterior, phi: np.ndarray, loss: float) -> LinearPosterior:
@@ -74,7 +68,7 @@ def blr_update(p: LinearPosterior, phi: np.ndarray, loss: float) -> LinearPoster
     covariance loses outer(k, k) / s. ``phi`` is only read."""
     phi = np.asarray(phi, dtype=float)
     if phi.shape != p.mean.shape:
-        raise DimensionMismatch(
+        raise ValueError(
             f"context has shape {phi.shape}, posterior dimension is {p.dim}"
         )
     k = p.cov.dot(phi)
@@ -89,9 +83,16 @@ def posterior_mean_cov(p) -> tuple[np.ndarray, np.ndarray]:
     return p.mean.copy(), p.cov.copy()
 
 
+def packed_cov(cov) -> list:
+    """The lower triangle of a 3 x 3 covariance as floats packed row by row,
+    (c00, c10, c11, c20, c21, c22), the form of a ``TsAgent``'s ``cov``."""
+    (c00, _, _), (c10, c11, _), (c20, c21, c22) = np.asarray(cov, dtype=float).tolist()
+    return [c00, c10, c11, c20, c21, c22]
+
+
 def unpacked_cov(cov) -> np.ndarray:
     """The full symmetric 3 x 3 matrix of a covariance packed as
-    ``gaussmath.packed_cov`` packs it."""
+    :func:`packed_cov` packs it."""
     c00, c10, c11, c20, c21, c22 = cov
     return np.array([[c00, c10, c20], [c10, c11, c21], [c20, c21, c22]])
 
@@ -265,8 +266,9 @@ def step_state(sp, history, rng: np.random.Generator) -> int:
 
 def reference_track(env, prior, noise_var: float, n_cpis: int, k_arms: int,
                     rng: np.random.Generator, explore: str = "ts") -> dict:
-    """One track written out from validated primitives: a ``Gaussian`` built
-    and checked for every draw, ``np.clip`` and ``np.mean`` for the losses,
+    """One track written out from array primitives: ``prior``, a pair (mean,
+    var), as the arrays (mean, var I), a draw through the counted Cholesky
+    factor of the covariance, ``np.clip`` and ``np.mean`` for the losses,
     ``np.outer`` for the update and the searching ``step_state`` above.
 
     ``env`` is only read: the synthetic environment's ``theta_star`` or the
@@ -277,8 +279,9 @@ def reference_track(env, prior, noise_var: float, n_cpis: int, k_arms: int,
     """
     sp = env.state_proc
     n_obs = sp.n_states
-    mean = np.array(prior.mean, dtype=float)
-    cov = np.array(prior.cov, dtype=float)
+    prior_mean, prior_var = prior
+    mean = np.array(prior_mean, dtype=float)
+    cov = prior_var * np.eye(3)
     stats = np.zeros((n_obs, k_arms, 4))
     stats[..., 3] = -np.inf
     table = np.empty((n_obs, k_arms, 3))
@@ -298,7 +301,7 @@ def reference_track(env, prior, noise_var: float, n_cpis: int, k_arms: int,
         if explore == "random":
             idx = int(rng.integers(k_arms))
         else:
-            theta = sample_gaussian(Gaussian(mean.copy(), cov.copy()), rng)
+            theta = sample_gaussian(mean, cov, rng)
             idx = int(np.argmax(np.asarray(phis) @ np.asarray(theta)))
         phi = phis[idx].copy()
         if sim is None:

@@ -13,18 +13,13 @@ import numpy as np
 from scipy.stats import norm
 
 from wavesel.bandit import pick_argmax
-from wavesel.gaussmath import (
-    Gaussian,
-    blr_update,
-    kl_gaussian,
-    packed_cov,
-)
+from wavesel.gaussmath import blr_update, kl_gaussian
 from wavesel.harness import ExperimentConfig, run_experiment
 from wavesel.meta import POLICIES, TrackData, init_meta, meta_mean_cov, meta_update
 from wavesel.metrics import BoundInputs, pac_bayes_meta, pac_bayes_single
 from wavesel.waveforms import CATALOG_NAMES, catalog_envelope
 
-from oracles import cyclic_autocorrelation, float_posterior
+from oracles import cyclic_autocorrelation, float_posterior, packed_cov
 
 
 def _grid_meta_posterior(prior_mean, prior_cov, tracks, sigma0_sq, noise_var, points):
@@ -71,7 +66,7 @@ def test_01_meta_update_matches_grid_marginalization():
     ]
     worst = 0.0
     for d, track_sizes, sigma_q_sq, sigma0_sq, noise_var in cases:
-        mp = init_meta(sigma_q_sq, d, sigma0_sq=sigma0_sq, noise_var=noise_var)
+        mp = init_meta(sigma_q_sq, d, sigma0_sq=sigma0_sq, sigma_sq=noise_var)
         tracks = []
         for n_obs in track_sizes:
             X = rng.normal(size=(n_obs, d))
@@ -87,8 +82,8 @@ def test_01_meta_update_matches_grid_marginalization():
             noise_var,
             points=3001 if d == 1 else 481,
         )
-        exact = Gaussian(mean, cov)
-        gridded = Gaussian(g_mean, g_cov)
+        exact = mean, cov
+        gridded = g_mean, g_cov
         worst = max(worst, kl_gaussian(gridded, exact), kl_gaussian(exact, gridded))
     elapsed = time.perf_counter() - started
     print(
@@ -131,11 +126,12 @@ def test_02_sequential_updates_match_normal_equations():
     assert elapsed < 1.0
 
 
-def _log_density(draws: np.ndarray, g: Gaussian) -> np.ndarray:
-    chol = np.linalg.cholesky(g.cov)
-    solved = np.linalg.solve(chol, (draws - g.mean).T)
+def _log_density(draws: np.ndarray, g: tuple) -> np.ndarray:
+    mean, cov = g
+    chol = np.linalg.cholesky(cov)
+    solved = np.linalg.solve(chol, (draws - mean).T)
     log_det = 2.0 * np.sum(np.log(np.diag(chol)))
-    d = g.mean.size
+    d = mean.size
     return -0.5 * (
         np.sum(solved**2, axis=0) + log_det + d * np.log(2.0 * np.pi)
     )
@@ -149,14 +145,14 @@ def test_03_closed_form_kl_matches_monte_carlo():
     while pairs < 20:
         a = rng.normal(size=(3, 3))
         b = rng.normal(size=(3, 3))
-        q = Gaussian(rng.normal(size=3), a @ a.T + 0.5 * np.eye(3))
-        p = Gaussian(rng.normal(size=3), b @ b.T + 0.5 * np.eye(3))
+        q = rng.normal(size=3), a @ a.T + 0.5 * np.eye(3)
+        p = rng.normal(size=3), b @ b.T + 0.5 * np.eye(3)
         exact = kl_gaussian(q, p)
         if not 0.3 <= exact <= 50.0:
             continue
         pairs += 1
         z = rng.standard_normal((1_000_000, 3))
-        draws = q.mean + z @ np.linalg.cholesky(q.cov).T
+        draws = q[0] + z @ np.linalg.cholesky(q[1]).T
         mc = float(np.mean(_log_density(draws, q) - _log_density(draws, p)))
         worst_rel = max(worst_rel, abs(mc - exact) / exact)
     elapsed = time.perf_counter() - started

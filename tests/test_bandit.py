@@ -28,16 +28,11 @@ from wavesel.fstc import (
     tap_root,
 )
 from wavesel.harness import ExperimentConfig
-from wavesel.gaussmath import (
-    blr_update,
-    isotropic_gaussian,
-    packed_cov,
-    posterior_gaussian,
-    sample_gaussian,
-)
+from wavesel.gaussmath import blr_update, posterior_gaussian, sample_gaussian
 from oracles import (
     float_posterior,
     largest_gap,
+    packed_cov,
     reference_track,
     regret_increment,
     simulator,
@@ -49,8 +44,7 @@ def uniform_state_proc(n_states: int = 4) -> StateProcess:
 
 
 def make_agent(prior_mean=(0.0, 0.0, 0.0), prior_var=1.0, k_arms=5, n_obs=4):
-    prior = isotropic_gaussian(np.asarray(prior_mean, dtype=float), prior_var)
-    return TsAgent(prior, 0.1, n_obs, k_arms)
+    return TsAgent((np.asarray(prior_mean, dtype=float), prior_var), 0.1, n_obs, k_arms)
 
 
 def thompson_pick(agent: TsAgent, o: int, rng: np.random.Generator) -> int:
@@ -221,10 +215,19 @@ def test_record_twice_same_value():
     assert m2 == pytest.approx(0.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("var", [2.0, 1e-30, 5e-324, 1e300])
+def test_agent_prior_is_isotropic(var):
+    # the packed lower triangle of var * I, as the prior arrays held it,
+    # bit for bit
+    mean = np.array([0.2, -0.1, 0.4])
+    agent = TsAgent((mean, var), 0.1, 4, 5)
+    assert agent.mean == mean.tolist()
+    assert np.array(agent.cov).tobytes() == np.array(packed_cov(var * np.eye(3))).tobytes()
+
+
 def test_record_delegates_posterior_update():
-    prior = isotropic_gaussian(np.zeros(3), 2.0)
-    agent = TsAgent(prior, 0.1, 4, 5)
-    manual = prior.mean.tolist(), packed_cov(prior.cov)
+    agent = TsAgent((np.zeros(3), 2.0), 0.1, 4, 5)
+    manual = [0.0, 0.0, 0.0], packed_cov(2.0 * np.eye(3))
     for o, w, loss in ((0, 0, 0.55), (0, 0, 0.2), (1, 0, 0.9), (0, 0, 0.4)):
         phi = agent_contexts(agent, o)[w]
         record(agent, o, w, loss)
@@ -349,7 +352,7 @@ def test_posterior_mean_converges_under_round_robin():
 def run_synthetic_track(seed: int, explore: str = "ts"):
     theta_star = np.array([0.4, 0.1, 0.5])
     env = SyntheticTrackEnv(theta_star, uniform_state_proc(), 0.05, 15.8)
-    prior = isotropic_gaussian(np.zeros(3), 2.0)
+    prior = (np.zeros(3), 2.0)
     return run_track(
         env, prior, 0.05, 150, 5, np.random.default_rng(seed), explore=explore
     )
@@ -428,7 +431,7 @@ def test_run_track_regret_equals_oracle_at_every_cpi(mode):
     else:
         env = physical_env(n)
     recorder = RecordingEnv(env)
-    prior = isotropic_gaussian(np.zeros(3), 2.0)
+    prior = (np.zeros(3), 2.0)
     result, _ = run_track(recorder, prior, 0.05, n, 5, np.random.default_rng(52))
     assert len(recorder.expected) == n
     for k, expected in enumerate(recorder.expected):
@@ -479,7 +482,7 @@ def track_env(mode: str, n: int):
 @pytest.mark.parametrize("mode", ["synthetic", "physical"])
 def test_run_track_equals_validated_reference_loop_to_the_bit(mode, explore):
     n = 150
-    prior = isotropic_gaussian(np.array([0.2, -0.1, 0.4]), 2.0)
+    prior = (np.array([0.2, -0.1, 0.4]), 2.0)
     retries = gaussmath.jitter_retries
     result, agent = run_track(
         track_env(mode, n), prior, 0.33, n, 5, np.random.default_rng(60), explore
@@ -501,21 +504,3 @@ def test_run_track_equals_validated_reference_loop_to_the_bit(mode, explore):
     assert same_bits(np.array(agent.contexts), expected["agent_contexts"])
     if explore == "ts":
         assert len(set(result.waveform.tolist())) > 1
-
-
-def test_thompson_track_validates_a_constant_number_of_times(monkeypatch):
-    calls = []
-    check = gaussmath._check_gaussian
-
-    def counted(mean, cov):
-        calls.append(1)
-        return check(mean, cov)
-
-    monkeypatch.setattr(gaussmath, "_check_gaussian", counted)
-    prior = isotropic_gaussian(np.zeros(3), 2.0)
-    counts = {}
-    for n in (20, 200):
-        calls.clear()
-        run_track(track_env("synthetic", n), prior, 0.33, n, 5, np.random.default_rng(61))
-        counts[n] = len(calls)
-    assert counts[200] == counts[20] <= 2

@@ -7,16 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavesel import gaussmath, meta
-from wavesel.bandit import SyntheticTrackEnv, run_track
-from wavesel.errors import DimensionMismatch, NotPositiveDefinite
-from wavesel.gaussmath import (
-    Gaussian,
-    cholesky,
-    isotropic_gaussian,
-    kl_gaussian,
-    packed_cov,
-)
+from wavesel import bandit, gaussmath, meta
+from wavesel.bandit import SyntheticTrackEnv, TsAgent, run_track
+from wavesel.errors import NotPositiveDefinite
+from wavesel.gaussmath import cholesky, kl_gaussian
 from wavesel.harness import ExperimentConfig, build_scene
 from wavesel.meta import run_meta_experiment
 
@@ -26,10 +20,9 @@ from oracles import (
     float_posterior,
     largest_gap,
     np_cholesky,
-    posterior_gaussian,
+    packed_cov,
     posterior_mean_cov,
     sample_gaussian,
-    to_linear_posterior,
     unpacked_cov,
 )
 
@@ -185,17 +178,17 @@ def test_cholesky_edge_inputs_match_np_linalg_path(m):
 
 
 # ---------------------------------------------------------------------------
-# Gaussian / LinearPosterior (the array reference) construction
+# LinearPosterior (the array reference) construction
 
 
-def test_gaussian_rejects_asymmetric_cov():
+def test_linear_posterior_rejects_asymmetric_cov():
     with pytest.raises(NotPositiveDefinite):
-        Gaussian(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
+        LinearPosterior(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]), 1.0)
 
 
-def test_gaussian_rejects_shape_mismatch():
-    with pytest.raises(DimensionMismatch):
-        Gaussian(np.zeros(3), np.eye(2))
+def test_linear_posterior_rejects_shape_mismatch():
+    with pytest.raises(ValueError):
+        LinearPosterior(np.zeros(3), np.eye(2), 1.0)
 
 
 def test_linear_posterior_rejects_nonpositive_noise():
@@ -203,35 +196,28 @@ def test_linear_posterior_rejects_nonpositive_noise():
         LinearPosterior(np.zeros(2), np.eye(2), 0.0)
 
 
-def test_isotropic_gaussian():
-    g = isotropic_gaussian(np.array([1.0, -2.0]), 3.0)
-    np.testing.assert_array_equal(g.cov, 3.0 * np.eye(2))
-    assert g.dim == 2
-
-
 # ---------------------------------------------------------------------------
 # sample_gaussian, the array reference
 
 
 def test_sample_degenerate_cov_returns_mean():
-    g = isotropic_gaussian(np.array([0.3, -0.7, 1.1]), 1e-30)
-    x = sample_gaussian(g, np.random.default_rng(0))
-    np.testing.assert_allclose(x, g.mean, atol=1e-10)
+    mean = np.array([0.3, -0.7, 1.1])
+    x = sample_gaussian(mean, 1e-30 * np.eye(3), np.random.default_rng(0))
+    np.testing.assert_allclose(x, mean, atol=1e-10)
 
 
 def test_sample_moments_match():
-    g = isotropic_gaussian(np.zeros(2), 1.0)
     rng = np.random.default_rng(11)
-    draws = np.array([sample_gaussian(g, rng) for _ in range(100_000)])
+    draws = np.array([sample_gaussian(np.zeros(2), np.eye(2), rng) for _ in range(100_000)])
     assert np.max(np.abs(draws.mean(axis=0))) < 0.02
     emp_cov = np.cov(draws.T)
     assert np.max(np.abs(emp_cov - np.eye(2))) < 0.05
 
 
 def test_sample_deterministic_across_runs():
-    g = Gaussian(np.array([1.0, 2.0]), np.array([[2.0, 0.3], [0.3, 1.0]]))
-    a = sample_gaussian(g, np.random.default_rng(42))
-    b = sample_gaussian(g, np.random.default_rng(42))
+    mean, cov = np.array([1.0, 2.0]), np.array([[2.0, 0.3], [0.3, 1.0]])
+    a = sample_gaussian(mean, cov, np.random.default_rng(42))
+    b = sample_gaussian(mean, cov, np.random.default_rng(42))
     np.testing.assert_array_equal(a, b)
 
 
@@ -240,19 +226,19 @@ def test_sample_deterministic_across_runs():
 
 
 def test_blr_one_step_scalar():
-    post = blr_update(to_linear_posterior(isotropic_gaussian(np.zeros(1), 1.0), 1.0),
-                      np.array([1.0]), 1.0)
+    post = blr_update(LinearPosterior(np.zeros(1), np.eye(1), 1.0), np.array([1.0]), 1.0)
     mean, cov = posterior_mean_cov(post)
     np.testing.assert_allclose(mean, [0.5], atol=1e-12)
     np.testing.assert_allclose(cov, [[0.5]], atol=1e-12)
 
 
 def test_blr_uninformative_observation_keeps_prior():
-    prior = Gaussian(np.array([0.4, -0.2]), np.array([[1.5, 0.2], [0.2, 0.9]]))
-    post = blr_update(to_linear_posterior(prior, 1e12), np.array([1.0, 1.0]), 0.7)
+    prior_mean = np.array([0.4, -0.2])
+    prior_cov = np.array([[1.5, 0.2], [0.2, 0.9]])
+    post = blr_update(LinearPosterior(prior_mean, prior_cov, 1e12), np.array([1.0, 1.0]), 0.7)
     mean, cov = posterior_mean_cov(post)
-    np.testing.assert_allclose(mean, prior.mean, atol=1e-9)
-    np.testing.assert_allclose(cov, prior.cov, atol=1e-9)
+    np.testing.assert_allclose(mean, prior_mean, atol=1e-9)
+    np.testing.assert_allclose(cov, prior_cov, atol=1e-9)
 
 
 def test_blr_sequential_matches_batch_normal_equations():
@@ -260,7 +246,7 @@ def test_blr_sequential_matches_batch_normal_equations():
     d, n, noise_var, prior_var = 2, 6, 0.2, 2.0
     X = rng.standard_normal((n, d))
     y = rng.standard_normal(n)
-    post = to_linear_posterior(isotropic_gaussian(np.zeros(d), prior_var), noise_var)
+    post = LinearPosterior(np.zeros(d), prior_var * np.eye(d), noise_var)
     for phi, ell in zip(X, y):
         post = blr_update(post, phi, float(ell))
     mean, cov = posterior_mean_cov(post)
@@ -271,8 +257,8 @@ def test_blr_sequential_matches_batch_normal_equations():
 
 
 def test_blr_rejects_wrong_context_dim():
-    post = to_linear_posterior(isotropic_gaussian(np.zeros(3), 1.0), 0.1)
-    with pytest.raises(DimensionMismatch):
+    post = LinearPosterior(np.zeros(3), np.eye(3), 0.1)
+    with pytest.raises(ValueError):
         blr_update(post, np.array([1.0, 2.0]), 0.5)
 
 
@@ -298,17 +284,12 @@ def test_blr_updates_in_place_and_copies_inputs():
 
 
 def test_moment_views_are_copies():
-    prior = isotropic_gaussian(np.array([0.1, 0.2]), 2.0)
-    post = to_linear_posterior(prior, 0.5)
-    assert not np.shares_memory(post.mean, prior.mean)
-    assert not np.shares_memory(post.cov, prior.cov)
-    g = posterior_gaussian(post)
+    prior_mean, prior_cov = np.array([0.1, 0.2]), 2.0 * np.eye(2)
+    post = LinearPosterior(prior_mean, prior_cov, 0.5)
     mean, cov = posterior_mean_cov(post)
     blr_update(post, np.array([1.0, 0.5]), 0.9)
-    np.testing.assert_array_equal(g.mean, prior.mean)
-    np.testing.assert_array_equal(g.cov, prior.cov)
-    np.testing.assert_array_equal(mean, prior.mean)
-    np.testing.assert_array_equal(cov, prior.cov)
+    np.testing.assert_array_equal(mean, prior_mean)
+    np.testing.assert_array_equal(cov, prior_cov)
 
 
 @given(st.randoms(use_true_random=False))
@@ -318,11 +299,10 @@ def test_blr_update_order_does_not_matter(pyrandom):
     d, n = 3, 8
     X = rng.standard_normal((n, d))
     y = rng.standard_normal(n)
-    prior = isotropic_gaussian(np.zeros(d), 1.0)
-    forward = to_linear_posterior(prior, 0.3)
+    forward = LinearPosterior(np.zeros(d), np.eye(d), 0.3)
     for i in range(n):
         blr_update(forward, X[i], float(y[i]))
-    shuffled = to_linear_posterior(prior, 0.3)
+    shuffled = LinearPosterior(np.zeros(d), np.eye(d), 0.3)
     for i in rng.permutation(n):
         blr_update(shuffled, X[i], float(y[i]))
     np.testing.assert_allclose(forward.mean, shuffled.mean, atol=1e-9)
@@ -337,9 +317,8 @@ def test_blr_long_track_matches_batch_normal_equations():
     mu_star, state_proc = build_scene(cfg, 0)
     env = SyntheticTrackEnv(mu_star, state_proc, cfg.sigma_sq, 15.8)
     prior_var = cfg.sigma_q_sq + cfg.sigma0_sq
-    prior = isotropic_gaussian(np.zeros(3), prior_var)
     result, agent = run_track(
-        env, prior, cfg.sigma_sq, 3000, cfg.k, np.random.default_rng(0)
+        env, (np.zeros(3), prior_var), cfg.sigma_sq, 3000, cfg.k, np.random.default_rng(0)
     )
     X, y = result.contexts, result.loss
     mean, cov = float_posterior(agent.mean, agent.cov)
@@ -353,7 +332,7 @@ def test_blr_long_track_matches_batch_normal_equations():
 
 def test_blr_variance_contracts_along_context():
     phi = np.array([0.6, -0.8])
-    post = to_linear_posterior(isotropic_gaussian(np.zeros(2), 4.0), 0.5)
+    post = LinearPosterior(np.zeros(2), 4.0 * np.eye(2), 0.5)
     variances = []
     for _ in range(10):
         _, cov = posterior_mean_cov(post)
@@ -367,17 +346,17 @@ def test_blr_variance_contracts_along_context():
 
 
 def test_kl_identical_is_zero():
-    g = Gaussian(np.array([0.2, -1.0]), np.array([[1.2, 0.4], [0.4, 2.0]]))
+    g = np.array([0.2, -1.0]), np.array([[1.2, 0.4], [0.4, 2.0]])
     assert abs(kl_gaussian(g, g)) < 1e-12
 
 
 def test_kl_unit_mean_shift_scalar():
     # (q, p, the 1-d closed form 0.5 [vq/vp + (mp - mq)^2/vp - 1 + ln(vp/vq)])
     cases = (
-        (isotropic_gaussian(np.zeros(1), 1.0), isotropic_gaussian(np.ones(1), 1.0), 0.5),
+        ((np.zeros(1), np.eye(1)), (np.ones(1), np.eye(1)), 0.5),
         (
-            Gaussian(np.array([0.3]), np.array([[0.7]])),
-            Gaussian(np.array([-0.2]), np.array([[1.9]])),
+            (np.array([0.3]), np.array([[0.7]])),
+            (np.array([-0.2]), np.array([[1.9]])),
             0.5 * (0.7 / 1.9 + 0.5**2 / 1.9 - 1.0 + np.log(1.9 / 0.7)),
         ),
     )
@@ -387,31 +366,26 @@ def test_kl_unit_mean_shift_scalar():
 
 def test_kl_matches_monte_carlo():
     rng = np.random.default_rng(19)
-    q = Gaussian(rng.standard_normal(3), random_spd(rng, 3) / 3.0)
-    p = Gaussian(rng.standard_normal(3), random_spd(rng, 3) / 3.0)
+    q = rng.standard_normal(3), random_spd(rng, 3) / 3.0
+    p = rng.standard_normal(3), random_spd(rng, 3) / 3.0
     closed = kl_gaussian(q, p)
 
     def logpdf(x, g):
-        L = cholesky(g.cov)
-        w = np.linalg.solve(L, (x - g.mean).T)
+        mean, cov = g
+        L = cholesky(cov)
+        w = np.linalg.solve(L, (x - mean).T)
         logdet = 2.0 * np.sum(np.log(np.diag(L)))
-        return -0.5 * (np.sum(w * w, axis=0) + logdet + g.dim * np.log(2 * np.pi))
+        return -0.5 * (np.sum(w * w, axis=0) + logdet + mean.size * np.log(2 * np.pi))
 
-    Lq = cholesky(q.cov)
-    draws = q.mean + rng.standard_normal((1_000_000, 3)) @ Lq.T
+    Lq = cholesky(q[1])
+    draws = q[0] + rng.standard_normal((1_000_000, 3)) @ Lq.T
     mc = float(np.mean(logpdf(draws, q) - logpdf(draws, p)))
     assert abs(closed - mc) < 0.01 * max(closed, 1e-9)
 
 
-def test_kl_rejects_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        kl_gaussian(isotropic_gaussian(np.zeros(2), 1.0),
-                    isotropic_gaussian(np.zeros(3), 1.0))
-
-
 def test_kl_rejects_indefinite_cov():
-    q = isotropic_gaussian(np.zeros(2), 1.0)
-    bad = Gaussian(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+    q = np.zeros(2), np.eye(2)
+    bad = np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(NotPositiveDefinite):
         kl_gaussian(q, bad)
 
@@ -421,8 +395,8 @@ def test_kl_rejects_indefinite_cov():
 def test_kl_nonnegative(pyrandom):
     rng = np.random.default_rng(pyrandom.getrandbits(32))
     d = int(rng.integers(1, 5))
-    q = Gaussian(rng.standard_normal(d), random_spd(rng, d))
-    p = Gaussian(rng.standard_normal(d), random_spd(rng, d))
+    q = rng.standard_normal(d), random_spd(rng, d)
+    p = rng.standard_normal(d), random_spd(rng, d)
     assert kl_gaussian(q, p) >= -1e-12
 
 
@@ -475,13 +449,13 @@ def test_float_factor_edge_inputs_match_np_linalg_path(m):
 
 
 def test_float_draw_is_mean_plus_factor_times_one_normal_draw():
-    g = Gaussian(np.array([0.3, -0.7, 1.1]), random_spd(np.random.default_rng(5), 3))
+    mean, cov = np.array([0.3, -0.7, 1.1]), random_spd(np.random.default_rng(5), 3)
     rng = np.random.default_rng(42)
     theta = gaussmath.sample_gaussian(
-        gaussmath.posterior_gaussian(g.mean.tolist(), packed_cov(g.cov)), rng
+        gaussmath.posterior_gaussian(mean.tolist(), packed_cov(cov)), rng
     )
     ref_rng = np.random.default_rng(42)
-    assert largest_gap(theta, sample_gaussian(g, ref_rng)) < 1e-14
+    assert largest_gap(theta, sample_gaussian(mean, cov, ref_rng)) < 1e-14
     # both read one standard_normal(3) call, so the streams stay aligned
     assert rng.random() == ref_rng.random()
 
@@ -499,10 +473,10 @@ def test_float_draws_have_the_posterior_moments():
 @settings(max_examples=50, deadline=None)
 def test_float_update_matches_the_array_update(pyrandom):
     rng = np.random.default_rng(pyrandom.getrandbits(32))
-    prior = Gaussian(rng.standard_normal(3), random_spd(rng, 3))
+    prior_mean, prior_cov = rng.standard_normal(3), random_spd(rng, 3)
     noise_var = float(rng.uniform(0.01, 2.0))
-    post = to_linear_posterior(prior, noise_var)
-    mean, cov = prior.mean.tolist(), packed_cov(prior.cov)
+    post = LinearPosterior(prior_mean, prior_cov, noise_var)
+    mean, cov = prior_mean.tolist(), packed_cov(prior_cov)
     for _ in range(int(rng.integers(1, 300))):
         phi, loss = rng.random(3), float(rng.random())
         blr_update(post, phi, loss)
@@ -530,7 +504,7 @@ def test_float_update_rejects_wrong_context_dim():
         gaussmath.blr_update([0.0] * 3, [1.0, 0.0, 1.0, 0.0, 0.0, 1.0], 0.1, [1.0, 2.0], 0.5)
 
 
-def synthetic_track(prior: Gaussian, n: int = 200):
+def synthetic_track(prior: tuple, n: int = 200):
     cfg = ExperimentConfig()
     mu_star, state_proc = build_scene(cfg, 0)
     env = SyntheticTrackEnv(mu_star, state_proc, cfg.sigma_sq, 15.8)
@@ -540,22 +514,31 @@ def synthetic_track(prior: Gaussian, n: int = 200):
 def test_thompson_track_factors_nothing_on_a_well_conditioned_prior(monkeypatch):
     shapes = recording_cholesky(monkeypatch)
     before = gaussmath.jitter_retries
-    synthetic_track(isotropic_gaussian(np.zeros(3), 2.0))
+    synthetic_track((np.zeros(3), 2.0))
     assert shapes == []
     assert gaussmath.jitter_retries == before
     # a 1e-30 isotropic prior keeps its pivots positive, so it factors in
     # closed form too
-    synthetic_track(isotropic_gaussian(np.zeros(3), 1e-30))
+    synthetic_track((np.zeros(3), 1e-30))
     assert shapes == []
 
 
 def test_thompson_track_on_a_singular_prior_takes_the_counted_fallback(monkeypatch):
     # a rank-1 covariance has a zero second pivot, and stays rank-1 under
-    # every update: each draw goes through cholesky's jittered retry
+    # every update: each draw goes through cholesky's jittered retry. A
+    # track's prior is isotropic, so the agent's covariance is set after it
+    # is built.
+    v = np.array([0.5, 1.0, -0.5])
+
+    class RankOneAgent(TsAgent):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.cov = packed_cov(np.outer(v, v))
+
+    monkeypatch.setattr(bandit, "TsAgent", RankOneAgent)
     shapes = recording_cholesky(monkeypatch)
     before = gaussmath.jitter_retries
-    v = np.array([0.5, 1.0, -0.5])
-    result, _ = synthetic_track(Gaussian(np.zeros(3), np.outer(v, v)), n=50)
+    result, _ = synthetic_track((np.zeros(3), 1.0), n=50)
     assert shapes == [(3, 3)] * 50
     assert gaussmath.jitter_retries - before == 50
     assert np.all((result.loss >= 0.0) & (result.loss <= 1.0))

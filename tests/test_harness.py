@@ -168,6 +168,25 @@ def test_bad_value_reports_location():
         ("sinr_target_db = 300.0000001", "sinr_target_db"),
         ("mode = physical\ntarget_power = 0.0", "target_power"),
         ("grid_n = 8", "grid_n"),
+        # the first value out of range of each bound; a physical key's in
+        # physical mode, where only the bound can refuse it
+        ("m = 0", "m"),
+        ("n = 0", "n"),
+        ("k = 0", "k"),
+        ("sigma0_sq = 0.0", "sigma0_sq"),
+        ("sigma_sq = 0.0", "sigma_sq"),
+        ("mode = physical\nnoise_var = 0.0", "noise_var"),
+        ("sinr_target_db = -300.0000001", "sinr_target_db"),
+        ("obs_flip_prob = -5e-324", "obs_flip_prob"),
+        ("memory = 0", "memory"),
+        ("mode = physical\ngrid_n = 0", "grid_n"),
+        ("mode = physical\nir_taps = 0", "ir_taps"),
+        ("mode = physical\nn_oracle_draws = 0", "n_oracle_draws"),
+        ("mode = physical\nir_kernel_scale = 0.0", "ir_kernel_scale"),
+        ("mode = physical\nclutter_power = -5e-324", "clutter_power"),
+        ("mu_star = 0,0,0,0", "mu_star"),
+        ({"seeds": ()}, "seeds"),
+        ({"policies": ()}, "policies"),
         # values no config text can hold
         ({"m": 2.5}, "m"),
         ({"m": True}, "m"),
@@ -1076,6 +1095,39 @@ def test_cli_synthetic_mode_flag_rejects_a_physical_key(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith("ValidationError: doppler: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["synthetic", "physical"])
+def test_cli_singular_meta_update_returns_two(tmp_path, capsys, mode):
+    # at sigma0_sq = 1e14, I + sigma0_sq G is singular to working precision
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        f"mode = {mode}\nsigma0_sq = 1e14\nm = 10\nn = 200\nseeds = 0\n"
+        "policies = meta-ts\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "runs"
+    code = cli.main(["run", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("NotPositiveDefinite: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+# the KL column overflows to inf, with numpy's overflow warnings on the way
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "text,policy",
+    [("mu_star = 2e153,0,0", "meta-ts"), ("sigma_q_sq = 1e307", "random")],
+)
+def test_run_writes_no_file_of_a_non_finite_summary(tmp_path, text, policy):
+    # aggregate refuses a non-finite value, so run writes neither file
+    config = parse_config(f"{text}\nm = 2\nn = 20\nseeds = 0\nout_dir = {tmp_path}\n")
+    with pytest.raises(InvalidInput, match="^kl_to_truth of "):
+        run(config, policy, 0)
+    assert not os.path.exists(cpi_csv_path(str(tmp_path), policy, 0))
+    assert not os.path.exists(track_csv_path(str(tmp_path), policy, 0))
 
 
 def test_cli_aggregate_empty_dir_returns_two(tmp_path):

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavesel import fstc, harness, meta, waveforms
-from wavesel.bandit import SyntheticTrackEnv, run_track
+from wavesel.bandit import SyntheticTrackEnv, TsAgent, run_track
 from wavesel.errors import InvalidInput, ValidationError
-from wavesel.gaussmath import cholesky, isotropic_gaussian
+from wavesel.gaussmath import cholesky
 from wavesel.harness import ExperimentConfig, build_scene, parse_config
 from wavesel.meta import (
     MetaPosterior,
@@ -26,16 +26,16 @@ from wavesel.meta import (
 )
 from wavesel.metrics import kl_trace
 
-from oracles import LinearPosterior, blr_update, posterior_mean_cov
+from oracles import LinearPosterior, blr_update, float_posterior, posterior_mean_cov
 
 
-def flat_meta(sigma_q_sq=1.0, d=3, sigma0_sq=0.35, noise_var=0.33) -> MetaPosterior:
-    return init_meta(sigma_q_sq, d, sigma0_sq=sigma0_sq, noise_var=noise_var)
+def flat_meta(sigma_q_sq=1.0, d=3, sigma0_sq=0.35, sigma_sq=0.33) -> MetaPosterior:
+    return init_meta(sigma_q_sq, d, sigma0_sq=sigma0_sq, sigma_sq=sigma_sq)
 
 
 def meta_update_nxn(mp: MetaPosterior, data: TrackData) -> MetaPosterior:
     """Oracle: the joint-track update through the n x n marginal covariance
-    M = noise_var I + sigma0_sq X X^T of the track's losses,
+    M = sigma_sq I + sigma0_sq X X^T of the track's losses,
 
         precision' = precision + X^T M^-1 X
         mu'        = precision'^-1 (precision mu + X^T M^-1 l).
@@ -44,7 +44,7 @@ def meta_update_nxn(mp: MetaPosterior, data: TrackData) -> MetaPosterior:
         return mp
     X = data.contexts
     n = X.shape[0]
-    middle = mp.noise_var * np.eye(n) + mp.sigma0_sq * (X @ X.T)
+    middle = mp.sigma_sq * np.eye(n) + mp.sigma0_sq * (X @ X.T)
     Lm = cholesky(middle)
     stacked = np.column_stack([X, data.losses])
     m_inv = np.linalg.solve(Lm.T, np.linalg.solve(Lm, stacked))
@@ -53,7 +53,7 @@ def meta_update_nxn(mp: MetaPosterior, data: TrackData) -> MetaPosterior:
     b = mp.precision @ mp.mu + X.T @ m_inv[:, -1]
     Lp = cholesky(prec)
     mu = np.linalg.solve(Lp.T, np.linalg.solve(Lp, b))
-    return MetaPosterior(mu, prec, mp.sigma0_sq, mp.noise_var)
+    return MetaPosterior(mu, prec, mp.sigma0_sq, mp.sigma_sq)
 
 
 def relative_gap(a: MetaPosterior, b: MetaPosterior) -> float:
@@ -97,8 +97,8 @@ def test_meta_posterior_validation():
     for mp in [flat_meta(cfg.sigma_q_sq, 3, cfg.sigma0_sq, cfg.sigma_sq), *history]:
         assert mp.mu.shape == (3,) and mp.precision.shape == (3, 3)
         assert np.array_equal(mp.precision, mp.precision.T)
-        assert (mp.sigma0_sq, mp.noise_var) == (cfg.sigma0_sq, cfg.sigma_sq)
-        assert mp.sigma0_sq > 0 and mp.noise_var > 0
+        assert (mp.sigma0_sq, mp.sigma_sq) == (cfg.sigma0_sq, cfg.sigma_sq)
+        assert mp.sigma0_sq > 0 and mp.sigma_sq > 0
 
 
 def test_track_data_validation():
@@ -127,14 +127,18 @@ def test_meta_mean_cov_inverts_precision():
 
 def test_concentrated_belief_pins_sampled_mean():
     mp = MetaPosterior(np.array([0.3, -0.5, 0.8]), 1e12 * np.eye(3), 0.35, 0.33)
-    prior = sample_instance_prior(mp, np.random.default_rng(0))
-    np.testing.assert_allclose(prior.mean, mp.mu, atol=1e-5)
+    mean = sample_instance_prior(mp, np.random.default_rng(0))
+    np.testing.assert_allclose(mean, mp.mu, atol=1e-5)
 
 
 def test_sampled_prior_covariance_is_exactly_isotropic():
+    # the track's prior is (draw, sigma0_sq); the agent writes sigma0_sq I
     mp = flat_meta()
-    prior = sample_instance_prior(mp, np.random.default_rng(1))
-    np.testing.assert_array_equal(prior.cov, mp.sigma0_sq * np.eye(3))
+    mean = sample_instance_prior(mp, np.random.default_rng(1))
+    agent = TsAgent((mean, mp.sigma0_sq), mp.sigma_sq, 4, 5)
+    got_mean, got_cov = float_posterior(agent.mean, agent.cov)
+    assert got_mean.tobytes() == mean.tobytes()
+    assert got_cov.tobytes() == (mp.sigma0_sq * np.eye(3)).tobytes()
 
 
 def test_sampled_means_match_belief_covariance():
@@ -142,7 +146,7 @@ def test_sampled_means_match_belief_covariance():
     mp = MetaPosterior(np.array([0.1, -0.2, 0.4]), prec, 0.35, 0.33)
     rng = np.random.default_rng(2)
     draws = np.array(
-        [sample_instance_prior(mp, rng).mean for _ in range(100_000)]
+        [sample_instance_prior(mp, rng) for _ in range(100_000)]
     )
     emp = np.cov(draws.T)
     target = np.linalg.inv(prec)
@@ -154,7 +158,7 @@ def test_sampled_means_match_belief_covariance():
 
 
 def test_one_dimensional_single_row_update():
-    mp = init_meta(1.0, 1, sigma0_sq=1.0, noise_var=1.0)
+    mp = init_meta(1.0, 1, sigma0_sq=1.0, sigma_sq=1.0)
     out = meta_update(mp, TrackData(np.array([[1.0]]), np.array([1.5])))
     np.testing.assert_allclose(out.precision, [[1.5]], atol=1e-12)
     np.testing.assert_allclose(out.mu, [0.5], atol=1e-12)
@@ -188,7 +192,7 @@ def test_long_track_update_matches_nxn_oracle():
     cfg = ExperimentConfig()
     rng = np.random.default_rng(5)
     mp = flat_meta(
-        sigma_q_sq=cfg.sigma_q_sq, sigma0_sq=cfg.sigma0_sq, noise_var=cfg.sigma_sq
+        sigma_q_sq=cfg.sigma_q_sq, sigma0_sq=cfg.sigma0_sq, sigma_sq=cfg.sigma_sq
     )
     data = TrackData(rng.random((2500, 3)), rng.random(2500))
     assert relative_gap(meta_update(mp, data), meta_update_nxn(mp, data)) < 1e-12
@@ -198,7 +202,7 @@ def test_joint_update_differs_from_split_updates():
     rng = np.random.default_rng(3)
     X = rng.random((6, 2))
     L = rng.random(6)
-    mp = init_meta(2.0, 2, sigma0_sq=0.5, noise_var=0.2)
+    mp = init_meta(2.0, 2, sigma0_sq=0.5, sigma_sq=0.2)
     joint = meta_update(mp, TrackData(X, L))
     split = meta_update(
         meta_update(mp, TrackData(X[:3], L[:3])), TrackData(X[3:], L[3:])
@@ -211,7 +215,7 @@ def test_vanishing_instance_spread_reduces_to_blr():
     X = rng.random((6, 2))
     L = rng.random(6)
     noise_var = 0.3
-    mp = init_meta(2.0, 2, sigma0_sq=1e-14, noise_var=noise_var)
+    mp = init_meta(2.0, 2, sigma0_sq=1e-14, sigma_sq=noise_var)
     out = meta_update(mp, TrackData(X, L))
 
     post = LinearPosterior(*meta_mean_cov(mp), noise_var)
@@ -228,7 +232,7 @@ def test_precision_never_decreases_across_tracks():
     mu_star, state_proc = build_scene(cfg, 0)
     _, history = run_meta_experiment(cfg, mu_star, state_proc, "meta-ts", 0)
     prev = init_meta(
-        cfg.sigma_q_sq, 3, sigma0_sq=cfg.sigma0_sq, noise_var=cfg.sigma_sq
+        cfg.sigma_q_sq, 3, sigma0_sq=cfg.sigma0_sq, sigma_sq=cfg.sigma_sq
     )
     for mp in history:
         gap = np.linalg.eigvalsh(mp.precision - prev.precision)
@@ -241,7 +245,7 @@ def test_history_entry_is_one_joint_update_of_track_data():
     mu_star, state_proc = build_scene(cfg, 1)
     results, history = run_meta_experiment(cfg, mu_star, state_proc, "meta-ts", 1)
     mp0 = init_meta(
-        cfg.sigma_q_sq, 3, sigma0_sq=cfg.sigma0_sq, noise_var=cfg.sigma_sq
+        cfg.sigma_q_sq, 3, sigma0_sq=cfg.sigma0_sq, sigma_sq=cfg.sigma_sq
     )
     replay = meta_update(mp0, TrackData(results[0].contexts, results[0].loss))
     np.testing.assert_array_equal(history[0].mu, replay.mu)
@@ -262,7 +266,7 @@ def test_oracle_policy_uses_true_prior():
     env = SyntheticTrackEnv(
         theta, state_proc, cfg.sigma_sq, 10 ** (cfg.sinr_target_db / 10)
     )
-    prior = isotropic_gaussian(mu_star, cfg.sigma0_sq)
+    prior = (mu_star, cfg.sigma0_sq)
     replay, _ = run_track(env, prior, cfg.sigma_sq, 60, 5, rng)
     np.testing.assert_array_equal(results[0].waveform, replay.waveform)
     np.testing.assert_array_equal(results[0].loss, replay.loss)
@@ -281,7 +285,7 @@ def test_degenerate_meta_prior_matches_fixed_zero_mean_prior():
         )
         replay, _ = run_track(
             env,
-            isotropic_gaussian(np.zeros(3), cfg.sigma0_sq),
+            (np.zeros(3), cfg.sigma0_sq),
             cfg.sigma_sq,
             60,
             5,

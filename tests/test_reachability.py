@@ -47,17 +47,20 @@ UNREAD_FIELDS = {
 #: (class, field) of the dataclass fields, outside ``ExperimentConfig``,
 #: named after a config key, with the reason each is kept.
 CONFIG_NAMED_FIELDS = {
-    # the belief carries the hierarchy's two variances (config sigma0_sq and
-    # sigma_sq) because the benchmark's tracer calls meta_update(mp, data)
-    # with exactly those two arguments
+    # the belief carries the hierarchy's two variances, under their config
+    # names, because the benchmark's tracer calls meta_update(mp, data) with
+    # exactly those two arguments
     ("MetaPosterior", "sigma0_sq"),
-    ("MetaPosterior", "noise_var"),
+    ("MetaPosterior", "sigma_sq"),
     # the episode's theta-scaled noise floor, drawn per track, not the
     # config's base value
     ("FstcInstance", "noise_var"),
     # the observation kernel of the chain, kept with the drawn transition
     # table it reads, so the scene walk and the tests step one object
     ("StateProcess", "obs_flip_prob"),
+    # the drawn table's shape, which every step reads
+    ("StateProcess", "n_states"),
+    ("StateProcess", "memory"),
     # a PAC-Bayes bound's per-task sample count, not the config's track count
     ("BoundInputs", "m"),
 }
@@ -127,14 +130,31 @@ def _package_trees() -> list:
     ]
 
 
+def _set_in_post_init(item) -> list:
+    """Names a ``__post_init__`` sets with ``object.__setattr__(self, "name",
+    ...)``, as a frozen dataclass sets a derived attribute."""
+    if not (isinstance(item, ast.FunctionDef) and item.name == "__post_init__"):
+        return []
+    return [
+        node.args[1].value for node in ast.walk(item)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__setattr__" and len(node.args) == 3
+        and isinstance(node.args[1], ast.Constant)
+    ]
+
+
 def _declared_fields(tree):
     """(class node, field name) of every field a module's dataclasses
-    declare."""
+    declare, and of every other attribute their ``__post_init__`` sets."""
     for cls in tree.body:
         if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+            names = []
             for item in cls.body:
                 if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                    yield cls, item.target.id
+                    names.append(item.target.id)
+                names.extend(_set_in_post_init(item))
+            for name in dict.fromkeys(names):
+                yield cls, name
 
 
 def _unread_fields():
@@ -152,6 +172,26 @@ def _unread_fields():
             if reads[name] == post_init[name]:
                 unread.add((cls.name, name))
     return unread
+
+
+def test_field_scan_sees_attributes_a_frozen_post_init_sets():
+    source = (
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    x: int\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'x', int(self.x))\n"
+        "        object.__setattr__(self, 'derived', 2 * self.x)\n"
+        "        for key in ('y',):\n"
+        "            object.__setattr__(self, key, 0)\n"
+        "    def other(self):\n"
+        "        object.__setattr__(self, 'late', 1)\n"
+        "class B:\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'plain', 1)\n"
+    )
+    found = [(cls.name, name) for cls, name in _declared_fields(ast.parse(source))]
+    assert found == [("A", "x"), ("A", "derived")]
 
 
 def test_every_dataclass_field_is_read_in_the_package():
