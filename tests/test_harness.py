@@ -168,6 +168,21 @@ def test_bad_value_reports_location():
         ("sinr_target_db = 300.0000001", "sinr_target_db"),
         ("mode = physical\ntarget_power = 0.0", "target_power"),
         ("grid_n = 8", "grid_n"),
+        # values no config text can hold
+        ({"m": 2.5}, "m"),
+        ({"m": True}, "m"),
+        ({"sigma_sq": "0.3"}, "sigma_sq"),
+        ({"sigma_sq": 10**400}, "sigma_sq"),
+        ({"seeds": [0]}, "seeds"),
+        ({"seeds": (0, 1.5)}, "seeds"),
+        ({"policies": "random"}, "policies"),
+        ({"mu_star": [0.1, 0.2, 0.3]}, "mu_star"),
+        ({"mode": None}, "mode"),
+        ({"out_dir": "a#b"}, "out_dir"),
+        ({"out_dir": ""}, "out_dir"),
+        # an int key holds what an int64 holds, and serialize_config can write
+        ({"seeds": (2**63,)}, "seeds"),
+        ({"m": 10**5000}, "m"),
         # the first value out of range of each bound; a physical key's in
         # physical mode, where only the bound can refuse it
         ("m = 0", "m"),
@@ -187,21 +202,6 @@ def test_bad_value_reports_location():
         ("mu_star = 0,0,0,0", "mu_star"),
         ({"seeds": ()}, "seeds"),
         ({"policies": ()}, "policies"),
-        # values no config text can hold
-        ({"m": 2.5}, "m"),
-        ({"m": True}, "m"),
-        ({"sigma_sq": "0.3"}, "sigma_sq"),
-        ({"sigma_sq": 10**400}, "sigma_sq"),
-        ({"seeds": [0]}, "seeds"),
-        ({"seeds": (0, 1.5)}, "seeds"),
-        ({"policies": "random"}, "policies"),
-        ({"mu_star": [0.1, 0.2, 0.3]}, "mu_star"),
-        ({"mode": None}, "mode"),
-        ({"out_dir": "a#b"}, "out_dir"),
-        ({"out_dir": ""}, "out_dir"),
-        # an int key holds what an int64 holds, and serialize_config can write
-        ({"seeds": (2**63,)}, "seeds"),
-        ({"m": 10**5000}, "m"),
     ],
 )
 def test_validation_failures_name_the_field(bad, field):
