@@ -123,10 +123,8 @@ def record(agent: TsAgent, o: int, w: int, loss: float) -> None:
 
 
 def synthetic_loss(theta, phi, noise_var: float, rng: np.random.Generator) -> float:
-    """Exact-linear loss clamp(<theta, phi> + noise) with Gaussian noise."""
-    y = float(np.matmul(theta, phi))
-    if noise_var > 0:
-        y += math.sqrt(noise_var) * rng.standard_normal()
+    """Exact-linear loss clamp(<theta, phi> + noise), noise ~ N(0, noise_var)."""
+    y = float(np.matmul(theta, phi)) + math.sqrt(noise_var) * rng.standard_normal()
     return unit_clip(y)
 
 
@@ -168,10 +166,9 @@ class SyntheticTrackEnv(SceneWalk):
         self.noise_var = float(noise_var)
         self.sinr_target = float(sinr_target)
 
-    def expected_losses(self, cpi, s, contexts) -> np.ndarray:
-        """clip(<theta*, phi>) of every context: (K, 3) contexts give (K,),
-        and a stack of shape S + (K, 3), such as a whole track's, gives
-        S + (K,). ``cpi`` and ``s`` are not read."""
+    def expected_losses(self, states, contexts: np.ndarray) -> np.ndarray:
+        """clip(<theta*, phi>) of a track's (n, K, 3) contexts; the states
+        are not read."""
         return np.matmul(contexts, self.theta_star).clip(0.0, 1.0)
 
     def realize(self, cpi: int, s: int, w_idx: int, phi, rng: np.random.Generator):
@@ -198,8 +195,8 @@ def run_track(
 
     The pulse loop carries only what the learner feeds back: scene step,
     draw, choice, outcome and ``record``. The learner never reads the
-    expected losses, so one ``env.expected_losses`` call over the whole
-    track's (cpi, state, contexts) gives the oracle losses, regret
+    expected losses, so one ``env.expected_losses(states, contexts)`` call,
+    the (n, K) losses of the whole track, gives the oracle losses, regret
     increments and suboptimal flags after the loop.
     """
     agent = TsAgent(prior, noise_var, env.state_proc.n_states, k_arms)
@@ -228,7 +225,7 @@ def run_track(
     state = np.array(state, dtype=int)
     waveform = np.array(waveform, dtype=int)
     pulses = np.arange(n_cpis)
-    expected = env.expected_losses(pulses, state, offered)
+    expected = env.expected_losses(state, offered)
     oracle_loss = expected.max(axis=-1)
     chosen = expected[pulses, waveform]
     return TrackResult(

@@ -73,9 +73,9 @@ class StateProcess:
     state with probability 1 - obs_flip_prob, otherwise it is uniform over
     the remaining states.
 
-    Construction also sets ``n_states`` and ``memory``, read from the
-    table's shape, and keeps ``cumulative``: the running sums of every row,
-    keyed by the tuple of previous states, for :func:`step_state`.
+    Construction also sets ``n_states``, read from the table's shape, and
+    keeps ``rows``: the running sums of every row, as one list in C order
+    of the previous states, for :func:`step_state`.
     """
 
     transition: np.ndarray
@@ -88,12 +88,9 @@ class StateProcess:
             raise InvalidInput("transition probabilities must be non-negative")
         if not np.allclose(t.sum(axis=-1), 1.0, atol=1e-9):
             raise InvalidInput("transition rows must sum to one")
-        cumulative = {
-            prev: np.cumsum(t[prev]).tolist() for prev in np.ndindex(t.shape[:-1])
-        }
-        object.__setattr__(self, "n_states", t.shape[-1])
-        object.__setattr__(self, "memory", t.ndim)
-        object.__setattr__(self, "cumulative", cumulative)
+        n_states = t.shape[-1]
+        object.__setattr__(self, "n_states", n_states)
+        object.__setattr__(self, "rows", np.cumsum(t.reshape(-1, n_states), 1).tolist())
 
 
 def random_transition(n_states: int, memory: int, rng: np.random.Generator) -> np.ndarray:
@@ -103,17 +100,10 @@ def random_transition(n_states: int, memory: int, rng: np.random.Generator) -> n
     return rows.reshape((n_states,) * (memory - 1) + (n_states,))
 
 
-def step_state(sp: StateProcess, history, rng: np.random.Generator) -> int:
-    """Advance the chain one step given the most recent states.
-
-    ``history`` holds past states, oldest first; only the last memory - 1
-    entries matter, and shorter histories are padded with state 0.
-    """
-    need = sp.memory - 1
-    recent = tuple(map(int, history[-need:])) if need else ()
-    if len(recent) < need:
-        recent = (0,) * (need - len(recent)) + recent
-    idx = bisect_right(sp.cumulative[recent], rng.random())
+def step_state(sp: StateProcess, row: int, rng: np.random.Generator) -> int:
+    """The chain's next state from table row ``row`` (see :class:`SceneWalk`):
+    one uniform draw and a bisection of the row's running sums."""
+    idx = bisect_right(sp.rows[row], rng.random())
     return min(idx, sp.n_states - 1)
 
 
@@ -313,16 +303,20 @@ def _sinr_value(sig: float, denom: float) -> float:
 
 class SceneWalk:
     """The hidden-state walk of one track: each pulse advances the chain and
-    reads its noisy observation. Both track environments share it."""
+    reads its noisy observation. Both track environments share it. Its one
+    int of state, ``row``, is the C-order index of the last memory - 1
+    states, padded with state 0: it starts at 0, and each step shifts the
+    new state in and the oldest out."""
 
     def __init__(self, state_proc: StateProcess):
         self.state_proc = state_proc
-        self._states: list[int] = []
+        self.row = 0
 
     def step_scene(self, rng: np.random.Generator):
-        s = step_state(self.state_proc, self._states, rng)
-        self._states.append(s)
-        return s, observe(self.state_proc, s, rng)
+        sp = self.state_proc
+        s = step_state(sp, self.row, rng)
+        self.row = (self.row * sp.n_states + s) % len(sp.rows)
+        return s, observe(sp, s, rng)
 
 
 class TrackSimulator:
@@ -408,19 +402,17 @@ class TrackSimulator:
         y = noise_map.dot(rng.standard_normal(noise_map.shape[1]))
         return _sinr_value(float(self._sig[w_idx]), p_c + float(y.dot(y)))
 
-    def expected_losses(self, cpi, s, sinr_target: float) -> np.ndarray:
-        """Monte Carlo mean loss of every waveform at the true state.
+    def expected_losses(self, states: np.ndarray, sinr_target: float) -> np.ndarray:
+        """Monte Carlo mean loss of every waveform at each pulse's true state:
+        the (n, K) losses of the track whose (n,) ``states`` are given.
 
-        ``cpi`` and ``s`` broadcast against each other: ints give the (K,)
-        losses of one pulse, arrays of shape S give shape S + (K,), so one
-        call covers a whole track. Uses the episode's cached noise draws, so
-        the estimate is a deterministic function of (delay cell, state).
-        Each distinct pair is evaluated once, in one (pairs, K, draws)
-        buffer; pairs is at most min(pulses, n_states * grid_n).
+        Uses the episode's cached noise draws, so the estimate is a
+        deterministic function of (delay cell, state). Each distinct pair is
+        evaluated once, in one (pairs, K, draws) buffer; pairs is at most
+        min(n, n_states * grid_n).
         """
-        cell, s = np.broadcast_arrays(self._delay[cpi], s)
         n_cells = self._clutter.shape[0]
-        pairs, inverse = np.unique((s * n_cells + cell).ravel(), return_inverse=True)
+        pairs, inverse = np.unique(states * n_cells + self._delay, return_inverse=True)
         gain = np.array(self._gain)[pairs // n_cells]
         p_c = gain[:, None] * self._clutter[pairs % n_cells]
         # updated in place, so the call holds one (pairs, K, draws) buffer
@@ -430,7 +422,7 @@ class TrackSimulator:
         losses /= sinr_target
         losses.clip(0.0, 1.0, out=losses)
         means = np.add.reduce(losses, axis=-1) / losses.shape[-1]
-        return means[inverse.ravel()].reshape(cell.shape + (len(self._sig),))
+        return means[inverse]
 
 
 class PhysicalTrackEnv(SceneWalk):
@@ -442,11 +434,9 @@ class PhysicalTrackEnv(SceneWalk):
         self.sim = sim
         self.sinr_target = sinr_target
 
-    def expected_losses(self, cpi, s, contexts) -> np.ndarray:
-        """The simulator's expected losses at (cpi, state), broadcast as
-        :meth:`TrackSimulator.expected_losses` does; the contexts are not
-        read."""
-        return self.sim.expected_losses(cpi, s, self.sinr_target)
+    def expected_losses(self, states: np.ndarray, contexts) -> np.ndarray:
+        """The simulator's expected losses; the contexts are not read."""
+        return self.sim.expected_losses(states, self.sinr_target)
 
     def realize(self, cpi: int, s: int, w_idx: int, phi, rng: np.random.Generator):
         sinr = self.sim.step(cpi, s, w_idx, rng)

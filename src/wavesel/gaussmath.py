@@ -5,7 +5,7 @@ A belief takes one form per level. The meta level keeps precision form (see
 N(mean, variance I). :func:`kl_gaussian` compares two (mean, covariance)
 array pairs, and :func:`cholesky` factors an array with
 ``np.linalg.cholesky`` and makes one counted, jittered retry before it gives
-up.
+up; it never returns a non-finite factor.
 
 The per-track learner's posterior over its three weights is nine floats: the
 mean (m0, m1, m2) and the covariance's lower triangle packed row by row,
@@ -40,22 +40,26 @@ def cholesky(m: np.ndarray) -> np.ndarray:
 
     ``np.linalg.cholesky`` reads the lower triangle. When it fails, it is
     retried once with a jitter of ``JITTER`` times the mean absolute
-    diagonal, counted in ``jitter_retries``; a second failure raises
-    :class:`NotPositiveDefinite`.
+    diagonal, counted in ``jitter_retries``. A non-finite entry (before any
+    retry, as LAPACK would factor it without an error), a second failure or
+    a non-finite factor raises :class:`NotPositiveDefinite`.
     """
     global jitter_retries
     m = np.asarray(m, dtype=float)
+    if not np.isfinite(m).all():
+        raise NotPositiveDefinite(f"matrix of shape {m.shape} has a non-finite entry")
     try:
         return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         jitter_retries += 1
     scale = float(np.mean(np.abs(np.diag(m))))
     try:
-        return np.linalg.cholesky(m + JITTER * scale * np.eye(m.shape[0]))
+        factor = np.linalg.cholesky(m + JITTER * scale * np.eye(m.shape[0]))
     except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(
-            f"matrix of shape {m.shape} is not positive definite"
-        ) from None
+        factor = None
+    if factor is None or not np.isfinite(factor).all():
+        raise NotPositiveDefinite(f"matrix of shape {m.shape} is not positive definite")
+    return factor
 
 
 def kl_gaussian(q: tuple, p: tuple) -> float:

@@ -253,8 +253,9 @@ def interleaved_walk(grid_n: int, n_cpis: int, rng: np.random.Generator) -> np.n
 
 def step_state(sp, history, rng: np.random.Generator) -> int:
     """The scene-chain step as a search of the row's running sums, computed
-    afresh on every call."""
-    need = sp.memory - 1
+    afresh on every call. ``history`` holds past states, oldest first; the
+    row is that of the last memory - 1, padded with state 0."""
+    need = sp.transition.ndim - 1
     recent = tuple(int(s) for s in history[-need:]) if need else ()
     if len(recent) < need:
         recent = (0,) * (need - len(recent)) + recent

@@ -21,6 +21,36 @@ from wavesel.waveforms import CATALOG_NAMES, catalog_envelope
 
 from oracles import cyclic_autocorrelation, float_posterior, packed_cov
 
+#: Paired seed-bootstrap resamples behind each printed interval, and the
+#: seed of their fixed stream, so the printout is deterministic.
+BOOTSTRAP_RESAMPLES = 10_000
+BOOTSTRAP_SEED = 7
+
+
+def seed_noise(statistic, passes, *per_seed: np.ndarray) -> str:
+    """The gate's quantity read against seed noise, as a printable line.
+
+    ``per_seed`` holds each compared quantity's per-seed values;
+    ``statistic`` maps their means over seeds to the gate's quantity, and
+    ``passes`` says where that quantity meets the bound. The seeds are
+    resampled with replacement, each resample keeping a seed's values
+    together, since policies share a seed's scene (Efron and Tibshirani,
+    An Introduction to the Bootstrap, 1993). Reports the 95% percentile
+    interval, the share of resamples on the wrong side of the bound and
+    the number of seeds that pass on their own.
+    """
+    n = per_seed[0].size
+    rng = np.random.default_rng(BOOTSTRAP_SEED)
+    picks = rng.integers(n, size=(BOOTSTRAP_RESAMPLES, n))
+    resampled = statistic(*(values[picks].mean(axis=1) for values in per_seed))
+    lo, hi = np.percentile(resampled, [2.5, 97.5])
+    wrong = 1.0 - float(np.mean(passes(resampled)))
+    alone = int(np.sum(passes(statistic(*per_seed))))
+    return (
+        f"seed 95% interval [{lo:.4g}, {hi:.4g}], {wrong:.0%} of resamples "
+        f"fail, {alone} of {n} seeds pass alone"
+    )
+
 
 def _grid_meta_posterior(prior_mean, prior_cov, tracks, sigma0_sq, noise_var, points):
     """Hierarchical posterior over the prior mean by brute-force grid sums.
@@ -165,18 +195,23 @@ def test_03_closed_form_kl_matches_monte_carlo():
 
 
 def test_04_synthetic_regret_ordering(synthetic_sweep):
-    finals = {
-        policy: float(synthetic_sweep.curves(policy, "cum_regret").sum(axis=1).mean())
+    per_seed = {
+        policy: synthetic_sweep.curves(policy, "cum_regret").sum(axis=1)
         for policy in POLICIES
     }
+    finals = {policy: float(values.mean()) for policy, values in per_seed.items()}
     oracle = finals["ts-oracle"]
     learned = finals["meta-ts"]
     flat = finals["ts-uninformative"]
     blind = finals["random"]
+    noise = seed_noise(
+        np.divide, lambda ratio: ratio <= 1.5, per_seed["meta-ts"], per_seed["ts-oracle"]
+    )
     print(
         f"acceptance 04 final cumulative regret: oracle {oracle:.1f} < "
         f"meta {learned:.1f} < uninformative {flat:.1f} < random {blind:.1f}; "
-        f"sweep {synthetic_sweep.elapsed_s:.0f} s"
+        f"sweep {synthetic_sweep.elapsed_s:.0f} s; meta/oracle "
+        f"{learned / oracle:.3f} <= 1.5, {noise}"
     )
     assert oracle < learned < flat < blind
     assert learned <= 1.5 * oracle
@@ -194,28 +229,40 @@ def test_05_meta_belief_concentrates(synthetic_sweep):
 
 
 def test_06_suboptimal_transmission_gap(synthetic_sweep):
-    learned = float(synthetic_sweep.curves("meta-ts", "subopt_freq").mean())
-    flat = float(synthetic_sweep.curves("ts-uninformative", "subopt_freq").mean())
+    learned_curves = synthetic_sweep.curves("meta-ts", "subopt_freq")
+    flat_curves = synthetic_sweep.curves("ts-uninformative", "subopt_freq")
+    learned = float(learned_curves.mean())
+    flat = float(flat_curves.mean())
+    noise = seed_noise(
+        np.subtract, lambda gap: gap >= 0.05,
+        flat_curves.mean(axis=1), learned_curves.mean(axis=1),
+    )
     print(
         f"acceptance 06 cumulative suboptimal frequency at track 50: "
-        f"meta {learned:.4f}, uninformative {flat:.4f}, gap {flat - learned:.4f}"
+        f"meta {learned:.4f}, uninformative {flat:.4f}, gap {flat - learned:.4f} "
+        f">= 0.05, {noise}"
     )
     assert flat - learned >= 0.05
 
 
 def test_07_physical_outage_reduction(physical_sweep):
     late = slice(39, None)
-    meta_late = float(physical_sweep.curves("meta-ts", "outage_freq")[:, late].mean())
-    flat_early = float(
-        physical_sweep.curves("ts-uninformative", "outage_freq")[:, :10].mean()
-    )
+    meta_curves = physical_sweep.curves("meta-ts", "outage_freq")[:, late]
+    flat_curves = physical_sweep.curves("ts-uninformative", "outage_freq")[:, :10]
+    meta_late = float(meta_curves.mean())
+    flat_early = float(flat_curves.mean())
     oracle_late = float(
         physical_sweep.curves("ts-oracle", "outage_freq")[:, late].mean()
+    )
+    noise = seed_noise(
+        np.subtract, lambda gap: gap > 0.0,
+        flat_curves.mean(axis=1), meta_curves.mean(axis=1),
     )
     print(
         f"acceptance 07 10 dB outage: meta tracks 40-50 {meta_late:.4f} vs "
         f"uninformative tracks 1-10 {flat_early:.4f}, oracle late {oracle_late:.4f}; "
-        f"sweep {physical_sweep.elapsed_s:.0f} s"
+        f"sweep {physical_sweep.elapsed_s:.0f} s; gap {flat_early - meta_late:.4f} "
+        f"> 0, {noise}"
     )
     assert meta_late < flat_early
     assert meta_late <= 1.3 * oracle_late

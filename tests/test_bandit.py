@@ -405,9 +405,9 @@ class RecordingEnv:
     def step_scene(self, rng):
         return self.env.step_scene(rng)
 
-    def expected_losses(self, cpi, s, contexts):
-        out = np.array(self.env.expected_losses(cpi, s, contexts), dtype=float)
-        self.expected.extend(row.copy() for row in out.reshape(-1, out.shape[-1]))
+    def expected_losses(self, states, contexts):
+        out = np.array(self.env.expected_losses(states, contexts), dtype=float)
+        self.expected.extend(row.copy() for row in out)
         return out
 
     def realize(self, cpi, s, w_idx, phi, rng):
@@ -446,49 +446,34 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize(
-    "mode, doppler, grid_n",
-    [("synthetic", 0.0, 16), ("physical", 0.0, 16), ("physical", 0.7, 16),
-     ("physical", 0.0, 1)],
-)
-def test_track_wide_expected_losses_equal_per_cpi_calls_to_the_bit(mode, doppler, grid_n):
-    n = 150
-    if mode == "synthetic":
-        env = SyntheticTrackEnv(np.array([-0.3, 0.2, 0.8]), uniform_state_proc(), 0.05, 15.8)
-    else:
-        env = physical_env(n, doppler, grid_n)
-    rng = np.random.default_rng(53)
-    cpis = np.arange(n)
-    states = rng.integers(env.state_proc.n_states, size=n)
-    # contexts past both clip bounds of the synthetic scores
-    contexts = rng.uniform(-0.5, 1.5, size=(n, 5, 3))
-    wide = env.expected_losses(cpis, states, contexts)
-    assert wide.shape == (n, 5)
-    for k in range(n):
-        single = env.expected_losses(k, int(states[k]), contexts[k])
-        assert single.shape == (5,)
-        assert same_bits(wide[k], single), k
-
-
-def track_env(mode: str, n: int):
+def track_env(mode: str, n: int, doppler: float, grid_n: int):
     if mode == "synthetic":
         return SyntheticTrackEnv(
             np.array([-0.3, 0.2, 0.8]), uniform_state_proc(), 0.33, 15.8
         )
-    return physical_env(n)
+    return physical_env(n, doppler, grid_n)
 
 
 @pytest.mark.parametrize("explore", ["ts", "random"])
-@pytest.mark.parametrize("mode", ["synthetic", "physical"])
-def test_run_track_equals_validated_reference_loop_to_the_bit(mode, explore):
+@pytest.mark.parametrize(
+    "mode, doppler, grid_n",
+    [("synthetic", 0.0, 16), ("physical", 0.0, 16), ("physical", 0.7, 16),
+     ("physical", 0.0, 1)],
+    ids=["synthetic", "physical", "physical-doppler", "physical-grid1"],
+)
+def test_run_track_equals_validated_reference_loop_to_the_bit(mode, doppler, grid_n, explore):
+    # the reference computes each pulse's expected losses on its own; the
+    # track loop makes one track-wide call after the pulses
     n = 150
     prior = (np.array([0.2, -0.1, 0.4]), 2.0)
     retries = gaussmath.jitter_retries
     result, agent = run_track(
-        track_env(mode, n), prior, 0.33, n, 5, np.random.default_rng(60), explore
+        track_env(mode, n, doppler, grid_n), prior, 0.33, n, 5,
+        np.random.default_rng(60), explore,
     )
     expected = reference_track(
-        track_env(mode, n), prior, 0.33, n, 5, np.random.default_rng(60), explore
+        track_env(mode, n, doppler, grid_n), prior, 0.33, n, 5,
+        np.random.default_rng(60), explore,
     )
     assert gaussmath.jitter_retries == retries
     for name in ("state", "obs", "waveform", "sinr", "loss", "oracle_loss",

@@ -17,6 +17,7 @@ from wavesel.fstc import (
     FstcInstance,
     StateProcess,
     PhysicalTrackEnv,
+    SceneWalk,
     TrackSimulator,
     _sinr_value,
     channel_tables,
@@ -69,7 +70,7 @@ def test_random_transition_shape_and_rows():
     np.testing.assert_allclose(t.sum(axis=-1), 1.0, atol=1e-12)
     sp = StateProcess(t, 0.1)
     assert sp.n_states == 4
-    assert sp.memory == 2
+    assert len(sp.rows) == 4
 
 
 def test_step_state_point_mass_row():
@@ -77,15 +78,19 @@ def test_step_state_point_mass_row():
     row[2] = 1.0
     sp = StateProcess(np.tile(row, (3, 1)), 0.0)
     rng = np.random.default_rng(1)
-    assert all(step_state(sp, [s], rng) == 2 for s in range(3))
+    assert all(step_state(sp, r, rng) == 2 for r in range(3))
+
+
+def walk(sp: StateProcess, n_steps: int, rng: np.random.Generator) -> list:
+    """The states of ``n_steps`` steps of a fresh scene walk, observations
+    dropped."""
+    scene = SceneWalk(sp)
+    return [scene.step_scene(rng)[0] for _ in range(n_steps)]
 
 
 def test_step_state_uniform_frequencies():
     sp = StateProcess(np.full((4, 4), 0.25), 0.0)
-    rng = np.random.default_rng(2)
-    states = []
-    for _ in range(100_000):
-        states.append(step_state(sp, states, rng))
+    states = walk(sp, 100_000, np.random.default_rng(2))
     counts = Counter(states)
     for s in range(4):
         assert abs(counts[s] / len(states) - 0.25) < 0.01
@@ -96,10 +101,7 @@ def test_step_state_memory_bound():
     # empirical conditionals given (s_{k-2}, s_{k-1}) must match those given
     # s_{k-1} alone.
     sp = StateProcess(random_transition(4, 2, np.random.default_rng(3)), 0.0)
-    rng = np.random.default_rng(4)
-    states = []
-    for _ in range(300_000):
-        states.append(step_state(sp, states, rng))
+    states = walk(sp, 300_000, np.random.default_rng(4))
     by_pair = defaultdict(Counter)
     by_last = defaultdict(Counter)
     for a, b, c in zip(states, states[1:], states[2:]):
@@ -115,8 +117,8 @@ def test_step_state_memory_bound():
 
 @st.composite
 def chains(draw):
-    """A state process, some history and a stream seed. Rows are drawn as
-    small integer weights, so exact zeros (repeated running sums) occur."""
+    """A state process and a stream seed. Rows are drawn as small integer
+    weights, so exact zeros (repeated running sums) occur."""
     n_states = draw(st.integers(1, 5))
     memory = draw(st.integers(1, 3))
     n_rows = n_states ** (memory - 1)
@@ -129,41 +131,59 @@ def chains(draw):
     transition = (weights / weights.sum(axis=1, keepdims=True)).reshape(
         (n_states,) * (memory - 1) + (n_states,)
     )
-    history = draw(st.lists(st.integers(0, n_states - 1), max_size=6))
-    return StateProcess(transition, 0.0), history, draw(st.integers(0, 2**32 - 1))
+    return StateProcess(transition, 0.0), draw(st.integers(0, 2**32 - 1))
+
+
+def oracle_walk(sp: StateProcess, n_steps: int, rng: np.random.Generator) -> list:
+    """The states of ``n_steps`` steps of the history-searching oracle, with
+    the observation draw of each step, as the scene walk makes it."""
+    states = []
+    for _ in range(n_steps):
+        states.append(oracles.step_state(sp, states, rng))
+        observe(sp, states[-1], rng)
+    return states
 
 
 @given(chains())
 @settings(max_examples=150, deadline=None)
 def test_step_state_equals_running_sum_search(chain):
-    sp, history, seed = chain
-    fast, slow = list(history), list(history)
-    rng_fast, rng_slow = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(30):
-        fast.append(step_state(sp, fast, rng_fast))
-        slow.append(oracles.step_state(sp, slow, rng_slow))
-    assert fast == slow
+    sp, seed = chain
+    fast = walk(sp, 30, np.random.default_rng(seed))
+    assert fast == oracle_walk(sp, 30, np.random.default_rng(seed))
 
 
 def test_step_state_equals_running_sum_search_on_dirichlet_rows():
     for seed, (n_states, memory) in enumerate([(4, 2), (3, 3), (6, 1), (2, 4)]):
         sp = StateProcess(
-            random_transition(n_states, memory, np.random.default_rng(seed)), 0.0
+            random_transition(n_states, memory, np.random.default_rng(seed)), 0.1
         )
-        fast, slow = [], []
-        rng_fast, rng_slow = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(2000):
-            fast.append(step_state(sp, fast, rng_fast))
-            slow.append(oracles.step_state(sp, slow, rng_slow))
-        assert fast == slow
+        fast = walk(sp, 2000, np.random.default_rng(seed))
+        assert fast == oracle_walk(sp, 2000, np.random.default_rng(seed))
 
 
-def test_step_state_rejects_history_outside_the_states():
-    # the package's histories are step_state's own states; no row is kept
-    # for any other, so a foreign history fails the lookup
+@given(chains())
+@settings(max_examples=100, deadline=None)
+def test_walk_row_is_the_c_order_index_of_the_padded_last_states(chain):
+    # the row after each step is the table row of the zero-padded last
+    # memory - 1 states, oldest first
+    sp, seed = chain
+    need = sp.transition.ndim - 1
+    scene = SceneWalk(sp)
+    rng = np.random.default_rng(seed)
+    states = [0] * need
+    assert scene.row == 0
+    for _ in range(12):
+        states.append(scene.step_scene(rng)[0])
+        recent = tuple(states[len(states) - need:])
+        assert scene.row == np.ravel_multi_index(recent, sp.transition.shape[:-1])
+        assert sp.rows[scene.row] == np.cumsum(sp.transition[recent]).tolist()
+
+
+def test_step_state_rejects_a_row_outside_the_table():
+    # the package's rows are the walk's own; the table keeps no other
     sp = StateProcess(np.full((3, 3), 1.0 / 3.0), 0.0)
-    with pytest.raises(KeyError):
-        step_state(sp, [3], np.random.default_rng(0))
+    with pytest.raises(IndexError):
+        step_state(sp, 3, np.random.default_rng(0))
 
 
 @given(st.floats(allow_nan=True, allow_infinity=True))
@@ -428,6 +448,12 @@ def test_receive_rejects_bad_indices():
 # fast per-track simulator
 
 
+def losses_at(sim: TrackSimulator, cpi: int, s: int, sinr_target: float) -> np.ndarray:
+    """The (K,) expected losses at pulse ``cpi`` of a track held in state
+    ``s`` throughout: one row of the simulator's track-wide call."""
+    return sim.expected_losses(np.full(sim._delay.size, s), sinr_target)[cpi]
+
+
 def test_simulator_agrees_with_receive_monte_carlo():
     inst = default_instance(seed=24)
     catalog = default_catalog()
@@ -445,11 +471,11 @@ def test_simulator_agrees_with_receive_monte_carlo():
 
     refined_scene = replace(SCENE, n_oracle_draws=10_000)
     refined = simulator(refined_scene, inst, np.random.default_rng(26))
-    assert np.max(np.abs(refined.expected_losses(cpi, s, sinr_target) - mc_loss)) < 0.02
+    assert np.max(np.abs(losses_at(refined, cpi, s, sinr_target) - mc_loss)) < 0.02
 
     coarse = simulator(SCENE, inst, np.random.default_rng(27))
-    exp64 = coarse.expected_losses(cpi, s, sinr_target)
-    exp_ref = refined.expected_losses(cpi, s, sinr_target)
+    exp64 = losses_at(coarse, cpi, s, sinr_target)
+    exp_ref = losses_at(refined, cpi, s, sinr_target)
     for chosen in range(len(catalog)):
         inc64 = regret_increment(exp64, chosen)
         inc_ref = regret_increment(exp_ref, chosen)
@@ -468,8 +494,9 @@ def test_simulator_agrees_with_receive_monte_carlo():
 def test_expected_losses_deterministic_per_episode():
     inst = default_instance(seed=29)
     sim = simulator(SCENE, inst, np.random.default_rng(30))
-    a = sim.expected_losses(0, 1, 15.8)
-    b = sim.expected_losses(0, 1, 15.8)
+    states = np.array([1, 3, 0, 1])
+    a = sim.expected_losses(states, 15.8)
+    b = sim.expected_losses(states, 15.8)
     np.testing.assert_array_equal(a, b)
 
 
@@ -532,7 +559,7 @@ def test_simulator_terms_equal_per_waveform_oracle(doppler):
                 sinr = np.minimum(sig / (gain * clutter + noise[i]), SINR_CAP)
                 expected[i] = np.mean(np.clip(sinr / sinr_target, 0.0, 1.0))
             np.testing.assert_allclose(
-                sim.expected_losses(cpi, s, sinr_target), expected, rtol=1e-12
+                losses_at(sim, cpi, s, sinr_target), expected, rtol=1e-12
             )
             for i, (sig, clutter) in enumerate(powers):
                 p_n = oracles.complex_noise_power(factors[i], np.random.default_rng(42))

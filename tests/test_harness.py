@@ -1115,6 +1115,23 @@ def test_cli_singular_meta_update_returns_two(tmp_path, capsys, mode):
     assert not out.exists()
 
 
+def test_cli_overflowing_track_posterior_returns_two(tmp_path, capsys):
+    # at sigma0_sq = 1e300 the first update of a ts-oracle track overflows
+    # the posterior covariance, and the next factor refuses it; a random
+    # replicate never factors the track posterior, so it still runs
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("sigma0_sq = 1e300\nm = 2\nn = 50\nseeds = 0\n", encoding="utf-8")
+    out = tmp_path / "runs"
+    code = cli.main(["run", "--config", str(cfg), "--out", str(out), "--policies", "ts-oracle"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("NotPositiveDefinite: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--policies", "random"]) == 0
+    assert sorted(os.listdir(out)) == ["cpi_random_seed0.csv", "track_random_seed0.csv"]
+
+
 # the KL column overflows to inf, with numpy's overflow warnings on the way
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(

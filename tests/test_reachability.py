@@ -58,9 +58,8 @@ CONFIG_NAMED_FIELDS = {
     # the observation kernel of the chain, kept with the drawn transition
     # table it reads, so the scene walk and the tests step one object
     ("StateProcess", "obs_flip_prob"),
-    # the drawn table's shape, which every step reads
+    # the drawn table's state count, which every step reads
     ("StateProcess", "n_states"),
-    ("StateProcess", "memory"),
     # a PAC-Bayes bound's per-task sample count, not the config's track count
     ("BoundInputs", "m"),
 }
