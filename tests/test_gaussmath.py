@@ -192,11 +192,6 @@ def test_non_finite_inputs_raise_before_any_retry(m):
     # an error; cholesky refuses them before its jittered retry
     factor, retries = cholesky_outcome(m)
     assert factor is None and retries == 0
-    if m.shape == (3, 3) and np.isnan(m).any():
-        # a NaN fails a pivot test of the closed form, so the float factor
-        # takes the same fallback
-        factor, retries = float_factor_outcome(m)
-        assert factor is None and retries == 0
 
 
 def test_cholesky_refuses_a_jitter_that_overflows():
@@ -475,6 +470,22 @@ def test_float_factor_edge_inputs_match_np_linalg_path(m):
     # every one has a pivot the closed form rejects, so it takes the
     # fallback: the same outcome, bits and retry count as np_cholesky
     assert same_outcome(float_factor_outcome(m), np_cholesky(m))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.array([[4.0, np.nan, 0.0], [np.nan, 9.0, 0.0], [0.0, 0.0, 1.0]]),
+        np.full((3, 3), np.nan),
+        np.array([[4.0, 0.0, 0.0], [0.0, 9.0, np.nan], [0.0, np.nan, 1.0]]),
+    ],
+    ids=["nan off-diagonal", "nan", "nan last column"],
+)
+def test_float_factor_non_finite_inputs_raise_before_any_retry(m):
+    # a NaN fails a pivot test of the closed form, so the float factor takes
+    # the fallback, which refuses it before its jittered retry
+    factor, retries = float_factor_outcome(m)
+    assert factor is None and retries == 0
 
 
 def test_float_draw_is_mean_plus_factor_times_one_normal_draw():
