@@ -1,16 +1,17 @@
 """Golden digests of the two session sweeps.
 
 ``golden_sweeps.json`` holds, for each sweep of ``SWEEPS``, the sha256 of
-every per-CPI (``cpi_*``) and per-track (``track_*``) file the sweep writes
-and a digest of each of the file's columns, with the numpy and OpenBLAS
-versions it was recorded under. ``test_golden.py`` compares the session
-fixtures' files with it.
+every per-CPI (``cpi_*``) and per-track (``track_*``) file the sweep writes,
+and of every aggregate (``agg_*``) file ``aggregate_directory`` makes of
+them, and a digest of each of the file's columns, with the numpy and
+OpenBLAS versions it was recorded under. ``test_golden.py`` compares the
+session fixtures' files, and their aggregates, with it.
 
 Usage (from the repository root), to rewrite the file:
 
     PYTHONPATH=src python3 tests/golden.py
 
-It runs both sweeps into a temporary directory. A change that moves output
+It runs and aggregates both sweeps in a temporary directory. A change that moves output
 bytes on purpose rewrites the file in the same diff and says why.
 """
 
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from wavesel.harness import ExperimentConfig, run_experiment
+from wavesel.harness import ExperimentConfig, aggregate_directory, run_experiment
 
 GOLDEN = Path(__file__).with_name("golden_sweeps.json")
 
@@ -54,11 +55,11 @@ def _digest(data: bytes, size: int = 64) -> str:
 
 def file_digests(out_dir) -> dict:
     """{file name: {"sha256": ..., "columns": {column: digest}}} of every
-    ``cpi_*`` and ``track_*`` file in ``out_dir``; a column's digest is over
-    its values as written, one a line."""
+    ``cpi_*``, ``track_*`` and ``agg_*`` file in ``out_dir``; a column's
+    digest is over its values as written, one a line."""
     out = {}
     for path in sorted(Path(out_dir).glob("*.csv")):
-        if not path.name.startswith(("cpi_", "track_")):
+        if not path.name.startswith(("cpi_", "track_", "agg_")):
             continue
         data = path.read_bytes()
         header, *rows = (line.split(",") for line in data.decode().splitlines())
@@ -70,6 +71,13 @@ def file_digests(out_dir) -> dict:
             },
         }
     return out
+
+
+def sweep_digests(out_dir, agg_dir) -> dict:
+    """``file_digests`` of a sweep's ``out_dir`` and of the aggregates
+    ``aggregate_directory`` writes of it to ``agg_dir``."""
+    aggregate_directory(str(out_dir), str(agg_dir))
+    return {**file_digests(out_dir), **file_digests(agg_dir)}
 
 
 def differences(recorded: dict, found: dict) -> list:
@@ -111,7 +119,7 @@ def main() -> int:
             out = Path(tmp) / sweep
             out.mkdir()
             run_experiment(sweep_config(sweep, out))
-            digests[sweep] = file_digests(out)
+            digests[sweep] = sweep_digests(out, Path(tmp) / f"{sweep}_agg")
     write(digests)
     print(f"wrote {GOLDEN}: {sum(map(len, digests.values()))} files")
     return 0

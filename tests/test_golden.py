@@ -1,4 +1,5 @@
-"""The session sweeps write the bytes recorded in ``golden_sweeps.json``.
+"""The session sweeps, and their aggregates, write the bytes recorded in
+``golden_sweeps.json``.
 
 A change that moves output bytes on purpose rewrites the file with
 ``tests/golden.py`` in the same diff; any other difference fails here."""
@@ -7,17 +8,19 @@ from __future__ import annotations
 
 import json
 
-from golden import GOLDEN, SWEEPS, differences, file_digests, versions
+from golden import GOLDEN, SWEEPS, differences, file_digests, sweep_digests, versions
 
 
-def test_session_sweeps_match_golden_digests(synthetic_sweep, physical_sweep):
+def test_session_sweeps_match_golden_digests(synthetic_sweep, physical_sweep, tmp_path):
     recorded = json.loads(GOLDEN.read_text(encoding="utf-8"))
     sweeps = {"synthetic_sweep": synthetic_sweep, "physical_sweep": physical_sweep}
     assert sweeps.keys() == SWEEPS.keys()
     problems = [
         f"{name}/{line}"
         for name, sweep in sweeps.items()
-        for line in differences(recorded[name], file_digests(sweep.config.out_dir))
+        for line in differences(
+            recorded[name], sweep_digests(sweep.config.out_dir, tmp_path / name)
+        )
     ]
     if problems and recorded["versions"] != versions():
         problems.insert(0, (
@@ -35,7 +38,9 @@ def test_golden_digests_name_the_first_differing_column(tmp_path):
     (tmp_path / "track_x_seed0.csv").unlink()
     (tmp_path / "track_y_seed0.csv").write_text("a,b\n1,2\n")
     (tmp_path / "agg_loss.csv").write_text("a\n1\n")
+    (tmp_path / "notes.csv").write_text("a\n1\n")
     assert differences(recorded, file_digests(tmp_path)) == [
+        "agg_loss.csv: not recorded",
         "cpi_x_seed0.csv: first differing column c",
         "track_x_seed0.csv: missing",
         "track_y_seed0.csv: not recorded",
