@@ -2,7 +2,8 @@
 
 Subcommands: ``run`` executes an experiment from a config file (with flag
 overrides), ``aggregate`` collapses per-seed outputs into mean/stderr
-curves, and ``dump-waveform`` writes one catalog envelope as CSV.
+curves, and ``dump-waveform`` writes one catalog envelope as CSV. The
+harness's CSV writer formats every value this module writes.
 """
 
 import argparse
@@ -50,10 +51,8 @@ def _cmd_aggregate(args) -> int:
 
 def _cmd_dump_waveform(args) -> int:
     env = waveforms.catalog_envelope(args.kind)
-    lines = ["index,real,imag"]
-    for i, v in enumerate(env.samples):
-        lines.append(f"{i},{float(v.real)!r},{float(v.imag)!r}")
-    harness._write_lines(args.out, lines)
+    columns = (np.arange(len(env)), env.samples.real, env.samples.imag)
+    harness._write_lines(args.out, harness._table_lines("index,real,imag", "", columns))
     print(f"wrote {len(env)} samples to {args.out}")
     return 0
 

@@ -7,12 +7,14 @@ study. One replicate is a (policy, seed) pair; replicates are independent
 and may run in parallel (``WAVESEL_WORKERS`` environment variable), with
 outputs merged in canonical (policy, seed) order regardless of worker count.
 
-All floating-point CSV fields are written with ``repr`` of a Python float,
-which round-trips exactly, so recomputing any metric from the files
-reproduces the in-memory value bit for bit.
+Every CSV file the package writes is a header and its columns, written by
+one function, ``_table_lines``. A float is written as ``repr`` of a Python
+float, which round-trips exactly, and an int in decimal, so recomputing
+any metric from the files reproduces the in-memory value bit for bit.
 """
 
 import contextlib
+import functools
 import math
 import os
 import time
@@ -58,14 +60,20 @@ PER_TRACK_HEADER = (
 )
 AGG_HEADER = "policy,track,mean,stderr"
 
+
+def _running_mean(values: np.ndarray) -> np.ndarray:
+    """Running mean along the track axis of a (seeds, tracks) array."""
+    return np.cumsum(values, axis=1) / np.arange(1, values.shape[1] + 1)
+
+
 #: Aggregate output metrics: the per-track column each one reads and the
-#: across-track transform it applies.
+#: transform it applies along the track axis of a (seeds, tracks) array.
 AGG_METRICS = {
-    "regret": ("cum_regret", "cumsum"),
-    "loss": ("mean_loss", "running_mean"),
-    "outage": ("outage_freq", "running_mean"),
-    "subopt": ("subopt_freq", "running_mean"),
-    "kl": ("kl_to_truth", "raw"),
+    "regret": ("cum_regret", functools.partial(np.cumsum, axis=1)),
+    "loss": ("mean_loss", _running_mean),
+    "outage": ("outage_freq", _running_mean),
+    "subopt": ("subopt_freq", _running_mean),
+    "kl": ("kl_to_truth", lambda values: values),
 }
 
 
@@ -350,10 +358,6 @@ class RunSummary:
     wall_time_ms: float
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def _write_lines(path: str, lines) -> None:
     """Write ``lines`` to ``path`` whole or not at all.
 
@@ -375,38 +379,45 @@ def _write_lines(path: str, lines) -> None:
             os.remove(tmp)
 
 
+def _cells(column):
+    """A column's items as written: a numpy array's items through ``tolist``
+    (a bool as 0 or 1), an int in decimal and a float as its ``repr``. Any
+    other column holds strings, taken as written."""
+    if not isinstance(column, np.ndarray):
+        return column
+    if column.dtype == bool:
+        column = column.astype(int)
+    return map(repr, column.ravel().tolist())
+
+
+def _table_lines(header: str, prefix: str, columns) -> list:
+    """A CSV file's lines: ``header``, then one line per row, ``prefix``
+    followed by the comma-joined items of the equal-length ``columns``."""
+    rows = zip(*map(_cells, columns))
+    return [header, *(prefix + ",".join(row) for row in rows)]
+
+
 def _cpi_lines(policy: str, seed: int, record, sinr_db, outage) -> list:
     """The per-CPI file's lines of one replicate's stacked record, with its
-    derived (m, n) ``sinr_db`` and ``outage`` columns. Each column is
-    formatted once for the whole replicate, integers with ``str`` and
-    floats with ``repr`` as ``_fmt`` does, then the rows are joined."""
+    derived (m, n) ``sinr_db`` and ``outage`` columns. The track and CPI
+    index columns are written once each and repeated as strings."""
     m, n = record.loss.shape
     columns = (
-        [t for t in map(str, range(m)) for _ in range(n)],
-        list(map(str, range(n))) * m,
-        map(str, record.state.ravel().tolist()),
-        map(str, record.obs.ravel().tolist()),
-        map(str, record.waveform.ravel().tolist()),
-        map(repr, sinr_db.ravel().tolist()),
-        map(repr, record.loss.ravel().tolist()),
-        map(repr, record.oracle_loss.ravel().tolist()),
-        map(repr, record.regret_inc.ravel().tolist()),
-        map(str, record.suboptimal.ravel().astype(int).tolist()),
-        map(str, outage.ravel().astype(int).tolist()),
+        [t for t in _cells(np.arange(m)) for _ in range(n)],
+        list(_cells(np.arange(n))) * m,
+        record.state, record.obs, record.waveform, sinr_db, record.loss,
+        record.oracle_loss, record.regret_inc, record.suboptimal, outage,
     )
-    prefix = f"{policy},{seed},"
-    return [PER_CPI_HEADER, *(prefix + ",".join(row) for row in zip(*columns))]
+    return _table_lines(PER_CPI_HEADER, f"{policy},{seed},", columns)
 
 
 def _track_lines(summary: RunSummary) -> list:
-    lines = [PER_TRACK_HEADER]
-    for t in range(summary.cum_regret.size):
-        lines.append(
-            f"{summary.policy},{summary.seed},{t},{_fmt(summary.cum_regret[t])},"
-            f"{_fmt(summary.mean_loss[t])},{_fmt(summary.outage_freq[t])},"
-            f"{_fmt(summary.subopt_freq[t])},{_fmt(summary.kl_to_truth[t])}"
-        )
-    return lines
+    """The per-track file's lines of one replicate's summary."""
+    columns = (
+        np.arange(summary.cum_regret.size), summary.cum_regret, summary.mean_loss,
+        summary.outage_freq, summary.subopt_freq, summary.kl_to_truth,
+    )
+    return _table_lines(PER_TRACK_HEADER, f"{summary.policy},{summary.seed},", columns)
 
 
 def cpi_csv_path(out_dir: str, policy: str, seed: int) -> str:
@@ -533,20 +544,13 @@ def read_track_table(path: str) -> list:
     return rows
 
 
-def _transform(values: np.ndarray, how: str) -> np.ndarray:
-    if how == "cumsum":
-        return np.cumsum(values)
-    if how == "running_mean":
-        return np.cumsum(values) / np.arange(1, values.size + 1)
-    return values
-
-
 def aggregate(rows: list) -> dict:
     """Collapse per-track rows into per-policy mean and standard-error curves.
 
-    For each metric the per-seed track sequence is first transformed to the
-    reported cumulative form (cumulative regret, running-mean frequencies,
-    raw KL), then averaged across seeds per track index. Standard error uses
+    For each policy and metric the (seeds, tracks) block of the metric's
+    column is first transformed along the track axis to the reported form
+    (cumulative regret, running-mean frequencies, raw KL), then averaged
+    across seeds per track index. Standard error uses
     the n-1 normalization and is 0 for a single seed.
     """
     if not rows:
@@ -557,35 +561,24 @@ def aggregate(rows: list) -> dict:
     out: dict = {metric: [] for metric in AGG_METRICS}
     for policy in sorted(by_policy, key=policy_index):
         seeds = by_policy[policy]
-        per_seed = {}
-        m = None
-        for seed, seed_rows in seeds.items():
-            seed_rows = sorted(seed_rows, key=lambda r: r["track"])
+        # (seeds, tracks) rows, seeds in ascending order
+        block = [sorted(seeds[seed], key=lambda r: r["track"]) for seed in sorted(seeds)]
+        for seed, seed_rows in zip(sorted(seeds), block):
             if [r["track"] for r in seed_rows] != list(range(len(seed_rows))):
                 raise InvalidInput(
                     f"track indices of {policy} seed {seed} are not contiguous"
                 )
-            if m is None:
-                m = len(seed_rows)
-            elif len(seed_rows) != m:
-                raise InvalidInput(f"seeds of {policy} disagree on track count")
-            per_seed[seed] = seed_rows
-        for metric, (column, how) in AGG_METRICS.items():
-            stacked = np.stack(
-                [
-                    _transform(
-                        np.array([r[column] for r in per_seed[seed]]), how
-                    )
-                    for seed in sorted(per_seed)
-                ]
-            )
+        m = len(block[0])
+        if any(len(seed_rows) != m for seed_rows in block):
+            raise InvalidInput(f"seeds of {policy} disagree on track count")
+        for metric, (column, transform) in AGG_METRICS.items():
+            stacked = transform(np.array([[r[column] for r in b] for b in block]))
             mean = stacked.mean(axis=0)
-            if stacked.shape[0] >= 2:
-                stderr = stacked.std(axis=0, ddof=1) / np.sqrt(stacked.shape[0])
+            if len(block) >= 2:
+                stderr = stacked.std(axis=0, ddof=1) / np.sqrt(len(block))
             else:
                 stderr = np.zeros(m)
-            for t in range(m):
-                out[metric].append((policy, t, float(mean[t]), float(stderr[t])))
+            out[metric].extend(zip([policy] * m, range(m), mean.tolist(), stderr.tolist()))
     return out
 
 
@@ -598,10 +591,9 @@ def write_aggregates(tables: dict, out_dir: str) -> list:
     paths = []
     for metric in AGG_METRICS:
         path = os.path.join(out_dir, f"agg_{metric}.csv")
-        lines = [AGG_HEADER]
-        for policy, track, mean, stderr in tables[metric]:
-            lines.append(f"{policy},{track},{_fmt(mean)},{_fmt(stderr)}")
-        _write_lines(path, lines)
+        policy, track, mean, stderr = zip(*tables[metric])
+        columns = (policy, np.array(track), np.array(mean), np.array(stderr))
+        _write_lines(path, _table_lines(AGG_HEADER, "", columns))
         paths.append(path)
     return paths
 
