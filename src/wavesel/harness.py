@@ -124,6 +124,9 @@ class ExperimentConfig:
         for name in ("sigma_q_sq", "sigma0_sq", "sigma_sq", "noise_var"):
             if getattr(self, name) <= 0:
                 raise ValidationError(name, "variance must be strictly positive")
+        # the prior variance of random and ts-uninformative tracks
+        if not math.isfinite(self.sigma_q_sq + self.sigma0_sq):
+            raise ValidationError("sigma_q_sq", "sigma_q_sq + sigma0_sq must be finite")
         # below -300 dB the linear target is under metrics.DB_FLOOR, the SINR the
         # CSVs write as -300 dB; from about 3083 dB 10 ** (x / 10) overflows
         limit = -10.0 * math.log10(DB_FLOOR)
@@ -517,7 +520,10 @@ def run_experiment(config: ExperimentConfig) -> list:
 
 
 def read_track_table(path: str) -> list:
-    """Parse one per-track summary CSV back into row dicts."""
+    """Parse one per-track summary CSV back into row dicts. A row whose
+    policy is unknown, whose seed lies outside [0, 2**63), whose track is
+    negative or whose mean loss or frequency lies outside [0, 1] raises an
+    ``IoError`` naming the file and the row."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -540,6 +546,15 @@ def read_track_table(path: str) -> list:
             raise IoError(f"{path}: non-finite value in row {line!r}")
         row = {"policy": parts[0], "seed": seed, "track": track}
         row.update(zip(names[3:], values))
+        in_range = {
+            "policy": row["policy"] in POLICIES,
+            "seed": 0 <= seed < 2**63,
+            "track": track >= 0,
+            **{c: 0.0 <= row[c] <= 1.0 for c in ("mean_loss", "outage_freq", "subopt_freq")},
+        }
+        bad = [name for name, ok in in_range.items() if not ok]
+        if bad:
+            raise IoError(f"{path}: {bad[0]} out of range in row {line!r}")
         rows.append(row)
     return rows
 

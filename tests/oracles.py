@@ -378,3 +378,13 @@ def cpi_lines(policy: str, seed: int, record, sinr_db, outage) -> list:
                 f"{int(record.suboptimal[t, i])},{int(outage[t, i])}"
             )
     return lines
+
+
+def waveform_lines(env) -> list:
+    """The ``dump-waveform`` file's lines of an envelope, one f-string per
+    row: the sample index, then the real and imaginary parts as
+    ``repr(float(x))``."""
+    lines = ["index,real,imag"]
+    for i, v in enumerate(env.samples):
+        lines.append(f"{i},{float(v.real)!r},{float(v.imag)!r}")
+    return lines

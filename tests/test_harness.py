@@ -50,11 +50,12 @@ from wavesel.harness import (
     _KEY_TYPES,
     _cpi_lines,
     _parse_value,
+    _table_lines,
     _write_lines,
 )
 from wavesel.meta import POLICIES, policy_index
 from wavesel.metrics import OUTAGE_DB, sinr_to_db, track_record
-from wavesel.waveforms import CATALOG_NAMES
+from wavesel.waveforms import CATALOG_NAMES, catalog_envelope
 
 import oracles
 
@@ -202,6 +203,8 @@ def test_bad_value_reports_location():
         ("mu_star = 0,0,0,0", "mu_star"),
         ({"seeds": ()}, "seeds"),
         ({"policies": ()}, "policies"),
+        # the uninformative prior variance sigma_q_sq + sigma0_sq overflows
+        ("sigma_q_sq = 1e308\nsigma0_sq = 1e308", "sigma_q_sq"),
     ],
 )
 def test_validation_failures_name_the_field(bad, field):
@@ -535,6 +538,7 @@ def test_accepted_config_survives_serialize_and_parse(values):
 @example("synthetic", {"memory": 0})
 @example("synthetic", {"n_states": 1})
 @example("synthetic", {"mu_star": (1.0, 2.0)})
+@example("synthetic", {"sigma_q_sq": 1e308, "sigma0_sq": 1e308})
 def test_constructed_config_holds_what_the_layers_below_assume(mode, values):
     """The layers below the harness take a config's values as given; every
     config that constructs holds what they assume. Only the seed-0 scene
@@ -547,6 +551,7 @@ def test_constructed_config_holds_what_the_layers_below_assume(mode, values):
     assert math.isfinite(target) and target > 0
     for name in ("sigma_sq", "sigma0_sq", "sigma_q_sq", "noise_var"):
         assert getattr(config, name) > 0, name
+    assert math.isfinite(config.sigma_q_sq + config.sigma0_sq)
     assert 0 <= config.obs_flip_prob < 1
     for name in ("m", "n", "k", "grid_n", "ir_taps", "memory"):
         assert getattr(config, name) >= 1, name
@@ -654,6 +659,44 @@ def test_cpi_lines_equal_row_by_row_formatting(tmp_path):
     # the third track restarts the CPI count and reads the derived dB column
     assert [line.split(",")[2:4] for line in lines[14:16]] == [["1", "6"], ["2", "0"]]
     assert [line.split(",")[7] for line in lines[15:18]] == ["-300.0", "0.0", "60.0"]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.integers(0, 2**63 - 1),
+            st.booleans(),
+        ),
+        max_size=40,
+    )
+)
+@settings(max_examples=200, deadline=None)
+@example([(-0.0, 0, False), (5e-324, 2**63 - 1, True), (0.1 + 0.2, 1, False)])
+@example([(-1.7976931348623157e308, 9, True), (1e16, 10, False), (-5e-324, 2**62, True)])
+def test_table_lines_parse_back_to_the_same_values(rows):
+    """Every finite float parses back with ``float`` to the same bits, and
+    every int in [0, 2**63) and bool with ``int`` to the same value."""
+    floats = np.array([r[0] for r in rows], dtype=float)
+    ints = np.array([r[1] for r in rows], dtype=np.int64)
+    flags = np.array([r[2] for r in rows], dtype=bool)
+    lines = _table_lines("policy,x,i,b", "meta-ts,", (floats, ints, flags))
+    assert lines[0] == "policy,x,i,b"
+    cells = [line.split(",") for line in lines[1:]]
+    assert len(cells) == len(rows)
+    assert all(c[0] == "meta-ts" for c in cells)
+    back = np.array([float(c[1]) for c in cells], dtype=float)
+    assert np.array_equal(back.view(np.int64), floats.view(np.int64))
+    assert [int(c[2]) for c in cells] == [r[1] for r in rows]
+    assert [int(c[3]) for c in cells] == [int(r[2]) for r in rows]
+
+
+@pytest.mark.parametrize("kind", CATALOG_NAMES)
+def test_cli_dump_waveform_equals_row_by_row_formatting(tmp_path, kind):
+    out = tmp_path / "env.csv"
+    assert cli.main(["dump-waveform", "--kind", kind, "--out", str(out)]) == 0
+    lines = oracles.waveform_lines(catalog_envelope(kind))
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (1, 3000), (50, 200)])
@@ -1160,6 +1203,32 @@ def test_cli_aggregate_malformed_summary_returns_two(tmp_path, capsys):
     code = cli.main(["aggregate", "--in", str(runs), "--out", str(tmp_path / "agg")])
     assert code == 2
     assert "IoError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "foo,0,0,1.0,0.5,0.0,0.0,0.0",
+        "random,-5,0,1.0,0.5,0.0,0.0,0.0",
+        "random,9223372036854775808,0,1.0,0.5,0.0,0.0,0.0",
+        "random,0,-1,1.0,0.5,0.0,0.0,0.0",
+        "random,0,0,1.0,2.5,0.0,0.0,0.0",
+        "random,0,0,1.0,0.5,-3.0,0.0,0.0",
+        "random,0,0,1.0,0.5,0.0,7.0,0.0",
+    ],
+    ids=["policy", "seed", "seed-2**63", "track", "mean_loss", "outage_freq", "subopt_freq"],
+)
+def test_cli_aggregate_out_of_range_row_returns_two_naming_the_file(tmp_path, capsys, row):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    track = runs / "track_random_seed0.csv"
+    track.write_text(f"{PER_TRACK_HEADER}\n{row}\n", encoding="utf-8")
+    out = tmp_path / "agg"
+    assert cli.main(["aggregate", "--in", str(runs), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"IoError: {track}: ")
+    assert repr(row) in err
+    assert not out.exists()
 
 
 def test_cli_aggregate_summary_not_utf8_returns_two_naming_the_file(tmp_path, capsys):
