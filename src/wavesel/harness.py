@@ -565,8 +565,8 @@ def aggregate(rows: list) -> dict:
     For each policy and metric the (seeds, tracks) block of the metric's
     column is first transformed along the track axis to the reported form
     (cumulative regret, running-mean frequencies, raw KL), then averaged
-    across seeds per track index. Standard error uses
-    the n-1 normalization and is 0 for a single seed.
+    across seeds per track index. Standard error uses the n-1
+    normalization and is 0 for a single seed.
     """
     if not rows:
         raise EmptyInput("no summary rows to aggregate")
