@@ -12,14 +12,16 @@ running max) with neutral fill values before any data arrives. The learner
 keeps a Bayesian linear-regression posterior over the weight vector, samples
 one weight draw per pulse, and transmits the waveform whose context scores
 highest under the draw (Agrawal & Goyal, ICML 2013). All of this state lives
-in one :class:`TsAgent` as Python floats: the posterior's nine (see
-``gaussmath``), and the Welford statistics and context table as nested
-lists, one cell updated per pulse, so a pulse's contexts, draw, choice and
-update make no numpy call. The per-CPI steps are ``agent_contexts`` (a
-snapshot), ``posterior_gaussian`` (the factor), ``sample_gaussian`` (the
-draw), ``pick_argmax``, ``record`` and ``blr_update``, each called through
-this module's namespace, where the benchmark's tracer times them; ROADMAP
-item 1 will re-cut these spans. An exact-linear synthetic environment
+in one :class:`TsAgent` as Python floats: the posterior's nine, the mean
+and the covariance's lower factor (see ``gaussmath``), and the Welford
+statistics and context table as nested lists, one cell updated per pulse,
+so a pulse's contexts, draw, choice and update make no numpy call. A
+track's posterior is built from its prior once (``posterior_gaussian``);
+the per-CPI steps are ``agent_contexts`` (a snapshot), ``sample_gaussian``
+(the draw), ``pick_argmax``, ``record`` (the cell) and, under Thompson
+sampling only, ``blr_update`` (the posterior). Each is called through this
+module's namespace, where the benchmark's tracer times it; ROADMAP item 1
+will re-cut these spans. An exact-linear synthetic environment
 generates losses straight from the context model, which makes the
 learner's behavior verifiable against closed-form oracles.
 """
@@ -48,11 +50,10 @@ TIE_TOL = 1e-12
 class TsAgent:
     """Mutable learner state of one track, all of it Python floats.
 
-    ``mean`` and ``cov`` are the covariance-form belief over the weights:
-    the mean and the covariance's lower triangle packed row by row (see
-    ``gaussmath``). The prior is a pair (mean, var), the isotropic
-    N(mean, var I), so ``cov`` starts as [var, 0, var, 0, 0, var];
-    ``noise_var`` is the observation noise variance.
+    ``posterior`` is the belief over the weights as ``gaussmath`` packs it:
+    the mean and the covariance's lower Cholesky factor, built once from
+    the prior (mean, var), the isotropic N(mean, var I), so the factor
+    starts as sqrt(var) I; ``noise_var`` is the observation noise variance.
     ``stats[o][w]`` is the Welford accumulator [count, mean, m2, max] of the
     losses seen for waveform w at observation o, and ``contexts[o][w]`` the
     context tuple (mean, variance, max) derived from it, so ``contexts[o]``
@@ -62,11 +63,8 @@ class TsAgent:
     """
 
     def __init__(self, prior: tuple, noise_var: float, n_obs: int, k_arms: int):
-        mean, var = prior
-        v = float(var)
         self.noise_var = float(noise_var)
-        self.mean = [float(x) for x in mean]
-        self.cov = [v, 0.0, v, 0.0, 0.0, v]
+        self.posterior = posterior_gaussian(prior)
         self.stats = [[[0.0, 0.0, 0.0, -math.inf] for _ in range(k_arms)]
                       for _ in range(n_obs)]
         self.contexts = [[(COLD_MEAN, COLD_VAR, COLD_MAX)] * k_arms for _ in range(n_obs)]
@@ -93,12 +91,9 @@ def pick_argmax(theta, contexts) -> int:
 
 
 def record(agent: TsAgent, o: int, w: int, loss: float) -> None:
-    """Fold one outcome of waveform w at observation o into the agent in
-    place.
-
-    Performs the conjugate posterior update with the context of cell
-    (o, w), the row that was scored at selection time, then updates the
-    cell's Welford accumulator and context tuple.
+    """Fold one outcome of waveform w at observation o into the cell (o, w)
+    in place: its Welford accumulator and context tuple. The posterior is
+    ``run_track``'s to update, with the row that was scored.
     """
     stats = agent.stats
     if not (0 <= o < len(stats) and 0 <= w < len(stats[o])):
@@ -109,8 +104,6 @@ def record(agent: TsAgent, o: int, w: int, loss: float) -> None:
     x = float(loss)
     if not 0.0 <= x <= 1.0:
         raise InvalidInput(f"loss {x} outside [0, 1]")
-    row = agent.contexts[o]
-    agent.mean, agent.cov = blr_update(agent.mean, agent.cov, agent.noise_var, row[w], x)
     cell = stats[o][w]
     count, mean, m2, mx = cell
     count += 1
@@ -119,7 +112,7 @@ def record(agent: TsAgent, o: int, w: int, loss: float) -> None:
     m2 = m2 + delta * (x - mean)
     mx = max(mx, x)
     cell[:] = count, mean, m2, mx
-    row[w] = (mean, m2 / count if count >= 2 else COLD_VAR, mx)
+    agent.contexts[o][w] = (mean, m2 / count if count >= 2 else COLD_VAR, mx)
 
 
 def synthetic_loss(theta, phi, noise_var: float, rng: np.random.Generator) -> float:
@@ -189,15 +182,17 @@ def run_track(
     prior (mean, var), the isotropic N(mean, var I).
 
     ``explore`` is "ts" for Thompson sampling or "random" for the uniform
-    baseline, which ignores the posterior when choosing but still records
-    outcomes. Regret increments compare the environment's expected losses of
-    the best and the chosen waveform at the contexts used for selection.
+    baseline, which records outcomes in the context table but neither reads
+    nor updates the posterior. Regret increments compare the environment's
+    expected losses of the best and the chosen waveform at the contexts
+    used for selection.
 
     The pulse loop carries only what the learner feeds back: scene step,
-    draw, choice, outcome and ``record``. The learner never reads the
-    expected losses, so one ``env.expected_losses(states, contexts)`` call,
-    the (n, K) losses of the whole track, gives the oracle losses, regret
-    increments and suboptimal flags after the loop.
+    draw, choice, outcome, ``record`` and, under Thompson sampling, the
+    posterior update with the context that was scored. The learner never
+    reads the expected losses, so one ``env.expected_losses(states,
+    contexts)`` call, the (n, K) losses of the whole track, gives the oracle
+    losses, regret increments and suboptimal flags after the loop.
     """
     agent = TsAgent(prior, noise_var, env.state_proc.n_states, k_arms)
     # offered: the K contexts each pulse chose from, as snapshots
@@ -209,8 +204,7 @@ def run_track(
         phis = agent_contexts(agent, o)
         offered.append(phis)
         if thompson:
-            g = posterior_gaussian(agent.mean, agent.cov)
-            idx = pick_argmax(sample_gaussian(g, rng), phis)
+            idx = pick_argmax(sample_gaussian(agent.posterior, rng), phis)
         else:
             idx = int(rng.integers(k_arms))
         realized, sinr_k = env.realize(k, s, idx, phis[idx], rng)
@@ -220,6 +214,10 @@ def run_track(
         sinr.append(sinr_k)
         loss.append(realized)
         record(agent, o, idx, realized)
+        if thompson:
+            agent.posterior = blr_update(
+                agent.posterior, agent.noise_var, phis[idx], realized
+            )
 
     offered = np.array(offered, dtype=float).reshape(n_cpis, k_arms, CONTEXT_DIM)
     state = np.array(state, dtype=int)

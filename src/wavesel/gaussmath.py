@@ -7,17 +7,18 @@ array pairs, and :func:`cholesky` factors an array with
 ``np.linalg.cholesky`` and makes one counted, jittered retry before it gives
 up; it never returns a non-finite factor.
 
-The per-track learner's posterior over its three weights is nine floats: the
-mean (m0, m1, m2) and the covariance's lower triangle packed row by row,
-(c00, c10, c11, c20, c21, c22). Its per-CPI steps run on Python floats,
-without a numpy call: :func:`posterior_gaussian` factors the covariance in
-closed form, :func:`sample_gaussian` draws from the factored posterior and
-:func:`blr_update` folds one observation in with an unrolled
-Sherman-Morrison step. Only a covariance the closed form cannot factor goes
-to :func:`cholesky`, and so to its counted retry. The three names are the
-per-CPI spans the benchmark's tracer times (with ``bandit``'s
-``agent_contexts``, ``pick_argmax`` and ``record``); ROADMAP item 1 will
-re-cut these spans.
+The per-track learner's posterior over its three weights is nine floats:
+the mean (m0, m1, m2) and the lower Cholesky factor L of the covariance,
+packed row by row, (l00, l10, l11, l20, l21, l22). Its steps run on Python
+floats, without a numpy call: :func:`posterior_gaussian` turns a track's
+prior into this form once per track, :func:`sample_gaussian` draws
+mean + L z, and :func:`blr_update` folds one observation in by a rank-1
+update of L itself, so the covariance is never formed and the track loop
+never factors. Only the meta belief reaches :func:`cholesky`: its draws,
+its updates and its KL column. The three
+names are spans the benchmark's tracer times (with ``bandit``'s
+``agent_contexts``, ``pick_argmax`` and ``record``): ``posterior_gaussian``
+per track, the other two per CPI; ROADMAP item 1 will re-cut these spans.
 """
 
 import math
@@ -86,37 +87,17 @@ def kl_gaussian(q: tuple, p: tuple) -> float:
 # the per-track posterior on floats
 
 
-def posterior_gaussian(mean, cov) -> tuple:
-    """The posterior N(mean, cov) in the form a draw reads: the mean and the
-    lower Cholesky factor of ``cov``, packed as (l00, l10, l11, l20, l21,
-    l22).
-
-    ``cov`` is the packed lower triangle (c00, c10, c11, c20, c21, c22). The
-    factor is closed form; each column is scaled by the reciprocal of its
-    pivot, as LAPACK's unblocked factorization does. When a pivot is not
-    positive (or is NaN), the whole matrix goes to :func:`cholesky`, which
-    makes its counted jitter retry or raises :class:`NotPositiveDefinite`.
-    """
-    c00, c10, c11, c20, c21, c22 = cov
-    if c00 > 0.0:
-        l00 = math.sqrt(c00)
-        r = 1.0 / l00
-        l10 = c10 * r
-        l20 = c20 * r
-        d1 = c11 - l10 * l10
-        if d1 > 0.0:
-            l11 = math.sqrt(d1)
-            l21 = (c21 - l20 * l10) * (1.0 / l11)
-            d2 = c22 - (l20 * l20 + l21 * l21)
-            if d2 > 0.0:
-                return mean, (l00, l10, l11, l20, l21, math.sqrt(d2))
-    full = np.array([[c00, c10, c20], [c10, c11, c21], [c20, c21, c22]])
-    (l00, _, _), (l10, l11, _), (l20, l21, l22) = cholesky(full).tolist()
-    return mean, (l00, l10, l11, l20, l21, l22)
+def posterior_gaussian(prior: tuple) -> tuple:
+    """The track posterior at its prior (mean, var), the isotropic
+    N(mean, var I): the mean as three floats and the lower factor
+    sqrt(var) I, packed row by row as (l00, l10, l11, l20, l21, l22)."""
+    mean, var = prior
+    r = math.sqrt(var)
+    return tuple(float(x) for x in mean), (r, 0.0, r, 0.0, 0.0, r)
 
 
 def sample_gaussian(g: tuple, rng: np.random.Generator) -> tuple:
-    """One draw x = mean + L z of a :func:`posterior_gaussian`, from one
+    """One draw x = mean + L z of a posterior (mean, L), from one
     ``standard_normal(3)`` call: (x0, x1, x2)."""
     (m0, m1, m2), (l00, l10, l11, l20, l21, l22) = g
     z0, z1, z2 = rng.standard_normal(3).tolist()
@@ -127,30 +108,45 @@ def sample_gaussian(g: tuple, rng: np.random.Generator) -> tuple:
     )
 
 
-def blr_update(mean, cov, noise_var: float, phi, loss: float) -> tuple:
+def blr_update(posterior: tuple, noise_var: float, phi, loss: float) -> tuple:
     """Conjugate update for one observation loss = <theta, phi> + noise:
-    the new (mean, cov), packed as the inputs are, which are only read.
+    the new (mean, L) of the posterior (mean, L), which is only read.
 
-    By Sherman-Morrison: with k = cov phi and s = noise_var + phi^T k, the
-    mean gains k (loss - phi^T mean) / s and the covariance loses
-    outer(k, k) / s, entry by entry, so it stays symmetric.
+    With f = L^T phi and the suffix sums b3 = noise_var and
+    b_j = b_{j+1} + f_j^2, the new factor is L B, where B is lower
+    triangular with B_jj = r_{j+1} / r_j and B_ij = -f_i f_j / (r_j r_{j+1})
+    for i > j, r_j = sqrt(b_j). Then L B (L B)^T = L (I - f f^T / b0) L^T,
+    the Sherman-Morrison covariance, and L B is again lower triangular with
+    a positive diagonal: its Cholesky factor (Carlson 1973; Gill, Golub,
+    Murray & Saunders 1974). The mean gains k (loss - phi^T mean) / b0 with
+    k = L f, the covariance times phi. Each r_j is ``hypot(r_{j+1}, f_j)``
+    and f_j / (r_j r_{j+1}) is formed by two divisions, so the factor stays
+    finite, with a positive diagonal, at any finite prior variance.
     """
+    (m0, m1, m2), (l00, l10, l11, l20, l21, l22) = posterior
     p0, p1, p2 = phi
-    m0, m1, m2 = mean
-    c00, c10, c11, c20, c21, c22 = cov
-    k0 = c00 * p0 + c10 * p1 + c20 * p2
-    k1 = c10 * p0 + c11 * p1 + c21 * p2
-    k2 = c20 * p0 + c21 * p1 + c22 * p2
-    s = noise_var + (p0 * k0 + p1 * k1 + p2 * k2)
-    gain = (loss - (p0 * m0 + p1 * m1 + p2 * m2)) / s
+    f0 = l00 * p0 + l10 * p1 + l20 * p2
+    f1 = l11 * p1 + l21 * p2
+    f2 = l22 * p2
+    r3 = math.sqrt(noise_var)
+    r2 = math.hypot(r3, f2)
+    r1 = math.hypot(r2, f1)
+    r0 = math.hypot(r1, f0)
+    b00, b11, b22 = r1 / r0, r2 / r1, r3 / r2
+    g0, g1 = f0 / r0 / r1, f1 / r1 / r2
+    b10, b20, b21 = -f1 * g0, -f2 * g0, -f2 * g1
+    k0 = l00 * f0
+    k1 = l10 * f0 + l11 * f1
+    k2 = l20 * f0 + l21 * f1 + l22 * f2
+    gain = (loss - (p0 * m0 + p1 * m1 + p2 * m2)) / (r0 * r0)
     return (
-        [m0 + k0 * gain, m1 + k1 * gain, m2 + k2 * gain],
-        [
-            c00 - k0 * k0 / s,
-            c10 - k1 * k0 / s,
-            c11 - k1 * k1 / s,
-            c20 - k2 * k0 / s,
-            c21 - k2 * k1 / s,
-            c22 - k2 * k2 / s,
-        ],
+        (m0 + k0 * gain, m1 + k1 * gain, m2 + k2 * gain),
+        (
+            l00 * b00,
+            l10 * b00 + l11 * b10,
+            l11 * b11,
+            l20 * b00 + l21 * b10 + l22 * b20,
+            l21 * b11 + l22 * b21,
+            l22 * b22,
+        ),
     )

@@ -4,6 +4,7 @@ oracles."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy import signal
@@ -24,8 +25,8 @@ STATE_GAIN = (0.25, 1.0, 4.0, 16.0)
 @dataclass
 class LinearPosterior:
     """Covariance-form posterior N(mean, cov) of a linear model with noise
-    variance sigma^2, as arrays of any dimension: the reference for the
-    package's three-weight float posterior.
+    variance sigma^2, as arrays of any dimension: a reference for the
+    package's three-weight float posterior, in covariance form.
 
     The object is mutable: :func:`blr_update` changes both arrays in place.
     Construction copies its inputs, so no caller's arrays are aliased.
@@ -83,24 +84,58 @@ def posterior_mean_cov(p) -> tuple[np.ndarray, np.ndarray]:
     return p.mean.copy(), p.cov.copy()
 
 
-def packed_cov(cov) -> list:
-    """The lower triangle of a 3 x 3 covariance as floats packed row by row,
-    (c00, c10, c11, c20, c21, c22), the form of a ``TsAgent``'s ``cov``."""
-    (c00, _, _), (c10, c11, _), (c20, c21, c22) = np.asarray(cov, dtype=float).tolist()
-    return [c00, c10, c11, c20, c21, c22]
+def factor_matrix(factor) -> np.ndarray:
+    """The 3 x 3 lower-triangular matrix of a factor packed row by row,
+    (l00, l10, l11, l20, l21, l22), the form of a float posterior's L."""
+    l00, l10, l11, l20, l21, l22 = factor
+    return np.array([[l00, 0.0, 0.0], [l10, l11, 0.0], [l20, l21, l22]])
 
 
-def unpacked_cov(cov) -> np.ndarray:
-    """The full symmetric 3 x 3 matrix of a covariance packed as
-    :func:`packed_cov` packs it."""
-    c00, c10, c11, c20, c21, c22 = cov
-    return np.array([[c00, c10, c20], [c10, c11, c21], [c20, c21, c22]])
+def packed_factor(cov) -> tuple:
+    """The lower Cholesky factor of a 3 x 3 covariance, packed as
+    :func:`factor_matrix` unpacks it."""
+    (l00, _, _), (l10, l11, _), (l20, l21, l22) = np.linalg.cholesky(cov).tolist()
+    return l00, l10, l11, l20, l21, l22
 
 
-def float_posterior(mean, cov) -> tuple[np.ndarray, np.ndarray]:
-    """A float posterior's (mean, cov), such as a ``TsAgent``'s, as arrays
-    for comparison with the array forms above."""
-    return np.array(mean, dtype=float), unpacked_cov(cov)
+def float_posterior(posterior) -> tuple[np.ndarray, np.ndarray]:
+    """A float posterior (mean, L), such as a ``TsAgent``'s, as the arrays
+    (mean, L L^T) for comparison with the array forms above."""
+    mean, factor = posterior
+    L = factor_matrix(factor)
+    return np.array(mean, dtype=float), L @ L.T
+
+
+def exact_posterior(prior_mean, prior_var: float, noise_var: float, phis, losses) -> tuple:
+    """The posterior (mean, cov) of N(prior_mean, prior_var I) after the
+    observations losses[i] = <theta, phis[i]> + noise, computed in rational
+    arithmetic from the precision form and rounded once to floats.
+
+    Every input float is a dyadic rational, so the precision
+    I / prior_var + sum phi phi^T / noise_var and its inverse are exact; the
+    result is the reference at any prior variance, where a float update
+    (this module's :func:`blr_update` included) loses digits.
+    """
+    v, s2 = Fraction(prior_var), Fraction(noise_var)
+    prec = [[Fraction(int(i == j)) / v for j in range(3)] for i in range(3)]
+    h = [Fraction(x) / v for x in prior_mean]
+    for phi, y in zip(phis, losses):
+        p = [Fraction(x) for x in phi]
+        for i in range(3):
+            h[i] += p[i] * Fraction(y) / s2
+            for j in range(3):
+                prec[i][j] += p[i] * p[j] / s2
+    (a, b, c), (d, e, f), (g, k, m) = prec
+    adjugate = [
+        [e * m - f * k, c * k - b * m, b * f - c * e],
+        [f * g - d * m, a * m - c * g, c * d - a * f],
+        [d * k - e * g, b * g - a * k, a * e - b * d],
+    ]
+    det = a * adjugate[0][0] + b * adjugate[1][0] + c * adjugate[2][0]
+    cov = [[x / det for x in row] for row in adjugate]
+    mean = [sum(cij * hj for cij, hj in zip(row, h)) for row in cov]
+    return (np.array([float(x) for x in mean]),
+            np.array([[float(x) for x in row] for row in cov]))
 
 
 def largest_gap(got, want) -> float:
@@ -270,7 +305,9 @@ def reference_track(env, prior, noise_var: float, n_cpis: int, k_arms: int,
     """One track written out from array primitives: ``prior``, a pair (mean,
     var), as the arrays (mean, var I), a draw through the counted Cholesky
     factor of the covariance, ``np.clip`` and ``np.mean`` for the losses,
-    ``np.outer`` for the update and the searching ``step_state`` above.
+    ``np.outer`` for the update (under Thompson sampling only: a random
+    track's posterior stays its prior) and the searching ``step_state``
+    above.
 
     ``env`` is only read: the synthetic environment's ``theta_star`` or the
     physical one's simulator arrays. Makes the same random draws in the same
@@ -330,10 +367,11 @@ def reference_track(env, prior, noise_var: float, n_cpis: int, k_arms: int,
             rows[name].append(value)
         rows["contexts"].append(phi)
 
-        kvec = cov @ phi
-        gain_s = noise_var + float(phi @ kvec)
-        mean = mean + kvec * ((realized - float(phi @ mean)) / gain_s)
-        cov = cov - np.outer(kvec, kvec) / gain_s
+        if explore != "random":
+            kvec = cov @ phi
+            gain_s = noise_var + float(phi @ kvec)
+            mean = mean + kvec * ((realized - float(phi @ mean)) / gain_s)
+            cov = cov - np.outer(kvec, kvec) / gain_s
         count, m, m2, mx = stats[o, idx].tolist()
         count += 1
         delta = realized - m

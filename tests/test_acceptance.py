@@ -13,13 +13,13 @@ import numpy as np
 from scipy.stats import norm
 
 from wavesel.bandit import pick_argmax
-from wavesel.gaussmath import blr_update, kl_gaussian
+from wavesel.gaussmath import blr_update, kl_gaussian, posterior_gaussian
 from wavesel.harness import ExperimentConfig, run_experiment
 from wavesel.meta import POLICIES, TrackData, init_meta, meta_mean_cov, meta_update
 from wavesel.metrics import BoundInputs, pac_bayes_meta, pac_bayes_single
 from wavesel.waveforms import CATALOG_NAMES, catalog_envelope
 
-from oracles import cyclic_autocorrelation, float_posterior, packed_cov
+from oracles import cyclic_autocorrelation, float_posterior
 
 #: Paired seed-bootstrap resamples behind each printed interval, and the
 #: seed of their fixed stream, so the printout is deterministic.
@@ -135,10 +135,10 @@ def test_02_sequential_updates_match_normal_equations():
         noise_var = float(rng.uniform(0.05, 2.0))
         X = rng.normal(size=(n_obs, 3))
         y = rng.normal(size=n_obs)
-        mean, cov = prior_mean.tolist(), packed_cov(prior_var * np.eye(3))
+        post = posterior_gaussian((prior_mean, prior_var))
         for i in range(n_obs):
-            mean, cov = blr_update(mean, cov, noise_var, X[i].tolist(), float(y[i]))
-        mean, cov = float_posterior(mean, cov)
+            post = blr_update(post, noise_var, X[i].tolist(), float(y[i]))
+        mean, cov = float_posterior(post)
         prec = np.eye(3) / prior_var + X.T @ X / noise_var
         direct_mean = np.linalg.solve(prec, prior_mean / prior_var + X.T @ y / noise_var)
         direct_cov = np.linalg.inv(prec)
@@ -295,12 +295,12 @@ def test_08_waveform_catalog_properties():
 def test_09_selection_frequency_law():
     rng = np.random.default_rng(71)
     contexts = np.array([[0.55, 0.10, 0.60], [0.45, 0.30, 0.70]])
-    mean, cov = [0.0, 0.0, 0.0], packed_cov(np.eye(3))
+    post = posterior_gaussian((np.zeros(3), 1.0))
     X = np.array([[0.5, 0.2, 0.6], [0.6, 0.1, 0.4], [0.4, 0.3, 0.8]])
     y = np.array([0.4, 0.55, 0.5])
     for i in range(len(y)):
-        mean, cov = blr_update(mean, cov, 0.25, X[i].tolist(), float(y[i]))
-    mean, cov = float_posterior(mean, cov)
+        post = blr_update(post, 0.25, X[i].tolist(), float(y[i]))
+    mean, cov = float_posterior(post)
     delta = contexts[1] - contexts[0]
     p_analytic = float(
         norm.cdf(float(delta @ mean) / np.sqrt(float(delta @ cov @ delta)))

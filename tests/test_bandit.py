@@ -32,7 +32,6 @@ from wavesel.gaussmath import blr_update, posterior_gaussian, sample_gaussian
 from oracles import (
     float_posterior,
     largest_gap,
-    packed_cov,
     reference_track,
     regret_increment,
     simulator,
@@ -49,8 +48,16 @@ def make_agent(prior_mean=(0.0, 0.0, 0.0), prior_var=1.0, k_arms=5, n_obs=4):
 
 def thompson_pick(agent: TsAgent, o: int, rng: np.random.Generator) -> int:
     """The Thompson step of run_track: one draw scores every context at o."""
-    theta = sample_gaussian(posterior_gaussian(agent.mean, agent.cov), rng)
+    theta = sample_gaussian(agent.posterior, rng)
     return pick_argmax(theta, agent_contexts(agent, o))
+
+
+def learn(agent: TsAgent, o: int, w: int, loss: float) -> None:
+    """The learning step of a Thompson pulse in run_track: ``record`` the
+    cell, then update the posterior with the context that was scored."""
+    phi = agent_contexts(agent, o)[w]
+    record(agent, o, w, loss)
+    agent.posterior = blr_update(agent.posterior, agent.noise_var, phi, loss)
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +179,11 @@ def test_selection_frequency_matches_normal_cdf():
     # Two arms with distinct recorded losses; the probability that arm 1
     # scores higher under a posterior draw is Phi(gap' mu / sqrt(gap' S gap)).
     agent = make_agent(prior_mean=(0.6, -0.1, 0.3), prior_var=0.8, k_arms=2)
-    record(agent, 0, 0, 0.3)
-    record(agent, 0, 1, 0.7)
+    learn(agent, 0, 0, 0.3)
+    learn(agent, 0, 1, 0.7)
     phis = np.array(agent_contexts(agent, 0))
     gap = phis[1] - phis[0]
-    mean, cov = float_posterior(agent.mean, agent.cov)
+    mean, cov = float_posterior(agent.posterior)
     p_arm1 = float(stats.norm.cdf(gap @ mean / np.sqrt(gap @ cov @ gap)))
 
     rng = np.random.default_rng(2)
@@ -217,23 +224,29 @@ def test_record_twice_same_value():
 
 @pytest.mark.parametrize("var", [2.0, 1e-30, 5e-324, 1e300])
 def test_agent_prior_is_isotropic(var):
-    # the packed lower triangle of var * I, as the prior arrays held it,
-    # bit for bit
+    # the mean and the packed factor sqrt(var) I, bit for bit
     mean = np.array([0.2, -0.1, 0.4])
     agent = TsAgent((mean, var), 0.1, 4, 5)
-    assert agent.mean == mean.tolist()
-    assert np.array(agent.cov).tobytes() == np.array(packed_cov(var * np.eye(3))).tobytes()
+    r = np.sqrt(var)
+    assert agent.posterior == (tuple(mean.tolist()), (r, 0.0, r, 0.0, 0.0, r))
 
 
 def test_record_delegates_posterior_update():
+    # record updates only the cell; the posterior update is run_track's,
+    # under Thompson sampling, with the row that was scored
     agent = TsAgent((np.zeros(3), 2.0), 0.1, 4, 5)
-    manual = [0.0, 0.0, 0.0], packed_cov(2.0 * np.eye(3))
+    prior = agent.posterior
     for o, w, loss in ((0, 0, 0.55), (0, 0, 0.2), (1, 0, 0.9), (0, 0, 0.4)):
-        phi = agent_contexts(agent, o)[w]
         record(agent, o, w, loss)
-        manual = blr_update(*manual, 0.1, phi, loss)
-        assert (agent.mean, agent.cov) == manual
+        assert agent.posterior is prior
     assert agent_contexts(agent, 0)[0] != (COLD_MEAN, COLD_VAR, COLD_MAX)
+
+    env = SyntheticTrackEnv(np.array([0.4, 0.1, 0.5]), uniform_state_proc(), 0.1, 15.8)
+    result, agent = run_track(env, (np.zeros(3), 2.0), 0.1, 40, 5, np.random.default_rng(1))
+    manual = posterior_gaussian((np.zeros(3), 2.0))
+    for phi, loss in zip(result.contexts.tolist(), result.loss.tolist()):
+        manual = blr_update(manual, 0.1, phi, loss)
+    assert agent.posterior == manual
 
 
 def test_record_means_match_brute_force():
@@ -270,13 +283,12 @@ def test_record_touches_only_its_own_cell():
 
 def test_record_rejects_loss_outside_unit_interval():
     agent = make_agent()
-    mean = list(agent.mean)
-    cov = list(agent.cov)
+    contexts = [list(row) for row in agent.contexts]
     for loss in (1.5, -0.1, float("nan")):
         with pytest.raises(InvalidInput):
             record(agent, 0, 0, loss)
     assert np.all(np.array(agent.stats)[..., 0] == 0)
-    assert (agent.mean, agent.cov) == (mean, cov)
+    assert agent.contexts == contexts
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +353,12 @@ def test_posterior_mean_converges_under_round_robin():
     )
     noise_var = 0.05
     rng = np.random.default_rng(5)
-    mean, cov = [0.0, 0.0, 0.0], packed_cov(10.0 * np.eye(3))
+    post = posterior_gaussian((np.zeros(3), 10.0))
     for k in range(10_000):
         phi = contexts[k % len(contexts)]
         y = float(phi @ theta_true + np.sqrt(noise_var) * rng.standard_normal())
-        mean, cov = blr_update(mean, cov, noise_var, phi.tolist(), y)
-    assert np.max(np.abs(np.array(mean) - theta_true)) < 0.05
+        post = blr_update(post, noise_var, phi.tolist(), y)
+    assert np.max(np.abs(np.array(post[0]) - theta_true)) < 0.05
 
 
 def run_synthetic_track(seed: int, explore: str = "ts"):
@@ -365,7 +377,7 @@ def test_run_track_output_shapes_and_ranges():
     assert np.all(result.regret_inc >= -1e-12)
     assert np.all((result.waveform >= 0) & (result.waveform < 5))
     assert result.contexts.shape == (150, 3)
-    assert (len(agent.mean), len(agent.cov)) == (3, 6)
+    assert tuple(map(len, agent.posterior)) == (3, 6)
 
 
 def test_run_track_regret_accounting():
@@ -479,12 +491,15 @@ def test_run_track_equals_validated_reference_loop_to_the_bit(mode, doppler, gri
     for name in ("state", "obs", "waveform", "sinr", "loss", "oracle_loss",
                  "regret_inc", "suboptimal", "contexts"):
         assert same_bits(getattr(result, name), expected[name]), name
-    # the float kernel sums in another order than the reference's BLAS calls
-    # (which may fuse multiply-adds), so the posterior may part in its last
-    # bits; every choice and every other column is identical
-    mean, cov = float_posterior(agent.mean, agent.cov)
+    # the float kernel updates the factor where the reference updates the
+    # covariance, so the posterior may part in its last bits; every choice
+    # and every other column is identical. A random track's posterior
+    # stays its prior.
+    mean, cov = float_posterior(agent.posterior)
     assert largest_gap(mean, expected["post_mean"]) <= 1e-12
     assert largest_gap(cov, expected["post_cov"]) <= 1e-12
+    if explore == "random":
+        assert agent.posterior == posterior_gaussian(prior)
     assert same_bits(np.array(agent.stats), expected["stats"])
     assert same_bits(np.array(agent.contexts), expected["agent_contexts"])
     if explore == "ts":

@@ -13,6 +13,9 @@ from wavesel import harness
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
+#: The track posterior's spans: built once per track, updated per CPI.
+LEARNER_SPANS = ("posterior_gaussian", "blr_update")
+
 
 @pytest.fixture(scope="module")
 def tracing():
@@ -34,6 +37,8 @@ def test_every_wrap_point_resolves(tracing):
 def test_every_wrapped_call_site_is_called(tracing, tmp_path):
     tracer = tracing.Tracer()
     tracer.install(wavesel)
+    # (posterior_gaussian, blr_update) calls made by each replicate
+    learner_calls = {}
     try:
         for mode in ("synthetic", "physical"):
             out = tmp_path / mode
@@ -45,10 +50,20 @@ def test_every_wrapped_call_site_is_called(tracing, tmp_path):
                 f"policies = random,meta-ts\nout_dir = {out}\n"
             )
             for policy in config.policies:
+                before = [tracer.calls(f"gaussmath.{f}") for f in LEARNER_SPANS]
                 harness.run(config, policy, 0)
+                learner_calls[mode, policy] = tuple(
+                    tracer.calls(f"gaussmath.{f}") - b for f, b in zip(LEARNER_SPANS, before)
+                )
             harness.aggregate_directory(str(out), str(out / "agg"))
     finally:
         tracer.uninstall()
     for _, _, name in tracing._wrap_points(wavesel):
         assert tracer.calls(name) > 0, name
     assert tracer.counts["gaussmath.cholesky"] > 0
+    # what the per-layer spans now time: posterior_gaussian once per track
+    # (m = 2), blr_update once per CPI of a Thompson track (n = 4), and
+    # none for the random policy
+    for mode in ("synthetic", "physical"):
+        assert learner_calls[mode, "random"] == (2, 0)
+        assert learner_calls[mode, "meta-ts"] == (2, 8)

@@ -1,14 +1,15 @@
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wavesel import bandit, gaussmath, meta
-from wavesel.bandit import SyntheticTrackEnv, TsAgent, run_track
+from wavesel import gaussmath, meta
+from wavesel.bandit import SyntheticTrackEnv, run_track
 from wavesel.errors import NotPositiveDefinite
 from wavesel.gaussmath import cholesky, kl_gaussian
 from wavesel.harness import ExperimentConfig, build_scene
@@ -17,13 +18,14 @@ from wavesel.meta import run_meta_experiment
 from oracles import (
     LinearPosterior,
     blr_update,
+    exact_posterior,
+    factor_matrix,
     float_posterior,
     largest_gap,
     np_cholesky,
-    packed_cov,
+    packed_factor,
     posterior_mean_cov,
     sample_gaussian,
-    unpacked_cov,
 )
 
 
@@ -142,9 +144,8 @@ def recording_cholesky(monkeypatch) -> list:
 @pytest.mark.parametrize("mode", ["synthetic", "physical"])
 def test_package_factors_only_matrices_of_dimension_at_most_4(monkeypatch, mode):
     # gaussmath.cholesky factors the meta belief's d x d precision, once for
-    # each draw and once for each update of a meta-ts track, and a track
-    # posterior only when the closed form cannot: no call per CPI, and
-    # every factored matrix is 3 x 3.
+    # each draw and once for each update of a meta-ts track, and never a
+    # track posterior: no call per CPI, and every factored matrix is 3 x 3.
     shapes = recording_cholesky(monkeypatch)
     cfg = replace(ExperimentConfig(), m=2, n=20, mode=mode)
     mu_star, state_proc = build_scene(cfg, 0)
@@ -338,7 +339,7 @@ def test_blr_update_order_does_not_matter(pyrandom):
 
 
 def test_blr_long_track_matches_batch_normal_equations():
-    # 3000 Sherman-Morrison steps on the contexts a Thompson track actually
+    # 3000 rank-1 factor updates on the contexts a Thompson track actually
     # visits (correlated, a few distinct values per cell); the posterior
     # precision ends near 1e4 along the best-observed direction.
     cfg = ExperimentConfig()
@@ -349,7 +350,7 @@ def test_blr_long_track_matches_batch_normal_equations():
         env, (np.zeros(3), prior_var), cfg.sigma_sq, 3000, cfg.k, np.random.default_rng(0)
     )
     X, y = result.contexts, result.loss
-    mean, cov = float_posterior(agent.mean, agent.cov)
+    mean, cov = float_posterior(agent.posterior)
     prec = np.eye(3) / prior_var + X.T @ X / cfg.sigma_sq
     batch_mean = np.linalg.solve(prec, X.T @ y / cfg.sigma_sq)
     batch_cov = np.linalg.inv(prec)
@@ -429,71 +430,96 @@ def test_kl_nonnegative(pyrandom):
 
 
 # ---------------------------------------------------------------------------
-# the float kernel: closed-form factor, draw and update against the arrays
+# the float kernel: factor, draw and update against the arrays
 
 
-def float_factor_outcome(m) -> tuple:
-    """(factor or None, jittered retries) of ``gaussmath.posterior_gaussian``
-    on the packed lower triangle of ``m``, in the form ``np_cholesky``
-    reports."""
-    before = gaussmath.jitter_retries
-    try:
-        _, (l00, l10, l11, l20, l21, l22) = gaussmath.posterior_gaussian(
-            [0.0, 0.0, 0.0], packed_cov(m)
-        )
-        factor = np.array([[l00, 0.0, 0.0], [l10, l11, 0.0], [l20, l21, l22]])
-    except NotPositiveDefinite:
-        factor = None
-    return factor, gaussmath.jitter_retries - before
+def isotropic(mean, var) -> tuple:
+    """The float posterior of the prior (mean, var)."""
+    return gaussmath.posterior_gaussian((np.asarray(mean, dtype=float), var))
 
 
-@settings(max_examples=400, deadline=None)
-@given(spd_matrices(st.just(3)))
-def test_float_factor_matches_np_linalg_cholesky(m):
-    (factor, retries), (ref, ref_retries) = float_factor_outcome(m), np_cholesky(m)
-    assert retries == ref_retries == 0
-    assert np.max(np.abs(factor - ref)) <= 1e-13 * np.max(np.abs(ref))
+def updated(prior_mean, prior_var, noise_var, phis, losses) -> tuple:
+    """The float posterior after ``gaussmath.blr_update`` folds in each
+    (phi, loss) in turn."""
+    post = isotropic(prior_mean, prior_var)
+    for phi, loss in zip(phis.tolist(), losses.tolist()):
+        post = gaussmath.blr_update(post, noise_var, phi, loss)
+    return post
 
 
-@pytest.mark.parametrize(
-    "m",
-    [
-        np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
-        np.outer([1.0, 2.0, -1.0], [1.0, 2.0, -1.0]),
-        1e-6 * np.outer([1.0, 2.0, -1.0], [1.0, 2.0, -1.0]),
-        np.zeros((3, 3)),
-        np.diag([1.0, 1.0, -1.0]),
-    ],
-    ids=["indefinite", "rank-1", "rank-1 small", "zero", "negative last pivot"],
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-2.0, 2.0), st.randoms(use_true_random=False))
+def test_float_factor_matches_np_linalg_cholesky(log_var, pyrandom):
+    # the updated factor is lower triangular with a positive diagonal, so it
+    # is the Cholesky factor of its posterior covariance: draws read the
+    # factor a per-CPI factorization of that covariance would give
+    rng = np.random.default_rng(pyrandom.getrandbits(32))
+    n = int(rng.integers(1, 300))
+    phis, losses = rng.random((n, 3)), rng.random(n)
+    noise_var = float(rng.uniform(0.01, 2.0))
+    _, factor = updated(np.zeros(3), 10.0 ** log_var, noise_var, phis, losses)
+    post = LinearPosterior(np.zeros(3), 10.0 ** log_var * np.eye(3), noise_var)
+    for phi, loss in zip(phis, losses):
+        blr_update(post, phi, float(loss))
+    ref = np.linalg.cholesky(post.cov)
+    assert largest_gap(factor_matrix(factor), ref) <= 1e-12
+
+
+#: Prior variances up to which a float posterior is held to a reference
+#: within 1e-12. The array update cancels about eps * var / noise_var (its
+#: gap to the exact posterior reached 3e-11 at 1e4); the float update's
+#: f = L^T phi cancels about eps * sqrt(var), which shows first in the mean
+#: (3e-12 of its scale at 1e12) and later in L L^T (2.5e-2 at 1e90).
+ARRAY_MAX_VAR = 1e2
+MEAN_MAX_VAR = 1e8
+COV_MAX_VAR = 1e16
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.floats(-30.0, 300.0),
+    st.integers(0, 200),
+    st.booleans(),
+    st.randoms(use_true_random=False),
 )
-def test_float_factor_edge_inputs_match_np_linalg_path(m):
-    # every one has a pivot the closed form rejects, so it takes the
-    # fallback: the same outcome, bits and retry count as np_cholesky
-    assert same_outcome(float_factor_outcome(m), np_cholesky(m))
-
-
-@pytest.mark.parametrize(
-    "m",
-    [
-        np.array([[4.0, np.nan, 0.0], [np.nan, 9.0, 0.0], [0.0, 0.0, 1.0]]),
-        np.full((3, 3), np.nan),
-        np.array([[4.0, 0.0, 0.0], [0.0, 9.0, np.nan], [0.0, np.nan, 1.0]]),
-    ],
-    ids=["nan off-diagonal", "nan", "nan last column"],
-)
-def test_float_factor_non_finite_inputs_raise_before_any_retry(m):
-    # a NaN fails a pivot test of the closed form, so the float factor takes
-    # the fallback, which refuses it before its jittered retry
-    factor, retries = float_factor_outcome(m)
-    assert factor is None and retries == 0
+@example(-30.0, 200, False, random.Random(0))
+@example(16.0, 200, True, random.Random(1))
+@example(300.0, 200, True, random.Random(2))
+@example(300.0, 0, False, random.Random(3))
+def test_float_update_matches_the_array_update(log_var, n, on_grid, pyrandom):
+    # contexts in [0, 1]^3, on a coarse grid when on_grid, so that contexts
+    # repeat as cold cells do. At every prior variance the factor stays
+    # finite with a positive diagonal; the exact rational posterior referees
+    # it up to COV_MAX_VAR, the array update up to ARRAY_MAX_VAR.
+    rng = np.random.default_rng(pyrandom.getrandbits(32))
+    var, noise_var = 10.0 ** log_var, float(rng.uniform(0.01, 2.0))
+    prior_mean = rng.standard_normal(3)
+    phis = rng.integers(0, 3, size=(n, 3)) / 2.0 if on_grid else rng.random((n, 3))
+    losses = rng.random(n)
+    post = updated(prior_mean, var, noise_var, phis, losses)
+    factor = np.array(post[1])
+    assert np.isfinite(post[0]).all() and np.isfinite(factor).all()
+    assert factor[[0, 2, 5]].min() > 0.0
+    got_mean, got_cov = float_posterior(post)
+    exact_mean, exact_cov = exact_posterior(prior_mean, var, noise_var, phis, losses)
+    if var <= COV_MAX_VAR:
+        assert largest_gap(got_cov, exact_cov) <= 1e-12
+    if var <= MEAN_MAX_VAR:
+        # the mean's scale: its largest entry or its largest standard deviation
+        scale = max(np.max(np.abs(exact_mean)), np.sqrt(np.max(np.abs(exact_cov))))
+        assert np.max(np.abs(got_mean - exact_mean)) <= 1e-12 * scale
+    if var <= ARRAY_MAX_VAR:
+        ref = LinearPosterior(prior_mean, var * np.eye(3), noise_var)
+        for phi, loss in zip(phis, losses):
+            blr_update(ref, phi, float(loss))
+        assert largest_gap(got_mean, ref.mean) <= 1e-12
+        assert largest_gap(got_cov, ref.cov) <= 1e-12
 
 
 def test_float_draw_is_mean_plus_factor_times_one_normal_draw():
     mean, cov = np.array([0.3, -0.7, 1.1]), random_spd(np.random.default_rng(5), 3)
     rng = np.random.default_rng(42)
-    theta = gaussmath.sample_gaussian(
-        gaussmath.posterior_gaussian(mean.tolist(), packed_cov(cov)), rng
-    )
+    theta = gaussmath.sample_gaussian((tuple(mean.tolist()), packed_factor(cov)), rng)
     ref_rng = np.random.default_rng(42)
     assert largest_gap(theta, sample_gaussian(mean, cov, ref_rng)) < 1e-14
     # both read one standard_normal(3) call, so the streams stay aligned
@@ -502,46 +528,30 @@ def test_float_draw_is_mean_plus_factor_times_one_normal_draw():
 
 def test_float_draws_have_the_posterior_moments():
     cov = np.array([[2.0, 0.3, -0.4], [0.3, 1.0, 0.2], [-0.4, 0.2, 0.5]])
-    g = gaussmath.posterior_gaussian([1.0, -2.0, 0.5], packed_cov(cov))
+    g = (1.0, -2.0, 0.5), packed_factor(cov)
     rng = np.random.default_rng(11)
     draws = np.array([gaussmath.sample_gaussian(g, rng) for _ in range(100_000)])
     assert np.max(np.abs(draws.mean(axis=0) - [1.0, -2.0, 0.5])) < 0.02
     assert np.max(np.abs(np.cov(draws.T) - cov)) < 0.05
 
 
-@given(st.randoms(use_true_random=False))
-@settings(max_examples=50, deadline=None)
-def test_float_update_matches_the_array_update(pyrandom):
-    rng = np.random.default_rng(pyrandom.getrandbits(32))
-    prior_mean, prior_cov = rng.standard_normal(3), random_spd(rng, 3)
-    noise_var = float(rng.uniform(0.01, 2.0))
-    post = LinearPosterior(prior_mean, prior_cov, noise_var)
-    mean, cov = prior_mean.tolist(), packed_cov(prior_cov)
-    for _ in range(int(rng.integers(1, 300))):
-        phi, loss = rng.random(3), float(rng.random())
-        blr_update(post, phi, loss)
-        mean, cov = gaussmath.blr_update(mean, cov, noise_var, phi.tolist(), loss)
-    got_mean, got_cov = float_posterior(mean, cov)
-    assert largest_gap(got_mean, post.mean) < 1e-12
-    assert largest_gap(got_cov, post.cov) < 1e-12
-
-
 def test_float_update_reads_its_inputs_only():
-    mean, cov, phi = [0.2, -0.1, 0.4], [1.0, 0.3, 2.0, 0.0, 0.1, 0.5], [1.0, -1.0, 0.5]
-    copies = (list(mean), list(cov), list(phi))
-    new_mean, new_cov = gaussmath.blr_update(mean, cov, 0.5, phi, 0.3)
-    assert (mean, cov, phi) == copies
-    assert new_mean is not mean and new_cov is not cov
+    post = (0.2, -0.1, 0.4), packed_factor([[1.0, 0.3, 0.0], [0.3, 2.0, 0.1], [0.0, 0.1, 0.5]])
+    phi = [1.0, -1.0, 0.5]
+    copies = (post, list(phi))
+    new = gaussmath.blr_update(post, 0.5, phi, 0.3)
+    assert (post, phi) == copies
     # the variance along phi contracts
     phi_arr = np.array(phi)
-    assert phi_arr @ unpacked_cov(new_cov) @ phi_arr < phi_arr @ unpacked_cov(cov) @ phi_arr
+    (_, old_cov), (_, new_cov) = float_posterior(post), float_posterior(new)
+    assert phi_arr @ new_cov @ phi_arr < phi_arr @ old_cov @ phi_arr
 
 
 def test_float_update_rejects_wrong_context_dim():
     # the package's contexts have three features; a context of another
     # length does not unpack
     with pytest.raises(ValueError):
-        gaussmath.blr_update([0.0] * 3, [1.0, 0.0, 1.0, 0.0, 0.0, 1.0], 0.1, [1.0, 2.0], 0.5)
+        gaussmath.blr_update(isotropic(np.zeros(3), 1.0), 0.1, [1.0, 2.0], 0.5)
 
 
 def synthetic_track(prior: tuple, n: int = 200):
@@ -552,33 +562,22 @@ def synthetic_track(prior: tuple, n: int = 200):
 
 
 def test_thompson_track_factors_nothing_on_a_well_conditioned_prior(monkeypatch):
+    # the track loop keeps the factor and updates it: no cholesky call, no
+    # jitter retry and no np.linalg factorization, from a tiny to a huge
+    # prior variance
     shapes = recording_cholesky(monkeypatch)
+    linalg_calls = []
+    original = np.linalg.cholesky
+
+    def counting(m):
+        linalg_calls.append(np.shape(m))
+        return original(m)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
     before = gaussmath.jitter_retries
-    synthetic_track((np.zeros(3), 2.0))
-    assert shapes == []
-    assert gaussmath.jitter_retries == before
-    # a 1e-30 isotropic prior keeps its pivots positive, so it factors in
-    # closed form too
-    synthetic_track((np.zeros(3), 1e-30))
-    assert shapes == []
-
-
-def test_thompson_track_on_a_singular_prior_takes_the_counted_fallback(monkeypatch):
-    # a rank-1 covariance has a zero second pivot, and stays rank-1 under
-    # every update: each draw goes through cholesky's jittered retry. A
-    # track's prior is isotropic, so the agent's covariance is set after it
-    # is built.
-    v = np.array([0.5, 1.0, -0.5])
-
-    class RankOneAgent(TsAgent):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.cov = packed_cov(np.outer(v, v))
-
-    monkeypatch.setattr(bandit, "TsAgent", RankOneAgent)
-    shapes = recording_cholesky(monkeypatch)
-    before = gaussmath.jitter_retries
-    result, _ = synthetic_track((np.zeros(3), 1.0), n=50)
-    assert shapes == [(3, 3)] * 50
-    assert gaussmath.jitter_retries - before == 50
-    assert np.all((result.loss >= 0.0) & (result.loss <= 1.0))
+    for var in (1e-30, 2.0, 1e300):
+        result, agent = synthetic_track((np.zeros(3), var))
+        assert (shapes, linalg_calls) == ([], []), var
+        assert gaussmath.jitter_retries == before, var
+        assert np.isfinite(np.array(agent.posterior[1])).all(), var
+        assert np.all((result.loss >= 0.0) & (result.loss <= 1.0)), var

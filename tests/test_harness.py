@@ -22,6 +22,7 @@ from wavesel.errors import (
     EmptyInput,
     InvalidInput,
     IoError,
+    NotPositiveDefinite,
     ParseError,
     ValidationError,
 )
@@ -1158,21 +1159,54 @@ def test_cli_singular_meta_update_returns_two(tmp_path, capsys, mode):
     assert not out.exists()
 
 
-def test_cli_overflowing_track_posterior_returns_two(tmp_path, capsys):
-    # at sigma0_sq = 1e300 the first update of a ts-oracle track overflows
-    # the posterior covariance, and the next factor refuses it; a random
-    # replicate never factors the track posterior, so it still runs
+def test_cli_huge_track_prior_variance_runs(tmp_path, capsys):
+    # at sigma0_sq = 1e300 a covariance-form update of a ts-oracle track
+    # overflows at its first CPI; the factor update stays finite, so both
+    # policies run and write both files
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("sigma0_sq = 1e300\nm = 2\nn = 50\nseeds = 0\n", encoding="utf-8")
     out = tmp_path / "runs"
-    code = cli.main(["run", "--config", str(cfg), "--out", str(out), "--policies", "ts-oracle"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("NotPositiveDefinite: ")
-    assert "Traceback" not in err
-    assert not out.exists()
-    assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--policies", "random"]) == 0
-    assert sorted(os.listdir(out)) == ["cpi_random_seed0.csv", "track_random_seed0.csv"]
+    for policy in ("ts-oracle", "random"):
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--policies", policy]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(os.listdir(out)) == [
+        "cpi_random_seed0.csv", "cpi_ts-oracle_seed0.csv",
+        "track_random_seed0.csv", "track_ts-oracle_seed0.csv",
+    ]
+
+
+@pytest.mark.parametrize(
+    "text,policy",
+    [
+        ("sigma_q_sq = 1e16", "ts-uninformative"),
+        ("sigma_q_sq = 1e50", "ts-uninformative"),
+        ("sigma_q_sq = 1e300", "ts-uninformative"),
+        ("sigma0_sq = 1e100", "ts-oracle"),
+        ("sigma0_sq = 1e300", "ts-oracle"),
+    ],
+)
+def test_huge_track_prior_variance_writes_finite_files(tmp_path, text, policy):
+    # a covariance-form track update loses definiteness (or overflows) at
+    # each of these prior variances; the factor update must not
+    config = parse_config(f"{text}\nm = 2\nn = 20\nseeds = 0\nout_dir = {tmp_path}\n")
+    run(config, policy, 0)
+    for path in (cpi_csv_path(str(tmp_path), policy, 0), track_csv_path(str(tmp_path), policy, 0)):
+        _, *rows = Path(path).read_text(encoding="utf-8").splitlines()
+        # every column but the policy name is a number
+        values = [float(x) for row in rows for x in row.split(",")[1:]]
+        assert rows and all(map(math.isfinite, values)), path
+
+
+def test_singular_meta_update_still_stops_in_meta_update(tmp_path):
+    # the track posterior no longer factors, but the meta level still does:
+    # at sigma0_sq = 1e14 its d x d update stays singular
+    config = parse_config(
+        f"sigma0_sq = 1e14\nm = 10\nn = 200\nseeds = 0\nout_dir = {tmp_path}\n"
+    )
+    with pytest.raises(NotPositiveDefinite) as info:
+        run(config, "meta-ts", 0)
+    assert "meta_update" in [entry.name for entry in info.traceback]
+    assert not os.listdir(tmp_path)
 
 
 # the KL column overflows to inf, with numpy's overflow warnings on the way

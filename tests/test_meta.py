@@ -26,7 +26,7 @@ from wavesel.meta import (
 )
 from wavesel.metrics import kl_trace
 
-from oracles import LinearPosterior, blr_update, float_posterior, posterior_mean_cov
+from oracles import LinearPosterior, blr_update, posterior_mean_cov
 
 
 def flat_meta(sigma_q_sq=1.0, d=3, sigma0_sq=0.35, sigma_sq=0.33) -> MetaPosterior:
@@ -132,13 +132,15 @@ def test_concentrated_belief_pins_sampled_mean():
 
 
 def test_sampled_prior_covariance_is_exactly_isotropic():
-    # the track's prior is (draw, sigma0_sq); the agent writes sigma0_sq I
+    # the track's prior is (draw, sigma0_sq); the agent's factor is
+    # sqrt(sigma0_sq) I
     mp = flat_meta()
     mean = sample_instance_prior(mp, np.random.default_rng(1))
     agent = TsAgent((mean, mp.sigma0_sq), mp.sigma_sq, 4, 5)
-    got_mean, got_cov = float_posterior(agent.mean, agent.cov)
-    assert got_mean.tobytes() == mean.tobytes()
-    assert got_cov.tobytes() == (mp.sigma0_sq * np.eye(3)).tobytes()
+    got_mean, factor = agent.posterior
+    r = np.sqrt(mp.sigma0_sq)
+    assert np.array(got_mean).tobytes() == mean.tobytes()
+    assert np.array(factor).tobytes() == np.array([r, 0.0, r, 0.0, 0.0, r]).tobytes()
 
 
 def test_sampled_means_match_belief_covariance():
