@@ -53,7 +53,8 @@ class TsAgent:
     ``posterior`` is the belief over the weights as ``gaussmath`` packs it:
     the mean and the covariance's lower Cholesky factor, built once from
     the prior (mean, var), the isotropic N(mean, var I), so the factor
-    starts as sqrt(var) I; ``noise_var`` is the observation noise variance.
+    starts as sqrt(var) I; ``noise_sd`` is the observation noise's standard
+    deviation, the root of the noise variance.
     ``stats[o][w]`` is the Welford accumulator [count, mean, m2, max] of the
     losses seen for waveform w at observation o, and ``contexts[o][w]`` the
     context tuple (mean, variance, max) derived from it, so ``contexts[o]``
@@ -63,7 +64,7 @@ class TsAgent:
     """
 
     def __init__(self, prior: tuple, noise_var: float, n_obs: int, k_arms: int):
-        self.noise_var = float(noise_var)
+        self.noise_sd = math.sqrt(noise_var)
         self.posterior = posterior_gaussian(prior)
         self.stats = [[[0.0, 0.0, 0.0, -math.inf] for _ in range(k_arms)]
                       for _ in range(n_obs)]
@@ -216,7 +217,7 @@ def run_track(
         record(agent, o, idx, realized)
         if thompson:
             agent.posterior = blr_update(
-                agent.posterior, agent.noise_var, phis[idx], realized
+                agent.posterior, agent.noise_sd, phis[idx], realized
             )
 
     offered = np.array(offered, dtype=float).reshape(n_cpis, k_arms, CONTEXT_DIM)

@@ -1,11 +1,13 @@
 """Multivariate Gaussian machinery used by every learning component.
 
-A belief takes one form per level. The meta level keeps precision form (see
-``meta``) and hands each track a prior (mean, variance), the isotropic
-N(mean, variance I). :func:`kl_gaussian` compares two (mean, covariance)
-array pairs, and :func:`cholesky` factors an array with
-``np.linalg.cholesky`` and makes one counted, jittered retry before it gives
-up; it never returns a non-finite factor.
+Both levels keep a belief as its mean and a triangular root of its
+covariance and update it by one rank-1 step, :func:`blr_update`. The meta
+level (see ``meta``) keeps (mu, U), U upper triangular, and hands each
+track a prior (mean, variance), the isotropic N(mean, variance I).
+:func:`kl_gaussian` compares two (mean, triangular root) array pairs.
+:func:`cholesky` runs once per replicate, for the flat meta root. It stays
+because the benchmark's tracer counts its calls in ``gaussmath`` and
+``meta`` (``gaussmath.cholesky.per_cpi``); ROADMAP item 1 may retire it.
 
 The per-track learner's posterior over its three weights is nine floats:
 the mean (m0, m1, m2) and the lower Cholesky factor L of the covariance,
@@ -13,10 +15,8 @@ packed row by row, (l00, l10, l11, l20, l21, l22). Its steps run on Python
 floats, without a numpy call: :func:`posterior_gaussian` turns a track's
 prior into this form once per track, :func:`sample_gaussian` draws
 mean + L z, and :func:`blr_update` folds one observation in by a rank-1
-update of L itself, so the covariance is never formed and the track loop
-never factors. Only the meta belief reaches :func:`cholesky`: its draws,
-its updates and its KL column. The three
-names are spans the benchmark's tracer times (with ``bandit``'s
+update of L itself, so the covariance is never formed and nothing factors.
+The three names are spans the benchmark's tracer times (with ``bandit``'s
 ``agent_contexts``, ``pick_argmax`` and ``record``): ``posterior_gaussian``
 per track, the other two per CPI; ROADMAP item 1 will re-cut these spans.
 """
@@ -27,58 +27,38 @@ import numpy as np
 
 from .errors import NotPositiveDefinite
 
-#: Relative jitter: a matrix that fails to factor is retried once with
-#: ``JITTER`` times its mean absolute diagonal added to the diagonal; a second
-#: failure is reported to the caller.
-JITTER = 1e-10
-
-#: Number of jittered retries :func:`cholesky` has made in this process.
-jitter_retries = 0
-
 
 def cholesky(m: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor of a symmetric PD matrix.
 
-    ``np.linalg.cholesky`` reads the lower triangle. When it fails, it is
-    retried once with a jitter of ``JITTER`` times the mean absolute
-    diagonal, counted in ``jitter_retries``. A non-finite entry (before any
-    retry, as LAPACK would factor it without an error), a second failure or
-    a non-finite factor raises :class:`NotPositiveDefinite`.
+    ``np.linalg.cholesky`` reads the lower triangle. A non-finite entry (which
+    LAPACK would factor without an error) or a failed factorization raises
+    :class:`NotPositiveDefinite`.
     """
-    global jitter_retries
     m = np.asarray(m, dtype=float)
     if not np.isfinite(m).all():
         raise NotPositiveDefinite(f"matrix of shape {m.shape} has a non-finite entry")
     try:
         return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
-        jitter_retries += 1
-    scale = float(np.mean(np.abs(np.diag(m))))
-    try:
-        factor = np.linalg.cholesky(m + JITTER * scale * np.eye(m.shape[0]))
-    except np.linalg.LinAlgError:
-        factor = None
-    if factor is None or not np.isfinite(factor).all():
-        raise NotPositiveDefinite(f"matrix of shape {m.shape} is not positive definite")
-    return factor
+        raise NotPositiveDefinite(f"matrix of shape {m.shape} is not positive definite") from None
 
 
 def kl_gaussian(q: tuple, p: tuple) -> float:
     """KL(q || p) between two multivariate normals of one dimension d, each
-    a (mean, covariance) pair of arrays.
+    a (mean, S) pair of arrays, S a triangular root (lower or upper, with a
+    positive diagonal) of the covariance S S^T. Nothing is factored:
 
-    0.5 * [tr(Sp^-1 Sq) + (mp-mq)^T Sp^-1 (mp-mq) - d + ln(det Sp / det Sq)]
+    0.5 * [||Sp^-1 Sq||_F^2 + ||Sp^-1 (mp-mq)||^2 - d
+           + 2 sum ln diag(Sp) - 2 sum ln diag(Sq)]
     """
     (mq, sq), (mp, sp) = q, p
-    Lq = cholesky(sq)
-    Lp = cholesky(sp)
-    # tr(Sp^-1 Sq) = ||Lp^-1 Lq||_F^2
-    A = np.linalg.solve(Lp, Lq)
+    A = np.linalg.solve(sp, sq)
     trace_term = float(np.sum(A * A))
-    w = np.linalg.solve(Lp, mp - mq)
+    w = np.linalg.solve(sp, mp - mq)
     quad_term = float(w @ w)
     logdet_term = 2.0 * float(
-        np.sum(np.log(np.diag(Lp))) - np.sum(np.log(np.diag(Lq)))
+        np.sum(np.log(np.diag(sp))) - np.sum(np.log(np.diag(sq)))
     )
     return 0.5 * (trace_term + quad_term - mq.size + logdet_term)
 
@@ -108,11 +88,12 @@ def sample_gaussian(g: tuple, rng: np.random.Generator) -> tuple:
     )
 
 
-def blr_update(posterior: tuple, noise_var: float, phi, loss: float) -> tuple:
-    """Conjugate update for one observation loss = <theta, phi> + noise:
-    the new (mean, L) of the posterior (mean, L), which is only read.
+def blr_update(posterior: tuple, noise_sd: float, phi, loss: float) -> tuple:
+    """Conjugate update for one observation loss = <theta, phi> + noise,
+    the noise of standard deviation ``noise_sd``: the new (mean, L) of the
+    posterior (mean, L), which is only read.
 
-    With f = L^T phi and the suffix sums b3 = noise_var and
+    With f = L^T phi and the suffix sums b3 = noise_sd^2 and
     b_j = b_{j+1} + f_j^2, the new factor is L B, where B is lower
     triangular with B_jj = r_{j+1} / r_j and B_ij = -f_i f_j / (r_j r_{j+1})
     for i > j, r_j = sqrt(b_j). Then L B (L B)^T = L (I - f f^T / b0) L^T,
@@ -128,11 +109,10 @@ def blr_update(posterior: tuple, noise_var: float, phi, loss: float) -> tuple:
     f0 = l00 * p0 + l10 * p1 + l20 * p2
     f1 = l11 * p1 + l21 * p2
     f2 = l22 * p2
-    r3 = math.sqrt(noise_var)
-    r2 = math.hypot(r3, f2)
+    r2 = math.hypot(noise_sd, f2)
     r1 = math.hypot(r2, f1)
     r0 = math.hypot(r1, f0)
-    b00, b11, b22 = r1 / r0, r2 / r1, r3 / r2
+    b00, b11, b22 = r1 / r0, r2 / r1, noise_sd / r2
     g0, g1 = f0 / r0 / r1, f1 / r1 / r2
     b10, b20, b21 = -f1 * g0, -f2 * g0, -f2 * g1
     k0 = l00 * f0

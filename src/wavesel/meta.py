@@ -14,12 +14,13 @@ with the policy index taken from the canonical ``POLICIES`` order, so adding
 or removing one policy from a sweep never perturbs another's draws.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bandit import SyntheticTrackEnv, TrackResult, run_track
-from .errors import InvalidInput, NotPositiveDefinite
+from .errors import InvalidInput
 from .fstc import (
     PhysicalTrackEnv,
     StateProcess,
@@ -28,7 +29,7 @@ from .fstc import (
     draw_instance,
     tap_root,
 )
-from .gaussmath import cholesky
+from .gaussmath import blr_update, cholesky
 from .waveforms import default_catalog
 
 #: Canonical policy order; stream keys always use an index into this tuple.
@@ -44,7 +45,9 @@ ORACLE_TAG = 1_000_037
 
 @dataclass(frozen=True)
 class MetaPosterior:
-    """Gaussian belief N(mu, precision^-1) over the instance-prior mean.
+    """Gaussian belief N(mu, U U^T) over the instance-prior mean, U upper
+    triangular with a positive diagonal: L^-T for the precision's Cholesky
+    factor L, so a draw mu + U z is the precision form's mu + L^-T z.
 
     Carries the two fixed variances of the hierarchy alongside the belief,
     the config's values of the same names: ``sigma0_sq`` is the
@@ -53,13 +56,9 @@ class MetaPosterior:
     """
 
     mu: np.ndarray
-    precision: np.ndarray
+    root: np.ndarray
     sigma0_sq: float
     sigma_sq: float
-
-    @property
-    def dim(self) -> int:
-        return self.mu.size
 
 
 @dataclass(frozen=True)
@@ -73,69 +72,55 @@ class TrackData:
         return self.losses.size
 
 
-def init_meta(
-    sigma_q_sq: float, d: int, *, sigma0_sq: float, sigma_sq: float
-) -> MetaPosterior:
-    """Flat starting belief: zero mean with isotropic variance sigma_q_sq."""
-    return MetaPosterior(
-        np.zeros(d), np.eye(d) / sigma_q_sq, sigma0_sq, sigma_sq
-    )
-
-
-def meta_mean_cov(mp: MetaPosterior) -> tuple[np.ndarray, np.ndarray]:
-    """Moment form (mean, covariance) of the belief over prior means."""
-    L = cholesky(mp.precision)
-    cov = np.linalg.solve(L.T, np.linalg.solve(L, np.eye(mp.dim)))
-    return mp.mu.copy(), 0.5 * (cov + cov.T)
+def init_meta(sigma_q_sq: float, *, sigma0_sq: float, sigma_sq: float) -> MetaPosterior:
+    """Flat starting belief over the three weights: zero mean with isotropic
+    variance sigma_q_sq, whose root sqrt(sigma_q_sq) I is the one matrix a
+    replicate factors (``gaussmath`` says why)."""
+    return MetaPosterior(np.zeros(3), cholesky(sigma_q_sq * np.eye(3)), sigma0_sq, sigma_sq)
 
 
 def sample_instance_prior(mp: MetaPosterior, rng: np.random.Generator) -> np.ndarray:
-    """Draw a candidate prior mean from the belief; the track's prior is
-    then (draw, sigma0_sq).
-
-    Sampling goes through the precision factor directly: with L L^T the
-    Cholesky factorization of the precision, mu + L^-T z has exactly the
-    belief covariance.
-    """
-    L = cholesky(mp.precision)
-    return mp.mu + np.linalg.solve(L.T, rng.standard_normal(mp.dim))
+    """Draw a candidate prior mean mu + U z from the belief, from one
+    ``standard_normal(3)`` call; the track's prior is then
+    (draw, sigma0_sq)."""
+    return mp.mu + mp.root @ rng.standard_normal(3)
 
 
 def meta_update(mp: MetaPosterior, data: TrackData) -> MetaPosterior:
     """Fold one completed track, of at least one pulse, into the belief.
 
-    The track's model evidence marginalizes the per-track weights out, so a
-    track with contexts X and losses l shifts the belief through the n x n
-    marginal covariance M = sigma_sq I + sigma0_sq X X^T:
+    The track's model evidence marginalizes the per-track weights out: a
+    track with contexts X and losses l observes l = X mu + w, where w has
+    the n x n covariance sigma_sq I + sigma0_sq X X^T. With sigma the root
+    of sigma_sq and the thin SVD X / sigma = Q S V^T, the losses rotated to
+    y = Q^T l / sigma are y_i = s_i v_i^T mu + e_i, where the e_i are
+    independent with variance 1 + sigma0_sq s_i^2; the part of l / sigma
+    outside the range of X carries no information about mu. So the joint
+    track update is exactly min(n, 3) independent pseudo-observations
+    (s_i v_i, y_i), each folded in by ``gaussmath.blr_update`` with the
+    noise root hypot(1, sqrt(sigma0_sq) s_i), which cannot overflow. A zero
+    singular value leaves the belief as it is. This costs O(n) time, forms
+    no n x n matrix and factors nothing.
 
-        precision' = precision + X^T M^-1 X
-        mu'        = precision'^-1 (precision mu + X^T M^-1 l)
-
-    By Woodbury the same step needs only the d x d sufficient statistics
-    G = X^T X / sigma_sq and h = X^T l / sigma_sq: with
-    A = I + sigma0_sq G, X^T M^-1 X = A^-1 G and X^T M^-1 l = A^-1 h. This
-    costs O(n d^2) time and no n x n matrix.
+    ``blr_update`` updates a lower factor: with J the exchange matrix, each
+    step runs on (J mu, J U J), the lower root of J mu's covariance, with
+    the context J s_i v_i, and U stays upper triangular.
 
     The whole track enters in one joint step; splitting it into sub-blocks
-    and updating sequentially would drop the coupling M carries between
-    pulses and give a different (wrong) answer.
+    and updating sequentially would drop the coupling the covariance of w
+    carries between pulses and give a different (wrong) answer.
     """
-    X = data.contexts
-    G = (X.T @ X) / mp.sigma_sq
-    h = (X.T @ data.losses) / mp.sigma_sq
-    A = np.eye(mp.dim) + mp.sigma0_sq * G
-    try:
-        solved = np.linalg.solve(A, np.column_stack([G, h]))
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(
-            f"I + sigma0_sq G is singular at sigma0_sq = {mp.sigma0_sq!r}"
-        ) from None
-    gain = solved[:, :-1]
-    prec = mp.precision + 0.5 * (gain + gain.T)
-    b = mp.precision @ mp.mu + solved[:, -1]
-    Lp = cholesky(prec)
-    mu = np.linalg.solve(Lp.T, np.linalg.solve(Lp, b))
-    return MetaPosterior(mu, prec, mp.sigma0_sq, mp.sigma_sq)
+    sigma, sd0 = math.sqrt(mp.sigma_sq), math.sqrt(mp.sigma0_sq)
+    q, s, vt = np.linalg.svd(data.contexts / sigma, full_matrices=False)
+    y = q.T @ data.losses / sigma
+    (u00, u01, u02), (_, u11, u12), (_, _, u22) = mp.root.tolist()
+    post = tuple(mp.mu[::-1].tolist()), (u22, u12, u11, u02, u01, u00)
+    for s_i, v_i, y_i in zip(s.tolist(), vt[:, ::-1].tolist(), y.tolist()):
+        phi = [s_i * x for x in v_i]
+        post = blr_update(post, math.hypot(1.0, sd0 * s_i), phi, y_i)
+    (m2, m1, m0), (u22, u12, u11, u02, u01, u00) = post
+    root = np.array([[u00, u01, u02], [0.0, u11, u12], [0.0, 0.0, u22]])
+    return MetaPosterior(np.array([m0, m1, m2]), root, mp.sigma0_sq, mp.sigma_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +190,7 @@ def run_meta_experiment(
     """
     n, k_arms, sigma_sq, sigma0_sq = config.n, config.k, config.sigma_sq, config.sigma0_sq
     d = mu_star.size
-    mp = init_meta(config.sigma_q_sq, d, sigma0_sq=sigma0_sq, sigma_sq=sigma_sq)
+    mp = init_meta(config.sigma_q_sq, sigma0_sq=sigma0_sq, sigma_sq=sigma_sq)
     sinr_target = 10.0 ** (config.sinr_target_db / 10.0)
     if config.mode == "physical":
         tables = channel_tables(default_catalog(k=k_arms), config.ir_taps, config.doppler)

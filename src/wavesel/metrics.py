@@ -12,7 +12,6 @@ import numpy as np
 from .bandit import TrackResult
 from .errors import InvalidInput
 from .gaussmath import kl_gaussian
-from .meta import meta_mean_cov
 
 #: Linear SINR floor before dB conversion, so a zero never hits log10.
 DB_FLOOR = 1e-30
@@ -46,9 +45,10 @@ def track_record(results) -> TrackResult:
 
 def kl_trace(meta_history, mu_star: np.ndarray) -> np.ndarray:
     """Per-track divergence of the meta belief from the smoothed true prior
-    mean N(mu_star, KL_REFERENCE_VAR I)."""
-    ref = (mu_star, KL_REFERENCE_VAR * np.eye(3))
-    return np.array([kl_gaussian(meta_mean_cov(mp), ref) for mp in meta_history])
+    mean N(mu_star, KL_REFERENCE_VAR I), from the belief's root (mu, U) and
+    the reference's root sqrt(KL_REFERENCE_VAR) I: no factorization."""
+    ref = (mu_star, np.sqrt(KL_REFERENCE_VAR) * np.eye(3))
+    return np.array([kl_gaussian((mp.mu, mp.root), ref) for mp in meta_history])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from wavesel import gaussmath
 from wavesel.harness import (
     ExperimentConfig,
     read_track_table,
@@ -25,9 +24,6 @@ class SweepResult:
     config: ExperimentConfig
     summaries: list
     elapsed_s: float
-    # Cholesky jitter retries made by the sweep's in-process replicates
-    # (all of them unless WAVESEL_WORKERS asks for a process pool).
-    jitter_retries: int
 
     def curves(self, policy: str, column: str) -> np.ndarray:
         """One per-track column stacked as an (n_seeds, m) matrix."""
@@ -42,15 +38,9 @@ class SweepResult:
 
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
-    retries = gaussmath.jitter_retries
     started = time.perf_counter()
     summaries = run_experiment(config)
-    return SweepResult(
-        config,
-        summaries,
-        time.perf_counter() - started,
-        gaussmath.jitter_retries - retries,
-    )
+    return SweepResult(config, summaries, time.perf_counter() - started)
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ from scipy.linalg import toeplitz
 from wavesel.bandit import COLD_MAX, COLD_MEAN, COLD_VAR, TIE_TOL
 from wavesel.errors import IndexOutOfRange, NotPositiveDefinite
 from wavesel.fstc import SINR_CAP, WINDOW_HALF, TrackSimulator, channel_tables, observe
-from wavesel.gaussmath import JITTER, cholesky
+from wavesel.gaussmath import cholesky
 from wavesel.harness import PER_CPI_HEADER
 from wavesel.waveforms import default_catalog
 
@@ -162,20 +162,26 @@ def regret_increment(expected_losses, chosen: int) -> float:
     return float(np.max(expected) - expected[chosen])
 
 
-def np_cholesky(m) -> tuple:
-    """The factorization as ``np.linalg.cholesky`` gives it, retried once
-    with the relative jitter ``gaussmath.cholesky`` adds: (the factor, or
-    None when the retry fails too, and the number of jittered retries)."""
-    m = np.asarray(m, dtype=float)
+def np_cholesky(m):
+    """The factorization as ``np.linalg.cholesky`` gives it, or None where
+    it fails."""
     try:
-        return np.linalg.cholesky(m), 0
+        return np.linalg.cholesky(np.asarray(m, dtype=float))
     except np.linalg.LinAlgError:
-        pass
-    scale = float(np.mean(np.abs(np.diag(m))))
-    try:
-        return np.linalg.cholesky(m + JITTER * scale * np.eye(m.shape[0])), 1
-    except np.linalg.LinAlgError:
-        return None, 1
+        return None
+
+
+def upper_root(cov) -> np.ndarray:
+    """The upper-triangular root U of a covariance, U U^T = cov with a
+    positive diagonal, as J chol(J cov J) J for the exchange matrix J: the
+    form of a meta belief's ``root``."""
+    cov = np.asarray(cov, dtype=float)
+    return np.linalg.cholesky(cov[::-1, ::-1])[::-1, ::-1]
+
+
+def meta_mean_cov(mp) -> tuple[np.ndarray, np.ndarray]:
+    """Moment form (mean, U U^T) of a meta belief (mu, U)."""
+    return mp.mu.copy(), mp.root @ mp.root.T
 
 
 def scipy_matched_filter(env, rx) -> np.ndarray:

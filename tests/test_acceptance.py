@@ -6,6 +6,7 @@ run reads as a checklist; the assertions carry the binding tolerances.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import replace
 
@@ -15,7 +16,7 @@ from scipy.stats import norm
 from wavesel.bandit import pick_argmax
 from wavesel.gaussmath import blr_update, kl_gaussian, posterior_gaussian
 from wavesel.harness import ExperimentConfig, run_experiment
-from wavesel.meta import POLICIES, TrackData, init_meta, meta_mean_cov, meta_update
+from wavesel.meta import POLICIES, TrackData, init_meta, meta_update
 from wavesel.metrics import BoundInputs, pac_bayes_meta, pac_bayes_single
 from wavesel.waveforms import CATALOG_NAMES, catalog_envelope
 
@@ -87,6 +88,10 @@ def _grid_meta_posterior(prior_mean, prior_cov, tracks, sigma0_sq, noise_var, po
 def test_01_meta_update_matches_grid_marginalization():
     started = time.perf_counter()
     rng = np.random.default_rng(11)
+    # (informative axes d, track sizes, sigma_q_sq, sigma0_sq, noise_var):
+    # the belief is over three weights, and contexts that are zero past
+    # their first d features leave the other weights at their flat prior,
+    # so the grid spans the first d axes only
     cases = [
         (1, [1], 0.8, 0.5, 1.2),
         (1, [3, 2], 1.5, 0.9, 0.6),
@@ -96,14 +101,13 @@ def test_01_meta_update_matches_grid_marginalization():
     ]
     worst = 0.0
     for d, track_sizes, sigma_q_sq, sigma0_sq, noise_var in cases:
-        mp = init_meta(sigma_q_sq, d, sigma0_sq=sigma0_sq, sigma_sq=noise_var)
+        mp = init_meta(sigma_q_sq, sigma0_sq=sigma0_sq, sigma_sq=noise_var)
         tracks = []
         for n_obs in track_sizes:
             X = rng.normal(size=(n_obs, d))
             y = rng.normal(size=n_obs)
             tracks.append((X, y))
-            mp = meta_update(mp, TrackData(X, y))
-        mean, cov = meta_mean_cov(mp)
+            mp = meta_update(mp, TrackData(np.pad(X, ((0, 0), (0, 3 - d))), y))
         g_mean, g_cov = _grid_meta_posterior(
             np.zeros(d),
             sigma_q_sq * np.eye(d),
@@ -112,8 +116,11 @@ def test_01_meta_update_matches_grid_marginalization():
             noise_var,
             points=3001 if d == 1 else 481,
         )
-        exact = mean, cov
-        gridded = g_mean, g_cov
+        # the belief's first d weights: their mean and the root of their
+        # covariance, the leading block of U U^T, which is not a block of U
+        cov = mp.root @ mp.root.T
+        exact = mp.mu[:d], np.linalg.cholesky(cov[:d, :d])
+        gridded = g_mean, np.linalg.cholesky(g_cov)
         worst = max(worst, kl_gaussian(gridded, exact), kl_gaussian(exact, gridded))
     elapsed = time.perf_counter() - started
     print(
@@ -137,7 +144,7 @@ def test_02_sequential_updates_match_normal_equations():
         y = rng.normal(size=n_obs)
         post = posterior_gaussian((prior_mean, prior_var))
         for i in range(n_obs):
-            post = blr_update(post, noise_var, X[i].tolist(), float(y[i]))
+            post = blr_update(post, math.sqrt(noise_var), X[i].tolist(), float(y[i]))
         mean, cov = float_posterior(post)
         prec = np.eye(3) / prior_var + X.T @ X / noise_var
         direct_mean = np.linalg.solve(prec, prior_mean / prior_var + X.T @ y / noise_var)
@@ -177,7 +184,9 @@ def test_03_closed_form_kl_matches_monte_carlo():
         b = rng.normal(size=(3, 3))
         q = rng.normal(size=3), a @ a.T + 0.5 * np.eye(3)
         p = rng.normal(size=3), b @ b.T + 0.5 * np.eye(3)
-        exact = kl_gaussian(q, p)
+        exact = kl_gaussian(
+            (q[0], np.linalg.cholesky(q[1])), (p[0], np.linalg.cholesky(p[1]))
+        )
         if not 0.3 <= exact <= 50.0:
             continue
         pairs += 1
@@ -299,7 +308,7 @@ def test_09_selection_frequency_law():
     X = np.array([[0.5, 0.2, 0.6], [0.6, 0.1, 0.4], [0.4, 0.3, 0.8]])
     y = np.array([0.4, 0.55, 0.5])
     for i in range(len(y)):
-        post = blr_update(post, 0.25, X[i].tolist(), float(y[i]))
+        post = blr_update(post, 0.5, X[i].tolist(), float(y[i]))
     mean, cov = float_posterior(post)
     delta = contexts[1] - contexts[0]
     p_analytic = float(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,6 @@ from wavesel.bandit import (
     run_track,
     synthetic_loss,
 )
-from wavesel import gaussmath
 from wavesel.errors import IndexOutOfRange, InvalidInput
 from wavesel.fstc import (
     PhysicalTrackEnv,
@@ -57,7 +58,7 @@ def learn(agent: TsAgent, o: int, w: int, loss: float) -> None:
     cell, then update the posterior with the context that was scored."""
     phi = agent_contexts(agent, o)[w]
     record(agent, o, w, loss)
-    agent.posterior = blr_update(agent.posterior, agent.noise_var, phi, loss)
+    agent.posterior = blr_update(agent.posterior, agent.noise_sd, phi, loss)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +246,7 @@ def test_record_delegates_posterior_update():
     result, agent = run_track(env, (np.zeros(3), 2.0), 0.1, 40, 5, np.random.default_rng(1))
     manual = posterior_gaussian((np.zeros(3), 2.0))
     for phi, loss in zip(result.contexts.tolist(), result.loss.tolist()):
-        manual = blr_update(manual, 0.1, phi, loss)
+        manual = blr_update(manual, math.sqrt(0.1), phi, loss)
     assert agent.posterior == manual
 
 
@@ -357,7 +358,7 @@ def test_posterior_mean_converges_under_round_robin():
     for k in range(10_000):
         phi = contexts[k % len(contexts)]
         y = float(phi @ theta_true + np.sqrt(noise_var) * rng.standard_normal())
-        post = blr_update(post, noise_var, phi.tolist(), y)
+        post = blr_update(post, math.sqrt(noise_var), phi.tolist(), y)
     assert np.max(np.abs(np.array(post[0]) - theta_true)) < 0.05
 
 
@@ -478,7 +479,6 @@ def test_run_track_equals_validated_reference_loop_to_the_bit(mode, doppler, gri
     # track loop makes one track-wide call after the pulses
     n = 150
     prior = (np.array([0.2, -0.1, 0.4]), 2.0)
-    retries = gaussmath.jitter_retries
     result, agent = run_track(
         track_env(mode, n, doppler, grid_n), prior, 0.33, n, 5,
         np.random.default_rng(60), explore,
@@ -487,7 +487,6 @@ def test_run_track_equals_validated_reference_loop_to_the_bit(mode, doppler, gri
         track_env(mode, n, doppler, grid_n), prior, 0.33, n, 5,
         np.random.default_rng(60), explore,
     )
-    assert gaussmath.jitter_retries == retries
     for name in ("state", "obs", "waveform", "sinr", "loss", "oracle_loss",
                  "regret_inc", "suboptimal", "contexts"):
         assert same_bits(getattr(result, name), expected[name]), name

@@ -60,7 +60,9 @@ def test_every_wrapped_call_site_is_called(tracing, tmp_path):
         tracer.uninstall()
     for _, _, name in tracing._wrap_points(wavesel):
         assert tracer.calls(name) > 0, name
-    assert tracer.counts["gaussmath.cholesky"] > 0
+    # one factorization per replicate, the flat meta root, so
+    # gaussmath.cholesky.per_cpi is replicates over CPIs
+    assert tracer.counts["gaussmath.cholesky"] == len(learner_calls)
     # what the per-layer spans now time: posterior_gaussian once per track
     # (m = 2), blr_update once per CPI of a Thompson track (n = 4), and
     # none for the random policy

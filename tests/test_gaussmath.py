@@ -1,19 +1,19 @@
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wavesel import gaussmath, meta
+from wavesel import gaussmath, harness, meta
 from wavesel.bandit import SyntheticTrackEnv, run_track
 from wavesel.errors import NotPositiveDefinite
 from wavesel.gaussmath import cholesky, kl_gaussian
-from wavesel.harness import ExperimentConfig, build_scene
-from wavesel.meta import run_meta_experiment
+from wavesel.harness import ExperimentConfig, build_scene, parse_config
+from wavesel.meta import POLICIES
 
 from oracles import (
     LinearPosterior,
@@ -26,6 +26,7 @@ from oracles import (
     packed_factor,
     posterior_mean_cov,
     sample_gaussian,
+    upper_root,
 )
 
 
@@ -51,56 +52,27 @@ def test_cholesky_2x2_by_hand():
 def test_cholesky_reconstructs_random_spd():
     rng = np.random.default_rng(7)
     m = random_spd(rng, 5)
-    before = gaussmath.jitter_retries
     L = cholesky(m)
-    assert gaussmath.jitter_retries == before
     assert np.max(np.abs(L @ L.T - m)) < 1e-9
     assert np.allclose(np.triu(L, 1), 0.0)
 
 
 def test_cholesky_rejects_indefinite():
-    before = gaussmath.jitter_retries
     with pytest.raises(NotPositiveDefinite):
         cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    assert gaussmath.jitter_retries == before + 1
 
 
-def test_cholesky_jitter_rescues_singular():
-    # rank-1 matrix: plain factorization fails, the one-shot jitter retry
-    # succeeds
-    v = np.array([1.0, 2.0])
-    L = cholesky(np.outer(v, v))
-    assert np.all(np.isfinite(L))
-
-
-@pytest.mark.parametrize("scale", [1e-6, 1e6])
-def test_cholesky_jitter_is_relative_to_the_diagonal(scale):
-    # Rank-deficient at either scale, so the plain factorization fails. The
-    # retry must add the same share of the diagonal at both: an absolute
-    # 1e-10 would be 1e-4 of the small matrix and round-off to the large one.
-    v = np.array([1.0, 2.0, -1.0])
-    m = scale * np.outer(v, v)
-    before = gaussmath.jitter_retries
-    L = cholesky(m)
-    assert gaussmath.jitter_retries == before + 1
-    jitter = gaussmath.JITTER * np.mean(np.abs(np.diag(m)))
-    np.testing.assert_allclose(L @ L.T, m + jitter * np.eye(3), rtol=0, atol=1e-14 * scale)
-
-
-def cholesky_outcome(m) -> tuple:
-    """(factor or None, jittered retries) of ``gaussmath.cholesky``, in the
-    form ``np_cholesky`` reports."""
-    before = gaussmath.jitter_retries
+def cholesky_outcome(m):
+    """The factor ``gaussmath.cholesky`` returns, or None where it raises,
+    in the form ``np_cholesky`` reports."""
     try:
-        factor = cholesky(m)
+        return cholesky(m)
     except NotPositiveDefinite:
-        factor = None
-    return factor, gaussmath.jitter_retries - before
+        return None
 
 
-def same_outcome(got, want) -> bool:
-    (factor, retries), (ref, ref_retries) = got, want
-    if retries != ref_retries or (factor is None) != (ref is None):
+def same_outcome(factor, ref) -> bool:
+    if (factor is None) != (ref is None):
         return False
     if factor is None:
         return True
@@ -141,20 +113,51 @@ def recording_cholesky(monkeypatch) -> list:
     return shapes
 
 
+def counted_only_under(monkeypatch, owners) -> list:
+    """Route ``np.linalg.cholesky`` through a wrapper that records the shape
+    of every call made outside the functions ``owners`` lists as
+    (namespace, name) pairs; returns that list."""
+    depth, stray = [], []
+    original = np.linalg.cholesky
+
+    def counting(m):
+        if not depth:
+            stray.append(np.shape(m))
+        return original(m)
+
+    def under(f):
+        def wrapped(*args, **kwargs):
+            depth.append(f)
+            try:
+                return f(*args, **kwargs)
+            finally:
+                depth.pop()
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    for owner, name in owners:
+        monkeypatch.setattr(owner, name, under(getattr(owner, name)))
+    return stray
+
+
 @pytest.mark.parametrize("mode", ["synthetic", "physical"])
-def test_package_factors_only_matrices_of_dimension_at_most_4(monkeypatch, mode):
-    # gaussmath.cholesky factors the meta belief's d x d precision, once for
-    # each draw and once for each update of a meta-ts track, and never a
-    # track posterior: no call per CPI, and every factored matrix is 3 x 3.
+def test_package_factors_only_matrices_of_dimension_at_most_4(monkeypatch, tmp_path, mode):
+    # a replicate factors one matrix, the flat 3 x 3 root init_meta builds:
+    # the meta draws, updates and KL column and the track loop factor
+    # nothing. np.linalg.cholesky runs only under that call and under
+    # fstc.channel_tables, which factors each waveform's noise window.
     shapes = recording_cholesky(monkeypatch)
-    cfg = replace(ExperimentConfig(), m=2, n=20, mode=mode)
-    mu_star, state_proc = build_scene(cfg, 0)
+    stray = counted_only_under(
+        monkeypatch, [(gaussmath, "cholesky"), (meta, "cholesky"), (meta, "channel_tables")]
+    )
+    config = parse_config(f"mode = {mode}\nm = 2\nn = 20\nseeds = 0\nout_dir = {tmp_path}\n")
     seen = {}
-    for policy in ("ts-uninformative", "meta-ts"):
+    for policy in config.policies:
         shapes.clear()
-        run_meta_experiment(cfg, mu_star, state_proc, policy, 0)
+        harness.run(config, policy, 0)
         seen[policy] = list(shapes)
-    assert seen == {"ts-uninformative": [], "meta-ts": [(3, 3)] * 4}
+    assert seen == dict.fromkeys(POLICIES, [(3, 3)])
+    assert stray == []
 
 
 @pytest.mark.parametrize(
@@ -190,20 +193,8 @@ def test_cholesky_edge_inputs_match_np_linalg_path(m):
 )
 def test_non_finite_inputs_raise_before_any_retry(m):
     # np.linalg.cholesky returns a NaN or infinite factor for these without
-    # an error; cholesky refuses them before its jittered retry
-    factor, retries = cholesky_outcome(m)
-    assert factor is None and retries == 0
-
-
-def test_cholesky_refuses_a_jitter_that_overflows():
-    # finite but indefinite, with a diagonal whose mean overflows: the
-    # jittered retry adds an infinite diagonal, which np.linalg.cholesky
-    # factors into infinities without an error
-    m = np.array([[1.5e308, 1.6e308], [1.6e308, 1.5e308]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert np.isinf(np_cholesky(m)[0]).any()
-        factor, retries = cholesky_outcome(m)
-    assert factor is None and retries == 1
+    # an error; cholesky refuses them instead
+    assert cholesky_outcome(m) is None
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +365,13 @@ def test_blr_variance_contracts_along_context():
 # kl_gaussian
 
 
+def rooted(mean, cov) -> tuple:
+    """The (mean, lower Cholesky factor) pair ``kl_gaussian`` reads."""
+    return np.asarray(mean, dtype=float), np.linalg.cholesky(cov)
+
+
 def test_kl_identical_is_zero():
-    g = np.array([0.2, -1.0]), np.array([[1.2, 0.4], [0.4, 2.0]])
+    g = rooted([0.2, -1.0], [[1.2, 0.4], [0.4, 2.0]])
     assert abs(kl_gaussian(g, g)) < 1e-12
 
 
@@ -390,14 +386,14 @@ def test_kl_unit_mean_shift_scalar():
         ),
     )
     for q, p, by_hand in cases:
-        assert abs(kl_gaussian(q, p) - by_hand) < 1e-12
+        assert abs(kl_gaussian(rooted(*q), rooted(*p)) - by_hand) < 1e-12
 
 
 def test_kl_matches_monte_carlo():
     rng = np.random.default_rng(19)
     q = rng.standard_normal(3), random_spd(rng, 3) / 3.0
     p = rng.standard_normal(3), random_spd(rng, 3) / 3.0
-    closed = kl_gaussian(q, p)
+    closed = kl_gaussian(rooted(*q), rooted(*p))
 
     def logpdf(x, g):
         mean, cov = g
@@ -412,11 +408,15 @@ def test_kl_matches_monte_carlo():
     assert abs(closed - mc) < 0.01 * max(closed, 1e-9)
 
 
-def test_kl_rejects_indefinite_cov():
-    q = np.zeros(2), np.eye(2)
-    bad = np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]])
-    with pytest.raises(NotPositiveDefinite):
-        kl_gaussian(q, bad)
+def test_kl_reads_an_upper_root_as_its_covariance():
+    # the meta belief hands over its upper root U; any root of the same
+    # covariance gives the same divergence
+    rng = np.random.default_rng(23)
+    q = rng.standard_normal(3), random_spd(rng, 3)
+    p = rng.standard_normal(3), random_spd(rng, 3)
+    lower = kl_gaussian(rooted(*q), rooted(*p))
+    upper = kl_gaussian((q[0], upper_root(q[1])), (p[0], upper_root(p[1])))
+    assert abs(upper - lower) <= 1e-13 * lower
 
 
 @given(st.randoms(use_true_random=False))
@@ -426,7 +426,7 @@ def test_kl_nonnegative(pyrandom):
     d = int(rng.integers(1, 5))
     q = rng.standard_normal(d), random_spd(rng, d)
     p = rng.standard_normal(d), random_spd(rng, d)
-    assert kl_gaussian(q, p) >= -1e-12
+    assert kl_gaussian(rooted(*q), rooted(*p)) >= -1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +443,7 @@ def updated(prior_mean, prior_var, noise_var, phis, losses) -> tuple:
     (phi, loss) in turn."""
     post = isotropic(prior_mean, prior_var)
     for phi, loss in zip(phis.tolist(), losses.tolist()):
-        post = gaussmath.blr_update(post, noise_var, phi, loss)
+        post = gaussmath.blr_update(post, math.sqrt(noise_var), phi, loss)
     return post
 
 
@@ -539,7 +539,7 @@ def test_float_update_reads_its_inputs_only():
     post = (0.2, -0.1, 0.4), packed_factor([[1.0, 0.3, 0.0], [0.3, 2.0, 0.1], [0.0, 0.1, 0.5]])
     phi = [1.0, -1.0, 0.5]
     copies = (post, list(phi))
-    new = gaussmath.blr_update(post, 0.5, phi, 0.3)
+    new = gaussmath.blr_update(post, math.sqrt(0.5), phi, 0.3)
     assert (post, phi) == copies
     # the variance along phi contracts
     phi_arr = np.array(phi)
@@ -562,22 +562,12 @@ def synthetic_track(prior: tuple, n: int = 200):
 
 
 def test_thompson_track_factors_nothing_on_a_well_conditioned_prior(monkeypatch):
-    # the track loop keeps the factor and updates it: no cholesky call, no
-    # jitter retry and no np.linalg factorization, from a tiny to a huge
-    # prior variance
+    # the track loop keeps the factor and updates it: no cholesky call and
+    # no np.linalg factorization, from a tiny to a huge prior variance
     shapes = recording_cholesky(monkeypatch)
-    linalg_calls = []
-    original = np.linalg.cholesky
-
-    def counting(m):
-        linalg_calls.append(np.shape(m))
-        return original(m)
-
-    monkeypatch.setattr(np.linalg, "cholesky", counting)
-    before = gaussmath.jitter_retries
+    linalg_calls = counted_only_under(monkeypatch, [])
     for var in (1e-30, 2.0, 1e300):
         result, agent = synthetic_track((np.zeros(3), var))
         assert (shapes, linalg_calls) == ([], []), var
-        assert gaussmath.jitter_retries == before, var
         assert np.isfinite(np.array(agent.posterior[1])).all(), var
         assert np.all((result.loss >= 0.0) & (result.loss <= 1.0)), var

@@ -4,20 +4,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavesel import fstc, harness, meta, waveforms
 from wavesel.bandit import SyntheticTrackEnv, TsAgent, run_track
 from wavesel.errors import InvalidInput, ValidationError
-from wavesel.gaussmath import cholesky
 from wavesel.harness import ExperimentConfig, build_scene, parse_config
 from wavesel.meta import (
     MetaPosterior,
     TrackData,
     init_meta,
     instance_rng,
-    meta_mean_cov,
     meta_update,
     policy_index,
     run_meta_experiment,
@@ -26,42 +24,57 @@ from wavesel.meta import (
 )
 from wavesel.metrics import kl_trace
 
-from oracles import LinearPosterior, blr_update, posterior_mean_cov
+from oracles import (
+    LinearPosterior,
+    blr_update,
+    largest_gap,
+    meta_mean_cov,
+    posterior_mean_cov,
+    upper_root,
+)
 
 
-def flat_meta(sigma_q_sq=1.0, d=3, sigma0_sq=0.35, sigma_sq=0.33) -> MetaPosterior:
-    return init_meta(sigma_q_sq, d, sigma0_sq=sigma0_sq, sigma_sq=sigma_sq)
+def flat_meta(sigma_q_sq=1.0, sigma0_sq=0.35, sigma_sq=0.33) -> MetaPosterior:
+    return init_meta(sigma_q_sq, sigma0_sq=sigma0_sq, sigma_sq=sigma_sq)
 
 
-def meta_update_nxn(mp: MetaPosterior, data: TrackData) -> MetaPosterior:
-    """Oracle: the joint-track update through the n x n marginal covariance
-    M = sigma_sq I + sigma0_sq X X^T of the track's losses,
+def belief(mu, cov, sigma0_sq=0.35, sigma_sq=0.33) -> MetaPosterior:
+    """The meta belief N(mu, cov), kept as its upper root."""
+    return MetaPosterior(np.asarray(mu, dtype=float), upper_root(cov), sigma0_sq, sigma_sq)
 
-        precision' = precision + X^T M^-1 X
-        mu'        = precision'^-1 (precision mu + X^T M^-1 l).
-    """
-    if len(data) == 0:
-        return mp
+
+def meta_update_nxn(mean, cov, sigma0_sq, sigma_sq, data: TrackData) -> tuple:
+    """Oracle: the joint-track update of the belief N(mean, cov) through the
+    n x n marginal covariance M = sigma_sq I + sigma0_sq X X^T of the
+    track's losses, in precision form P = cov^-1:
+
+        P'  = P + X^T M^-1 X
+        mu' = P'^-1 (P mean + X^T M^-1 l)
+
+    Returns (mu', P'^-1)."""
     X = data.contexts
     n = X.shape[0]
-    middle = mp.sigma_sq * np.eye(n) + mp.sigma0_sq * (X @ X.T)
-    Lm = cholesky(middle)
-    stacked = np.column_stack([X, data.losses])
-    m_inv = np.linalg.solve(Lm.T, np.linalg.solve(Lm, stacked))
-    prec = mp.precision + X.T @ m_inv[:, :-1]
-    prec = 0.5 * (prec + prec.T)
-    b = mp.precision @ mp.mu + X.T @ m_inv[:, -1]
-    Lp = cholesky(prec)
-    mu = np.linalg.solve(Lp.T, np.linalg.solve(Lp, b))
-    return MetaPosterior(mu, prec, mp.sigma0_sq, mp.sigma_sq)
+    middle = sigma_sq * np.eye(n) + sigma0_sq * (X @ X.T)
+    m_inv = np.linalg.solve(middle, np.column_stack([X, data.losses]))
+    prec0 = np.linalg.inv(cov)
+    prec = prec0 + X.T @ m_inv[:, :-1]
+    new_cov = np.linalg.inv(0.5 * (prec + prec.T))
+    return new_cov @ (prec0 @ mean + X.T @ m_inv[:, -1]), 0.5 * (new_cov + new_cov.T)
 
 
-def relative_gap(a: MetaPosterior, b: MetaPosterior) -> float:
-    """Largest entry-wise gap in mu and precision, each relative to the
-    largest entry of b's."""
-    return max(
-        np.max(np.abs(a.mu - b.mu)) / np.max(np.abs(b.mu)),
-        np.max(np.abs(a.precision - b.precision)) / np.max(np.abs(b.precision)),
+def precision(mp: MetaPosterior) -> np.ndarray:
+    """The belief's precision (U U^T)^-1 = U^-T U^-1."""
+    inv = np.linalg.inv(mp.root)
+    return inv.T @ inv
+
+
+def is_upper_root(root) -> bool:
+    """A finite 3 x 3 upper-triangular matrix with a positive diagonal."""
+    return (
+        root.shape == (3, 3)
+        and bool(np.isfinite(root).all())
+        and np.array_equal(root, np.triu(root))
+        and bool(np.all(np.diag(root) > 0.0))
     )
 
 
@@ -70,14 +83,15 @@ def relative_gap(a: MetaPosterior, b: MetaPosterior) -> float:
 
 
 def test_init_meta_identity_precision():
-    mp = flat_meta(sigma_q_sq=1.0, d=3)
+    mp = flat_meta(sigma_q_sq=1.0)
     np.testing.assert_array_equal(mp.mu, np.zeros(3))
-    np.testing.assert_array_equal(mp.precision, np.eye(3))
+    np.testing.assert_array_equal(mp.root, np.eye(3))
 
 
 def test_init_meta_reciprocal_variance():
-    mp = flat_meta(sigma_q_sq=4.0, d=1)
-    np.testing.assert_allclose(mp.precision, [[0.25]])
+    mp = flat_meta(sigma_q_sq=4.0)
+    np.testing.assert_array_equal(mp.root, 2.0 * np.eye(3))
+    np.testing.assert_allclose(precision(mp), 0.25 * np.eye(3))
 
 
 def meta_ts_run():
@@ -91,12 +105,11 @@ def meta_ts_run():
 def test_meta_posterior_validation():
     """Every belief a run builds has the form the update and the sampler
     read, which MetaPosterior takes as given: a mean of the context
-    dimension, a precision of matching shape that is exactly symmetric, and
+    dimension, a finite upper-triangular root with a positive diagonal, and
     the config's positive variances."""
     cfg, _, history = meta_ts_run()
-    for mp in [flat_meta(cfg.sigma_q_sq, 3, cfg.sigma0_sq, cfg.sigma_sq), *history]:
-        assert mp.mu.shape == (3,) and mp.precision.shape == (3, 3)
-        assert np.array_equal(mp.precision, mp.precision.T)
+    for mp in [flat_meta(cfg.sigma_q_sq, cfg.sigma0_sq, cfg.sigma_sq), *history]:
+        assert mp.mu.shape == (3,) and is_upper_root(mp.root)
         assert (mp.sigma0_sq, mp.sigma_sq) == (cfg.sigma0_sq, cfg.sigma_sq)
         assert mp.sigma0_sq > 0 and mp.sigma_sq > 0
 
@@ -113,20 +126,41 @@ def test_track_data_validation():
         assert np.all(np.isfinite(data.contexts)) and np.all(np.isfinite(data.losses))
 
 
+#: A belief precision with off-diagonal coupling.
+PRECISION = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, 0.2], [0.0, 0.2, 1.0]])
+
+
 def test_meta_mean_cov_inverts_precision():
-    prec = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, 0.2], [0.0, 0.2, 1.0]])
-    mp = MetaPosterior(np.array([0.1, -0.2, 0.4]), prec, 0.35, 0.33)
+    # L^-T, for L the precision's Cholesky factor, is an upper root of the
+    # covariance: the root the precision form's draws read
+    L = np.linalg.cholesky(PRECISION)
+    mp = MetaPosterior(np.array([0.1, -0.2, 0.4]), np.linalg.inv(L).T, 0.35, 0.33)
+    assert np.array_equal(mp.root, np.triu(mp.root))
     mean, cov = meta_mean_cov(mp)
     np.testing.assert_array_equal(mean, mp.mu)
-    np.testing.assert_allclose(cov @ prec, np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(cov @ PRECISION, np.eye(3), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # prior sampling
 
 
+def test_draw_is_the_precision_factor_draw():
+    # U is L^-T for the precision's Cholesky factor L, so mu + U z is the
+    # draw mu + L^-T z of the precision form, from the same normal draw
+    mu = np.array([0.1, -0.2, 0.4])
+    mp = belief(mu, np.linalg.inv(PRECISION))
+    L = np.linalg.cholesky(PRECISION)
+    assert largest_gap(mp.root, np.linalg.inv(L).T) < 1e-15
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    draw = sample_instance_prior(mp, rng)
+    ref = mu + np.linalg.solve(L.T, ref_rng.standard_normal(3))
+    assert largest_gap(draw, ref) < 1e-15
+    assert rng.random() == ref_rng.random()
+
+
 def test_concentrated_belief_pins_sampled_mean():
-    mp = MetaPosterior(np.array([0.3, -0.5, 0.8]), 1e12 * np.eye(3), 0.35, 0.33)
+    mp = MetaPosterior(np.array([0.3, -0.5, 0.8]), 1e-6 * np.eye(3), 0.35, 0.33)
     mean = sample_instance_prior(mp, np.random.default_rng(0))
     np.testing.assert_allclose(mean, mp.mu, atol=1e-5)
 
@@ -144,14 +178,13 @@ def test_sampled_prior_covariance_is_exactly_isotropic():
 
 
 def test_sampled_means_match_belief_covariance():
-    prec = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, 0.2], [0.0, 0.2, 1.0]])
-    mp = MetaPosterior(np.array([0.1, -0.2, 0.4]), prec, 0.35, 0.33)
+    mp = belief([0.1, -0.2, 0.4], np.linalg.inv(PRECISION))
     rng = np.random.default_rng(2)
     draws = np.array(
         [sample_instance_prior(mp, rng) for _ in range(100_000)]
     )
     emp = np.cov(draws.T)
-    target = np.linalg.inv(prec)
+    target = np.linalg.inv(PRECISION)
     assert np.max(np.abs(emp - target)) < 0.05 * np.max(np.abs(target))
 
 
@@ -160,64 +193,105 @@ def test_sampled_means_match_belief_covariance():
 
 
 def test_one_dimensional_single_row_update():
-    mp = init_meta(1.0, 1, sigma0_sq=1.0, sigma_sq=1.0)
-    out = meta_update(mp, TrackData(np.array([[1.0]]), np.array([1.5])))
-    np.testing.assert_allclose(out.precision, [[1.5]], atol=1e-12)
-    np.testing.assert_allclose(out.mu, [0.5], atol=1e-12)
+    # a context along the first axis updates the first weight only, as the
+    # scalar update with marginal noise variance 1 + 1 would
+    mp = init_meta(1.0, sigma0_sq=1.0, sigma_sq=1.0)
+    out = meta_update(mp, TrackData(np.array([[1.0, 0.0, 0.0]]), np.array([1.5])))
+    np.testing.assert_allclose(precision(out), np.diag([1.5, 1.0, 1.0]), atol=1e-12)
+    np.testing.assert_allclose(out.mu, [0.5, 0.0, 0.0], atol=1e-12)
 
 
 def test_update_rejects_wrong_context_dimension():
     # the package's contexts have the belief's dimension; others do not
-    # broadcast against it
+    # unpack against it
     with pytest.raises(ValueError):
-        meta_update(flat_meta(d=3), TrackData(np.ones((4, 2)), np.ones(4)))
+        meta_update(flat_meta(), TrackData(np.ones((4, 2)), np.ones(4)))
+
+
+@st.composite
+def tracks(draw) -> TrackData:
+    """A track of 1 to 60 pulses: contexts in [0, 1]^3, or on the grid
+    {0, 0.5, 1}^3, where rows repeat as cold cells do, and losses in
+    [0, 1]."""
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        contexts = rng.integers(0, 3, size=(n, 3)) / 2.0
+    else:
+        contexts = rng.random((n, 3))
+    return TrackData(contexts, rng.random(n))
+
+
+#: Variances within which the n x n oracle is well conditioned enough to
+#: referee the update within 1e-12.
+WELL_CONDITIONED = (1e-2, 1e2)
+
+#: log10 of a variance: half the time in the well-conditioned range.
+WELL_CONDITIONED_LOG = st.floats(-2.0, 2.0)
 
 
 @given(
-    n=st.integers(0, 60),
-    d=st.sampled_from([1, 2, 3]),
-    sigma0_sq=st.floats(1e-14, 1e2),
-    seed=st.integers(0, 2**32 - 1),
+    WELL_CONDITIONED_LOG | st.floats(-30.0, 300.0),
+    WELL_CONDITIONED_LOG | st.floats(-8.0, 100.0),
+    st.lists(tracks(), min_size=1, max_size=2),
 )
-@settings(max_examples=200, deadline=None)
-def test_sufficient_statistics_update_matches_nxn_oracle(n, d, sigma0_sq, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((d, d))
-    mp = MetaPosterior(
-        rng.standard_normal(d), a @ a.T + d * np.eye(d), sigma0_sq, 0.33
-    )
-    data = TrackData(rng.random((n, d)), rng.random(n))
-    assert relative_gap(meta_update(mp, data), meta_update_nxn(mp, data)) < 1e-10
+@settings(max_examples=300, deadline=None)
+@example(300.0, 100.0, [TrackData(np.ones((60, 3)), np.ones(60))])
+@example(-30.0, -8.0, [TrackData(np.eye(3), np.ones(3))] * 2)
+@example(0.0, 0.0, [TrackData(np.array([[0.5, 0.5, 0.5]] * 40), np.linspace(0, 1, 40))])
+def test_sufficient_statistics_update_matches_nxn_oracle(log_q, log_0, data):
+    # one or two chained tracks from the flat belief: at every variance the
+    # root stays a finite upper-triangular matrix with a positive diagonal,
+    # and where the oracle is well conditioned mu and U U^T agree with it
+    sigma_q_sq, sigma0_sq = 10.0**log_q, 10.0**log_0
+    mp = flat_meta(sigma_q_sq, sigma0_sq)
+    for track in data:
+        mp = meta_update(mp, track)
+        assert np.isfinite(mp.mu).all() and is_upper_root(mp.root)
+    lo, hi = WELL_CONDITIONED
+    if lo <= sigma_q_sq <= hi and lo <= sigma0_sq <= hi:
+        mean, cov = np.zeros(3), sigma_q_sq * np.eye(3)
+        for track in data:
+            mean, cov = meta_update_nxn(mean, cov, sigma0_sq, mp.sigma_sq, track)
+        got_mean, got_cov = meta_mean_cov(mp)
+        # the mean's scale: its largest entry or its largest standard
+        # deviation, as a mean near zero is only known to within its spread
+        scale = max(np.max(np.abs(mean)), np.sqrt(np.max(np.abs(cov))))
+        assert np.max(np.abs(got_mean - mean)) <= 1e-12 * scale
+        assert largest_gap(got_cov, cov) <= 1e-12
 
 
 def test_long_track_update_matches_nxn_oracle():
     cfg = ExperimentConfig()
     rng = np.random.default_rng(5)
-    mp = flat_meta(
-        sigma_q_sq=cfg.sigma_q_sq, sigma0_sq=cfg.sigma0_sq, sigma_sq=cfg.sigma_sq
-    )
+    mp = flat_meta(cfg.sigma_q_sq, cfg.sigma0_sq, cfg.sigma_sq)
     data = TrackData(rng.random((2500, 3)), rng.random(2500))
-    assert relative_gap(meta_update(mp, data), meta_update_nxn(mp, data)) < 1e-12
+    mean, cov = meta_update_nxn(
+        mp.mu, cfg.sigma_q_sq * np.eye(3), cfg.sigma0_sq, cfg.sigma_sq, data
+    )
+    got_mean, got_cov = meta_mean_cov(meta_update(mp, data))
+    assert largest_gap(got_mean, mean) < 1e-12
+    assert largest_gap(got_cov, cov) < 1e-12
 
 
 def test_joint_update_differs_from_split_updates():
     rng = np.random.default_rng(3)
-    X = rng.random((6, 2))
+    X = rng.random((6, 3))
     L = rng.random(6)
-    mp = init_meta(2.0, 2, sigma0_sq=0.5, sigma_sq=0.2)
+    mp = init_meta(2.0, sigma0_sq=0.5, sigma_sq=0.2)
     joint = meta_update(mp, TrackData(X, L))
     split = meta_update(
         meta_update(mp, TrackData(X[:3], L[:3])), TrackData(X[3:], L[3:])
     )
-    assert np.max(np.abs(joint.precision - split.precision)) > 1e-6
+    assert np.max(np.abs(precision(joint) - precision(split))) > 1e-6
 
 
 def test_vanishing_instance_spread_reduces_to_blr():
     rng = np.random.default_rng(4)
-    X = rng.random((6, 2))
+    X = rng.random((6, 3))
     L = rng.random(6)
     noise_var = 0.3
-    mp = init_meta(2.0, 2, sigma0_sq=1e-14, sigma_sq=noise_var)
+    mp = init_meta(2.0, sigma0_sq=1e-14, sigma_sq=noise_var)
     out = meta_update(mp, TrackData(X, L))
 
     post = LinearPosterior(*meta_mean_cov(mp), noise_var)
@@ -233,11 +307,9 @@ def test_precision_never_decreases_across_tracks():
     cfg = replace(ExperimentConfig(), m=8, n=60)
     mu_star, state_proc = build_scene(cfg, 0)
     _, history = run_meta_experiment(cfg, mu_star, state_proc, "meta-ts", 0)
-    prev = init_meta(
-        cfg.sigma_q_sq, 3, sigma0_sq=cfg.sigma0_sq, sigma_sq=cfg.sigma_sq
-    )
+    prev = flat_meta(cfg.sigma_q_sq, cfg.sigma0_sq, cfg.sigma_sq)
     for mp in history:
-        gap = np.linalg.eigvalsh(mp.precision - prev.precision)
+        gap = np.linalg.eigvalsh(precision(mp) - precision(prev))
         assert gap.min() >= -1e-10
         prev = mp
 
@@ -246,12 +318,10 @@ def test_history_entry_is_one_joint_update_of_track_data():
     cfg = replace(ExperimentConfig(), m=2, n=50)
     mu_star, state_proc = build_scene(cfg, 1)
     results, history = run_meta_experiment(cfg, mu_star, state_proc, "meta-ts", 1)
-    mp0 = init_meta(
-        cfg.sigma_q_sq, 3, sigma0_sq=cfg.sigma0_sq, sigma_sq=cfg.sigma_sq
-    )
+    mp0 = flat_meta(cfg.sigma_q_sq, cfg.sigma0_sq, cfg.sigma_sq)
     replay = meta_update(mp0, TrackData(results[0].contexts, results[0].loss))
     np.testing.assert_array_equal(history[0].mu, replay.mu)
-    np.testing.assert_array_equal(history[0].precision, replay.precision)
+    np.testing.assert_array_equal(history[0].root, replay.root)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +385,7 @@ def test_non_meta_policy_keeps_flat_belief():
     assert len(history) == 3
     for mp in history:
         np.testing.assert_array_equal(mp.mu, np.zeros(3))
-        np.testing.assert_array_equal(mp.precision, np.eye(3) / cfg.sigma_q_sq)
+        np.testing.assert_array_equal(mp.root, np.sqrt(cfg.sigma_q_sq) * np.eye(3))
 
 
 def test_experiment_input_validation():

