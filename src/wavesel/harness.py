@@ -27,8 +27,9 @@ import numpy as np
 from .bandit import TrackResult
 from .errors import EmptyInput, InvalidInput, IoError, ParseError, ValidationError
 from .fstc import StateProcess, random_transition
+from .gaussmath import kl_gaussian
 from .meta import POLICIES, policy_index, run_meta_experiment, scene_rng
-from .metrics import DB_FLOOR, OUTAGE_DB, kl_trace, sinr_to_db, track_record
+from .metrics import DB_FLOOR, KL_REFERENCE_VAR, OUTAGE_DB, kl_trace, sinr_to_db, track_record
 from .waveforms import CATALOG_NAMES
 
 #: Fixed true prior mean for physical mode: positive weight on the running
@@ -191,12 +192,31 @@ class ExperimentConfig:
             )
         if self.mu_star is not None and len(self.mu_star) != 3:
             raise ValidationError("mu_star", "the context model uses exactly 3 features")
+        # the KL column of every policy but ts-oracle starts at the flat
+        # belief's divergence from the reference, which random and
+        # ts-uninformative keep; the CSVs cannot hold a non-finite value
+        if set(self.policies) != {"ts-oracle"}:
+            mu_star = np.asarray(true_prior_mean(self), dtype=float)
+            if not math.isfinite(_flat_kl(self.sigma_q_sq, mu_star)):
+                at_zero = _flat_kl(self.sigma_q_sq, np.zeros(3))
+                key = "mu_star" if math.isfinite(at_zero) else "sigma_q_sq"
+                raise ValidationError(key, "the flat belief's kl_to_truth overflows")
         # serialize_config must write it back: the parser splits the text at
         # line breaks, cuts each line at "#" and strips the value
         out = self.out_dir
         if not out or "#" in out or out != out.strip() or len(out.splitlines()) > 1:
             raise ValidationError("out_dir", "must be nonempty, with no '#', no line "
                                   "break and no space at either end")
+
+
+def _flat_kl(sigma_q_sq: float, mu_star: np.ndarray) -> float:
+    """kl_to_truth of the flat meta belief N(0, sigma_q_sq I), from the
+    roots ``meta.init_meta`` and ``metrics.kl_trace`` use; inf on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return kl_gaussian(
+            (np.zeros(3), math.sqrt(sigma_q_sq) * np.eye(3)),
+            (mu_star, math.sqrt(KL_REFERENCE_VAR) * np.eye(3)),
+        )
 
 
 #: Largest state-transition table, n_states ** memory entries, a config may
@@ -338,13 +358,15 @@ def build_scene(config: ExperimentConfig, seed: int) -> tuple[np.ndarray, StateP
     one task distribution rather than a different one per seed.
     """
     transition = random_transition(config.n_states, config.memory, scene_rng(seed))
+    mu = np.asarray(true_prior_mean(config), dtype=float)
+    return mu, StateProcess(transition, config.obs_flip_prob)
+
+
+def true_prior_mean(config: ExperimentConfig) -> tuple:
+    """The configured ``mu_star``, or the mode's fixed default."""
     if config.mu_star is not None:
-        mu = config.mu_star
-    elif config.mode == "synthetic":
-        mu = SYNTHETIC_MU_STAR
-    else:
-        mu = PHYSICAL_MU_STAR
-    return np.asarray(mu, dtype=float), StateProcess(transition, config.obs_flip_prob)
+        return config.mu_star
+    return SYNTHETIC_MU_STAR if config.mode == "synthetic" else PHYSICAL_MU_STAR
 
 
 @dataclass

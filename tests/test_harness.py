@@ -53,8 +53,8 @@ from wavesel.harness import (
     _table_lines,
     _write_lines,
 )
-from wavesel.meta import POLICIES, policy_index
-from wavesel.metrics import OUTAGE_DB, sinr_to_db, track_record
+from wavesel.meta import POLICIES, init_meta, policy_index
+from wavesel.metrics import OUTAGE_DB, kl_trace, sinr_to_db, track_record
 from wavesel.waveforms import CATALOG_NAMES, catalog_envelope
 
 import oracles
@@ -539,6 +539,9 @@ def test_accepted_config_survives_serialize_and_parse(values):
 @example("synthetic", {"n_states": 1})
 @example("synthetic", {"mu_star": (1.0, 2.0)})
 @example("synthetic", {"sigma_q_sq": 1e308, "sigma0_sq": 1e308})
+@example("synthetic", {"sigma_q_sq": 1e307})
+@example("synthetic", {"mu_star": (2e153, 0.0, 0.0)})
+@example("synthetic", {"sigma_q_sq": 1e305, "mu_star": (1e152, 0.0, 0.0)})
 def test_constructed_config_holds_what_the_layers_below_assume(mode, values):
     """The layers below the harness take a config's values as given; every
     config that constructs holds what they assume. Only the seed-0 scene
@@ -561,6 +564,10 @@ def test_constructed_config_holds_what_the_layers_below_assume(mode, values):
     mu_star, state_proc = build_scene(replace(config, memory=1), 0)
     assert mu_star.shape == (3,)
     assert state_proc.n_states == config.n_states
+    if set(config.policies) != {"ts-oracle"}:
+        # the flat belief's KL, which random and ts-uninformative write
+        flat = init_meta(config.sigma_q_sq, sigma0_sq=config.sigma0_sq, sigma_sq=config.sigma_sq)
+        assert np.isfinite(kl_trace([flat], mu_star)).all()
 
 
 def test_package_exports_only_the_harness_api():
@@ -1216,19 +1223,21 @@ def test_meta_ts_runs_where_the_precision_form_update_stopped(tmp_path, mode, te
     assert_finite_files(tmp_path, "meta-ts", 0)
 
 
-# the KL column overflows to inf, with numpy's overflow warnings on the way
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
-    "text,policy",
-    [("mu_star = 2e153,0,0", "meta-ts"), ("sigma_q_sq = 1e307", "random")],
+    "text,policy,key",
+    [
+        ("mu_star = 2e153,0,0", "meta-ts", "mu_star"),
+        ("sigma_q_sq = 1e307", "random", "sigma_q_sq"),
+        ("sigma_q_sq = 1.7e308", "meta-ts", "sigma_q_sq"),
+    ],
 )
-def test_run_writes_no_file_of_a_non_finite_summary(tmp_path, text, policy):
-    # aggregate refuses a non-finite value, so run writes neither file
-    config = parse_config(f"{text}\nm = 2\nn = 20\nseeds = 0\nout_dir = {tmp_path}\n")
-    with pytest.raises(InvalidInput, match="^kl_to_truth of "):
-        run(config, policy, 0)
-    assert not os.path.exists(cpi_csv_path(str(tmp_path), policy, 0))
-    assert not os.path.exists(track_csv_path(str(tmp_path), policy, 0))
+def test_config_refuses_a_non_finite_kl_column(text, policy, key):
+    # the flat belief's kl_to_truth overflows, so no replicate could write
+    # its track file; ts-oracle alone writes no KL and runs
+    with pytest.raises(ValidationError) as info:
+        parse_config(f"{text}\npolicies = {policy}\n")
+    assert info.value.field == key
+    parse_config(f"{text}\npolicies = ts-oracle\n")
 
 
 def test_cli_aggregate_empty_dir_returns_two(tmp_path):
