@@ -207,6 +207,25 @@ def test_kl_trend_is_monotone_downward(synthetic_sweep):
     assert rho < -0.8
 
 
+def test_default_sweep_needs_no_cholesky_jitter(synthetic_sweep):
+    # No jitter is there to rescue a factor, so the default study must keep
+    # every meta root upper triangular with a positive diagonal. The KL
+    # column reads that diagonal through its log-determinant: a root that
+    # lost definiteness would write a non-finite or negative divergence.
+    config = synthetic_sweep.config
+    for policy in config.policies:
+        kl = synthetic_sweep.curves(policy, "kl_to_truth")
+        assert np.all(np.isfinite(kl))
+        assert np.all(kl >= 0.0)
+    seed = config.seeds[0]
+    mu_star, state_proc = build_scene(config, seed)
+    _, history = run_meta_experiment(config, mu_star, state_proc, "meta-ts", seed)
+    for mp in history:
+        assert np.array_equal(mp.root, np.triu(mp.root))
+        assert np.all(np.isfinite(mp.root))
+        assert np.all(np.diag(mp.root) > 0.0)
+
+
 # ---------------------------------------------------------------------------
 # cumulative regret shape
 
