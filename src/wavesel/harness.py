@@ -3,9 +3,11 @@ and cross-seed aggregation.
 
 Configuration files are flat UTF-8 ``key = value`` lines with ``#`` comments;
 every key has a documented default, so an empty file runs the full default
-study. One replicate is a (policy, seed) pair; replicates are independent
-and may run in parallel (``WAVESEL_WORKERS`` environment variable), with
-outputs merged in canonical (policy, seed) order regardless of worker count.
+study. One replicate is a (policy, seed) pair; a job is a seed block, every
+listed policy under one seed, sharing each (seed, track) episode. Blocks are
+independent and may run in parallel (``WAVESEL_WORKERS`` environment
+variable), with outputs merged in canonical (policy, seed) order regardless
+of worker count.
 
 Every CSV file the package writes is a header and its columns, written by
 one function, ``_table_lines``. A float is written as ``repr`` of a Python
@@ -453,66 +455,80 @@ def track_csv_path(out_dir: str, policy: str, seed: int) -> str:
     return os.path.join(out_dir, f"track_{policy}_seed{seed}.csv")
 
 
-def run(
-    config: ExperimentConfig, policy: str, seed: int
-) -> tuple[TrackResult, RunSummary]:
-    """Execute one replicate and persist its two CSV files; returns the
-    replicate's stacked per-CPI record and its per-track summary.
+def run_block(
+    config: ExperimentConfig, policies: tuple, seed: int
+) -> list[tuple[TrackResult, RunSummary]]:
+    """Execute the seed block of ``policies`` under ``seed`` and persist each
+    replicate's two CSV files; returns each replicate's stacked per-CPI
+    record and per-track summary, in the order of ``policies``.
 
-    Deterministic given (config, policy, seed): the CSVs are byte-identical
-    across repeated calls. A policy or seed the config does not list raises
-    a ``ValidationError`` naming ``policies`` or ``seeds``.
+    No file is written before every track has run and every summary is
+    finite. A replicate's wall time runs from the block's start to the write
+    of its own files, and its CSVs are byte-identical across repeated calls
+    and across blocks. A seed or policy the config does not list, or a policy
+    listed twice, raises a ``ValidationError`` naming ``seeds`` or ``policies``.
     """
-    if policy not in config.policies:
-        raise ValidationError("policies", f"{policy!r} is not listed")
+    for policy in policies:
+        if policy not in config.policies:
+            raise ValidationError("policies", f"{policy!r} is not listed")
+    if len(set(policies)) != len(policies):
+        raise ValidationError("policies", "a policy is listed more than once")
     if not _accepts(int, seed) or seed not in config.seeds:
         raise ValidationError("seeds", f"{seed!r} is not listed")
     started = time.perf_counter()
     mu_star, state_proc = build_scene(config, seed)
-    results, history = run_meta_experiment(config, mu_star, state_proc, policy, seed)
-    record = track_record(results)
-    sinr_db = sinr_to_db(record.sinr)
-    outage = sinr_db < OUTAGE_DB
-    if policy == "ts-oracle":
-        # The oracle is handed the true prior; its divergence from truth is
-        # zero by construction rather than via a belief update.
-        kl = np.zeros(config.m)
-    else:
-        kl = kl_trace(history, mu_star)
-    summary = RunSummary(
-        policy=policy,
-        seed=seed,
-        cum_regret=record.regret_inc.sum(axis=1),
-        mean_loss=record.loss.mean(axis=1),
-        outage_freq=outage.mean(axis=1),
-        subopt_freq=record.suboptimal.mean(axis=1),
-        kl_to_truth=kl,
-        wall_time_ms=0.0,
-    )
-    # read_track_table refuses a non-finite value, so neither file is written
-    for column in PER_TRACK_HEADER.split(",")[3:]:
-        if not np.all(np.isfinite(getattr(summary, column))):
-            raise InvalidInput(f"{column} of {policy} seed {seed} is not finite")
+    runs = run_meta_experiment(config, mu_star, state_proc, policies, seed)
+    replicates = []
+    for policy, (results, history) in zip(policies, runs):
+        record = track_record(results)
+        sinr_db = sinr_to_db(record.sinr)
+        outage = sinr_db < OUTAGE_DB
+        if policy == "ts-oracle":
+            # The oracle is handed the true prior; its divergence from truth is
+            # zero by construction rather than via a belief update.
+            kl = np.zeros(config.m)
+        else:
+            kl = kl_trace(history, mu_star)
+        summary = RunSummary(
+            policy=policy,
+            seed=seed,
+            cum_regret=record.regret_inc.sum(axis=1),
+            mean_loss=record.loss.mean(axis=1),
+            outage_freq=outage.mean(axis=1),
+            subopt_freq=record.suboptimal.mean(axis=1),
+            kl_to_truth=kl,
+            wall_time_ms=0.0,
+        )
+        # read_track_table refuses a non-finite value, so no file is written
+        for column in PER_TRACK_HEADER.split(",")[3:]:
+            if not np.all(np.isfinite(getattr(summary, column))):
+                raise InvalidInput(f"{column} of {policy} seed {seed} is not finite")
+        replicates.append((record, summary, sinr_db, outage))
     try:
         os.makedirs(config.out_dir, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create {config.out_dir}: {exc}") from exc
-    _write_lines(
-        cpi_csv_path(config.out_dir, policy, seed),
-        _cpi_lines(policy, seed, record, sinr_db, outage),
-    )
-    _write_lines(track_csv_path(config.out_dir, policy, seed), _track_lines(summary))
-    summary.wall_time_ms = (time.perf_counter() - started) * 1e3
-    return record, summary
+    for record, summary, sinr_db, outage in replicates:
+        _write_lines(
+            cpi_csv_path(config.out_dir, summary.policy, seed),
+            _cpi_lines(summary.policy, seed, record, sinr_db, outage),
+        )
+        _write_lines(track_csv_path(config.out_dir, summary.policy, seed), _track_lines(summary))
+        summary.wall_time_ms = (time.perf_counter() - started) * 1e3
+    return [(record, summary) for record, summary, *_ in replicates]
 
 
-def _run_job(args) -> RunSummary:
-    config, policy, seed = args
-    return run(config, policy, seed)[1]
+def run(config: ExperimentConfig, policy: str, seed: int) -> tuple[TrackResult, RunSummary]:
+    """Execute one replicate, the seed block of one (see ``run_block``)."""
+    return run_block(config, (policy,), seed)[0]
+
+
+def _run_job(args) -> list:
+    return [summary for _, summary in run_block(*args)]
 
 
 def worker_count(n_jobs: int) -> int:
-    """Worker processes for n_jobs replicates: ``WAVESEL_WORKERS`` (default
+    """Worker processes for n_jobs seed blocks: ``WAVESEL_WORKERS`` (default
     1), clamped to [1, min(n_jobs, os.cpu_count())]."""
     raw = os.environ.get("WAVESEL_WORKERS", "1")
     try:
@@ -523,18 +539,17 @@ def worker_count(n_jobs: int) -> int:
 
 
 def run_experiment(config: ExperimentConfig) -> list:
-    """Run every (policy, seed) replicate; returns summaries in canonical
+    """Run one seed block per seed; returns the summaries alone, in canonical
     (policy, seed) order independent of the worker count."""
-    jobs = [
-        (config, policy, seed)
-        for policy in sorted(config.policies, key=policy_index)
-        for seed in config.seeds
-    ]
+    policies = tuple(sorted(config.policies, key=policy_index))
+    jobs = [(config, policies, seed) for seed in config.seeds]
     workers = worker_count(len(jobs))
     if workers == 1:
-        return [_run_job(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_job, jobs))
+        blocks = [_run_job(job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            blocks = list(pool.map(_run_job, jobs))
+    return [summary for per_policy in zip(*blocks) for summary in per_policy]
 
 
 # ---------------------------------------------------------------------------

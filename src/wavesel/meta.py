@@ -8,14 +8,15 @@ learner consumed. Meta-Thompson sampling draws one candidate mean from the
 belief at the start of a track and hands the per-track learner the
 corresponding instance prior.
 
-The same experiment loop drives all four selection policies so their random
-streams stay aligned: streams are keyed by (seed, policy index, track index)
-with the policy index taken from the canonical ``POLICIES`` order, so adding
-or removing one policy from a sweep never perturbs another's draws.
+One loop runs a seed block, every listed policy under one seed: each track's
+episode is drawn once and every policy reads it. A policy's own draws come
+from streams keyed by (seed, canonical ``POLICIES`` index, track), so adding
+or removing one policy from a block never perturbs another's draws.
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -150,8 +151,8 @@ def track_rng(seed: int, policy: str, track: int) -> np.random.Generator:
 
 
 def instance_rng(seed: int, track: int) -> np.random.Generator:
-    """Stream for the track's episode draw, shared by every policy so that
-    policies are compared on a common sequence of episodes."""
+    """Stream for the track's episode draw, made once per seed block and read
+    by every policy, so policies are compared on common episodes."""
     return _rng(seed, INSTANCE_TAG, track)
 
 
@@ -163,24 +164,25 @@ def meta_prior_rng(seed: int, policy: str) -> np.random.Generator:
 
 def oracle_rng(seed: int, track: int) -> np.random.Generator:
     """Stream for the expected-loss reference draws of one physical track,
-    policy-independent so regret is measured against one fixed reference."""
+    read once per seed block, so regret is measured against one reference."""
     return _rng(seed, INSTANCE_TAG, track, ORACLE_TAG)
 
 
 def run_meta_experiment(
-    config, mu_star: np.ndarray, state_proc: StateProcess, policy: str, seed: int
-) -> tuple[list[TrackResult], list[MetaPosterior]]:
-    """Run ``config.m`` tracks of ``config.n`` pulses under one policy and seed.
+    config, mu_star: np.ndarray, state_proc: StateProcess, policies: tuple, seed: int
+) -> list[tuple[list[TrackResult], list[MetaPosterior]]]:
+    """Run ``config.m`` tracks of ``config.n`` pulses under ``policies`` and one seed.
 
     ``config`` is a ``harness.ExperimentConfig``; ``mu_star``, the true prior
     mean, and ``state_proc`` are the seed's scene from
     ``harness.build_scene(config, seed)``.
 
-    Per track: draw the episode (a latent weight vector in synthetic mode, a
-    full channel instance in physical mode), pick the policy's instance
-    prior, run the per-track selection loop, and, for meta-TS only, fold the
-    track's data into the meta belief. Returns the per-track results together
-    with the belief state after each track (constant for non-meta policies).
+    Per track: draw the episode once (a latent weight vector in synthetic
+    mode, a channel instance and its simulator in physical mode); then, per
+    policy, pick its instance prior, run the per-track selection loop on its
+    own scene walk of the episode, and, for meta-TS only, fold the track's
+    data into the meta belief. Returns per policy, in the order given, the
+    per-track results and the belief after each track (flat for non-meta).
 
     A track's prior is a pair (mean, var), the isotropic N(mean, var I).
     Per policy: ts-oracle uses (mu_star, sigma0_sq); meta-TS samples the
@@ -190,39 +192,37 @@ def run_meta_experiment(
     """
     n, k_arms, sigma_sq, sigma0_sq = config.n, config.k, config.sigma_sq, config.sigma0_sq
     d = mu_star.size
-    mp = init_meta(config.sigma_q_sq, sigma0_sq=sigma0_sq, sigma_sq=sigma_sq)
+    flat = mp = init_meta(config.sigma_q_sq, sigma0_sq=sigma0_sq, sigma_sq=sigma_sq)
     sinr_target = 10.0 ** (config.sinr_target_db / 10.0)
     if config.mode == "physical":
         tables = channel_tables(default_catalog(k=k_arms), config.ir_taps, config.doppler)
         root = tap_root(config.ir_taps, config.ir_kernel_scale)
-    meta_draws = meta_prior_rng(seed, policy)
-
+    meta_draws = meta_prior_rng(seed, "meta-ts")
     uninformative = (np.zeros(d), config.sigma_q_sq + sigma0_sq)
 
-    results: list[TrackResult] = []
-    history: list[MetaPosterior] = []
+    runs = [([], []) for _ in policies]
     for t in range(config.m):
-        rng = track_rng(seed, policy, t)
+        # the episode, drawn once; new_env() gives a policy its own scene walk
         env_rng = instance_rng(seed, t)
         if config.mode == "synthetic":
             theta_star = mu_star + np.sqrt(sigma0_sq) * env_rng.standard_normal(d)
-            env = SyntheticTrackEnv(theta_star, state_proc, sigma_sq, sinr_target)
+            new_env = partial(SyntheticTrackEnv, theta_star, state_proc, sigma_sq, sinr_target)
         else:
             inst = draw_instance(config, mu_star, root, env_rng)
             sim = TrackSimulator(config, inst, tables, oracle_rng(seed, t))
-            env = PhysicalTrackEnv(sim, state_proc, sinr_target)
-
-        if policy == "ts-oracle":
-            prior = (mu_star, sigma0_sq)
-        elif policy == "meta-ts":
-            prior = (sample_instance_prior(mp, meta_draws), sigma0_sq)
-        else:
-            prior = uninformative
-
-        explore = "random" if policy == "random" else "ts"
-        result, _ = run_track(env, prior, sigma_sq, n, k_arms, rng, explore=explore)
-        if policy == "meta-ts":
-            mp = meta_update(mp, TrackData(result.contexts, result.loss))
-        results.append(result)
-        history.append(mp)
-    return results, history
+            new_env = partial(PhysicalTrackEnv, sim, state_proc, sinr_target)
+        for policy, (results, history) in zip(policies, runs):
+            if policy == "ts-oracle":
+                prior = (mu_star, sigma0_sq)
+            elif policy == "meta-ts":
+                prior = (sample_instance_prior(mp, meta_draws), sigma0_sq)
+            else:
+                prior = uninformative
+            rng = track_rng(seed, policy, t)
+            explore = "random" if policy == "random" else "ts"
+            result, _ = run_track(new_env(), prior, sigma_sq, n, k_arms, rng, explore=explore)
+            if policy == "meta-ts":
+                mp = meta_update(mp, TrackData(result.contexts, result.loss))
+            results.append(result)
+            history.append(mp if policy == "meta-ts" else flat)
+    return runs

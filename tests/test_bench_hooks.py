@@ -16,6 +16,9 @@ TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 #: The track posterior's spans: built once per track, updated per CPI.
 LEARNER_SPANS = ("posterior_gaussian", "blr_update")
 
+#: The spans of a replicate's experiment loop and of its episode builds.
+EPISODE_SPANS = ("meta.run_meta_experiment", "fstc.draw_instance", "fstc.TrackSimulator.init")
+
 
 @pytest.fixture(scope="module")
 def tracing():
@@ -37,8 +40,9 @@ def test_every_wrap_point_resolves(tracing):
 def test_every_wrapped_call_site_is_called(tracing, tmp_path):
     tracer = tracing.Tracer()
     tracer.install(wavesel)
-    # (posterior_gaussian, blr_update) calls made by each replicate
-    learner_calls = {}
+    # (posterior_gaussian, blr_update) calls made by each replicate, and
+    # its EPISODE_SPANS
+    learner_calls, episode_spans = {}, {}
     try:
         for mode in ("synthetic", "physical"):
             out = tmp_path / mode
@@ -51,9 +55,13 @@ def test_every_wrapped_call_site_is_called(tracing, tmp_path):
             )
             for policy in config.policies:
                 before = [tracer.calls(f"gaussmath.{f}") for f in LEARNER_SPANS]
+                episodes = [tracer.calls(name) for name in EPISODE_SPANS]
                 harness.run(config, policy, 0)
                 learner_calls[mode, policy] = tuple(
                     tracer.calls(f"gaussmath.{f}") - b for f, b in zip(LEARNER_SPANS, before)
+                )
+                episode_spans[mode, policy] = tuple(
+                    tracer.calls(name) - b for name, b in zip(EPISODE_SPANS, episodes)
                 )
             harness.aggregate_directory(str(out), str(out / "agg"))
     finally:
@@ -69,3 +77,8 @@ def test_every_wrapped_call_site_is_called(tracing, tmp_path):
     for mode in ("synthetic", "physical"):
         assert learner_calls[mode, "random"] == (2, 0)
         assert learner_calls[mode, "meta-ts"] == (2, 8)
+    # a harness.run is a seed block of one: one experiment loop, and in
+    # physical mode one instance and one simulator per track (m = 2)
+    for policy in ("random", "meta-ts"):
+        assert episode_spans["synthetic", policy] == (1, 0, 0)
+        assert episode_spans["physical", policy] == (1, 2, 2)

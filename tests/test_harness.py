@@ -6,6 +6,7 @@ import hashlib
 import math
 import os
 import string
+from collections import Counter
 from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import wavesel
-from wavesel import cli
+from wavesel import cli, fstc, harness, meta
 from wavesel.bandit import TrackResult
 from wavesel.errors import (
     EmptyInput,
@@ -42,6 +43,7 @@ from wavesel.harness import (
     parse_config,
     read_track_table,
     run,
+    run_block,
     run_experiment,
     serialize_config,
     track_csv_path,
@@ -742,6 +744,23 @@ def test_run_rejects_a_replicate_the_config_does_not_list(tmp_path, policy, seed
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "listed,policies",
+    [
+        (("random",), ("random", "meta-ts")),
+        (("random", "meta-ts"), ("meta-ts", "meta-ts")),
+        (("random", "meta-ts"), ("random", "random")),
+    ],
+)
+def test_run_block_rejects_a_policy_not_listed_once(tmp_path, listed, policies):
+    # a second meta-ts would read the first one's belief and prior stream
+    config = _tiny_config(str(tmp_path), policies=listed)
+    with pytest.raises(ValidationError) as info:
+        run_block(config, policies, 0)
+    assert info.value.field == "policies"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_twice_is_byte_identical(tmp_path):
     dir_a = tmp_path / "a"
     dir_b = tmp_path / "b"
@@ -809,6 +828,109 @@ def test_policy_streams_do_not_interact(tmp_path):
     run_experiment(_tiny_config(str(dir_solo), seeds=(0,), policies=("meta-ts",)))
     for name in ("cpi_meta-ts_seed0.csv", "track_meta-ts_seed0.csv"):
         assert (dir_pair / name).read_bytes() == (dir_solo / name).read_bytes()
+
+
+#: (owner, attribute) of each build a seed block shares: one episode draw
+#: per track (``instance_rng``, and in physical mode the instance and its
+#: simulator), and the scene, the flat belief, the meta-ts prior stream and
+#: the channel tables and tap root once per block
+SHARED_BUILDS = (
+    (meta, "instance_rng"),
+    (meta, "draw_instance"),
+    (fstc.TrackSimulator, "__init__"),
+    (harness, "build_scene"),
+    (meta, "init_meta"),
+    (meta, "meta_prior_rng"),
+    (meta, "channel_tables"),
+    (meta, "tap_root"),
+)
+
+
+@pytest.mark.parametrize("mode", ["synthetic", "physical"])
+def test_a_seed_block_builds_each_episode_once(tmp_path, monkeypatch, mode):
+    calls = Counter()
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for owner, name in SHARED_BUILDS:
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    m = 3
+    instances, tables = (m, 1) if mode == "physical" else (0, 0)
+    per_seed = {
+        "instance_rng": m, "draw_instance": instances, "__init__": instances,
+        "build_scene": 1, "init_meta": 1, "meta_prior_rng": 1,
+        "channel_tables": tables, "tap_root": tables,
+    }
+    config = _tiny_config(str(tmp_path), m=m, n=4, mode=mode)
+    assert len(config.policies) == 4 and len(config.seeds) == 2
+    run_experiment(config)
+    assert dict(calls) == {name: 2 * count for name, count in per_seed.items() if count}
+    # the block of one makes the same builds for its one policy
+    calls.clear()
+    run(config, "meta-ts", 0)
+    assert dict(calls) == {name: count for name, count in per_seed.items() if count}
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(mode="synthetic"),
+        dict(mode="physical"),
+        dict(mode="physical", doppler=0.7),
+        dict(mode="physical", policies=("meta-ts", "random")),
+    ],
+    ids=["synthetic", "physical", "doppler", "non-canonical"],
+)
+def test_a_seed_block_writes_each_policy_run_alone(tmp_path, overrides):
+    config = _tiny_config(str(tmp_path / "block"), m=3, n=8, **overrides)
+    summaries = run_experiment(config)
+    for policy in config.policies:
+        for seed in config.seeds:
+            alone = replace(config, out_dir=str(tmp_path / f"{policy}_{seed}"))
+            run(alone, policy, seed)
+            for path in (cpi_csv_path, track_csv_path):
+                block_bytes = Path(path(config.out_dir, policy, seed)).read_bytes()
+                assert block_bytes == Path(path(alone.out_dir, policy, seed)).read_bytes()
+    # each replicate's wall time runs to the write of its own files, which
+    # follow each other in canonical policy order
+    for seed in config.seeds:
+        times = [s.wall_time_ms for s in summaries if s.seed == seed]
+        assert times == sorted(times) and times[0] > 0.0
+
+
+def test_a_block_failing_mid_track_writes_no_file_of_its_seed(tmp_path, monkeypatch, capsys):
+    original, updates = meta.meta_update, []
+
+    def failing_on_track_2(mp, data):
+        updates.append(len(data))
+        if len(updates) == 3:
+            raise InvalidInput("meta update refused on track 2")
+        return original(mp, data)
+
+    monkeypatch.setattr(meta, "meta_update", failing_on_track_2)
+    cfg = tmp_path / "exp.cfg"
+    out = tmp_path / "runs"
+    cfg.write_text(f"m = 4\nn = 8\nk = 3\nseeds = 0,1\nout_dir = {out}\n", encoding="utf-8")
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert "meta update refused on track 2" in capsys.readouterr().err
+    assert len(updates) == 3
+    # the other three policies had run tracks 0-2 when meta-ts's update of
+    # track 2 failed; none of the block's files is written
+    assert not out.exists() or not os.listdir(out)
+
+
+def test_a_block_with_one_non_finite_summary_writes_no_file(tmp_path, monkeypatch):
+    # ts-oracle's KL column is zeros, so only meta-ts's summary is non-finite
+    monkeypatch.setattr(harness, "kl_trace", lambda history, mu_star: np.full(len(history), np.nan))
+    config = _tiny_config(str(tmp_path), seeds=(0,), policies=("ts-oracle", "meta-ts"))
+    with pytest.raises(InvalidInput, match="kl_to_truth of meta-ts seed 0"):
+        run_experiment(config)
+    assert not os.listdir(tmp_path)
 
 
 def test_worker_count_defaults_to_one(monkeypatch):

@@ -99,7 +99,7 @@ def meta_ts_run():
     run."""
     cfg = replace(ExperimentConfig(), m=4, n=30)
     mu_star, state_proc = build_scene(cfg, 0)
-    return cfg, *run_meta_experiment(cfg, mu_star, state_proc, "meta-ts", 0)
+    return cfg, *run_meta_experiment(cfg, mu_star, state_proc, ("meta-ts",), 0)[0]
 
 
 def test_meta_posterior_validation():
@@ -306,7 +306,7 @@ def test_vanishing_instance_spread_reduces_to_blr():
 def test_precision_never_decreases_across_tracks():
     cfg = replace(ExperimentConfig(), m=8, n=60)
     mu_star, state_proc = build_scene(cfg, 0)
-    _, history = run_meta_experiment(cfg, mu_star, state_proc, "meta-ts", 0)
+    _, history = run_meta_experiment(cfg, mu_star, state_proc, ("meta-ts",), 0)[0]
     prev = flat_meta(cfg.sigma_q_sq, cfg.sigma0_sq, cfg.sigma_sq)
     for mp in history:
         gap = np.linalg.eigvalsh(precision(mp) - precision(prev))
@@ -317,7 +317,7 @@ def test_precision_never_decreases_across_tracks():
 def test_history_entry_is_one_joint_update_of_track_data():
     cfg = replace(ExperimentConfig(), m=2, n=50)
     mu_star, state_proc = build_scene(cfg, 1)
-    results, history = run_meta_experiment(cfg, mu_star, state_proc, "meta-ts", 1)
+    results, history = run_meta_experiment(cfg, mu_star, state_proc, ("meta-ts",), 1)[0]
     mp0 = flat_meta(cfg.sigma_q_sq, cfg.sigma0_sq, cfg.sigma_sq)
     replay = meta_update(mp0, TrackData(results[0].contexts, results[0].loss))
     np.testing.assert_array_equal(history[0].mu, replay.mu)
@@ -331,7 +331,7 @@ def test_history_entry_is_one_joint_update_of_track_data():
 def test_oracle_policy_uses_true_prior():
     cfg = replace(ExperimentConfig(), m=1, n=60)
     mu_star, state_proc = build_scene(cfg, 3)
-    results, _ = run_meta_experiment(cfg, mu_star, state_proc, "ts-oracle", 3)
+    results, _ = run_meta_experiment(cfg, mu_star, state_proc, ("ts-oracle",), 3)[0]
     rng = track_rng(3, "ts-oracle", 0)
     env_rng = instance_rng(3, 0)
     theta = mu_star + np.sqrt(cfg.sigma0_sq) * env_rng.standard_normal(3)
@@ -347,7 +347,7 @@ def test_oracle_policy_uses_true_prior():
 def test_degenerate_meta_prior_matches_fixed_zero_mean_prior():
     cfg = replace(ExperimentConfig(), m=4, n=60, sigma_q_sq=1e-30)
     mu_star, state_proc = build_scene(cfg, 5)
-    results, _ = run_meta_experiment(cfg, mu_star, state_proc, "meta-ts", 5)
+    results, _ = run_meta_experiment(cfg, mu_star, state_proc, ("meta-ts",), 5)[0]
     for t in range(4):
         rng = track_rng(5, "meta-ts", t)
         env_rng = instance_rng(5, t)
@@ -371,7 +371,7 @@ def test_meta_belief_concentrates_toward_truth():
     firsts, lasts = [], []
     for seed in range(5):
         mu_star, state_proc = build_scene(cfg, seed)
-        _, history = run_meta_experiment(cfg, mu_star, state_proc, "meta-ts", seed)
+        _, history = run_meta_experiment(cfg, mu_star, state_proc, ("meta-ts",), seed)[0]
         trace = kl_trace(history, mu_star)
         firsts.append(trace[0])
         lasts.append(trace[-1])
@@ -381,7 +381,7 @@ def test_meta_belief_concentrates_toward_truth():
 def test_non_meta_policy_keeps_flat_belief():
     cfg = replace(ExperimentConfig(), m=3, n=30)
     mu_star, state_proc = build_scene(cfg, 0)
-    _, history = run_meta_experiment(cfg, mu_star, state_proc, "ts-uninformative", 0)
+    _, history = run_meta_experiment(cfg, mu_star, state_proc, ("ts-uninformative",), 0)[0]
     assert len(history) == 3
     for mp in history:
         np.testing.assert_array_equal(mp.mu, np.zeros(3))
@@ -402,13 +402,13 @@ def test_run_meta_experiment_refuses_a_float_seed():
     cfg = replace(ExperimentConfig(), m=1, n=5)
     mu_star, state_proc = build_scene(cfg, 1)
     with pytest.raises(TypeError, match="seed must be integer"):
-        run_meta_experiment(cfg, mu_star, state_proc, "random", 1.5)
+        run_meta_experiment(cfg, mu_star, state_proc, ("random",), 1.5)
 
 
 def test_physical_mode_smoke():
     cfg = replace(ExperimentConfig(), m=2, n=30, mode="physical")
     mu_star, state_proc = build_scene(cfg, 7)
-    results, history = run_meta_experiment(cfg, mu_star, state_proc, "meta-ts", 7)
+    results, history = run_meta_experiment(cfg, mu_star, state_proc, ("meta-ts",), 7)[0]
     assert len(results) == 2 and len(history) == 2
     for res in results:
         assert np.all((res.loss >= 0.0) & (res.loss <= 1.0))

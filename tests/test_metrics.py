@@ -55,7 +55,8 @@ def run_on(tmp_path, monkeypatch, *tracks):
     """``harness.run`` with the given track results in place of simulated
     ones: (record, summary, the CPI file's lines)."""
     monkeypatch.setattr(
-        harness, "run_meta_experiment", lambda *args, **kwargs: (list(tracks), [])
+        harness, "run_meta_experiment",
+        lambda config, mu_star, state_proc, policies, seed: [(list(tracks), [])] * len(policies),
     )
     config = replace(
         ExperimentConfig(), m=len(tracks), n=tracks[0].loss.size, seeds=(0,),
@@ -192,7 +193,7 @@ def test_kl_trace_zero_at_reference():
 def test_kl_trace_finite_nonnegative():
     cfg = replace(ExperimentConfig(), m=6, n=50)
     mu_star, state_proc = build_scene(cfg, 2)
-    _, history = run_meta_experiment(cfg, mu_star, state_proc, "meta-ts", 2)
+    _, history = run_meta_experiment(cfg, mu_star, state_proc, ("meta-ts",), 2)[0]
     trace = kl_trace(history, mu_star)
     assert trace.shape == (6,)
     assert np.all(np.isfinite(trace))
@@ -219,7 +220,7 @@ def test_default_sweep_needs_no_cholesky_jitter(synthetic_sweep):
         assert np.all(kl >= 0.0)
     seed = config.seeds[0]
     mu_star, state_proc = build_scene(config, seed)
-    _, history = run_meta_experiment(config, mu_star, state_proc, "meta-ts", seed)
+    _, history = run_meta_experiment(config, mu_star, state_proc, ("meta-ts",), seed)[0]
     for mp in history:
         assert np.array_equal(mp.root, np.triu(mp.root))
         assert np.all(np.isfinite(mp.root))

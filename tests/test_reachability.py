@@ -23,11 +23,13 @@ TESTS = ROOT / "tests"
 
 #: (module, name) of the entry points that only callers outside the package
 #: reach. The PAC-Bayes evaluators stay here until a report command reads
-#: them.
+#: them. ``harness.run`` is here because the benchmark's worker calls it,
+#: one replicate at a time, while the package runs seed blocks.
 ENTRY_POINTS = {
     ("cli", "main"),
     ("harness", "load_config"),
     ("harness", "serialize_config"),
+    ("harness", "run"),
     ("harness", "run_experiment"),
     ("harness", "aggregate_directory"),
     ("metrics", "pac_bayes_single"),
