@@ -117,8 +117,10 @@ def record(agent: TsAgent, o: int, w: int, loss: float) -> None:
 
 
 def synthetic_loss(theta, phi, noise_var: float, rng: np.random.Generator) -> float:
-    """Exact-linear loss clamp(<theta, phi> + noise), noise ~ N(0, noise_var)."""
-    y = float(np.matmul(theta, phi)) + math.sqrt(noise_var) * rng.standard_normal()
+    """Exact-linear loss clamp(<theta, phi> + noise), noise ~ N(0, noise_var),
+    for an array ``theta``; ``theta.dot`` and ``np.matmul`` give the same
+    float, and ``dot`` costs less per call."""
+    y = float(theta.dot(phi)) + math.sqrt(noise_var) * rng.standard_normal()
     return unit_clip(y)
 
 
@@ -160,10 +162,11 @@ class SyntheticTrackEnv(SceneWalk):
         self.noise_var = float(noise_var)
         self.sinr_target = float(sinr_target)
 
-    def expected_losses(self, states, contexts: np.ndarray) -> np.ndarray:
-        """clip(<theta*, phi>) of a track's (n, K, 3) contexts; the states
-        are not read."""
-        return np.matmul(contexts, self.theta_star).clip(0.0, 1.0)
+    def expected_losses(self, states, contexts) -> np.ndarray:
+        """clip(<theta*, phi>) of a track's contexts, one snapshot of K
+        (mean, variance, max) rows per pulse, as an (n, K, 3) array; the
+        states are not read."""
+        return np.matmul(np.array(contexts, dtype=float), self.theta_star).clip(0.0, 1.0)
 
     def realize(self, cpi: int, s: int, w_idx: int, phi, rng: np.random.Generator):
         loss = synthetic_loss(self.theta_star, phi, self.noise_var, rng)
@@ -192,12 +195,16 @@ def run_track(
     draw, choice, outcome, ``record`` and, under Thompson sampling, the
     posterior update with the context that was scored. The learner never
     reads the expected losses, so one ``env.expected_losses(states,
-    contexts)`` call, the (n, K) losses of the whole track, gives the oracle
+    offered)`` call, the (n, K) losses of the whole track, gives the oracle
     losses, regret increments and suboptimal flags after the loop.
+    ``offered`` is the list of the n snapshots the pulses chose from; only
+    the synthetic environment reads it, so the physical path builds no
+    (n, K, 3) array.
     """
     agent = TsAgent(prior, noise_var, env.state_proc.n_states, k_arms)
-    # offered: the K contexts each pulse chose from, as snapshots
-    state, obs, waveform, sinr, loss, offered = [], [], [], [], [], []
+    # offered: the K contexts each pulse chose from, as snapshots; scored:
+    # the one it chose
+    state, obs, waveform, sinr, loss, offered, scored = [], [], [], [], [], [], []
 
     thompson = explore == "ts"
     for k in range(n_cpis):
@@ -208,25 +215,23 @@ def run_track(
             idx = pick_argmax(sample_gaussian(agent.posterior, rng), phis)
         else:
             idx = int(rng.integers(k_arms))
-        realized, sinr_k = env.realize(k, s, idx, phis[idx], rng)
+        phi = phis[idx]
+        realized, sinr_k = env.realize(k, s, idx, phi, rng)
         state.append(s)
         obs.append(o)
         waveform.append(idx)
         sinr.append(sinr_k)
         loss.append(realized)
+        scored.append(phi)
         record(agent, o, idx, realized)
         if thompson:
-            agent.posterior = blr_update(
-                agent.posterior, agent.noise_sd, phis[idx], realized
-            )
+            agent.posterior = blr_update(agent.posterior, agent.noise_sd, phi, realized)
 
-    offered = np.array(offered, dtype=float).reshape(n_cpis, k_arms, CONTEXT_DIM)
     state = np.array(state, dtype=int)
     waveform = np.array(waveform, dtype=int)
-    pulses = np.arange(n_cpis)
     expected = env.expected_losses(state, offered)
     oracle_loss = expected.max(axis=-1)
-    chosen = expected[pulses, waveform]
+    chosen = expected[np.arange(n_cpis), waveform]
     return TrackResult(
         state=state,
         obs=np.array(obs, dtype=int),
@@ -236,5 +241,5 @@ def run_track(
         oracle_loss=oracle_loss,
         regret_inc=oracle_loss - chosen,
         suboptimal=chosen < oracle_loss - TIE_TOL,
-        contexts=offered[pulses, waveform],
+        contexts=np.array(scored, dtype=float).reshape(n_cpis, CONTEXT_DIM),
     ), agent

@@ -16,10 +16,11 @@ cycles across its length (the clutter bed is static), and the additive noise
 is circular complex Gaussian. The post-processing SINR compares the target's
 matched-filter peak against the average clutter-plus-noise power in a short
 window of lags around that peak, capped at 60 dB. :func:`channel_tables`
-builds, once per replicate, what depends only on the waveforms, ``doppler``
-and the tap count: each waveform's correlations, tap ramp and unit noise
-map. From those a :class:`TrackSimulator` computes one track's
-matched-filter responses and draws that SINR per pulse.
+builds what depends only on the waveforms, ``doppler`` and the tap count:
+each waveform's correlations, tap ramp and unit noise map, read-only, so
+one build serves every replicate of a process at those values. From those
+a :class:`TrackSimulator` computes one track's matched-filter responses and
+draws that SINR per pulse.
 
 The scene's values (noise floor, powers, grid, taps, draws) are read from a
 ``harness.ExperimentConfig`` where they are used; the only scene-level draw
@@ -217,9 +218,9 @@ _BASE = WINDOW_HALF
 class ChannelTables:
     """The per-waveform parts of the physical channel that no track changes:
     they depend only on the catalog, the scene's ``doppler`` and the number
-    of impulse-response taps. :func:`channel_tables` builds them once per
-    replicate, and every :class:`TrackSimulator` of the replicate reads
-    them.
+    of impulse-response taps. ``meta`` builds them once per process for each
+    (k, ``ir_taps``, ``doppler``) and every :class:`TrackSimulator` built
+    with those values reads them, so every array is read-only.
 
     ``windows[i]`` is a (2, len_i + n_taps - 1, n_taps) read-only view of
     waveform i's two correlations, zero-padded, whose product with a
@@ -292,6 +293,7 @@ def channel_tables(catalog: list, n_taps: int, doppler: float) -> ChannelTables:
         noise_map[:width, width:] = -lg.imag
         noise_map[width:, :width] = lg.imag
         noise_map /= np.sqrt(2.0 * width)
+    tap_ramp.flags.writeable = unit_noise_map.flags.writeable = False
     return ChannelTables(tuple(windows), tap_ramp, unit_noise_map)
 
 
@@ -347,7 +349,12 @@ class TrackSimulator:
     cell ``_clutter`` (grid_n, K), real noise maps ``_noise_map``
     (K, 2 width, 2 width) and cached noise powers ``_noise``
     (K, n_oracle_draws), plus the trajectory's 0-based delay cells
-    ``_delay`` (n,) and the list of state gains ``_gain``.
+    ``_delay`` (n,) and the list of state gains ``_gain``. :meth:`step`
+    reads Python-list mirrors built once here, ``_sig_list``,
+    ``_clutter_rows``, ``_delay_cells`` and the list of per-waveform maps
+    ``_noise_maps``, since indexing an array per pulse makes numpy
+    scalars and views that cost as much as the draw; ``expected_losses``
+    reads the arrays.
     """
 
     def __init__(
@@ -372,6 +379,9 @@ class TrackSimulator:
         taps[1, :, 0] = inst.clutter_ir
         for i, windows in enumerate(tables.windows):
             np.multiply(tables.tap_ramp[i], inst.target_ir, out=taps[0, :, 0])
+            # one product per waveform: a product of the K windows stacked,
+            # or of a dense copy of them, sums in another order and moves
+            # _sig and _clutter in their last bits
             responses = windows @ taps
             n_resp = responses.shape[1]
             # |target| and |clutter| over the filter output, response at _BASE
@@ -393,14 +403,22 @@ class TrackSimulator:
             self._noise[i] = np.clip(p_hat, 1e-18, None)
         self._delay = inst.trajectory - 1
         self._gain = state_gains(config.n_states)
+        # list mirrors for step, which reads one item of each per pulse
+        self._sig_list = self._sig.tolist()
+        self._clutter_rows = self._clutter.tolist()
+        self._delay_cells = self._delay.tolist()
+        self._noise_maps = list(self._noise_map)
+        self._n_normals = 2 * width
 
     def step(self, cpi: int, s: int, w_idx: int, rng: np.random.Generator) -> float:
         """Realized SINR of one pulse, equal in distribution to filtering the
-        full received pulse (target, clutter and white noise on the canvas)."""
-        p_c = self._gain[s] * self._clutter[self._delay[cpi], w_idx]
-        noise_map = self._noise_map[w_idx]
-        y = noise_map.dot(rng.standard_normal(noise_map.shape[1]))
-        return _sinr_value(float(self._sig[w_idx]), p_c + float(y.dot(y)))
+        full received pulse (target, clutter and white noise on the canvas).
+
+        Reads the list mirrors, whose floats equal the arrays' items, so the
+        sums and the ratio round as the array reads did."""
+        p_c = self._gain[s] * self._clutter_rows[self._delay_cells[cpi]][w_idx]
+        y = self._noise_maps[w_idx].dot(rng.standard_normal(self._n_normals))
+        return _sinr_value(self._sig_list[w_idx], p_c + float(y.dot(y)))
 
     def expected_losses(self, states: np.ndarray, sinr_target: float) -> np.ndarray:
         """Monte Carlo mean loss of every waveform at each pulse's true state:

@@ -21,7 +21,6 @@ import math
 import os
 import time
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -481,6 +480,9 @@ def run_block(
     replicates = []
     for policy, (results, history) in zip(policies, runs):
         record = track_record(results)
+        # the stacked record replaces the per-track results, so the block
+        # holds one copy of each policy's per-CPI data until it writes
+        results.clear()
         sinr_db = sinr_to_db(record.sinr)
         outage = sinr_db < OUTAGE_DB
         if policy == "ts-oracle":
@@ -547,6 +549,9 @@ def run_experiment(config: ExperimentConfig) -> list:
     if workers == 1:
         blocks = [_run_job(job) for job in jobs]
     else:
+        # imported here: the pool's module adds about 2 MB to a serial process
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_run_job, jobs))
     return [summary for per_policy in zip(*blocks) for summary in per_policy]

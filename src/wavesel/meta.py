@@ -11,18 +11,22 @@ corresponding instance prior.
 One loop runs a seed block, every listed policy under one seed: each track's
 episode is drawn once and every policy reads it. A policy's own draws come
 from streams keyed by (seed, canonical ``POLICIES`` index, track), so adding
-or removing one policy from a block never perturbs another's draws.
+or removing one policy from a block never perturbs another's draws. The
+physical channel's tables depend on no seed: :func:`process_tables` builds
+them once per process for each (k, ``ir_taps``, ``doppler``) and every
+later block at those values reads that build.
 """
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .bandit import SyntheticTrackEnv, TrackResult, run_track
 from .errors import InvalidInput
 from .fstc import (
+    ChannelTables,
     PhysicalTrackEnv,
     StateProcess,
     TrackSimulator,
@@ -127,6 +131,27 @@ def meta_update(mp: MetaPosterior, data: TrackData) -> MetaPosterior:
 # ---------------------------------------------------------------------------
 # experiment loop
 
+#: Channel-table builds a process keeps, the least recently used dropped
+#: first. A sweep reads one; a build at the default k and ``ir_taps`` holds
+#: 0.3-0.5 MB.
+TABLE_CACHE_SIZE = 4
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _cached_tables(k: int, n_taps: int, doppler: float, doppler_sign: float) -> ChannelTables:
+    return channel_tables(default_catalog(k=k), n_taps, doppler)
+
+
+def process_tables(config) -> ChannelTables:
+    """The read-only :class:`~wavesel.fstc.ChannelTables` of ``config``'s
+    k, ``ir_taps`` and ``doppler``, built on the first request in the
+    process and shared by every later one. The key carries the sign of
+    ``doppler``, so -0.0 and 0.0, which compare equal, are built apart.
+    ``_cached_tables.cache_clear()`` drops every build."""
+    d = config.doppler
+    return _cached_tables(config.k, config.ir_taps, d, math.copysign(1.0, d))
+
+
 def _rng(*key) -> np.random.Generator:
     """The stream of ``key``, a tuple of nonnegative ints; ``SeedSequence``
     refuses any other item, a float seed included."""
@@ -195,7 +220,7 @@ def run_meta_experiment(
     flat = mp = init_meta(config.sigma_q_sq, sigma0_sq=sigma0_sq, sigma_sq=sigma_sq)
     sinr_target = 10.0 ** (config.sinr_target_db / 10.0)
     if config.mode == "physical":
-        tables = channel_tables(default_catalog(k=k_arms), config.ir_taps, config.doppler)
+        tables = process_tables(config)
         root = tap_root(config.ir_taps, config.ir_kernel_scale)
     meta_draws = meta_prior_rng(seed, "meta-ts")
     uninformative = (np.zeros(d), config.sigma_q_sq + sigma0_sq)

@@ -46,9 +46,16 @@ def track_record(results) -> TrackResult:
 def kl_trace(meta_history, mu_star: np.ndarray) -> np.ndarray:
     """Per-track divergence of the meta belief from the smoothed true prior
     mean N(mu_star, KL_REFERENCE_VAR I), from the belief's root (mu, U) and
-    the reference's root sqrt(KL_REFERENCE_VAR) I: no factorization."""
+    the reference's root sqrt(KL_REFERENCE_VAR) I: no factorization.
+
+    Computed once per distinct belief object: a policy without meta level
+    lists its one flat belief at every track."""
     ref = (mu_star, np.sqrt(KL_REFERENCE_VAR) * np.eye(3))
-    return np.array([kl_gaussian((mp.mu, mp.root), ref) for mp in meta_history])
+    kl = {}
+    for mp in meta_history:
+        if id(mp) not in kl:
+            kl[id(mp)] = kl_gaussian((mp.mu, mp.root), ref)
+    return np.array([kl[id(mp)] for mp in meta_history])
 
 
 # ---------------------------------------------------------------------------

@@ -335,6 +335,19 @@ def test_synthetic_loss_stays_in_unit_interval(pyrandom):
     assert 0.0 <= loss <= 1.0
 
 
+@given(
+    st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3),
+    st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_synthetic_loss_inner_product_is_matmuls(theta, phi):
+    # synthetic_loss reads <theta, phi> as theta.dot(phi) of an array and a
+    # context tuple: the same float as np.matmul, so the CSVs keep their bytes
+    theta = np.array(theta)
+    assert float(theta.dot(tuple(phi))) == float(np.matmul(theta, tuple(phi)))
+    assert float(theta.dot(tuple(phi))) == float(np.matmul(theta, np.array(phi)))
+
+
 # ---------------------------------------------------------------------------
 # posterior consistency and the track loop
 

@@ -38,6 +38,9 @@ def test_every_wrap_point_resolves(tracing):
 
 
 def test_every_wrapped_call_site_is_called(tracing, tmp_path):
+    # the channel tables, and the catalog and matched filter they read, are
+    # built once per process: start from an empty cache so the spans fire
+    wavesel.meta._cached_tables.cache_clear()
     tracer = tracing.Tracer()
     tracer.install(wavesel)
     # (posterior_gaussian, blr_update) calls made by each replicate, and

@@ -6,6 +6,8 @@ import hashlib
 import math
 import os
 import string
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import fields, replace
 from functools import partial
@@ -833,7 +835,8 @@ def test_policy_streams_do_not_interact(tmp_path):
 #: (owner, attribute) of each build a seed block shares: one episode draw
 #: per track (``instance_rng``, and in physical mode the instance and its
 #: simulator), and the scene, the flat belief, the meta-ts prior stream and
-#: the channel tables and tap root once per block
+#: the tap root once per block; the channel tables are built once per
+#: process for each (k, ir_taps, doppler)
 SHARED_BUILDS = (
     (meta, "instance_rng"),
     (meta, "draw_instance"),
@@ -859,21 +862,30 @@ def test_a_seed_block_builds_each_episode_once(tmp_path, monkeypatch, mode):
 
     for owner, name in SHARED_BUILDS:
         monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    meta._cached_tables.cache_clear()
     m = 3
-    instances, tables = (m, 1) if mode == "physical" else (0, 0)
+    instances, roots = (m, 1) if mode == "physical" else (0, 0)
     per_seed = {
         "instance_rng": m, "draw_instance": instances, "__init__": instances,
-        "build_scene": 1, "init_meta": 1, "meta_prior_rng": 1,
-        "channel_tables": tables, "tap_root": tables,
+        "build_scene": 1, "init_meta": 1, "meta_prior_rng": 1, "tap_root": roots,
     }
     config = _tiny_config(str(tmp_path), m=m, n=4, mode=mode)
     assert len(config.policies) == 4 and len(config.seeds) == 2
     run_experiment(config)
-    assert dict(calls) == {name: 2 * count for name, count in per_seed.items() if count}
-    # the block of one makes the same builds for its one policy
+    expected = {name: 2 * count for name, count in per_seed.items() if count}
+    if mode == "physical":
+        expected["channel_tables"] = 1
+    assert dict(calls) == expected
+    # the block of one makes the same builds for its one policy, and reads
+    # the process's tables
     calls.clear()
     run(config, "meta-ts", 0)
     assert dict(calls) == {name: count for name, count in per_seed.items() if count}
+    if mode == "physical":
+        # another doppler builds its own tables, once
+        for _ in range(2):
+            run(replace(config, doppler=0.7), "meta-ts", 0)
+        assert calls["channel_tables"] == 1
 
 
 @pytest.mark.parametrize(
@@ -931,6 +943,22 @@ def test_a_block_with_one_non_finite_summary_writes_no_file(tmp_path, monkeypatc
     with pytest.raises(InvalidInput, match="kl_to_truth of meta-ts seed 0"):
         run_experiment(config)
     assert not os.listdir(tmp_path)
+
+
+def test_importing_the_harness_leaves_the_process_pool_out():
+    # only run_experiment's parallel branch imports the pool's module
+    script = (
+        "import sys, wavesel.harness, wavesel.cli\n"
+        "print('concurrent.futures.process' in sys.modules)\n"
+    )
+    src = str(Path(wavesel.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_worker_count_defaults_to_one(monkeypatch):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from wavesel.bandit import SyntheticTrackEnv, TsAgent, run_track
 from wavesel.errors import InvalidInput, ValidationError
 from wavesel.harness import ExperimentConfig, build_scene, parse_config
 from wavesel.meta import (
+    POLICIES,
     MetaPosterior,
     TrackData,
     init_meta,
@@ -417,6 +419,9 @@ def test_physical_mode_smoke():
 
 
 def test_runs_in_one_process_share_the_catalog_envelopes(monkeypatch, tmp_path):
+    # a catalog is requested once per table build: a second run at the same
+    # (k, ir_taps, doppler) reads the process's tables, and a build at
+    # another doppler is handed the same envelopes
     served = []
 
     def recording(*args, **kwargs):
@@ -425,15 +430,21 @@ def test_runs_in_one_process_share_the_catalog_envelopes(monkeypatch, tmp_path):
         return catalog
 
     monkeypatch.setattr(meta, "default_catalog", recording)
+    meta._cached_tables.cache_clear()
     config = parse_config(f"mode = physical\nm = 1\nn = 4\nout_dir = {tmp_path}\n")
     for policy in ("ts-uninformative", "meta-ts"):
         harness.run(config, policy, 3)
+    assert len(served) == 1
+    harness.run(replace(config, doppler=0.7), "meta-ts", 3)
     first, second = served
     assert len(first) == len(second) == 5
     assert all(a is b for a, b in zip(first, second))
 
 
 def test_a_physical_run_builds_the_channel_tables_once(monkeypatch, tmp_path):
+    # once per process for each (k, ir_taps, doppler): a second run reads
+    # the first one's build, and a new value of any of the three builds
+    # again, -0.0 apart from 0.0
     built = []
 
     def recording(*args, **kwargs):
@@ -441,10 +452,44 @@ def test_a_physical_run_builds_the_channel_tables_once(monkeypatch, tmp_path):
         return fstc.channel_tables(*args, **kwargs)
 
     monkeypatch.setattr(meta, "channel_tables", recording)
+    meta._cached_tables.cache_clear()
     config = parse_config(
         f"mode = physical\nm = 3\nn = 4\nk = 3\ndoppler = 0.7\nout_dir = {tmp_path}\n"
     )
     harness.run(config, "meta-ts", 0)
+    harness.run(config, "random", 1)
     assert len(built) == 1
     catalog, n_taps, doppler = built[0]
     assert len(catalog) == 3 and n_taps == config.ir_taps and doppler == 0.7
+    for change in (dict(doppler=0.0), dict(doppler=-0.0), dict(k=2), dict(ir_taps=5)):
+        harness.run(replace(config, **change), "meta-ts", 0)
+    assert [(len(c), taps, math.copysign(1.0, d)) for c, taps, d in built[1:]] == [
+        (3, 8, 1.0), (3, 8, -1.0), (2, 8, 1.0), (3, 5, 1.0)
+    ]
+    assert meta._cached_tables.cache_info().currsize == meta.TABLE_CACHE_SIZE
+
+
+@pytest.mark.parametrize("doppler", [0.0, 0.7])
+def test_a_second_physical_run_writes_the_first_runs_bytes(tmp_path, doppler):
+    # the first run builds the tables, the second reads them from the cache
+    meta._cached_tables.cache_clear()
+    written = []
+    for name in ("built", "cached"):
+        config = parse_config(
+            f"mode = physical\nm = 3\nn = 40\nseeds = 2\ndoppler = {doppler}\n"
+            f"out_dir = {tmp_path / name}\n"
+        )
+        harness.run_experiment(config)
+        written.append({p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())})
+    assert meta._cached_tables.cache_info().hits == 1
+    assert len(written[0]) == 2 * len(POLICIES)
+    assert written[0] == written[1]
+
+
+def test_cached_tables_are_read_only():
+    tables = meta.process_tables(ExperimentConfig(mode="physical", doppler=0.7))
+    arrays = [tables.tap_ramp, tables.unit_noise_map, *tables.windows]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1.0
+    assert meta.process_tables(ExperimentConfig(mode="physical", doppler=0.7)) is tables

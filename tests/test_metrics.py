@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from wavesel import harness
+from wavesel import harness, metrics
 from wavesel.bandit import TrackResult
 from wavesel.errors import IndexOutOfRange, InvalidInput
 from wavesel.fstc import SINR_CAP
+from wavesel.gaussmath import kl_gaussian
 from wavesel.harness import ExperimentConfig, build_scene
 from wavesel.meta import MetaPosterior, run_meta_experiment
 from wavesel.metrics import (
@@ -198,6 +199,32 @@ def test_kl_trace_finite_nonnegative():
     assert trace.shape == (6,)
     assert np.all(np.isfinite(trace))
     assert np.all(trace >= 0.0)
+
+
+@pytest.mark.parametrize(
+    "policy, calls", [("random", 1), ("ts-uninformative", 1), ("meta-ts", 5), ("ts-oracle", 0)]
+)
+def test_kl_column_computes_each_distinct_belief_once(tmp_path, monkeypatch, policy, calls):
+    # the flat belief, listed at every track of a policy without meta
+    # level, is compared once; meta-ts lists m beliefs; ts-oracle's column
+    # is zeros
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return kl_gaussian(*args)
+
+    monkeypatch.setattr(metrics, "kl_gaussian", counting)
+    config = replace(ExperimentConfig(), m=5, n=20, seeds=(0,), out_dir=str(tmp_path))
+    _, summary = harness.run(config, policy, 0)
+    assert len(made) == calls
+    if policy == "ts-oracle":
+        return
+    # the column holds the divergence of each track's belief, to the bit
+    mu_star, state_proc = build_scene(config, 0)
+    _, history = run_meta_experiment(config, mu_star, state_proc, (policy,), 0)[0]
+    ref = (mu_star, np.sqrt(KL_REFERENCE_VAR) * np.eye(3))
+    assert summary.kl_to_truth.tolist() == [kl_gaussian((mp.mu, mp.root), ref) for mp in history]
 
 
 def test_kl_trend_is_monotone_downward(synthetic_sweep):
