@@ -1,4 +1,4 @@
-"""Shared fixtures: the two expensive sweeps are session-scoped so the
+"""Shared fixtures: the expensive sweeps are session-scoped so the
 acceptance tests and the trend tests read from one set of runs."""
 
 from __future__ import annotations
@@ -53,3 +53,9 @@ def synthetic_sweep(tmp_path_factory) -> SweepResult:
 def physical_sweep(tmp_path_factory) -> SweepResult:
     out = tmp_path_factory.mktemp("physical_sweep")
     return run_sweep(sweep_config("physical_sweep", out))
+
+
+@pytest.fixture(scope="session")
+def memory3_sweep(tmp_path_factory) -> SweepResult:
+    out = tmp_path_factory.mktemp("memory3_sweep")
+    return run_sweep(sweep_config("memory3_sweep", out))

@@ -1,4 +1,4 @@
-"""Golden digests of the two session sweeps.
+"""Golden digests of the three session sweeps.
 
 ``golden_sweeps.json`` holds, for each sweep of ``SWEEPS``, the sha256 of
 every per-CPI (``cpi_*``) and per-track (``track_*``) file the sweep writes,
@@ -11,7 +11,7 @@ Usage (from the repository root), to rewrite the file:
 
     PYTHONPATH=src python3 tests/golden.py
 
-It runs and aggregates both sweeps in a temporary directory. A change that moves output
+It runs and aggregates every sweep in a temporary directory. A change that moves output
 bytes on purpose rewrites the file in the same diff and says why.
 """
 
@@ -35,6 +35,15 @@ SWEEPS = {
     "physical_sweep": {
         "mode": "physical",
         "policies": ("ts-uninformative", "ts-oracle", "meta-ts"),
+    },
+    # a memory-3 chain behind a noisy observation kernel: the scene walk's
+    # two-state rows and its observation flips, at every policy
+    "memory3_sweep": {
+        "memory": 3,
+        "obs_flip_prob": 0.4,
+        "m": 10,
+        "n": 100,
+        "seeds": tuple(range(5)),
     },
 }
 

@@ -11,9 +11,15 @@ import json
 from golden import GOLDEN, SWEEPS, differences, file_digests, sweep_digests, versions
 
 
-def test_session_sweeps_match_golden_digests(synthetic_sweep, physical_sweep, tmp_path):
+def test_session_sweeps_match_golden_digests(
+    synthetic_sweep, physical_sweep, memory3_sweep, tmp_path
+):
     recorded = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    sweeps = {"synthetic_sweep": synthetic_sweep, "physical_sweep": physical_sweep}
+    sweeps = {
+        "synthetic_sweep": synthetic_sweep,
+        "physical_sweep": physical_sweep,
+        "memory3_sweep": memory3_sweep,
+    }
     assert sweeps.keys() == SWEEPS.keys()
     problems = [
         f"{name}/{line}"
