@@ -9,25 +9,25 @@ the word "loss".
 Each (observation, waveform) cell carries running statistics of its past
 losses; the context vector of a cell is (running mean, population variance,
 running max) with neutral fill values before any data arrives. The learner
-keeps a Bayesian linear-regression posterior over the weight vector, samples
-one weight draw per pulse, and transmits the waveform whose context scores
-highest under the draw (Agrawal & Goyal, ICML 2013). All of this state lives
-in one :class:`TsAgent` as Python floats: the posterior's nine, the mean
-and the covariance's lower factor (see ``gaussmath``), and the Welford
-statistics and context table as nested lists, one cell updated per pulse,
-so a pulse's contexts, draw, choice and update make no numpy call. A
-track's posterior is built from its prior once (``posterior_gaussian``);
-the per-CPI steps are ``agent_contexts`` (a snapshot), ``sample_gaussian``
-(the draw), ``pick_argmax``, ``record`` (the cell) and, under Thompson
-sampling only, ``blr_update`` (the posterior). Each is called through this
-module's namespace, where the benchmark's tracer times it; ROADMAP item 1
-will re-cut these spans. An exact-linear synthetic environment
-generates losses straight from the context model, which makes the
-learner's behavior verifiable against closed-form oracles.
+keeps a Bayesian linear-regression posterior over the weights, samples one
+draw per pulse and transmits the waveform whose context scores highest
+under it (Agrawal & Goyal, ICML 2013). All of this state lives in one
+:class:`TsAgent` as Python floats and nested lists (the posterior packed as
+``gaussmath`` packs it), so a pulse's contexts, draw, choice and update
+make no numpy call. ``run_track`` builds the posterior once
+(``posterior_gaussian``), binds the environment's methods once per track,
+and calls the per-CPI steps through this module's namespace, where the
+benchmark's tracer times each: ``agent_contexts`` (a snapshot),
+``sample_gaussian``, ``pick_argmax``, ``record`` and, under Thompson
+sampling only, ``blr_update``; ROADMAP item 1 will re-cut these spans. The
+snapshots are stacked after the pulses, by ``np.fromiter``. An exact-linear
+synthetic environment generates losses straight from the context model,
+which makes the learner's behavior verifiable against closed-form oracles.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -45,6 +45,9 @@ CONTEXT_DIM = 3
 #: Two expected losses within this of each other count as tied for regret
 #: and suboptimality accounting.
 TIE_TOL = 1e-12
+
+#: Pulses per array of stacked snapshots: one (n, K, 3) array raised peak RSS.
+STACK_BLOCK = 256
 
 
 class TsAgent:
@@ -107,12 +110,12 @@ def record(agent: TsAgent, o: int, w: int, loss: float) -> None:
         raise InvalidInput(f"loss {x} outside [0, 1]")
     cell = stats[o][w]
     count, mean, m2, mx = cell
-    count += 1
+    cell[0] = count = count + 1
     delta = x - mean
-    mean = mean + delta / count
-    m2 = m2 + delta * (x - mean)
-    mx = max(mx, x)
-    cell[:] = count, mean, m2, mx
+    cell[1] = mean = mean + delta / count
+    cell[2] = m2 = m2 + delta * (x - mean)
+    if x > mx:
+        cell[3] = mx = x
     agent.contexts[o][w] = (mean, m2 / count if count >= 2 else COLD_VAR, mx)
 
 
@@ -163,10 +166,14 @@ class SyntheticTrackEnv(SceneWalk):
         self.sinr_target = float(sinr_target)
 
     def expected_losses(self, states, contexts) -> np.ndarray:
-        """clip(<theta*, phi>) of a track's contexts, one snapshot of K
-        (mean, variance, max) rows per pulse, as an (n, K, 3) array; the
-        states are not read."""
-        return np.matmul(np.array(contexts, dtype=float), self.theta_star).clip(0.0, 1.0)
+        """The (n, K) clip(<theta*, phi>) of a track's snapshots of K (mean,
+        variance, max) rows, stacked ``STACK_BLOCK`` pulses at a time."""
+        out = np.empty((len(contexts), len(contexts[0])))
+        for i in range(0, len(out), STACK_BLOCK):
+            block = chain.from_iterable(chain.from_iterable(contexts[i : i + STACK_BLOCK]))
+            rows = np.fromiter(block, float).reshape(-1, out.shape[1], CONTEXT_DIM)
+            np.matmul(rows, self.theta_star, out=out[i : i + STACK_BLOCK])
+        return out.clip(0.0, 1.0, out=out)
 
     def realize(self, cpi: int, s: int, w_idx: int, phi, rng: np.random.Generator):
         loss = synthetic_loss(self.theta_star, phi, self.noise_var, rng)
@@ -195,40 +202,37 @@ def run_track(
     draw, choice, outcome, ``record`` and, under Thompson sampling, the
     posterior update with the context that was scored. The learner never
     reads the expected losses, so one ``env.expected_losses(states,
-    offered)`` call, the (n, K) losses of the whole track, gives the oracle
-    losses, regret increments and suboptimal flags after the loop.
-    ``offered`` is the list of the n snapshots the pulses chose from; only
-    the synthetic environment reads it, so the physical path builds no
-    (n, K, 3) array.
+    offered)`` call after the loop, on the n snapshots the pulses chose
+    from, gives the oracle losses, regret increments and suboptimal flags;
+    only the synthetic environment reads the snapshots.
     """
     agent = TsAgent(prior, noise_var, env.state_proc.n_states, k_arms)
-    # offered: the K contexts each pulse chose from, as snapshots; scored:
-    # the one it chose
-    state, obs, waveform, sinr, loss, offered, scored = [], [], [], [], [], [], []
-
+    step_scene, realize, noise_sd = env.step_scene, env.realize, agent.noise_sd
+    # pulses: each pulse's state, observation, choice, SINR and loss, flat;
+    # offered: the K contexts it chose from, as a snapshot; scored: its choice
+    pulses, offered, scored = [], [], []
+    keep, offer, add_scored = pulses.extend, offered.append, scored.append
     thompson = explore == "ts"
     for k in range(n_cpis):
-        s, o = env.step_scene(rng)
+        s, o = step_scene(rng)
         phis = agent_contexts(agent, o)
-        offered.append(phis)
+        offer(phis)
         if thompson:
             idx = pick_argmax(sample_gaussian(agent.posterior, rng), phis)
         else:
             idx = int(rng.integers(k_arms))
         phi = phis[idx]
-        realized, sinr_k = env.realize(k, s, idx, phi, rng)
-        state.append(s)
-        obs.append(o)
-        waveform.append(idx)
-        sinr.append(sinr_k)
-        loss.append(realized)
-        scored.append(phi)
+        realized, sinr_k = realize(k, s, idx, phi, rng)
+        keep((s, o, idx, sinr_k, realized))
+        add_scored(phi)
         record(agent, o, idx, realized)
         if thompson:
-            agent.posterior = blr_update(agent.posterior, agent.noise_sd, phi, realized)
+            agent.posterior = blr_update(agent.posterior, noise_sd, phi, realized)
 
+    state, obs, waveform, sinr, loss = (pulses[i::5] for i in range(5))
     state = np.array(state, dtype=int)
     waveform = np.array(waveform, dtype=int)
+    scored = np.fromiter(chain.from_iterable(scored), float, n_cpis * CONTEXT_DIM)
     expected = env.expected_losses(state, offered)
     oracle_loss = expected.max(axis=-1)
     chosen = expected[np.arange(n_cpis), waveform]
@@ -241,5 +245,5 @@ def run_track(
         oracle_loss=oracle_loss,
         regret_inc=oracle_loss - chosen,
         suboptimal=chosen < oracle_loss - TIE_TOL,
-        contexts=np.array(scored, dtype=float).reshape(n_cpis, CONTEXT_DIM),
+        contexts=scored.reshape(n_cpis, CONTEXT_DIM),
     ), agent

@@ -24,7 +24,8 @@ draws that SINR per pulse.
 
 The scene's values (noise floor, powers, grid, taps, draws) are read from a
 ``harness.ExperimentConfig`` where they are used; the only scene-level draw
-is the :class:`StateProcess` transition table.
+is the :class:`StateProcess` transition table, which each track walks with
+a :class:`SceneWalk` whose step makes its state and observation draws inline.
 """
 
 from bisect import bisect_right
@@ -76,7 +77,7 @@ class StateProcess:
 
     Construction also sets ``n_states``, read from the table's shape, and
     keeps ``rows``: the running sums of every row, as one list in C order
-    of the previous states, for :func:`step_state`.
+    of the previous states, which :meth:`SceneWalk.step_scene` bisects.
     """
 
     transition: np.ndarray
@@ -99,21 +100,6 @@ def random_transition(n_states: int, memory: int, rng: np.random.Generator) -> n
     n_rows = n_states ** (memory - 1)
     rows = rng.dirichlet(np.full(n_states, 2.0), size=n_rows)
     return rows.reshape((n_states,) * (memory - 1) + (n_states,))
-
-
-def step_state(sp: StateProcess, row: int, rng: np.random.Generator) -> int:
-    """The chain's next state from table row ``row`` (see :class:`SceneWalk`):
-    one uniform draw and a bisection of the row's running sums."""
-    idx = bisect_right(sp.rows[row], rng.random())
-    return min(idx, sp.n_states - 1)
-
-
-def observe(sp: StateProcess, s: int, rng: np.random.Generator) -> int:
-    """Noisy state reading: s with probability 1 - eps, else uniform elsewhere."""
-    if rng.random() >= sp.obs_flip_prob:
-        return int(s)
-    other = int(rng.integers(sp.n_states - 1))
-    return other + (other >= s)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +294,9 @@ class SceneWalk:
     reads its noisy observation. Both track environments share it. Its one
     int of state, ``row``, is the C-order index of the last memory - 1
     states, padded with state 0: it starts at 0, and each step shifts the
-    new state in and the oldest out."""
+    new state in and the oldest out. A step draws a uniform, bisected into
+    the row's running sums, then one against ``obs_flip_prob`` and, on a
+    flip, an ``integers`` draw among the other states."""
 
     def __init__(self, state_proc: StateProcess):
         self.state_proc = state_proc
@@ -316,9 +304,14 @@ class SceneWalk:
 
     def step_scene(self, rng: np.random.Generator):
         sp = self.state_proc
-        s = step_state(sp, self.row, rng)
+        s = bisect_right(sp.rows[self.row], rng.random())
+        if s == sp.n_states:
+            s -= 1
         self.row = (self.row * sp.n_states + s) % len(sp.rows)
-        return s, observe(sp, s, rng)
+        if rng.random() >= sp.obs_flip_prob:
+            return s, s
+        other = int(rng.integers(sp.n_states - 1))
+        return s, other + (other >= s)
 
 
 class TrackSimulator:

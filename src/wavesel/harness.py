@@ -22,6 +22,7 @@ import os
 import time
 import typing
 from dataclasses import dataclass, fields
+from itertools import islice
 
 import numpy as np
 
@@ -61,6 +62,9 @@ PER_TRACK_HEADER = (
     "policy,seed,track,cum_regret,mean_loss,outage_freq,subopt_freq,kl_to_truth"
 )
 AGG_HEADER = "policy,track,mean,stderr"
+
+#: Lines joined per write call: about 7 KB, under the text layer's 8 KB chunk.
+WRITE_BLOCK = 64
 
 
 def _running_mean(values: np.ndarray) -> np.ndarray:
@@ -385,24 +389,23 @@ class RunSummary:
 
 
 def _write_lines(path: str, lines) -> None:
-    """Write ``lines`` to ``path`` whole or not at all.
-
-    The text goes to a temporary file in the same directory, which replaces
-    ``path`` only after the last line is written; on any failure the
-    temporary file is removed and an earlier ``path`` is left as it was.
-    """
+    """Write ``lines`` to ``path`` whole or not at all: a temporary file in
+    the same directory, written ``WRITE_BLOCK`` joined lines per call,
+    replaces ``path``; if a line, a write or the replace fails, the
+    temporary file is removed instead and ``path`` is left as it was."""
     tmp = f"{path}.{os.getpid()}.tmp"
+    lines = iter(lines)
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            for line in lines:
-                fh.write(line)
-                fh.write("\n")
+            while block := list(islice(lines, WRITE_BLOCK)):
+                fh.write("\n".join(block) + "\n")
         os.replace(tmp, path)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-    finally:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise IoError(f"cannot write {path}: {exc}") from exc
+        raise
 
 
 def _cells(column):

@@ -12,7 +12,7 @@ from scipy.linalg import toeplitz
 
 from wavesel.bandit import COLD_MAX, COLD_MEAN, COLD_VAR, TIE_TOL
 from wavesel.errors import IndexOutOfRange, NotPositiveDefinite
-from wavesel.fstc import SINR_CAP, WINDOW_HALF, TrackSimulator, channel_tables, observe
+from wavesel.fstc import SINR_CAP, WINDOW_HALF, TrackSimulator, channel_tables
 from wavesel.gaussmath import cholesky
 from wavesel.harness import PER_CPI_HEADER
 from wavesel.waveforms import default_catalog
@@ -306,6 +306,15 @@ def step_state(sp, history, rng: np.random.Generator) -> int:
     return min(idx, sp.n_states - 1)
 
 
+def observe(sp, s: int, rng: np.random.Generator) -> int:
+    """Noisy state reading: s with probability 1 - eps, else uniform elsewhere,
+    the observation draws of a scene-walk step."""
+    if rng.random() >= sp.obs_flip_prob:
+        return int(s)
+    other = int(rng.integers(sp.n_states - 1))
+    return other + (other >= s)
+
+
 def reference_track(env, prior, noise_var: float, n_cpis: int, k_arms: int,
                     rng: np.random.Generator, explore: str = "ts") -> dict:
     """One track written out from array primitives: ``prior``, a pair (mean,
@@ -313,7 +322,7 @@ def reference_track(env, prior, noise_var: float, n_cpis: int, k_arms: int,
     factor of the covariance, ``np.clip`` and ``np.mean`` for the losses,
     ``np.outer`` for the update (under Thompson sampling only: a random
     track's posterior stays its prior) and the searching ``step_state``
-    above.
+    and ``observe`` above.
 
     ``env`` is only read: the synthetic environment's ``theta_star`` or the
     physical one's simulator arrays. Makes the same random draws in the same

@@ -26,6 +26,7 @@ from wavesel.fstc import (
     StateProcess,
     compute_loss,
     draw_instance,
+    random_transition,
     tap_root,
 )
 from wavesel.harness import ExperimentConfig
@@ -440,12 +441,14 @@ class RecordingEnv:
         return self.env.realize(cpi, s, w_idx, phi, rng)
 
 
-def physical_env(n: int, doppler: float = 0.0, grid_n: int = 16) -> PhysicalTrackEnv:
+def physical_env(
+    n: int, doppler: float = 0.0, grid_n: int = 16, state_proc: StateProcess | None = None
+) -> PhysicalTrackEnv:
     config = ExperimentConfig(mode="physical", n=n, doppler=doppler, grid_n=grid_n)
     root = tap_root(config.ir_taps, config.ir_kernel_scale)
     inst = draw_instance(config, np.array([1.2, 0.4, 0.6]), root, np.random.default_rng(50))
     sim = simulator(config, inst, np.random.default_rng(51))
-    return PhysicalTrackEnv(sim, uniform_state_proc(), 15.8)
+    return PhysicalTrackEnv(sim, state_proc or uniform_state_proc(), 15.8)
 
 
 @pytest.mark.parametrize("mode", ["synthetic", "physical"])
@@ -472,32 +475,44 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def track_env(mode: str, n: int, doppler: float, grid_n: int):
+def track_state_proc(chain: str) -> StateProcess:
+    """The uniform memory-2 chain at flip probability 0.1, or a drawn
+    memory-3 chain whose observation flips half the time."""
+    if chain == "uniform":
+        return uniform_state_proc()
+    return StateProcess(random_transition(4, 3, np.random.default_rng(61)), 0.5)
+
+
+def track_env(mode: str, n: int, doppler: float, grid_n: int, chain: str):
     if mode == "synthetic":
         return SyntheticTrackEnv(
-            np.array([-0.3, 0.2, 0.8]), uniform_state_proc(), 0.33, 15.8
+            np.array([-0.3, 0.2, 0.8]), track_state_proc(chain), 0.33, 15.8
         )
-    return physical_env(n, doppler, grid_n)
+    return physical_env(n, doppler, grid_n, track_state_proc(chain))
 
 
 @pytest.mark.parametrize("explore", ["ts", "random"])
 @pytest.mark.parametrize(
-    "mode, doppler, grid_n",
-    [("synthetic", 0.0, 16), ("physical", 0.0, 16), ("physical", 0.7, 16),
-     ("physical", 0.0, 1)],
-    ids=["synthetic", "physical", "physical-doppler", "physical-grid1"],
+    "mode, doppler, grid_n, chain",
+    [("synthetic", 0.0, 16, "uniform"), ("physical", 0.0, 16, "uniform"),
+     ("physical", 0.7, 16, "uniform"), ("physical", 0.0, 1, "uniform"),
+     ("synthetic", 0.0, 16, "memory3"), ("physical", 0.0, 16, "memory3")],
+    ids=["synthetic", "physical", "physical-doppler", "physical-grid1",
+         "synthetic-memory3", "physical-memory3"],
 )
-def test_run_track_equals_validated_reference_loop_to_the_bit(mode, doppler, grid_n, explore):
+def test_run_track_equals_validated_reference_loop_to_the_bit(
+    mode, doppler, grid_n, chain, explore
+):
     # the reference computes each pulse's expected losses on its own; the
     # track loop makes one track-wide call after the pulses
     n = 150
     prior = (np.array([0.2, -0.1, 0.4]), 2.0)
     result, agent = run_track(
-        track_env(mode, n, doppler, grid_n), prior, 0.33, n, 5,
+        track_env(mode, n, doppler, grid_n, chain), prior, 0.33, n, 5,
         np.random.default_rng(60), explore,
     )
     expected = reference_track(
-        track_env(mode, n, doppler, grid_n), prior, 0.33, n, 5,
+        track_env(mode, n, doppler, grid_n, chain), prior, 0.33, n, 5,
         np.random.default_rng(60), explore,
     )
     for name in ("state", "obs", "waveform", "sinr", "loss", "oracle_loss",

@@ -23,9 +23,7 @@ from wavesel.fstc import (
     channel_tables,
     compute_loss,
     draw_instance,
-    observe,
     random_transition,
-    step_state,
     tap_root,
     unit_clip,
 )
@@ -78,14 +76,23 @@ def test_step_state_point_mass_row():
     row[2] = 1.0
     sp = StateProcess(np.tile(row, (3, 1)), 0.0)
     rng = np.random.default_rng(1)
-    assert all(step_state(sp, r, rng) == 2 for r in range(3))
+    scene = SceneWalk(sp)
+    for r in range(3):
+        scene.row = r
+        assert scene.step_scene(rng) == (2, 2)
+
+
+def scene_steps(sp: StateProcess, n_steps: int, rng: np.random.Generator) -> list:
+    """The (state, observation) pairs of ``n_steps`` steps of a fresh scene
+    walk."""
+    scene = SceneWalk(sp)
+    return [scene.step_scene(rng) for _ in range(n_steps)]
 
 
 def walk(sp: StateProcess, n_steps: int, rng: np.random.Generator) -> list:
     """The states of ``n_steps`` steps of a fresh scene walk, observations
     dropped."""
-    scene = SceneWalk(sp)
-    return [scene.step_scene(rng)[0] for _ in range(n_steps)]
+    return [s for s, _ in scene_steps(sp, n_steps, rng)]
 
 
 def test_step_state_uniform_frequencies():
@@ -118,8 +125,11 @@ def test_step_state_memory_bound():
 @st.composite
 def chains(draw):
     """A state process and a stream seed. Rows are drawn as small integer
-    weights, so exact zeros (repeated running sums) occur."""
-    n_states = draw(st.integers(1, 5))
+    weights, so exact zeros (repeated running sums) occur. The observation
+    flip probability is 0, 0.1 or 0.9; a chain that flips has at least two
+    states to flip to."""
+    flip = draw(st.sampled_from([0.0, 0.1, 0.9]))
+    n_states = draw(st.integers(2 if flip else 1, 5))
     memory = draw(st.integers(1, 3))
     n_rows = n_states ** (memory - 1)
     weights = np.array(
@@ -131,25 +141,33 @@ def chains(draw):
     transition = (weights / weights.sum(axis=1, keepdims=True)).reshape(
         (n_states,) * (memory - 1) + (n_states,)
     )
-    return StateProcess(transition, 0.0), draw(st.integers(0, 2**32 - 1))
+    return StateProcess(transition, flip), draw(st.integers(0, 2**32 - 1))
 
 
 def oracle_walk(sp: StateProcess, n_steps: int, rng: np.random.Generator) -> list:
-    """The states of ``n_steps`` steps of the history-searching oracle, with
-    the observation draw of each step, as the scene walk makes it."""
-    states = []
+    """The (state, observation) pairs of ``n_steps`` steps of the
+    history-searching oracle and the oracle observation, drawn in the scene
+    walk's order."""
+    states, pairs = [], []
     for _ in range(n_steps):
         states.append(oracles.step_state(sp, states, rng))
-        observe(sp, states[-1], rng)
-    return states
+        pairs.append((states[-1], oracles.observe(sp, states[-1], rng)))
+    return pairs
+
+
+def assert_walk_is_oracle_walk(sp: StateProcess, n_steps: int, seed: int) -> None:
+    """The scene walk's pairs equal the oracle's, and the two leave their
+    streams at the same place."""
+    fast_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert scene_steps(sp, n_steps, fast_rng) == oracle_walk(sp, n_steps, oracle_rng)
+    assert fast_rng.random() == oracle_rng.random()
 
 
 @given(chains())
 @settings(max_examples=150, deadline=None)
 def test_step_state_equals_running_sum_search(chain):
     sp, seed = chain
-    fast = walk(sp, 30, np.random.default_rng(seed))
-    assert fast == oracle_walk(sp, 30, np.random.default_rng(seed))
+    assert_walk_is_oracle_walk(sp, 30, seed)
 
 
 def test_step_state_equals_running_sum_search_on_dirichlet_rows():
@@ -157,8 +175,7 @@ def test_step_state_equals_running_sum_search_on_dirichlet_rows():
         sp = StateProcess(
             random_transition(n_states, memory, np.random.default_rng(seed)), 0.1
         )
-        fast = walk(sp, 2000, np.random.default_rng(seed))
-        assert fast == oracle_walk(sp, 2000, np.random.default_rng(seed))
+        assert_walk_is_oracle_walk(sp, 2000, seed)
 
 
 @given(chains())
@@ -181,9 +198,10 @@ def test_walk_row_is_the_c_order_index_of_the_padded_last_states(chain):
 
 def test_step_state_rejects_a_row_outside_the_table():
     # the package's rows are the walk's own; the table keeps no other
-    sp = StateProcess(np.full((3, 3), 1.0 / 3.0), 0.0)
+    scene = SceneWalk(StateProcess(np.full((3, 3), 1.0 / 3.0), 0.0))
+    scene.row = 3
     with pytest.raises(IndexError):
-        step_state(sp, 3, np.random.default_rng(0))
+        scene.step_scene(np.random.default_rng(0))
 
 
 @given(st.floats(allow_nan=True, allow_infinity=True))
@@ -197,23 +215,28 @@ def test_unit_clip_is_np_clip_to_the_bit(x):
     assert np.float64(unit_clip(x)).tobytes() == expected.tobytes()
 
 
+# the package draws the observation inside ``SceneWalk.step_scene``, which
+# the walk tests above hold to ``oracles.observe``; these hold the oracle to
+# the kernel's law
+
+
 def test_observe_noiseless():
     sp = StateProcess(np.full((4, 4), 0.25), 0.0)
     rng = np.random.default_rng(5)
-    assert all(observe(sp, s, rng) == s for s in range(4))
+    assert all(oracles.observe(sp, s, rng) == s for s in range(4))
 
 
 def test_observe_flip_rate():
     sp = StateProcess(np.full((4, 4), 0.25), 0.1)
     rng = np.random.default_rng(6)
-    hits = sum(observe(sp, 2, rng) == 2 for _ in range(100_000))
+    hits = sum(oracles.observe(sp, 2, rng) == 2 for _ in range(100_000))
     assert abs(hits / 100_000 - 0.9) < 0.01
 
 
 def test_observe_full_entropy_kernel():
     sp = StateProcess(np.full((4, 4), 0.25), 0.75)
     rng = np.random.default_rng(7)
-    counts = Counter(observe(sp, 1, rng) for _ in range(100_000))
+    counts = Counter(oracles.observe(sp, 1, rng) for _ in range(100_000))
     for s in range(4):
         assert abs(counts[s] / 100_000 - 0.25) < 0.01
 

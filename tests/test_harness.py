@@ -800,6 +800,34 @@ def test_write_lines_is_all_or_nothing(tmp_path):
         _write_lines(str(tmp_path / "missing" / "x.csv"), ["a"])
 
 
+def test_write_lines_removes_nothing_after_a_replace(tmp_path, monkeypatch):
+    removed = []
+    remove = os.remove
+    monkeypatch.setattr(os, "remove", lambda path: (removed.append(path), remove(path)))
+    target = tmp_path / "x.csv"
+    _write_lines(str(target), ["header", "row"])
+    _write_lines(str(target), ["header", "other"])
+    assert removed == []
+    assert target.read_text(encoding="utf-8") == "header\nother\n"
+    assert sorted(os.listdir(tmp_path)) == ["x.csv"]
+
+
+def test_write_lines_removes_its_temporary_file_when_the_replace_fails(
+    tmp_path, monkeypatch
+):
+    target = tmp_path / "x.csv"
+    _write_lines(str(target), ["header", "row"])
+
+    def failing_replace(src, dst):
+        raise PermissionError(f"cannot replace {dst}")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(IoError, match="cannot replace"):
+        _write_lines(str(target), ["header", "other"])
+    assert target.read_text(encoding="utf-8") == "header\nrow\n"
+    assert sorted(os.listdir(tmp_path)) == ["x.csv"]
+
+
 def test_csv_paths_follow_naming_scheme(tmp_path):
     out = str(tmp_path)
     assert cpi_csv_path(out, "random", 7) == os.path.join(out, "cpi_random_seed7.csv")
