@@ -63,7 +63,7 @@ PER_TRACK_HEADER = (
 )
 AGG_HEADER = "policy,track,mean,stderr"
 
-#: Lines joined per write call: about 7 KB, under the text layer's 8 KB chunk.
+#: Lines per write call, about 7 KB: one write of a whole file raised peak RSS.
 WRITE_BLOCK = 64
 
 
