@@ -17,10 +17,11 @@ is circular complex Gaussian. The post-processing SINR compares the target's
 matched-filter peak against the average clutter-plus-noise power in a short
 window of lags around that peak, capped at 60 dB. :func:`channel_tables`
 builds what depends only on the waveforms, ``doppler`` and the tap count:
-each waveform's correlations, tap ramp and unit noise map, read-only, so
-one build serves every replicate of a process at those values. From those
-a :class:`TrackSimulator` computes one track's matched-filter responses and
-draws that SINR per pulse.
+each waveform's correlations, tap ramp, unit noise map and that map's
+eigenvalues, read-only, so one build serves every replicate of a process at
+those values. From those a :class:`TrackSimulator` computes one track's
+matched-filter responses, draws that SINR per pulse through the noise map,
+and draws its expected-loss reference in the map's eigenbasis.
 
 The scene's values (noise floor, powers, grid, taps, draws) are read from a
 ``harness.ExperimentConfig`` where they are used; the only scene-level draw
@@ -214,14 +215,17 @@ class ChannelTables:
     those taps: row 0 is the target's Doppler cut, row 1 the clutter's
     correlation (the kept autocorrelation). At ``doppler`` 0 the two are
     the same, so the view has one row, which the product broadcasts.
-    ``tap_ramp`` (K, n_taps) is the Doppler ramp over the taps, and
-    ``unit_noise_map`` (K, 2 width, 2 width) the real map of the noise
-    window's factor at unit ``noise_var``.
+    ``tap_ramp`` (K, n_taps) is the Doppler ramp over the taps,
+    ``unit_noise_map`` (K, 2 width, 2 width) the real map R of the noise
+    window's factor at unit ``noise_var``, and ``noise_eigvals`` (K, width)
+    the eigenvalues of R^T R, largest first; the real form holds each of
+    them twice.
     """
 
     windows: tuple
     tap_ramp: np.ndarray
     unit_noise_map: np.ndarray
+    noise_eigvals: np.ndarray
 
 
 def hermitian_toeplitz(col: np.ndarray) -> np.ndarray:
@@ -249,7 +253,9 @@ def channel_tables(catalog: list, n_taps: int, doppler: float) -> ChannelTables:
     Toeplitz matrix T of the autocorrelation's first width lags, so one
     complex factor L = chol(T + 1e-12 I) serves every track, scaled by
     sqrt(``noise_var``). It is kept as the real map
-    [[Re L, -Im L], [Im L, Re L]] / sqrt(2 width).
+    R = [[Re L, -Im L], [Im L, Re L]] / sqrt(2 width). The singular values
+    of R are those of L / sqrt(2 width), each twice, so the eigenvalues of
+    R^T R are kept as the means of the pairs of its squared singular values.
     """
     width = 2 * WINDOW_HALF + 1
     windows = []
@@ -279,8 +285,11 @@ def channel_tables(catalog: list, n_taps: int, doppler: float) -> ChannelTables:
         noise_map[:width, width:] = -lg.imag
         noise_map[width:, :width] = lg.imag
         noise_map /= np.sqrt(2.0 * width)
-    tap_ramp.flags.writeable = unit_noise_map.flags.writeable = False
-    return ChannelTables(tuple(windows), tap_ramp, unit_noise_map)
+    squared = np.linalg.svd(unit_noise_map, compute_uv=False) ** 2
+    noise_eigvals = (squared[:, 0::2] + squared[:, 1::2]) / 2.0
+    for table in (tap_ramp, unit_noise_map, noise_eigvals):
+        table.flags.writeable = False
+    return ChannelTables(tuple(windows), tap_ramp, unit_noise_map, noise_eigvals)
 
 
 def _sinr_value(sig: float, denom: float) -> float:
@@ -329,12 +338,21 @@ class TrackSimulator:
     matched-filter domain from its exact joint distribution (Toeplitz
     covariance from the waveform's autocorrelation), which is identical in
     law to filtering white noise and orders of magnitude cheaper. The real
-    noise map R is sqrt(``noise_var``) times the tables' unit map, so the
-    window's mean noise power is |R (x, y)|^2 for one draw of 2 width
-    standard normals: the real parts, then the imaginary parts, of the
-    circular normal the complex factor acts on. Expected losses per state
-    use a fixed set of such draws shared by all pulses of the episode,
-    drawn for every waveform in one call.
+    noise map R is sqrt(``noise_var``) times the tables' unit map, so
+    :meth:`step` draws the window's mean noise power as |R (x, y)|^2 for one
+    draw of 2 width standard normals: the real parts, then the imaginary
+    parts, of the circular normal the complex factor acts on.
+
+    Expected losses per state use a fixed set of noise powers shared by all
+    pulses of the episode, drawn in R's eigenbasis instead: with lambda_i
+    the tables' eigenvalues of the unit R^T R, each held twice, |R (x, y)|^2
+    has the law of ``noise_var`` sum_i 2 lambda_i E_i for E_i ~ Exp(1): each
+    pair's two squared normals sum to a chi-square with two degrees of
+    freedom, which is 2 E_i (Imhof, Biometrika 1961). One ``standard_exponential`` call draws
+    (n_oracle_draws, width) per waveform, in waveform order, and one
+    stacked product with the eigenvalues makes the (K, n_oracle_draws)
+    powers, which the first-moment correction then centres on the exact
+    mean ``noise_var``.
 
     ``config`` is a ``harness.ExperimentConfig``, read for ``grid_n``,
     ``n_states`` and ``n_oracle_draws``. The state is arrays over the K
@@ -365,9 +383,6 @@ class TrackSimulator:
         self._sig = np.empty(k)
         self._clutter = np.empty((grid_n, k))
         self._noise_map = np.sqrt(inst.noise_var) * tables.unit_noise_map
-        self._noise = np.empty((k, n_draws))
-        # per waveform, the real parts of every draw, then the imaginary parts
-        normals = oracle_rng.standard_normal((k, 2, n_draws, width))
         taps = np.empty((2, n_taps, 1), dtype=complex)
         taps[1, :, 0] = inst.clutter_ir
         for i, windows in enumerate(tables.windows):
@@ -389,11 +404,12 @@ class TrackSimulator:
             hi = np.minimum(p0 + delays + WINDOW_HALF + 1, out_len)
             c_prefix = np.concatenate([[0.0], np.cumsum(mag[1] ** 2)])
             self._clutter[:, i] = (c_prefix[hi] - c_prefix[lo]) / (hi - lo)
-            y = np.concatenate(normals[i], axis=1) @ self._noise_map[i].T
-            p_hat = np.add.reduce(y * y, axis=1)
-            # first-moment correction: the exact mean window power is known
-            p_hat = p_hat + (inst.noise_var - p_hat.mean())
-            self._noise[i] = np.clip(p_hat, 1e-18, None)
+        draws = oracle_rng.standard_exponential((k, n_draws, width))
+        p_hat = np.matmul(draws, tables.noise_eigvals[:, :, None])[..., 0]
+        p_hat *= 2.0 * inst.noise_var
+        # first-moment correction: the exact mean window power is known
+        p_hat += inst.noise_var - p_hat.mean(axis=1, keepdims=True)
+        self._noise = np.clip(p_hat, 1e-18, None, out=p_hat)
         self._delay = inst.trajectory - 1
         self._gain = state_gains(config.n_states)
         # list mirrors for step, which reads one item of each per pulse

@@ -28,7 +28,7 @@ import numpy as np
 
 from .bandit import TrackResult
 from .errors import EmptyInput, InvalidInput, IoError, ParseError, ValidationError
-from .fstc import StateProcess, random_transition
+from .fstc import WINDOW_HALF, StateProcess, random_transition
 from .gaussmath import kl_gaussian
 from .meta import POLICIES, policy_index, run_meta_experiment, scene_rng
 from .metrics import DB_FLOOR, KL_REFERENCE_VAR, OUTAGE_DB, kl_trace, sinr_to_db, track_record
@@ -195,6 +195,16 @@ class ExperimentConfig:
             raise ValidationError(
                 "k", f"physical mode has a catalog of {len(CATALOG_NAMES)} waveforms"
             )
+        # a track's oracle draws, and expected_losses' buffer over its
+        # distinct (state, delay cell) pairs
+        if self.mode == "physical" and self.n_oracle_draws * self.k * max(
+            2 * WINDOW_HALF + 1, min(self.n, self.n_states * self.grid_n)
+        ) > MAX_ORACLE_FLOATS:
+            raise ValidationError(
+                "n_oracle_draws", f"an oracle buffer exceeds {MAX_ORACLE_FLOATS} floats: "
+                "n_oracle_draws * k * max(33, min(n, n_states * grid_n)); lower "
+                "n_oracle_draws"
+            )
         if self.mu_star is not None and len(self.mu_star) != 3:
             raise ValidationError("mu_star", "the context model uses exactly 3 features")
         # the KL column of every policy but ts-oracle starts at the flat
@@ -230,6 +240,16 @@ def _flat_kl(sigma_q_sq: float, mu_star: np.ndarray) -> float:
 #: a 2-core machine, and each +2 in ``memory`` at 4 states multiplies both
 #: by 16.
 MAX_TRANSITION_ENTRIES = 2**18
+
+#: Largest oracle buffer, in floats, a physical config may ask for: a
+#: track's (k, n_oracle_draws, 33) exponential draws, or ``expected_losses``'
+#: (pairs, k, n_oracle_draws) losses with pairs at most
+#: min(n, n_states * grid_n). On a 2-core machine one build and one
+#: ``expected_losses`` call over every pair raised peak RSS by 8.3 MB at
+#: 10**6 loss floats, 31 MB at 4 * 10**6 and 77 MB at 10**7, and the call
+#: took 12, 37 and 86 ms; each seed block's worker holds its own. The
+#: default of 64 draws needs 64,000.
+MAX_ORACLE_FLOATS = 2**22
 
 #: Largest clutter scale, the top state gain 4 ** (n_states - 2) times
 #: max(clutter_power, 1), a config may ask for. A track's clutter window

@@ -133,7 +133,8 @@ def meta_update(mp: MetaPosterior, data: TrackData) -> MetaPosterior:
 
 #: Channel-table builds a process keeps, the least recently used dropped
 #: first. A sweep reads one; a build at the default k and ``ir_taps`` holds
-#: 0.3-0.5 MB.
+#: about 0.52 MB (tracemalloc, at ``doppler`` 0 and 0.7), of which the noise
+#: maps' eigenvalues, which the oracle draws read, are 1.3 KB.
 TABLE_CACHE_SIZE = 4
 
 
@@ -189,7 +190,8 @@ def meta_prior_rng(seed: int, policy: str) -> np.random.Generator:
 
 def oracle_rng(seed: int, track: int) -> np.random.Generator:
     """Stream for the expected-loss reference draws of one physical track,
-    read once per seed block, so regret is measured against one reference."""
+    one ``standard_exponential`` call read once per seed block, so regret is
+    measured against one reference."""
     return _rng(seed, INSTANCE_TAG, track, ORACLE_TAG)
 
 

@@ -11,8 +11,10 @@ Usage (from the repository root), to rewrite the file:
 
     PYTHONPATH=src python3 tests/golden.py
 
-It runs and aggregates every sweep in a temporary directory. A change that moves output
-bytes on purpose rewrites the file in the same diff and says why.
+It runs and aggregates every sweep in a temporary directory and prints, per
+sweep and file kind, the columns whose digests changed against the file it
+replaces. A change that moves output bytes on purpose rewrites the file in
+the same diff and says why.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import hashlib
 import json
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +111,33 @@ def differences(recorded: dict, found: dict) -> list:
     return lines
 
 
+def change_report(recorded: dict, found: dict) -> list:
+    """One line per sweep of ``found`` and file kind (``cpi_*``, ``track_*``,
+    ``agg_*``): how many of its files changed, were added or went missing
+    against ``recorded`` (both {sweep: file_digests}), and each changed
+    column with the number of files it changed in."""
+    lines = []
+    for sweep, files in found.items():
+        old = recorded.get(sweep, {})
+        for kind in ("cpi_", "track_", "agg_"):
+            names = sorted(n for n in old.keys() | files.keys() if n.startswith(kind))
+            added = sum(n not in old for n in names)
+            missing = sum(n not in files for n in names)
+            changed, columns = 0, Counter()
+            for name in names:
+                if name in old and name in files and old[name] != files[name]:
+                    changed += 1
+                    want, got = old[name]["columns"], files[name]["columns"]
+                    columns.update(c for c in {**want, **got} if want.get(c) != got.get(c))
+            text = f"{changed} of {len(names)} files changed"
+            if added or missing:
+                text += f", {added} added, {missing} missing"
+            if columns:
+                text += ": " + ", ".join(f"{c} ({n})" for c, n in columns.items())
+            lines.append(f"{sweep} {kind}*: {text}")
+    return lines
+
+
 def write(digests: dict) -> None:
     """Write ``digests`` ({sweep: file_digests}) to ``GOLDEN`` with the
     running versions, one file a line."""
@@ -129,8 +159,10 @@ def main() -> int:
             out.mkdir()
             run_experiment(sweep_config(sweep, out))
             digests[sweep] = sweep_digests(out, Path(tmp) / f"{sweep}_agg")
+    recorded = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     write(digests)
     print(f"wrote {GOLDEN}: {sum(map(len, digests.values()))} files")
+    print("\n".join(change_report(recorded, digests)))
     return 0
 
 

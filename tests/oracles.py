@@ -232,13 +232,18 @@ def noise_factor(noise_var: float, env) -> np.ndarray:
     return np.linalg.cholesky(gram + 1e-12 * noise_var * np.eye(width))
 
 
-def unit_noise_factor(env) -> np.ndarray:
-    """``noise_factor`` at unit ``noise_var``, with the jitter 1e-12 I."""
+def unit_noise_gram(env) -> np.ndarray:
+    """The noise window's Toeplitz covariance at unit ``noise_var`` plus the
+    jitter 1e-12 I, from a fresh autocorrelation of the pulse."""
     width = 2 * WINDOW_HALF + 1
     acorr = np.correlate(env.samples, env.samples, mode="full")
     col = acorr[len(env) - 1 : len(env) - 1 + width]
-    gram = toeplitz(col, np.conj(col))
-    return np.linalg.cholesky(gram + 1e-12 * np.eye(width))
+    return toeplitz(col, np.conj(col)) + 1e-12 * np.eye(width)
+
+
+def unit_noise_factor(env) -> np.ndarray:
+    """``noise_factor`` at unit ``noise_var``, with the jitter 1e-12 I."""
+    return np.linalg.cholesky(unit_noise_gram(env))
 
 
 def real_form(lg: np.ndarray) -> np.ndarray:
@@ -257,21 +262,26 @@ def complex_noise_power(lg: np.ndarray, rng: np.random.Generator) -> float:
     return float(np.mean(np.abs(lg @ z) ** 2))
 
 
-def complex_oracle_noise(inst, catalog, rng: np.random.Generator,
-                         n_draws: int) -> np.ndarray:
+def unit_noise_eigvals(env) -> np.ndarray:
+    """The eigenvalues of R^T R for the real form R of ``unit_noise_factor``,
+    one of each pair, largest first. R^T R is the real form of
+    L^H L / (2 width), and L^H L has the eigenvalues of L L^H, the Toeplitz
+    gram plus 1e-12 I, so they are that gram's over 2 width."""
+    gram = unit_noise_gram(env)
+    return np.linalg.eigvalsh(gram)[::-1] / (2.0 * gram.shape[0])
+
+
+def eigen_oracle_noise(inst, catalog, rng: np.random.Generator,
+                       n_draws: int) -> np.ndarray:
     """The (K, n_draws) cached noise powers of a ``TrackSimulator`` in the
-    complex form: per waveform in catalog order, a (draws, width) block of
-    real parts and one of imaginary parts, the mean of |L z|^2 per draw, and
-    the first-moment correction to the exact mean ``noise_var``."""
+    eigen form: per waveform in catalog order, a (draws, width) block of
+    standard exponentials E, ``noise_var`` sum_i 2 lambda_i E_i per draw with
+    the ``unit_noise_eigvals`` lambda, and the first-moment correction to the
+    exact mean ``noise_var``."""
     out = np.empty((len(catalog), n_draws))
     for i, env in enumerate(catalog):
-        lg = noise_factor(inst.noise_var, env)
-        width = lg.shape[0]
-        z = (
-            rng.standard_normal((n_draws, width))
-            + 1j * rng.standard_normal((n_draws, width))
-        ) / np.sqrt(2.0)
-        p_hat = np.mean(np.abs(z @ lg.T) ** 2, axis=1)
+        lam = unit_noise_eigvals(env)
+        p_hat = inst.noise_var * (rng.standard_exponential((n_draws, lam.size)) @ (2.0 * lam))
         p_hat = p_hat + (inst.noise_var - p_hat.mean())
         out[i] = np.clip(p_hat, 1e-18, None)
     return out

@@ -562,15 +562,17 @@ def edge_instance(seed: int) -> FstcInstance:
 
 @pytest.mark.parametrize("doppler", [0.0, 0.7])
 def test_simulator_terms_equal_per_waveform_oracle(doppler):
-    # The oracle filters the placed echo with ``matched_filter`` and draws
-    # the noise in the complex form from the track's own factor; the
-    # simulator convolves the tables' correlations with the taps and scales
-    # the unit noise map, so the two agree to rounding, not to the bit.
+    # The oracle filters the placed echo with ``matched_filter``, scales
+    # the expected-loss draws by the eigenvalues of a fresh Toeplitz gram,
+    # and draws each pulse's noise in the complex form from the track's own
+    # factor; the simulator convolves the tables' correlations with the
+    # taps, reads the tables' eigenvalues and scales the unit noise map, so
+    # the two agree to rounding, not to the bit.
     inst = edge_instance(40)
     catalog = default_catalog()
     config = replace(SCENE, doppler=doppler, n_oracle_draws=129)
     sim = simulator(config, inst, np.random.default_rng(41))
-    noise = oracles.complex_oracle_noise(inst, catalog, np.random.default_rng(41), 129)
+    noise = oracles.eigen_oracle_noise(inst, catalog, np.random.default_rng(41), 129)
     factors = [oracles.noise_factor(inst.noise_var, w) for w in catalog]
     sinr_target = 15.8
     for cpi, cell in enumerate(inst.trajectory):
@@ -681,17 +683,52 @@ def test_one_draw_of_2w_normals_equals_two_draws_of_w_to_the_bit(seed):
     step_draw = one.standard_normal(2 * width)
     pair = np.concatenate([two.standard_normal(width), two.standard_normal(width)])
     assert step_draw.tobytes() == pair.tobytes()
-    for n_draws in (1, 64, 129):
-        oracle_draw = one.standard_normal((2, n_draws, width))
-        pair = np.stack(
-            [two.standard_normal((n_draws, width)), two.standard_normal((n_draws, width))]
-        )
-        assert oracle_draw.tobytes() == pair.tobytes()
-    # the simulator draws every waveform's oracle normals in one call
-    batch = one.standard_normal((5, 2, 64, width))
-    for block in batch:
-        assert block.tobytes() == two.standard_normal((2, 64, width)).tobytes()
     assert one.random() == two.random()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_one_draw_of_k_exponential_blocks_equals_k_draws_to_the_bit(seed):
+    # the simulator draws every waveform's oracle exponentials in one call,
+    # the eigen-form oracle one (draws, width) block per waveform
+    width = 2 * WINDOW_HALF + 1
+    one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n_draws in (1, 64, 129):
+        batch = one.standard_exponential((5, n_draws, width))
+        for block in batch:
+            assert block.tobytes() == two.standard_exponential((n_draws, width)).tobytes()
+    assert one.random() == two.random()
+
+
+@pytest.mark.parametrize("doppler", [0.0, 0.7])
+def test_eigen_draw_has_the_closed_form_moments_of_the_map(doppler):
+    # noise_var sum_i 2 lambda_i E_i against |R x|^2 for x standard normal:
+    # mean noise_var tr(R^T R) and variance 2 noise_var^2 tr((R^T R)^2)
+    tables = channel_tables(default_catalog(), SCENE.ir_taps, doppler)
+    noise_var = 3e-3
+    for unit, lam in zip(tables.unit_noise_map, tables.noise_eigvals):
+        gram = noise_var * (unit.T @ unit)
+        mean, var = noise_var * np.sum(2.0 * lam), noise_var**2 * np.sum((2.0 * lam) ** 2)
+        assert mean == pytest.approx(np.trace(gram), rel=1e-12)
+        assert var == pytest.approx(2.0 * np.trace(gram @ gram), rel=1e-12)
+        assert np.all(np.diff(lam) <= 0.0)
+
+
+def test_eigen_and_map_draws_match_the_closed_form_moments():
+    # 20,000 draws of each form: the sample mean and variance lie within 4
+    # Monte Carlo standard errors of the closed forms. A sum of c_j E_j has
+    # cumulants kappa_r = (r - 1)! sum c_j^r, so the sample variance's
+    # standard error is sqrt((kappa_4 + 2 kappa_2^2) / N).
+    tables = channel_tables(default_catalog(), SCENE.ir_taps, 0.0)
+    n_draws, noise_var = 20_000, 1.0
+    rng = np.random.default_rng(70)
+    for unit, lam in zip(tables.unit_noise_map, tables.noise_eigvals):
+        c = 2.0 * noise_var * lam
+        k2, k4 = np.sum(c**2), 6.0 * np.sum(c**4)
+        eigen = rng.standard_exponential((n_draws, lam.size)) @ c
+        y = rng.standard_normal((n_draws, unit.shape[0])) @ (np.sqrt(noise_var) * unit).T
+        for draws in (eigen, np.sum(y * y, axis=1)):
+            assert abs(draws.mean() - np.sum(c)) < 4.0 * np.sqrt(k2 / n_draws)
+            assert abs(draws.var(ddof=1) - k2) < 4.0 * np.sqrt((k4 + 2.0 * k2**2) / n_draws)
 
 
 def test_real_noise_map_equals_complex_form():
@@ -702,7 +739,7 @@ def test_real_noise_map_equals_complex_form():
     sim = simulator(replace(SCENE, n_oracle_draws=129), inst, np.random.default_rng(53))
     np.testing.assert_allclose(
         sim._noise,
-        oracles.complex_oracle_noise(inst, catalog, np.random.default_rng(53), 129),
+        oracles.eigen_oracle_noise(inst, catalog, np.random.default_rng(53), 129),
         rtol=1e-12,
     )
     for i, w in enumerate(catalog):

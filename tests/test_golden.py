@@ -8,7 +8,15 @@ from __future__ import annotations
 
 import json
 
-from golden import GOLDEN, SWEEPS, differences, file_digests, sweep_digests, versions
+from golden import (
+    GOLDEN,
+    SWEEPS,
+    change_report,
+    differences,
+    file_digests,
+    sweep_digests,
+    versions,
+)
 
 
 def test_session_sweeps_match_golden_digests(
@@ -52,3 +60,25 @@ def test_golden_digests_name_the_first_differing_column(tmp_path):
         "track_y_seed0.csv: not recorded",
     ]
     assert differences(recorded, recorded) == []
+
+
+def test_change_report_counts_changed_columns_per_kind(tmp_path):
+    for seed in (0, 1):
+        (tmp_path / f"cpi_x_seed{seed}.csv").write_text("a,b,c\n1,2,3\n")
+        (tmp_path / f"track_x_seed{seed}.csv").write_text("a,b\n1,2\n")
+    (tmp_path / "agg_loss.csv").write_text("a\n1\n")
+    recorded = {"sweep": file_digests(tmp_path)}
+    (tmp_path / "cpi_x_seed0.csv").write_text("a,b,c\n1,5,4\n")
+    (tmp_path / "cpi_x_seed1.csv").write_text("a,b,c\n1,2,4\n")
+    (tmp_path / "track_x_seed1.csv").unlink()
+    (tmp_path / "agg_regret.csv").write_text("a\n1\n")
+    found = {"sweep": file_digests(tmp_path), "new_sweep": file_digests(tmp_path)}
+    assert change_report(recorded, found) == [
+        "sweep cpi_*: 2 of 2 files changed: b (1), c (2)",
+        "sweep track_*: 0 of 2 files changed, 0 added, 1 missing",
+        "sweep agg_*: 0 of 2 files changed, 1 added, 0 missing",
+        "new_sweep cpi_*: 0 of 2 files changed, 2 added, 0 missing",
+        "new_sweep track_*: 0 of 1 files changed, 1 added, 0 missing",
+        "new_sweep agg_*: 0 of 2 files changed, 2 added, 0 missing",
+    ]
+    assert change_report(found, found)[0] == "sweep cpi_*: 0 of 2 files changed"

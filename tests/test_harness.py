@@ -209,6 +209,11 @@ def test_bad_value_reports_location():
         ({"policies": ()}, "policies"),
         # the uninformative prior variance sigma_q_sq + sigma0_sq overflows
         ("sigma_q_sq = 1e308\nsigma0_sq = 1e308", "sigma_q_sq"),
+        # a 200-pulse track's 200 pairs, or one pulse's 33 draws a waveform,
+        # times k = 5 and the draws pass MAX_ORACLE_FLOATS = 2 ** 22
+        ("mode = physical\nn_oracle_draws = 4195", "n_oracle_draws"),
+        ("mode = physical\nn = 1\nn_oracle_draws = 25421", "n_oracle_draws"),
+        ("mode = physical\nn_oracle_draws = 1000000000", "n_oracle_draws"),
     ],
 )
 def test_validation_failures_name_the_field(bad, field):
@@ -235,6 +240,18 @@ def test_transition_table_limit_admits_2_to_the_18_entries():
     # parsed only: a table this size costs each replicate about 26 MB
     assert parse_config("n_states = 4\nmemory = 9\n").memory == 9
     assert parse_config("n_states = 2\nmemory = 18\n").memory == 18
+
+
+def test_oracle_buffer_limit_admits_2_to_the_22_floats():
+    # constructed only: at this size a track's expected losses take about
+    # 32 MB and 40 ms
+    assert harness.MAX_ORACLE_FLOATS == 2**22
+    assert parse_config("mode = physical\nn_oracle_draws = 4194\n").n_oracle_draws == 4194
+    one_pulse = parse_config("mode = physical\nn = 1\nn_oracle_draws = 25420\n")
+    assert one_pulse.n_oracle_draws == 25420
+    # the 10,000-draw scene of the receive Monte Carlo test: 64 pairs
+    refined = ExperimentConfig(mode="physical", grid_n=16, n_oracle_draws=10_000)
+    assert refined.n_oracle_draws == 10_000
 
 
 @pytest.mark.parametrize("mode", ["synthetic", "physical"])

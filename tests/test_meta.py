@@ -488,8 +488,44 @@ def test_a_second_physical_run_writes_the_first_runs_bytes(tmp_path, doppler):
 
 def test_cached_tables_are_read_only():
     tables = meta.process_tables(ExperimentConfig(mode="physical", doppler=0.7))
-    arrays = [tables.tap_ramp, tables.unit_noise_map, *tables.windows]
+    arrays = [tables.tap_ramp, tables.unit_noise_map, tables.noise_eigvals, *tables.windows]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1.0
     assert meta.process_tables(ExperimentConfig(mode="physical", doppler=0.7)) is tables
+
+
+def csv_columns(path) -> dict:
+    """{column: its values as written, one string a row} of a CSV file."""
+    header, *rows = (line.split(",") for line in path.read_text().splitlines())
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+
+@pytest.mark.parametrize("doppler", [0.0, 0.7])
+def test_the_oracle_stream_reaches_no_learner_column(monkeypatch, tmp_path, doppler):
+    # two oracle streams: the expected losses move, and every byte the
+    # learners read or make stays
+    learner = {
+        "cpi": ("state", "obs", "waveform", "sinr_db", "loss", "outage_10db"),
+        "track": ("mean_loss", "outage_freq", "kl_to_truth"),
+    }
+    written = []
+    for key in (1, 2):
+        monkeypatch.setattr(
+            meta, "oracle_rng",
+            lambda seed, track, key=key: np.random.default_rng((seed, track, key)),
+        )
+        out = tmp_path / f"key{key}"
+        config = parse_config(
+            f"mode = physical\nm = 3\nn = 40\nseeds = 0\ndoppler = {doppler}\n"
+            f"out_dir = {out}\n"
+        )
+        harness.run_block(config, POLICIES, 0)
+        written.append({p.name: csv_columns(p) for p in sorted(out.iterdir())})
+    first, second = written
+    assert first.keys() == second.keys() and len(first) == 2 * len(POLICIES)
+    for name, columns in first.items():
+        for column in learner[name.split("_")[0]]:
+            assert columns[column] == second[name][column], (name, column)
+        if name.startswith("cpi_"):
+            assert columns["oracle_loss"] != second[name]["oracle_loss"], name
