@@ -14,7 +14,11 @@ draw per pulse and transmits the waveform whose context scores highest
 under it (Agrawal & Goyal, ICML 2013). All of this state lives in one
 :class:`TsAgent` as Python floats and nested lists (the posterior packed as
 ``gaussmath`` packs it), so a pulse's contexts, draw, choice and update
-make no numpy call. ``run_track`` builds the posterior once
+make no numpy call. The draws a pulse reads come in blocks: its policy's
+selection stream gives ``STACK_BLOCK`` pulses of Thompson normals (or the
+random baseline's choices) per call, and the environment holds the track's
+scene walk and loss noise, drawn once per (seed, track) and read by pulse
+index. ``run_track`` builds the posterior once
 (``posterior_gaussian``), binds the environment's methods once per track,
 and calls the per-CPI steps through this module's namespace, where the
 benchmark's tracer times each: ``agent_contexts`` (a snapshot),
@@ -32,7 +36,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidInput
-from .fstc import SceneWalk, unit_clip
+from .fstc import SceneWalk, blocks, unit_clip
 from .gaussmath import blr_update, posterior_gaussian, sample_gaussian
 
 COLD_MEAN = 0.5
@@ -45,9 +49,6 @@ CONTEXT_DIM = 3
 #: Two expected losses within this of each other count as tied for regret
 #: and suboptimality accounting.
 TIE_TOL = 1e-12
-
-#: Pulses per array of stacked snapshots: one (n, K, 3) array raised peak RSS.
-STACK_BLOCK = 256
 
 
 class TsAgent:
@@ -119,12 +120,11 @@ def record(agent: TsAgent, o: int, w: int, loss: float) -> None:
     agent.contexts[o][w] = (mean, m2 / count if count >= 2 else COLD_VAR, mx)
 
 
-def synthetic_loss(theta, phi, noise_var: float, rng: np.random.Generator) -> float:
-    """Exact-linear loss clamp(<theta, phi> + noise), noise ~ N(0, noise_var),
-    for an array ``theta``; ``theta.dot`` and ``np.matmul`` give the same
+def synthetic_loss(theta, phi, noise: float) -> float:
+    """Exact-linear loss clamp(<theta, phi> + noise) for an array ``theta``
+    and one noise value; ``theta.dot`` and ``np.matmul`` give the same
     float, and ``dot`` costs less per call."""
-    y = float(theta.dot(phi)) + math.sqrt(noise_var) * rng.standard_normal()
-    return unit_clip(y)
+    return unit_clip(float(theta.dot(phi)) + noise)
 
 
 # ---------------------------------------------------------------------------
@@ -155,28 +155,38 @@ class TrackResult:
 class SyntheticTrackEnv(SceneWalk):
     """Exact-linear environment: losses come from the context model itself.
 
-    A pseudo-SINR is derived by inverting the loss map so that SINR-based
-    metrics stay defined in this mode.
+    The track's scene walk, of ``n_cpis`` pulses from ``walk_rng``, and its
+    loss noise are drawn once: ``noise_rng`` gives one standard normal a
+    pulse, ``STACK_BLOCK`` pulses at a time, kept scaled by
+    sqrt(``noise_var``), so every policy that reaches pulse cpi adds the
+    same noise. The environment holds no learner state, so every policy of
+    a seed reads one. A pseudo-SINR is derived by inverting the loss map so
+    that SINR-based metrics stay defined in this mode.
     """
 
-    def __init__(self, theta_star, state_proc, noise_var, sinr_target):
-        super().__init__(state_proc)
+    def __init__(self, theta_star, state_proc, noise_var, sinr_target, n_cpis: int,
+                 walk_rng: np.random.Generator, noise_rng: np.random.Generator):
+        super().__init__(state_proc, n_cpis, walk_rng)
         self.theta_star = np.asarray(theta_star, dtype=float)
         self.noise_var = float(noise_var)
         self.sinr_target = float(sinr_target)
+        noise_sd = math.sqrt(self.noise_var)
+        self.noise = []
+        for _, size in blocks(n_cpis):
+            self.noise.extend((noise_sd * noise_rng.standard_normal(size)).tolist())
 
     def expected_losses(self, states, contexts) -> np.ndarray:
         """The (n, K) clip(<theta*, phi>) of a track's snapshots of K (mean,
         variance, max) rows, stacked ``STACK_BLOCK`` pulses at a time."""
         out = np.empty((len(contexts), len(contexts[0])))
-        for i in range(0, len(out), STACK_BLOCK):
-            block = chain.from_iterable(chain.from_iterable(contexts[i : i + STACK_BLOCK]))
-            rows = np.fromiter(block, float).reshape(-1, out.shape[1], CONTEXT_DIM)
-            np.matmul(rows, self.theta_star, out=out[i : i + STACK_BLOCK])
+        for start, size in blocks(len(out)):
+            block = chain.from_iterable(chain.from_iterable(contexts[start : start + size]))
+            rows = np.fromiter(block, float).reshape(size, out.shape[1], CONTEXT_DIM)
+            np.matmul(rows, self.theta_star, out=out[start : start + size])
         return out.clip(0.0, 1.0, out=out)
 
-    def realize(self, cpi: int, s: int, w_idx: int, phi, rng: np.random.Generator):
-        loss = synthetic_loss(self.theta_star, phi, self.noise_var, rng)
+    def realize(self, cpi: int, s: int, w_idx: int, phi):
+        loss = synthetic_loss(self.theta_star, phi, self.noise[cpi])
         return loss, loss * self.sinr_target
 
 
@@ -194,9 +204,12 @@ def run_track(
 
     ``explore`` is "ts" for Thompson sampling or "random" for the uniform
     baseline, which records outcomes in the context table but neither reads
-    nor updates the posterior. Regret increments compare the environment's
-    expected losses of the best and the chosen waveform at the contexts
-    used for selection.
+    nor updates the posterior. ``rng`` is the policy's selection stream,
+    read ``STACK_BLOCK`` pulses at a time: three standard normals a pulse
+    for Thompson sampling, one ``integers(k_arms)`` a pulse for the random
+    baseline. The environment's walk and noise are its own. Regret
+    increments compare the environment's expected losses of the best and
+    the chosen waveform at the contexts used for selection.
 
     The pulse loop carries only what the learner feeds back: scene step,
     draw, choice, outcome, ``record`` and, under Thompson sampling, the
@@ -213,21 +226,23 @@ def run_track(
     pulses, offered, scored = [], [], []
     keep, offer, add_scored = pulses.extend, offered.append, scored.append
     thompson = explore == "ts"
-    for k in range(n_cpis):
-        s, o = step_scene(rng)
-        phis = agent_contexts(agent, o)
-        offer(phis)
+    for start, size in blocks(n_cpis):
         if thompson:
-            idx = pick_argmax(sample_gaussian(agent.posterior, rng), phis)
+            draws = rng.standard_normal((size, CONTEXT_DIM)).tolist()
         else:
-            idx = int(rng.integers(k_arms))
-        phi = phis[idx]
-        realized, sinr_k = realize(k, s, idx, phi, rng)
-        keep((s, o, idx, sinr_k, realized))
-        add_scored(phi)
-        record(agent, o, idx, realized)
-        if thompson:
-            agent.posterior = blr_update(agent.posterior, noise_sd, phi, realized)
+            draws = rng.integers(k_arms, size=size).tolist()
+        for k, draw in enumerate(draws, start):
+            s, o = step_scene(k)
+            phis = agent_contexts(agent, o)
+            offer(phis)
+            idx = pick_argmax(sample_gaussian(agent.posterior, draw), phis) if thompson else draw
+            phi = phis[idx]
+            realized, sinr_k = realize(k, s, idx, phi)
+            keep((s, o, idx, sinr_k, realized))
+            add_scored(phi)
+            record(agent, o, idx, realized)
+            if thompson:
+                agent.posterior = blr_update(agent.posterior, noise_sd, phi, realized)
 
     state, obs, waveform, sinr, loss = (pulses[i::5] for i in range(5))
     state = np.array(state, dtype=int)

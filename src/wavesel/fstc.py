@@ -17,16 +17,18 @@ is circular complex Gaussian. The post-processing SINR compares the target's
 matched-filter peak against the average clutter-plus-noise power in a short
 window of lags around that peak, capped at 60 dB. :func:`channel_tables`
 builds what depends only on the waveforms, ``doppler`` and the tap count:
-each waveform's correlations, tap ramp, unit noise map and that map's
-eigenvalues, read-only, so one build serves every replicate of a process at
-those values. From those a :class:`TrackSimulator` computes one track's
-matched-filter responses, draws that SINR per pulse through the noise map,
-and draws its expected-loss reference in the map's eigenbasis.
+each waveform's correlations, tap ramp and the eigenvalues of its noise
+window's covariance, read-only, so one build serves every replicate of a
+process at those values. From those a :class:`TrackSimulator` computes one
+track's matched-filter responses, and draws both each pulse's noise power
+and its expected-loss reference in that covariance's eigenbasis.
 
 The scene's values (noise floor, powers, grid, taps, draws) are read from a
 ``harness.ExperimentConfig`` where they are used; the only scene-level draw
-is the :class:`StateProcess` transition table, which each track walks with
-a :class:`SceneWalk` whose step makes its state and observation draws inline.
+is the :class:`StateProcess` transition table, which each track walks once
+with a :class:`SceneWalk`. A track's walk and its pulse noise read streams
+of their own, drawn ``STACK_BLOCK`` pulses at a time, so every policy of a
+seed reads one walk and one noise table of each track, by pulse index.
 """
 
 from bisect import bisect_right
@@ -41,6 +43,16 @@ from .waveforms import matched_filter
 SINR_CAP = 1e6  # 60 dB
 #: Interference power is averaged over lags peak +/- WINDOW_HALF.
 WINDOW_HALF = 16
+
+#: Pulses per block of a track's bulk draws, and per array of stacked
+#: snapshots: one (n, K, 3) array raised peak RSS.
+STACK_BLOCK = 256
+
+
+def blocks(n_cpis: int):
+    """(first pulse, pulse count) of each ``STACK_BLOCK``-pulse block of a
+    track of ``n_cpis`` pulses, in order; the last block may be shorter."""
+    return ((start, min(STACK_BLOCK, n_cpis - start)) for start in range(0, n_cpis, STACK_BLOCK))
 
 
 def unit_clip(x: float) -> float:
@@ -155,8 +167,9 @@ def draw_instance(
 
     ``config`` is a ``harness.ExperimentConfig``. theta feeds three power
     levels through the softplus link: target gain, clutter gain, and the
-    noise floor. The draw order (theta, target taps, clutter taps,
-    trajectory) is fixed so seeded streams reproduce exactly.
+    noise floor. The draw order (theta, target taps, clutter taps, first
+    delay cell, then the n - 1 delay steps in one call) is fixed so seeded
+    streams reproduce exactly.
     """
     grid_n = config.grid_n
     theta = mu_star + np.sqrt(config.sigma0_sq) * rng.standard_normal(3)
@@ -169,20 +182,14 @@ def draw_instance(
 
     # Tracks begin at standoff range: the dominant clutter patch sits at the
     # near edge of the delay grid, and a target under track starts well
-    # separated from it. The walk may still close that separation.
+    # separated from it. The walk may still close that separation. The
+    # target's Doppler is the scene-wide ``doppler`` ramp, so the walk keeps
+    # no Doppler cell.
     delay = int(rng.integers(1 + grid_n // 3, grid_n + 1))
-    # The target's Doppler is the scene-wide ``doppler`` ramp, so the walk
-    # keeps no Doppler cell. It still makes the draws of a walk on a 16-cell
-    # Doppler axis and drops them: the first cell, then one step after each
-    # delay step, so the stream layout, and the physical CSVs, stay as they
-    # were. One batch of 2n steps reads the same values as 2n single draws
-    # and leaves the stream at the same place; the delay steps are the even
-    # ones.
-    rng.integers(1, 17)
-    cells = []
-    for step in rng.integers(-1, 2, size=2 * config.n)[::2].tolist():
-        cells.append(delay)
+    cells = [delay]
+    for step in rng.integers(-1, 2, size=config.n - 1).tolist():
         delay = min(max(delay + step, 1), grid_n)
+        cells.append(delay)
 
     return FstcInstance(
         theta=theta,
@@ -215,16 +222,15 @@ class ChannelTables:
     those taps: row 0 is the target's Doppler cut, row 1 the clutter's
     correlation (the kept autocorrelation). At ``doppler`` 0 the two are
     the same, so the view has one row, which the product broadcasts.
-    ``tap_ramp`` (K, n_taps) is the Doppler ramp over the taps,
-    ``unit_noise_map`` (K, 2 width, 2 width) the real map R of the noise
-    window's factor at unit ``noise_var``, and ``noise_eigvals`` (K, width)
-    the eigenvalues of R^T R, largest first; the real form holds each of
+    ``tap_ramp`` (K, n_taps) is the Doppler ramp over the taps, and
+    ``noise_eigvals`` (K, width) the eigenvalues of R^T R for the real map R
+    of the noise window's factor at unit ``noise_var`` (see
+    :func:`channel_tables`), largest first; the real form holds each of
     them twice.
     """
 
     windows: tuple
     tap_ramp: np.ndarray
-    unit_noise_map: np.ndarray
     noise_eigvals: np.ndarray
 
 
@@ -250,17 +256,20 @@ def channel_tables(catalog: list, n_taps: int, doppler: float) -> ChannelTables:
     the ramp is 1 and the cut is the autocorrelation.
 
     The noise window's covariance is ``noise_var`` times the Hermitian
-    Toeplitz matrix T of the autocorrelation's first width lags, so one
-    complex factor L = chol(T + 1e-12 I) serves every track, scaled by
-    sqrt(``noise_var``). It is kept as the real map
-    R = [[Re L, -Im L], [Im L, Re L]] / sqrt(2 width). The singular values
-    of R are those of L / sqrt(2 width), each twice, so the eigenvalues of
-    R^T R are kept as the means of the pairs of its squared singular values.
+    Toeplitz matrix T of the autocorrelation's first width lags. With
+    L = chol(T + 1e-12 I), the window's noise is sqrt(``noise_var``) L z for
+    a circular normal z, or R x for x real standard normal and the real map
+    R = [[Re L, -Im L], [Im L, Re L]] / sqrt(2 width). R^T R is the real
+    form of L^H L / (2 width), whose eigenvalues are those of L L^H, so the
+    eigenvalues of R^T R are those of (T + 1e-12 I) / (2 width), each held
+    twice: one ``eigvalsh`` of the K matrices stacked gives them, and no
+    factor or map is formed. An eigenvalue that is not positive raises
+    :class:`~wavesel.errors.NotPositiveDefinite`.
     """
     width = 2 * WINDOW_HALF + 1
     windows = []
     tap_ramp = np.empty((len(catalog), n_taps), dtype=complex)
-    unit_noise_map = np.empty((len(catalog), 2 * width, 2 * width))
+    grams = np.empty((len(catalog), width, width), dtype=complex)
     for i, env in enumerate(catalog):
         echo_len = len(env) + n_taps - 1
         ramp = np.exp(2j * np.pi * doppler * (np.arange(echo_len) / echo_len))
@@ -275,21 +284,13 @@ def channel_tables(catalog: list, n_taps: int, doppler: float) -> ChannelTables:
         # window's product with taps h is entry n of the convolution with h
         windows.append(sliding_window_view(padded, n_taps, axis=1)[..., ::-1])
         mid = len(env) - 1
-        gram = hermitian_toeplitz(acorr[mid : mid + width])
-        try:
-            lg = np.linalg.cholesky(gram + 1e-12 * np.eye(width))
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefinite("noise window covariance failed to factor")
-        noise_map = unit_noise_map[i]
-        noise_map[:width, :width] = noise_map[width:, width:] = lg.real
-        noise_map[:width, width:] = -lg.imag
-        noise_map[width:, :width] = lg.imag
-        noise_map /= np.sqrt(2.0 * width)
-    squared = np.linalg.svd(unit_noise_map, compute_uv=False) ** 2
-    noise_eigvals = (squared[:, 0::2] + squared[:, 1::2]) / 2.0
-    for table in (tap_ramp, unit_noise_map, noise_eigvals):
+        grams[i] = hermitian_toeplitz(acorr[mid : mid + width]) + 1e-12 * np.eye(width)
+    noise_eigvals = np.linalg.eigvalsh(grams)[:, ::-1] / (2.0 * width)
+    if not np.all(noise_eigvals > 0.0):
+        raise NotPositiveDefinite("noise window covariance is not positive definite")
+    for table in (tap_ramp, noise_eigvals):
         table.flags.writeable = False
-    return ChannelTables(tuple(windows), tap_ramp, unit_noise_map, noise_eigvals)
+    return ChannelTables(tuple(windows), tap_ramp, noise_eigvals)
 
 
 def _sinr_value(sig: float, denom: float) -> float:
@@ -299,34 +300,50 @@ def _sinr_value(sig: float, denom: float) -> float:
 
 
 class SceneWalk:
-    """The hidden-state walk of one track: each pulse advances the chain and
-    reads its noisy observation. Both track environments share it. Its one
-    int of state, ``row``, is the C-order index of the last memory - 1
-    states, padded with state 0: it starts at 0, and each step shifts the
-    new state in and the oldest out. A step draws a uniform, bisected into
-    the row's running sums, then one against ``obs_flip_prob`` and, on a
-    flip, an ``integers`` draw among the other states."""
+    """The hidden-state walk of one track, walked once and read by every
+    policy: :meth:`step_scene` returns pulse ``cpi``'s (state, observation).
+    Both track environments share it.
 
-    def __init__(self, state_proc: StateProcess):
-        self.state_proc = state_proc
-        self.row = 0
+    The walk reads its own stream, three uniforms a pulse, drawn
+    ``STACK_BLOCK`` pulses at a time. The first is bisected into the running
+    sums of the row of the last memory - 1 states, padded with state 0: the
+    row starts at 0, and each step shifts the new state in and the oldest
+    out. The second is tested against ``obs_flip_prob``, and on a flip the
+    third picks one of the other n_states - 1 states, as
+    int(u (n_states - 1)). A block of uniforms is the stream's values one at
+    a time, so the walk does not depend on the block size. ``row`` is the
+    row after the last pulse.
+    """
 
-    def step_scene(self, rng: np.random.Generator):
-        sp = self.state_proc
-        s = bisect_right(sp.rows[self.row], rng.random())
-        if s == sp.n_states:
-            s -= 1
-        self.row = (self.row * sp.n_states + s) % len(sp.rows)
-        if rng.random() >= sp.obs_flip_prob:
-            return s, s
-        other = int(rng.integers(sp.n_states - 1))
-        return s, other + (other >= s)
+    def __init__(self, state_proc: StateProcess, n_cpis: int, rng: np.random.Generator):
+        self.state_proc = sp = state_proc
+        rows, n_states, flip = sp.rows, sp.n_states, sp.obs_flip_prob
+        n_rows, others = len(rows), n_states - 1
+        states, obs = [], []
+        row = 0
+        for _, size in blocks(n_cpis):
+            for u_state, u_flip, u_other in rng.random((size, 3)).tolist():
+                s = bisect_right(rows[row], u_state)
+                if s == n_states:
+                    s = others
+                row = (row * n_states + s) % n_rows
+                states.append(s)
+                if u_flip >= flip:
+                    obs.append(s)
+                else:
+                    other = int(u_other * others)
+                    obs.append(other + (other >= s))
+        self.states, self.obs, self.row = states, obs, row
+
+    def step_scene(self, cpi: int) -> tuple:
+        return self.states[cpi], self.obs[cpi]
 
 
 class TrackSimulator:
     """Per-episode fast path: computes every waveform's deterministic
     matched-filter responses once, from the replicate's
-    :class:`ChannelTables`, so each pulse costs only a small noise draw.
+    :class:`ChannelTables`, and every pulse's noise power, so each pulse is
+    a lookup.
 
     Both responses, the target's and the clutter's, are a kept correlation
     convolved with the track's taps: one small product per waveform of the
@@ -334,38 +351,38 @@ class TrackSimulator:
     at ``_BASE`` on the filter output. The build factors nothing and takes
     the same path at every ``doppler``.
 
-    The noise contribution to the analysis window is drawn directly in the
-    matched-filter domain from its exact joint distribution (Toeplitz
-    covariance from the waveform's autocorrelation), which is identical in
-    law to filtering white noise and orders of magnitude cheaper. The real
-    noise map R is sqrt(``noise_var``) times the tables' unit map, so
-    :meth:`step` draws the window's mean noise power as |R (x, y)|^2 for one
-    draw of 2 width standard normals: the real parts, then the imaginary
-    parts, of the circular normal the complex factor acts on.
+    The noise contribution to the analysis window has an exact joint law in
+    the matched-filter domain (Toeplitz covariance from the waveform's
+    autocorrelation), identical to filtering white noise: with R the real
+    map of the window's unit noise factor (see :func:`channel_tables`), the
+    window's mean noise power is ``noise_var`` |R x|^2 for x a vector of
+    2 width standard normals. It is drawn in R's eigenbasis: with lambda_i
+    the tables' eigenvalues of the unit R^T R, each held twice, |R x|^2 has
+    the law of sum_i 2 lambda_i E_i for E_i ~ Exp(1), since each pair's two
+    squared normals sum to a chi-square with two degrees of freedom, which
+    is 2 E_i (Imhof, Biometrika 1961).
 
-    Expected losses per state use a fixed set of noise powers shared by all
-    pulses of the episode, drawn in R's eigenbasis instead: with lambda_i
-    the tables' eigenvalues of the unit R^T R, each held twice, |R (x, y)|^2
-    has the law of ``noise_var`` sum_i 2 lambda_i E_i for E_i ~ Exp(1): each
-    pair's two squared normals sum to a chi-square with two degrees of
-    freedom, which is 2 E_i (Imhof, Biometrika 1961). One ``standard_exponential`` call draws
-    (n_oracle_draws, width) per waveform, in waveform order, and one
-    stacked product with the eigenvalues makes the (K, n_oracle_draws)
-    powers, which the first-moment correction then centres on the exact
-    mean ``noise_var``.
+    Two streams are drawn this way. ``noise_rng``, the track's pulse noise, fills
+    the (n, K) table of every pulse's noise power under every waveform:
+    (pulses, K, width) exponentials per ``STACK_BLOCK`` pulses, in pulse
+    order, so every policy that sends waveform w at pulse cpi sees one
+    power. ``oracle_rng`` draws the (K, n_oracle_draws) powers shared by
+    every pulse of the episode that :meth:`expected_losses` averages: one
+    ``standard_exponential`` call of (K, n_oracle_draws, width), in waveform
+    order, and one stacked product with the eigenvalues, which the
+    first-moment correction then centres on the exact mean ``noise_var``.
 
     ``config`` is a ``harness.ExperimentConfig``, read for ``grid_n``,
     ``n_states`` and ``n_oracle_draws``. The state is arrays over the K
     waveforms: peak powers ``_sig`` (K,), window clutter powers per delay
-    cell ``_clutter`` (grid_n, K), real noise maps ``_noise_map``
-    (K, 2 width, 2 width) and cached noise powers ``_noise``
+    cell ``_clutter`` (grid_n, K) and cached oracle powers ``_noise``
     (K, n_oracle_draws), plus the trajectory's 0-based delay cells
     ``_delay`` (n,) and the list of state gains ``_gain``. :meth:`step`
     reads Python-list mirrors built once here, ``_sig_list``,
-    ``_clutter_rows``, ``_delay_cells`` and the list of per-waveform maps
-    ``_noise_maps``, since indexing an array per pulse makes numpy
-    scalars and views that cost as much as the draw; ``expected_losses``
-    reads the arrays.
+    ``_clutter_rows`` and ``_delay_cells``, and the pulse powers as a list
+    of n lists of K floats, ``_pulse_noise``, since indexing an array per
+    pulse makes numpy scalars and views that cost as much as the arithmetic;
+    ``expected_losses`` reads the arrays.
     """
 
     def __init__(
@@ -374,6 +391,7 @@ class TrackSimulator:
         inst: FstcInstance,
         tables: ChannelTables,
         oracle_rng: np.random.Generator,
+        noise_rng: np.random.Generator,
     ):
         grid_n, n_draws = config.grid_n, config.n_oracle_draws
         n_taps = tables.tap_ramp.shape[1]
@@ -382,7 +400,6 @@ class TrackSimulator:
         delays = np.arange(grid_n)
         self._sig = np.empty(k)
         self._clutter = np.empty((grid_n, k))
-        self._noise_map = np.sqrt(inst.noise_var) * tables.unit_noise_map
         taps = np.empty((2, n_taps, 1), dtype=complex)
         taps[1, :, 0] = inst.clutter_ir
         for i, windows in enumerate(tables.windows):
@@ -412,22 +429,28 @@ class TrackSimulator:
         self._noise = np.clip(p_hat, 1e-18, None, out=p_hat)
         self._delay = inst.trajectory - 1
         self._gain = state_gains(config.n_states)
+        self._pulse_noise = []
+        for _, size in blocks(self._delay.size):
+            draws = noise_rng.standard_exponential((size, k, width))
+            # each entry sums its own width products alone, so a pulse's
+            # power does not depend on the block it was drawn in
+            powers = np.einsum("pkw,kw->pk", draws, tables.noise_eigvals)
+            powers *= 2.0 * inst.noise_var
+            self._pulse_noise.extend(powers.tolist())
         # list mirrors for step, which reads one item of each per pulse
         self._sig_list = self._sig.tolist()
         self._clutter_rows = self._clutter.tolist()
         self._delay_cells = self._delay.tolist()
-        self._noise_maps = list(self._noise_map)
-        self._n_normals = 2 * width
 
-    def step(self, cpi: int, s: int, w_idx: int, rng: np.random.Generator) -> float:
-        """Realized SINR of one pulse, equal in distribution to filtering the
-        full received pulse (target, clutter and white noise on the canvas).
+    def step(self, cpi: int, s: int, w_idx: int) -> float:
+        """Realized SINR of pulse ``cpi`` in state ``s`` under waveform
+        ``w_idx``, equal in distribution to filtering the full received
+        pulse (target, clutter and white noise on the canvas).
 
         Reads the list mirrors, whose floats equal the arrays' items, so the
         sums and the ratio round as the array reads did."""
         p_c = self._gain[s] * self._clutter_rows[self._delay_cells[cpi]][w_idx]
-        y = self._noise_maps[w_idx].dot(rng.standard_normal(self._n_normals))
-        return _sinr_value(self._sig_list[w_idx], p_c + float(y.dot(y)))
+        return _sinr_value(self._sig_list[w_idx], p_c + self._pulse_noise[cpi][w_idx])
 
     def expected_losses(self, states: np.ndarray, sinr_target: float) -> np.ndarray:
         """Monte Carlo mean loss of every waveform at each pulse's true state:
@@ -454,10 +477,15 @@ class TrackSimulator:
 
 class PhysicalTrackEnv(SceneWalk):
     """Adapter giving the per-track learner a uniform environment interface:
-    the scene walk on ``state_proc`` and the simulator's pulses."""
+    the track's scene walk on ``state_proc``, of the simulator's n pulses
+    from ``walk_rng``, and the simulator's pulses. It holds no learner state,
+    so every policy of a seed reads one."""
 
-    def __init__(self, sim: TrackSimulator, state_proc: StateProcess, sinr_target: float):
-        super().__init__(state_proc)
+    def __init__(
+        self, sim: TrackSimulator, state_proc: StateProcess, sinr_target: float,
+        walk_rng: np.random.Generator,
+    ):
+        super().__init__(state_proc, sim._delay.size, walk_rng)
         self.sim = sim
         self.sinr_target = sinr_target
 
@@ -465,6 +493,6 @@ class PhysicalTrackEnv(SceneWalk):
         """The simulator's expected losses; the contexts are not read."""
         return self.sim.expected_losses(states, self.sinr_target)
 
-    def realize(self, cpi: int, s: int, w_idx: int, phi, rng: np.random.Generator):
-        sinr = self.sim.step(cpi, s, w_idx, rng)
+    def realize(self, cpi: int, s: int, w_idx: int, phi):
+        sinr = self.sim.step(cpi, s, w_idx)
         return compute_loss(sinr, self.sinr_target), sinr

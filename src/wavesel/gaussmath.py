@@ -76,11 +76,11 @@ def posterior_gaussian(prior: tuple) -> tuple:
     return tuple(float(x) for x in mean), (r, 0.0, r, 0.0, 0.0, r)
 
 
-def sample_gaussian(g: tuple, rng: np.random.Generator) -> tuple:
-    """One draw x = mean + L z of a posterior (mean, L), from one
-    ``standard_normal(3)`` call: (x0, x1, x2)."""
+def sample_gaussian(g: tuple, z) -> tuple:
+    """One draw x = mean + L z of a posterior (mean, L), from three standard
+    normals z: (x0, x1, x2)."""
     (m0, m1, m2), (l00, l10, l11, l20, l21, l22) = g
-    z0, z1, z2 = rng.standard_normal(3).tolist()
+    z0, z1, z2 = z
     return (
         m0 + l00 * z0,
         m1 + (l10 * z0 + l11 * z1),

@@ -10,7 +10,8 @@ variable), with outputs merged in canonical (policy, seed) order regardless
 of worker count.
 
 Every CSV file the package writes is a header and its columns, written by
-one function, ``_table_lines``. A float is written as ``repr`` of a Python
+one function, ``_table_lines``, which yields the lines one at a time, so a
+file is never held whole. A float is written as ``repr`` of a Python
 float, which round-trips exactly, and an int in decimal, so recomputing
 any metric from the files reproduces the in-memory value bit for bit.
 """
@@ -22,7 +23,7 @@ import os
 import time
 import typing
 from dataclasses import dataclass, fields
-from itertools import islice
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -157,6 +158,9 @@ class ExperimentConfig:
         for name in ("grid_n", "ir_taps", "n_oracle_draws"):
             if getattr(self, name) < 1:
                 raise ValidationError(name, "must be at least 1")
+        for name, limit in (("grid_n", MAX_GRID_N), ("ir_taps", MAX_IR_TAPS)):
+            if getattr(self, name) > limit:
+                raise ValidationError(name, f"must be at most {limit}")
         if self.ir_kernel_scale <= 0:
             raise ValidationError("ir_kernel_scale", "must be strictly positive")
         # A zero target echo gives SINR 0 under every waveform: zero loss and
@@ -250,6 +254,23 @@ MAX_TRANSITION_ENTRIES = 2**18
 #: took 12, 37 and 86 ms; each seed block's worker holds its own. The
 #: default of 64 draws needs 64,000.
 MAX_ORACLE_FLOATS = 2**22
+
+#: Largest delay grid, in ``grid_n`` cells, a physical config may ask for.
+#: Each track's simulator build keeps a (grid_n, k) clutter table and its
+#: list mirror. On a 2-core machine a build at the defaults took 1.4 ms at
+#: 64 cells, 2.9 ms at 4,096 and 41 ms at 65,536 (untraced, best of 3), and
+#: peaked at 0.46, 1.5 and 20 MB under tracemalloc; at 262,144 cells the
+#: peak was 78 MB and the build took seconds.
+MAX_GRID_N = 2**16
+
+#: Longest impulse response, in ``ir_taps`` taps, a physical config may ask
+#: for. Each seed block eigendecomposes the (ir_taps, ir_taps) tap
+#: covariance, and each track draws through its root and convolves every
+#: waveform's correlations with the taps. On a 2-core machine the root took
+#: 14 ms at 256 taps, 0.50 s at 1,024 and 2.7 s at 2,048, peaking at 1.6 MB
+#: at 256 and 24 MB at 1,024 under tracemalloc; a track's build took 13 ms
+#: at 256 and 62 ms at 1,024, against 1.7 ms at the default 8.
+MAX_IR_TAPS = 2**10
 
 #: Largest clutter scale, the top state gain 4 ** (n_states - 2) times
 #: max(clutter_power, 1), a config may ask for. A track's clutter window
@@ -430,38 +451,45 @@ def _write_lines(path: str, lines) -> None:
 
 def _cells(column):
     """A column's items as written: a numpy array's items through ``tolist``
-    (a bool as 0 or 1), an int in decimal and a float as its ``repr``. Any
-    other column holds strings, taken as written."""
+    (a bool as 0 or 1), an int in decimal and a float as its ``repr``,
+    converted ``WRITE_BLOCK`` items at a time. Any other column holds
+    strings, taken as written."""
     if not isinstance(column, np.ndarray):
         return column
-    if column.dtype == bool:
-        column = column.astype(int)
-    return map(repr, column.ravel().tolist())
+    flat = column.ravel()
+    if flat.dtype == bool:
+        flat = flat.view(np.uint8)
+    return chain.from_iterable(
+        map(repr, flat[i : i + WRITE_BLOCK].tolist()) for i in range(0, flat.size, WRITE_BLOCK)
+    )
 
 
-def _table_lines(header: str, prefix: str, columns) -> list:
-    """A CSV file's lines: ``header``, then one line per row, ``prefix``
-    followed by the comma-joined items of the equal-length ``columns``."""
-    rows = zip(*map(_cells, columns))
-    return [header, *(prefix + ",".join(row) for row in rows)]
+def _table_lines(header: str, prefix: str, columns):
+    """A CSV file's lines, yielded one at a time: ``header``, then one line
+    per row, ``prefix`` followed by the comma-joined items of the
+    equal-length ``columns``."""
+    yield header
+    for row in zip(*map(_cells, columns)):
+        yield prefix + ",".join(row)
 
 
-def _cpi_lines(policy: str, seed: int, record, sinr_db, outage) -> list:
+def _cpi_lines(policy: str, seed: int, record, sinr_db, outage):
     """The per-CPI file's lines of one replicate's stacked record, with its
-    derived (m, n) ``sinr_db`` and ``outage`` columns. The track and CPI
-    index columns are written once each and repeated as strings."""
+    derived (m, n) ``sinr_db`` and ``outage`` columns, yielded one at a
+    time. The track and CPI index columns are made as the rows are."""
     m, n = record.loss.shape
     columns = (
-        [t for t in _cells(np.arange(m)) for _ in range(n)],
-        list(_cells(np.arange(n))) * m,
+        chain.from_iterable(repeat(str(t), n) for t in range(m)),
+        chain.from_iterable(map(str, range(n)) for _ in range(m)),
         record.state, record.obs, record.waveform, sinr_db, record.loss,
         record.oracle_loss, record.regret_inc, record.suboptimal, outage,
     )
     return _table_lines(PER_CPI_HEADER, f"{policy},{seed},", columns)
 
 
-def _track_lines(summary: RunSummary) -> list:
-    """The per-track file's lines of one replicate's summary."""
+def _track_lines(summary: RunSummary):
+    """The per-track file's lines of one replicate's summary, yielded one at
+    a time."""
     columns = (
         np.arange(summary.cum_regret.size), summary.cum_regret, summary.mean_loss,
         summary.outage_freq, summary.subopt_freq, summary.kl_to_truth,

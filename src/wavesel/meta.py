@@ -9,17 +9,32 @@ belief at the start of a track and hands the per-track learner the
 corresponding instance prior.
 
 One loop runs a seed block, every listed policy under one seed: each track's
-episode is drawn once and every policy reads it. A policy's own draws come
-from streams keyed by (seed, canonical ``POLICIES`` index, track), so adding
-or removing one policy from a block never perturbs another's draws. The
-physical channel's tables depend on no seed: :func:`process_tables` builds
-them once per process for each (k, ``ir_taps``, ``doppler``) and every
-later block at those values reads that build.
+episode is drawn once and every policy reads it. The random draws are split
+by purpose into keyed streams (stream layout version 2; README's "Random
+streams" table lists them):
+
+- per seed, the scene's transition table (``scene_rng``) and meta-TS's
+  prior-mean draws (``meta_prior_rng``);
+- per (seed, track), shared by every policy: the episode (``instance_rng``),
+  the hidden-state walk (``walk_rng``), the loss noise (``noise_rng``) and,
+  in physical mode, the expected-loss reference (``oracle_rng``);
+- per (seed, policy, track): the policy's selection draws (``track_rng``).
+
+So the policies of a seed are compared on common episodes: the same
+instance, hidden states, observations and noise, and only the choices
+differ (common random numbers; Glasserman & Yao, Management Science 1992).
+A policy's keys use its canonical ``POLICIES`` index, so adding or removing
+one policy from a block never perturbs another's draws. The walk, the noise
+and the selection draws are made ``STACK_BLOCK`` pulses at a time and read
+by pulse index. The physical channel's tables depend on no seed:
+:func:`process_tables` builds them once per process for each (k,
+``ir_taps``, ``doppler``) and every later block at those values reads that
+build.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,6 +61,8 @@ SCENE_TAG = 1_000_003
 INSTANCE_TAG = 1_000_019
 META_TAG = 1_000_033
 ORACLE_TAG = 1_000_037
+WALK_TAG = 1_000_039
+NOISE_TAG = 1_000_081
 
 
 @dataclass(frozen=True)
@@ -133,8 +150,9 @@ def meta_update(mp: MetaPosterior, data: TrackData) -> MetaPosterior:
 
 #: Channel-table builds a process keeps, the least recently used dropped
 #: first. A sweep reads one; a build at the default k and ``ir_taps`` holds
-#: about 0.52 MB (tracemalloc, at ``doppler`` 0 and 0.7), of which the noise
-#: maps' eigenvalues, which the oracle draws read, are 1.3 KB.
+#: about 0.18 MB at ``doppler`` 0 and 0.34 MB at 0.7 (tracemalloc, the
+#: envelopes' kept autocorrelations aside), of which the noise covariance's
+#: eigenvalues, which both noise draws read, are 1.3 KB.
 TABLE_CACHE_SIZE = 4
 
 
@@ -167,19 +185,36 @@ def policy_index(policy: str) -> int:
 
 
 def scene_rng(seed: int) -> np.random.Generator:
-    """Stream for scene-level draws shared by every policy under a seed."""
+    """Stream for scene-level draws shared by every policy under a seed: the
+    transition table."""
     return _rng(seed, SCENE_TAG)
 
 
 def track_rng(seed: int, policy: str, track: int) -> np.random.Generator:
-    """Per-track stream driving the policy's scene walk and selections."""
+    """The policy's selection stream of one track and nothing else: three
+    standard normals a pulse under Thompson sampling, one choice a pulse
+    for the random baseline."""
     return _rng(seed, policy_index(policy), track)
 
 
 def instance_rng(seed: int, track: int) -> np.random.Generator:
-    """Stream for the track's episode draw, made once per seed block and read
-    by every policy, so policies are compared on common episodes."""
+    """Stream for the track's episode draw (theta, and in physical mode the
+    impulse responses and the trajectory), made once per seed block and read
+    by every policy."""
     return _rng(seed, INSTANCE_TAG, track)
+
+
+def walk_rng(seed: int, track: int) -> np.random.Generator:
+    """Stream for the track's hidden-state walk and its observations, three
+    uniforms a pulse, walked once per seed block and read by every policy."""
+    return _rng(seed, WALK_TAG, track)
+
+
+def noise_rng(seed: int, track: int) -> np.random.Generator:
+    """Stream for the track's loss noise, drawn once per seed block and read
+    by every policy: one standard normal a pulse in synthetic mode, K times
+    width standard exponentials a pulse in physical mode."""
+    return _rng(seed, NOISE_TAG, track)
 
 
 def meta_prior_rng(seed: int, policy: str) -> np.random.Generator:
@@ -205,11 +240,13 @@ def run_meta_experiment(
     ``harness.build_scene(config, seed)``.
 
     Per track: draw the episode once (a latent weight vector in synthetic
-    mode, a channel instance and its simulator in physical mode); then, per
-    policy, pick its instance prior, run the per-track selection loop on its
-    own scene walk of the episode, and, for meta-TS only, fold the track's
-    data into the meta belief. Returns per policy, in the order given, the
-    per-track results and the belief after each track (flat for non-meta).
+    mode, a channel instance and its simulator in physical mode) with its
+    scene walk and loss noise, as one environment; then, per policy, pick
+    its instance prior, run the per-track selection loop on that
+    environment with the policy's own selection stream, and, for meta-TS
+    only, fold the track's data into the meta belief. Returns per policy,
+    in the order given, the per-track results and the belief after each
+    track (flat for non-meta).
 
     A track's prior is a pair (mean, var), the isotropic N(mean, var I).
     Per policy: ts-oracle uses (mu_star, sigma0_sq); meta-TS samples the
@@ -229,15 +266,17 @@ def run_meta_experiment(
 
     runs = [([], []) for _ in policies]
     for t in range(config.m):
-        # the episode, drawn once; new_env() gives a policy its own scene walk
-        env_rng = instance_rng(seed, t)
+        # the episode, its walk and its noise, drawn once for every policy
+        env_rng, walk, noise = instance_rng(seed, t), walk_rng(seed, t), noise_rng(seed, t)
         if config.mode == "synthetic":
             theta_star = mu_star + np.sqrt(sigma0_sq) * env_rng.standard_normal(d)
-            new_env = partial(SyntheticTrackEnv, theta_star, state_proc, sigma_sq, sinr_target)
+            env = SyntheticTrackEnv(
+                theta_star, state_proc, sigma_sq, sinr_target, n, walk, noise
+            )
         else:
             inst = draw_instance(config, mu_star, root, env_rng)
-            sim = TrackSimulator(config, inst, tables, oracle_rng(seed, t))
-            new_env = partial(PhysicalTrackEnv, sim, state_proc, sinr_target)
+            sim = TrackSimulator(config, inst, tables, oracle_rng(seed, t), noise)
+            env = PhysicalTrackEnv(sim, state_proc, sinr_target, walk)
         for policy, (results, history) in zip(policies, runs):
             if policy == "ts-oracle":
                 prior = (mu_star, sigma0_sq)
@@ -247,7 +286,7 @@ def run_meta_experiment(
                 prior = uninformative
             rng = track_rng(seed, policy, t)
             explore = "random" if policy == "random" else "ts"
-            result, _ = run_track(new_env(), prior, sigma_sq, n, k_arms, rng, explore=explore)
+            result, _ = run_track(env, prior, sigma_sq, n, k_arms, rng, explore=explore)
             if policy == "meta-ts":
                 mp = meta_update(mp, TrackData(result.contexts, result.loss))
             results.append(result)

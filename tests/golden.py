@@ -9,19 +9,29 @@ session fixtures' files, and their aggregates, with it.
 
 Usage (from the repository root), to rewrite the file:
 
-    PYTHONPATH=src python3 tests/golden.py
+    PYTHONPATH=src python3 tests/golden.py [--against REV]
 
 It runs and aggregates every sweep in a temporary directory and prints, per
 sweep and file kind, the columns whose digests changed against the file it
-replaces. A change that moves output bytes on purpose rewrites the file in
-the same diff and says why.
+replaces. It then runs the same sweeps with the package of the git revision
+REV (default ``HEAD``; its ``src/`` taken by ``git archive``, in a child
+process) and prints, per sweep and file kind, how many ``cpi_*`` files'
+``waveform`` column changed and the largest absolute gap of each changed
+float column against that revision's values. A change that moves output
+bytes on purpose rewrites the file in the same diff and quotes that report.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import io
 import json
+import math
+import os
+import subprocess
 import sys
+import tarfile
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -138,6 +148,100 @@ def change_report(recorded: dict, found: dict) -> list:
     return lines
 
 
+def read_columns(path) -> dict:
+    """{column: its values as written, one string a row} of a CSV file."""
+    header, *rows = (line.split(",") for line in Path(path).read_text().splitlines())
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+
+def _is_int(text: str) -> bool:
+    return text.lstrip("-").isdigit()
+
+
+def gap_report(before, after) -> list:
+    """One line per sweep of ``SWEEPS`` and file kind, comparing the files
+    ``run_sweeps`` wrote under ``before`` with those under ``after``: for
+    ``cpi_*``, in how many files (and rows) the ``waveform`` column changed;
+    for every kind, the largest absolute gap of each float column that
+    changed, over the kind's files present in both with the same rows. A
+    ``agg_*`` column is named with its metric, as ``regret.mean``."""
+    lines = []
+    for sweep in SWEEPS:
+        dirs = [(Path(root) / sweep, Path(root) / f"{sweep}_agg") for root in (before, after)]
+        found = {p.name: p for d in dirs[1] for p in sorted(d.glob("*.csv"))}
+        old = {p.name: p for d in dirs[0] for p in sorted(d.glob("*.csv"))}
+        for kind in ("cpi_", "track_", "agg_"):
+            names = sorted(n for n in found.keys() & old.keys() if n.startswith(kind))
+            gaps, flipped_files, flipped_rows, rows, unmatched = {}, 0, 0, 0, 0
+            for name in names:
+                a, b = read_columns(old[name]), read_columns(found[name])
+                if a.keys() != b.keys() or len(a[next(iter(a))]) != len(b[next(iter(b))]):
+                    unmatched += 1
+                    continue
+                for column, values in b.items():
+                    was = a[column]
+                    if column == "waveform":
+                        rows += len(values)
+                        flips = sum(x != y for x, y in zip(was, values))
+                        flipped_files += flips > 0
+                        flipped_rows += flips
+                    if was == values or all(map(_is_int, values + was)):
+                        continue
+                    key = f"{name[4:-4]}.{column}" if kind == "agg_" else column
+                    gap = max(
+                        (abs(float(x) - float(y)) for x, y in zip(was, values) if x != y),
+                        default=0.0,
+                    )
+                    gaps[key] = max(gaps.get(key, 0.0), 0.0 if math.isnan(gap) else gap)
+            parts = []
+            if kind == "cpi_":
+                parts.append(
+                    f"waveform changed in {flipped_files} of {len(names)} files "
+                    f"({flipped_rows} of {rows} rows)"
+                )
+            parts.append(
+                "largest absolute gap: "
+                + (", ".join(f"{c} {g:.4g}" for c, g in gaps.items()) if gaps else "none")
+            )
+            if unmatched:
+                parts.append(f"{unmatched} files with other columns or rows")
+            lines.append(f"{sweep} {kind}*: " + "; ".join(parts))
+    return lines
+
+
+def run_sweeps(root) -> dict:
+    """Run every sweep into ``root``/<sweep> and aggregate it into
+    ``root``/<sweep>_agg; returns {sweep: its ``sweep_digests``}."""
+    digests = {}
+    for sweep in SWEEPS:
+        out = Path(root) / sweep
+        out.mkdir(parents=True)
+        run_experiment(sweep_config(sweep, out))
+        digests[sweep] = sweep_digests(out, Path(root) / f"{sweep}_agg")
+    return digests
+
+
+def run_revision_sweeps(rev: str, root) -> None:
+    """Run every sweep into ``root`` with the package of git revision
+    ``rev``: its ``src/`` from ``git archive``, extracted under ``root``,
+    imported by a child process that runs this file's sweeps."""
+    repo = Path(__file__).resolve().parents[1]
+    archive = subprocess.run(
+        ["git", "-C", str(repo), "archive", rev, "src"], capture_output=True, check=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(Path(root) / "rev", filter="data")
+    src = Path(root) / "rev" / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    child = subprocess.run(
+        [sys.executable, __file__, "--run-into", str(Path(root) / "out")],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    imported = Path(child.stdout.strip())
+    if src.resolve() not in imported.resolve().parents:
+        raise OSError(f"the sweeps of {rev} imported the package from {imported}")
+
+
 def write(digests: dict) -> None:
     """Write ``digests`` ({sweep: file_digests}) to ``GOLDEN`` with the
     running versions, one file a line."""
@@ -151,18 +255,30 @@ def write(digests: dict) -> None:
     GOLDEN.write_text("{\n" + ",\n".join(parts) + "\n}\n", encoding="utf-8")
 
 
-def main() -> int:
-    digests = {}
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Rewrite the golden digests.")
+    parser.add_argument("--against", default="HEAD", metavar="REV",
+                        help="git revision whose values the gaps are taken against")
+    # the child process of run_revision_sweeps: run the sweeps, write nothing else
+    parser.add_argument("--run-into", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.run_into:
+        run_sweeps(args.run_into)
+        print(Path(sys.modules["wavesel"].__file__).parent)
+        return 0
     with tempfile.TemporaryDirectory() as tmp:
-        for sweep in SWEEPS:
-            out = Path(tmp) / sweep
-            out.mkdir()
-            run_experiment(sweep_config(sweep, out))
-            digests[sweep] = sweep_digests(out, Path(tmp) / f"{sweep}_agg")
-    recorded = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
-    write(digests)
-    print(f"wrote {GOLDEN}: {sum(map(len, digests.values()))} files")
-    print("\n".join(change_report(recorded, digests)))
+        digests = run_sweeps(Path(tmp) / "now")
+        recorded = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+        write(digests)
+        print(f"wrote {GOLDEN}: {sum(map(len, digests.values()))} files")
+        print("\n".join(change_report(recorded, digests)))
+        try:
+            run_revision_sweeps(args.against, Path(tmp) / "before")
+        except (OSError, subprocess.CalledProcessError) as exc:
+            print(f"no value gaps against {args.against}: {exc}")
+            return 0
+        print(f"value gaps against {args.against}:")
+        print("\n".join(gap_report(Path(tmp) / "before" / "out", Path(tmp) / "now")))
     return 0
 
 

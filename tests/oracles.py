@@ -12,7 +12,12 @@ from scipy.linalg import toeplitz
 
 from wavesel.bandit import COLD_MAX, COLD_MEAN, COLD_VAR, TIE_TOL
 from wavesel.errors import IndexOutOfRange, NotPositiveDefinite
-from wavesel.fstc import SINR_CAP, WINDOW_HALF, TrackSimulator, channel_tables
+from wavesel.fstc import (
+    SINR_CAP,
+    WINDOW_HALF,
+    TrackSimulator,
+    channel_tables,
+)
 from wavesel.gaussmath import cholesky
 from wavesel.harness import PER_CPI_HEADER
 from wavesel.waveforms import default_catalog
@@ -214,22 +219,13 @@ def place(length: int, refl: np.ndarray, offset: int) -> np.ndarray:
     return out
 
 
-def simulator(config, inst, rng: np.random.Generator):
+def simulator(config, inst, oracle_rng: np.random.Generator,
+              noise_rng: np.random.Generator):
     """A ``TrackSimulator`` of ``inst`` under ``config``, from channel tables
     built for the config's first k catalog waveforms, its taps and its
-    ``doppler``."""
+    ``doppler``, with its oracle and pulse-noise streams."""
     tables = channel_tables(default_catalog(config.k), config.ir_taps, config.doppler)
-    return TrackSimulator(config, inst, tables, rng)
-
-
-def noise_factor(noise_var: float, env) -> np.ndarray:
-    """The complex Cholesky factor L of the matched-filter noise covariance
-    over the analysis window, from a fresh autocorrelation of the pulse."""
-    width = 2 * WINDOW_HALF + 1
-    acorr = np.correlate(env.samples, env.samples, mode="full")
-    col = noise_var * acorr[len(env) - 1 : len(env) - 1 + width]
-    gram = toeplitz(col, np.conj(col))
-    return np.linalg.cholesky(gram + 1e-12 * noise_var * np.eye(width))
+    return TrackSimulator(config, inst, tables, oracle_rng, noise_rng)
 
 
 def unit_noise_gram(env) -> np.ndarray:
@@ -242,24 +238,24 @@ def unit_noise_gram(env) -> np.ndarray:
 
 
 def unit_noise_factor(env) -> np.ndarray:
-    """``noise_factor`` at unit ``noise_var``, with the jitter 1e-12 I."""
+    """The complex Cholesky factor L of the matched-filter noise covariance
+    over the analysis window at unit ``noise_var``, with the jitter
+    1e-12 I, from a fresh autocorrelation of the pulse."""
     return np.linalg.cholesky(unit_noise_gram(env))
 
 
 def real_form(lg: np.ndarray) -> np.ndarray:
-    """The real map of a complex factor acting on a circular normal, as the
-    simulator keeps it: [[Re L, -Im L], [Im L, Re L]] / sqrt(2 width)."""
+    """The real map of a complex factor acting on a circular normal:
+    [[Re L, -Im L], [Im L, Re L]] / sqrt(2 width)."""
     width = lg.shape[0]
     return np.block([[lg.real, -lg.imag], [lg.imag, lg.real]]) / np.sqrt(2.0 * width)
 
 
-def complex_noise_power(lg: np.ndarray, rng: np.random.Generator) -> float:
-    """One pulse's mean window noise power in the complex form: a circular
-    normal z from two ``standard_normal(width)`` draws (real parts, then
-    imaginary parts), and the mean of |L z|^2."""
-    width = lg.shape[0]
-    z = (rng.standard_normal(width) + 1j * rng.standard_normal(width)) / np.sqrt(2.0)
-    return float(np.mean(np.abs(lg @ z) ** 2))
+def unit_noise_map(env) -> np.ndarray:
+    """The real map R of the noise window's factor at unit ``noise_var``:
+    ``noise_var`` |R x|^2 for x standard normal is the window's mean noise
+    power, whose law the simulator draws in the eigenbasis of R^T R."""
+    return real_form(unit_noise_factor(env))
 
 
 def unit_noise_eigvals(env) -> np.ndarray:
@@ -287,25 +283,43 @@ def eigen_oracle_noise(inst, catalog, rng: np.random.Generator,
     return out
 
 
-def interleaved_walk(grid_n: int, n_cpis: int, rng: np.random.Generator) -> np.ndarray:
+def pulse_noise_row(noise_var: float, eigvals: np.ndarray,
+                    rng: np.random.Generator) -> np.ndarray:
+    """One pulse's noise powers under each of the K waveforms, in the eigen
+    form: one (K, width) draw of standard exponentials E, then
+    ``noise_var`` sum_i 2 lambda_i E_i per waveform for the (K, width)
+    ``eigvals`` lambda, each sum formed as the simulator forms it, so the
+    powers equal its table's to the bit."""
+    draws = rng.standard_exponential(eigvals.shape)
+    return np.einsum("pkw,kw->pk", draws[None], eigvals)[0] * (2.0 * noise_var)
+
+
+def pulse_noise_table(inst, catalog, rng: np.random.Generator, n_cpis: int) -> np.ndarray:
+    """The (n_cpis, K) pulse noise powers of a ``TrackSimulator`` of ``inst``,
+    drawn one pulse at a time from its pulse-noise stream, with the
+    ``unit_noise_eigvals`` of each catalog waveform."""
+    eigvals = np.array([unit_noise_eigvals(env) for env in catalog])
+    return np.array([pulse_noise_row(inst.noise_var, eigvals, rng) for _ in range(n_cpis)])
+
+
+def single_step_walk(grid_n: int, n_cpis: int, rng: np.random.Generator) -> np.ndarray:
     """The 1-based delay cells of a target walk drawn one step at a time: the
-    first delay cell, a dropped cell on a 16-cell Doppler axis, then per CPI
-    one delay step and one dropped Doppler step, each a single
+    first delay cell, then n_cpis - 1 steps, each a single
     ``integers(-1, 2)`` call, the delay clipped to [1, grid_n]."""
     delay = int(rng.integers(1 + grid_n // 3, grid_n + 1))
-    rng.integers(1, 17)
     cells = np.empty(n_cpis, dtype=int)
-    for i in range(n_cpis):
-        cells[i] = delay
+    cells[0] = delay
+    for i in range(1, n_cpis):
         delay = int(np.clip(delay + int(rng.integers(-1, 2)), 1, grid_n))
-        rng.integers(-1, 2)
+        cells[i] = delay
     return cells
 
 
 def step_state(sp, history, rng: np.random.Generator) -> int:
     """The scene-chain step as a search of the row's running sums, computed
-    afresh on every call. ``history`` holds past states, oldest first; the
-    row is that of the last memory - 1, padded with state 0."""
+    afresh on every call, from one uniform. ``history`` holds past states,
+    oldest first; the row is that of the last memory - 1, padded with
+    state 0."""
     need = sp.transition.ndim - 1
     recent = tuple(int(s) for s in history[-need:]) if need else ()
     if len(recent) < need:
@@ -317,16 +331,20 @@ def step_state(sp, history, rng: np.random.Generator) -> int:
 
 
 def observe(sp, s: int, rng: np.random.Generator) -> int:
-    """Noisy state reading: s with probability 1 - eps, else uniform elsewhere,
-    the observation draws of a scene-walk step."""
-    if rng.random() >= sp.obs_flip_prob:
+    """Noisy state reading from two uniforms, the observation draws of a
+    scene-walk step: s if the first is at least eps, else the state the
+    second picks, uniformly, among the other n_states - 1."""
+    flip, pick = rng.random(), rng.random()
+    if flip >= sp.obs_flip_prob:
         return int(s)
-    other = int(rng.integers(sp.n_states - 1))
+    other = int(pick * (sp.n_states - 1))
     return other + (other >= s)
 
 
 def reference_track(env, prior, noise_var: float, n_cpis: int, k_arms: int,
-                    rng: np.random.Generator, explore: str = "ts") -> dict:
+                    rng: np.random.Generator, walk_rng: np.random.Generator,
+                    noise_rng: np.random.Generator, explore: str = "ts",
+                    inst=None) -> dict:
     """One track written out from array primitives: ``prior``, a pair (mean,
     var), as the arrays (mean, var I), a draw through the counted Cholesky
     factor of the covariance, ``np.clip`` and ``np.mean`` for the losses,
@@ -334,11 +352,16 @@ def reference_track(env, prior, noise_var: float, n_cpis: int, k_arms: int,
     track's posterior stays its prior) and the searching ``step_state``
     and ``observe`` above.
 
-    ``env`` is only read: the synthetic environment's ``theta_star`` or the
-    physical one's simulator arrays. Makes the same random draws in the same
-    order as ``bandit.run_track``. Returns the per-CPI arrays of
-    ``TrackResult`` and the final learner state (``post_mean``,
-    ``post_cov``, ``stats``, ``agent_contexts``).
+    Each purpose stream is drawn here, one pulse at a time: per pulse, the
+    walk's three uniforms from ``walk_rng``, the selection's three normals
+    or one ``integers(k_arms)`` from ``rng``, and the loss noise from
+    ``noise_rng``, one standard normal in synthetic mode or, in physical
+    mode, ``pulse_noise_row`` of the physical instance ``inst`` with the
+    ``unit_noise_eigvals`` of the catalog. ``env`` is only read: the
+    synthetic environment's ``theta_star`` or the physical one's simulator
+    arrays. Returns the per-CPI arrays of ``TrackResult`` and the final
+    learner state (``post_mean``, ``post_cov``, ``stats``,
+    ``agent_contexts``).
     """
     sp = env.state_proc
     n_obs = sp.n_states
@@ -355,11 +378,13 @@ def reference_track(env, prior, noise_var: float, n_cpis: int, k_arms: int,
     rows["contexts"] = []
     states: list[int] = []
     sim = getattr(env, "sim", None)
+    if sim is not None:
+        eigvals = np.array([unit_noise_eigvals(w) for w in default_catalog(k_arms)])
 
     for k in range(n_cpis):
-        s = step_state(sp, states, rng)
+        s = step_state(sp, states, walk_rng)
         states.append(s)
-        o = observe(sp, s, rng)
+        o = observe(sp, s, walk_rng)
         phis = table[o]
         if explore == "random":
             idx = int(rng.integers(k_arms))
@@ -370,8 +395,7 @@ def reference_track(env, prior, noise_var: float, n_cpis: int, k_arms: int,
         if sim is None:
             expected = np.clip(phis @ env.theta_star, 0.0, 1.0)
             y = float(env.theta_star @ phi)
-            if env.noise_var > 0:
-                y += float(np.sqrt(env.noise_var) * rng.standard_normal())
+            y += float(np.sqrt(env.noise_var) * noise_rng.standard_normal())
             realized = float(np.clip(y, 0.0, 1.0))
             sinr = realized * env.sinr_target
         else:
@@ -379,8 +403,7 @@ def reference_track(env, prior, noise_var: float, n_cpis: int, k_arms: int,
             p_c = gain * sim._clutter[sim._delay[k]]
             ratio = np.minimum(sim._sig[:, None] / (p_c[:, None] + sim._noise), SINR_CAP)
             expected = np.mean(np.clip(ratio / env.sinr_target, 0.0, 1.0), axis=1)
-            y = sim._noise_map[idx].dot(rng.standard_normal(sim._noise_map.shape[1]))
-            p_n = float(y.dot(y))
+            p_n = float(pulse_noise_row(inst.noise_var, eigvals, noise_rng)[idx])
             denom = gain * sim._clutter[sim._delay[k], idx] + p_n
             sinr = SINR_CAP if denom <= 0.0 else float(min(sim._sig[idx] / denom, SINR_CAP))
             realized = float(np.clip(sinr / env.sinr_target, 0.0, 1.0))

@@ -22,6 +22,7 @@ from wavesel.bandit import (
 )
 from wavesel.errors import IndexOutOfRange, InvalidInput
 from wavesel.fstc import (
+    STACK_BLOCK,
     PhysicalTrackEnv,
     StateProcess,
     compute_loss,
@@ -49,9 +50,24 @@ def make_agent(prior_mean=(0.0, 0.0, 0.0), prior_var=1.0, k_arms=5, n_obs=4):
 
 
 def thompson_pick(agent: TsAgent, o: int, rng: np.random.Generator) -> int:
-    """The Thompson step of run_track: one draw scores every context at o."""
-    theta = sample_gaussian(agent.posterior, rng)
+    """The Thompson step of run_track: one draw, from three standard
+    normals, scores every context at o."""
+    theta = sample_gaussian(agent.posterior, rng.standard_normal(3).tolist())
     return pick_argmax(theta, agent_contexts(agent, o))
+
+
+def streams(seed: int) -> tuple:
+    """A track's walk and noise streams: two generators keyed by ``seed``."""
+    return np.random.default_rng((seed, 1)), np.random.default_rng((seed, 2))
+
+
+def synthetic_env(theta_star, state_proc: StateProcess, noise_var: float, n: int,
+                  seed: int = 0) -> SyntheticTrackEnv:
+    """A synthetic environment of ``n`` pulses at target 15.8, its walk and
+    noise from ``streams(seed)``."""
+    return SyntheticTrackEnv(
+        np.asarray(theta_star, dtype=float), state_proc, noise_var, 15.8, n, *streams(seed)
+    )
 
 
 def learn(agent: TsAgent, o: int, w: int, loss: float) -> None:
@@ -243,7 +259,7 @@ def test_record_delegates_posterior_update():
         assert agent.posterior is prior
     assert agent_contexts(agent, 0)[0] != (COLD_MEAN, COLD_VAR, COLD_MAX)
 
-    env = SyntheticTrackEnv(np.array([0.4, 0.1, 0.5]), uniform_state_proc(), 0.1, 15.8)
+    env = synthetic_env([0.4, 0.1, 0.5], uniform_state_proc(), 0.1, 40)
     result, agent = run_track(env, (np.zeros(3), 2.0), 0.1, 40, 5, np.random.default_rng(1))
     manual = posterior_gaussian((np.zeros(3), 2.0))
     for phi, loss in zip(result.contexts.tolist(), result.loss.tolist()):
@@ -300,13 +316,13 @@ def test_record_rejects_loss_outside_unit_interval():
 def test_synthetic_loss_noiseless_inner_product():
     theta = np.array([1.0, 0.0, 0.0])
     phi = np.array([0.7, 0.2, 0.9])
-    assert synthetic_loss(theta, phi, 0.0, np.random.default_rng(0)) == 0.7
+    assert synthetic_loss(theta, phi, 0.0) == 0.7
 
 
 def test_synthetic_loss_clamps():
     theta = np.array([2.0, 0.0, 0.0])
     phi = np.array([0.7, 0.0, 0.0])
-    assert synthetic_loss(theta, phi, 0.0, np.random.default_rng(0)) == 1.0
+    assert synthetic_loss(theta, phi, 0.0) == 1.0
 
 
 def test_synthetic_loss_mean_matches_quadrature():
@@ -321,7 +337,7 @@ def test_synthetic_loss_mean_matches_quadrature():
     )
     rng = np.random.default_rng(4)
     sample = np.mean(
-        [synthetic_loss(theta, phi, noise_var, rng) for _ in range(100_000)]
+        [synthetic_loss(theta, phi, z) for z in (sigma * rng.standard_normal(100_000)).tolist()]
     )
     assert abs(sample - expected) < 0.005
 
@@ -332,7 +348,7 @@ def test_synthetic_loss_stays_in_unit_interval(pyrandom):
     rng = np.random.default_rng(pyrandom.getrandbits(32))
     theta = 3.0 * rng.standard_normal(3)
     phi = rng.standard_normal(3)
-    loss = synthetic_loss(theta, phi, float(rng.uniform(0, 0.5)), rng)
+    loss = synthetic_loss(theta, phi, np.sqrt(rng.uniform(0, 0.5)) * rng.standard_normal())
     assert 0.0 <= loss <= 1.0
 
 
@@ -377,8 +393,7 @@ def test_posterior_mean_converges_under_round_robin():
 
 
 def run_synthetic_track(seed: int, explore: str = "ts"):
-    theta_star = np.array([0.4, 0.1, 0.5])
-    env = SyntheticTrackEnv(theta_star, uniform_state_proc(), 0.05, 15.8)
+    env = synthetic_env([0.4, 0.1, 0.5], uniform_state_proc(), 0.05, 150, seed)
     prior = (np.zeros(3), 2.0)
     return run_track(
         env, prior, 0.05, 150, 5, np.random.default_rng(seed), explore=explore
@@ -429,34 +444,43 @@ class RecordingEnv:
         self.state_proc = env.state_proc
         self.expected: list[np.ndarray] = []
 
-    def step_scene(self, rng):
-        return self.env.step_scene(rng)
+    def step_scene(self, cpi):
+        return self.env.step_scene(cpi)
 
     def expected_losses(self, states, contexts):
         out = np.array(self.env.expected_losses(states, contexts), dtype=float)
         self.expected.extend(row.copy() for row in out)
         return out
 
-    def realize(self, cpi, s, w_idx, phi, rng):
-        return self.env.realize(cpi, s, w_idx, phi, rng)
+    def realize(self, cpi, s, w_idx, phi):
+        return self.env.realize(cpi, s, w_idx, phi)
 
 
-def physical_env(
-    n: int, doppler: float = 0.0, grid_n: int = 16, state_proc: StateProcess | None = None
-) -> PhysicalTrackEnv:
+def physical_instance(n: int, doppler: float = 0.0, grid_n: int = 16) -> tuple:
+    """(config, instance) of a physical track of ``n`` pulses."""
     config = ExperimentConfig(mode="physical", n=n, doppler=doppler, grid_n=grid_n)
     root = tap_root(config.ir_taps, config.ir_kernel_scale)
     inst = draw_instance(config, np.array([1.2, 0.4, 0.6]), root, np.random.default_rng(50))
-    sim = simulator(config, inst, np.random.default_rng(51))
-    return PhysicalTrackEnv(sim, state_proc or uniform_state_proc(), 15.8)
+    return config, inst
+
+
+def physical_env(
+    n: int, doppler: float = 0.0, grid_n: int = 16, state_proc: StateProcess | None = None,
+    seed: int = 0,
+) -> PhysicalTrackEnv:
+    """A physical environment of ``n`` pulses, its walk and pulse noise from
+    ``streams(seed)``."""
+    config, inst = physical_instance(n, doppler, grid_n)
+    walk, noise = streams(seed)
+    sim = simulator(config, inst, np.random.default_rng(51), noise)
+    return PhysicalTrackEnv(sim, state_proc or uniform_state_proc(), 15.8, walk)
 
 
 @pytest.mark.parametrize("mode", ["synthetic", "physical"])
 def test_run_track_regret_equals_oracle_at_every_cpi(mode):
     n = 120
     if mode == "synthetic":
-        theta_star = np.array([-0.3, 0.2, 0.8])
-        env = SyntheticTrackEnv(theta_star, uniform_state_proc(), 0.05, 15.8)
+        env = synthetic_env([-0.3, 0.2, 0.8], uniform_state_proc(), 0.05, n)
     else:
         env = physical_env(n)
     recorder = RecordingEnv(env)
@@ -483,12 +507,10 @@ def track_state_proc(chain: str) -> StateProcess:
     return StateProcess(random_transition(4, 3, np.random.default_rng(61)), 0.5)
 
 
-def track_env(mode: str, n: int, doppler: float, grid_n: int, chain: str):
+def track_env(mode: str, n: int, doppler: float, grid_n: int, chain: str, seed: int):
     if mode == "synthetic":
-        return SyntheticTrackEnv(
-            np.array([-0.3, 0.2, 0.8]), track_state_proc(chain), 0.33, 15.8
-        )
-    return physical_env(n, doppler, grid_n, track_state_proc(chain))
+        return synthetic_env([-0.3, 0.2, 0.8], track_state_proc(chain), 0.33, n, seed)
+    return physical_env(n, doppler, grid_n, track_state_proc(chain), seed)
 
 
 @pytest.mark.parametrize("explore", ["ts", "random"])
@@ -504,16 +526,19 @@ def test_run_track_equals_validated_reference_loop_to_the_bit(
     mode, doppler, grid_n, chain, explore
 ):
     # the reference computes each pulse's expected losses on its own; the
-    # track loop makes one track-wide call after the pulses
-    n = 150
+    # track loop makes one track-wide call after the pulses. The reference
+    # draws every stream one pulse at a time, the package in blocks of
+    # STACK_BLOCK pulses, so the track runs past one block.
+    n = STACK_BLOCK + 44
     prior = (np.array([0.2, -0.1, 0.4]), 2.0)
     result, agent = run_track(
-        track_env(mode, n, doppler, grid_n, chain), prior, 0.33, n, 5,
+        track_env(mode, n, doppler, grid_n, chain, 62), prior, 0.33, n, 5,
         np.random.default_rng(60), explore,
     )
+    inst = physical_instance(n, doppler, grid_n)[1] if mode == "physical" else None
     expected = reference_track(
-        track_env(mode, n, doppler, grid_n, chain), prior, 0.33, n, 5,
-        np.random.default_rng(60), explore,
+        track_env(mode, n, doppler, grid_n, chain, 62), prior, 0.33, n, 5,
+        np.random.default_rng(60), *streams(62), explore, inst,
     )
     for name in ("state", "obs", "waveform", "sinr", "loss", "oracle_loss",
                  "regret_inc", "suboptimal", "contexts"):

@@ -13,6 +13,7 @@ from wavesel.errors import IndexOutOfRange, InvalidInput, ValidationError
 from wavesel.fstc import (
     _BASE,
     SINR_CAP,
+    STACK_BLOCK,
     WINDOW_HALF,
     FstcInstance,
     StateProcess,
@@ -75,18 +76,14 @@ def test_step_state_point_mass_row():
     row = np.zeros(3)
     row[2] = 1.0
     sp = StateProcess(np.tile(row, (3, 1)), 0.0)
-    rng = np.random.default_rng(1)
-    scene = SceneWalk(sp)
-    for r in range(3):
-        scene.row = r
-        assert scene.step_scene(rng) == (2, 2)
+    assert scene_steps(sp, 5, np.random.default_rng(1)) == [(2, 2)] * 5
 
 
 def scene_steps(sp: StateProcess, n_steps: int, rng: np.random.Generator) -> list:
-    """The (state, observation) pairs of ``n_steps`` steps of a fresh scene
-    walk."""
-    scene = SceneWalk(sp)
-    return [scene.step_scene(rng) for _ in range(n_steps)]
+    """The (state, observation) pairs of a scene walk of ``n_steps`` pulses,
+    read pulse by pulse."""
+    scene = SceneWalk(sp, n_steps, rng)
+    return [scene.step_scene(cpi) for cpi in range(n_steps)]
 
 
 def walk(sp: StateProcess, n_steps: int, rng: np.random.Generator) -> list:
@@ -146,8 +143,8 @@ def chains(draw):
 
 def oracle_walk(sp: StateProcess, n_steps: int, rng: np.random.Generator) -> list:
     """The (state, observation) pairs of ``n_steps`` steps of the
-    history-searching oracle and the oracle observation, drawn in the scene
-    walk's order."""
+    history-searching oracle and the oracle observation, drawn one uniform
+    at a time in the scene walk's order."""
     states, pairs = [], []
     for _ in range(n_steps):
         states.append(oracles.step_state(sp, states, rng))
@@ -171,6 +168,7 @@ def test_step_state_equals_running_sum_search(chain):
 
 
 def test_step_state_equals_running_sum_search_on_dirichlet_rows():
+    # 2000 pulses: the walk draws them in blocks of STACK_BLOCK
     for seed, (n_states, memory) in enumerate([(4, 2), (3, 3), (6, 1), (2, 4)]):
         sp = StateProcess(
             random_transition(n_states, memory, np.random.default_rng(seed)), 0.1
@@ -182,26 +180,18 @@ def test_step_state_equals_running_sum_search_on_dirichlet_rows():
 @settings(max_examples=100, deadline=None)
 def test_walk_row_is_the_c_order_index_of_the_padded_last_states(chain):
     # the row after each step is the table row of the zero-padded last
-    # memory - 1 states, oldest first
+    # memory - 1 states, oldest first: a walk of j pulses ends on the row of
+    # its states, which are the first j of a longer walk of the same stream
     sp, seed = chain
     need = sp.transition.ndim - 1
-    scene = SceneWalk(sp)
-    rng = np.random.default_rng(seed)
-    states = [0] * need
-    assert scene.row == 0
-    for _ in range(12):
-        states.append(scene.step_scene(rng)[0])
-        recent = tuple(states[len(states) - need:])
+    assert SceneWalk(sp, 0, np.random.default_rng(seed)).row == 0
+    states = [0] * need + SceneWalk(sp, 12, np.random.default_rng(seed)).states
+    for j in range(1, 13):
+        scene = SceneWalk(sp, j, np.random.default_rng(seed))
+        assert scene.states == states[need : need + j]
+        recent = tuple(states[j : j + need])
         assert scene.row == np.ravel_multi_index(recent, sp.transition.shape[:-1])
         assert sp.rows[scene.row] == np.cumsum(sp.transition[recent]).tolist()
-
-
-def test_step_state_rejects_a_row_outside_the_table():
-    # the package's rows are the walk's own; the table keeps no other
-    scene = SceneWalk(StateProcess(np.full((3, 3), 1.0 / 3.0), 0.0))
-    scene.row = 3
-    with pytest.raises(IndexError):
-        scene.step_scene(np.random.default_rng(0))
 
 
 @given(st.floats(allow_nan=True, allow_infinity=True))
@@ -215,7 +205,7 @@ def test_unit_clip_is_np_clip_to_the_bit(x):
     assert np.float64(unit_clip(x)).tobytes() == expected.tobytes()
 
 
-# the package draws the observation inside ``SceneWalk.step_scene``, which
+# the package draws the observation inside the ``SceneWalk`` walk, which
 # the walk tests above hold to ``oracles.observe``; these hold the oracle to
 # the kernel's law
 
@@ -284,8 +274,10 @@ def test_trajectory_stays_on_grid():
 @pytest.mark.parametrize("grid_n", [1, 3, 64])
 @pytest.mark.parametrize("n_cpis", [1, 200])
 def test_trajectory_equals_the_interleaved_walk(grid_n, n_cpis):
-    # the walk draws its 2n steps in one call; the values, and where it
-    # leaves the stream, must be those of 2n single draws
+    # the walk draws its n - 1 steps in one call; the values, and where it
+    # leaves the stream, must be those of n - 1 single draws (the name is
+    # from the layout before the stream split, whose walk interleaved a
+    # dropped Doppler step with each delay step)
     config = replace(SCENE, grid_n=grid_n, n=n_cpis)
     for seed in range(10):
         rng = np.random.default_rng(seed)
@@ -294,7 +286,7 @@ def test_trajectory_equals_the_interleaved_walk(grid_n, n_cpis):
         ref.standard_normal(3)
         for _ in range(4):
             ref.standard_normal(config.ir_taps)
-        expected = oracles.interleaved_walk(grid_n, n_cpis, ref)
+        expected = oracles.single_step_walk(grid_n, n_cpis, ref)
         assert inst.trajectory.dtype == expected.dtype
         np.testing.assert_array_equal(inst.trajectory, expected)
         assert rng.random() == ref.random()
@@ -493,10 +485,10 @@ def test_simulator_agrees_with_receive_monte_carlo():
         mc_loss[i] = np.mean(losses)
 
     refined_scene = replace(SCENE, n_oracle_draws=10_000)
-    refined = simulator(refined_scene, inst, np.random.default_rng(26))
+    refined = simulator(refined_scene, inst, np.random.default_rng(26), np.random.default_rng(0))
     assert np.max(np.abs(losses_at(refined, cpi, s, sinr_target) - mc_loss)) < 0.02
 
-    coarse = simulator(SCENE, inst, np.random.default_rng(27))
+    coarse = simulator(SCENE, inst, np.random.default_rng(27), np.random.default_rng(0))
     exp64 = losses_at(coarse, cpi, s, sinr_target)
     exp_ref = losses_at(refined, cpi, s, sinr_target)
     for chosen in range(len(catalog)):
@@ -504,11 +496,14 @@ def test_simulator_agrees_with_receive_monte_carlo():
         inc_ref = regret_increment(exp_ref, chosen)
         assert abs(inc64 - inc_ref) < 0.02
 
-    step_rng = np.random.default_rng(28)
+    # a track held at the first pulse's delay cell for ``trials`` pulses:
+    # each pulse reads a fresh entry of the noise table
+    held = replace(inst, trajectory=np.full(trials, inst.trajectory[cpi]))
+    pulses = simulator(SCENE, held, np.random.default_rng(27), np.random.default_rng(28))
     step_loss = np.mean(
         [
-            min(max(coarse.step(cpi, s, 0, step_rng) / sinr_target, 0.0), 1.0)
-            for _ in range(trials)
+            min(max(pulses.step(pulse, s, 0) / sinr_target, 0.0), 1.0)
+            for pulse in range(trials)
         ]
     )
     assert abs(step_loss - mc_loss[0]) < 0.02
@@ -516,7 +511,7 @@ def test_simulator_agrees_with_receive_monte_carlo():
 
 def test_expected_losses_deterministic_per_episode():
     inst = default_instance(seed=29)
-    sim = simulator(SCENE, inst, np.random.default_rng(30))
+    sim = simulator(SCENE, inst, np.random.default_rng(30), np.random.default_rng(0))
     states = np.array([1, 3, 0, 1])
     a = sim.expected_losses(states, 15.8)
     b = sim.expected_losses(states, 15.8)
@@ -525,14 +520,20 @@ def test_expected_losses_deterministic_per_episode():
 
 def test_physical_env_walks_the_scene_chain_and_maps_sinr_to_loss():
     inst = default_instance(seed=31)
-    sim = simulator(SCENE, inst, np.random.default_rng(32))
+    sim = simulator(SCENE, inst, np.random.default_rng(32), np.random.default_rng(34))
     sp = StateProcess(random_transition(4, 2, np.random.default_rng(31)), 0.1)
-    env = PhysicalTrackEnv(sim, sp, 15.8)
+    env = PhysicalTrackEnv(sim, sp, 15.8, np.random.default_rng(33))
     assert env.state_proc is sp
-    for w_idx in range(len(default_catalog())):
-        loss, sinr = env.realize(0, 1, w_idx, None, np.random.default_rng(33))
-        assert sinr == sim.step(0, 1, w_idx, np.random.default_rng(33))
-        assert loss == compute_loss(sinr, 15.8)
+    # the walk of the simulator's pulses, from the environment's stream
+    walk = SceneWalk(sp, inst.trajectory.size, np.random.default_rng(33))
+    assert [env.step_scene(cpi) for cpi in range(inst.trajectory.size)] == [
+        walk.step_scene(cpi) for cpi in range(inst.trajectory.size)
+    ]
+    for cpi in range(inst.trajectory.size):
+        for w_idx in range(len(default_catalog())):
+            loss, sinr = env.realize(cpi, 1, w_idx, None)
+            assert sinr == sim.step(cpi, 1, w_idx)
+            assert loss == compute_loss(sinr, 15.8)
 
 
 def window_powers(config, inst: FstcInstance, w: ComplexEnvelope, delay: int):
@@ -562,18 +563,19 @@ def edge_instance(seed: int) -> FstcInstance:
 
 @pytest.mark.parametrize("doppler", [0.0, 0.7])
 def test_simulator_terms_equal_per_waveform_oracle(doppler):
-    # The oracle filters the placed echo with ``matched_filter``, scales
-    # the expected-loss draws by the eigenvalues of a fresh Toeplitz gram,
-    # and draws each pulse's noise in the complex form from the track's own
-    # factor; the simulator convolves the tables' correlations with the
-    # taps, reads the tables' eigenvalues and scales the unit noise map, so
-    # the two agree to rounding, not to the bit.
+    # The oracle filters the placed echo with ``matched_filter``, and scales
+    # the expected-loss draws and each pulse's noise draws by the
+    # eigenvalues of a fresh Toeplitz gram; the simulator convolves the
+    # tables' correlations with the taps and reads the tables' eigenvalues,
+    # so the two agree to rounding, not to the bit.
     inst = edge_instance(40)
     catalog = default_catalog()
     config = replace(SCENE, doppler=doppler, n_oracle_draws=129)
-    sim = simulator(config, inst, np.random.default_rng(41))
+    sim = simulator(config, inst, np.random.default_rng(41), np.random.default_rng(42))
     noise = oracles.eigen_oracle_noise(inst, catalog, np.random.default_rng(41), 129)
-    factors = [oracles.noise_factor(inst.noise_var, w) for w in catalog]
+    pulse_noise = oracles.pulse_noise_table(
+        inst, catalog, np.random.default_rng(42), inst.trajectory.size
+    )
     sinr_target = 15.8
     for cpi, cell in enumerate(inst.trajectory):
         delay = int(cell) - 1
@@ -587,9 +589,8 @@ def test_simulator_terms_equal_per_waveform_oracle(doppler):
                 losses_at(sim, cpi, s, sinr_target), expected, rtol=1e-12
             )
             for i, (sig, clutter) in enumerate(powers):
-                p_n = oracles.complex_noise_power(factors[i], np.random.default_rng(42))
-                step = sim.step(cpi, s, i, np.random.default_rng(42))
-                assert step == pytest.approx(
+                p_n = pulse_noise[cpi, i]
+                assert sim.step(cpi, s, i) == pytest.approx(
                     _sinr_value(sig, gain * clutter + p_n), rel=1e-12
                 )
 
@@ -600,7 +601,10 @@ def test_clutter_table_equals_oracle_where_the_window_clips():
     inst = edge_instance(43)
     inst = replace(inst, target_ir=np.zeros_like(inst.target_ir))
     catalog = default_catalog(k=2)
-    sim = simulator(replace(SCENE, k=2, n_oracle_draws=1), inst, np.random.default_rng(44))
+    sim = simulator(
+        replace(SCENE, k=2, n_oracle_draws=1), inst, np.random.default_rng(44),
+        np.random.default_rng(45),
+    )
     assert sim._clutter.shape == (SCENE.grid_n, len(catalog))
     for delay in range(SCENE.grid_n):
         for i, w in enumerate(catalog):
@@ -647,7 +651,7 @@ def test_track_draw_and_build_factor_and_filter_nothing(monkeypatch, doppler):
         monkeypatch.setattr(owner, name, counting)
 
     for owner, name in (
-        (np.linalg, "cholesky"), (np.linalg, "eigh"), (np, "convolve"),
+        (np.linalg, "cholesky"), (np.linalg, "eigh"), (np.linalg, "eigvalsh"), (np, "convolve"),
         (np, "correlate"), (fstc, "hermitian_toeplitz"), (fstc, "matched_filter"),
     ):
         count(owner, name)
@@ -658,13 +662,15 @@ def test_track_draw_and_build_factor_and_filter_nothing(monkeypatch, doppler):
     # the counters see what the replicate builds once; the correlation
     # count is left out, as the kept autocorrelations make it depend on
     # what ran before in the process
-    assert (calls["eigh"], calls["cholesky"], calls["hermitian_toeplitz"]) == (1, 5, 5)
-    assert calls["matched_filter"] == (5 if doppler else 0)
+    assert (calls["eigh"], calls["eigvalsh"], calls["hermitian_toeplitz"]) == (1, 1, 5)
+    assert (calls["cholesky"], calls["matched_filter"]) == (0, 5 if doppler else 0)
     calls.clear()
     rng = np.random.default_rng(61)
     for track in range(3):
         inst = draw_instance(config, MU_STAR, root, rng)
-        TrackSimulator(config, inst, tables, np.random.default_rng(track))
+        TrackSimulator(
+            config, inst, tables, np.random.default_rng(track), np.random.default_rng(9 + track)
+        )
     assert calls == Counter()
 
 
@@ -672,18 +678,6 @@ def test_table_windows_are_read_only():
     tables = channel_tables(default_catalog(), 8, 0.7)
     with pytest.raises(ValueError):
         tables.windows[0][0, 0, 0] = 1.0
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_one_draw_of_2w_normals_equals_two_draws_of_w_to_the_bit(seed):
-    # the real noise map reads the stream the complex form read: real parts,
-    # then imaginary parts
-    width = 2 * WINDOW_HALF + 1
-    one, two = np.random.default_rng(seed), np.random.default_rng(seed)
-    step_draw = one.standard_normal(2 * width)
-    pair = np.concatenate([two.standard_normal(width), two.standard_normal(width)])
-    assert step_draw.tobytes() == pair.tobytes()
-    assert one.random() == two.random()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -703,9 +697,11 @@ def test_one_draw_of_k_exponential_blocks_equals_k_draws_to_the_bit(seed):
 def test_eigen_draw_has_the_closed_form_moments_of_the_map(doppler):
     # noise_var sum_i 2 lambda_i E_i against |R x|^2 for x standard normal:
     # mean noise_var tr(R^T R) and variance 2 noise_var^2 tr((R^T R)^2)
-    tables = channel_tables(default_catalog(), SCENE.ir_taps, doppler)
+    catalog = default_catalog()
+    tables = channel_tables(catalog, SCENE.ir_taps, doppler)
     noise_var = 3e-3
-    for unit, lam in zip(tables.unit_noise_map, tables.noise_eigvals):
+    for env, lam in zip(catalog, tables.noise_eigvals):
+        unit = oracles.unit_noise_map(env)
         gram = noise_var * (unit.T @ unit)
         mean, var = noise_var * np.sum(2.0 * lam), noise_var**2 * np.sum((2.0 * lam) ** 2)
         assert mean == pytest.approx(np.trace(gram), rel=1e-12)
@@ -718,10 +714,12 @@ def test_eigen_and_map_draws_match_the_closed_form_moments():
     # Monte Carlo standard errors of the closed forms. A sum of c_j E_j has
     # cumulants kappa_r = (r - 1)! sum c_j^r, so the sample variance's
     # standard error is sqrt((kappa_4 + 2 kappa_2^2) / N).
-    tables = channel_tables(default_catalog(), SCENE.ir_taps, 0.0)
+    catalog = default_catalog()
+    tables = channel_tables(catalog, SCENE.ir_taps, 0.0)
     n_draws, noise_var = 20_000, 1.0
     rng = np.random.default_rng(70)
-    for unit, lam in zip(tables.unit_noise_map, tables.noise_eigvals):
+    for env, lam in zip(catalog, tables.noise_eigvals):
+        unit = oracles.unit_noise_map(env)
         c = 2.0 * noise_var * lam
         k2, k4 = np.sum(c**2), 6.0 * np.sum(c**4)
         eigen = rng.standard_exponential((n_draws, lam.size)) @ c
@@ -731,30 +729,58 @@ def test_eigen_and_map_draws_match_the_closed_form_moments():
             assert abs(draws.var(ddof=1) - k2) < 4.0 * np.sqrt((k4 + 2.0 * k2**2) / n_draws)
 
 
-def test_real_noise_map_equals_complex_form():
-    # no clutter echo, so each realized SINR is the peak over the noise power
-    inst = default_instance(seed=52)
+class BasisDraws:
+    """A stand-in pulse-noise stream whose exponentials are unit vectors:
+    pulse j's draw is 1 at index j of every waveform's width values and 0
+    elsewhere, so a simulator's table row j holds each waveform's j-th
+    coefficient."""
+
+    def standard_exponential(self, shape):
+        pulses, k, width = shape
+        return np.broadcast_to(np.eye(width)[:pulses, None, :], shape).copy()
+
+
+@pytest.mark.parametrize("doppler", [0.0, 0.7])
+def test_pulse_noise_table_has_the_closed_form_moments_of_the_map(doppler):
+    # each pulse power is sum_i c_i E_i, linear in the exponentials, so unit
+    # draws read the coefficients c_i: the mean sum c_i and the variance
+    # sum c_i^2 equal noise_var tr(R^T R) and 2 noise_var^2 tr((R^T R)^2)
+    width = 2 * WINDOW_HALF + 1
+    catalog = default_catalog()
+    inst = replace(default_instance(seed=54), trajectory=np.ones(width, dtype=int))
+    config = replace(SCENE, doppler=doppler)
+    sim = simulator(config, inst, np.random.default_rng(55), BasisDraws())
+    coefficients = np.array(sim._pulse_noise)
+    assert coefficients.shape == (width, len(catalog))
+    for env, c in zip(catalog, coefficients.T):
+        unit = oracles.unit_noise_map(env)
+        gram = inst.noise_var * (unit.T @ unit)
+        assert np.sum(c) == pytest.approx(np.trace(gram), rel=1e-12)
+        assert np.sum(c**2) == pytest.approx(2.0 * np.trace(gram @ gram), rel=1e-12)
+
+
+def test_pulse_noise_table_equals_the_eigen_form():
+    # no clutter echo, so each realized SINR is the peak over the pulse's
+    # noise power, drawn one pulse at a time in the eigen form from the
+    # same stream; the oracle powers are the eigen form too
+    inst = default_instance(seed=52, n_cpis=STACK_BLOCK + 9)
     inst = replace(inst, clutter_ir=np.zeros_like(inst.clutter_ir))
     catalog = default_catalog()
-    sim = simulator(replace(SCENE, n_oracle_draws=129), inst, np.random.default_rng(53))
+    sim = simulator(
+        replace(SCENE, n_oracle_draws=129), inst, np.random.default_rng(53),
+        np.random.default_rng(56),
+    )
     np.testing.assert_allclose(
         sim._noise,
         oracles.eigen_oracle_noise(inst, catalog, np.random.default_rng(53), 129),
         rtol=1e-12,
     )
-    for i, w in enumerate(catalog):
-        # the map is the unit factor's real form scaled by sqrt(noise_var),
-        # to the bit, and the track's own factor's real form to rounding:
-        # within 1e-12 of the largest entry (entries a thousandth of it
-        # differ by up to 1.3e-12 of themselves)
-        unit = oracles.real_form(oracles.unit_noise_factor(w))
-        assert sim._noise_map[i].tobytes() == (np.sqrt(inst.noise_var) * unit).tobytes()
-        lg = oracles.noise_factor(inst.noise_var, w)
-        track = oracles.real_form(lg)
-        gap = np.max(np.abs(sim._noise_map[i] - track))
-        assert gap <= 1e-12 * np.max(np.abs(track))
-        for seed in range(40):
-            step = sim.step(0, 0, i, np.random.default_rng(seed))
-            p_n = oracles.complex_noise_power(lg, np.random.default_rng(seed))
+    pulse_noise = oracles.pulse_noise_table(
+        inst, catalog, np.random.default_rng(56), inst.trajectory.size
+    )
+    assert np.array(sim._pulse_noise).tobytes() == pulse_noise.tobytes()
+    for cpi in range(inst.trajectory.size):
+        for i in range(len(catalog)):
+            step = sim.step(cpi, 0, i)
             assert step < SINR_CAP
-            assert step == pytest.approx(sim._sig[i] / p_n, rel=1e-12)
+            assert step == pytest.approx(sim._sig[i] / pulse_noise[cpi, i], rel=1e-12)

@@ -329,13 +329,20 @@ def test_blr_update_order_does_not_matter(pyrandom):
     np.testing.assert_allclose(forward.cov, shuffled.cov, atol=1e-9)
 
 
+def synthetic_streams() -> tuple:
+    """The walk and noise streams of the synthetic tracks below."""
+    return np.random.default_rng((0, 1)), np.random.default_rng((0, 2))
+
+
 def test_blr_long_track_matches_batch_normal_equations():
     # 3000 rank-1 factor updates on the contexts a Thompson track actually
     # visits (correlated, a few distinct values per cell); the posterior
     # precision ends near 1e4 along the best-observed direction.
     cfg = ExperimentConfig()
     mu_star, state_proc = build_scene(cfg, 0)
-    env = SyntheticTrackEnv(mu_star, state_proc, cfg.sigma_sq, 15.8)
+    env = SyntheticTrackEnv(
+        mu_star, state_proc, cfg.sigma_sq, 15.8, 3000, *synthetic_streams()
+    )
     prior_var = cfg.sigma_q_sq + cfg.sigma0_sq
     result, agent = run_track(
         env, (np.zeros(3), prior_var), cfg.sigma_sq, 3000, cfg.k, np.random.default_rng(0)
@@ -519,7 +526,8 @@ def test_float_update_matches_the_array_update(log_var, n, on_grid, pyrandom):
 def test_float_draw_is_mean_plus_factor_times_one_normal_draw():
     mean, cov = np.array([0.3, -0.7, 1.1]), random_spd(np.random.default_rng(5), 3)
     rng = np.random.default_rng(42)
-    theta = gaussmath.sample_gaussian((tuple(mean.tolist()), packed_factor(cov)), rng)
+    z = rng.standard_normal(3).tolist()
+    theta = gaussmath.sample_gaussian((tuple(mean.tolist()), packed_factor(cov)), z)
     ref_rng = np.random.default_rng(42)
     assert largest_gap(theta, sample_gaussian(mean, cov, ref_rng)) < 1e-14
     # both read one standard_normal(3) call, so the streams stay aligned
@@ -530,7 +538,7 @@ def test_float_draws_have_the_posterior_moments():
     cov = np.array([[2.0, 0.3, -0.4], [0.3, 1.0, 0.2], [-0.4, 0.2, 0.5]])
     g = (1.0, -2.0, 0.5), packed_factor(cov)
     rng = np.random.default_rng(11)
-    draws = np.array([gaussmath.sample_gaussian(g, rng) for _ in range(100_000)])
+    draws = np.array([gaussmath.sample_gaussian(g, z) for z in rng.standard_normal((100_000, 3))])
     assert np.max(np.abs(draws.mean(axis=0) - [1.0, -2.0, 0.5])) < 0.02
     assert np.max(np.abs(np.cov(draws.T) - cov)) < 0.05
 
@@ -557,7 +565,7 @@ def test_float_update_rejects_wrong_context_dim():
 def synthetic_track(prior: tuple, n: int = 200):
     cfg = ExperimentConfig()
     mu_star, state_proc = build_scene(cfg, 0)
-    env = SyntheticTrackEnv(mu_star, state_proc, cfg.sigma_sq, 15.8)
+    env = SyntheticTrackEnv(mu_star, state_proc, cfg.sigma_sq, 15.8, n, *synthetic_streams())
     return run_track(env, prior, cfg.sigma_sq, n, cfg.k, np.random.default_rng(3))
 
 

@@ -14,6 +14,7 @@ from golden import (
     change_report,
     differences,
     file_digests,
+    gap_report,
     sweep_digests,
     versions,
 )
@@ -82,3 +83,24 @@ def test_change_report_counts_changed_columns_per_kind(tmp_path):
         "new_sweep agg_*: 0 of 2 files changed, 2 added, 0 missing",
     ]
     assert change_report(found, found)[0] == "sweep cpi_*: 0 of 2 files changed"
+
+
+def test_gap_report_counts_flips_and_the_largest_float_gaps(tmp_path):
+    sweep = next(iter(SWEEPS))
+    for root, rows in (("before", ("0,0.5,1", "1,0.25,2")), ("after", ("0,0.75,1", "3,0.25,7"))):
+        out, agg = tmp_path / root / sweep, tmp_path / root / f"{sweep}_agg"
+        out.mkdir(parents=True)
+        agg.mkdir()
+        (out / "cpi_x_seed0.csv").write_text("waveform,loss,state\n" + "\n".join(rows) + "\n")
+        (out / "cpi_x_seed1.csv").write_text("waveform,loss,state\n0,0.5,1\n")
+        (out / "track_x_seed0.csv").write_text("track,cum_regret\n0,1.5\n")
+        (agg / "agg_regret.csv").write_text(f"policy,track,mean\nx,0,{len(root)}.0\n")
+    report = gap_report(tmp_path / "before", tmp_path / "after")
+    assert report[:3] == [
+        f"{sweep} cpi_*: waveform changed in 1 of 2 files (1 of 3 rows); "
+        "largest absolute gap: loss 0.25",
+        f"{sweep} track_*: largest absolute gap: none",
+        f"{sweep} agg_*: largest absolute gap: regret.mean 1",
+    ]
+    assert all(line.endswith("of 0 files (0 of 0 rows); largest absolute gap: none")
+               for line in report[3::3])

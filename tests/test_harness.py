@@ -8,6 +8,7 @@ import os
 import string
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
 from functools import partial
@@ -173,21 +174,23 @@ def test_bad_value_reports_location():
         ("sinr_target_db = 300.0000001", "sinr_target_db"),
         ("mode = physical\ntarget_power = 0.0", "target_power"),
         ("grid_n = 8", "grid_n"),
-        # values no config text can hold
-        ({"m": 2.5}, "m"),
-        ({"m": True}, "m"),
-        ({"sigma_sq": "0.3"}, "sigma_sq"),
-        ({"sigma_sq": 10**400}, "sigma_sq"),
-        ({"seeds": [0]}, "seeds"),
-        ({"seeds": (0, 1.5)}, "seeds"),
-        ({"policies": "random"}, "policies"),
-        ({"mu_star": [0.1, 0.2, 0.3]}, "mu_star"),
-        ({"mode": None}, "mode"),
-        ({"out_dir": "a#b"}, "out_dir"),
-        ({"out_dir": ""}, "out_dir"),
+        # values no config text can hold. A dict makes no readable id, so
+        # each dict case pins the positional id it was first collected
+        # under, and a case added above it renames none of them
+        pytest.param({"m": 2.5}, "m", id="bad33-m"),
+        pytest.param({"m": True}, "m", id="bad34-m"),
+        pytest.param({"sigma_sq": "0.3"}, "sigma_sq", id="bad35-sigma_sq"),
+        pytest.param({"sigma_sq": 10**400}, "sigma_sq", id="bad36-sigma_sq"),
+        pytest.param({"seeds": [0]}, "seeds", id="bad37-seeds"),
+        pytest.param({"seeds": (0, 1.5)}, "seeds", id="bad38-seeds"),
+        pytest.param({"policies": "random"}, "policies", id="bad39-policies"),
+        pytest.param({"mu_star": [0.1, 0.2, 0.3]}, "mu_star", id="bad40-mu_star"),
+        pytest.param({"mode": None}, "mode", id="bad41-mode"),
+        pytest.param({"out_dir": "a#b"}, "out_dir", id="bad42-out_dir"),
+        pytest.param({"out_dir": ""}, "out_dir", id="bad43-out_dir"),
         # an int key holds what an int64 holds, and serialize_config can write
-        ({"seeds": (2**63,)}, "seeds"),
-        ({"m": 10**5000}, "m"),
+        pytest.param({"seeds": (2**63,)}, "seeds", id="bad44-seeds"),
+        pytest.param({"m": 10**5000}, "m", id="bad45-m"),
         # the first value out of range of each bound; a physical key's in
         # physical mode, where only the bound can refuse it
         ("m = 0", "m"),
@@ -205,8 +208,8 @@ def test_bad_value_reports_location():
         ("mode = physical\nir_kernel_scale = 0.0", "ir_kernel_scale"),
         ("mode = physical\nclutter_power = -5e-324", "clutter_power"),
         ("mu_star = 0,0,0,0", "mu_star"),
-        ({"seeds": ()}, "seeds"),
-        ({"policies": ()}, "policies"),
+        pytest.param({"seeds": ()}, "seeds", id="bad61-seeds"),
+        pytest.param({"policies": ()}, "policies", id="bad62-policies"),
         # the uninformative prior variance sigma_q_sq + sigma0_sq overflows
         ("sigma_q_sq = 1e308\nsigma0_sq = 1e308", "sigma_q_sq"),
         # a 200-pulse track's 200 pairs, or one pulse's 33 draws a waveform,
@@ -214,6 +217,12 @@ def test_bad_value_reports_location():
         ("mode = physical\nn_oracle_draws = 4195", "n_oracle_draws"),
         ("mode = physical\nn = 1\nn_oracle_draws = 25421", "n_oracle_draws"),
         ("mode = physical\nn_oracle_draws = 1000000000", "n_oracle_draws"),
+        # the first delay grid and tap count over MAX_GRID_N = 2 ** 16 and
+        # MAX_IR_TAPS = 2 ** 10, and oversized values that used to construct
+        ("mode = physical\ngrid_n = 65537", "grid_n"),
+        ("mode = physical\ngrid_n = 1000000000", "grid_n"),
+        ("mode = physical\nir_taps = 1025", "ir_taps"),
+        ("mode = physical\nir_taps = 1000000", "ir_taps"),
     ],
 )
 def test_validation_failures_name_the_field(bad, field):
@@ -252,6 +261,14 @@ def test_oracle_buffer_limit_admits_2_to_the_22_floats():
     # the 10,000-draw scene of the receive Monte Carlo test: 64 pairs
     refined = ExperimentConfig(mode="physical", grid_n=16, n_oracle_draws=10_000)
     assert refined.n_oracle_draws == 10_000
+
+
+def test_size_limits_admit_2_to_the_16_cells_and_2_to_the_10_taps():
+    # constructed only: at these sizes a track's build takes about 20 MB
+    # and 41 ms (grid_n) or 62 ms (ir_taps), and the tap root 24 MB
+    assert (harness.MAX_GRID_N, harness.MAX_IR_TAPS) == (2**16, 2**10)
+    config = parse_config("mode = physical\ngrid_n = 65536\nir_taps = 1024\n")
+    assert (config.grid_n, config.ir_taps) == (65536, 1024)
 
 
 @pytest.mark.parametrize("mode", ["synthetic", "physical"])
@@ -682,7 +699,7 @@ def test_cpi_lines_equal_row_by_row_formatting(tmp_path):
     record = track_record(tracks)
     sinr_db = sinr_to_db(record.sinr)
     outage = sinr_db < OUTAGE_DB
-    lines = _cpi_lines("random", 12, record, sinr_db, outage)
+    lines = list(_cpi_lines("random", 12, record, sinr_db, outage))
     assert lines == oracles.cpi_lines("random", 12, record, sinr_db, outage)
     # the third track restarts the CPI count and reads the derived dB column
     assert [line.split(",")[2:4] for line in lines[14:16]] == [["1", "6"], ["2", "0"]]
@@ -708,7 +725,7 @@ def test_table_lines_parse_back_to_the_same_values(rows):
     floats = np.array([r[0] for r in rows], dtype=float)
     ints = np.array([r[1] for r in rows], dtype=np.int64)
     flags = np.array([r[2] for r in rows], dtype=bool)
-    lines = _table_lines("policy,x,i,b", "meta-ts,", (floats, ints, flags))
+    lines = list(_table_lines("policy,x,i,b", "meta-ts,", (floats, ints, flags)))
     assert lines[0] == "policy,x,i,b"
     cells = [line.split(",") for line in lines[1:]]
     assert len(cells) == len(rows)
@@ -717,6 +734,39 @@ def test_table_lines_parse_back_to_the_same_values(rows):
     assert np.array_equal(back.view(np.int64), floats.view(np.int64))
     assert [int(c[2]) for c in cells] == [r[1] for r in rows]
     assert [int(c[3]) for c in cells] == [int(r[2]) for r in rows]
+
+
+def cpi_write_peak(tmp_path, n: int) -> tuple:
+    """(tracemalloc peak of writing the per-CPI file of a one-track random
+    replicate of ``n`` pulses, the file's size in bytes), after checking
+    that its lines stream and equal the row-by-row oracle's."""
+    config = _tiny_config(str(tmp_path / f"run{n}"), m=1, n=n, seeds=(0,))
+    record, _ = run(config, "random", 0)
+    sinr_db = sinr_to_db(record.sinr)
+    outage = sinr_db < OUTAGE_DB
+    lines = _cpi_lines("random", 0, record, sinr_db, outage)
+    assert iter(lines) is lines
+    expected = oracles.cpi_lines("random", 0, record, sinr_db, outage)
+    assert list(lines) == expected
+    path = tmp_path / f"cpi{n}.csv"
+    tracemalloc.start()
+    try:
+        _write_lines(str(path), _cpi_lines("random", 0, record, sinr_db, outage))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_text() == "\n".join(expected) + "\n"
+    return peak, path.stat().st_size
+
+
+def test_cpi_lines_stream_so_a_write_holds_no_whole_file(tmp_path):
+    # ten times the pulses, past many WRITE_BLOCKs: the lines come one at a
+    # time, and the write's peak stays that of the short file
+    short_peak, short_size = cpi_write_peak(tmp_path, 300)
+    long_peak, long_size = cpi_write_peak(tmp_path, 3000)
+    assert long_size > 9 * short_size
+    assert long_peak < 1.25 * short_peak
+    assert long_peak < long_size / 2
 
 
 @pytest.mark.parametrize("kind", CATALOG_NAMES)
@@ -878,12 +928,14 @@ def test_policy_streams_do_not_interact(tmp_path):
 
 
 #: (owner, attribute) of each build a seed block shares: one episode draw
-#: per track (``instance_rng``, and in physical mode the instance and its
-#: simulator), and the scene, the flat belief, the meta-ts prior stream and
-#: the tap root once per block; the channel tables are built once per
-#: process for each (k, ir_taps, doppler)
+#: per track (``instance_rng``, the walk and noise streams, and in physical
+#: mode the instance and its simulator), and the scene, the flat belief,
+#: the meta-ts prior stream and the tap root once per block; the channel
+#: tables are built once per process for each (k, ir_taps, doppler)
 SHARED_BUILDS = (
     (meta, "instance_rng"),
+    (meta, "walk_rng"),
+    (meta, "noise_rng"),
     (meta, "draw_instance"),
     (fstc.TrackSimulator, "__init__"),
     (harness, "build_scene"),
@@ -911,7 +963,8 @@ def test_a_seed_block_builds_each_episode_once(tmp_path, monkeypatch, mode):
     m = 3
     instances, roots = (m, 1) if mode == "physical" else (0, 0)
     per_seed = {
-        "instance_rng": m, "draw_instance": instances, "__init__": instances,
+        "instance_rng": m, "walk_rng": m, "noise_rng": m,
+        "draw_instance": instances, "__init__": instances,
         "build_scene": 1, "init_meta": 1, "meta_prior_rng": 1, "tap_root": roots,
     }
     config = _tiny_config(str(tmp_path), m=m, n=4, mode=mode)

@@ -22,7 +22,9 @@ from wavesel.meta import (
     policy_index,
     run_meta_experiment,
     sample_instance_prior,
+    noise_rng,
     track_rng,
+    walk_rng,
 )
 from wavesel.metrics import kl_trace
 
@@ -338,7 +340,8 @@ def test_oracle_policy_uses_true_prior():
     env_rng = instance_rng(3, 0)
     theta = mu_star + np.sqrt(cfg.sigma0_sq) * env_rng.standard_normal(3)
     env = SyntheticTrackEnv(
-        theta, state_proc, cfg.sigma_sq, 10 ** (cfg.sinr_target_db / 10)
+        theta, state_proc, cfg.sigma_sq, 10 ** (cfg.sinr_target_db / 10), 60,
+        walk_rng(3, 0), noise_rng(3, 0),
     )
     prior = (mu_star, cfg.sigma0_sq)
     replay, _ = run_track(env, prior, cfg.sigma_sq, 60, 5, rng)
@@ -355,7 +358,8 @@ def test_degenerate_meta_prior_matches_fixed_zero_mean_prior():
         env_rng = instance_rng(5, t)
         theta = mu_star + np.sqrt(cfg.sigma0_sq) * env_rng.standard_normal(3)
         env = SyntheticTrackEnv(
-            theta, state_proc, cfg.sigma_sq, 10 ** (cfg.sinr_target_db / 10)
+            theta, state_proc, cfg.sigma_sq, 10 ** (cfg.sinr_target_db / 10), 60,
+            walk_rng(5, t), noise_rng(5, t),
         )
         replay, _ = run_track(
             env,
@@ -488,7 +492,7 @@ def test_a_second_physical_run_writes_the_first_runs_bytes(tmp_path, doppler):
 
 def test_cached_tables_are_read_only():
     tables = meta.process_tables(ExperimentConfig(mode="physical", doppler=0.7))
-    arrays = [tables.tap_ramp, tables.unit_noise_map, tables.noise_eigvals, *tables.windows]
+    arrays = [tables.tap_ramp, tables.noise_eigvals, *tables.windows]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1.0
@@ -529,3 +533,104 @@ def test_the_oracle_stream_reaches_no_learner_column(monkeypatch, tmp_path, dopp
             assert columns[column] == second[name][column], (name, column)
         if name.startswith("cpi_"):
             assert columns["oracle_loss"] != second[name]["oracle_loss"], name
+
+
+# ---------------------------------------------------------------------------
+# stream layout: shared walk and noise per (seed, track), selection per policy
+
+
+@pytest.mark.parametrize("mode", ["synthetic", "physical"])
+def test_every_policy_of_a_seed_walks_the_same_scene(tmp_path, mode):
+    config = parse_config(f"mode = {mode}\nm = 3\nn = 300\nseeds = 4\nout_dir = {tmp_path}\n")
+    harness.run_block(config, POLICIES, 4)
+    files = [csv_columns(tmp_path / f"cpi_{policy}_seed4.csv") for policy in POLICIES]
+    for columns in files[1:]:
+        for column in ("track", "cpi", "state", "obs"):
+            assert columns[column] == files[0][column], column
+    # the choices, and so the losses, are the policies' own
+    assert len({tuple(columns["waveform"]) for columns in files}) == len(POLICIES)
+
+
+def test_physical_policies_sending_one_waveform_at_one_pulse_see_one_sinr(tmp_path):
+    config = parse_config(f"mode = physical\nm = 3\nn = 300\nseeds = 2\nout_dir = {tmp_path}\n")
+    harness.run_block(config, POLICIES, 2)
+    files = [csv_columns(tmp_path / f"cpi_{policy}_seed2.csv") for policy in POLICIES]
+    met = 0
+    for i, a in enumerate(files):
+        for b in files[i + 1 :]:
+            for row, (wa, wb) in enumerate(zip(a["waveform"], b["waveform"])):
+                if wa == wb:
+                    met += 1
+                    seen = (a["sinr_db"][row], a["loss"][row])
+                    assert seen == (b["sinr_db"][row], b["loss"][row]), row
+    assert met > 100
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_block_draws_equal_one_at_a_time_draws_to_the_bit(seed):
+    # each stream is drawn STACK_BLOCK pulses at a time; the values, and
+    # where each stream is left, are those of one pulse's draws at a time,
+    # so no output depends on the block size
+    n, k, width = 2 * fstc.STACK_BLOCK + 37, 5, 2 * fstc.WINDOW_HALF + 1
+    streams = {
+        "walk": (
+            lambda: meta.walk_rng(seed, 3),
+            lambda rng, size: rng.random((size, 3)),
+            lambda rng: [rng.random() for _ in range(3)],
+        ),
+        "synthetic noise": (
+            lambda: meta.noise_rng(seed, 3),
+            lambda rng, size: rng.standard_normal(size),
+            lambda rng: rng.standard_normal(),
+        ),
+        "physical noise": (
+            lambda: meta.noise_rng(seed, 3),
+            lambda rng, size: rng.standard_exponential((size, k, width)),
+            lambda rng: rng.standard_exponential((k, width)),
+        ),
+        "thompson": (
+            lambda: track_rng(seed, "meta-ts", 3),
+            lambda rng, size: rng.standard_normal((size, 3)),
+            lambda rng: rng.standard_normal(3),
+        ),
+        "random choices": (
+            lambda: track_rng(seed, "random", 3),
+            lambda rng, size: rng.integers(k, size=size),
+            lambda rng: rng.integers(k),
+        ),
+    }
+    for name, (stream, block, pulse) in streams.items():
+        bulk, single = stream(), stream()
+        got = np.concatenate([block(bulk, size) for _, size in fstc.blocks(n)])
+        want = np.array([pulse(single) for _ in range(n)])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert bulk.random() == single.random(), name
+
+
+def stream_identity(rng: np.random.Generator) -> tuple:
+    """The PCG64 state and increment a generator starts from: two keys give
+    one stream exactly when these match."""
+    state = rng.bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+def test_stream_keys_do_not_collide():
+    # every keyed stream of seeds up to 2**32 - 1 and tracks below the tags,
+    # the new walk and noise keys among them, starts from its own state
+    seeds, tracks = (0, 1, 4, 2**32 - 1), (0, 1, 2, 3, 49, 999_999)
+    keys = [("scene", seed) for seed in seeds]
+    keys += [("meta prior", seed, policy) for seed in seeds for policy in POLICIES]
+    for seed in seeds:
+        for track in tracks:
+            keys += [("track", seed, policy, track) for policy in POLICIES]
+            keys += [(name, seed, track) for name in ("instance", "walk", "noise", "oracle")]
+    makers = {
+        "scene": meta.scene_rng, "meta prior": meta.meta_prior_rng, "track": track_rng,
+        "instance": instance_rng, "walk": walk_rng, "noise": noise_rng,
+        "oracle": meta.oracle_rng,
+    }
+    identities = {}
+    for name, *args in keys:
+        identity = stream_identity(makers[name](*args))
+        assert identity not in identities, ((name, *args), identities.get(identity))
+        identities[identity] = (name, *args)
