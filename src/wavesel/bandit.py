@@ -64,7 +64,8 @@ class TsAgent:
     context tuple (mean, variance, max) derived from it, so ``contexts[o]``
     is the list of K rows scored at observation o. Cells with no data hold
     the neutral fill (0.5, 1/12, 0.5); a single sample keeps the fill
-    variance because its sample variance is undefined.
+    variance because its sample variance is undefined. ``scored`` lists the
+    row each pulse chose, the contexts the meta level consumes.
     """
 
     def __init__(self, prior: tuple, noise_var: float, n_obs: int, k_arms: int):
@@ -73,6 +74,7 @@ class TsAgent:
         self.stats = [[[0.0, 0.0, 0.0, -math.inf] for _ in range(k_arms)]
                       for _ in range(n_obs)]
         self.contexts = [[(COLD_MEAN, COLD_VAR, COLD_MAX)] * k_arms for _ in range(n_obs)]
+        self.scored = []
 
 
 def agent_contexts(agent: TsAgent, o: int) -> tuple:
@@ -133,12 +135,9 @@ def synthetic_loss(theta, phi, noise: float) -> float:
 
 @dataclass
 class TrackResult:
-    """The per-CPI record: raw per-pulse arrays of one track, plus the
-    contexts of the (context, loss) pairs the meta level consumes.
-
-    ``run_track`` returns one track's, with (n,) columns and (n, d)
-    contexts; ``metrics.track_record`` stacks a replicate's into one with a
-    leading track axis, (m, n) and (m, n, d).
+    """The per-CPI record of one track, (n,) arrays: the one shape per-CPI
+    data takes. The harness writes each track's rows to its replicate's
+    file, keeps the track's summary values and drops the record.
     """
 
     state: np.ndarray
@@ -149,7 +148,6 @@ class TrackResult:
     oracle_loss: np.ndarray
     regret_inc: np.ndarray
     suboptimal: np.ndarray
-    contexts: np.ndarray
 
 
 class SyntheticTrackEnv(SceneWalk):
@@ -207,7 +205,8 @@ def run_track(
     nor updates the posterior. ``rng`` is the policy's selection stream,
     read ``STACK_BLOCK`` pulses at a time: three standard normals a pulse
     for Thompson sampling, one ``integers(k_arms)`` a pulse for the random
-    baseline. The environment's walk and noise are its own. Regret
+    baseline. The environment's walk and noise are its own; the state and
+    observation columns are its walk's ``states`` and ``obs`` lists. Regret
     increments compare the environment's expected losses of the best and
     the chosen waveform at the contexts used for selection.
 
@@ -221,10 +220,10 @@ def run_track(
     """
     agent = TsAgent(prior, noise_var, env.state_proc.n_states, k_arms)
     step_scene, realize, noise_sd = env.step_scene, env.realize, agent.noise_sd
-    # pulses: each pulse's state, observation, choice, SINR and loss, flat;
-    # offered: the K contexts it chose from, as a snapshot; scored: its choice
-    pulses, offered, scored = [], [], []
-    keep, offer, add_scored = pulses.extend, offered.append, scored.append
+    # pulses: each pulse's choice, SINR and loss, flat; offered: the K
+    # contexts it chose from, as a snapshot; the agent's scored: its choice
+    pulses, offered = [], []
+    keep, offer, add_scored = pulses.extend, offered.append, agent.scored.append
     thompson = explore == "ts"
     for start, size in blocks(n_cpis):
         if thompson:
@@ -238,27 +237,24 @@ def run_track(
             idx = pick_argmax(sample_gaussian(agent.posterior, draw), phis) if thompson else draw
             phi = phis[idx]
             realized, sinr_k = realize(k, s, idx, phi)
-            keep((s, o, idx, sinr_k, realized))
+            keep((idx, sinr_k, realized))
             add_scored(phi)
             record(agent, o, idx, realized)
             if thompson:
                 agent.posterior = blr_update(agent.posterior, noise_sd, phi, realized)
 
-    state, obs, waveform, sinr, loss = (pulses[i::5] for i in range(5))
-    state = np.array(state, dtype=int)
-    waveform = np.array(waveform, dtype=int)
-    scored = np.fromiter(chain.from_iterable(scored), float, n_cpis * CONTEXT_DIM)
+    state = np.fromiter(env.states, int, n_cpis)
+    waveform = np.array(pulses[0::3], dtype=int)
     expected = env.expected_losses(state, offered)
     oracle_loss = expected.max(axis=-1)
     chosen = expected[np.arange(n_cpis), waveform]
     return TrackResult(
         state=state,
-        obs=np.array(obs, dtype=int),
+        obs=np.fromiter(env.obs, int, n_cpis),
         waveform=waveform,
-        sinr=np.array(sinr, dtype=float),
-        loss=np.array(loss, dtype=float),
+        sinr=np.array(pulses[1::3], dtype=float),
+        loss=np.array(pulses[2::3], dtype=float),
         oracle_loss=oracle_loss,
         regret_inc=oracle_loss - chosen,
         suboptimal=chosen < oracle_loss - TIE_TOL,
-        contexts=scored.reshape(n_cpis, CONTEXT_DIM),
     ), agent

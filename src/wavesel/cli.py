@@ -52,7 +52,8 @@ def _cmd_aggregate(args) -> int:
 def _cmd_dump_waveform(args) -> int:
     env = waveforms.catalog_envelope(args.kind)
     columns = (np.arange(len(env)), env.samples.real, env.samples.imag)
-    harness._write_lines(args.out, harness._table_lines("index,real,imag", "", columns))
+    with harness._staged([args.out]) as (fh,):
+        harness._write_lines(fh, harness._table_lines("index,real,imag", "", columns))
     print(f"wrote {len(env)} samples to {args.out}")
     return 0
 

@@ -9,11 +9,16 @@ independent and may run in parallel (``WAVESEL_WORKERS`` environment
 variable), with outputs merged in canonical (policy, seed) order regardless
 of worker count.
 
-Every CSV file the package writes is a header and its columns, written by
-one function, ``_table_lines``, which yields the lines one at a time, so a
-file is never held whole. A float is written as ``repr`` of a Python
-float, which round-trips exactly, and an int in decimal, so recomputing
-any metric from the files reproduces the in-memory value bit for bit.
+A block streams: each finished track's rows go to its replicate's temporary
+file and only five summary values a track are kept, so its memory is flat
+in the track count. The temporary files replace their targets at the
+block's end, or are all removed: a file is whole or absent.
+
+Every CSV file the package writes is a header and its columns, whose rows
+one function, ``_table_lines``, yields one at a time, so a file is never
+held whole. A float is written as ``repr`` of a Python float, which
+round-trips exactly, and an int in decimal, so recomputing any metric from
+the files reproduces the in-memory value bit for bit.
 """
 
 import contextlib
@@ -92,10 +97,11 @@ class ExperimentConfig:
     Valid by construction: built from config text, from CLI flags, by a
     call or by ``replace``, a config checks every value and raises a
     ``ValidationError`` naming the first bad field. A list key takes a
-    tuple, an int key an int in [0, 2**63) but no bool, and a float key a
-    float or an int, which it holds as a float. In synthetic mode each of
-    ``PHYSICAL_KEYS`` keeps its default. The modules below the harness take
-    a constructed config's values as given and do not check them again.
+    tuple, an int key an int in [0, 2**63) but no bool (a seed one under
+    ``MAX_SEED``), and a float key a float or an int, which it holds as a
+    float. In synthetic mode each of ``PHYSICAL_KEYS`` keeps its default.
+    The modules below the harness take a constructed config's values as
+    given and do not check them again.
     """
 
     m: int = 50
@@ -181,6 +187,8 @@ class ExperimentConfig:
             raise ValidationError("seeds", "at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValidationError("seeds", "a seed is listed more than once")
+        if max(self.seeds) >= MAX_SEED:
+            raise ValidationError("seeds", f"must lie in [0, {MAX_SEED})")
         if not self.policies:
             raise ValidationError("policies", "at least one policy is required")
         for p in self.policies:
@@ -237,6 +245,11 @@ def _flat_kl(sigma_q_sq: float, mu_star: np.ndarray) -> float:
             (mu_star, math.sqrt(KL_REFERENCE_VAR) * np.eye(3)),
         )
 
+
+#: Bound on seeds: ``SeedSequence`` splits a larger key item into 32-bit
+#: words, so seed 5 + 2**32 * ``meta.WALK_TAG``'s track-0 ``random`` stream
+#: would be seed 5's track-0 walk (a key is zero-padded to four words).
+MAX_SEED = 2**32
 
 #: Largest state-transition table, n_states ** memory entries, a config may
 #: ask for. Every replicate draws the table and keeps the running sums of
@@ -429,23 +442,32 @@ class RunSummary:
     wall_time_ms: float
 
 
-def _write_lines(path: str, lines) -> None:
-    """Write ``lines`` to ``path`` whole or not at all: a temporary file in
-    the same directory, written ``WRITE_BLOCK`` joined lines per call,
-    replaces ``path``; if a line, a write or the replace fails, the
-    temporary file is removed instead and ``path`` is left as it was."""
-    tmp = f"{path}.{os.getpid()}.tmp"
+def _write_lines(fh, lines) -> None:
+    """Write ``lines`` to the open text file ``fh``, ``WRITE_BLOCK`` joined
+    lines per call."""
     lines = iter(lines)
+    while block := list(islice(lines, WRITE_BLOCK)):
+        fh.write("\n".join(block) + "\n")
+
+
+@contextlib.contextmanager
+def _staged(paths):
+    """Yield an open temporary file beside each of ``paths``, in order. If
+    the ``with`` body ends normally, each replaces its path; if the body, a
+    write or a replace fails, every one left is removed, so each path is
+    whole or as it was. An ``OSError`` raises an ``IoError``."""
+    tmps = [f"{path}.{os.getpid()}.tmp" for path in paths]
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            while block := list(islice(lines, WRITE_BLOCK)):
-                fh.write("\n".join(block) + "\n")
-        os.replace(tmp, path)
+        with contextlib.ExitStack() as stack:
+            yield [stack.enter_context(open(t, "w", encoding="utf-8", newline="\n")) for t in tmps]
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException as exc:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        for tmp in tmps:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         if isinstance(exc, OSError):
-            raise IoError(f"cannot write {path}: {exc}") from exc
+            raise IoError(f"cannot write {exc.filename or paths[0]}: {exc}") from exc
         raise
 
 
@@ -464,27 +486,26 @@ def _cells(column):
     )
 
 
-def _table_lines(header: str, prefix: str, columns):
-    """A CSV file's lines, yielded one at a time: ``header``, then one line
-    per row, ``prefix`` followed by the comma-joined items of the
-    equal-length ``columns``."""
-    yield header
+def _table_lines(header: str | None, prefix: str, columns):
+    """A CSV file's lines, yielded one at a time: ``header``, unless it is
+    None, then one line per row, ``prefix`` followed by the comma-joined
+    items of the equal-length ``columns``."""
+    if header is not None:
+        yield header
     for row in zip(*map(_cells, columns)):
         yield prefix + ",".join(row)
 
 
-def _cpi_lines(policy: str, seed: int, record, sinr_db, outage):
-    """The per-CPI file's lines of one replicate's stacked record, with its
-    derived (m, n) ``sinr_db`` and ``outage`` columns, yielded one at a
-    time. The track and CPI index columns are made as the rows are."""
-    m, n = record.loss.shape
+def _cpi_lines(policy: str, seed: int, track: int, record: TrackResult, sinr_db, outage):
+    """The per-CPI file's lines of one track's record, with its derived
+    ``sinr_db`` and ``outage`` columns, yielded one at a time: the file's
+    header before track 0's rows."""
     columns = (
-        chain.from_iterable(repeat(str(t), n) for t in range(m)),
-        chain.from_iterable(map(str, range(n)) for _ in range(m)),
-        record.state, record.obs, record.waveform, sinr_db, record.loss,
-        record.oracle_loss, record.regret_inc, record.suboptimal, outage,
+        map(str, range(record.loss.size)), record.state, record.obs, record.waveform,
+        sinr_db, record.loss, record.oracle_loss, record.regret_inc, record.suboptimal, outage,
     )
-    return _table_lines(PER_CPI_HEADER, f"{policy},{seed},", columns)
+    header = PER_CPI_HEADER if track == 0 else None
+    return _table_lines(header, f"{policy},{seed},{track},", columns)
 
 
 def _track_lines(summary: RunSummary):
@@ -505,18 +526,19 @@ def track_csv_path(out_dir: str, policy: str, seed: int) -> str:
     return os.path.join(out_dir, f"track_{policy}_seed{seed}.csv")
 
 
-def run_block(
-    config: ExperimentConfig, policies: tuple, seed: int
-) -> list[tuple[TrackResult, RunSummary]]:
+def run_block(config: ExperimentConfig, policies: tuple, seed: int) -> list[RunSummary]:
     """Execute the seed block of ``policies`` under ``seed`` and persist each
-    replicate's two CSV files; returns each replicate's stacked per-CPI
-    record and per-track summary, in the order of ``policies``.
+    replicate's two CSV files; returns each replicate's per-track summary,
+    in the order of ``policies``.
 
-    No file is written before every track has run and every summary is
-    finite. A replicate's wall time runs from the block's start to the write
-    of its own files, and its CSVs are byte-identical across repeated calls
-    and across blocks. A seed or policy the config does not list, or a policy
-    listed twice, raises a ``ValidationError`` naming ``seeds`` or ``policies``.
+    Each track's rows go to its replicate's temporary per-CPI file as
+    ``run_meta_experiment`` yields it, and its record is then dropped. The
+    files replace their targets only once every track has run and every
+    summary is finite; otherwise the block leaves no file. A replicate's
+    wall time runs from the block's start to the write of its track file,
+    and its CSVs are byte-identical across repeated calls and across
+    blocks. A seed or policy the config does not list, or a policy listed
+    twice, raises a ``ValidationError`` naming ``seeds`` or ``policies``.
     """
     for policy in policies:
         if policy not in config.policies:
@@ -527,57 +549,47 @@ def run_block(
         raise ValidationError("seeds", f"{seed!r} is not listed")
     started = time.perf_counter()
     mu_star, state_proc = build_scene(config, seed)
-    runs = run_meta_experiment(config, mu_star, state_proc, policies, seed)
-    replicates = []
-    for policy, (results, history) in zip(policies, runs):
-        record = track_record(results)
-        # the stacked record replaces the per-track results, so the block
-        # holds one copy of each policy's per-CPI data until it writes
-        results.clear()
-        sinr_db = sinr_to_db(record.sinr)
-        outage = sinr_db < OUTAGE_DB
-        if policy == "ts-oracle":
-            # The oracle is handed the true prior; its divergence from truth is
-            # zero by construction rather than via a belief update.
-            kl = np.zeros(config.m)
-        else:
-            kl = kl_trace(history, mu_star)
-        summary = RunSummary(
-            policy=policy,
-            seed=seed,
-            cum_regret=record.regret_inc.sum(axis=1),
-            mean_loss=record.loss.mean(axis=1),
-            outage_freq=outage.mean(axis=1),
-            subopt_freq=record.suboptimal.mean(axis=1),
-            kl_to_truth=kl,
-            wall_time_ms=0.0,
-        )
-        # read_track_table refuses a non-finite value, so no file is written
-        for column in PER_TRACK_HEADER.split(",")[3:]:
-            if not np.all(np.isfinite(getattr(summary, column))):
-                raise InvalidInput(f"{column} of {policy} seed {seed} is not finite")
-        replicates.append((record, summary, sinr_db, outage))
+    # per policy: its belief after each track, and its summary columns as the
+    # rows of a (5, m) table, holding per-track sums until the block's end
+    tables = {policy: np.empty((5, config.m)) for policy in policies}
+    beliefs = {policy: [] for policy in policies}
     try:
         os.makedirs(config.out_dir, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create {config.out_dir}: {exc}") from exc
-    for record, summary, sinr_db, outage in replicates:
-        _write_lines(
-            cpi_csv_path(config.out_dir, summary.policy, seed),
-            _cpi_lines(summary.policy, seed, record, sinr_db, outage),
-        )
-        _write_lines(track_csv_path(config.out_dir, summary.policy, seed), _track_lines(summary))
-        summary.wall_time_ms = (time.perf_counter() - started) * 1e3
-    return [(record, summary) for record, summary, *_ in replicates]
+    paths = [cpi_csv_path(config.out_dir, p, seed) for p in policies]
+    paths += [track_csv_path(config.out_dir, p, seed) for p in policies]
+    with _staged(paths) as files:
+        cpi_files = dict(zip(policies, files))
+        for policy, t, result, mp in run_meta_experiment(
+            config, mu_star, state_proc, policies, seed
+        ):
+            record = track_record(result)
+            sinr_db = sinr_to_db(record.sinr)
+            outage = sinr_db < OUTAGE_DB
+            _write_lines(cpi_files[policy], _cpi_lines(policy, seed, t, record, sinr_db, outage))
+            columns = (record.regret_inc, record.loss, outage, record.suboptimal)
+            tables[policy][:4, t] = [column.sum() for column in columns]
+            beliefs[policy].append(mp)
+        for policy, table in tables.items():
+            table[1:4] /= config.n  # mean loss and the two frequencies
+            # The oracle is handed the true prior; its divergence from truth
+            # is zero by construction rather than via a belief update.
+            table[4] = 0.0 if policy == "ts-oracle" else kl_trace(beliefs[policy], mu_star)
+            # read_track_table refuses a non-finite value, so no file is written
+            for column, values in zip(PER_TRACK_HEADER.split(",")[3:], table):
+                if not np.all(np.isfinite(values)):
+                    raise InvalidInput(f"{column} of {policy} seed {seed} is not finite")
+        summaries = [RunSummary(p, seed, *tables[p], wall_time_ms=0.0) for p in policies]
+        for summary, fh in zip(summaries, files[len(policies) :]):
+            _write_lines(fh, _track_lines(summary))
+            summary.wall_time_ms = (time.perf_counter() - started) * 1e3
+    return summaries
 
 
-def run(config: ExperimentConfig, policy: str, seed: int) -> tuple[TrackResult, RunSummary]:
+def run(config: ExperimentConfig, policy: str, seed: int) -> RunSummary:
     """Execute one replicate, the seed block of one (see ``run_block``)."""
     return run_block(config, (policy,), seed)[0]
-
-
-def _run_job(args) -> list:
-    return [summary for _, summary in run_block(*args)]
 
 
 def worker_count(n_jobs: int) -> int:
@@ -592,19 +604,18 @@ def worker_count(n_jobs: int) -> int:
 
 
 def run_experiment(config: ExperimentConfig) -> list:
-    """Run one seed block per seed; returns the summaries alone, in canonical
+    """Run one seed block per seed; returns the summaries, in canonical
     (policy, seed) order independent of the worker count."""
     policies = tuple(sorted(config.policies, key=policy_index))
-    jobs = [(config, policies, seed) for seed in config.seeds]
-    workers = worker_count(len(jobs))
+    workers = worker_count(len(config.seeds))
     if workers == 1:
-        blocks = [_run_job(job) for job in jobs]
+        blocks = [run_block(config, policies, seed) for seed in config.seeds]
     else:
         # imported here: the pool's module adds about 2 MB to a serial process
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_run_job, jobs))
+            blocks = list(pool.map(run_block, repeat(config), repeat(policies), config.seeds))
     return [summary for per_policy in zip(*blocks) for summary in per_policy]
 
 
@@ -614,9 +625,9 @@ def run_experiment(config: ExperimentConfig) -> list:
 
 def read_track_table(path: str) -> list:
     """Parse one per-track summary CSV back into row dicts. A row whose
-    policy is unknown, whose seed lies outside [0, 2**63), whose track is
-    negative or whose mean loss or frequency lies outside [0, 1] raises an
-    ``IoError`` naming the file and the row."""
+    policy is unknown, whose seed lies outside [0, ``MAX_SEED``), whose
+    track is negative or whose mean loss or frequency lies outside [0, 1]
+    raises an ``IoError`` naming the file and the row."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -641,7 +652,7 @@ def read_track_table(path: str) -> list:
         row.update(zip(names[3:], values))
         in_range = {
             "policy": row["policy"] in POLICIES,
-            "seed": 0 <= seed < 2**63,
+            "seed": 0 <= seed < MAX_SEED,
             "track": track >= 0,
             **{c: 0.0 <= row[c] <= 1.0 for c in ("mean_loss", "outage_freq", "subopt_freq")},
         }
@@ -691,18 +702,18 @@ def aggregate(rows: list) -> dict:
 
 
 def write_aggregates(tables: dict, out_dir: str) -> list:
-    """Write one agg_<metric>.csv per metric; returns the paths written."""
+    """Write one agg_<metric>.csv per metric, all of them or none; returns
+    the paths written."""
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create {out_dir}: {exc}") from exc
-    paths = []
-    for metric in AGG_METRICS:
-        path = os.path.join(out_dir, f"agg_{metric}.csv")
-        policy, track, mean, stderr = zip(*tables[metric])
-        columns = (policy, np.array(track), np.array(mean), np.array(stderr))
-        _write_lines(path, _table_lines(AGG_HEADER, "", columns))
-        paths.append(path)
+    paths = [os.path.join(out_dir, f"agg_{metric}.csv") for metric in AGG_METRICS]
+    with _staged(paths) as files:
+        for metric, fh in zip(AGG_METRICS, files):
+            policy, track, mean, stderr = zip(*tables[metric])
+            columns = (policy, np.array(track), np.array(mean), np.array(stderr))
+            _write_lines(fh, _table_lines(AGG_HEADER, "", columns))
     return paths
 
 

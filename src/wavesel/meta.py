@@ -8,10 +8,10 @@ learner consumed. Meta-Thompson sampling draws one candidate mean from the
 belief at the start of a track and hands the per-track learner the
 corresponding instance prior.
 
-One loop runs a seed block, every listed policy under one seed: each track's
-episode is drawn once and every policy reads it. The random draws are split
-by purpose into keyed streams (stream layout version 2; README's "Random
-streams" table lists them):
+One generator runs a seed block, every listed policy under one seed, and
+yields each finished track: each track's episode is drawn once and every
+policy reads it. The random draws are split by purpose into keyed streams
+(stream layout version 2; README's "Random streams" table lists them):
 
 - per seed, the scene's transition table (``scene_rng``) and meta-TS's
   prior-mean draws (``meta_prior_rng``);
@@ -35,10 +35,11 @@ build.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
-from .bandit import SyntheticTrackEnv, TrackResult, run_track
+from .bandit import SyntheticTrackEnv, run_track
 from .errors import InvalidInput
 from .fstc import (
     ChannelTables,
@@ -232,8 +233,11 @@ def oracle_rng(seed: int, track: int) -> np.random.Generator:
 
 def run_meta_experiment(
     config, mu_star: np.ndarray, state_proc: StateProcess, policies: tuple, seed: int
-) -> list[tuple[list[TrackResult], list[MetaPosterior]]]:
-    """Run ``config.m`` tracks of ``config.n`` pulses under ``policies`` and one seed.
+):
+    """Run ``config.m`` tracks of ``config.n`` pulses under ``policies`` and
+    one seed, yielding each finished track, in the order of ``policies``
+    within a track, as (policy, track, ``TrackResult``, the policy's meta
+    belief after it, the flat one for non-meta), and keeping none.
 
     ``config`` is a ``harness.ExperimentConfig``; ``mu_star``, the true prior
     mean, and ``state_proc`` are the seed's scene from
@@ -244,9 +248,7 @@ def run_meta_experiment(
     scene walk and loss noise, as one environment; then, per policy, pick
     its instance prior, run the per-track selection loop on that
     environment with the policy's own selection stream, and, for meta-TS
-    only, fold the track's data into the meta belief. Returns per policy,
-    in the order given, the per-track results and the belief after each
-    track (flat for non-meta).
+    only, fold the track's scored contexts and losses into the meta belief.
 
     A track's prior is a pair (mean, var), the isotropic N(mean, var I).
     Per policy: ts-oracle uses (mu_star, sigma0_sq); meta-TS samples the
@@ -264,7 +266,6 @@ def run_meta_experiment(
     meta_draws = meta_prior_rng(seed, "meta-ts")
     uninformative = (np.zeros(d), config.sigma_q_sq + sigma0_sq)
 
-    runs = [([], []) for _ in policies]
     for t in range(config.m):
         # the episode, its walk and its noise, drawn once for every policy
         env_rng, walk, noise = instance_rng(seed, t), walk_rng(seed, t), noise_rng(seed, t)
@@ -277,7 +278,7 @@ def run_meta_experiment(
             inst = draw_instance(config, mu_star, root, env_rng)
             sim = TrackSimulator(config, inst, tables, oracle_rng(seed, t), noise)
             env = PhysicalTrackEnv(sim, state_proc, sinr_target, walk)
-        for policy, (results, history) in zip(policies, runs):
+        for policy in policies:
             if policy == "ts-oracle":
                 prior = (mu_star, sigma0_sq)
             elif policy == "meta-ts":
@@ -286,9 +287,8 @@ def run_meta_experiment(
                 prior = uninformative
             rng = track_rng(seed, policy, t)
             explore = "random" if policy == "random" else "ts"
-            result, _ = run_track(env, prior, sigma_sq, n, k_arms, rng, explore=explore)
+            result, agent = run_track(env, prior, sigma_sq, n, k_arms, rng, explore=explore)
             if policy == "meta-ts":
-                mp = meta_update(mp, TrackData(result.contexts, result.loss))
-            results.append(result)
-            history.append(mp if policy == "meta-ts" else flat)
-    return runs
+                scored = np.fromiter(chain.from_iterable(agent.scored), float).reshape(n, d)
+                mp = meta_update(mp, TrackData(scored, result.loss))
+            yield policy, t, result, mp if policy == "meta-ts" else flat

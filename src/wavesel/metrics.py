@@ -1,11 +1,11 @@
-"""Reporting layer: the stacked per-CPI record of a replicate, KL traces,
+"""Reporting layer: the check of one track's per-CPI record, KL traces,
 and PAC-Bayes bound evaluators.
 
 Everything here is a pure function of completed records, so any value can be
 recomputed from the persisted CSVs and compared exactly.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,19 +28,11 @@ def sinr_to_db(sinr) -> np.ndarray:
     return 10.0 * np.log10(np.maximum(np.asarray(sinr, dtype=float), DB_FLOOR))
 
 
-def track_record(results) -> TrackResult:
-    """Stack a replicate's per-track results into one record with a leading
-    track axis: (m, n) per-CPI columns and (m, n, d) contexts.
-
-    A regret increment below -1e-12 anywhere in the replicate is rejected.
-    """
-    record = TrackResult(**{
-        f.name: np.stack([getattr(r, f.name) for r in results])
-        for f in fields(TrackResult)
-    })
-    if record.regret_inc.min(initial=0.0) < -1e-12:
+def track_record(result: TrackResult) -> TrackResult:
+    """One track's record, checked: a regret increment below -1e-12 is rejected."""
+    if result.regret_inc.min(initial=0.0) < -1e-12:
         raise InvalidInput("negative regret increment")
-    return record
+    return result
 
 
 def kl_trace(meta_history, mu_star: np.ndarray) -> np.ndarray:

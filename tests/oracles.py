@@ -20,6 +20,7 @@ from wavesel.fstc import (
 )
 from wavesel.gaussmath import cholesky
 from wavesel.harness import PER_CPI_HEADER
+from wavesel.meta import run_meta_experiment
 from wavesel.waveforms import default_catalog
 
 #: The clutter gains of a four-state scene, 4 ** (s - 1), as
@@ -360,8 +361,8 @@ def reference_track(env, prior, noise_var: float, n_cpis: int, k_arms: int,
     ``unit_noise_eigvals`` of the catalog. ``env`` is only read: the
     synthetic environment's ``theta_star`` or the physical one's simulator
     arrays. Returns the per-CPI arrays of ``TrackResult`` and the final
-    learner state (``post_mean``, ``post_cov``, ``stats``,
-    ``agent_contexts``).
+    learner state (``scored``, the chosen rows, ``post_mean``,
+    ``post_cov``, ``stats``, ``agent_contexts``).
     """
     sp = env.state_proc
     n_obs = sp.n_states
@@ -375,7 +376,7 @@ def reference_track(env, prior, noise_var: float, n_cpis: int, k_arms: int,
     names = ("state", "obs", "waveform", "sinr", "loss", "oracle_loss",
              "regret_inc", "suboptimal")
     rows = {name: [] for name in names}
-    rows["contexts"] = []
+    rows["scored"] = []
     states: list[int] = []
     sim = getattr(env, "sim", None)
     if sim is not None:
@@ -413,7 +414,7 @@ def reference_track(env, prior, noise_var: float, n_cpis: int, k_arms: int,
             expected[idx] < best - TIE_TOL,
         )):
             rows[name].append(value)
-        rows["contexts"].append(phi)
+        rows["scored"].append(phi)
 
         if explore != "random":
             kvec = cov @ phi
@@ -438,7 +439,7 @@ def reference_track(env, prior, noise_var: float, n_cpis: int, k_arms: int,
         "oracle_loss": np.array(rows["oracle_loss"], dtype=float),
         "regret_inc": np.array(rows["regret_inc"], dtype=float),
         "suboptimal": np.array(rows["suboptimal"], dtype=bool),
-        "contexts": np.array(rows["contexts"], dtype=float).reshape(n_cpis, -1),
+        "scored": np.array(rows["scored"], dtype=float).reshape(n_cpis, -1),
         "post_mean": mean,
         "post_cov": cov,
         "stats": stats,
@@ -447,23 +448,64 @@ def reference_track(env, prior, noise_var: float, n_cpis: int, k_arms: int,
     return out
 
 
-def cpi_lines(policy: str, seed: int, record, sinr_db, outage) -> list:
-    """The per-CPI file's lines of a stacked (m, n) record, one f-string per
-    row: integers as formatted by the f-string and floats as
-    ``repr(float(x))``."""
-    lines = [PER_CPI_HEADER]
-    m, n = record.loss.shape
-    for t in range(m):
-        for i in range(n):
-            lines.append(
-                f"{policy},{seed},{t},{i},{record.state[t, i]},"
-                f"{record.obs[t, i]},{record.waveform[t, i]},"
-                f"{float(sinr_db[t, i])!r},{float(record.loss[t, i])!r},"
-                f"{float(record.oracle_loss[t, i])!r},"
-                f"{float(record.regret_inc[t, i])!r},"
-                f"{int(record.suboptimal[t, i])},{int(outage[t, i])}"
-            )
+def cpi_lines(policy: str, seed: int, track: int, record, sinr_db, outage) -> list:
+    """The per-CPI file's lines of one track's (n,) record, one f-string
+    per row, after the header for track 0: integers as formatted by the
+    f-string and floats as ``repr(float(x))``."""
+    lines = [PER_CPI_HEADER] if track == 0 else []
+    for i in range(record.loss.size):
+        lines.append(
+            f"{policy},{seed},{track},{i},{record.state[i]},{record.obs[i]},"
+            f"{record.waveform[i]},{float(sinr_db[i])!r},{float(record.loss[i])!r},"
+            f"{float(record.oracle_loss[i])!r},{float(record.regret_inc[i])!r},"
+            f"{int(record.suboptimal[i])},{int(outage[i])}"
+        )
     return lines
+
+
+#: The per-CPI file's integer and 0/1 flag columns; every other column but
+#: the policy and the seed holds floats.
+CPI_INT_COLUMNS = ("track", "cpi", "state", "obs", "waveform")
+CPI_FLAG_COLUMNS = ("suboptimal", "outage_10db")
+
+
+def read_cpi_table(path) -> dict:
+    """The per-CPI file at ``path`` read back as (m, n) arrays keyed by
+    column name, the policy and seed columns aside: ints, bools for the
+    flags, and floats parsed by ``float`` from their ``repr``, which gives
+    back every written float to the bit. The file's track and CPI columns
+    must be the (m, n) index grid."""
+    with open(path, encoding="utf-8") as fh:
+        header, *rows = fh.read().splitlines()
+    assert header == PER_CPI_HEADER
+    cells = list(zip(*(line.split(",")[2:] for line in rows)))
+    m = int(cells[0][-1]) + 1
+    table = {}
+    for name, column in zip(PER_CPI_HEADER.split(",")[2:], cells):
+        if name in CPI_FLAG_COLUMNS:
+            assert set(column) <= {"0", "1"}, name
+            values = np.array([c == "1" for c in column])
+        else:
+            values = np.array(list(map(int if name in CPI_INT_COLUMNS else float, column)))
+        table[name] = values.reshape(m, -1)
+    n = table["cpi"].shape[1]
+    assert np.array_equal(table["track"], np.repeat(np.arange(m)[:, None], n, axis=1))
+    assert np.array_equal(table["cpi"], np.tile(np.arange(n), (m, 1)))
+    return table
+
+
+def block_runs(config, mu_star, state_proc, policies: tuple, seed: int) -> list:
+    """What ``meta.run_meta_experiment`` yields, gathered per policy in the
+    order of ``policies``: (results, beliefs), each a list by track."""
+    runs = {policy: ([], []) for policy in policies}
+    for policy, track, result, mp in run_meta_experiment(
+        config, mu_star, state_proc, policies, seed
+    ):
+        results, beliefs = runs[policy]
+        assert track == len(results)
+        results.append(result)
+        beliefs.append(mp)
+    return list(runs.values())
 
 
 def waveform_lines(env) -> list:

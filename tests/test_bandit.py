@@ -262,7 +262,7 @@ def test_record_delegates_posterior_update():
     env = synthetic_env([0.4, 0.1, 0.5], uniform_state_proc(), 0.1, 40)
     result, agent = run_track(env, (np.zeros(3), 2.0), 0.1, 40, 5, np.random.default_rng(1))
     manual = posterior_gaussian((np.zeros(3), 2.0))
-    for phi, loss in zip(result.contexts.tolist(), result.loss.tolist()):
+    for phi, loss in zip(agent.scored, result.loss.tolist()):
         manual = blr_update(manual, math.sqrt(0.1), phi, loss)
     assert agent.posterior == manual
 
@@ -406,7 +406,7 @@ def test_run_track_output_shapes_and_ranges():
     assert np.all((result.loss >= 0.0) & (result.loss <= 1.0))
     assert np.all(result.regret_inc >= -1e-12)
     assert np.all((result.waveform >= 0) & (result.waveform < 5))
-    assert result.contexts.shape == (150, 3)
+    assert np.array(agent.scored).shape == (150, 3)
     assert tuple(map(len, agent.posterior)) == (3, 6)
 
 
@@ -441,7 +441,7 @@ class RecordingEnv:
 
     def __init__(self, env):
         self.env = env
-        self.state_proc = env.state_proc
+        self.state_proc, self.states, self.obs = env.state_proc, env.states, env.obs
         self.expected: list[np.ndarray] = []
 
     def step_scene(self, cpi):
@@ -541,8 +541,9 @@ def test_run_track_equals_validated_reference_loop_to_the_bit(
         np.random.default_rng(60), *streams(62), explore, inst,
     )
     for name in ("state", "obs", "waveform", "sinr", "loss", "oracle_loss",
-                 "regret_inc", "suboptimal", "contexts"):
+                 "regret_inc", "suboptimal"):
         assert same_bits(getattr(result, name), expected[name]), name
+    assert same_bits(np.array(agent.scored), expected["scored"])
     # the float kernel updates the factor where the reference updates the
     # covariance, so the posterior may part in its last bits; every choice
     # and every other column is identical. A random track's posterior

@@ -6,6 +6,7 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wavesel
@@ -85,3 +86,31 @@ def test_every_wrapped_call_site_is_called(tracing, tmp_path):
     for policy in ("random", "meta-ts"):
         assert episode_spans["synthetic", policy] == (1, 0, 0)
         assert episode_spans["physical", policy] == (1, 2, 2)
+
+
+def test_a_streamed_replicate_checks_and_writes_each_track_under_harness_run(
+    tracing, tmp_path
+):
+    # a replicate streams its tracks: the regret check runs once per track,
+    # and every CSV write span, the per-track ones included, is a direct
+    # child of harness.run, so harness.csv_write.ms sums a replicate's
+    # whole write
+    m = 3
+    config = harness.parse_config(f"m = {m}\nn = 4\nk = 3\nseeds = 0\nout_dir = {tmp_path}\n")
+    tracer = tracing.Tracer()
+    tracer.install(wavesel)
+    try:
+        for policy in ("random", "meta-ts"):
+            before = tracer.calls("metrics.track_record")
+            harness.run(config, policy, 0)
+            assert tracer.calls("metrics.track_record") - before == m
+    finally:
+        tracer.uninstall()
+    ids, parent, _, _ = tracer.arrays()
+    writes = ids == tracer.names.index("harness.csv_write")
+    # per replicate: _cpi_lines and _write_lines per track, then
+    # _track_lines and _write_lines once
+    assert np.count_nonzero(writes) == 2 * (2 * m + 2)
+    run_id = tracer.names.index("harness.run")
+    assert np.all(ids[parent[writes]] == run_id)
+    assert tracer.samples("harness.csv_write", "per_replicate").size == 2

@@ -347,7 +347,7 @@ def test_blr_long_track_matches_batch_normal_equations():
     result, agent = run_track(
         env, (np.zeros(3), prior_var), cfg.sigma_sq, 3000, cfg.k, np.random.default_rng(0)
     )
-    X, y = result.contexts, result.loss
+    X, y = np.array(agent.scored), result.loss
     mean, cov = float_posterior(agent.posterior)
     prec = np.eye(3) / prior_var + X.T @ X / cfg.sigma_sq
     batch_mean = np.linalg.solve(prec, X.T @ y / cfg.sigma_sq)

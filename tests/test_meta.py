@@ -31,6 +31,7 @@ from wavesel.metrics import kl_trace
 from oracles import (
     LinearPosterior,
     blr_update,
+    block_runs,
     largest_gap,
     meta_mean_cov,
     posterior_mean_cov,
@@ -103,7 +104,19 @@ def meta_ts_run():
     run."""
     cfg = replace(ExperimentConfig(), m=4, n=30)
     mu_star, state_proc = build_scene(cfg, 0)
-    return cfg, *run_meta_experiment(cfg, mu_star, state_proc, ("meta-ts",), 0)[0]
+    return cfg, *block_runs(cfg, mu_star, state_proc, ("meta-ts",), 0)[0]
+
+
+def recording_meta_update(monkeypatch) -> list:
+    """The track data of every later ``meta_update`` call, in call order."""
+    seen, original = [], meta.meta_update
+
+    def recording(mp, data):
+        seen.append(data)
+        return original(mp, data)
+
+    monkeypatch.setattr(meta, "meta_update", recording)
+    return seen
 
 
 def test_meta_posterior_validation():
@@ -118,13 +131,15 @@ def test_meta_posterior_validation():
         assert mp.sigma0_sq > 0 and mp.sigma_sq > 0
 
 
-def test_track_data_validation():
+def test_track_data_validation(monkeypatch):
     """The track data a run hands the meta update has the form TrackData
     takes as given: one row of three finite context features per finite
-    loss."""
+    loss, the track's own losses."""
+    seen = recording_meta_update(monkeypatch)
     cfg, results, _ = meta_ts_run()
-    for result in results:
-        data = TrackData(result.contexts, result.loss)
+    assert len(seen) == len(results) == cfg.m
+    for result, data in zip(results, seen):
+        assert data.losses is result.loss
         assert data.contexts.shape == (cfg.n, 3) and data.losses.shape == (cfg.n,)
         assert len(data) == cfg.n
         assert np.all(np.isfinite(data.contexts)) and np.all(np.isfinite(data.losses))
@@ -310,7 +325,7 @@ def test_vanishing_instance_spread_reduces_to_blr():
 def test_precision_never_decreases_across_tracks():
     cfg = replace(ExperimentConfig(), m=8, n=60)
     mu_star, state_proc = build_scene(cfg, 0)
-    _, history = run_meta_experiment(cfg, mu_star, state_proc, ("meta-ts",), 0)[0]
+    _, history = block_runs(cfg, mu_star, state_proc, ("meta-ts",), 0)[0]
     prev = flat_meta(cfg.sigma_q_sq, cfg.sigma0_sq, cfg.sigma_sq)
     for mp in history:
         gap = np.linalg.eigvalsh(precision(mp) - precision(prev))
@@ -319,11 +334,21 @@ def test_precision_never_decreases_across_tracks():
 
 
 def test_history_entry_is_one_joint_update_of_track_data():
+    # the first track's scored rows, replayed from its streams, and its
+    # losses fold into the flat belief in one update
     cfg = replace(ExperimentConfig(), m=2, n=50)
     mu_star, state_proc = build_scene(cfg, 1)
-    results, history = run_meta_experiment(cfg, mu_star, state_proc, ("meta-ts",), 1)[0]
+    results, history = block_runs(cfg, mu_star, state_proc, ("meta-ts",), 1)[0]
     mp0 = flat_meta(cfg.sigma_q_sq, cfg.sigma0_sq, cfg.sigma_sq)
-    replay = meta_update(mp0, TrackData(results[0].contexts, results[0].loss))
+    theta = mu_star + np.sqrt(cfg.sigma0_sq) * instance_rng(1, 0).standard_normal(3)
+    env = SyntheticTrackEnv(
+        theta, state_proc, cfg.sigma_sq, 10 ** (cfg.sinr_target_db / 10), 50,
+        walk_rng(1, 0), noise_rng(1, 0),
+    )
+    prior = (sample_instance_prior(mp0, meta.meta_prior_rng(1, "meta-ts")), cfg.sigma0_sq)
+    replay, agent = run_track(env, prior, cfg.sigma_sq, 50, cfg.k, track_rng(1, "meta-ts", 0))
+    np.testing.assert_array_equal(replay.loss, results[0].loss)
+    replay = meta_update(mp0, TrackData(np.array(agent.scored), results[0].loss))
     np.testing.assert_array_equal(history[0].mu, replay.mu)
     np.testing.assert_array_equal(history[0].root, replay.root)
 
@@ -335,7 +360,7 @@ def test_history_entry_is_one_joint_update_of_track_data():
 def test_oracle_policy_uses_true_prior():
     cfg = replace(ExperimentConfig(), m=1, n=60)
     mu_star, state_proc = build_scene(cfg, 3)
-    results, _ = run_meta_experiment(cfg, mu_star, state_proc, ("ts-oracle",), 3)[0]
+    results, _ = block_runs(cfg, mu_star, state_proc, ("ts-oracle",), 3)[0]
     rng = track_rng(3, "ts-oracle", 0)
     env_rng = instance_rng(3, 0)
     theta = mu_star + np.sqrt(cfg.sigma0_sq) * env_rng.standard_normal(3)
@@ -352,7 +377,7 @@ def test_oracle_policy_uses_true_prior():
 def test_degenerate_meta_prior_matches_fixed_zero_mean_prior():
     cfg = replace(ExperimentConfig(), m=4, n=60, sigma_q_sq=1e-30)
     mu_star, state_proc = build_scene(cfg, 5)
-    results, _ = run_meta_experiment(cfg, mu_star, state_proc, ("meta-ts",), 5)[0]
+    results, _ = block_runs(cfg, mu_star, state_proc, ("meta-ts",), 5)[0]
     for t in range(4):
         rng = track_rng(5, "meta-ts", t)
         env_rng = instance_rng(5, t)
@@ -377,7 +402,7 @@ def test_meta_belief_concentrates_toward_truth():
     firsts, lasts = [], []
     for seed in range(5):
         mu_star, state_proc = build_scene(cfg, seed)
-        _, history = run_meta_experiment(cfg, mu_star, state_proc, ("meta-ts",), seed)[0]
+        _, history = block_runs(cfg, mu_star, state_proc, ("meta-ts",), seed)[0]
         trace = kl_trace(history, mu_star)
         firsts.append(trace[0])
         lasts.append(trace[-1])
@@ -387,7 +412,7 @@ def test_meta_belief_concentrates_toward_truth():
 def test_non_meta_policy_keeps_flat_belief():
     cfg = replace(ExperimentConfig(), m=3, n=30)
     mu_star, state_proc = build_scene(cfg, 0)
-    _, history = run_meta_experiment(cfg, mu_star, state_proc, ("ts-uninformative",), 0)[0]
+    _, history = block_runs(cfg, mu_star, state_proc, ("ts-uninformative",), 0)[0]
     assert len(history) == 3
     for mp in history:
         np.testing.assert_array_equal(mp.mu, np.zeros(3))
@@ -408,13 +433,13 @@ def test_run_meta_experiment_refuses_a_float_seed():
     cfg = replace(ExperimentConfig(), m=1, n=5)
     mu_star, state_proc = build_scene(cfg, 1)
     with pytest.raises(TypeError, match="seed must be integer"):
-        run_meta_experiment(cfg, mu_star, state_proc, ("random",), 1.5)
+        next(run_meta_experiment(cfg, mu_star, state_proc, ("random",), 1.5))
 
 
 def test_physical_mode_smoke():
     cfg = replace(ExperimentConfig(), m=2, n=30, mode="physical")
     mu_star, state_proc = build_scene(cfg, 7)
-    results, history = run_meta_experiment(cfg, mu_star, state_proc, ("meta-ts",), 7)[0]
+    results, history = block_runs(cfg, mu_star, state_proc, ("meta-ts",), 7)[0]
     assert len(results) == 2 and len(history) == 2
     for res in results:
         assert np.all((res.loss >= 0.0) & (res.loss <= 1.0))
@@ -634,3 +659,13 @@ def test_stream_keys_do_not_collide():
         identity = stream_identity(makers[name](*args))
         assert identity not in identities, ((name, *args), identities.get(identity))
         identities[identity] = (name, *args)
+
+
+def test_a_seed_of_2_to_the_32_would_alias_a_stream_so_the_config_refuses_it():
+    # SeedSequence splits a key item into 32-bit words and pads a key to
+    # four words, so this seed's track-0 random stream is seed 5's walk
+    aliasing = 5 + 2**32 * meta.WALK_TAG
+    assert stream_identity(track_rng(aliasing, "random", 0)) == stream_identity(walk_rng(5, 0))
+    with pytest.raises(ValidationError) as info:
+        ExperimentConfig(seeds=(aliasing,))
+    assert info.value.field == "seeds"

@@ -14,7 +14,7 @@ from wavesel.errors import IndexOutOfRange, InvalidInput
 from wavesel.fstc import SINR_CAP
 from wavesel.gaussmath import kl_gaussian
 from wavesel.harness import ExperimentConfig, build_scene
-from wavesel.meta import MetaPosterior, run_meta_experiment
+from wavesel.meta import MetaPosterior
 from wavesel.metrics import (
     KL_REFERENCE_VAR,
     OUTAGE_DB,
@@ -26,7 +26,7 @@ from wavesel.metrics import (
     track_record,
 )
 
-from oracles import regret_increment
+from oracles import block_runs, regret_increment
 
 
 def make_track(sinr, suboptimal=None, regret=None) -> TrackResult:
@@ -44,7 +44,6 @@ def make_track(sinr, suboptimal=None, regret=None) -> TrackResult:
         regret_inc=np.zeros(n) if regret is None else np.asarray(regret, dtype=float),
         suboptimal=np.zeros(n, dtype=bool) if suboptimal is None
         else np.asarray(suboptimal, dtype=bool),
-        contexts=np.zeros((n, 3)),
     )
 
 
@@ -53,21 +52,23 @@ def from_db(sinr_db) -> np.ndarray:
 
 
 def run_on(tmp_path, monkeypatch, *tracks):
-    """``harness.run`` with the given track results in place of simulated
-    ones: (record, summary, the CPI file's lines)."""
-    monkeypatch.setattr(
-        harness, "run_meta_experiment",
-        lambda config, mu_star, state_proc, policies, seed: [(list(tracks), [])] * len(policies),
-    )
+    """``harness.run`` of the oracle policy, which reads no meta belief, with
+    the given track results in place of simulated ones: (summary, the CPI
+    file's lines)."""
+
+    def given_tracks(config, mu_star, state_proc, policies, seed):
+        for t, track in enumerate(tracks):
+            yield "ts-oracle", t, track, None
+
+    monkeypatch.setattr(harness, "run_meta_experiment", given_tracks)
     config = replace(
         ExperimentConfig(), m=len(tracks), n=tracks[0].loss.size, seeds=(0,),
         out_dir=str(tmp_path),
     )
-    # the oracle policy reads no meta history
-    record, summary = harness.run(config, "ts-oracle", 0)
+    summary = harness.run(config, "ts-oracle", 0)
     path = harness.cpi_csv_path(str(tmp_path), "ts-oracle", 0)
     with open(path, encoding="utf-8") as fh:
-        return record, summary, fh.read().splitlines()
+        return summary, fh.read().splitlines()
 
 
 # ---------------------------------------------------------------------------
@@ -88,36 +89,29 @@ def test_regret_rejects_bad_index():
 
 
 # ---------------------------------------------------------------------------
-# frequencies: the per-track summary columns ``harness.run`` reduces from the
-# stacked record
+# frequencies: the per-track summary columns ``harness.run`` reduces from
+# each track's record
 
 
 def test_outage_zero_at_cap(tmp_path, monkeypatch):
-    _, summary, _ = run_on(tmp_path, monkeypatch, make_track(np.full(6, SINR_CAP)))
+    summary, _ = run_on(tmp_path, monkeypatch, make_track(np.full(6, SINR_CAP)))
     assert summary.outage_freq.tolist() == [0.0]
 
 
 def test_outage_counting(tmp_path, monkeypatch):
     track = make_track(from_db([5.0, 15.0, 9.0, 20.0]))
-    _, summary, _ = run_on(tmp_path, monkeypatch, track)
+    summary, _ = run_on(tmp_path, monkeypatch, track)
     assert summary.outage_freq.tolist() == [0.5]
 
 
-def test_outage_rejects_empty():
-    # a replicate without tracks has no record to derive outages from; a
-    # config runs at least one track, and no empty list stacks
-    with pytest.raises(ValueError):
-        track_record([])
-
-
 def test_suboptimal_zero_for_oracle_replay(tmp_path, monkeypatch):
-    _, summary, _ = run_on(tmp_path, monkeypatch, make_track(from_db(np.full(5, 20.0))))
+    summary, _ = run_on(tmp_path, monkeypatch, make_track(from_db(np.full(5, 20.0))))
     assert summary.subopt_freq.tolist() == [0.0]
 
 
 def test_suboptimal_single_wrong_choice(tmp_path, monkeypatch):
     track = make_track(from_db([8.0]), suboptimal=[True], regret=[0.2])
-    _, summary, _ = run_on(tmp_path, monkeypatch, track)
+    summary, _ = run_on(tmp_path, monkeypatch, track)
     assert summary.subopt_freq.tolist() == [1.0]
     assert summary.cum_regret.tolist() == [0.2]
 
@@ -132,45 +126,38 @@ def test_suboptimal_uniform_random_rate(tmp_path, monkeypatch):
         expected = rng.random(5)
         chosen = int(rng.integers(5))
         flags[k] = expected[chosen] < np.max(expected) - 1e-12
-    _, summary, _ = run_on(tmp_path, monkeypatch, make_track(np.zeros(n), suboptimal=flags))
+    summary, _ = run_on(tmp_path, monkeypatch, make_track(np.zeros(n), suboptimal=flags))
     assert abs(summary.subopt_freq[0] - 0.8) < 0.02
 
 
 def test_frequencies_concatenate_multiple_records(tmp_path, monkeypatch):
-    # the stacked record keeps one frequency per track
+    # each track's record gives that track's frequencies
     a = make_track(from_db([5.0, 15.0]), suboptimal=[True, True])
     b = make_track(from_db([20.0, 25.0]))
-    _, summary, _ = run_on(tmp_path, monkeypatch, a, b)
+    summary, _ = run_on(tmp_path, monkeypatch, a, b)
     assert summary.outage_freq.tolist() == [0.5, 0.0]
     assert summary.subopt_freq.tolist() == [1.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
-# record construction
+# the per-track record check
 
 
-def test_track_record_rejects_negative_regret():
+def test_track_record_rejects_negative_regret(tmp_path, monkeypatch):
+    track = make_track(from_db([10.0, 10.0]), regret=[0.0, -1e-6])
     with pytest.raises(InvalidInput):
-        track_record([make_track(from_db([10.0, 10.0]), regret=[0.0, -1e-6])])
-
-
-def test_track_record_rejects_ragged_fields():
-    # tracks of unequal length do not stack
-    with pytest.raises(ValueError):
-        track_record([make_track(np.ones(2)), make_track(np.ones(3))])
-
-
-def test_track_record_stacks_tracks_on_a_leading_axis():
-    tracks = [make_track(np.full(4, float(t))) for t in range(3)]
-    record = track_record(tracks)
-    assert record.sinr.shape == (3, 4)
-    assert record.contexts.shape == (3, 4, 3)
-    np.testing.assert_array_equal(record.sinr[:, 0], [0.0, 1.0, 2.0])
+        track_record(track)
+    # checked as the track streams: the replicate writes no file
+    with pytest.raises(InvalidInput):
+        run_on(tmp_path, monkeypatch, make_track(from_db([10.0, 10.0])), track)
+    assert not list(tmp_path.iterdir())
+    ok = make_track(from_db([10.0, 10.0]), regret=[0.0, -1e-13])
+    assert track_record(ok) is ok
 
 
 def test_track_record_flags_outage_below_threshold(tmp_path, monkeypatch):
     track = make_track(from_db([OUTAGE_DB - 1.0, OUTAGE_DB, OUTAGE_DB + 1.0]))
-    _, summary, lines = run_on(tmp_path, monkeypatch, track)
+    summary, lines = run_on(tmp_path, monkeypatch, track)
     assert [line.split(",")[-1] for line in lines[1:]] == ["1", "0", "0"]
     assert summary.outage_freq.tolist() == [1 / 3]
 
@@ -194,7 +181,7 @@ def test_kl_trace_zero_at_reference():
 def test_kl_trace_finite_nonnegative():
     cfg = replace(ExperimentConfig(), m=6, n=50)
     mu_star, state_proc = build_scene(cfg, 2)
-    _, history = run_meta_experiment(cfg, mu_star, state_proc, ("meta-ts",), 2)[0]
+    _, history = block_runs(cfg, mu_star, state_proc, ("meta-ts",), 2)[0]
     trace = kl_trace(history, mu_star)
     assert trace.shape == (6,)
     assert np.all(np.isfinite(trace))
@@ -216,13 +203,13 @@ def test_kl_column_computes_each_distinct_belief_once(tmp_path, monkeypatch, pol
 
     monkeypatch.setattr(metrics, "kl_gaussian", counting)
     config = replace(ExperimentConfig(), m=5, n=20, seeds=(0,), out_dir=str(tmp_path))
-    _, summary = harness.run(config, policy, 0)
+    summary = harness.run(config, policy, 0)
     assert len(made) == calls
     if policy == "ts-oracle":
         return
     # the column holds the divergence of each track's belief, to the bit
     mu_star, state_proc = build_scene(config, 0)
-    _, history = run_meta_experiment(config, mu_star, state_proc, (policy,), 0)[0]
+    _, history = block_runs(config, mu_star, state_proc, (policy,), 0)[0]
     ref = (mu_star, np.sqrt(KL_REFERENCE_VAR) * np.eye(3))
     assert summary.kl_to_truth.tolist() == [kl_gaussian((mp.mu, mp.root), ref) for mp in history]
 
@@ -247,7 +234,7 @@ def test_default_sweep_needs_no_cholesky_jitter(synthetic_sweep):
         assert np.all(kl >= 0.0)
     seed = config.seeds[0]
     mu_star, state_proc = build_scene(config, seed)
-    _, history = run_meta_experiment(config, mu_star, state_proc, ("meta-ts",), seed)[0]
+    _, history = block_runs(config, mu_star, state_proc, ("meta-ts",), seed)[0]
     for mp in history:
         assert np.array_equal(mp.root, np.triu(mp.root))
         assert np.all(np.isfinite(mp.root))
