@@ -20,8 +20,9 @@ builds what depends only on the waveforms, ``doppler`` and the tap count:
 each waveform's correlations, tap ramp and the eigenvalues of its noise
 window's covariance, read-only, so one build serves every replicate of a
 process at those values. From those a :class:`TrackSimulator` computes one
-track's matched-filter responses, and draws both each pulse's noise power
-and its expected-loss reference in that covariance's eigenbasis.
+track's target response and its clutter on the lags the windows read, and
+draws each pulse's noise power and its expected-loss reference in that
+covariance's eigenbasis.
 
 The scene's values (noise floor, powers, grid, taps, draws) are read from a
 ``harness.ExperimentConfig`` where they are used; the only scene-level draw
@@ -217,11 +218,11 @@ class ChannelTables:
     with those values reads them, so every array is read-only.
 
     ``windows[i]`` is a (2, len_i + n_taps - 1, n_taps) read-only view of
-    waveform i's two correlations, zero-padded, whose product with a
-    (2, n_taps, 1) stack of tap vectors is their two convolutions with
-    those taps: row 0 is the target's Doppler cut, row 1 the clutter's
-    correlation (the kept autocorrelation). At ``doppler`` 0 the two are
-    the same, so the view has one row, which the product broadcasts.
+    waveform i's two correlations, zero-padded: ``windows[i][r, a:b] @ h``
+    is correlation r convolved with the taps h, at lags a to b - 1. Row 0
+    is the target's Doppler cut, row -1 the clutter's correlation (the kept
+    autocorrelation). At ``doppler`` 0 the two are the same, so the view
+    has one row.
     ``tap_ramp`` (K, n_taps) is the Doppler ramp over the taps, and
     ``noise_eigvals`` (K, width) the eigenvalues of R^T R for the real map R
     of the noise window's factor at unit ``noise_var`` (see
@@ -345,11 +346,13 @@ class TrackSimulator:
     :class:`ChannelTables`, and every pulse's noise power, so each pulse is
     a lookup.
 
-    Both responses, the target's and the clutter's, are a kept correlation
-    convolved with the track's taps: one small product per waveform of the
-    tables' windows with the ramped target taps and the clutter taps, placed
-    at ``_BASE`` on the filter output. The build factors nothing and takes
-    the same path at every ``doppler``.
+    The target's response is its Doppler cut convolved with the ramped
+    taps, over every lag: one small product per waveform with the tables'
+    windows. Its first peak p0 centres the analysis windows, and the
+    clutter's response is formed only on the grid_n + 2 WINDOW_HALF lags
+    they read, where one sliding-window reduce sums every window of every
+    waveform. The build factors nothing and takes the same path at every
+    ``doppler``.
 
     The noise contribution to the analysis window has an exact joint law in
     the matched-filter domain (Toeplitz covariance from the waveform's
@@ -394,33 +397,30 @@ class TrackSimulator:
         noise_rng: np.random.Generator,
     ):
         grid_n, n_draws = config.grid_n, config.n_oracle_draws
-        n_taps = tables.tap_ramp.shape[1]
-        k = len(tables.windows)
-        width = 2 * WINDOW_HALF + 1
-        delays = np.arange(grid_n)
+        k, width = len(tables.windows), 2 * WINDOW_HALF + 1
         self._sig = np.empty(k)
-        self._clutter = np.empty((grid_n, k))
-        taps = np.empty((2, n_taps, 1), dtype=complex)
-        taps[1, :, 0] = inst.clutter_ir
+        p0 = np.zeros(k, dtype=int)
+        power = np.zeros((k, grid_n + 2 * WINDOW_HALF))  # |clutter|^2 the windows read
         for i, windows in enumerate(tables.windows):
-            np.multiply(tables.tap_ramp[i], inst.target_ir, out=taps[0, :, 0])
+            target = (tables.tap_ramp[i] * inst.target_ir)[:, None]
             # one product per waveform: a product of the K windows stacked,
             # or of a dense copy of them, sums in another order and moves
-            # _sig and _clutter in their last bits
-            responses = windows @ taps
-            n_resp = responses.shape[1]
-            # |target| and |clutter| over the filter output, response at _BASE
-            out_len = n_resp + grid_n + 2 * WINDOW_HALF
-            mag = np.zeros((2, out_len))
-            mag[:, _BASE : _BASE + n_resp] = np.abs(responses[..., 0])
-            p0 = int(np.argmax(mag[0]))
-            self._sig[i] = mag[0, p0] ** 2
-            # bounds of the lags within WINDOW_HALF of p0 + delay, clipped to
-            # the filter output, for every delay cell
-            lo = np.maximum(p0 + delays - WINDOW_HALF, 0)
-            hi = np.minimum(p0 + delays + WINDOW_HALF + 1, out_len)
-            c_prefix = np.concatenate([[0.0], np.cumsum(mag[1] ** 2)])
-            self._clutter[:, i] = (c_prefix[hi] - c_prefix[lo]) / (hi - lo)
+            # _sig in its last bits
+            mag = np.abs((windows[0] @ target)[:, 0])
+            peak = int(np.argmax(mag))
+            self._sig[i] = mag[peak] ** 2
+            # the output's first maximum: zeros precede the response at
+            # _BASE, so an all-zero target peaks at lag 0
+            p0[i] = 0 if mag[peak] == 0.0 else _BASE + peak
+            lo = p0[i] - _BASE - WINDOW_HALF  # the response lag of power[i, 0]
+            first, last = max(lo, 0), min(lo + power.shape[1], mag.size)
+            clutter = windows[-1, first:last] @ inst.clutter_ir
+            power[i, first - lo : last - lo] = np.abs(clutter) ** 2
+        # window d of waveform i: power[i, d : d + width] summed, over the
+        # count of its lags on the output, which only p0 = 0 can clip
+        self._clutter = np.empty((grid_n, k))
+        np.add.reduce(sliding_window_view(power, width, axis=1), axis=2, out=self._clutter.T)
+        self._clutter /= np.minimum(np.arange(grid_n)[:, None] + (p0 + WINDOW_HALF + 1), width)
         draws = oracle_rng.standard_exponential((k, n_draws, width))
         p_hat = np.matmul(draws, tables.noise_eigvals[:, :, None])[..., 0]
         p_hat *= 2.0 * inst.noise_var
@@ -468,9 +468,9 @@ class TrackSimulator:
         # updated in place, so the call holds one (pairs, K, draws) buffer
         losses = p_c[..., None] + self._noise
         np.divide(self._sig[:, None], losses, out=losses)
-        np.minimum(losses, SINR_CAP, out=losses)
         losses /= sinr_target
-        losses.clip(0.0, 1.0, out=losses)
+        # min(r, SINR_CAP) / t is min(r / t, SINR_CAP / t), and no r is below 0
+        np.minimum(losses, min(SINR_CAP / sinr_target, 1.0), out=losses)
         means = np.add.reduce(losses, axis=-1) / losses.shape[-1]
         return means[inverse]
 

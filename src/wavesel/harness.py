@@ -164,7 +164,7 @@ class ExperimentConfig:
         for name in ("grid_n", "ir_taps", "n_oracle_draws"):
             if getattr(self, name) < 1:
                 raise ValidationError(name, "must be at least 1")
-        for name, limit in (("grid_n", MAX_GRID_N), ("ir_taps", MAX_IR_TAPS)):
+        for name, limit in (("k", MAX_ARMS), ("grid_n", MAX_GRID_N), ("ir_taps", MAX_IR_TAPS)):
             if getattr(self, name) > limit:
                 raise ValidationError(name, f"must be at most {limit}")
         if self.ir_kernel_scale <= 0:
@@ -268,12 +268,21 @@ MAX_TRANSITION_ENTRIES = 2**18
 #: default of 64 draws needs 64,000.
 MAX_ORACLE_FLOATS = 2**22
 
+#: Largest catalog, in ``k`` arms, a config may ask for; physical mode
+#: holds 5 waveforms. Each synthetic track's agent keeps n_states * k
+#: Welford cells and n * k snapshot references, and each pulse scores every
+#: arm. On a 2-core machine a replicate of one 200-pulse meta-ts track took
+#: 4.3 ms at 5 arms, 48 ms at 1,024 and 182 ms at 4,096 (untraced, best of
+#: 3), and peaked at 0.13, 9.3 and 42 MB under tracemalloc; both grow as
+#: n * k.
+MAX_ARMS = 2**10
+
 #: Largest delay grid, in ``grid_n`` cells, a physical config may ask for.
-#: Each track's simulator build keeps a (grid_n, k) clutter table and its
-#: list mirror. On a 2-core machine a build at the defaults took 1.4 ms at
-#: 64 cells, 2.9 ms at 4,096 and 41 ms at 65,536 (untraced, best of 3), and
-#: peaked at 0.46, 1.5 and 20 MB under tracemalloc; at 262,144 cells the
-#: peak was 78 MB and the build took seconds.
+#: Each track's simulator build sums the k * grid_n clutter windows and
+#: keeps their (grid_n, k) table and its list mirror. On a 2-core machine a
+#: build at the defaults took 0.59 ms at 64 cells, 2.3 ms at 4,096 and 34 ms
+#: at 65,536 (untraced, best of 5), and peaked at 0.38, 1.6 and 20 MB under
+#: tracemalloc; at 262,144 cells it took 0.16 s and peaked at 80 MB.
 MAX_GRID_N = 2**16
 
 #: Longest impulse response, in ``ir_taps`` taps, a physical config may ask
@@ -281,8 +290,8 @@ MAX_GRID_N = 2**16
 #: covariance, and each track draws through its root and convolves every
 #: waveform's correlations with the taps. On a 2-core machine the root took
 #: 14 ms at 256 taps, 0.50 s at 1,024 and 2.7 s at 2,048, peaking at 1.6 MB
-#: at 256 and 24 MB at 1,024 under tracemalloc; a track's build took 13 ms
-#: at 256 and 62 ms at 1,024, against 1.7 ms at the default 8.
+#: at 256 and 24 MB at 1,024 under tracemalloc; a track's build took 6.7 ms
+#: at 256 and 31 ms at 1,024, against 0.6 ms at the default 8.
 MAX_IR_TAPS = 2**10
 
 #: Largest clutter scale, the top state gain 4 ** (n_states - 2) times
@@ -549,10 +558,12 @@ def run_block(config: ExperimentConfig, policies: tuple, seed: int) -> list[RunS
         raise ValidationError("seeds", f"{seed!r} is not listed")
     started = time.perf_counter()
     mu_star, state_proc = build_scene(config, seed)
-    # per policy: its belief after each track, and its summary columns as the
-    # rows of a (5, m) table, holding per-track sums until the block's end
-    tables = {policy: np.empty((5, config.m)) for policy in policies}
-    beliefs = {policy: [] for policy in policies}
+    # per policy: its summary columns as the rows of a (5, m) table, holding
+    # per-track sums until the block's end, and its last belief with that
+    # belief's KL, so each distinct belief's KL is taken once as it arrives:
+    # meta-ts's after every track, the flat one once for the block
+    tables = {policy: np.zeros((5, config.m)) for policy in policies}
+    last = {}
     try:
         os.makedirs(config.out_dir, exist_ok=True)
     except OSError as exc:
@@ -570,12 +581,15 @@ def run_block(config: ExperimentConfig, policies: tuple, seed: int) -> list[RunS
             _write_lines(cpi_files[policy], _cpi_lines(policy, seed, t, record, sinr_db, outage))
             columns = (record.regret_inc, record.loss, outage, record.suboptimal)
             tables[policy][:4, t] = [column.sum() for column in columns]
-            beliefs[policy].append(mp)
+            # The oracle is handed the true prior; its divergence from truth
+            # is zero by construction rather than via a belief update, so its
+            # KL row keeps its zeros.
+            if policy != "ts-oracle":
+                kl = next((kl for belief, kl in last.values() if belief is mp), None)
+                last[policy] = mp, kl_trace((mp,), mu_star)[0] if kl is None else kl
+                tables[policy][4, t] = last[policy][1]
         for policy, table in tables.items():
             table[1:4] /= config.n  # mean loss and the two frequencies
-            # The oracle is handed the true prior; its divergence from truth
-            # is zero by construction rather than via a belief update.
-            table[4] = 0.0 if policy == "ts-oracle" else kl_trace(beliefs[policy], mu_star)
             # read_track_table refuses a non-finite value, so no file is written
             for column, values in zip(PER_TRACK_HEADER.split(",")[3:], table):
                 if not np.all(np.isfinite(values)):

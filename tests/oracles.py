@@ -3,6 +3,7 @@ oracles."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from scipy.linalg import toeplitz
 from wavesel.bandit import COLD_MAX, COLD_MEAN, COLD_VAR, TIE_TOL
 from wavesel.errors import IndexOutOfRange, NotPositiveDefinite
 from wavesel.fstc import (
+    _BASE,
     SINR_CAP,
     WINDOW_HALF,
     TrackSimulator,
@@ -227,6 +229,30 @@ def simulator(config, inst, oracle_rng: np.random.Generator,
     ``doppler``, with its oracle and pulse-noise streams."""
     tables = channel_tables(default_catalog(config.k), config.ir_taps, config.doppler)
     return TrackSimulator(config, inst, tables, oracle_rng, noise_rng)
+
+
+def fsum_window_powers(config, inst, tables) -> np.ndarray:
+    """The (grid_n, K) mean clutter power of every delay cell's window under
+    each waveform of ``tables``, from the full responses: each waveform's
+    one product of its windows with the ramped target taps and the clutter
+    taps, both magnitudes laid at ``_BASE`` on a zero filter output with
+    room for every window, the target's first peak p0, and |clutter|^2
+    summed with ``math.fsum`` over the output's lags within WINDOW_HALF of
+    p0 + delay, over their count."""
+    out = np.empty((config.grid_n, len(tables.windows)))
+    for i, windows in enumerate(tables.windows):
+        taps = np.stack([tables.tap_ramp[i] * inst.target_ir, inst.clutter_ir])
+        responses = (windows @ taps[:, :, None])[..., 0]
+        n_resp = responses.shape[1]
+        mag = np.zeros((2, n_resp + config.grid_n + 2 * WINDOW_HALF))
+        mag[:, _BASE : _BASE + n_resp] = np.abs(responses)
+        p0 = int(np.argmax(mag[0]))
+        power = (mag[1] ** 2).tolist()
+        for delay in range(config.grid_n):
+            lo = max(p0 + delay - WINDOW_HALF, 0)
+            hi = min(p0 + delay + WINDOW_HALF + 1, mag.shape[1])
+            out[delay, i] = math.fsum(power[lo:hi]) / (hi - lo)
+    return out
 
 
 def unit_noise_gram(env) -> np.ndarray:

@@ -540,7 +540,8 @@ def window_powers(config, inst: FstcInstance, w: ComplexEnvelope, delay: int):
     """Per-waveform oracle of the simulator's deterministic terms: the
     target's matched-filter peak power and the mean clutter power in the
     window around the peak shifted by ``delay``, from the canvas helpers and
-    the same prefix sums the simulator uses."""
+    prefix sums over the whole filter output, checked against the window's
+    direct mean."""
     refl_t = reflected(w, inst.target_ir, config.doppler)
     refl_c = reflected(w, inst.clutter_ir, 0.0)
     clen = canvas_len(refl_t.size, config.grid_n)
@@ -611,6 +612,26 @@ def test_clutter_table_equals_oracle_where_the_window_clips():
             sig, clutter = window_powers(SCENE, inst, w, delay)
             assert sig == sim._sig[i] == 0.0
             assert sim._clutter[delay, i] == pytest.approx(clutter, rel=1e-12)
+
+
+@pytest.mark.parametrize("doppler", [0.0, 0.7])
+@pytest.mark.parametrize("target", ["echo", "zero"])
+def test_clutter_table_equals_fsum_of_the_full_response(doppler, target):
+    # every cell of the default 64-cell grid, the first and last included,
+    # against math.fsum of the same lag powers. A zero target peaks at lag
+    # 0, so the windows of the first WINDOW_HALF cells clip at the low edge.
+    # Differences of one prefix over the whole filter output are up to
+    # 1.5e-13 relative off here.
+    config = harness.ExperimentConfig(mode="physical", doppler=doppler)
+    inst = draw(config, np.random.default_rng(47))
+    if target == "zero":
+        inst = replace(inst, target_ir=np.zeros_like(inst.target_ir))
+    tables = channel_tables(default_catalog(), config.ir_taps, doppler)
+    rngs = np.random.default_rng(48), np.random.default_rng(49)
+    sim = TrackSimulator(config, inst, tables, *rngs)
+    want = oracles.fsum_window_powers(config, inst, tables)
+    assert sim._clutter.shape == want.shape == (config.grid_n, config.k)
+    np.testing.assert_allclose(sim._clutter, want, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("seed", [40, 43, 46, 49])

@@ -229,6 +229,11 @@ def test_bad_value_reports_location():
         pytest.param("seeds = 4294967296", "seeds", id="seeds-2**32"),
         pytest.param("seeds = 0,4295134799724549", "seeds", id="seeds-aliasing-a-walk"),
         pytest.param({"seeds": (2**32,)}, "seeds", id="seeds-2**32-call"),
+        # the first synthetic catalog over MAX_ARMS = 2 ** 10, and one that
+        # used to construct; constructed only
+        pytest.param("k = 1025", "k", id="k-2**10+1"),
+        pytest.param("k = 1000000", "k", id="k-10**6"),
+        pytest.param({"k": 10**6}, "k", id="k-10**6-call"),
     ],
 )
 def test_validation_failures_name_the_field(bad, field):
@@ -274,9 +279,15 @@ def test_oracle_buffer_limit_admits_2_to_the_22_floats():
     assert refined.n_oracle_draws == 10_000
 
 
+def test_arm_limit_admits_2_to_the_10_arms():
+    # constructed only: at this size a 200-pulse track takes about 9 MB
+    assert harness.MAX_ARMS == 2**10
+    assert parse_config("k = 1024\n").k == 1024
+
+
 def test_size_limits_admit_2_to_the_16_cells_and_2_to_the_10_taps():
     # constructed only: at these sizes a track's build takes about 20 MB
-    # and 41 ms (grid_n) or 62 ms (ir_taps), and the tap root 24 MB
+    # and 34 ms (grid_n) or 31 ms (ir_taps), and the tap root 24 MB
     assert (harness.MAX_GRID_N, harness.MAX_IR_TAPS) == (2**16, 2**10)
     config = parse_config("mode = physical\ngrid_n = 65536\nir_taps = 1024\n")
     assert (config.grid_n, config.ir_taps) == (65536, 1024)
@@ -1135,13 +1146,17 @@ def block_peak(out: Path, m: int) -> int:
 
 
 def test_a_block_peak_does_not_grow_with_the_track_count(tmp_path):
-    # each track streams to its file and is dropped. What still grows is a
-    # summary table per policy and meta-ts's belief per track, under 1 KB a
-    # track: 26 KB from m = 5 to m = 40 here, where holding the tracks'
-    # records to stack them grew the peak by 0.48 MB
+    # each track streams to its file and is dropped, and each new belief's
+    # KL is taken as it arrives. What still grows is a (5, m) summary table
+    # per policy, 160 B a track. From m = 5 the peak grew 10 KB at m = 40 and
+    # 198 KB at m = 400 here: 63 KB of tables, the rest allocations inside
+    # numpy that a later m = 800 block, peaking 32 KB lower, did not repeat.
+    # Holding the tracks' records to stack them grew it 0.48 MB at m = 40,
+    # and keeping every meta-ts belief to the block's end 384 KB at m = 400.
     block_peak(tmp_path, 1)
-    peaks = {m: block_peak(tmp_path, m) for m in (5, 40)}
+    peaks = {m: block_peak(tmp_path, m) for m in (5, 40, 400)}
     assert peaks[40] - peaks[5] < 64_000, peaks
+    assert peaks[400] - peaks[5] < 256_000, peaks
 
 
 def test_importing_the_harness_leaves_the_process_pool_out():

@@ -214,6 +214,23 @@ def test_kl_column_computes_each_distinct_belief_once(tmp_path, monkeypatch, pol
     assert summary.kl_to_truth.tolist() == [kl_gaussian((mp.mu, mp.root), ref) for mp in history]
 
 
+def test_a_block_takes_each_distinct_belief_kl_once(tmp_path, monkeypatch):
+    # random and ts-uninformative share the flat belief, compared once for
+    # the block; meta-ts's five beliefs once each, as they arrive
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return kl_gaussian(*args)
+
+    monkeypatch.setattr(metrics, "kl_gaussian", counting)
+    config = replace(ExperimentConfig(), m=5, n=20, seeds=(0,), out_dir=str(tmp_path))
+    summaries = harness.run_block(config, config.policies, 0)
+    assert len(made) == 1 + 5
+    alone = {p: harness.run(config, p, 0).kl_to_truth.tolist() for p in config.policies}
+    assert {s.policy: s.kl_to_truth.tolist() for s in summaries} == alone
+
+
 def test_kl_trend_is_monotone_downward(synthetic_sweep):
     # Seed-averaged divergence curve of the meta policy falls essentially
     # monotonically across tracks.
