@@ -13,18 +13,23 @@ keeps a Bayesian linear-regression posterior over the weights, samples one
 draw per pulse and transmits the waveform whose context scores highest
 under it (Agrawal & Goyal, ICML 2013). All of this state lives in one
 :class:`TsAgent` as Python floats and nested lists (the posterior packed as
-``gaussmath`` packs it), so a pulse's contexts, draw, choice and update
-make no numpy call. The draws a pulse reads come in blocks: its policy's
-selection stream gives ``STACK_BLOCK`` pulses of Thompson normals (or the
-random baseline's choices) per call, and the environment holds the track's
-scene walk and loss noise, drawn once per (seed, track) and read by pulse
-index. ``run_track`` builds the posterior once
-(``posterior_gaussian``), binds the environment's methods once per track,
-and calls the per-CPI steps through this module's namespace, where the
-benchmark's tracer times each: ``agent_contexts`` (a snapshot),
-``sample_gaussian``, ``pick_argmax``, ``record`` and, under Thompson
-sampling only, ``blr_update``; ROADMAP item 1 will re-cut these spans. The
-snapshots are stacked after the pulses, by ``np.fromiter``. An exact-linear
+``gaussmath`` packs it). The draws a pulse reads come in blocks: its
+policy's selection stream gives ``STACK_BLOCK`` pulses of Thompson normals
+(or the random baseline's choices) per call, and the environment holds the
+track's scene walk and loss noise, drawn once per (seed, track) and read by
+pulse index.
+
+``run_track`` is one per-track kernel. It builds the posterior once
+(``posterior_gaussian``) and keeps its nine floats as locals for the whole
+track; each pulse reads the walk's lists, takes its snapshot, draws,
+scores, folds the outcome into its cell and updates the posterior inline,
+and makes one call into the environment, ``realize``. The per-step
+definitions below, ``agent_contexts``, ``pick_argmax`` and ``record``
+(with ``gaussmath.sample_gaussian`` and ``gaussmath.blr_update``), are the
+reference the loop is tested against, bit for bit. The benchmark's tracer
+still wraps them by name, so those per-CPI learner spans now read n = 0,
+and ``bandit.run_track.self_s`` holds the learner's time. The snapshots
+are stacked after the pulses, by ``np.fromiter``. An exact-linear
 synthetic environment generates losses straight from the context model,
 which makes the learner's behavior verifiable against closed-form oracles.
 """
@@ -36,8 +41,16 @@ from itertools import chain
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidInput
-from .fstc import SceneWalk, blocks, unit_clip
+from .fstc import SceneWalk, blocks
 from .gaussmath import blr_update, posterior_gaussian, sample_gaussian
+
+# sample_gaussian and blr_update are re-exported for the benchmark's tracer,
+# which wraps the per-CPI steps by name in this namespace
+__all__ = [
+    "COLD_MAX", "COLD_MEAN", "COLD_VAR", "CONTEXT_DIM", "TIE_TOL", "SyntheticTrackEnv",
+    "TrackResult", "TsAgent", "agent_contexts", "blr_update", "pick_argmax",
+    "posterior_gaussian", "record", "run_track", "sample_gaussian",
+]
 
 COLD_MEAN = 0.5
 COLD_VAR = 1.0 / 12.0
@@ -57,8 +70,9 @@ class TsAgent:
     ``posterior`` is the belief over the weights as ``gaussmath`` packs it:
     the mean and the covariance's lower Cholesky factor, built once from
     the prior (mean, var), the isotropic N(mean, var I), so the factor
-    starts as sqrt(var) I; ``noise_sd`` is the observation noise's standard
-    deviation, the root of the noise variance.
+    starts as sqrt(var) I; ``run_track`` holds it in locals while the track
+    runs and stores the final belief here. ``noise_sd`` is the observation
+    noise's standard deviation, the root of the noise variance.
     ``stats[o][w]`` is the Welford accumulator [count, mean, m2, max] of the
     losses seen for waveform w at observation o, and ``contexts[o][w]`` the
     context tuple (mean, variance, max) derived from it, so ``contexts[o]``
@@ -122,13 +136,6 @@ def record(agent: TsAgent, o: int, w: int, loss: float) -> None:
     agent.contexts[o][w] = (mean, m2 / count if count >= 2 else COLD_VAR, mx)
 
 
-def synthetic_loss(theta, phi, noise: float) -> float:
-    """Exact-linear loss clamp(<theta, phi> + noise) for an array ``theta``
-    and one noise value; ``theta.dot`` and ``np.matmul`` give the same
-    float, and ``dot`` costs less per call."""
-    return unit_clip(float(theta.dot(phi)) + noise)
-
-
 # ---------------------------------------------------------------------------
 # track loop
 
@@ -184,7 +191,12 @@ class SyntheticTrackEnv(SceneWalk):
         return out.clip(0.0, 1.0, out=out)
 
     def realize(self, cpi: int, s: int, w_idx: int, phi):
-        loss = synthetic_loss(self.theta_star, phi, self.noise[cpi])
+        """(loss, pseudo-SINR) of pulse ``cpi`` under the context ``phi``:
+        the loss is clip(<theta*, phi> + noise) to [0, 1], as ``np.clip``
+        gives it. ``theta_star.dot`` of the context tuple sums as
+        ``np.matmul`` does, fused multiply-adds included."""
+        x = float(self.theta_star.dot(phi)) + self.noise[cpi]
+        loss = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
         return loss, loss * self.sinr_target
 
 
@@ -210,16 +222,28 @@ def run_track(
     increments compare the environment's expected losses of the best and
     the chosen waveform at the contexts used for selection.
 
-    The pulse loop carries only what the learner feeds back: scene step,
-    draw, choice, outcome, ``record`` and, under Thompson sampling, the
-    posterior update with the context that was scored. The learner never
-    reads the expected losses, so one ``env.expected_losses(states,
-    offered)`` call after the loop, on the n snapshots the pulses chose
-    from, gives the oracle losses, regret increments and suboptimal flags;
-    only the synthetic environment reads the snapshots.
+    The pulse loop carries only what the learner feeds back: the scene's
+    state and observation, read from the walk's ``states`` and ``obs``
+    lists, the snapshot of the observation's K contexts, the draw and
+    choice, one ``env.realize`` call for the outcome, the Welford step of
+    the chosen cell and, under Thompson sampling, the posterior update with
+    the context that was scored. Each step is inlined with the arithmetic
+    of its per-step definition (``agent_contexts``, ``sample_gaussian``,
+    ``pick_argmax``, ``record``, ``blr_update``), in the same order of
+    operations, so every float is theirs to the bit; a loss outside [0, 1],
+    a NaN included, raises ``InvalidInput`` as ``record`` does. The
+    learner never reads the expected losses, so one
+    ``env.expected_losses(states, offered)`` call after the loop, on the n
+    snapshots the pulses chose from, gives the oracle losses, regret
+    increments and suboptimal flags; only the synthetic environment reads
+    the snapshots.
     """
     agent = TsAgent(prior, noise_var, env.state_proc.n_states, k_arms)
-    step_scene, realize, noise_sd = env.step_scene, env.realize, agent.noise_sd
+    states, obs, realize, noise_sd = env.states, env.obs, env.realize, agent.noise_sd
+    cells, table = agent.stats, agent.contexts
+    # the posterior's mean and packed lower factor, as blr_update reads them
+    (m0, m1, m2), (l00, l10, l11, l20, l21, l22) = agent.posterior
+    hypot, unscored = math.hypot, -math.inf
     # pulses: each pulse's choice, SINR and loss, flat; offered: the K
     # contexts it chose from, as a snapshot; the agent's scored: its choice
     pulses, offered = [], []
@@ -231,26 +255,74 @@ def run_track(
         else:
             draws = rng.integers(k_arms, size=size).tolist()
         for k, draw in enumerate(draws, start):
-            s, o = step_scene(k)
-            phis = agent_contexts(agent, o)
+            o = obs[k]
+            row = table[o]
+            phis = tuple(row)
             offer(phis)
-            idx = pick_argmax(sample_gaussian(agent.posterior, draw), phis) if thompson else draw
-            phi = phis[idx]
-            realized, sinr_k = realize(k, s, idx, phi)
-            keep((idx, sinr_k, realized))
-            add_scored(phi)
-            record(agent, o, idx, realized)
             if thompson:
-                agent.posterior = blr_update(agent.posterior, noise_sd, phi, realized)
+                # sample_gaussian, then pick_argmax: the first maximum wins
+                z0, z1, z2 = draw
+                t0 = m0 + l00 * z0
+                t1 = m1 + (l10 * z0 + l11 * z1)
+                t2 = m2 + (l20 * z0 + l21 * z1 + l22 * z2)
+                idx, top = 0, unscored
+                for i, (c0, c1, c2) in enumerate(phis):
+                    score = c0 * t0 + c1 * t1 + c2 * t2
+                    if score > top:
+                        idx, top = i, score
+            else:
+                idx = draw
+            phi = phis[idx]
+            x, sinr_k = realize(k, states[k], idx, phi)
+            keep((idx, sinr_k, x))
+            add_scored(phi)
+            # record: the Welford step of cell (o, idx) and its context
+            if not 0.0 <= x <= 1.0:
+                raise InvalidInput(f"loss {x} outside [0, 1]")
+            cell = cells[o][idx]
+            count, mean, sq, peak = cell
+            cell[0] = count = count + 1
+            delta = x - mean
+            cell[1] = mean = mean + delta / count
+            cell[2] = sq = sq + delta * (x - mean)
+            if x > peak:
+                cell[3] = peak = x
+            row[idx] = (mean, sq / count if count >= 2 else COLD_VAR, peak)
+            if thompson:
+                # blr_update, in its order of operations
+                p0, p1, p2 = phi
+                f0 = l00 * p0 + l10 * p1 + l20 * p2
+                f1 = l11 * p1 + l21 * p2
+                f2 = l22 * p2
+                r2 = hypot(noise_sd, f2)
+                r1 = hypot(r2, f1)
+                r0 = hypot(r1, f0)
+                b00, b11, b22 = r1 / r0, r2 / r1, noise_sd / r2
+                g0, g1 = f0 / r0 / r1, f1 / r1 / r2
+                b10, b20, b21 = -f1 * g0, -f2 * g0, -f2 * g1
+                k0 = l00 * f0
+                k1 = l10 * f0 + l11 * f1
+                k2 = l20 * f0 + l21 * f1 + l22 * f2
+                gain = (x - (p0 * m0 + p1 * m1 + p2 * m2)) / (r0 * r0)
+                m0, m1, m2 = m0 + k0 * gain, m1 + k1 * gain, m2 + k2 * gain
+                l00, l10, l11, l20, l21, l22 = (
+                    l00 * b00,
+                    l10 * b00 + l11 * b10,
+                    l11 * b11,
+                    l20 * b00 + l21 * b10 + l22 * b20,
+                    l21 * b11 + l22 * b21,
+                    l22 * b22,
+                )
+    agent.posterior = (m0, m1, m2), (l00, l10, l11, l20, l21, l22)
 
-    state = np.fromiter(env.states, int, n_cpis)
+    state = np.fromiter(states, int, n_cpis)
     waveform = np.array(pulses[0::3], dtype=int)
     expected = env.expected_losses(state, offered)
     oracle_loss = expected.max(axis=-1)
     chosen = expected[np.arange(n_cpis), waveform]
     return TrackResult(
         state=state,
-        obs=np.fromiter(env.obs, int, n_cpis),
+        obs=np.fromiter(obs, int, n_cpis),
         waveform=waveform,
         sinr=np.array(pulses[1::3], dtype=float),
         loss=np.array(pulses[2::3], dtype=float),

@@ -56,20 +56,6 @@ def blocks(n_cpis: int):
     return ((start, min(STACK_BLOCK, n_cpis - start)) for start in range(0, n_cpis, STACK_BLOCK))
 
 
-def unit_clip(x: float) -> float:
-    """``np.clip(x, 0.0, 1.0)`` of one float, to the bit: a NaN stays NaN and
-    -0.0 stays -0.0."""
-    return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
-
-
-def compute_loss(sinr_post: float, sinr_target: float) -> float:
-    """Normalized SINR shortfall mapped to [0, 1]; 1 means on-target or better.
-
-    The "loss" is a higher-is-better normalised reward.
-    """
-    return unit_clip(float(sinr_post / sinr_target))
-
-
 def softplus(x):
     """ln(1 + e^x), the positive link from latent parameters to power gains."""
     return np.logaddexp(0.0, x)
@@ -380,12 +366,13 @@ class TrackSimulator:
     waveforms: peak powers ``_sig`` (K,), window clutter powers per delay
     cell ``_clutter`` (grid_n, K) and cached oracle powers ``_noise``
     (K, n_oracle_draws), plus the trajectory's 0-based delay cells
-    ``_delay`` (n,) and the list of state gains ``_gain``. :meth:`step`
-    reads Python-list mirrors built once here, ``_sig_list``,
-    ``_clutter_rows`` and ``_delay_cells``, and the pulse powers as a list
-    of n lists of K floats, ``_pulse_noise``, since indexing an array per
-    pulse makes numpy scalars and views that cost as much as the arithmetic;
-    ``expected_losses`` reads the arrays.
+    ``_delay`` (n,) and the list of state gains ``_gain``. :meth:`step`,
+    and :meth:`PhysicalTrackEnv.realize`, which computes a pulse in its
+    order of operations, read Python-list mirrors built once here,
+    ``_sig_list``, ``_clutter_rows`` and ``_delay_cells``, and the pulse
+    powers as a list of n lists of K floats, ``_pulse_noise``, since
+    indexing an array per pulse makes numpy scalars and views that cost as
+    much as the arithmetic; ``expected_losses`` reads the arrays.
     """
 
     def __init__(
@@ -448,7 +435,9 @@ class TrackSimulator:
         pulse (target, clutter and white noise on the canvas).
 
         Reads the list mirrors, whose floats equal the arrays' items, so the
-        sums and the ratio round as the array reads did."""
+        sums and the ratio round as the array reads did. The track loop
+        reaches a pulse through :meth:`PhysicalTrackEnv.realize`, which is
+        held to this definition bit for bit."""
         p_c = self._gain[s] * self._clutter_rows[self._delay_cells[cpi]][w_idx]
         return _sinr_value(self._sig_list[w_idx], p_c + self._pulse_noise[cpi][w_idx])
 
@@ -494,5 +483,14 @@ class PhysicalTrackEnv(SceneWalk):
         return self.sim.expected_losses(states, self.sinr_target)
 
     def realize(self, cpi: int, s: int, w_idx: int, phi):
-        sinr = self.sim.step(cpi, s, w_idx)
-        return compute_loss(sinr, self.sinr_target), sinr
+        """(loss, SINR) of pulse ``cpi`` in state ``s`` under waveform
+        ``w_idx``: the SINR is :meth:`TrackSimulator.step`'s, computed here
+        in its order of operations, and the loss its ratio to
+        ``sinr_target`` clipped to [0, 1], as ``np.clip`` gives it. The
+        context is not read."""
+        sim = self.sim
+        denom = sim._gain[s] * sim._clutter_rows[sim._delay_cells[cpi]][w_idx]
+        denom += sim._pulse_noise[cpi][w_idx]
+        sinr = SINR_CAP if denom <= 0.0 else min(sim._sig_list[w_idx] / denom, SINR_CAP)
+        ratio = sinr / self.sinr_target
+        return (0.0 if ratio < 0.0 else 1.0 if ratio > 1.0 else ratio), sinr

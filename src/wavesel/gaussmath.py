@@ -16,9 +16,14 @@ floats, without a numpy call: :func:`posterior_gaussian` turns a track's
 prior into this form once per track, :func:`sample_gaussian` draws
 mean + L z, and :func:`blr_update` folds one observation in by a rank-1
 update of L itself, so the covariance is never formed and nothing factors.
-The three names are spans the benchmark's tracer times (with ``bandit``'s
-``agent_contexts``, ``pick_argmax`` and ``record``): ``posterior_gaussian``
-per track, the other two per CPI; ROADMAP item 1 will re-cut these spans.
+``bandit.run_track`` calls :func:`posterior_gaussian` once per track and
+computes the other two inline, in their order of operations, so these two
+are the reference its loop is held to and :func:`blr_update` is
+``meta.meta_update``'s step. The benchmark's tracer wraps the three by
+name in ``bandit`` (with ``agent_contexts``, ``pick_argmax`` and
+``record``): ``posterior_gaussian`` reads one span per track, the per-CPI
+learner spans now read n = 0, and ``bandit.run_track.self_s`` holds the
+learner's time.
 """
 
 import math

@@ -15,8 +15,9 @@ in the track count. The temporary files replace their targets at the
 block's end, or are all removed: a file is whole or absent.
 
 Every CSV file the package writes is a header and its columns, whose rows
-one function, ``_table_lines``, yields one at a time, so a file is never
-held whole. A float is written as ``repr`` of a Python float, which
+one function, ``_table_lines``, yields one at a time, each formatted by one
+``%`` template of the file's column kinds, so a file is never held whole.
+A float is written as ``repr`` of a Python float (``%r``), which
 round-trips exactly, and an int in decimal, so recomputing any metric from
 the files reproduces the in-memory value bit for bit.
 """
@@ -28,7 +29,7 @@ import os
 import time
 import typing
 from dataclasses import dataclass, fields
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -164,9 +165,16 @@ class ExperimentConfig:
         for name in ("grid_n", "ir_taps", "n_oracle_draws"):
             if getattr(self, name) < 1:
                 raise ValidationError(name, "must be at least 1")
-        for name, limit in (("k", MAX_ARMS), ("grid_n", MAX_GRID_N), ("ir_taps", MAX_IR_TAPS)):
+        for name, limit in (
+            ("m", MAX_TRACKS), ("k", MAX_ARMS), ("grid_n", MAX_GRID_N), ("ir_taps", MAX_IR_TAPS)
+        ):
             if getattr(self, name) > limit:
                 raise ValidationError(name, f"must be at most {limit}")
+        if self.n * (self.k + 32) > MAX_TRACK_ENTRIES:
+            raise ValidationError(
+                "n", f"a track's buffers exceed {MAX_TRACK_ENTRIES} entries: n * (k + 32); "
+                "lower n"
+            )
         if self.ir_kernel_scale <= 0:
             raise ValidationError("ir_kernel_scale", "must be strictly positive")
         # A zero target echo gives SINR 0 under every waveform: zero loss and
@@ -276,6 +284,28 @@ MAX_ORACLE_FLOATS = 2**22
 #: 3), and peaked at 0.13, 9.3 and 42 MB under tracemalloc; both grow as
 #: n * k.
 MAX_ARMS = 2**10
+
+#: Largest track, in entries of n * (k + 32), a config may ask for. Per
+#: pulse a track keeps a snapshot of the k contexts it chose from and their
+#: k expected losses, about 17 B an arm, and a fixed set of per-pulse values
+#: (the walk's state and observation, the loop's choice, SINR and loss, the
+#: synthetic noise or the physical pulse-noise row); the 32 covers those at
+#: the physical channel's cost. On a 2-core machine one meta-ts track
+#: peaked under tracemalloc at 0.4, 4.1 and 42 MB for n = 10**3, 10**4 and
+#: 10**5 in synthetic mode at k = 5 and at 1.1, 6.5 and 65 MB in physical
+#: mode, about 420 and 650 B a pulse, and at n = 10**4 at 14, 47 and 182 MB
+#: for synthetic k = 64, 256 and 1,024, about 17 B * (k + 20) a pulse. So a
+#: track at this bound peaks near 150 MB. The default 200-pulse track takes
+#: 7,400 entries and a 2,500-pulse one at k = 5 92,500.
+MAX_TRACK_ENTRIES = 2**23
+
+#: Most tracks, ``m``, a config may ask for. A seed block keeps a (5, m)
+#: table of per-track summary sums for each policy, 40 B a track: on a
+#: 2-core machine a four-policy block of one-pulse tracks peaked under
+#: tracemalloc at 0.20, 0.41 and 1.8 MB for m = 100, 1,000 and 10,000,
+#: about 160 B a track, so 10 MB at this bound. Aggregating that one seed's
+#: four track files peaked at 0.59, 5.6 and 58 MB, about 5.7 KB a track.
+MAX_TRACKS = 2**16
 
 #: Largest delay grid, in ``grid_n`` cells, a physical config may ask for.
 #: Each track's simulator build sums the k * grid_n clutter windows and
@@ -480,29 +510,32 @@ def _staged(paths):
         raise
 
 
-def _cells(column):
-    """A column's items as written: a numpy array's items through ``tolist``
-    (a bool as 0 or 1), an int in decimal and a float as its ``repr``,
-    converted ``WRITE_BLOCK`` items at a time. Any other column holds
-    strings, taken as written."""
-    if not isinstance(column, np.ndarray):
-        return column
-    flat = column.ravel()
-    if flat.dtype == bool:
-        flat = flat.view(np.uint8)
-    return chain.from_iterable(
-        map(repr, flat[i : i + WRITE_BLOCK].tolist()) for i in range(0, flat.size, WRITE_BLOCK)
-    )
-
-
 def _table_lines(header: str | None, prefix: str, columns):
     """A CSV file's lines, yielded one at a time: ``header``, unless it is
-    None, then one line per row, ``prefix`` followed by the comma-joined
-    items of the equal-length ``columns``."""
+    None, then one line per row, ``prefix`` followed by the comma-separated
+    items of the equal-length ``columns``.
+
+    A column is a numpy array or a sequence of strings or ints, such as a
+    ``range``. Every line is one ``%`` template of the row, built from the
+    column kinds: ``%d`` for an int or bool array (a bool as 0 or 1), ``%r``
+    for a float array and ``%s`` for a sequence. An array's items are
+    converted through ``tolist`` ``WRITE_BLOCK`` rows at a time, so no
+    column is held whole as text.
+    """
     if header is not None:
         yield header
-    for row in zip(*map(_cells, columns)):
-        yield prefix + ",".join(row)
+    kinds = [
+        "%s" if not isinstance(c, np.ndarray) else "%r" if c.dtype.kind == "f" else "%d"
+        for c in columns
+    ]
+    template = prefix.replace("%", "%%") + ",".join(kinds)
+    for i in range(0, len(columns[0]), WRITE_BLOCK):
+        block = [
+            c[i : i + WRITE_BLOCK].tolist() if isinstance(c, np.ndarray) else c[i : i + WRITE_BLOCK]
+            for c in columns
+        ]
+        for row in zip(*block):
+            yield template % row
 
 
 def _cpi_lines(policy: str, seed: int, track: int, record: TrackResult, sinr_db, outage):
@@ -510,7 +543,7 @@ def _cpi_lines(policy: str, seed: int, track: int, record: TrackResult, sinr_db,
     ``sinr_db`` and ``outage`` columns, yielded one at a time: the file's
     header before track 0's rows."""
     columns = (
-        map(str, range(record.loss.size)), record.state, record.obs, record.waveform,
+        range(record.loss.size), record.state, record.obs, record.waveform,
         sinr_db, record.loss, record.oracle_loss, record.regret_inc, record.suboptimal, outage,
     )
     header = PER_CPI_HEADER if track == 0 else None

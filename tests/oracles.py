@@ -25,6 +25,26 @@ from wavesel.harness import PER_CPI_HEADER
 from wavesel.meta import run_meta_experiment
 from wavesel.waveforms import default_catalog
 
+
+def unit_clip(x: float) -> float:
+    """``np.clip(x, 0.0, 1.0)`` of one float, to the bit: a NaN stays NaN and
+    -0.0 stays -0.0."""
+    return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+
+
+def synthetic_loss(theta, phi, noise: float) -> float:
+    """Exact-linear loss clamp(<theta, phi> + noise) for an array ``theta``
+    and one noise value, the loss ``SyntheticTrackEnv.realize`` computes;
+    ``theta.dot`` and ``np.matmul`` give the same float."""
+    return unit_clip(float(theta.dot(phi)) + noise)
+
+
+def compute_loss(sinr_post: float, sinr_target: float) -> float:
+    """Normalized SINR shortfall mapped to [0, 1], the loss
+    ``PhysicalTrackEnv.realize`` computes; 1 means on-target or better."""
+    return unit_clip(float(sinr_post / sinr_target))
+
+
 #: The clutter gains of a four-state scene, 4 ** (s - 1), as
 #: ``fstc.state_gains`` builds them.
 STATE_GAIN = (0.25, 1.0, 4.0, 16.0)

@@ -18,14 +18,12 @@ from wavesel.bandit import (
     pick_argmax,
     record,
     run_track,
-    synthetic_loss,
 )
 from wavesel.errors import IndexOutOfRange, InvalidInput
 from wavesel.fstc import (
     STACK_BLOCK,
     PhysicalTrackEnv,
     StateProcess,
-    compute_loss,
     draw_instance,
     random_transition,
     tap_root,
@@ -33,11 +31,13 @@ from wavesel.fstc import (
 from wavesel.harness import ExperimentConfig
 from wavesel.gaussmath import blr_update, posterior_gaussian, sample_gaussian
 from oracles import (
+    compute_loss,
     float_posterior,
     largest_gap,
     reference_track,
     regret_increment,
     simulator,
+    synthetic_loss,
 )
 
 
@@ -557,3 +557,102 @@ def test_run_track_equals_validated_reference_loop_to_the_bit(
     assert same_bits(np.array(agent.contexts), expected["agent_contexts"])
     if explore == "ts":
         assert len(set(result.waveform.tolist())) > 1
+
+
+# ---------------------------------------------------------------------------
+# the fused loop against its per-step definitions
+
+
+class FixedOutcomeEnv:
+    """The scene walk and expected losses of ``env``, with every pulse
+    realizing the loss ``value``."""
+
+    def __init__(self, env, value):
+        self.env, self.value = env, value
+        self.state_proc, self.states, self.obs = env.state_proc, env.states, env.obs
+
+    def expected_losses(self, states, contexts):
+        return self.env.expected_losses(states, contexts)
+
+    def realize(self, cpi, s, w_idx, phi):
+        return self.value, 1.0
+
+
+@given(
+    mean=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
+    var=st.one_of(st.floats(1e-6, 1e3), st.floats(1e12, 1e30)),
+    noise_var=st.floats(1e-4, 10.0),
+    mode=st.sampled_from(["synthetic", "physical"]),
+    explore=st.sampled_from(["ts", "random"]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_run_track_equals_the_per_step_definitions_to_the_bit(
+    mean, var, noise_var, mode, explore, seed
+):
+    # every pulse replayed through agent_contexts, sample_gaussian,
+    # pick_argmax, record and blr_update, from the same selection draws:
+    # each choice, the final posterior and every cell agree bit for bit
+    n, k_arms = 60, 5
+    if mode == "synthetic":
+        env = synthetic_env([-0.3, 0.2, 0.8], uniform_state_proc(), noise_var, n, seed)
+    else:
+        env = physical_env(n, seed=seed)
+    prior = (np.array(mean), var)
+    result, agent = run_track(
+        env, prior, noise_var, n, k_arms, np.random.default_rng(seed), explore
+    )
+    draws = np.random.default_rng(seed)
+    if explore == "ts":
+        draws = draws.standard_normal((n, 3)).tolist()
+    else:
+        draws = draws.integers(k_arms, size=n).tolist()
+    replay = TsAgent(prior, noise_var, env.state_proc.n_states, k_arms)
+    post = posterior_gaussian(prior)
+    losses = result.loss.tolist()
+    for k, (o, draw, loss) in enumerate(zip(result.obs.tolist(), draws, losses)):
+        phis = agent_contexts(replay, o)
+        w = pick_argmax(sample_gaussian(post, draw), phis) if explore == "ts" else draw
+        assert w == result.waveform[k]
+        assert agent.scored[k] == phis[w]
+        record(replay, o, w, loss)
+        if explore == "ts":
+            post = blr_update(post, math.sqrt(noise_var), phis[w], loss)
+    folded = posterior_gaussian(prior)
+    if explore == "ts":
+        for phi, loss in zip(agent.scored, losses):
+            folded = blr_update(folded, math.sqrt(noise_var), phi, loss)
+    assert agent.posterior == folded == post
+    assert agent.stats == replay.stats
+    assert agent.contexts == replay.contexts
+
+
+@pytest.mark.parametrize("value", [float("nan"), 1.5, -0.25])
+@pytest.mark.parametrize("explore", ["ts", "random"])
+@pytest.mark.parametrize("mode", ["synthetic", "physical"])
+def test_run_track_refuses_a_loss_outside_the_unit_interval(mode, explore, value):
+    n = 20
+    if mode == "synthetic":
+        env = synthetic_env([-0.3, 0.2, 0.8], uniform_state_proc(), 0.05, n)
+    else:
+        env = physical_env(n)
+    with pytest.raises(InvalidInput):
+        run_track(
+            FixedOutcomeEnv(env, value), (np.zeros(3), 2.0), 0.05, n, 5,
+            np.random.default_rng(0), explore,
+        )
+
+
+@given(
+    theta=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+    phi=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+    noise=st.floats(-1e3, 1e3),
+)
+@settings(max_examples=200, deadline=None)
+def test_synthetic_realize_equals_synthetic_loss_to_the_bit(theta, phi, noise):
+    env = synthetic_env(theta, uniform_state_proc(), 0.05, 1)
+    env.noise[0] = noise
+    loss, sinr = env.realize(0, 0, 0, tuple(phi))
+    want = synthetic_loss(np.array(theta), tuple(phi), noise)
+    assert np.float64(loss).tobytes() == np.float64(want).tobytes()
+    assert sinr == want * 15.8

@@ -22,11 +22,9 @@ from wavesel.fstc import (
     TrackSimulator,
     _sinr_value,
     channel_tables,
-    compute_loss,
     draw_instance,
     random_transition,
     tap_root,
-    unit_clip,
 )
 from wavesel.harness import parse_config
 from wavesel.waveforms import (
@@ -37,7 +35,16 @@ from wavesel.waveforms import (
 )
 
 import oracles
-from oracles import STATE_GAIN, canvas_len, place, reflected, regret_increment, simulator
+from oracles import (
+    STATE_GAIN,
+    canvas_len,
+    compute_loss,
+    place,
+    reflected,
+    regret_increment,
+    simulator,
+    unit_clip,
+)
 
 
 #: The physical scene the channel tests draw from: the default config on a

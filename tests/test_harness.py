@@ -62,6 +62,7 @@ from wavesel.meta import POLICIES, init_meta, policy_index
 from wavesel.metrics import OUTAGE_DB, kl_trace, sinr_to_db
 from wavesel.waveforms import CATALOG_NAMES, catalog_envelope
 
+import golden
 import oracles
 
 
@@ -234,6 +235,16 @@ def test_bad_value_reports_location():
         pytest.param("k = 1025", "k", id="k-2**10+1"),
         pytest.param("k = 1000000", "k", id="k-10**6"),
         pytest.param({"k": 10**6}, "k", id="k-10**6-call"),
+        # a track over MAX_TRACK_ENTRIES = 2 ** 23 entries of n * (k + 32),
+        # at k = 5 and at k = 2 ** 10, and a block over MAX_TRACKS = 2 ** 16
+        # tracks; with the sizes that used to construct, constructed only
+        pytest.param("n = 226720", "n", id="n-2**23-entries-at-k-5"),
+        pytest.param("k = 1024\nn = 7944", "n", id="n-2**23-entries-at-k-2**10"),
+        pytest.param("n = 1000000000", "n", id="n-10**9"),
+        pytest.param({"n": 10**9}, "n", id="n-10**9-call"),
+        pytest.param("m = 65537", "m", id="m-2**16+1"),
+        pytest.param("m = 1000000000", "m", id="m-10**9"),
+        pytest.param({"m": 10**9}, "m", id="m-10**9-call"),
     ],
 )
 def test_validation_failures_name_the_field(bad, field):
@@ -283,6 +294,20 @@ def test_arm_limit_admits_2_to_the_10_arms():
     # constructed only: at this size a 200-pulse track takes about 9 MB
     assert harness.MAX_ARMS == 2**10
     assert parse_config("k = 1024\n").k == 1024
+
+
+def test_track_limits_admit_2_to_the_23_entries_and_2_to_the_16_tracks():
+    # constructed only: at the entry bound a track peaks near 150 MB
+    assert (harness.MAX_TRACK_ENTRIES, harness.MAX_TRACKS) == (2**23, 2**16)
+    assert parse_config("n = 226719\n").n == 226719
+    assert parse_config("k = 1024\nn = 7943\n").n == 7943
+    assert parse_config("mode = physical\nn = 226719\n").n == 226719
+    assert parse_config("m = 65536\n").m == 65536
+    # the default study, the golden sweeps and the benchmark's long track
+    assert (ExperimentConfig().m, ExperimentConfig().n) == (50, 200)
+    for sweep in golden.SWEEPS:
+        golden.sweep_config(sweep, "out")
+    assert parse_config("m = 1\nn = 2500\npolicies = meta-ts\n").n == 2500
 
 
 def test_size_limits_admit_2_to_the_16_cells_and_2_to_the_10_taps():

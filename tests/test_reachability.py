@@ -24,8 +24,13 @@ TESTS = ROOT / "tests"
 #: (module, name) of the entry points that only callers outside the package
 #: reach. The PAC-Bayes evaluators stay here until a report command reads
 #: them. ``harness.run`` is here because the benchmark's worker calls it,
-#: one replicate at a time, while the package runs seed blocks.
+#: one replicate at a time, while the package runs seed blocks. The per-CPI
+#: steps ``run_track`` inlines are here because bench/tracing.py wraps them
+#: by name until ROADMAP item 1 re-cuts the spans.
 ENTRY_POINTS = {
+    ("bandit", "agent_contexts"),
+    ("bandit", "pick_argmax"),
+    ("gaussmath", "sample_gaussian"),
     ("cli", "main"),
     ("harness", "load_config"),
     ("harness", "serialize_config"),
