@@ -193,8 +193,11 @@ class SyntheticTrackEnv(SceneWalk):
     def realize(self, cpi: int, s: int, w_idx: int, phi):
         """(loss, pseudo-SINR) of pulse ``cpi`` under the context ``phi``:
         the loss is clip(<theta*, phi> + noise) to [0, 1], as ``np.clip``
-        gives it. ``theta_star.dot`` of the context tuple sums as
-        ``np.matmul`` does, fused multiply-adds included."""
+        gives it. ``theta_star.dot`` of the context tuple gives the float
+        ``np.vecdot`` gives that context in a stack, or a stack of (1, 3)
+        rows in ``np.matmul``; the (n, K, 3) ``np.matmul`` of
+        :meth:`expected_losses` sums in another order and differs from it
+        in the last bit at some entries."""
         x = float(self.theta_star.dot(phi)) + self.noise[cpi]
         loss = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
         return loss, loss * self.sinr_target

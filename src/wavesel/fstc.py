@@ -17,10 +17,12 @@ is circular complex Gaussian. The post-processing SINR compares the target's
 matched-filter peak against the average clutter-plus-noise power in a short
 window of lags around that peak, capped at 60 dB. :func:`channel_tables`
 builds what depends only on the waveforms, ``doppler`` and the tap count:
-each waveform's correlations, tap ramp and the eigenvalues of its noise
-window's covariance, read-only, so one build serves every replicate of a
-process at those values. From those a :class:`TrackSimulator` computes one
-track's target response and its clutter on the lags the windows read, and
+each waveform's correlations, tap ramp, the span of lags around its
+mainlobe with a norm bound on every lag outside it, and the eigenvalues of
+its noise window's covariance, read-only, so one build serves every
+replicate of a process at those values. From those a :class:`TrackSimulator`
+finds one track's target peak on the span, or on every lag where the bound
+cannot certify it, computes its clutter on the lags the windows read, and
 draws each pulse's noise power and its expected-loss reference in that
 covariance's eigenbasis.
 
@@ -32,6 +34,7 @@ of their own, drawn ``STACK_BLOCK`` pulses at a time, so every policy of a
 seed reads one walk and one noise table of each track, by pulse index.
 """
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -175,7 +178,11 @@ def draw_instance(
     delay = int(rng.integers(1 + grid_n // 3, grid_n + 1))
     cells = [delay]
     for step in rng.integers(-1, 2, size=config.n - 1).tolist():
-        delay = min(max(delay + step, 1), grid_n)
+        delay += step
+        if delay < 1:
+            delay = 1
+        elif delay > grid_n:
+            delay = grid_n
         cells.append(delay)
 
     return FstcInstance(
@@ -214,11 +221,19 @@ class ChannelTables:
     of the noise window's factor at unit ``noise_var`` (see
     :func:`channel_tables`), largest first; the real form holds each of
     them twice.
+
+    ``peak_spans[i]`` is the tuple (start, stop, bound) of waveform i's
+    target row: the lags start to stop - 1 around the window of largest
+    norm, the mainlobe the target's peak is searched on, and the largest
+    norm of a window outside them. Every lag outside responds to taps h
+    with at most bound ||h|| (Cauchy-Schwarz), which certifies a peak found
+    in the span (see :class:`TrackSimulator`).
     """
 
     windows: tuple
     tap_ramp: np.ndarray
     noise_eigvals: np.ndarray
+    peak_spans: tuple
 
 
 def hermitian_toeplitz(col: np.ndarray) -> np.ndarray:
@@ -252,9 +267,16 @@ def channel_tables(catalog: list, n_taps: int, doppler: float) -> ChannelTables:
     twice: one ``eigvalsh`` of the K matrices stacked gives them, and no
     factor or map is formed. An eigenvalue that is not positive raises
     :class:`~wavesel.errors.NotPositiveDefinite`.
+
+    The peak span of a target row is c +/- (2 WINDOW_HALF + n_taps),
+    clipped to the row, for c the window of largest norm: the Doppler cut's
+    mainlobe, spread by the taps, with the analysis window's width on
+    either side. A window's squared norm is the sum of the |padded
+    correlation|^2 its taps read, one sliding sum over the row.
     """
     width = 2 * WINDOW_HALF + 1
-    windows = []
+    half_span = 2 * WINDOW_HALF + n_taps
+    windows, peak_spans = [], []
     tap_ramp = np.empty((len(catalog), n_taps), dtype=complex)
     grams = np.empty((len(catalog), width, width), dtype=complex)
     for i, env in enumerate(catalog):
@@ -270,6 +292,11 @@ def channel_tables(catalog: list, n_taps: int, doppler: float) -> ChannelTables:
         # entry j of window n is the padded correlation at n - j, so a
         # window's product with taps h is entry n of the convolution with h
         windows.append(sliding_window_view(padded, n_taps, axis=1)[..., ::-1])
+        norms = np.add.reduce(sliding_window_view(np.abs(padded[0]) ** 2, n_taps), axis=1)
+        centre = int(np.argmax(norms))
+        start, stop = max(centre - half_span, 0), min(centre + half_span + 1, norms.size)
+        outside = max(norms[:start].max(initial=0.0), norms[stop:].max(initial=0.0))
+        peak_spans.append((start, stop, math.sqrt(outside)))
         mid = len(env) - 1
         grams[i] = hermitian_toeplitz(acorr[mid : mid + width]) + 1e-12 * np.eye(width)
     noise_eigvals = np.linalg.eigvalsh(grams)[:, ::-1] / (2.0 * width)
@@ -277,7 +304,7 @@ def channel_tables(catalog: list, n_taps: int, doppler: float) -> ChannelTables:
         raise NotPositiveDefinite("noise window covariance is not positive definite")
     for table in (tap_ramp, noise_eigvals):
         table.flags.writeable = False
-    return ChannelTables(tuple(windows), tap_ramp, noise_eigvals)
+    return ChannelTables(tuple(windows), tap_ramp, noise_eigvals, tuple(peak_spans))
 
 
 def _sinr_value(sig: float, denom: float) -> float:
@@ -333,12 +360,19 @@ class TrackSimulator:
     a lookup.
 
     The target's response is its Doppler cut convolved with the ramped
-    taps, over every lag: one small product per waveform with the tables'
-    windows. Its first peak p0 centres the analysis windows, and the
-    clutter's response is formed only on the grid_n + 2 WINDOW_HALF lags
-    they read, where one sliding-window reduce sums every window of every
-    waveform. The build factors nothing and takes the same path at every
-    ``doppler``.
+    taps h: one small product per waveform with the tables' windows, on the
+    lags of the waveform's peak span only. By Cauchy-Schwarz no lag outside
+    the span responds with more than bound ||h||, and ||h|| is the
+    unramped taps' norm, since the ramp has unit modulus. So when the
+    span's first maximum exceeds bound ||h|| (1 + 1e-9), the margin
+    covering the rounding of the norms, it is the first maximum over every
+    lag; otherwise, an all-zero target included, the product is formed on
+    every lag. The span is a slice of the same strided view, so each lag's
+    value is the full product's to the bit. That first peak p0 centres the
+    analysis windows, and the clutter's response is formed only on the
+    grid_n + 2 WINDOW_HALF lags they read, where one sliding-window reduce
+    sums every window of every waveform. The build factors nothing and
+    takes the same path at every ``doppler``.
 
     The noise contribution to the analysis window has an exact joint law in
     the matched-filter domain (Toeplitz covariance from the waveform's
@@ -363,10 +397,11 @@ class TrackSimulator:
 
     ``config`` is a ``harness.ExperimentConfig``, read for ``grid_n``,
     ``n_states`` and ``n_oracle_draws``. The state is arrays over the K
-    waveforms: peak powers ``_sig`` (K,), window clutter powers per delay
-    cell ``_clutter`` (grid_n, K) and cached oracle powers ``_noise``
-    (K, n_oracle_draws), plus the trajectory's 0-based delay cells
-    ``_delay`` (n,) and the list of state gains ``_gain``. :meth:`step`,
+    waveforms: peak powers ``_sig`` (K,) at the output lags ``_p0`` (K,),
+    window clutter powers per delay cell ``_clutter`` (grid_n, K) and
+    cached oracle powers ``_noise`` (K, n_oracle_draws), plus the
+    trajectory's 0-based delay cells ``_delay`` (n,) and the list of state
+    gains ``_gain``. :meth:`step`,
     and :meth:`PhysicalTrackEnv.realize`, which computes a pulse in its
     order of operations, read Python-list mirrors built once here,
     ``_sig_list``, ``_clutter_rows`` and ``_delay_cells``, and the pulse
@@ -386,21 +421,30 @@ class TrackSimulator:
         grid_n, n_draws = config.grid_n, config.n_oracle_draws
         k, width = len(tables.windows), 2 * WINDOW_HALF + 1
         self._sig = np.empty(k)
-        p0 = np.zeros(k, dtype=int)
+        self._p0 = p0 = np.zeros(k, dtype=int)
         power = np.zeros((k, grid_n + 2 * WINDOW_HALF))  # |clutter|^2 the windows read
-        for i, windows in enumerate(tables.windows):
+        # the ramp has unit modulus: one norm of the ramped taps for every waveform
+        h_norm = math.sqrt(np.vdot(inst.target_ir, inst.target_ir).real)
+        for i, (windows, (start, stop, bound)) in enumerate(zip(tables.windows, tables.peak_spans)):
             target = (tables.tap_ramp[i] * inst.target_ir)[:, None]
-            # one product per waveform: a product of the K windows stacked,
-            # or of a dense copy of them, sums in another order and moves
-            # _sig in its last bits
-            mag = np.abs((windows[0] @ target)[:, 0])
+            # one product per waveform, of a slice of the strided view: a
+            # product of the K windows stacked, or of a dense copy of them,
+            # sums in another order and moves _sig in its last bits
+            mag = np.abs((windows[0, start:stop] @ target)[:, 0])
             peak = int(np.argmax(mag))
-            self._sig[i] = mag[peak] ** 2
+            top = mag[peak]
+            if top > bound * h_norm * (1.0 + 1e-9):
+                peak += start
+            else:  # a lag outside the span may reach the peak: every lag
+                mag = np.abs((windows[0] @ target)[:, 0])
+                peak = int(np.argmax(mag))
+                top = mag[peak]
+            self._sig[i] = top**2
             # the output's first maximum: zeros precede the response at
             # _BASE, so an all-zero target peaks at lag 0
-            p0[i] = 0 if mag[peak] == 0.0 else _BASE + peak
+            p0[i] = 0 if top == 0.0 else _BASE + peak
             lo = p0[i] - _BASE - WINDOW_HALF  # the response lag of power[i, 0]
-            first, last = max(lo, 0), min(lo + power.shape[1], mag.size)
+            first, last = max(lo, 0), min(lo + power.shape[1], windows.shape[1])
             clutter = windows[-1, first:last] @ inst.clutter_ir
             power[i, first - lo : last - lo] = np.abs(clutter) ** 2
         # window d of waveform i: power[i, d : d + width] summed, over the

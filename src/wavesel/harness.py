@@ -310,9 +310,12 @@ MAX_TRACKS = 2**16
 #: Largest delay grid, in ``grid_n`` cells, a physical config may ask for.
 #: Each track's simulator build sums the k * grid_n clutter windows and
 #: keeps their (grid_n, k) table and its list mirror. On a 2-core machine a
-#: build at the defaults took 0.59 ms at 64 cells, 2.3 ms at 4,096 and 34 ms
-#: at 65,536 (untraced, best of 5), and peaked at 0.38, 1.6 and 20 MB under
-#: tracemalloc; at 262,144 cells it took 0.16 s and peaked at 80 MB.
+#: build at the defaults took 0.42 ms at 64 cells, 1.9 ms at 4,096 and 33 ms
+#: at 65,536 (untraced, the median over 10 tracks of each one's best of 5),
+#: and peaked at 0.37, 1.6 and 20 MB under tracemalloc; the target's peak
+#: span does not depend on the grid, and no waveform of those tracks formed
+#: the target's product on every lag. At 262,144 cells a build took 0.16 s
+#: and peaked at 80 MB (measured before the peak span).
 MAX_GRID_N = 2**16
 
 #: Longest impulse response, in ``ir_taps`` taps, a physical config may ask
@@ -320,8 +323,13 @@ MAX_GRID_N = 2**16
 #: covariance, and each track draws through its root and convolves every
 #: waveform's correlations with the taps. On a 2-core machine the root took
 #: 14 ms at 256 taps, 0.50 s at 1,024 and 2.7 s at 2,048, peaking at 1.6 MB
-#: at 256 and 24 MB at 1,024 under tracemalloc; a track's build took 6.7 ms
-#: at 256 and 31 ms at 1,024, against 0.6 ms at the default 8.
+#: at 256 and 24 MB at 1,024 under tracemalloc. A track's build took
+#: 0.42 ms at the default 8 taps, 1.4 ms at 256 and 18 ms at 1,024 (the
+#: median over 10 tracks of each one's best of 5). The target's peak span
+#: widens with the taps, and so does the share of waveform-tracks whose
+#: peak its bound cannot certify, which form the product on every lag: none
+#: of 5,000 at 8 or 64 taps (20 seeds x 50 tracks x 5 waveforms), none of
+#: 500 at 256 and 119 of 500 at 1,024 (5 tracks a seed).
 MAX_IR_TAPS = 2**10
 
 #: Largest clutter scale, the top state gain 4 ** (n_states - 2) times

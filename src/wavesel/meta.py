@@ -153,7 +153,10 @@ def meta_update(mp: MetaPosterior, data: TrackData) -> MetaPosterior:
 #: first. A sweep reads one; a build at the default k and ``ir_taps`` holds
 #: about 0.18 MB at ``doppler`` 0 and 0.34 MB at 0.7 (tracemalloc, the
 #: envelopes' kept autocorrelations aside), of which the noise covariance's
-#: eigenvalues, which both noise draws read, are 1.3 KB.
+#: eigenvalues, which both noise draws read, are 1.3 KB. A build grows with
+#: ``ir_taps`` through its zero-padded correlations: at ``harness.MAX_IR_TAPS``
+#: = 1,024 it holds 0.42 MB at ``doppler`` 0 and 0.75 MB at 0.7, so four
+#: builds hold at most about 3 MB.
 TABLE_CACHE_SIZE = 4
 
 

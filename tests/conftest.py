@@ -59,3 +59,9 @@ def physical_sweep(tmp_path_factory) -> SweepResult:
 def memory3_sweep(tmp_path_factory) -> SweepResult:
     out = tmp_path_factory.mktemp("memory3_sweep")
     return run_sweep(sweep_config("memory3_sweep", out))
+
+
+@pytest.fixture(scope="session")
+def doppler_sweep(tmp_path_factory) -> SweepResult:
+    out = tmp_path_factory.mktemp("doppler_sweep")
+    return run_sweep(sweep_config("doppler_sweep", out))

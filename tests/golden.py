@@ -58,6 +58,16 @@ SWEEPS = {
         "n": 100,
         "seeds": tuple(range(5)),
     },
+    # the target's Doppler cut apart from the clutter's correlation, on
+    # 16-tap responses: the target peak search off the autocorrelation
+    "doppler_sweep": {
+        "mode": "physical",
+        "doppler": 0.7,
+        "ir_taps": 16,
+        "m": 5,
+        "n": 100,
+        "seeds": tuple(range(5)),
+    },
 }
 
 

@@ -251,6 +251,21 @@ def simulator(config, inst, oracle_rng: np.random.Generator,
     return TrackSimulator(config, inst, tables, oracle_rng, noise_rng)
 
 
+def full_target_peak(tables, target_ir: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (K,) peak powers and (K,) output lags p0 of the target's
+    responses, from each waveform's product of every window of its target
+    row with the ramped taps: the first maximum of the magnitudes, its
+    square, and its lag past ``_BASE``, or lag 0 where every magnitude is
+    0."""
+    sig, p0 = np.empty(len(tables.windows)), np.zeros(len(tables.windows), dtype=int)
+    for i, windows in enumerate(tables.windows):
+        mag = np.abs((windows[0] @ (tables.tap_ramp[i] * target_ir)[:, None])[:, 0])
+        peak = int(np.argmax(mag))
+        sig[i] = mag[peak] ** 2
+        p0[i] = 0 if mag[peak] == 0.0 else _BASE + peak
+    return sig, p0
+
+
 def fsum_window_powers(config, inst, tables) -> np.ndarray:
     """The (grid_n, K) mean clutter power of every delay cell's window under
     each waveform of ``tables``, from the full responses: each waveform's

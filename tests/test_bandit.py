@@ -28,8 +28,9 @@ from wavesel.fstc import (
     random_transition,
     tap_root,
 )
-from wavesel.harness import ExperimentConfig
+from wavesel.harness import ExperimentConfig, build_scene
 from wavesel.gaussmath import blr_update, posterior_gaussian, sample_gaussian
+from wavesel.meta import run_meta_experiment
 from oracles import (
     compute_loss,
     float_posterior,
@@ -363,6 +364,33 @@ def test_synthetic_loss_inner_product_is_matmuls(theta, phi):
     theta = np.array(theta)
     assert float(theta.dot(tuple(phi))) == float(np.matmul(theta, tuple(phi)))
     assert float(theta.dot(tuple(phi))) == float(np.matmul(theta, np.array(phi)))
+
+
+def test_vecdot_of_learner_snapshots_equals_the_per_context_dot(monkeypatch):
+    # a batched synthetic loss needs one stacked primitive that gives every
+    # context the float ``realize`` sums, theta_star.dot of the tuple: on
+    # the snapshots meta-ts tracks score, np.vecdot and a (n K, 1, 3)
+    # np.matmul do; the (n, K, 3) product of expected_losses need not
+    snapshots = []
+    expected_losses = SyntheticTrackEnv.expected_losses
+
+    def recording(env, states, contexts):
+        snapshots.append((env.theta_star, list(contexts)))
+        return expected_losses(env, states, contexts)
+
+    monkeypatch.setattr(SyntheticTrackEnv, "expected_losses", recording)
+    for seed in range(3):
+        config = ExperimentConfig(m=5, n=200, seeds=(seed,), policies=("meta-ts",))
+        mu_star, state_proc = build_scene(config, seed)
+        for _ in run_meta_experiment(config, mu_star, state_proc, ("meta-ts",), seed):
+            pass
+    assert len(snapshots) == 15
+    for theta, contexts in snapshots:
+        want = np.array([[float(theta.dot(phi)) for phi in snap] for snap in contexts])
+        rows = np.array(contexts, dtype=float)
+        assert np.vecdot(rows, theta).tobytes() == want.tobytes()
+        stacked = np.matmul(rows.reshape(-1, 1, 3), theta).reshape(want.shape)
+        assert stacked.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from wavesel.fstc import (
     SINR_CAP,
     STACK_BLOCK,
     WINDOW_HALF,
+    ChannelTables,
     FstcInstance,
     StateProcess,
     PhysicalTrackEnv,
@@ -706,6 +708,119 @@ def test_table_windows_are_read_only():
     tables = channel_tables(default_catalog(), 8, 0.7)
     with pytest.raises(ValueError):
         tables.windows[0][0, 0, 0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# the target's peak on its certified span
+
+_SPAN_TABLES = {}
+
+
+def span_tables(n_taps: int, doppler: float) -> ChannelTables:
+    """The default catalog's tables at ``n_taps`` taps and ``doppler``,
+    built once per test session."""
+    key = (n_taps, doppler)
+    if key not in _SPAN_TABLES:
+        _SPAN_TABLES[key] = channel_tables(default_catalog(), n_taps, doppler)
+    return _SPAN_TABLES[key]
+
+
+def uncertified(tables: ChannelTables) -> ChannelTables:
+    """``tables`` with every peak span cut to lag 0, off the mainlobe, and
+    its bound at infinity: no peak is certified, so a build forms the
+    target's product on every lag."""
+    return replace(tables, peak_spans=((0, 1, math.inf),) * len(tables.peak_spans))
+
+
+def span_and_full_builds(config, inst, tables) -> tuple:
+    """Simulators of ``inst`` from ``tables`` and from their uncertified
+    copy, with the same oracle and pulse-noise streams."""
+    return tuple(
+        TrackSimulator(config, inst, t, np.random.default_rng(1), np.random.default_rng(2))
+        for t in (tables, uncertified(tables))
+    )
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    doppler=st.sampled_from([0.0, 0.7]),
+    n_taps=st.sampled_from([1, 8, 64]),
+    kernel_scale=st.sampled_from([0.5, 1.5, 8.0]),
+)
+@settings(max_examples=80, deadline=None)
+def test_span_peak_equals_the_full_product_to_the_bit(seed, doppler, n_taps, kernel_scale):
+    # certified or not, the peak power, its lag and the clutter windows it
+    # centres are those of the product over every lag, bit for bit; every
+    # lag outside the span stays within the span's norm bound
+    config = replace(SCENE, doppler=doppler, ir_taps=n_taps, ir_kernel_scale=kernel_scale)
+    tables = span_tables(n_taps, doppler)
+    inst = draw(config, np.random.default_rng(seed))
+    sig, p0 = oracles.full_target_peak(tables, inst.target_ir)
+    sim, full = span_and_full_builds(config, inst, tables)
+    assert sim._sig.tobytes() == full._sig.tobytes() == sig.tobytes()
+    assert sim._p0.tolist() == full._p0.tolist() == p0.tolist()
+    assert sim._clutter.tobytes() == full._clutter.tobytes()
+    h_norm = np.linalg.norm(inst.target_ir)
+    for i, (start, stop, bound) in enumerate(tables.peak_spans):
+        target = tables.tap_ramp[i] * inst.target_ir
+        mag = np.abs(tables.windows[i][0] @ target)
+        outside = np.concatenate([mag[:start], mag[stop:]])
+        assert outside.max(initial=0.0) <= bound * h_norm * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("doppler", [0.0, 0.7])
+def test_zero_target_is_not_certified_and_peaks_at_lag_zero(doppler):
+    # no span maximum exceeds 0, so the build forms every lag and keeps
+    # the first maximum of an all-zero output, lag 0
+    config = replace(SCENE, doppler=doppler)
+    inst = draw(config, np.random.default_rng(70))
+    inst = replace(inst, target_ir=np.zeros_like(inst.target_ir))
+    tables = span_tables(config.ir_taps, doppler)
+    sig, p0 = oracles.full_target_peak(tables, inst.target_ir)
+    sim, full = span_and_full_builds(config, inst, tables)
+    assert sim._sig.tolist() == full._sig.tolist() == sig.tolist() == [0.0] * config.k
+    assert sim._p0.tolist() == full._p0.tolist() == p0.tolist() == [0] * config.k
+    assert sim._clutter.tobytes() == full._clutter.tobytes()
+
+
+@pytest.mark.parametrize("doppler", [0.0, 0.7])
+def test_default_scene_peaks_are_certified_on_their_spans(doppler):
+    # at the defaults the span's first maximum clears the bound on every
+    # waveform of every track drawn, so no build forms every lag
+    config = replace(harness.ExperimentConfig(mode="physical"), doppler=doppler)
+    tables = span_tables(config.ir_taps, doppler)
+    for seed in range(20):
+        inst = draw(config, np.random.default_rng(seed))
+        h_norm = np.linalg.norm(inst.target_ir)
+        _, p0 = oracles.full_target_peak(tables, inst.target_ir)
+        for i, (start, stop, bound) in enumerate(tables.peak_spans):
+            target = tables.tap_ramp[i] * inst.target_ir
+            mag = np.abs(tables.windows[i][0, start:stop] @ target)
+            assert start <= p0[i] - _BASE < stop
+            assert mag.max() > bound * h_norm * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("n_taps", [1, 8, 64])
+@pytest.mark.parametrize("doppler", [0.0, 0.7])
+def test_peak_spans_are_read_only_and_hold_the_largest_window(n_taps, doppler):
+    tables = channel_tables(default_catalog(), n_taps, doppler)
+    assert isinstance(tables.peak_spans, tuple) and len(tables.peak_spans) == 5
+    with pytest.raises(FrozenInstanceError):
+        tables.peak_spans = ()
+    half = 2 * WINDOW_HALF + n_taps
+    for i, span in enumerate(tables.peak_spans):
+        with pytest.raises(TypeError):
+            span[2] = 0.0
+        start, stop, bound = span
+        assert (type(start), type(stop), type(bound)) == (int, int, float)
+        norms = np.linalg.norm(tables.windows[i][0], axis=1)
+        # the span is c +/- half around a window c of largest norm, clipped
+        inside = norms[start:stop]
+        assert inside.max() == pytest.approx(norms.max(), rel=1e-12)
+        centre = start + int(np.argmax(inside))
+        assert stop - start == min(centre + half + 1, norms.size) - max(centre - half, 0)
+        outside = np.concatenate([norms[:start], norms[stop:]])
+        assert bound == pytest.approx(outside.max(initial=0.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

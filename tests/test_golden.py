@@ -21,13 +21,14 @@ from golden import (
 
 
 def test_session_sweeps_match_golden_digests(
-    synthetic_sweep, physical_sweep, memory3_sweep, tmp_path
+    synthetic_sweep, physical_sweep, memory3_sweep, doppler_sweep, tmp_path
 ):
     recorded = json.loads(GOLDEN.read_text(encoding="utf-8"))
     sweeps = {
         "synthetic_sweep": synthetic_sweep,
         "physical_sweep": physical_sweep,
         "memory3_sweep": memory3_sweep,
+        "doppler_sweep": doppler_sweep,
     }
     assert sweeps.keys() == SWEEPS.keys()
     problems = [
