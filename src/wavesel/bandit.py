@@ -19,17 +19,15 @@ policy's selection stream gives ``STACK_BLOCK`` pulses of Thompson normals
 track's scene walk and loss noise, drawn once per (seed, track) and read by
 pulse index.
 
-``run_track`` is one per-track kernel. It builds the posterior once
-(``posterior_gaussian``) and keeps its nine floats as locals for the whole
-track; each pulse reads the walk's lists, takes its snapshot, draws,
-scores, folds the outcome into its cell and updates the posterior inline,
-and makes one call into the environment, ``realize``. The per-step
-definitions below, ``agent_contexts``, ``pick_argmax`` and ``record``
-(with ``gaussmath.sample_gaussian`` and ``gaussmath.blr_update``), are the
-reference the loop is tested against, bit for bit. The benchmark's tracer
-still wraps them by name, so those per-CPI learner spans now read n = 0,
-and ``bandit.run_track.self_s`` holds the learner's time. The snapshots
-are stacked after the pulses, by ``np.fromiter``. An exact-linear
+``run_track`` is one per-track kernel. It keeps the posterior's nine
+floats as locals for the whole track; each pulse reads the walk's
+observation, takes its snapshot, draws, scores, folds the outcome into its
+cell, updates the posterior inline and makes one call into the
+environment, ``realize``. The per-step definitions below,
+``agent_contexts``, ``pick_argmax`` and ``record`` (with
+``gaussmath.sample_gaussian`` and ``gaussmath.blr_update``), are the
+reference the loop is tested against, bit for bit; the benchmark's tracer
+still wraps them by name, so their spans read n = 0. An exact-linear
 synthetic environment generates losses straight from the context model,
 which makes the learner's behavior verifiable against closed-form oracles.
 """
@@ -180,7 +178,7 @@ class SyntheticTrackEnv(SceneWalk):
         for _, size in blocks(n_cpis):
             self.noise.extend((noise_sd * noise_rng.standard_normal(size)).tolist())
 
-    def expected_losses(self, states, contexts) -> np.ndarray:
+    def expected_losses(self, contexts) -> np.ndarray:
         """The (n, K) clip(<theta*, phi>) of a track's snapshots of K (mean,
         variance, max) rows, stacked ``STACK_BLOCK`` pulses at a time."""
         out = np.empty((len(contexts), len(contexts[0])))
@@ -190,14 +188,12 @@ class SyntheticTrackEnv(SceneWalk):
             np.matmul(rows, self.theta_star, out=out[start : start + size])
         return out.clip(0.0, 1.0, out=out)
 
-    def realize(self, cpi: int, s: int, w_idx: int, phi):
+    def realize(self, cpi: int, w_idx: int, phi):
         """(loss, pseudo-SINR) of pulse ``cpi`` under the context ``phi``:
-        the loss is clip(<theta*, phi> + noise) to [0, 1], as ``np.clip``
-        gives it. ``theta_star.dot`` of the context tuple gives the float
-        ``np.vecdot`` gives that context in a stack, or a stack of (1, 3)
-        rows in ``np.matmul``; the (n, K, 3) ``np.matmul`` of
-        :meth:`expected_losses` sums in another order and differs from it
-        in the last bit at some entries."""
+        clip(<theta*, phi> + noise) to [0, 1], as ``np.clip`` gives it.
+        ``theta_star.dot`` of the tuple gives the float ``np.vecdot`` gives
+        in a stack; the (n, K, 3) ``np.matmul`` of :meth:`expected_losses`
+        differs from it in the last bit at some entries."""
         x = float(self.theta_star.dot(phi)) + self.noise[cpi]
         loss = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
         return loss, loss * self.sinr_target
@@ -220,29 +216,26 @@ def run_track(
     nor updates the posterior. ``rng`` is the policy's selection stream,
     read ``STACK_BLOCK`` pulses at a time: three standard normals a pulse
     for Thompson sampling, one ``integers(k_arms)`` a pulse for the random
-    baseline. The environment's walk and noise are its own; the state and
-    observation columns are its walk's ``states`` and ``obs`` lists. Regret
-    increments compare the environment's expected losses of the best and
-    the chosen waveform at the contexts used for selection.
+    baseline. The state and observation columns are the environment's walk,
+    its ``states`` and ``obs`` lists.
 
-    The pulse loop carries only what the learner feeds back: the scene's
-    state and observation, read from the walk's ``states`` and ``obs``
-    lists, the snapshot of the observation's K contexts, the draw and
-    choice, one ``env.realize`` call for the outcome, the Welford step of
-    the chosen cell and, under Thompson sampling, the posterior update with
-    the context that was scored. Each step is inlined with the arithmetic
+    The pulse loop carries only what the learner feeds back: the walk's
+    observation, the snapshot of its K contexts, the draw and choice, one
+    ``env.realize`` call for the outcome, the Welford step of the chosen
+    cell and, under Thompson sampling, the posterior update with the
+    context that was scored. Each step is inlined with the arithmetic
     of its per-step definition (``agent_contexts``, ``sample_gaussian``,
     ``pick_argmax``, ``record``, ``blr_update``), in the same order of
     operations, so every float is theirs to the bit; a loss outside [0, 1],
     a NaN included, raises ``InvalidInput`` as ``record`` does. The
     learner never reads the expected losses, so one
-    ``env.expected_losses(states, offered)`` call after the loop, on the n
-    snapshots the pulses chose from, gives the oracle losses, regret
-    increments and suboptimal flags; only the synthetic environment reads
-    the snapshots.
+    ``env.expected_losses(offered)`` call after the loop, on the n snapshots
+    the pulses chose from, gives the oracle losses, the regret increments
+    (best minus chosen) and the suboptimal flags; only the synthetic
+    environment reads the snapshots.
     """
     agent = TsAgent(prior, noise_var, env.state_proc.n_states, k_arms)
-    states, obs, realize, noise_sd = env.states, env.obs, env.realize, agent.noise_sd
+    obs, realize, noise_sd = env.obs, env.realize, agent.noise_sd
     cells, table = agent.stats, agent.contexts
     # the posterior's mean and packed lower factor, as blr_update reads them
     (m0, m1, m2), (l00, l10, l11, l20, l21, l22) = agent.posterior
@@ -276,7 +269,7 @@ def run_track(
             else:
                 idx = draw
             phi = phis[idx]
-            x, sinr_k = realize(k, states[k], idx, phi)
+            x, sinr_k = realize(k, idx, phi)
             keep((idx, sinr_k, x))
             add_scored(phi)
             # record: the Welford step of cell (o, idx) and its context
@@ -318,9 +311,9 @@ def run_track(
                 )
     agent.posterior = (m0, m1, m2), (l00, l10, l11, l20, l21, l22)
 
-    state = np.fromiter(states, int, n_cpis)
+    state = np.fromiter(env.states, int, n_cpis)
     waveform = np.array(pulses[0::3], dtype=int)
-    expected = env.expected_losses(state, offered)
+    expected = env.expected_losses(offered)
     oracle_loss = expected.max(axis=-1)
     chosen = expected[np.arange(n_cpis), waveform]
     return TrackResult(

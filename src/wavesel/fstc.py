@@ -30,8 +30,9 @@ The scene's values (noise floor, powers, grid, taps, draws) are read from a
 ``harness.ExperimentConfig`` where they are used; the only scene-level draw
 is the :class:`StateProcess` transition table, which each track walks once
 with a :class:`SceneWalk`. A track's walk and its pulse noise read streams
-of their own, drawn ``STACK_BLOCK`` pulses at a time, so every policy of a
-seed reads one walk and one noise table of each track, by pulse index.
+of their own, drawn ``STACK_BLOCK`` pulses at a time, so no outcome depends
+on the policy: a :class:`PhysicalTrackEnv` computes them once, as (n, K)
+tables that every policy of a seed reads by pulse index.
 """
 
 import math
@@ -385,30 +386,21 @@ class TrackSimulator:
     squared normals sum to a chi-square with two degrees of freedom, which
     is 2 E_i (Imhof, Biometrika 1961).
 
-    Two streams are drawn this way. ``noise_rng``, the track's pulse noise, fills
-    the (n, K) table of every pulse's noise power under every waveform:
-    (pulses, K, width) exponentials per ``STACK_BLOCK`` pulses, in pulse
-    order, so every policy that sends waveform w at pulse cpi sees one
-    power. ``oracle_rng`` draws the (K, n_oracle_draws) powers shared by
-    every pulse of the episode that :meth:`expected_losses` averages: one
-    ``standard_exponential`` call of (K, n_oracle_draws, width), in waveform
-    order, and one stacked product with the eigenvalues, which the
-    first-moment correction then centres on the exact mean ``noise_var``.
+    Two streams are drawn this way. ``noise_rng``, the track's pulse noise,
+    fills the (n, K) table of every pulse's noise power under every
+    waveform, (pulses, K, width) exponentials per ``STACK_BLOCK`` pulses.
+    ``oracle_rng`` draws the (K, n_oracle_draws) powers shared by every
+    pulse that :meth:`expected_losses` averages, in one
+    ``standard_exponential`` call of (K, n_oracle_draws, width) and one
+    stacked product, then centred on the exact mean ``noise_var``.
 
     ``config`` is a ``harness.ExperimentConfig``, read for ``grid_n``,
     ``n_states`` and ``n_oracle_draws``. The state is arrays over the K
     waveforms: peak powers ``_sig`` (K,) at the output lags ``_p0`` (K,),
-    window clutter powers per delay cell ``_clutter`` (grid_n, K) and
-    cached oracle powers ``_noise`` (K, n_oracle_draws), plus the
-    trajectory's 0-based delay cells ``_delay`` (n,) and the list of state
-    gains ``_gain``. :meth:`step`,
-    and :meth:`PhysicalTrackEnv.realize`, which computes a pulse in its
-    order of operations, read Python-list mirrors built once here,
-    ``_sig_list``, ``_clutter_rows`` and ``_delay_cells``, and the pulse
-    powers as a list of n lists of K floats, ``_pulse_noise``, since
-    indexing an array per pulse makes numpy scalars and views that cost as
-    much as the arithmetic; ``expected_losses`` reads the arrays.
-    """
+    window clutter powers per delay cell ``_clutter`` (grid_n, K), cached
+    oracle powers ``_noise`` (K, n_oracle_draws) and pulse noise powers
+    ``_pulse_noise`` (n, K), plus the trajectory's 0-based delay cells
+    ``_delay`` (n,) and the list of state gains ``_gain``."""
 
     def __init__(
         self,
@@ -460,30 +452,23 @@ class TrackSimulator:
         self._noise = np.clip(p_hat, 1e-18, None, out=p_hat)
         self._delay = inst.trajectory - 1
         self._gain = state_gains(config.n_states)
-        self._pulse_noise = []
-        for _, size in blocks(self._delay.size):
+        self._pulse_noise = np.empty((self._delay.size, k))
+        for start, size in blocks(self._delay.size):
             draws = noise_rng.standard_exponential((size, k, width))
             # each entry sums its own width products alone, so a pulse's
             # power does not depend on the block it was drawn in
-            powers = np.einsum("pkw,kw->pk", draws, tables.noise_eigvals)
+            powers = self._pulse_noise[start : start + size]
+            np.einsum("pkw,kw->pk", draws, tables.noise_eigvals, out=powers)
             powers *= 2.0 * inst.noise_var
-            self._pulse_noise.extend(powers.tolist())
-        # list mirrors for step, which reads one item of each per pulse
-        self._sig_list = self._sig.tolist()
-        self._clutter_rows = self._clutter.tolist()
-        self._delay_cells = self._delay.tolist()
 
     def step(self, cpi: int, s: int, w_idx: int) -> float:
         """Realized SINR of pulse ``cpi`` in state ``s`` under waveform
         ``w_idx``, equal in distribution to filtering the full received
         pulse (target, clutter and white noise on the canvas).
 
-        Reads the list mirrors, whose floats equal the arrays' items, so the
-        sums and the ratio round as the array reads did. The track loop
-        reaches a pulse through :meth:`PhysicalTrackEnv.realize`, which is
-        held to this definition bit for bit."""
-        p_c = self._gain[s] * self._clutter_rows[self._delay_cells[cpi]][w_idx]
-        return _sinr_value(self._sig_list[w_idx], p_c + self._pulse_noise[cpi][w_idx])
+        :class:`PhysicalTrackEnv`'s SINR table holds it bit for bit."""
+        p_c = self._gain[s] * self._clutter[self._delay[cpi], w_idx]
+        return _sinr_value(self._sig[w_idx], p_c + self._pulse_noise[cpi, w_idx])
 
     def expected_losses(self, states: np.ndarray, sinr_target: float) -> np.ndarray:
         """Monte Carlo mean loss of every waveform at each pulse's true state:
@@ -509,32 +494,35 @@ class TrackSimulator:
 
 
 class PhysicalTrackEnv(SceneWalk):
-    """Adapter giving the per-track learner a uniform environment interface:
-    the track's scene walk on ``state_proc``, of the simulator's n pulses
-    from ``walk_rng``, and the simulator's pulses. It holds no learner state,
-    so every policy of a seed reads one."""
+    """The track's scene walk on ``state_proc``, of the simulator's n
+    pulses from ``walk_rng``, and its outcomes, which no policy changes, so
+    every policy of a seed reads one. Right after the walk it builds (n, K)
+    tables: :meth:`TrackSimulator.step`'s SINR at each pulse's walked state,
+    in ``step``'s order of operations; its loss, the ratio to
+    ``sinr_target`` clipped to [0, 1] as ``np.clip`` gives it, both
+    read-only memoryviews of float64 arrays whose (pulse, waveform) index
+    reads a Python float; and one :meth:`TrackSimulator.expected_losses`
+    call's read-only array."""
 
-    def __init__(
-        self, sim: TrackSimulator, state_proc: StateProcess, sinr_target: float,
-        walk_rng: np.random.Generator,
-    ):
+    def __init__(self, sim: TrackSimulator, state_proc: StateProcess, sinr_target: float,
+                 walk_rng: np.random.Generator):
         super().__init__(state_proc, sim._delay.size, walk_rng)
         self.sim = sim
         self.sinr_target = sinr_target
+        states = np.array(self.states)
+        denom = np.array(sim._gain)[states, None] * sim._clutter[sim._delay]
+        denom += sim._pulse_noise
+        sinr = np.divide(sim._sig, denom, out=np.full(denom.shape, SINR_CAP), where=denom > 0.0)
+        np.minimum(sinr, SINR_CAP, out=sinr)
+        loss = np.clip(sinr / sinr_target, 0.0, 1.0)
+        self._sinr, self._loss = memoryview(sinr).toreadonly(), memoryview(loss).toreadonly()
+        self._expected = sim.expected_losses(states, sinr_target)
+        self._expected.flags.writeable = False
 
-    def expected_losses(self, states: np.ndarray, contexts) -> np.ndarray:
-        """The simulator's expected losses; the contexts are not read."""
-        return self.sim.expected_losses(states, self.sinr_target)
+    def expected_losses(self, contexts) -> np.ndarray:
+        """The track's (n, K) expected losses; the contexts are not read."""
+        return self._expected
 
-    def realize(self, cpi: int, s: int, w_idx: int, phi):
-        """(loss, SINR) of pulse ``cpi`` in state ``s`` under waveform
-        ``w_idx``: the SINR is :meth:`TrackSimulator.step`'s, computed here
-        in its order of operations, and the loss its ratio to
-        ``sinr_target`` clipped to [0, 1], as ``np.clip`` gives it. The
-        context is not read."""
-        sim = self.sim
-        denom = sim._gain[s] * sim._clutter_rows[sim._delay_cells[cpi]][w_idx]
-        denom += sim._pulse_noise[cpi][w_idx]
-        sinr = SINR_CAP if denom <= 0.0 else min(sim._sig_list[w_idx] / denom, SINR_CAP)
-        ratio = sinr / self.sinr_target
-        return (0.0 if ratio < 0.0 else 1.0 if ratio > 1.0 else ratio), sinr
+    def realize(self, cpi: int, w_idx: int, phi):
+        """(loss, SINR) of pulse ``cpi`` under waveform ``w_idx``."""
+        return self._loss[cpi, w_idx], self._sinr[cpi, w_idx]

@@ -75,14 +75,14 @@ WRITE_BLOCK = 64
 
 
 def _running_mean(values: np.ndarray) -> np.ndarray:
-    """Running mean along the track axis of a (seeds, tracks) array."""
-    return np.cumsum(values, axis=1) / np.arange(1, values.shape[1] + 1)
+    """Running mean of one seed's per-track values."""
+    return np.cumsum(values) / np.arange(1, values.size + 1)
 
 
 #: Aggregate output metrics: the per-track column each one reads and the
-#: transform it applies along the track axis of a (seeds, tracks) array.
+#: transform it applies to one seed's values of that column, in track order.
 AGG_METRICS = {
-    "regret": ("cum_regret", functools.partial(np.cumsum, axis=1)),
+    "regret": ("cum_regret", np.cumsum),
     "loss": ("mean_loss", _running_mean),
     "outage": ("outage_freq", _running_mean),
     "subopt": ("subopt_freq", _running_mean),
@@ -287,29 +287,28 @@ MAX_ARMS = 2**10
 
 #: Largest track, in entries of n * (k + 32), a config may ask for. Per
 #: pulse a track keeps a snapshot of the k contexts it chose from and their
-#: k expected losses, about 17 B an arm, and a fixed set of per-pulse values
-#: (the walk's state and observation, the loop's choice, SINR and loss, the
-#: synthetic noise or the physical pulse-noise row); the 32 covers those at
-#: the physical channel's cost. On a 2-core machine one meta-ts track
-#: peaked under tracemalloc at 0.4, 4.1 and 42 MB for n = 10**3, 10**4 and
-#: 10**5 in synthetic mode at k = 5 and at 1.1, 6.5 and 65 MB in physical
-#: mode, about 420 and 650 B a pulse, and at n = 10**4 at 14, 47 and 182 MB
-#: for synthetic k = 64, 256 and 1,024, about 17 B * (k + 20) a pulse. So a
-#: track at this bound peaks near 150 MB. The default 200-pulse track takes
-#: 7,400 entries and a 2,500-pulse one at k = 5 92,500.
+#: k expected losses, about 17 B an arm, and fixed per-pulse values (the
+#: walk, the loop's outcomes, the noise and, in physical mode, four (n, k)
+#: float64 tables); the 32 covers those. On a 2-core machine one meta-ts
+#: track peaked under tracemalloc at 0.4, 4.1 and 42 MB for n = 10**3,
+#: 10**4 and 10**5 in synthetic mode at k = 5 and at 0.84, 5.2 and 55 MB in
+#: physical mode, about 420 and 545 B a pulse, and at n = 10**4 at 14, 47
+#: and 182 MB for synthetic k = 64, 256 and 1,024, about 17 B * (k + 20) a
+#: pulse, so near 150 MB at this bound. The default track takes 7,400.
 MAX_TRACK_ENTRIES = 2**23
 
 #: Most tracks, ``m``, a config may ask for. A seed block keeps a (5, m)
 #: table of per-track summary sums for each policy, 40 B a track: on a
 #: 2-core machine a four-policy block of one-pulse tracks peaked under
 #: tracemalloc at 0.20, 0.41 and 1.8 MB for m = 100, 1,000 and 10,000,
-#: about 160 B a track, so 10 MB at this bound. Aggregating that one seed's
-#: four track files peaked at 0.59, 5.6 and 58 MB, about 5.7 KB a track.
+#: about 160 B a track, so 10 MB at this bound. The aggregate holds one
+#: track file's rows at a time: four policies' files of 2,000 tracks peaked
+#: at 7.4 MB for 1, 4 and 20 seeds alike.
 MAX_TRACKS = 2**16
 
 #: Largest delay grid, in ``grid_n`` cells, a physical config may ask for.
 #: Each track's simulator build sums the k * grid_n clutter windows and
-#: keeps their (grid_n, k) table and its list mirror. On a 2-core machine a
+#: keeps their (grid_n, k) table. On a 2-core machine a
 #: build at the defaults took 0.42 ms at 64 cells, 1.9 ms at 4,096 and 33 ms
 #: at 65,536 (untraced, the median over 10 tracks of each one's best of 5),
 #: and peaked at 0.37, 1.6 and 20 MB under tracemalloc; the target's peak
@@ -627,7 +626,7 @@ def run_block(config: ExperimentConfig, policies: tuple, seed: int) -> list[RunS
             # KL row keeps its zeros.
             if policy != "ts-oracle":
                 kl = next((kl for belief, kl in last.values() if belief is mp), None)
-                last[policy] = mp, kl_trace((mp,), mu_star)[0] if kl is None else kl
+                last[policy] = mp, kl_trace(mp, mu_star) if kl is None else kl
                 tables[policy][4, t] = last[policy][1]
         for policy, table in tables.items():
             table[1:4] /= config.n  # mean loss and the two frequencies
@@ -718,41 +717,69 @@ def read_track_table(path: str) -> list:
     return rows
 
 
-def aggregate(rows: list) -> dict:
-    """Collapse per-track rows into per-policy mean and standard-error curves.
-
-    For each policy and metric the (seeds, tracks) block of the metric's
-    column is first transformed along the track axis to the reported form
-    (cumulative regret, running-mean frequencies, raw KL), then averaged
-    across seeds per track index. Standard error uses the n-1
-    normalization and is 0 for a single seed.
-    """
-    if not rows:
-        raise EmptyInput("no summary rows to aggregate")
-    by_policy: dict = {}
+def _replicate_curves(rows) -> dict:
+    """(policy, seed) -> the (5, m) ``AGG_METRICS`` curves of that
+    replicate's rows, whose tracks must be 0 to m - 1, each once."""
+    grouped = {}
     for row in rows:
-        by_policy.setdefault(row["policy"], {}).setdefault(row["seed"], []).append(row)
+        grouped.setdefault((row["policy"], row["seed"]), []).append(row)
+    for (policy, seed), group in grouped.items():
+        group.sort(key=lambda r: r["track"])
+        if [r["track"] for r in group] != list(range(len(group))):
+            raise InvalidInput(f"track indices of {policy} seed {seed} are not contiguous")
+        grouped[policy, seed] = np.array([f(np.array([r[c] for r in group]))
+                                          for c, f in AGG_METRICS.values()])
+    return grouped
+
+
+def _seed_moments(curves, n_seeds: int, m: int) -> tuple:
+    """Means over seeds and standard errors (0 for one seed) of the (5, m)
+    curves each call of ``curves`` yields, seeds ascending, bit for bit as
+    ``mean(axis=0)`` and ``std(axis=0, ddof=1) / sqrt(seeds)`` of the stack:
+    numpy sums its rows in order from 0.0, as the two passes do, but one
+    column pairwise, so one-track curves, 40 B a seed, are stacked."""
+    if m == 1 and n_seeds > 1:
+        columns = np.stack(list(curves()), axis=1)
+        return (np.array([c.mean(axis=0) for c in columns]),
+                np.array([c.std(axis=0, ddof=1) for c in columns]) / np.sqrt(n_seeds))
+    total = np.zeros((len(AGG_METRICS), m))
+    for seed_curves in curves():
+        total += seed_curves
+    mean = total / n_seeds
+    if n_seeds < 2:
+        return mean, np.zeros_like(mean)
+    squares = np.zeros_like(mean)
+    for deviation in curves():
+        deviation -= mean
+        squares += deviation * deviation
+    return mean, np.sqrt(squares / (n_seeds - 1)) / np.sqrt(n_seeds)
+
+
+def aggregate(sources: list) -> dict:
+    """Per-policy mean and n-1 standard-error curves over seeds of each
+    replicate's ``AGG_METRICS`` curves. A source, a zero-argument callable
+    returning row dicts (``read_track_table`` of one file), is read once to
+    find its replicates, then once per replicate and pass, so memory does not
+    grow with the seed count; a replicate in two sources is refused."""
+    where = {}  # (policy, seed) -> (source, track count)
+    for source in sources:
+        for key, table in _replicate_curves(source()).items():
+            if key in where:
+                raise InvalidInput(f"{key[0]} seed {key[1]} is read from two sources")
+            where[key] = source, table.shape[1]
+    if not where:
+        raise EmptyInput("no summary rows to aggregate")
     out: dict = {metric: [] for metric in AGG_METRICS}
-    for policy in sorted(by_policy, key=policy_index):
-        seeds = by_policy[policy]
-        # (seeds, tracks) rows, seeds in ascending order
-        block = [sorted(seeds[seed], key=lambda r: r["track"]) for seed in sorted(seeds)]
-        for seed, seed_rows in zip(sorted(seeds), block):
-            if [r["track"] for r in seed_rows] != list(range(len(seed_rows))):
-                raise InvalidInput(
-                    f"track indices of {policy} seed {seed} are not contiguous"
-                )
-        m = len(block[0])
-        if any(len(seed_rows) != m for seed_rows in block):
+    for policy in sorted({p for p, _ in where}, key=policy_index):
+        seeds = sorted(seed for p, seed in where if p == policy)
+        m = where[policy, seeds[0]][1]
+        if any(where[policy, seed][1] != m for seed in seeds):
             raise InvalidInput(f"seeds of {policy} disagree on track count")
-        for metric, (column, transform) in AGG_METRICS.items():
-            stacked = transform(np.array([[r[column] for r in b] for b in block]))
-            mean = stacked.mean(axis=0)
-            if len(block) >= 2:
-                stderr = stacked.std(axis=0, ddof=1) / np.sqrt(len(block))
-            else:
-                stderr = np.zeros(m)
-            out[metric].extend(zip([policy] * m, range(m), mean.tolist(), stderr.tolist()))
+
+        def curves(policy=policy, seeds=seeds):
+            return (_replicate_curves(where[policy, s][0]())[policy, s] for s in seeds)
+        for metric, mean, stderr in zip(AGG_METRICS, *_seed_moments(curves, len(seeds), m)):
+            out[metric].extend(zip(repeat(policy), range(m), mean.tolist(), stderr.tolist()))
     return out
 
 
@@ -778,10 +805,10 @@ def aggregate_directory(in_dir: str, out_dir: str) -> list:
         names = sorted(os.listdir(in_dir))
     except OSError as exc:
         raise IoError(f"cannot list {in_dir}: {exc}") from exc
-    rows = []
-    for name in names:
-        if name.startswith("track_") and name.endswith(".csv"):
-            rows.extend(read_track_table(os.path.join(in_dir, name)))
-    if not rows:
+    sources = [
+        functools.partial(read_track_table, os.path.join(in_dir, name)) for name in names
+        if name.startswith("track_") and name.endswith(".csv")
+    ]
+    if not sources:
         raise EmptyInput(f"no per-track summary files in {in_dir}")
-    return write_aggregates(aggregate(rows), out_dir)
+    return write_aggregates(aggregate(sources), out_dir)

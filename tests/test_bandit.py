@@ -374,9 +374,9 @@ def test_vecdot_of_learner_snapshots_equals_the_per_context_dot(monkeypatch):
     snapshots = []
     expected_losses = SyntheticTrackEnv.expected_losses
 
-    def recording(env, states, contexts):
+    def recording(env, contexts):
         snapshots.append((env.theta_star, list(contexts)))
-        return expected_losses(env, states, contexts)
+        return expected_losses(env, contexts)
 
     monkeypatch.setattr(SyntheticTrackEnv, "expected_losses", recording)
     for seed in range(3):
@@ -475,13 +475,13 @@ class RecordingEnv:
     def step_scene(self, cpi):
         return self.env.step_scene(cpi)
 
-    def expected_losses(self, states, contexts):
-        out = np.array(self.env.expected_losses(states, contexts), dtype=float)
+    def expected_losses(self, contexts):
+        out = np.array(self.env.expected_losses(contexts), dtype=float)
         self.expected.extend(row.copy() for row in out)
         return out
 
-    def realize(self, cpi, s, w_idx, phi):
-        return self.env.realize(cpi, s, w_idx, phi)
+    def realize(self, cpi, w_idx, phi):
+        return self.env.realize(cpi, w_idx, phi)
 
 
 def physical_instance(n: int, doppler: float = 0.0, grid_n: int = 16) -> tuple:
@@ -599,10 +599,10 @@ class FixedOutcomeEnv:
         self.env, self.value = env, value
         self.state_proc, self.states, self.obs = env.state_proc, env.states, env.obs
 
-    def expected_losses(self, states, contexts):
-        return self.env.expected_losses(states, contexts)
+    def expected_losses(self, contexts):
+        return self.env.expected_losses(contexts)
 
-    def realize(self, cpi, s, w_idx, phi):
+    def realize(self, cpi, w_idx, phi):
         return self.value, 1.0
 
 
@@ -680,7 +680,7 @@ def test_run_track_refuses_a_loss_outside_the_unit_interval(mode, explore, value
 def test_synthetic_realize_equals_synthetic_loss_to_the_bit(theta, phi, noise):
     env = synthetic_env(theta, uniform_state_proc(), 0.05, 1)
     env.noise[0] = noise
-    loss, sinr = env.realize(0, 0, 0, tuple(phi))
+    loss, sinr = env.realize(0, 0, tuple(phi))
     want = synthetic_loss(np.array(theta), tuple(phi), noise)
     assert np.float64(loss).tobytes() == np.float64(want).tobytes()
     assert sinr == want * 15.8

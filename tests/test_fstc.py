@@ -540,9 +540,67 @@ def test_physical_env_walks_the_scene_chain_and_maps_sinr_to_loss():
     ]
     for cpi in range(inst.trajectory.size):
         for w_idx in range(len(default_catalog())):
-            loss, sinr = env.realize(cpi, 1, w_idx, None)
-            assert sinr == sim.step(cpi, 1, w_idx)
+            loss, sinr = env.realize(cpi, w_idx, None)
+            assert sinr == sim.step(cpi, env.states[cpi], w_idx)
             assert loss == compute_loss(sinr, 15.8)
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("ir_taps", [1, 8, 64])
+@pytest.mark.parametrize("doppler", [0.0, 0.7])
+def test_physical_tables_equal_step_and_compute_loss_to_the_bit(doppler, ir_taps):
+    # every (pulse, waveform) entry of the outcome tables is step's SINR at
+    # the walk's state of the pulse and its loss, and the expected table is
+    # the simulator's call at the walk's states
+    config = replace(SCENE, n=2 * STACK_BLOCK + 3, doppler=doppler, ir_taps=ir_taps)
+    sp = StateProcess(random_transition(4, 2, np.random.default_rng(57)), 0.1)
+    for seed in range(3):
+        inst = draw(config, np.random.default_rng(seed))
+        sim = simulator(
+            config, inst, np.random.default_rng(seed + 10), np.random.default_rng(seed + 20)
+        )
+        env = PhysicalTrackEnv(sim, sp, 15.8, np.random.default_rng(seed + 30))
+        for cpi, s in enumerate(env.states):
+            for w_idx in range(config.k):
+                loss, sinr = env.realize(cpi, w_idx, None)
+                step = sim.step(cpi, s, w_idx)
+                assert bits(sinr) == bits(step)
+                assert bits(loss) == bits(compute_loss(step, 15.8))
+        want = sim.expected_losses(np.array(env.states), 15.8)
+        assert env.expected_losses(None).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("silent", [False, True])
+def test_physical_tables_cap_the_sinr_where_the_denominator_is_not_positive(silent):
+    # no clutter and no pulse noise: every denominator is 0, so every pulse
+    # is at SINR_CAP, a silent target's included, as step gives it
+    inst = default_instance(seed=58, n_cpis=12)
+    if silent:
+        inst = replace(inst, target_ir=np.zeros_like(inst.target_ir))
+    sim = simulator(SCENE, inst, np.random.default_rng(59), np.random.default_rng(60))
+    sim._clutter[:] = 0.0
+    sim._pulse_noise[:] = 0.0
+    sp = StateProcess(random_transition(4, 2, np.random.default_rng(61)), 0.1)
+    env = PhysicalTrackEnv(sim, sp, 15.8, np.random.default_rng(62))
+    for cpi, s in enumerate(env.states):
+        for w_idx in range(SCENE.k):
+            assert sim.step(cpi, s, w_idx) == SINR_CAP
+            assert env.realize(cpi, w_idx, None) == (1.0, SINR_CAP)
+
+
+def test_physical_outcome_tables_are_read_only():
+    inst = default_instance(seed=63)
+    sim = simulator(SCENE, inst, np.random.default_rng(64), np.random.default_rng(65))
+    sp = StateProcess(random_transition(4, 2, np.random.default_rng(66)), 0.1)
+    env = PhysicalTrackEnv(sim, sp, 15.8, np.random.default_rng(67))
+    expected = env.expected_losses(None)
+    assert expected.shape == (inst.trajectory.size, SCENE.k)
+    with pytest.raises(ValueError):
+        expected[0, 0] = 0.0
+    assert env.expected_losses(None) is expected
 
 
 def window_powers(config, inst: FstcInstance, w: ComplexEnvelope, delay: int):

@@ -654,7 +654,7 @@ def test_constructed_config_holds_what_the_layers_below_assume(mode, values):
     if set(config.policies) != {"ts-oracle"}:
         # the flat belief's KL, which random and ts-uninformative write
         flat = init_meta(config.sigma_q_sq, sigma0_sq=config.sigma0_sq, sigma_sq=config.sigma_sq)
-        assert np.isfinite(kl_trace([flat], mu_star)).all()
+        assert math.isfinite(kl_trace(flat, mu_star))
 
 
 def test_package_exports_only_the_harness_api():
@@ -1024,15 +1024,17 @@ def test_policy_streams_do_not_interact(tmp_path):
 
 #: (owner, attribute) of each build a seed block shares: one episode draw
 #: per track (``instance_rng``, the walk and noise streams, and in physical
-#: mode the instance and its simulator), and the scene, the flat belief,
-#: the meta-ts prior stream and the tap root once per block; the channel
-#: tables are built once per process for each (k, ir_taps, doppler)
+#: mode the instance, its simulator and its expected losses), and the
+#: scene, the flat belief, the meta-ts prior stream and the tap root once
+#: per block; the channel tables are built once per process for each (k,
+#: ir_taps, doppler)
 SHARED_BUILDS = (
     (meta, "instance_rng"),
     (meta, "walk_rng"),
     (meta, "noise_rng"),
     (meta, "draw_instance"),
     (fstc.TrackSimulator, "__init__"),
+    (fstc.TrackSimulator, "expected_losses"),
     (harness, "build_scene"),
     (meta, "init_meta"),
     (meta, "meta_prior_rng"),
@@ -1059,7 +1061,7 @@ def test_a_seed_block_builds_each_episode_once(tmp_path, monkeypatch, mode):
     instances, roots = (m, 1) if mode == "physical" else (0, 0)
     per_seed = {
         "instance_rng": m, "walk_rng": m, "noise_rng": m,
-        "draw_instance": instances, "__init__": instances,
+        "draw_instance": instances, "__init__": instances, "expected_losses": instances,
         "build_scene": 1, "init_meta": 1, "meta_prior_rng": 1, "tap_root": roots,
     }
     config = _tiny_config(str(tmp_path), m=m, n=4, mode=mode)
@@ -1131,7 +1133,7 @@ def test_a_block_failing_mid_track_writes_no_file_of_its_seed(tmp_path, monkeypa
 
 def test_a_block_with_one_non_finite_summary_writes_no_file(tmp_path, monkeypatch):
     # ts-oracle's KL column is zeros, so only meta-ts's summary is non-finite
-    monkeypatch.setattr(harness, "kl_trace", lambda history, mu_star: np.full(len(history), np.nan))
+    monkeypatch.setattr(harness, "kl_trace", lambda mp, mu_star: math.nan)
     config = _tiny_config(str(tmp_path), seeds=(0,), policies=("ts-oracle", "meta-ts"))
     with pytest.raises(InvalidInput, match="kl_to_truth of meta-ts seed 0"):
         run_experiment(config)
@@ -1333,7 +1335,7 @@ def _row(policy, seed, track, **values):
 
 def test_aggregate_single_seed_has_zero_stderr():
     rows = [_row("random", 0, 0, kl_to_truth=0.2), _row("random", 0, 1, kl_to_truth=0.4)]
-    tables = aggregate(rows)
+    tables = aggregate([lambda: rows])
     assert tables["kl"] == [("random", 0, 0.2, 0.0), ("random", 1, 0.4, 0.0)]
 
 
@@ -1342,7 +1344,7 @@ def test_aggregate_two_seeds_mean_and_stderr():
         _row("random", 0, 0, kl_to_truth=0.2),
         _row("random", 1, 0, kl_to_truth=0.4),
     ]
-    tables = aggregate(rows)
+    tables = aggregate([lambda: rows])
     ((policy, track, mean, stderr),) = tables["kl"]
     assert policy == "random"
     assert track == 0
@@ -1355,7 +1357,7 @@ def test_aggregate_regret_accumulates_and_loss_running_means():
         _row("random", 0, 0, cum_regret=1.0, mean_loss=0.2, outage_freq=1.0),
         _row("random", 0, 1, cum_regret=2.0, mean_loss=0.4, outage_freq=0.0),
     ]
-    tables = aggregate(rows)
+    tables = aggregate([lambda: rows])
     assert [r[2] for r in tables["regret"]] == [1.0, 3.0]
     assert [r[2] for r in tables["loss"]] == pytest.approx([0.2, 0.3])
     assert [r[2] for r in tables["outage"]] == pytest.approx([1.0, 0.5])
@@ -1364,7 +1366,7 @@ def test_aggregate_regret_accumulates_and_loss_running_means():
 def test_aggregate_rejects_gap_in_track_indices():
     rows = [_row("random", 0, 0), _row("random", 0, 2)]
     with pytest.raises(InvalidInput):
-        aggregate(rows)
+        aggregate([lambda: rows])
 
 
 def test_aggregate_rejects_track_count_disagreement():
@@ -1374,7 +1376,7 @@ def test_aggregate_rejects_track_count_disagreement():
         _row("random", 1, 1),
     ]
     with pytest.raises(InvalidInput):
-        aggregate(rows)
+        aggregate([lambda: rows])
 
 
 def test_aggregate_rejects_empty_input():
@@ -1385,11 +1387,10 @@ def test_aggregate_rejects_empty_input():
 def test_aggregate_matches_recount_from_csv(tmp_path):
     config = _tiny_config(str(tmp_path), policies=("random", "ts-uninformative"))
     run_experiment(config)
-    rows = []
-    for policy in config.policies:
-        for seed in config.seeds:
-            rows.extend(read_track_table(track_csv_path(str(tmp_path), policy, seed)))
-    tables = aggregate(rows)
+    tables = aggregate([
+        partial(read_track_table, track_csv_path(str(tmp_path), policy, seed))
+        for policy in config.policies for seed in config.seeds
+    ])
     # independent recomputation straight from the same CSV rows
     for policy in config.policies:
         per_seed = []
@@ -1405,10 +1406,94 @@ def test_aggregate_matches_recount_from_csv(tmp_path):
             assert got[t][3] == expect_err[t]
 
 
+def stacked_moments(rows, policy, column, transform):
+    """mean(axis=0) and std(axis=0, ddof=1) / sqrt(seeds) of one column's
+    (seeds, tracks) stack of ``policy``'s rows, seeds ascending, each row
+    transformed along the track axis: the aggregate's definition."""
+    seeds = sorted({r["seed"] for r in rows if r["policy"] == policy})
+    stacked = np.array([
+        transform(np.array([r[column] for r in sorted(
+            (r for r in rows if r["policy"] == policy and r["seed"] == seed),
+            key=lambda r: r["track"],
+        )]))
+        for seed in seeds
+    ])
+    if len(seeds) < 2:
+        return stacked.mean(axis=0), np.zeros(stacked.shape[1])
+    return stacked.mean(axis=0), stacked.std(axis=0, ddof=1) / np.sqrt(len(seeds))
+
+
+@pytest.mark.parametrize("m", [1, 2, 7])
+@pytest.mark.parametrize("n_seeds", [1, 2, 9, 12])
+def test_aggregate_equals_the_stacked_moments_to_the_bit(m, n_seeds):
+    # the aggregate holds one seed at a time; its means and errors are the
+    # stack's, a single track's pairwise sums and signed zeros included
+    rng = np.random.default_rng(m * 100 + n_seeds)
+    rows = []
+    for policy in ("random", "meta-ts"):
+        for seed in rng.permutation(40)[:n_seeds].tolist():
+            for track in rng.permutation(m).tolist():
+                values = rng.standard_normal(5) * 10.0 ** rng.uniform(-6, 6, 5)
+                values[rng.random(5) < 0.2] = -0.0
+                rows.append(_row(policy, seed, track, **dict(zip(
+                    ("cum_regret", "mean_loss", "outage_freq", "subopt_freq", "kl_to_truth"),
+                    values.tolist(),
+                ))))
+    tables = aggregate([lambda: rows])
+    for metric, (column, transform) in harness.AGG_METRICS.items():
+        for policy in ("random", "meta-ts"):
+            mean, stderr = stacked_moments(rows, policy, column, transform)
+            got = [r for r in tables[metric] if r[0] == policy]
+            assert [r[1] for r in got] == list(range(m))
+            assert np.array([r[2] for r in got]).tobytes() == mean.tobytes()
+            assert np.array([r[3] for r in got]).tobytes() == stderr.tobytes()
+
+
+def test_aggregate_refuses_a_replicate_read_from_two_sources():
+    rows = [_row("random", 0, 0), _row("random", 0, 1)]
+    with pytest.raises(InvalidInput, match="random seed 0"):
+        aggregate([lambda: rows[:1], lambda: rows[1:]])
+
+
+def write_track_files(out: Path, seeds, m: int) -> None:
+    """One track file of ``m`` tracks of uniform values per policy and seed."""
+    rng = np.random.default_rng(len(seeds))
+    for policy in POLICIES:
+        for seed in seeds:
+            lines = [PER_TRACK_HEADER] + [
+                f"{policy},{seed},{track}," + ",".join(map(repr, values))
+                for track, values in enumerate(rng.random((m, 5)).tolist())
+            ]
+            path = Path(track_csv_path(str(out), policy, seed))
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def aggregate_peak(tmp_path: Path, n_seeds: int, m: int) -> int:
+    """tracemalloc peak of aggregating four policies' files of ``n_seeds``
+    seeds and ``m`` tracks."""
+    src = tmp_path / f"seeds{n_seeds}"
+    src.mkdir()
+    write_track_files(src, range(n_seeds), m)
+    tracemalloc.start()
+    try:
+        aggregate_directory(str(src), str(src / "agg"))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_aggregate_peak_does_not_grow_with_the_seed_count(tmp_path):
+    # one file's rows and one (5, m) table per policy are held at a time:
+    # 4 seeds peak within 10% of 1 (holding every row peaked 2.0 times as
+    # high at m = 2,000)
+    one, four = aggregate_peak(tmp_path, 1, 1000), aggregate_peak(tmp_path, 4, 1000)
+    assert four <= 1.1 * one
+
+
 def test_write_aggregates_emits_one_file_per_metric(tmp_path):
     rows = [_row("random", 0, 0, kl_to_truth=0.25)]
     out = tmp_path / "agg"
-    paths = write_aggregates(aggregate(rows), str(out))
+    paths = write_aggregates(aggregate([lambda: rows]), str(out))
     assert sorted(os.path.basename(p) for p in paths) == [
         "agg_kl.csv",
         "agg_loss.csv",

@@ -403,9 +403,8 @@ def test_meta_belief_concentrates_toward_truth():
     for seed in range(5):
         mu_star, state_proc = build_scene(cfg, seed)
         _, history = block_runs(cfg, mu_star, state_proc, ("meta-ts",), seed)[0]
-        trace = kl_trace(history, mu_star)
-        firsts.append(trace[0])
-        lasts.append(trace[-1])
+        firsts.append(kl_trace(history[0], mu_star))
+        lasts.append(kl_trace(history[-1], mu_star))
     assert np.mean(lasts) < 0.5 * np.mean(firsts)
 
 

@@ -174,15 +174,14 @@ def test_sinr_to_db_floors_zero():
 def test_kl_trace_zero_at_reference():
     mu_star = np.array([-0.3, 0.2, 0.8])
     mp = MetaPosterior(mu_star, np.sqrt(KL_REFERENCE_VAR) * np.eye(3), 0.35, 0.33)
-    trace = kl_trace([mp], mu_star)
-    assert abs(trace[0]) < 1e-12
+    assert abs(kl_trace(mp, mu_star)) < 1e-12
 
 
 def test_kl_trace_finite_nonnegative():
     cfg = replace(ExperimentConfig(), m=6, n=50)
     mu_star, state_proc = build_scene(cfg, 2)
     _, history = block_runs(cfg, mu_star, state_proc, ("meta-ts",), 2)[0]
-    trace = kl_trace(history, mu_star)
+    trace = np.array([kl_trace(mp, mu_star) for mp in history])
     assert trace.shape == (6,)
     assert np.all(np.isfinite(trace))
     assert np.all(trace >= 0.0)
