@@ -30,6 +30,11 @@ reference the loop is tested against, bit for bit; the benchmark's tracer
 still wraps them by name, so their spans read n = 0. An exact-linear
 synthetic environment generates losses straight from the context model,
 which makes the learner's behavior verifiable against closed-form oracles.
+Its inner product <theta*, phi> is one sum, (t0 p0 + t1 p1) + t2 p2, on
+Python floats per pulse and elementwise over the stacked snapshots, so a
+pulse's expected and realized loss share their arithmetic and no BLAS
+kernel, which may fuse the multiply-adds on one CPU and not on another,
+decides their bits.
 """
 
 import math
@@ -171,6 +176,7 @@ class SyntheticTrackEnv(SceneWalk):
                  walk_rng: np.random.Generator, noise_rng: np.random.Generator):
         super().__init__(state_proc, n_cpis, walk_rng)
         self.theta_star = np.asarray(theta_star, dtype=float)
+        self._theta = tuple(self.theta_star.tolist())
         self.noise_var = float(noise_var)
         self.sinr_target = float(sinr_target)
         noise_sd = math.sqrt(self.noise_var)
@@ -180,21 +186,27 @@ class SyntheticTrackEnv(SceneWalk):
 
     def expected_losses(self, contexts) -> np.ndarray:
         """The (n, K) clip(<theta*, phi>) of a track's snapshots of K (mean,
-        variance, max) rows, stacked ``STACK_BLOCK`` pulses at a time."""
+        variance, max) rows, stacked ``STACK_BLOCK`` pulses at a time. The
+        inner product is summed elementwise, (t0 p0 + t1 p1) + t2 p2, each
+        product and sum rounded once, so every entry is the float
+        :meth:`realize` adds its noise to for that context."""
         out = np.empty((len(contexts), len(contexts[0])))
+        t0, t1, t2 = self._theta
         for start, size in blocks(len(out)):
             block = chain.from_iterable(chain.from_iterable(contexts[start : start + size]))
             rows = np.fromiter(block, float).reshape(size, out.shape[1], CONTEXT_DIM)
-            np.matmul(rows, self.theta_star, out=out[start : start + size])
+            part = np.multiply(rows[..., 0], t0, out=out[start : start + size])
+            part += rows[..., 1] * t1
+            part += rows[..., 2] * t2
         return out.clip(0.0, 1.0, out=out)
 
     def realize(self, cpi: int, w_idx: int, phi):
         """(loss, pseudo-SINR) of pulse ``cpi`` under the context ``phi``:
-        clip(<theta*, phi> + noise) to [0, 1], as ``np.clip`` gives it.
-        ``theta_star.dot`` of the tuple gives the float ``np.vecdot`` gives
-        in a stack; the (n, K, 3) ``np.matmul`` of :meth:`expected_losses`
-        differs from it in the last bit at some entries."""
-        x = float(self.theta_star.dot(phi)) + self.noise[cpi]
+        clip((t0 p0 + t1 p1) + t2 p2 + noise) to [0, 1], as ``np.clip``
+        gives it, on Python floats, so no BLAS kernel picks the bits."""
+        t0, t1, t2 = self._theta
+        p0, p1, p2 = phi
+        x = t0 * p0 + t1 * p1 + t2 * p2 + self.noise[cpi]
         loss = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
         return loss, loss * self.sinr_target
 

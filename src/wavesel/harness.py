@@ -681,7 +681,8 @@ def read_track_table(path: str) -> list:
     """Parse one per-track summary CSV back into row dicts. A row whose
     policy is unknown, whose seed lies outside [0, ``MAX_SEED``), whose
     track is negative or whose mean loss or frequency lies outside [0, 1]
-    raises an ``IoError`` naming the file and the row."""
+    raises an ``IoError`` naming the file, the row and the first such field
+    in column order; a malformed or non-finite row raises one first."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -690,30 +691,37 @@ def read_track_table(path: str) -> list:
     if not lines or lines[0] != PER_TRACK_HEADER:
         raise IoError(f"{path} is not a per-track summary file")
     rows = []
-    names = PER_TRACK_HEADER.split(",")
+    isfinite = math.isfinite
     for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(names):
-            raise IoError(f"{path}: malformed row {line!r}")
+        # the columns of PER_TRACK_HEADER, in its order
         try:
-            seed, track = int(parts[1]), int(parts[2])
-            values = [float(part) for part in parts[3:]]
+            policy, seed, track, regret, loss, outage, subopt, kl = line.split(",")
+            seed, track = int(seed), int(track)
+            regret, loss, outage, subopt, kl = (
+                float(regret), float(loss), float(outage), float(subopt), float(kl)
+            )
         except ValueError:
             raise IoError(f"{path}: malformed row {line!r}") from None
-        if not all(map(math.isfinite, values)):
-            raise IoError(f"{path}: non-finite value in row {line!r}")
-        row = {"policy": parts[0], "seed": seed, "track": track}
-        row.update(zip(names[3:], values))
-        in_range = {
-            "policy": row["policy"] in POLICIES,
-            "seed": 0 <= seed < MAX_SEED,
-            "track": track >= 0,
-            **{c: 0.0 <= row[c] <= 1.0 for c in ("mean_loss", "outage_freq", "subopt_freq")},
-        }
-        bad = [name for name, ok in in_range.items() if not ok]
-        if bad:
-            raise IoError(f"{path}: {bad[0]} out of range in row {line!r}")
-        rows.append(row)
+        # one test passes a good row; only a bad one walks the fields to
+        # name the first that fails (a NaN fails its range test as well)
+        if not (isfinite(regret) and isfinite(kl) and policy in POLICIES
+                and 0 <= seed < MAX_SEED and track >= 0 and 0.0 <= loss <= 1.0
+                and 0.0 <= outage <= 1.0 and 0.0 <= subopt <= 1.0):
+            if not all(map(isfinite, (regret, loss, outage, subopt, kl))):
+                raise IoError(f"{path}: non-finite value in row {line!r}")
+            bad = next(name for name, ok in (
+                ("policy", policy in POLICIES),
+                ("seed", 0 <= seed < MAX_SEED),
+                ("track", track >= 0),
+                ("mean_loss", 0.0 <= loss <= 1.0),
+                ("outage_freq", 0.0 <= outage <= 1.0),
+                ("subopt_freq", 0.0 <= subopt <= 1.0),
+            ) if not ok)
+            raise IoError(f"{path}: {bad} out of range in row {line!r}")
+        rows.append({
+            "policy": policy, "seed": seed, "track": track, "cum_regret": regret,
+            "mean_loss": loss, "outage_freq": outage, "subopt_freq": subopt, "kl_to_truth": kl,
+        })
     return rows
 
 

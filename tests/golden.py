@@ -4,8 +4,9 @@
 every per-CPI (``cpi_*``) and per-track (``track_*``) file the sweep writes,
 and of every aggregate (``agg_*``) file ``aggregate_directory`` makes of
 them, and a digest of each of the file's columns, with the numpy and
-OpenBLAS versions it was recorded under. ``test_golden.py`` compares the
-session fixtures' files, and their aggregates, with it.
+OpenBLAS versions and the OpenBLAS kernel set it was recorded under.
+``test_golden.py`` compares the session fixtures' files, and their
+aggregates, with it.
 
 Usage (from the repository root), to rewrite the file:
 
@@ -24,6 +25,7 @@ bytes on purpose rewrites the file in the same diff and quotes that report.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import io
 import json
@@ -75,10 +77,29 @@ def sweep_config(sweep: str, out_dir) -> ExperimentConfig:
     return ExperimentConfig(out_dir=str(out_dir), **SWEEPS[sweep])
 
 
+def blas_core():
+    """Name of the kernel set the OpenBLAS bundled with numpy dispatched to on
+    this CPU (``SkylakeX``, ``Haswell``, ...; ``OPENBLAS_CORETYPE`` picks
+    another), or None where no such library is found."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        getter = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_char_p
+            return getter().decode()
+    return None
+
+
 def versions() -> dict:
-    """The numpy and OpenBLAS builds the process runs under."""
+    """The numpy and OpenBLAS builds the process runs under, and the
+    OpenBLAS kernel set, which the physical build's and the meta level's
+    last bits depend on."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}"}
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_core": blas_core(),
+    }
 
 
 def _digest(data: bytes, size: int = 64) -> str:

@@ -32,11 +32,18 @@ def unit_clip(x: float) -> float:
     return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
 
 
+def inner_product(theta, phi) -> float:
+    """<theta, phi> as the synthetic environment sums it, on Python floats:
+    (t0 p0 + t1 p1) + t2 p2, each product and sum rounded once, with no
+    fused multiply-add."""
+    (t0, t1, t2), (p0, p1, p2) = map(float, theta), map(float, phi)
+    return (t0 * p0 + t1 * p1) + t2 * p2
+
+
 def synthetic_loss(theta, phi, noise: float) -> float:
-    """Exact-linear loss clamp(<theta, phi> + noise) for an array ``theta``
-    and one noise value, the loss ``SyntheticTrackEnv.realize`` computes;
-    ``theta.dot`` and ``np.matmul`` give the same float."""
-    return unit_clip(float(theta.dot(phi)) + noise)
+    """Exact-linear loss clamp(<theta, phi> + noise) for one noise value, the
+    loss ``SyntheticTrackEnv.realize`` computes, with ``inner_product``."""
+    return unit_clip(inner_product(theta, phi) + noise)
 
 
 def compute_loss(sinr_post: float, sinr_target: float) -> float:
@@ -455,8 +462,15 @@ def reference_track(env, prior, noise_var: float, n_cpis: int, k_arms: int,
             idx = int(np.argmax(np.asarray(phis) @ np.asarray(theta)))
         phi = phis[idx].copy()
         if sim is None:
-            expected = np.clip(phis @ env.theta_star, 0.0, 1.0)
-            y = float(env.theta_star @ phi)
+            # the inner product in one order, (t0 p0 + t1 p1) + t2 p2:
+            # elementwise numpy for the row, Python floats for the pulse
+            theta = env.theta_star
+            expected = np.clip(
+                phis[:, 0] * theta[0] + phis[:, 1] * theta[1] + phis[:, 2] * theta[2],
+                0.0, 1.0,
+            )
+            (t0, t1, t2), (p0, p1, p2) = theta.tolist(), phi.tolist()
+            y = (t0 * p0 + t1 * p1) + t2 * p2
             y += float(np.sqrt(env.noise_var) * noise_rng.standard_normal())
             realized = float(np.clip(y, 0.0, 1.0))
             sinr = realized * env.sinr_target

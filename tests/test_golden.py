@@ -7,6 +7,14 @@ A change that moves output bytes on purpose rewrites the file with
 from __future__ import annotations
 
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
 
 from golden import (
     GOLDEN,
@@ -18,6 +26,25 @@ from golden import (
     sweep_digests,
     versions,
 )
+
+TESTS = Path(__file__).resolve().parent
+
+#: A child process's run of one sweep into argv[2]; it prints its kernel set.
+RUN_SWEEP = """
+import sys
+from golden import blas_core, sweep_config
+from wavesel.harness import run_experiment
+run_experiment(sweep_config(sys.argv[1], sys.argv[2]))
+print(blas_core())
+"""
+
+
+def dynamic_openblas() -> bool:
+    """Whether numpy's OpenBLAS picks its kernels at run time on this x86-64
+    machine, so ``OPENBLAS_CORETYPE`` can select another CPU's."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (platform.machine().lower() in ("x86_64", "amd64")
+            and "DYNAMIC_ARCH" in str(blas.get("openblas configuration", "")))
 
 
 def test_session_sweeps_match_golden_digests(
@@ -41,7 +68,8 @@ def test_session_sweeps_match_golden_digests(
     if problems and recorded["versions"] != versions():
         problems.insert(0, (
             f"recorded under {recorded['versions']}, running under {versions()}: "
-            "a different numpy or BLAS build may move the last bits"
+            "a different numpy or OpenBLAS build, or another OpenBLAS kernel set "
+            "(blas_core), may move the last bits"
         ))
     assert not problems, "\n".join(problems)
 
@@ -105,3 +133,23 @@ def test_gap_report_counts_flips_and_the_largest_float_gaps(tmp_path):
     ]
     assert all(line.endswith("of 0 files (0 of 0 rows); largest absolute gap: none")
                for line in report[3::3])
+
+
+@pytest.mark.skipif(not dynamic_openblas(), reason="needs x86-64 and a DYNAMIC_ARCH OpenBLAS")
+def test_synthetic_per_cpi_bytes_do_not_depend_on_the_openblas_kernel(memory3_sweep, tmp_path):
+    # the synthetic loss is summed on Python floats, so a child process on
+    # the Nehalem kernels, which fuse no multiply-add, writes the same
+    # per-CPI bytes as this process on whatever kernels this CPU picked
+    src = Path(sys.modules["wavesel"].__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Nehalem",
+           "PYTHONPATH": os.pathsep.join((str(src), str(TESTS)))}
+    child = subprocess.run(
+        [sys.executable, "-c", RUN_SWEEP, "memory3_sweep", str(tmp_path)],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    assert child.stdout.split()[-1] == "Nehalem"
+    here = sorted(Path(memory3_sweep.config.out_dir).glob("cpi_*.csv"))
+    assert len(here) == 20
+    assert [p.name for p in here] == [p.name for p in sorted(tmp_path.glob("cpi_*.csv"))]
+    differ = [p.name for p in here if p.read_bytes() != (tmp_path / p.name).read_bytes()]
+    assert not differ, f"{len(differ)} of 20 cpi_* files differ under Nehalem: {differ}"

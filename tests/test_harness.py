@@ -1309,6 +1309,28 @@ def test_read_track_table_rejects_bad_numbers(tmp_path, row):
     assert row in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "row, field",
+    [
+        ("bogus,-1,-1,1.0,1.5,-0.1,2.0,0.1", "policy"),
+        ("random,4294967296,-1,1.0,1.5,-0.1,2.0,0.1", "seed"),
+        ("random,0,-1,1.0,1.5,-0.1,2.0,0.1", "track"),
+        ("random,0,0,1.0,1.5,-0.1,2.0,0.1", "mean_loss"),
+        ("random,0,0,1.0,0.5,-0.1,2.0,0.1", "outage_freq"),
+        ("random,0,0,1.0,0.5,0.0,2.0,0.1", "subopt_freq"),
+    ],
+)
+def test_read_track_table_names_the_first_field_out_of_range(tmp_path, row, field):
+    # fields are checked in column order; cum_regret and kl_to_truth have
+    # no range but a finite one
+    path = tmp_path / "track_bad.csv"
+    path.write_text(PER_TRACK_HEADER + "\nrandom,0,0,-3.0,1.0,1.0,0.0,7.5\n" + row + "\n",
+                    encoding="utf-8")
+    with pytest.raises(IoError) as info:
+        read_track_table(str(path))
+    assert str(info.value) == f"{path}: {field} out of range in row {row!r}"
+
+
 def test_read_track_table_missing_file(tmp_path):
     with pytest.raises(IoError):
         read_track_table(str(tmp_path / "track_none.csv"))
