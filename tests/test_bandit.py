@@ -356,6 +356,22 @@ def test_synthetic_loss_stays_in_unit_interval(pyrandom):
     assert 0.0 <= loss <= 1.0
 
 
+@given(
+    st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3),
+    st.lists(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3), min_size=1, max_size=4),
+)
+@example(theta=[-0.596, 0.769, 0.36], phis=[[0.849, 0.644, 0.407]])
+@settings(max_examples=200, deadline=None)
+def test_synthetic_loss_inner_product_is_matmuls(theta, phis):
+    # the stacked elementwise products expected_losses computes in place of a
+    # matmul give every context the inner product synthetic_loss sums, so an
+    # expected loss is the noise-free realized loss on any CPU's BLAS
+    env = synthetic_env(theta, uniform_state_proc(), 0.05, 1)
+    got = env.expected_losses([tuple(map(tuple, phis))])
+    want = np.array([[unit_clip(inner_product(theta, phi)) for phi in phis]])
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n", [1, STACK_BLOCK + 3])
 def test_expected_losses_are_the_clipped_sums_of_their_contexts(n):
     # every (pulse, arm) entry of the stacked product is the float the
